@@ -2,9 +2,9 @@
 catch-up, with the memory trajectory recorded alongside the timings.
 
 Each bench stores a ``tracemalloc`` high-water mark and the retained-entry
-counts in ``extra_info``, so every ``BENCH_<stamp>.json`` snapshot (and the
-committed ``BENCH_latest.json`` trajectory point) carries the memory story
-next to the wall-clock one — the quantity this subsystem exists to bound.
+counts in ``extra_info``, so a ``--benchmark-json`` dump carries the memory
+story next to the wall-clock one — the quantity this subsystem exists to
+bound.
 """
 
 import tracemalloc

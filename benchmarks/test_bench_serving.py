@@ -2,9 +2,8 @@
 
 Runs the closed-loop serving grid (see ``repro.experiments.serving``)
 once and records the headline throughput per mode in ``extra_info``, so
-every ``BENCH_<stamp>.json`` snapshot — and the committed
-``BENCH_latest.json`` trajectory point — carries the fast-path speedup
-next to the wall-clock timings.  The ≥ 3× gate is asserted here on the
+a ``--benchmark-json`` dump carries the fast-path speedup next to the
+wall-clock timings.  The ≥ 3× gate is asserted here on the
 **simulated** ops/sec (seed-deterministic); wall-clock ops/sec is
 recorded advisory-only, like the memory trajectory.
 """

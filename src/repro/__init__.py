@@ -13,7 +13,7 @@ Subpackages
 ``repro.raft``
     Complete Raft: elections with pre-vote and lease protection, log
     replication, KV state machine, clients (the etcd substitute).
-``repro.dynatune`` (alias ``repro.core``)
+``repro.dynatune``
     The paper's contribution: heartbeat-based RTT/loss measurement and
     dynamic tuning of election timeout and heartbeat interval.
 ``repro.cluster``

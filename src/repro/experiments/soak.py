@@ -63,7 +63,7 @@ __all__ = [
 
 #: Transient headroom above ``threshold + margin`` the memory bound grants:
 #: an apply batch can overshoot the trigger by up to one replication batch
-#: (``max_entries_per_append``) before ``_maybe_compact`` runs, and a
+#: (64 entries) before ``_maybe_compact`` runs, and a
 #: leaderless churn window buffers a handful of uncommitted client entries.
 RETAINED_SLACK = 128
 
@@ -258,7 +258,11 @@ def run_one(cfg: SoakConfig) -> SoakRunResult:
     )
     follower = cluster.node(lagger)
     match_at_recover = max(
-        (n.match_index.get(lagger, 0) for n in cluster.nodes.values() if n.is_leader),
+        (
+            n.progress[lagger].match
+            for n in cluster.nodes.values()
+            if n.is_leader and lagger in n.progress
+        ),
         default=0,
     )
     # Throughput over the load window proper: ops completed up to the

@@ -211,9 +211,9 @@ def _stale_lease_under_skew(cluster: Cluster) -> None:
         node = cluster.nodes[name]
 
         def _freshest_ms(_node=node) -> float:
-            last = _node._last_peer_response
+            progress = _node.progress
             return max(
-                (last.get(p, _NEG_INF) for p in _node._voter_peers),
+                (progress[p].last_response for p in _node._voter_peers),
                 default=_NEG_INF,
             )
 

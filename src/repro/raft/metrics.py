@@ -35,7 +35,7 @@ class NodeMetrics:
     prevotes_rejected: int = 0
     entries_applied: int = 0
     #: Times the leader's commit index moved forward via quorum match
-    #: (one bump may cover many entries; see RaftNode._advance_commit).
+    #: (one bump may cover many entries; see RaftNode._commit_to).
     commit_advances: int = 0
     client_requests: int = 0
     client_redirects: int = 0

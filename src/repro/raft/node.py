@@ -36,11 +36,15 @@ Hot-path structure (the protocol layer dominates large-cluster wall time):
   :class:`~repro.raft.commit.CommitTracker` replaces the classic
   sort-all-match-indices scan, making each AppendEntries response O(1)
   amortized regardless of cluster size;
-* the heartbeat exchange is **allocation-light** — request/response
-  objects are cached per peer and re-sent while ``(term, commit)`` /
-  ``(term, last_log_index)`` are stable and no tuning metadata rides
-  along (the baseline-Raft steady state allocates no message objects at
-  all);
+* the leader's whole view of one follower is a single slotted
+  :class:`Progress` record (etcd's ``tracker.Progress``), so a beat or an
+  ack is one dict lookup followed by attribute loads, and "is this peer
+  in my reign?" is that lookup;
+* the heartbeat exchange is **allocation-light** — the request (on the
+  follower's :class:`Progress`) and the response are cached and re-sent
+  while ``(term, commit)`` / ``(term, last_log_index)`` are stable and no
+  tuning metadata rides along (the baseline-Raft steady state allocates
+  no message objects at all);
 * message dispatch is a type-indexed table rather than an isinstance
   cascade, and election randomization draws come from a buffered block of
   the node's RNG stream (bit-identical values, a fraction of the numpy
@@ -49,6 +53,7 @@ Hot-path structure (the protocol layer dominates large-cluster wall time):
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from typing import Any, Callable, ClassVar
@@ -82,11 +87,12 @@ from repro.raft.types import RaftConfig, Role
 from repro.sim.clock import NodeClock
 from repro.sim.loop import EventLoop
 from repro.sim.process import Process, ProcessState
+from repro.sim.timers import Timer
 from repro.sim.tracing import TraceLog
 from repro.storage.base import DiskCorruptionError, RecoveredState, Storage
 from repro.storage.ideal import IdealStorage
 
-__all__ = ["RaftNode"]
+__all__ = ["Progress", "RaftNode"]
 
 _NEG_INF = -math.inf
 
@@ -95,6 +101,64 @@ _RAND_BLOCK = 256
 
 #: Module-level alias: ``deliver`` checks this once per delivered message.
 _RUNNING = ProcessState.RUNNING
+
+# Behaviours that only ever ran with one value are constants, not
+# ``RaftConfig`` options.
+#: Transport for consensus RPCs and client replies (etcd parity: Dynatune
+#: keeps consensus on TCP and only moves heartbeats to the policy's channel).
+_RPC_CHANNEL = "tcp"
+#: Replication batch bound, entries per AppendEntries (etcd parity).
+_MAX_ENTRIES_PER_APPEND = 64
+#: Uniform extra delay per heartbeat tick (OS scheduling noise): a
+#: simulator's perfectly aligned timers would phase-lock every follower's
+#: failure detection and make split votes near-certain.
+_HB_TIMER_JITTER_MS = 0.5
+#: An append pipeline with no ack for this long is considered lost.
+_APPEND_PIPELINE_STALL_MS = 1_000.0
+
+
+@dataclasses.dataclass(slots=True, eq=False)
+class Progress:
+    """The leader's view of one follower (etcd's ``tracker.Progress``).
+
+    One record per peer, alive exactly as long as the peer is in this
+    leader's reign: built in ``_become_leader``, added/removed by
+    ``_apply_membership_change``, dropped on step-down and recovery.
+
+    Attributes:
+        next: index of the next entry to send (advances optimistically at
+            send time under ``replication_pipelining``).
+        match: highest index known replicated on the follower.
+        last_response: local time of the follower's latest response of
+            any kind — feeds check-quorum and the read lease.
+        last_append_response: local time of its latest replication ack;
+            an in-flight window silent past the stall bound is re-primed
+            from the next heartbeat response.
+        inflight: unacknowledged AppendEntries (etcd's inflight window).
+        snapshot_sent_at: send time of an unacknowledged InstallSnapshot
+            transfer, else ``None``.
+        probing: the append pipeline collapsed to one probe at a time
+            after a rejection (``replication_pipelining`` only).
+        hb_request: cached outbound heartbeat, valid while its fields are
+            unchanged and no metadata rides along (messages are immutable
+            by convention, so re-sending the same object is safe even with
+            copies still in flight).
+        hb_timer: the timer that beats this follower — its own ``hb/<peer>``
+            loop, or the shared ``hb`` timer under
+            ``consolidated_heartbeat_timer``; fetched from the node's
+            timer service at the first arm.
+    """
+
+    peer: str
+    next: int
+    last_response: float
+    last_append_response: float
+    match: int = 0
+    inflight: int = 0
+    snapshot_sent_at: float | None = None
+    probing: bool = False
+    hb_request: HeartbeatRequest | None = None
+    hb_timer: Timer | None = None
 
 
 class _ReadBatch:
@@ -192,8 +256,6 @@ class RaftNode(Process):
         self._voters: frozenset[str] = frozenset()
         self.cluster_size = 0
         self.quorum = 1
-        self._hb_timer_names: dict[str, str] = {}
-        self._hb_timer_cbs: dict[str, Any] = {}
         self._refresh_membership()
         self.network = network
         self.config = config
@@ -219,40 +281,13 @@ class RaftNode(Process):
         self.storage.attach(self)
         self.log.journal = self.storage.wal
 
-        # Volatile state.
-        self.role = Role.FOLLOWER
-        self.leader_id: str | None = None
-        self.commit_index = 0
-        self.last_applied = 0
-        self.last_leader_contact = _NEG_INF
-
-        # Candidate state.
-        self._prevotes: set[str] = set()
-        self._votes: set[str] = set()
-
-        # Leader state.
-        self.next_index: dict[str, int] = {}
-        self.match_index: dict[str, int] = {}
-        self._last_peer_response: dict[str, float] = {}
-        self._pending_client: dict[int, tuple[str, int]] = {}  # log idx -> (client, req)
-        # Outstanding AppendEntries per follower (etcd's inflight window):
-        # without a cap, every response to a still-behind follower would
-        # spawn a fresh full-window resend, and under sustained load those
-        # send/response chains accumulate without bound.
-        self._inflight_appends: dict[str, int] = {}
-        self._last_append_response: dict[str, float] = {}
-        #: peer -> send time of an unacknowledged InstallSnapshot transfer.
-        self._snapshot_inflight: dict[str, float] = {}
-        # Incrementally maintained quorum-match frontier (reset per reign).
-        self._commit = CommitTracker(self._acks_needed())
-
+        self._reset_volatile()
         self._election_timer = self.timers.timer("election", self._on_election_timeout)
         self._started = False
 
         # -- hot-path caches (all derived, none carries protocol state) --- #
-        # Channel names and the network's envelope-free transmit are
-        # constant for the node's lifetime.
-        self._rpc_channel: str = config.rpc_channel
+        # The heartbeat channel and the network's envelope-free transmit
+        # are constant for the node's lifetime.
         self._hb_channel: str = policy.heartbeat_channel
         transmit = getattr(network, "transmit", None)
         if transmit is None and network is not None:
@@ -260,29 +295,14 @@ class RaftNode(Process):
                 src, dst, payload, channel=channel, size_bytes=size
             )
         self._transmit: Callable[..., Any] = transmit
-        # Cached outbound heartbeat per peer and the one cached response,
-        # valid while their fields are unchanged and no metadata rides
-        # along (messages are immutable by convention, so re-sending the
-        # same object is safe even with copies still in flight).
-        self._hb_cache: dict[str, HeartbeatRequest] = {}
-        self._hb_resp_cache: HeartbeatResponse | None = None
         # Buffered uniform draws (bit-identical to per-call rng.random()).
         self._rand_buf: list[float] | None = None
         self._rand_pos = 0
         # Frozen-config compaction knobs, read after every apply batch.
         self._compaction_threshold: int = config.compaction_threshold
         self._compaction_margin: int = config.compaction_retain_margin
-        # Frozen-config membership knobs.
-        self._auto_promote: bool = config.auto_promote_learners
-        self._learner_margin: int = config.learner_catchup_margin
-        # Frozen-config flags read on every beat.
+        # Frozen-config flag read on every beat.
         self._hb_consolidated: bool = config.consolidated_heartbeat_timer
-        self._hb_stagger: bool = config.heartbeat_phase_stagger
-        self._hb_jitter_ms: float = config.heartbeat_timer_jitter_ms
-        self._hb_catchup: bool = config.heartbeat_response_catchup
-        # Per-peer heartbeat Timer objects (mirrors the TimerService entry;
-        # cleared on step-down together with the service's).
-        self._hb_timers: dict[str, Any] = {}
         # -- client-serving fast path (all knobs default off) ------------- #
         # Frozen-config knobs, read per client op / per append.
         self._batching: bool = config.client_batching
@@ -292,6 +312,35 @@ class RaftNode(Process):
         self._max_inflight: int = config.max_inflight_appends
         self._lease_reads: bool = config.lease_reads
         self._lease_margin_ms: float = config.lease_drift_margin_ms
+
+    def _reset_volatile(self) -> None:
+        """(Re-)initialise every piece of volatile state: the one place a
+        fresh node and a crash-recovered one get it from, so the two can
+        never disagree.  Needs the membership caches and ``snapshot``."""
+        self.role = Role.FOLLOWER
+        self.leader_id: str | None = None
+        # The snapshot only ever covers applied (hence committed) entries,
+        # so its index is a sound post-restart commit floor — the same
+        # initialisation etcd performs from its snapshot file.
+        snap = self.snapshot
+        floor = snap.last_included_index if snap is not None else 0
+        self.commit_index = floor
+        self.last_applied = floor
+        self.last_leader_contact = _NEG_INF
+
+        # Candidate state.
+        self._prevotes: set[str] = set()
+        self._votes: set[str] = set()
+
+        # Leader state.
+        #: One record per follower of the current reign (empty otherwise).
+        self.progress: dict[str, Progress] = {}
+        self._pending_client: dict[int, tuple[str, int]] = {}  # log idx -> (client, req)
+        # Incrementally maintained quorum-match frontier (reset per reign).
+        self._commit = CommitTracker(self._acks_needed())
+        #: Log index of this term's no-op entry while leader (0 otherwise);
+        #: the read fast path gates on it being committed.
+        self._term_start_index = 0
         #: Buffered client writes awaiting one batched log append.
         self._batch_buf: list[tuple[str, int, Any]] = []
         #: Reads waiting for the *next* ReadIndex round: a probe must
@@ -301,12 +350,10 @@ class RaftNode(Process):
         #: The in-flight ReadIndex round, if any.
         self._read_round: _ReadBatch | None = None
         self._read_seq = 0
-        #: Followers whose append pipeline collapsed to one-probe-at-a-time
-        #: after a rejection (replication_pipelining only).
-        self._append_probe: set[str] = set()
-        #: Log index of this term's no-op entry while leader (0 otherwise);
-        #: the read fast path gates on it being committed.
-        self._term_start_index = 0
+
+        # The one cached heartbeat response (follower side), valid while
+        # its fields are unchanged and no metadata rides along.
+        self._hb_resp_cache: HeartbeatResponse | None = None
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -351,41 +398,10 @@ class RaftNode(Process):
             # half of the policy state (lease/report bookkeeping) so no
             # pre-crash leadership leaks into the new incarnation.
             self.policy.on_step_down(self._now())
-        self.role = Role.FOLLOWER
-        self.leader_id = None
-        self.last_leader_contact = _NEG_INF
-        self._prevotes = set()
-        self._votes = set()
-        self.next_index = {}
-        self.match_index = {}
-        self._last_peer_response = {}
-        self._pending_client = {}
-        self._inflight_appends = {}
-        self._last_append_response = {}
-        self._snapshot_inflight = {}
-        self._hb_cache = {}
-        self._hb_resp_cache = None
-        # Drop cached heartbeat-timer handles: they belong to the dead
-        # incarnation (crash cancelled them) and must not be re-armed.
-        self._hb_timers = {}
-        self._batch_buf = []
-        self._read_buf = []
-        self._read_round = None
-        self._read_seq = 0
-        self._append_probe = set()
-        self._term_start_index = 0
         self.state_machine.reset()
         snap = self.snapshot
         if snap is not None:
-            # The snapshot only ever covers applied (hence committed)
-            # entries, so its index is a sound post-restart commit floor —
-            # the same initialisation etcd performs from its snapshot file.
             self.state_machine.restore(snap.data)
-            self.commit_index = snap.last_included_index
-            self.last_applied = snap.last_included_index
-        else:
-            self.commit_index = 0
-            self.last_applied = 0
         # Rebuild the membership record from durable state alone: the
         # committed configuration comes from the snapshot, then every
         # config entry still in the (durable) log re-applies on top —
@@ -402,7 +418,7 @@ class RaftNode(Process):
             if entry.index > floor and entry.command.__class__ is ConfigChange
         ]
         self._refresh_membership()
-        self._commit = CommitTracker(self._acks_needed())
+        self._reset_volatile()
         self.policy.on_leader_change(None, self._now())
         self._arm_election_timer()
         if self.storage.kind != "ideal":
@@ -506,10 +522,7 @@ class RaftNode(Process):
         """Recompute every membership-derived cache from the config record.
 
         The effective configuration is the newest config entry in the
-        retained log, falling back to the base (frontier) config.  Stale
-        heartbeat-timer name/callback cache entries for departed peers are
-        deliberately kept — they are tiny, and keeping the dicts
-        append-only means the hot per-beat lookups never miss.
+        retained log, falling back to the base (frontier) config.
         """
         stack = self._config_log
         cfg: ClusterConfig = stack[-1][1].config if stack else self._base_config
@@ -520,12 +533,6 @@ class RaftNode(Process):
         self._voter_peers = [p for p in cfg.voters if p != name]
         self.cluster_size = len(cfg.voters)
         self.quorum = cfg.quorum
-        names = self._hb_timer_names
-        cbs = self._hb_timer_cbs
-        for peer in self.peers:
-            if peer not in names:
-                names[peer] = f"hb/{peer}"
-                cbs[peer] = functools.partial(self._heartbeat_tick, peer)
 
     def _acks_needed(self) -> int:
         """Follower acks required to commit: quorum minus the leader's own
@@ -616,8 +623,7 @@ class RaftNode(Process):
             return False  # crashed persisting the config entry
         self._apply_membership_change(old_cfg, new_cfg)
         if self.role is Role.LEADER:  # may have stepped down committing a self-remove
-            for peer in self.peers:
-                self._send_append(peer)
+            self._replicate_to_all()
         return True
 
     def _pop_stale_config_records(self) -> bool:
@@ -685,41 +691,25 @@ class RaftNode(Process):
         if old == new:
             return
         name = self.name
-        old_members = set(old.members)
-        new_members = set(new.members)
-        removed = old_members - new_members
+        added = set(new.members) - set(old.members) - {name}
+        removed = set(old.members) - set(new.members) - {name}
         if removed:
             hook = getattr(self.policy, "on_peer_removed", None)
             if hook is not None:
                 for peer in removed:
-                    if peer != name:
-                        hook(peer)
+                    hook(peer)
         if name in new.voters and name not in old.voters:
             self.metrics.promoted_to_voter += 1
         if self.role is Role.LEADER:
             now = self._now()
-            for peer in sorted(new_members - old_members):
-                if peer == name:
-                    continue
-                self.next_index[peer] = self.log.last_index + 1
-                self.match_index[peer] = 0
-                self._last_peer_response[peer] = now
-                self._inflight_appends[peer] = 0
-                self._last_append_response[peer] = now
-                self._send_append(peer)
-                self._schedule_heartbeat(peer, first=True)
+            next_index = self.log.last_index + 1
+            for peer in sorted(added):
+                pr = self.progress[peer] = Progress(peer, next_index, now, now)
+                self._send_append(pr)
+                self._schedule_heartbeat(pr, first=True)
             for peer in removed:
-                if peer == name:
-                    continue
-                self.timers.drop(self._hb_timer_names.get(peer, f"hb/{peer}"))
-                self._hb_timers.pop(peer, None)
-                self._hb_cache.pop(peer, None)
-                self.next_index.pop(peer, None)
-                self.match_index.pop(peer, None)
-                self._last_peer_response.pop(peer, None)
-                self._inflight_appends.pop(peer, None)
-                self._last_append_response.pop(peer, None)
-                self._snapshot_inflight.pop(peer, None)
+                del self.progress[peer]
+                self.timers.drop(f"hb/{peer}")
             if old.voters != new.voters:
                 # The quorum arithmetic changed mid-reign: rebuild the
                 # incremental tracker from the surviving voters' match
@@ -729,7 +719,7 @@ class RaftNode(Process):
                 tracker = CommitTracker(self._acks_needed())
                 tracker.discard_through(self.commit_index)
                 for peer in self._voter_peers:
-                    tracker.advance(0, self.match_index.get(peer, 0))
+                    tracker.advance(0, self.progress[peer].match)
                 self._commit = tracker
                 self._recheck_commit()
         elif name not in self._voters and self.role in (
@@ -745,17 +735,11 @@ class RaftNode(Process):
     def _recheck_commit(self) -> None:
         """Advance the commit index from already-held evidence (used after
         a quorum-size change; the §5.4.2 term restriction still applies)."""
-        if self.role is not Role.LEADER:
-            return
         if self._commit.acks_needed == 0:
             candidate = self.log.last_index if self.name in self._voters else 0
         else:
             candidate = self._commit.frontier
-        if candidate > self.commit_index and self.log.term_at(candidate) == self.current_term:
-            self.commit_index = candidate
-            self._commit.discard_through(candidate)
-            self.metrics.commit_advances += 1
-            self._apply_committed()
+        self._commit_to(candidate)
 
     def _on_config_committed(self, index: int, change: ConfigChange) -> None:
         """Commit-time duties of a config entry (its *effect* started at
@@ -785,27 +769,28 @@ class RaftNode(Process):
             # learner that finished catching up in the meantime can now
             # have its promotion proposed.
             for learner in change.config.learners:
-                if self.match_index.get(learner, 0) >= self.log.last_index:
-                    self._maybe_promote(learner)
+                pr = self.progress.get(learner)
+                if pr is not None and pr.match >= self.log.last_index:
+                    self._maybe_promote(pr)
 
-    def _maybe_promote(self, follower: str) -> None:
+    def _maybe_promote(self, pr: Progress) -> None:
         """Auto-promote a caught-up learner to voter (leader side).
 
-        Fires from replication acks: once the learner's match index is
-        within the configured margin of the leader's commit index — i.e.
-        it has been caught up, through the snapshot path if it started
-        behind the leader's first retained entry — the leader proposes the
-        ``promote`` entry, provided no other change is in flight.
+        Fires from replication acks: once the learner's match index has
+        reached the leader's commit index — i.e. it has been caught up,
+        through the snapshot path if it started behind the leader's first
+        retained entry — the leader proposes the ``promote`` entry,
+        provided no other change is in flight.
         """
-        if not self._auto_promote or self.role is not Role.LEADER:
+        if self.role is not Role.LEADER:
             return
-        if follower not in self._membership.learners:
+        if pr.peer not in self._membership.learners:
             return
         if self.config_change_in_flight():
             return
-        if self.match_index.get(follower, 0) + self._learner_margin < self.commit_index:
+        if pr.match < self.commit_index:
             return
-        if self.propose_config_change("promote", follower):
+        if self.propose_config_change("promote", pr.peer):
             self.metrics.learner_promotions += 1
 
     # ------------------------------------------------------------------ #
@@ -816,11 +801,19 @@ class RaftNode(Process):
         if self.cost_model is not None:
             self.cost_model.charge(self.name, kind, units)
 
-    def _send(self, dst: str, payload: Any, *, channel: str, size: int = 96) -> None:
-        self._transmit(self.name, dst, payload, channel, size)
-
     def _rpc(self, dst: str, payload: Any, size: int = 96) -> None:
-        self._transmit(self.name, dst, payload, self._rpc_channel, size)
+        self._transmit(self.name, dst, payload, _RPC_CHANNEL, size)
+
+    def _reply(
+        self,
+        client: str,
+        request_id: int,
+        ok: bool,
+        result: Any = None,
+        leader_hint: str | None = None,
+    ) -> None:
+        """Answer a client request (the one place ClientResponses leave)."""
+        self._rpc(client, ClientResponse(request_id, ok, result, leader_hint))
 
     def _rand(self) -> float:
         """One uniform draw from this node's stream, served from a block.
@@ -903,48 +896,31 @@ class RaftNode(Process):
         self.trace.record(
             self._now(), self.name, "step_down", term=self.current_term
         )
-        names = self._hb_timer_names
-        for peer in self.peers:
-            self.timers.drop(names.get(peer, f"hb/{peer}"))
-        self.timers.drop("hb")
-        self.timers.drop("quorum")
-        self._hb_timers = {}
-        self._hb_cache = {}
+        drop = self.timers.drop
+        for peer in self.progress:
+            drop(f"hb/{peer}")
+        for name in ("hb", "quorum", "batch"):
+            drop(name)
+        self.progress = {}
+        self._term_start_index = 0
         self.policy.on_step_down(self._now())
-        # Pending proposals can no longer be confirmed by this node.
-        # (Keys are appended in increasing log-index order, so sorting is
-        # a no-op today — it pins the response order against any future
-        # change to how the dict is populated.)
-        pending, self._pending_client = self._pending_client, {}
-        for _idx, (client, req_id) in sorted(pending.items()):
-            self._send(
-                client,
-                ClientResponse(request_id=req_id, ok=False, leader_hint=None),
-                channel=self._rpc_channel,
-            )
-        # Buffered-but-unappended commands and pending reads fail the same
+        # Pending proposals can no longer be confirmed by this node;
+        # buffered-but-unappended commands and pending reads fail the same
         # way: the client's retry path re-submits them to the new leader.
-        self.timers.drop("batch")
+        # (Pending keys are appended in increasing log-index order, so
+        # sorting is a no-op today — it pins the response order against
+        # any future change to how the dict is populated.)
+        pending, self._pending_client = self._pending_client, {}
         buffered, self._batch_buf = self._batch_buf, []
-        for client, req_id, _command in buffered:
-            self._send(
-                client,
-                ClientResponse(request_id=req_id, ok=False, leader_hint=None),
-                channel=self._rpc_channel,
-            )
         round_, self._read_round = self._read_round, None
         reads, self._read_buf = self._read_buf, []
         if round_ is not None:
             reads = round_.reads + reads
-        for client, req_id, _command in reads:
-            self.metrics.reads_failed += 1
-            self._send(
-                client,
-                ClientResponse(request_id=req_id, ok=False, leader_hint=None),
-                channel=self._rpc_channel,
-            )
-        self._append_probe = set()
-        self._term_start_index = 0
+        self.metrics.reads_failed += len(reads)
+        orphans = [pending[idx] for idx in sorted(pending)]
+        orphans += [(client, req_id) for client, req_id, _command in buffered + reads]
+        for client, req_id in orphans:
+            self._reply(client, req_id, ok=False)
 
     def _on_election_timeout(self) -> None:
         if self.role is Role.LEADER:
@@ -983,15 +959,7 @@ class RaftNode(Process):
         if len(self._prevotes) >= self.quorum:
             self._become_candidate()
             return
-        req = PreVoteRequest(
-            term=self.current_term + 1,
-            candidate=self.name,
-            last_log_index=self.log.last_index,
-            last_log_term=self.log.last_term,
-        )
-        for peer in self._voter_peers:
-            self._rpc(peer, req)
-        self._arm_election_timer()  # retry the poll if it stalls
+        self._solicit(PreVoteRequest, self.current_term + 1)
 
     def _become_candidate(self) -> None:
         self.role = Role.CANDIDATE
@@ -1009,15 +977,20 @@ class RaftNode(Process):
         if len(self._votes) >= self.quorum:
             self._become_leader()
             return
-        req = VoteRequest(
-            term=self.current_term,
+        self._solicit(VoteRequest, self.current_term)
+
+    def _solicit(self, request: type[PreVoteRequest] | type[VoteRequest], term: int) -> None:
+        """Ask every other voter for its (pre-)vote in ``term``."""
+        req = request(
+            term=term,
             candidate=self.name,
             last_log_index=self.log.last_index,
             last_log_term=self.log.last_term,
         )
         for peer in self._voter_peers:
             self._rpc(peer, req)
-        self._arm_election_timer()  # retry with a fresh draw on split vote
+        # Retry with a fresh draw if the poll stalls or the vote splits.
+        self._arm_election_timer()
 
     def _become_leader(self) -> None:
         self.role = Role.LEADER
@@ -1028,75 +1001,78 @@ class RaftNode(Process):
         )
         self._election_timer.cancel()
         self.policy.on_become_leader(self._now())
-        self.next_index = {p: self.log.last_index + 1 for p in self.peers}
-        self.match_index = {p: 0 for p in self.peers}
-        self._last_peer_response = {p: self._now() for p in self.peers}
-        self._inflight_appends = {p: 0 for p in self.peers}
-        self._last_append_response = {p: self._now() for p in self.peers}
-        self._snapshot_inflight = {}
+        now = self._now()
+        next_index = self.log.last_index + 1
+        self.progress = {p: Progress(p, next_index, now, now) for p in self.peers}
         self._commit = CommitTracker(self._acks_needed())
-        self._hb_cache = {}
         # No-op entry: lets this leader commit its predecessors' tail
         # (commit is restricted to current-term entries, §5.4.2).  Reads
         # gate on this index committing (the ReadIndex precondition).
         noop = self.log.append_new(self.current_term, None)
         self._term_start_index = noop.index
-        self._append_probe = set()
         if not self._sync():
             return  # crashed persisting the no-op: nothing was sent yet
         for peer in self.peers:
-            self._send_append(peer)
-            self._schedule_heartbeat(peer, first=True)
+            pr = self.progress[peer]
+            self._send_append(pr)
+            self._schedule_heartbeat(pr, first=True)
         self._schedule_quorum_check()
 
     # ------------------------------------------------------------------ #
     # leader duties
     # ------------------------------------------------------------------ #
 
-    def _schedule_heartbeat(self, peer: str, *, first: bool = False) -> None:
+    def _hb_timer(self, pr: Progress) -> Timer:
+        """Fetch (or create) the timer that beats ``pr`` and cache it on the
+        record.  The per-follower callback is bound to the peer's *name*:
+        a crash disarms timers without forgetting them, so a later reign
+        finds the same timer and it must drive that reign's record."""
         if self._hb_consolidated:
-            if not self.peers:
-                return  # every peer removed mid-reign; nothing to beat
-            # §IV-E feature 2: one timer for everyone at the minimum h.
-            interval = min(
-                self.policy.heartbeat_interval_ms(p) for p in self.peers
-            )
-            if first and self._hb_stagger:
-                interval *= self._rand()
-            if self._hb_jitter_ms > 0.0:
-                interval += self._hb_jitter_ms * self._rand()
-            self.timers.timer("hb", self._heartbeat_tick_all).reset(
-                self._clock_scale(interval)
-            )
-            return
-        interval = self.policy.heartbeat_interval_ms(peer)
-        if first and self._hb_stagger:
-            # Independent initial phase per follower loop (see RaftConfig).
-            interval *= self._rand()
-        if self._hb_jitter_ms > 0.0:
-            interval += self._hb_jitter_ms * self._rand()
-        timer = self._hb_timers.get(peer)
-        if timer is None:
+            timer = self.timers.timer("hb", self._heartbeat_tick_all)
+        else:
             timer = self.timers.timer(
-                self._hb_timer_names[peer], self._hb_timer_cbs[peer]
+                f"hb/{pr.peer}", functools.partial(self._heartbeat_tick, pr.peer)
             )
-            self._hb_timers[peer] = timer
-        timer.reset(self._clock_scale(interval))
+        pr.hb_timer = timer
+        return timer
 
-    def _send_heartbeat_to(self, peer: str) -> None:
+    def _replicate_to_all(self) -> None:
+        progress = self.progress
+        for peer in self.peers:
+            self._send_append(progress[peer])
+
+    def _schedule_heartbeat(self, pr: Progress, *, first: bool = False) -> None:
+        policy = self.policy
+        if self._hb_consolidated:
+            # §IV-E feature 2: one timer for everyone at the minimum h.
+            interval = math.inf
+            for peer in self.progress:
+                h = policy.heartbeat_interval_ms(peer)
+                if h < interval:
+                    interval = h
+        else:
+            interval = policy.heartbeat_interval_ms(pr.peer)
+        if first:
+            # Independent initial phase per follower loop: real
+            # per-follower timers (Go runtime timers on a busy host) carry
+            # independent phases, a simulator's would be phase-locked.
+            interval *= self._rand()
+        interval += _HB_TIMER_JITTER_MS * self._rand()
+        (pr.hb_timer or self._hb_timer(pr)).reset(self._clock_scale(interval))
+
+    def _send_heartbeat_to(self, pr: Progress) -> None:
+        peer = pr.peer
         meta = self.policy.heartbeat_meta(peer, self._now())
         term = self.current_term
         commit = self.commit_index
-        match = self.match_index.get(peer, 0)
-        if match < commit:
-            commit = match
+        if pr.match < commit:
+            commit = pr.match
         if meta is None:
             # Baseline-Raft steady state: term and clamped commit change
             # rarely, so the same immutable request is re-sent as-is.
-            req = self._hb_cache.get(peer)
+            req = pr.hb_request
             if req is None or req.term != term or req.commit != commit:
-                req = HeartbeatRequest(term, self.name, commit)
-                self._hb_cache[peer] = req
+                req = pr.hb_request = HeartbeatRequest(term, self.name, commit)
             size = 64
         else:
             req = HeartbeatRequest(term, self.name, commit, meta)
@@ -1110,55 +1086,17 @@ class RaftNode(Process):
                 cm.charge(self.name, "tuning")
 
     def _heartbeat_tick(self, peer: str) -> None:
-        """Per-follower beat: send + re-arm.
-
-        This fires once per heartbeat per follower — the leader's hottest
-        callback — so the send half (a fused copy of
-        :meth:`_send_heartbeat_to`; keep the two in sync) and the re-arm
-        half share one set of attribute loads.
-        """
-        if self.role is not Role.LEADER:
-            return
+        """Per-follower beat: send + re-arm.  Fires once per heartbeat per
+        follower — the leader's hottest callback."""
+        pr = self.progress.get(peer)
+        if pr is None:
+            return  # not leading (any more), or the peer left this reign
         if self._batch_buf:
             self._flush_batch()  # beat-bounded latency for buffered writes
             if self._state is not _RUNNING:
                 return  # crashed at the batch's persist point
-        policy = self.policy
-        meta = policy.heartbeat_meta(peer, self._now())
-        term = self.current_term
-        commit = self.commit_index
-        match = self.match_index.get(peer, 0)
-        if match < commit:
-            commit = match
-        if meta is None:
-            req = self._hb_cache.get(peer)
-            if req is None or req.term != term or req.commit != commit:
-                req = HeartbeatRequest(term, self.name, commit)
-                self._hb_cache[peer] = req
-            size = 64
-        else:
-            req = HeartbeatRequest(term, self.name, commit, meta)
-            size = 88
-        self._transmit(self.name, peer, req, self._hb_channel, size)
-        self.metrics.heartbeats_sent += 1
-        cm = self.cost_model
-        if cm is not None:
-            cm.charge(self.name, "heartbeat_send")
-            if meta is not None:
-                cm.charge(self.name, "tuning")
-        if self._hb_consolidated:
-            self._schedule_heartbeat(peer)
-            return
-        interval = policy.heartbeat_interval_ms(peer)
-        if self._hb_jitter_ms > 0.0:
-            interval += self._hb_jitter_ms * self._rand()
-        timer = self._hb_timers.get(peer)
-        if timer is None:
-            timer = self.timers.timer(
-                self._hb_timer_names[peer], self._hb_timer_cbs[peer]
-            )
-            self._hb_timers[peer] = timer
-        timer.reset(self._clock_scale(interval))
+        self._send_heartbeat_to(pr)
+        self._schedule_heartbeat(pr)
 
     def _heartbeat_tick_all(self) -> None:
         """Consolidated-timer beat: heartbeat every follower at once."""
@@ -1168,10 +1106,11 @@ class RaftNode(Process):
             self._flush_batch()  # beat-bounded latency for buffered writes
             if self._state is not _RUNNING:
                 return  # crashed at the batch's persist point
+        progress = self.progress
         for peer in self.peers:
-            self._send_heartbeat_to(peer)
+            self._send_heartbeat_to(progress[peer])
         if self.peers:
-            self._schedule_heartbeat(self.peers[0])
+            self._schedule_heartbeat(progress[self.peers[0]])
 
     def _schedule_quorum_check(self) -> None:
         if not self.config.check_quorum:
@@ -1188,15 +1127,14 @@ class RaftNode(Process):
         et = self.policy.election_timeout_ms(None)
         now = self._now()
         active = 1 if self.name in self._voters else 0
-        last = self._last_peer_response
-        get = last.get
+        progress = self.progress
         for p in self._voter_peers:
-            if now - get(p, _NEG_INF) <= et:
+            if now - progress[p].last_response <= et:
                 active += 1
         if active < self.quorum:
             self.metrics.quorum_step_downs += 1
             self.trace.record(
-                self._now(),
+                now,
                 self.name,
                 "quorum_lost",
                 term=self.current_term,
@@ -1206,45 +1144,37 @@ class RaftNode(Process):
             return
         self._schedule_quorum_check()
 
-    #: Maximum unacknowledged AppendEntries per follower.
-    MAX_INFLIGHT_APPENDS = 4
-    #: An append pipeline with no ack for this long is considered lost.
-    APPEND_PIPELINE_STALL_MS = 1_000.0
-
-    def _send_append(self, peer: str, *, force: bool = False) -> None:
-        sent_at = self._snapshot_inflight.get(peer)
+    def _send_append(self, pr: Progress, *, force: bool = False) -> None:
+        sent_at = pr.snapshot_sent_at
         if sent_at is not None:
-            if self._now() - sent_at <= self.APPEND_PIPELINE_STALL_MS:
+            if self._now() - sent_at <= _APPEND_PIPELINE_STALL_MS:
                 return  # snapshot transfer in flight; wait for its ack
-            del self._snapshot_inflight[peer]  # transfer presumed lost
-        if self._pipelining and peer in self._append_probe:
-            # A rejection knocked the pipe back: one append at a time
-            # until a success re-anchors next_index (etcd StateProbe).
-            cap = 1
-        else:
-            cap = self._max_inflight
-        if not force and self._inflight_appends.get(peer, 0) >= cap:
+            pr.snapshot_sent_at = None  # transfer presumed lost
+        # After a rejection knocked the pipe back: one append at a time
+        # until a success re-anchors next (etcd StateProbe).
+        cap = 1 if pr.probing else self._max_inflight
+        if not force and pr.inflight >= cap:
             return  # pipeline full; the next response will pull more
+        log = self.log
         while True:
-            next_i = self.next_index.get(peer, self.log.last_index + 1)
-            if next_i > self.log.last_index + 1:
-                next_i = self.log.last_index + 1
-                self.next_index[peer] = next_i
-            if next_i < self.log.first_index:
+            next_i = pr.next
+            if next_i > log.last_index + 1:
+                next_i = pr.next = log.last_index + 1
+            if next_i < log.first_index:
                 # The entries this follower needs are compacted away — fall
                 # back to shipping the durable snapshot (§7).
-                self._send_snapshot(peer)
+                self._send_snapshot(pr)
                 return
-            self._inflight_appends[peer] = self._inflight_appends.get(peer, 0) + 1
+            pr.inflight += 1
             prev = next_i - 1
-            entries = self.log.slice_from(next_i, self.config.max_entries_per_append)
+            entries = log.slice_from(next_i, _MAX_ENTRIES_PER_APPEND)
             self._rpc(
-                peer,
+                pr.peer,
                 AppendEntriesRequest(
                     term=self.current_term,
                     leader=self.name,
                     prev_log_index=prev,
-                    prev_log_term=self.log.term_at(prev),
+                    prev_log_term=log.term_at(prev),
                     entries=entries,
                     leader_commit=self.commit_index,
                 ),
@@ -1252,23 +1182,20 @@ class RaftNode(Process):
             )
             self.metrics.appends_sent += 1
             self._charge("append_send", units=max(1, len(entries)))
-            if not entries or not self._pipelining or peer in self._append_probe:
+            if not entries or not self._pipelining or pr.probing:
                 break
             # Optimistic advance (etcd StateReplicate): assume this window
             # lands and stream the next suffix without waiting for the
-            # ack; a rejection resets next_index from the conflict hint.
-            self.next_index[peer] = next_i + len(entries)
-            if (
-                self.next_index[peer] > self.log.last_index
-                or self._inflight_appends.get(peer, 0) >= self._max_inflight
-            ):
+            # ack; a rejection resets next from the conflict hint.
+            pr.next = next_i + len(entries)
+            if pr.next > log.last_index or pr.inflight >= self._max_inflight:
                 break
         if self.config.suppress_heartbeats_under_load and self.role is Role.LEADER:
             # §IV-E feature 1: this replication message is the heartbeat;
             # push the dedicated one out by a full interval.
-            self._schedule_heartbeat(peer)
+            self._schedule_heartbeat(pr)
 
-    def _send_snapshot(self, peer: str) -> None:
+    def _send_snapshot(self, pr: Progress) -> None:
         """Ship a snapshot to a follower behind ``log.first_index``.
 
         The durable snapshot is refreshed at transfer time when it lags
@@ -1277,8 +1204,8 @@ class RaftNode(Process):
         then replays at most a margin-scale tail afterwards, keeping
         catch-up cost independent of both history length and compaction
         phase.  One transfer per follower at a time (tracked in
-        ``_snapshot_inflight``); a transfer unacknowledged past the append
-        stall window is presumed lost and retried by ``_send_append``.
+        ``Progress.snapshot_sent_at``); a transfer unacknowledged past the
+        append stall window is presumed lost and retried by ``_send_append``.
         """
         snap = self.snapshot
         applied = self.last_applied
@@ -1291,7 +1218,7 @@ class RaftNode(Process):
             )
             self.storage.save_snapshot(snap)
             self.metrics.snapshots_taken += 1
-        self._snapshot_inflight[peer] = self._now()
+        pr.snapshot_sent_at = self._now()
         req = InstallSnapshotRequest(
             self.current_term,
             self.name,
@@ -1304,29 +1231,26 @@ class RaftNode(Process):
             n_items = len(snap.data)
         except TypeError:
             n_items = 0
-        self._rpc(peer, req, size=128 + 32 * n_items)
+        self._rpc(pr.peer, req, size=128 + 32 * n_items)
         self.metrics.snapshots_sent += 1
         self._charge("snapshot_send")
         self.trace.record(
             self._now(),
             self.name,
             "snapshot_send",
-            to=peer,
+            to=pr.peer,
             snapshot_index=snap.last_included_index,
             term=self.current_term,
         )
 
-    def _advance_commit(self, old_match: int, new_match: int) -> None:
+    def _commit_to(self, candidate: int) -> None:
         """Majority-match commit, restricted to current-term entries.
 
-        Fed one follower's ``match_index`` progression at a time; the
-        tracker keeps the quorum frontier incrementally, so this is O(1)
-        amortized per acknowledged entry (the seed implementation sorted
-        every match index on every response — O(n log n) each).
+        ``candidate`` is the quorum frontier from the incremental tracker,
+        fed one follower's ``match`` progression at a time — O(1) amortized
+        per acknowledged entry (the seed implementation sorted every match
+        index on every response — O(n log n) each).
         """
-        if self.role is not Role.LEADER:
-            return
-        candidate = self._commit.advance(old_match, new_match)
         if candidate > self.commit_index and self.log.term_at(candidate) == self.current_term:
             self.commit_index = candidate
             self._commit.discard_through(candidate)
@@ -1351,25 +1275,12 @@ class RaftNode(Process):
             self._charge("apply")
             pending = self._pending_client.pop(entry.index, None)
             if pending is not None and self.role is Role.LEADER:
-                client, req_id = pending
-                self._send(
-                    client,
-                    ClientResponse(request_id=req_id, ok=True, result=result),
-                    channel=self._rpc_channel,
-                )
-        # A quorum-confirmed ReadIndex round may have been waiting for the
-        # commit index to reach its read_index (fresh leaders: the round
-        # registers before the term-start no-op commits).
-        round_ = self._read_round
-        if (
-            round_ is not None
-            and round_.confirmed
-            and self.commit_index >= round_.read_index
-        ):
-            self._read_round = None
-            self._serve_read_batch(round_)
-            if self._read_buf:
-                self._start_read_round()
+                self._reply(pending[0], pending[1], ok=True, result=result)
+        if self._read_round is not None:
+            # A quorum-confirmed ReadIndex round may have been waiting for
+            # the commit index to reach its read_index (fresh leaders: the
+            # round registers before the term-start no-op commits).
+            self._serve_read_round()
         if self._compaction_threshold > 0:
             self._maybe_compact()
 
@@ -1403,13 +1314,9 @@ class RaftNode(Process):
         if self.role is Role.LEADER:
             now = self._now()
             et = self.policy.election_timeout_ms(None)
-            last = self._last_peer_response
-            match = self.match_index
-            for p in self.peers:
-                if now - last.get(p, _NEG_INF) <= et:
-                    m = match.get(p, 0)
-                    if m < upto:
-                        upto = m
+            for pr in self.progress.values():
+                if now - pr.last_response <= et and pr.match < upto:
+                    upto = pr.match
         if upto - log.last_included_index <= self._compaction_margin:
             return
         applied = self.last_applied
@@ -1459,14 +1366,6 @@ class RaftNode(Process):
             )
         handler(self, sender, payload)
 
-    def on_message(self, sender: str, payload: Any) -> None:
-        handler = self._DISPATCH.get(payload.__class__)
-        if handler is None:
-            raise TypeError(
-                f"{self.name}: unknown payload {type(payload).__name__}"
-            )
-        handler(self, sender, payload)
-
     # -- leader liveness ---------------------------------------------------- #
 
     def _observe_leader_message(self, term: int, leader: str) -> None:
@@ -1506,6 +1405,23 @@ class RaftNode(Process):
             )
         self.last_leader_contact = self._now()
 
+    def _responder(self, term: int, follower: str) -> Progress | None:
+        """Common gate for every follower→leader response: a higher term
+        deposes this leader, a stale one (or a non-leader) ignores it, and a
+        straggler from a peer removed this reign has no record.  An
+        equal-term response is leader-contact evidence whatever it carries,
+        so the record returned is already stamped — that feeds
+        check-quorum and the lease anchor."""
+        if term > self.current_term:
+            self._become_follower(term, None)
+            return None
+        if self.role is not Role.LEADER or term < self.current_term:
+            return None
+        pr = self.progress.get(follower)
+        if pr is not None:
+            pr.last_response = self._now()
+        return pr
+
     # -- heartbeats ----------------------------------------------------------- #
 
     def _on_heartbeat(self, sender: str, m: HeartbeatRequest) -> None:
@@ -1516,15 +1432,8 @@ class RaftNode(Process):
         term = m.term
         leader = m.leader
         if term < self.current_term:
-            self._send(
-                leader,
-                HeartbeatResponse(
-                    term=self.current_term,
-                    follower=self.name,
-                    last_log_index=self.log.last_index,
-                ),
-                channel=self._hb_channel,
-            )
+            stale = HeartbeatResponse(self.current_term, self.name, self.log.last_index)
+            self._transmit(self.name, leader, stale, self._hb_channel, 96)
             return
         now = self._now()
         if (
@@ -1579,36 +1488,27 @@ class RaftNode(Process):
         cm = self.cost_model
         if cm is not None:
             cm.charge(self.name, "heartbeat_resp_recv")
-        if m.term > self.current_term:
-            self._become_follower(m.term, None)
+        pr = self._responder(m.term, m.follower)
+        if pr is None:
             return
-        if self.role is not Role.LEADER or m.term < self.current_term:
-            return
-        follower = m.follower
-        if follower not in self.next_index:
-            return  # straggler ack from a peer removed this reign
-        now = self._now()
-        self._last_peer_response[follower] = now
-        self.policy.on_heartbeat_response(follower, m.meta, now)
+        now = pr.last_response
+        self.policy.on_heartbeat_response(pr.peer, m.meta, now)
         if cm is not None and m.meta is not None:
             cm.charge(self.name, "tuning")
-        if (
-            self._hb_catchup
-            and self.match_index.get(follower, 0) < self.log.last_index
-        ):
-            # Recovery path for a *stalled* pipeline only: either nothing
-            # is in flight, or the in-flight messages' acks were lost long
-            # ago (e.g. across a follower pause).  A live pipeline keeps
-            # its own accounting — resetting it here would mint phantom
-            # send slots and the send/response chains would multiply.
-            inflight = self._inflight_appends.get(follower, 0)
-            stale = (
-                self._now() - self._last_append_response.get(follower, _NEG_INF)
-                > self.APPEND_PIPELINE_STALL_MS
-            )
-            if inflight == 0 or stale:
-                self._inflight_appends[follower] = 0
-                self._send_append(follower, force=True)
+        if pr.match < self.log.last_index:
+            # The follower lags: push entries (etcd triggers MsgApp off
+            # MsgHeartbeatResp the same way).  Recovery path for a
+            # *stalled* pipeline only: either nothing is in flight, or the
+            # in-flight messages' acks were lost long ago (e.g. across a
+            # follower pause).  A live pipeline keeps its own accounting —
+            # resetting it here would mint phantom send slots and the
+            # send/response chains would multiply.
+            if (
+                pr.inflight == 0
+                or now - pr.last_append_response > _APPEND_PIPELINE_STALL_MS
+            ):
+                pr.inflight = 0
+                self._send_append(pr, force=True)
 
     # -- replication ------------------------------------------------------------ #
 
@@ -1656,54 +1556,41 @@ class RaftNode(Process):
 
     def _on_append_response(self, sender: str, m: AppendEntriesResponse) -> None:
         self._charge("append_resp_recv")
-        if m.term > self.current_term:
-            self._become_follower(m.term, None)
+        pr = self._responder(m.term, m.follower)
+        if pr is None:
             return
-        if self.role is not Role.LEADER or m.term < self.current_term:
-            return
-        follower = m.follower
-        if follower not in self.next_index:
-            return  # straggler ack from a peer removed this reign
-        now = self._now()
-        self._last_peer_response[follower] = now
-        self._last_append_response[follower] = now
-        inflight = self._inflight_appends.get(follower, 0)
-        if inflight > 0:
-            self._inflight_appends[follower] = inflight - 1
+        pr.last_append_response = pr.last_response
+        if pr.inflight > 0:
+            pr.inflight -= 1
         if m.success:
-            if self._pipelining:
-                self._append_probe.discard(follower)
-            old = self.match_index.get(follower, 0)
-            if m.match_index > old:
-                self.match_index[follower] = m.match_index
-                nxt = m.match_index + 1
-                if self._pipelining:
-                    # Optimistic sends may have pushed next_index past
-                    # this ack already; never roll the stream back.
-                    if nxt > self.next_index.get(follower, 1):
-                        self.next_index[follower] = nxt
-                else:
-                    self.next_index[follower] = nxt
-                self._advance_commit(old, m.match_index)
-            if self.match_index.get(follower, 0) < self.log.last_index:
-                self._send_append(follower)
+            pr.probing = False
+            old = pr.match
+            acked = m.match_index
+            if acked > old:
+                pr.match = acked
+                # Under pipelining optimistic sends may have pushed next
+                # past this ack already; never roll the stream back.
+                if not self._pipelining or acked >= pr.next:
+                    pr.next = acked + 1
+                self._commit_to(self._commit.advance(old, acked))
+            if pr.match < self.log.last_index:
+                self._send_append(pr)
             else:
-                self._maybe_promote(follower)
+                self._maybe_promote(pr)
         else:
             if self._pipelining:
                 echoed = m.prev_log_index
-                if echoed is not None and echoed >= self.next_index.get(follower, 1):
+                if echoed is not None and echoed >= pr.next:
                     # Stale rejection: a pipelined window rejects as a
-                    # volley, and we already backed next_index off below
-                    # this probe's prev — re-applying the hint would
-                    # thrash the stream backwards.
-                    self._send_append(follower)
+                    # volley, and we already backed next off below this
+                    # probe's prev — re-applying the hint would thrash
+                    # the stream backwards.
+                    self._send_append(pr)
                     return
-                self._append_probe.add(follower)
+                pr.probing = True
             hint = m.conflict_index
-            fallback = max(1, self.next_index.get(follower, 2) - 1)
-            self.next_index[follower] = hint if hint is not None else fallback
-            self._send_append(follower)
+            pr.next = hint if hint is not None else max(1, pr.next - 1)
+            self._send_append(pr)
 
     # -- snapshot transfer --------------------------------------------------- #
 
@@ -1764,31 +1651,24 @@ class RaftNode(Process):
         self, sender: str, m: InstallSnapshotResponse
     ) -> None:
         self._charge("snapshot_resp_recv")
-        if m.term > self.current_term:
-            self._become_follower(m.term, None)
+        pr = self._responder(m.term, m.follower)
+        if pr is None:
             return
-        if self.role is not Role.LEADER or m.term < self.current_term:
-            return
-        follower = m.follower
-        if follower not in self.next_index:
-            return  # straggler ack from a peer removed this reign
-        now = self._now()
-        self._last_peer_response[follower] = now
-        self._last_append_response[follower] = now
-        self._snapshot_inflight.pop(follower, None)
+        pr.last_append_response = pr.last_response
+        pr.snapshot_sent_at = None
         s_index = m.last_included_index
         if s_index > 0:
-            old = self.match_index.get(follower, 0)
+            old = pr.match
             if s_index > old:
-                self.match_index[follower] = s_index
-                self.next_index[follower] = s_index + 1
-                self._advance_commit(old, s_index)
-            elif self.next_index.get(follower, 1) <= s_index:
-                self.next_index[follower] = s_index + 1
-        if self.match_index.get(follower, 0) < self.log.last_index:
-            self._send_append(follower)
+                pr.match = s_index
+                pr.next = s_index + 1
+                self._commit_to(self._commit.advance(old, s_index))
+            elif pr.next <= s_index:
+                pr.next = s_index + 1
+        if pr.match < self.log.last_index:
+            self._send_append(pr)
         else:
-            self._maybe_promote(follower)
+            self._maybe_promote(pr)
 
     # -- pre-vote ------------------------------------------------------------- #
 
@@ -1825,7 +1705,12 @@ class RaftNode(Process):
     # -- votes ----------------------------------------------------------------- #
 
     def _on_vote_request(self, sender: str, m: VoteRequest) -> None:
-        if m.term < self.current_term:
+        if m.term < self.current_term or (
+            m.term > self.current_term and self._lease_valid()
+        ):
+            # A stale candidate — or etcd's lease protection: a healthy
+            # leader is in charge, so we neither adopt the bigger term nor
+            # grant the vote.
             self._rpc(
                 m.candidate,
                 VoteResponse(term=self.current_term, voter=self.name, granted=False),
@@ -1833,17 +1718,6 @@ class RaftNode(Process):
             self.metrics.votes_rejected += 1
             return
         if m.term > self.current_term:
-            if self._lease_valid():
-                # etcd's lease protection: a healthy leader is in charge, so
-                # we neither adopt the bigger term nor grant the vote.
-                self._rpc(
-                    m.candidate,
-                    VoteResponse(
-                        term=self.current_term, voter=self.name, granted=False
-                    ),
-                )
-                self.metrics.votes_rejected += 1
-                return
             self._become_follower(m.term, None)
         granted = self.voted_for in (None, m.candidate) and self.log.up_to_date(
             m.last_log_index, m.last_log_term
@@ -1882,13 +1756,7 @@ class RaftNode(Process):
         self._charge("client_request")
         if self.role is not Role.LEADER:
             self.metrics.client_redirects += 1
-            self._send(
-                sender,
-                ClientResponse(
-                    request_id=m.request_id, ok=False, leader_hint=self.leader_id
-                ),
-                channel=self._rpc_channel,
-            )
+            self._reply(sender, m.request_id, ok=False, leader_hint=self.leader_id)
             return
         if self._batching:
             buf = self._batch_buf
@@ -1905,17 +1773,7 @@ class RaftNode(Process):
             return
         entry = self.log.append_new(self.current_term, m.command)
         self._pending_client[entry.index] = (sender, m.request_id)
-        # The leader's own log counts toward the quorum, so its append
-        # must be durable before replication fans out (§5.2).
-        if not self._sync():
-            return  # crashed persisting the append
-        if self._commit.acks_needed == 0:
-            # Sole-voter fast path: the leader's own log is the quorum.
-            # Learners (if any) still get the entry via the loop below.
-            self.commit_index = entry.index
-            self._apply_committed()
-        for peer in self.peers:
-            self._send_append(peer)
+        self._replicate_appended()
 
     def _flush_batch(self) -> None:
         """Drain buffered client commands: one log append per command but
@@ -1933,14 +1791,20 @@ class RaftNode(Process):
             pending[entry.index] = (client, req_id)
         self.metrics.batches_flushed += 1
         self.metrics.batched_commands += len(buf)
+        self._replicate_appended()
+
+    def _replicate_appended(self) -> None:
+        """Fan freshly appended client entries out to every follower."""
+        # The leader's own log counts toward the quorum, so its append
+        # must be durable before replication fans out (§5.2).
         if not self._sync():
-            return  # crashed persisting the batch
+            return  # crashed persisting the append
         if self._commit.acks_needed == 0:
-            # Sole-voter fast path (mirrors _on_client_request).
-            self.commit_index = log.last_index
+            # Sole-voter fast path: the leader's own log is the quorum.
+            # Learners (if any) still get the entries via the fan-out.
+            self.commit_index = self.log.last_index
             self._apply_committed()
-        for peer in self.peers:
-            self._send_append(peer)
+        self._replicate_to_all()
 
     # -- read fast path (ReadIndex quorum round / leader lease) ------------ #
 
@@ -1949,25 +1813,13 @@ class RaftNode(Process):
         self._charge("client_request")
         if self.role is not Role.LEADER:
             self.metrics.client_redirects += 1
-            self._send(
-                sender,
-                ClientResponse(
-                    request_id=m.request_id, ok=False, leader_hint=self.leader_id
-                ),
-                channel=self._rpc_channel,
-            )
+            self._reply(sender, m.request_id, ok=False, leader_hint=self.leader_id)
             return
         if self._lease_reads:
             if self._lease_valid_for_reads():
                 self.metrics.reads_served_lease += 1
-                self._send(
-                    sender,
-                    ClientResponse(
-                        request_id=m.request_id,
-                        ok=True,
-                        result=self.state_machine.read(m.command),
-                    ),
-                    channel=self._rpc_channel,
+                self._reply(
+                    sender, m.request_id, ok=True, result=self.state_machine.read(m.command)
                 )
                 return
             self.metrics.lease_fallbacks += 1
@@ -1982,14 +1834,8 @@ class RaftNode(Process):
                 self.commit_index = self.log.last_index
                 self._apply_committed()
             self.metrics.reads_served_readindex += 1
-            self._send(
-                sender,
-                ClientResponse(
-                    request_id=m.request_id,
-                    ok=True,
-                    result=self.state_machine.read(m.command),
-                ),
-                channel=self._rpc_channel,
+            self._reply(
+                sender, m.request_id, ok=True, result=self.state_machine.read(m.command)
             )
             return
         self._read_buf.append((sender, m.request_id, m.command))
@@ -2029,9 +1875,9 @@ class RaftNode(Process):
         needed = self._acks_needed()
         if needed == 0:
             return True  # sole voter: exclusivity is unconditional
-        last = self._last_peer_response
+        progress = self.progress
         times = sorted(
-            (last.get(p, _NEG_INF) for p in self._voter_peers), reverse=True
+            (progress[p].last_response for p in self._voter_peers), reverse=True
         )
         if needed > len(times):
             return False
@@ -2067,43 +1913,37 @@ class RaftNode(Process):
 
     def _on_read_ack(self, sender: str, m: ReadIndexAck) -> None:
         self._charge("read_ack_recv")
-        if m.term > self.current_term:
-            self._become_follower(m.term, None)
-            return
-        if self.role is not Role.LEADER or m.term < self.current_term:
-            return
-        follower = m.follower
-        if follower in self.next_index:
-            # An equal-term ack is leader-contact evidence like any other
-            # response; it feeds check-quorum and the lease anchor.
-            self._last_peer_response[follower] = self._now()
+        pr = self._responder(m.term, m.follower)
         round_ = self._read_round
-        if round_ is None or round_.seq != m.seq:
-            return  # ack for an already-settled round
-        if follower not in self._voters:
+        if pr is None or round_ is None or round_.seq != m.seq:
+            return  # not ours to count, or an already-settled round
+        if pr.peer not in self._voters:
             return
-        round_.acks.add(follower)
+        round_.acks.add(pr.peer)
         if len(round_.acks) < self._acks_needed():
             return
         round_.confirmed = True
-        if self.commit_index >= round_.read_index:
-            self._read_round = None
-            self._serve_read_batch(round_)
-            if self._read_buf:
-                self._start_read_round()
-        # else: _apply_committed serves the round once commit catches up.
+        self._serve_read_round()
 
-    def _serve_read_batch(self, batch: _ReadBatch) -> None:
+    def _serve_read_round(self) -> None:
+        """Serve the in-flight ReadIndex round once a quorum has confirmed
+        it *and* the commit index has reached its read_index (whichever of
+        the ack and the apply comes last calls this), then open the next
+        round for reads that queued meanwhile."""
+        round_ = self._read_round
+        if (
+            round_ is None
+            or not round_.confirmed
+            or self.commit_index < round_.read_index
+        ):
+            return
+        self._read_round = None
         read = self.state_machine.read
-        n = 0
-        for client, req_id, command in batch.reads:
-            n += 1
-            self._send(
-                client,
-                ClientResponse(request_id=req_id, ok=True, result=read(command)),
-                channel=self._rpc_channel,
-            )
-        self.metrics.reads_served_readindex += n
+        for client, req_id, command in round_.reads:
+            self._reply(client, req_id, ok=True, result=read(command))
+        self.metrics.reads_served_readindex += len(round_.reads)
+        if self._read_buf:
+            self._start_read_round()
 
 
 RaftNode._DISPATCH = {

@@ -29,6 +29,10 @@ class RaftConfig:
     """Per-node protocol configuration (election parameters live in the
     :class:`~repro.dynatune.policy.TuningPolicy`, not here).
 
+    Every field is set by some experiment, benchmark or test (repolint's
+    ``config-knob-liveness`` keeps it so); behaviours that only ever ran
+    with one value are constants in ``raft/node.py``, not options.
+
     Attributes:
         prevote: run the pre-vote phase before real elections (etcd default;
             the paper's described behaviour, §II-A).
@@ -37,21 +41,6 @@ class RaftConfig:
             while they have a fresh leader lease.  Matches etcd's
             ``CheckQuorum``/lease protection, which the Fig. 6 behaviour
             depends on.
-        max_entries_per_append: replication batch bound.
-        rpc_channel: transport for consensus RPCs (etcd: TCP; Dynatune
-            keeps consensus on TCP and only moves heartbeats to UDP).
-        heartbeat_response_catchup: leaders use heartbeat responses to
-            detect lagging followers and push entries (etcd triggers
-            MsgApp off MsgHeartbeatResp the same way).
-        heartbeat_phase_stagger: start each per-follower heartbeat loop at
-            a random phase within one interval.  A simulator's timers are
-            perfectly aligned, which phase-locks every follower's heartbeat
-            arrivals and hence their failure-detection instants — an
-            artifact that makes 4-way split votes near-certain.  Real
-            per-follower timers (Go runtime timers on a busy host) carry
-            independent phases; staggering reproduces that.
-        heartbeat_timer_jitter_ms: uniform extra delay per heartbeat tick
-            (OS scheduling noise) so phases also drift over time.
         suppress_heartbeats_under_load: §IV-E future-work feature 1 — a
             replication message doubles as a heartbeat (followers reset
             their election timers on AppendEntries anyway), so sending one
@@ -103,8 +92,8 @@ class RaftConfig:
             ``prev_log_index``.  Off by default (identical traffic to the
             seed's ack-clocked resend).
         max_inflight_appends: per-follower in-flight window depth (only
-            meaningful under load; the default equals the historical
-            ``RaftNode.MAX_INFLIGHT_APPENDS`` constant).
+            meaningful under load): without a cap, every response to a
+            still-behind follower would spawn a fresh full-window resend.
         lease_reads: serve linearizable reads from the leader lease when
             it is safely held, falling back to the ReadIndex quorum round
             otherwise.  The lease duration derives from the policy's
@@ -120,26 +109,10 @@ class RaftConfig:
             the leader and the leader learning it did (the lease clock
             starts at response *receipt*).  Serving experiments assert
             this margin against the measured RTT window.
-        auto_promote_learners: a leader promotes a non-voting learner to
-            voter (by appending the ``promote`` config entry) as soon as
-            the learner's match index has caught up to the leader's commit
-            index and no other config change is in flight.  On (the
-            dissertation's recommended flow) a single ``add_learner``
-            proposal grows the cluster end to end; off, promotion must be
-            proposed explicitly — useful for tests that need to hold a
-            node in the learner state.
-        learner_catchup_margin: how close (in entries) a learner's match
-            index must be to the leader's commit index before
-            auto-promotion fires.  ``0`` demands exact catch-up.
     """
 
     prevote: bool = True
     check_quorum: bool = True
-    max_entries_per_append: int = 64
-    rpc_channel: str = "tcp"
-    heartbeat_response_catchup: bool = True
-    heartbeat_phase_stagger: bool = True
-    heartbeat_timer_jitter_ms: float = 0.5
     suppress_heartbeats_under_load: bool = False
     consolidated_heartbeat_timer: bool = False
     client_batching: bool = False
@@ -151,21 +124,8 @@ class RaftConfig:
     lease_drift_margin_ms: float = 50.0
     compaction_threshold: int = 0
     compaction_retain_margin: int = 64
-    auto_promote_learners: bool = True
-    learner_catchup_margin: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_entries_per_append < 1:
-            raise ValueError(
-                f"max_entries_per_append must be >= 1, got {self.max_entries_per_append!r}"
-            )
-        if self.rpc_channel not in ("tcp", "udp"):
-            raise ValueError(f"rpc_channel must be 'tcp' or 'udp', got {self.rpc_channel!r}")
-        if self.heartbeat_timer_jitter_ms < 0.0:
-            raise ValueError(
-                "heartbeat_timer_jitter_ms must be >= 0, "
-                f"got {self.heartbeat_timer_jitter_ms!r}"
-            )
         if self.client_batch_max < 1:
             raise ValueError(
                 f"client_batch_max must be >= 1, got {self.client_batch_max!r}"
@@ -192,9 +152,4 @@ class RaftConfig:
             raise ValueError(
                 "compaction_retain_margin must be >= 0, "
                 f"got {self.compaction_retain_margin!r}"
-            )
-        if self.learner_catchup_margin < 0:
-            raise ValueError(
-                "learner_catchup_margin must be >= 0, "
-                f"got {self.learner_catchup_margin!r}"
             )

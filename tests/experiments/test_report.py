@@ -1,4 +1,4 @@
-"""Report plumbing: rendering and the core alias package."""
+"""Report plumbing: rendering and the top-level exports."""
 
 from repro.experiments.report import ReportRow, render_markdown
 
@@ -12,15 +12,6 @@ def test_render_markdown_table():
     assert "| Fig.4 | detection | 1205 ms | 1178 ms | match |" in md
     assert md.startswith("## Paper vs. measured (scale: quick)")
     assert md.count("\n") == 5
-
-
-def test_core_alias_exports_dynatune():
-    import repro.core as core
-    import repro.dynatune as dynatune
-
-    assert core.DynatunePolicy is dynatune.DynatunePolicy
-    assert core.DynatuneConfig is dynatune.DynatuneConfig
-    assert set(core.__all__) == set(dynatune.__all__)
 
 
 def test_top_level_package_exports():

@@ -20,7 +20,7 @@ def test_static_policy_heartbeats_are_cached_per_peer():
     leader = c.run_until_leader()
     c.run_for(2_000.0)
     node = c.node(leader)
-    cached = dict(node._hb_cache)
+    cached = {p: pr.hb_request for p, pr in node.progress.items()}
     assert set(cached) == set(node.peers)
     for peer, req in cached.items():
         assert isinstance(req, HeartbeatRequest)
@@ -29,7 +29,7 @@ def test_static_policy_heartbeats_are_cached_per_peer():
     c.run_for(1_000.0)
     # Steady state: same immutable objects are still being re-sent.
     for peer in node.peers:
-        assert node._hb_cache[peer] is cached[peer]
+        assert node.progress[peer].hb_request is cached[peer]
 
 
 def test_cached_heartbeat_invalidated_when_commit_advances():
@@ -38,14 +38,14 @@ def test_cached_heartbeat_invalidated_when_commit_advances():
     c.run_for(2_000.0)
     node = c.node(leader)
     peer = node.peers[0]
-    before = node._hb_cache[peer]
+    before = node.progress[peer].hb_request
     client = c.add_client("cli")
     client.submit(kv_put("k", "v"))
     c.run_for(3_000.0)
     assert node.commit_index > before.commit
-    after = node._hb_cache[peer]
+    after = node.progress[peer].hb_request
     assert after is not before
-    assert after.commit == min(node.commit_index, node.match_index[peer])
+    assert after.commit == min(node.commit_index, node.progress[peer].match)
 
 
 def test_caches_cleared_on_step_down_and_new_reign():
@@ -53,10 +53,10 @@ def test_caches_cleared_on_step_down_and_new_reign():
     leader = c.run_until_leader()
     c.run_for(1_000.0)
     node = c.node(leader)
-    assert node._hb_cache
+    assert all(pr.hb_request is not None for pr in node.progress.values())
     node._become_follower(node.current_term + 5, None)
-    assert node._hb_cache == {}
-    assert node._hb_timers == {}
+    assert node.progress == {}
+    assert not [n for n in node.timers.names() if n.startswith("hb")]
 
 
 def test_dynatune_heartbeats_always_carry_fresh_meta():
@@ -70,7 +70,7 @@ def test_dynatune_heartbeats_always_carry_fresh_meta():
     node = cluster.node(leader)
     # Metadata-bearing heartbeats must never come from the cache: the
     # cache only serves meta-None requests.
-    assert node._hb_cache == {}
+    assert all(pr.hb_request is None for pr in node.progress.values())
     # And the sequence spaces actually advanced per peer.
     pol = node.policy
     for peer in node.peers:

@@ -46,7 +46,7 @@ def test_stale_heartbeat_answered_with_current_term():
     others = [n for n in c.names if n != leader]
     node, impostor = c.node(others[0]), others[1]
     term = node.current_term
-    node.on_message(
+    node.deliver(
         impostor,
         HeartbeatRequest(term=max(term - 1, 0), leader=impostor, commit=0),
     )
@@ -59,7 +59,7 @@ def test_leader_steps_down_on_higher_term_heartbeat_response():
     c = make_raft_cluster(3)
     leader_name = c.run_until_leader()
     leader = c.node(leader_name)
-    leader.on_message(
+    leader.deliver(
         "peer",
         HeartbeatResponse(term=leader.current_term + 3, follower="peer", last_log_index=0),
     )
@@ -71,7 +71,7 @@ def test_leader_steps_down_on_higher_term_append_response():
     c = make_raft_cluster(3)
     leader_name = c.run_until_leader()
     leader = c.node(leader_name)
-    leader.on_message(
+    leader.deliver(
         "peer",
         AppendEntriesResponse(
             term=leader.current_term + 1, follower="peer", success=False, match_index=0
@@ -85,7 +85,7 @@ def test_stale_vote_response_ignored():
     leader_name = c.run_until_leader()
     leader = c.node(leader_name)
     term = leader.current_term
-    leader.on_message("peer", VoteResponse(term=term - 1, voter="peer", granted=True))
+    leader.deliver("peer", VoteResponse(term=term - 1, voter="peer", granted=True))
     assert leader.role is Role.LEADER
     assert leader.current_term == term
 
@@ -93,7 +93,7 @@ def test_stale_vote_response_ignored():
 def test_unknown_payload_type_raises():
     c = make_raft_cluster(1)
     with pytest.raises(TypeError):
-        c.node("n1").on_message("x", object())
+        c.node("n1").deliver("x", object())
 
 
 def test_crash_recovery_preserves_term_vote_and_log():
@@ -151,10 +151,10 @@ def test_heartbeat_commit_clamped_to_match_index():
     for i in range(5):
         client.submit(kv_put(f"k{i}", i))
     c.run_for(3000)
-    assert leader.match_index[lagger] < leader.commit_index
+    assert leader.progress[lagger].match < leader.commit_index
     # Any heartbeat built for the lagger right now must clamp.
-    commit = min(leader.commit_index, leader.match_index[lagger])
-    assert commit == leader.match_index[lagger]
+    commit = min(leader.commit_index, leader.progress[lagger].match)
+    assert commit == leader.progress[lagger].match
 
 
 def test_metrics_counters_increment():

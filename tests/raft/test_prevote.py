@@ -73,7 +73,7 @@ def test_lease_rejects_votes_while_leader_alive():
     others = [n for n in c.names if n != leader]
     voter, intruder = c.node(others[0]), others[1]
     term_before = voter.current_term
-    voter.on_message(
+    voter.deliver(
         intruder,
         VoteRequest(
             term=term_before + 10,
@@ -98,7 +98,7 @@ def test_vote_granted_once_lease_expired():
     c.network.set_partitions([{voter_name}, set(c.names) - {voter_name}])
     c.run_for(2_000)
     term = voter.current_term
-    voter.on_message(
+    voter.deliver(
         intruder,
         VoteRequest(
             term=term + 10,
@@ -163,7 +163,7 @@ def test_prevote_response_rejection_with_higher_term_steps_down():
 
     victim._on_election_timeout()
     assert victim.role is Role.PRECANDIDATE
-    victim.on_message(
+    victim.deliver(
         "peer",
         PreVoteResponse(term=victim.current_term + 5, voter="peer", granted=False),
     )

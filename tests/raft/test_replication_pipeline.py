@@ -40,8 +40,8 @@ def test_inflight_counter_returns_to_zero_when_idle():
         client.submit(kv_put(f"k{i}", i))
     c.run_for(5_000)  # drain completely
     node = c.node(leader)
-    assert all(v == 0 for v in node._inflight_appends.values())
-    assert all(node.match_index[p] == node.log.last_index for p in node.peers)
+    assert all(pr.inflight == 0 for pr in node.progress.values())
+    assert all(node.progress[p].match == node.log.last_index for p in node.peers)
 
 
 def test_proposals_respect_inflight_cap():
@@ -55,7 +55,7 @@ def test_proposals_respect_inflight_cap():
     c.run_for(50)  # before any ack can return (RTT 200)
     node = c.node(leader)
     for peer in node.peers:
-        assert node._inflight_appends[peer] <= node.MAX_INFLIGHT_APPENDS
+        assert node.progress[peer].inflight <= node.config.max_inflight_appends
     c.run_for(10_000)
     assert len(client.completed) == 50  # everything still commits
 
@@ -74,8 +74,8 @@ def test_stalled_pipeline_recovers_via_heartbeat_catchup():
         client.submit(kv_put(f"k{i}", i))
     c.run_for(4_000)
     node = c.node(leader)
-    assert node.match_index[lagger] < node.log.last_index
+    assert node.progress[lagger].match < node.log.last_index
     c.node(lagger).resume()
     c.run_for(6_000)  # stall threshold (1 s) passes; heartbeats rescue it
-    assert node.match_index[lagger] == node.log.last_index
+    assert node.progress[lagger].match == node.log.last_index
     assert c.node(lagger).state_machine.snapshot() == c.node(leader).state_machine.snapshot()

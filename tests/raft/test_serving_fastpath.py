@@ -127,10 +127,10 @@ def test_pipelining_streams_multiple_windows_at_once():
     peer = node.peers[0]
     for j in range(200):
         node.log.append_new(node.current_term, kv_put("x", j))
-    node._send_append(peer)
+    node._send_append(node.progress[peer])
     # 200 entries / 64-entry windows: the whole backlog streams out
     # immediately instead of one-window-per-ack.
-    assert node._inflight_appends[peer] == 4
+    assert node.progress[peer].inflight == 4
     c.run_for(2_000.0)
     assert c.node(peer).log.last_index == node.log.last_index
     assert node.commit_index == node.log.last_index
@@ -144,8 +144,8 @@ def test_unpipelined_sends_single_window():
     peer = node.peers[0]
     for j in range(200):
         node.log.append_new(node.current_term, kv_put("x", j))
-    node._send_append(peer)
-    assert node._inflight_appends[peer] == 1
+    node._send_append(node.progress[peer])
+    assert node.progress[peer].inflight == 1
     c.run_for(2_000.0)
     assert c.node(peer).log.last_index == node.log.last_index
 
@@ -170,7 +170,7 @@ def test_pipelining_recovers_after_rejection():
     assert c.node(lagging).log.last_index == node.log.last_index
     # Concurrent retried writes apply in an arbitrary (but agreed) order.
     assert c.node(lagging).state_machine.peek("x") == node.state_machine.peek("x")
-    assert node._append_probe == set()  # probe mode exited after re-anchor
+    assert not any(pr.probing for pr in node.progress.values())  # probe mode exited after re-anchor
 
 
 def test_pipelining_falls_back_to_snapshot_transfer():
@@ -337,8 +337,8 @@ def test_lease_invalid_when_responses_stale():
     node = c.node(leader)
     assert node._lease_valid_for_reads()
     # Age every voter response beyond any plausible lease duration.
-    for p in list(node._last_peer_response):
-        node._last_peer_response[p] -= 10_000.0
+    for pr in node.progress.values():
+        pr.last_response -= 10_000.0
     assert not node._lease_valid_for_reads()
 
 

@@ -67,7 +67,7 @@ def test_crashed_follower_catches_up_via_snapshot():
     lead = c.node(leader)
     # The dead follower must not hold memory hostage: the leader compacts
     # past its match index while it is away.
-    assert lead.log.first_index > lead.match_index[lagger] + 1
+    assert lead.log.first_index > lead.progress[lagger].match + 1
     c.node(lagger).recover()
     c.run_for(4000)
     follower = c.node(lagger)

@@ -50,8 +50,12 @@ def _planted_probe(trace):
 
 @pytest.fixture(scope="module")
 def planted_report(tmp_path_factory):
-    root = tmp_path_factory.mktemp("planted")
+    base = tmp_path_factory.mktemp("planted")
+    root = base / "src"
     shutil.copytree(REPO_ROOT / "src" / "repro", root / "repro")
+    # config-knob-liveness also reads the callers beside the scanned root;
+    # the examples are the smallest of them that set every knob src/ does not.
+    shutil.copytree(REPO_ROOT / "examples", base / "examples")
     for modpath, plant in PLANTS.items():
         path = root / modpath
         path.write_text(path.read_text() + plant, encoding="utf-8")

@@ -166,7 +166,7 @@ def test_crash_at_snapshot_install_persist_point_retries_clean():
     c.node(lagger).crash()
     pump(c, client, 80, settle_ms=9000)
     lead = c.node(leader)
-    assert lead.log.first_index > lead.match_index[lagger] + 1
+    assert lead.log.first_index > lead.progress[lagger].match + 1
     node = c.node(lagger)
     # First persist with a non-empty pending tail after rejoin is the
     # snapshot install itself — that sync crashes.

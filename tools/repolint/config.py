@@ -43,7 +43,8 @@ class RepolintConfig:
             "_push_event",
             "record",
             "_rpc",
-            "_send",
+            "_reply",
+            "_replicate_to_all",
             "_send_append",
             "_send_heartbeat_to",
             "_send_snapshot",
@@ -74,6 +75,7 @@ class RepolintConfig:
                     "RaftNode._on_heartbeat_response",
                     "RaftNode._send_heartbeat_to",
                     "RaftNode._heartbeat_tick",
+                    "RaftNode._schedule_heartbeat",
                 }
             ),
             "repro/net/network.py": frozenset({"Network.transmit"}),
@@ -162,6 +164,16 @@ class RepolintConfig:
             "_config_log": frozenset(
                 {"RaftNode.__init__", "RaftNode.on_recover"}
             ),
+            # The leader's per-follower records live exactly as long as
+            # the peer is in the reign: one builder, one editor, two resets.
+            "progress": frozenset(
+                {
+                    "RaftNode._reset_volatile",
+                    "RaftNode._become_leader",
+                    "RaftNode._apply_membership_change",
+                    "RaftNode._teardown_leadership",
+                }
+            ),
         }
     )
 
@@ -221,6 +233,20 @@ class RepolintConfig:
     #: the boundary (none needed in the real tree today; the knob exists
     #: so a future wall-clock runtime shim can register itself).
     clock_exempt: frozenset[str] = frozenset()
+
+    # -- config-knob liveness (rule family 8) --------------------------- #
+    #: Module and name of the protocol config dataclass whose every field
+    #: must be passed by keyword to some call of the class.
+    knob_config_modpath: str = "repro/raft/types.py"
+    knob_config_class: str = "RaftConfig"
+    #: Directories (relative to the scanned root) whose ``.py`` files
+    #: count as callers besides the scanned tree itself; missing ones are
+    #: skipped, so fixture trees need not provide them.
+    knob_user_roots: tuple[str, ...] = (
+        "../tests",
+        "../benchmarks",
+        "../examples",
+    )
 
 
 DEFAULT_CONFIG = RepolintConfig()

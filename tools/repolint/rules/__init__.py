@@ -15,6 +15,7 @@ from tools.repolint.rules.dispatch import (
     StepRegistryRule,
 )
 from tools.repolint.rules.hotpath import HotPathAllocRule, SlotsRule
+from tools.repolint.rules.knobs import ConfigKnobLivenessRule
 from tools.repolint.rules.state import ProtectedStateRule
 from tools.repolint.rules.tracekinds import TraceRegistryRule
 
@@ -33,6 +34,7 @@ def rule_classes() -> list[type[Rule]]:
         ProtectedStateRule,
         DurableWriteRule,
         NodeClockRule,
+        ConfigKnobLivenessRule,
     ]
 
 
