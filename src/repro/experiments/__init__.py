@@ -2,8 +2,8 @@
 
 Each module exposes:
 
-* a frozen config dataclass with ``quick()`` (CI-sized) and
-  ``paper_scale()`` (full §IV parameters) constructors;
+* a frozen config dataclass whose ``quick()`` constructor takes its
+  repetition counts and dwells from the ``REPRO_SCALE`` preset;
 * ``run(config) -> <Fig*Result>`` — executes the experiment and returns
   structured series/summaries;
 * ``main()`` — runs at the scale selected by ``REPRO_SCALE`` (``quick`` |

@@ -135,12 +135,3 @@ def get_jobs() -> int:
     if jobs < 1:
         raise ValueError(f"REPRO_JOBS must be >= 1 (or 0/'auto'), got {jobs!r}")
     return jobs
-
-
-def fmt_ms(v: float | None) -> str:
-    """Render a millisecond value for report tables."""
-    return "-" if v is None else f"{v:.0f} ms"
-
-
-def fmt_pct(v: float) -> str:
-    return f"{100.0 * v:.0f} %"

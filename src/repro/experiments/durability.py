@@ -30,31 +30,22 @@ must trace none), corruption-refusing nodes stay down, bounded recovery
 replay (compaction keeps the replayed tail short), surviving replicas
 converge to the same applied state, and a client availability floor.
 
-Runs fan out across ``REPRO_JOBS`` via :func:`~repro.experiments.runner.
-run_tasks`; each is an independent simulation keyed by the config, so
-results — and :func:`digest` — are byte-identical for any job count.
-
-CLI::
-
-    python -m repro.experiments.durability             # full grid (~1 min)
-    python -m repro.experiments.durability --smoke     # CI budget
-    python -m repro.experiments.durability --digest    # print the digest
+Run, digest and CLI come from :mod:`repro.experiments.grid` (``GRID``
+below): ``python -m repro.experiments.durability [--smoke] [--digest]
+[--family F]``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import sys
+from typing import Sequence
 
-from repro.cluster.builder import ClusterConfig, build_cluster
-from repro.experiments.common import make_policy_factory
-from repro.experiments.runner import run_tasks
-from repro.fuzz.history import OpHistory
-from repro.fuzz.workload import WorkloadConfig, WorkloadDriver
+from repro.cluster.builder import ClusterConfig
+from repro.experiments import grid
+from repro.fuzz.oracle import CheckedRun, RunVerdict
 from repro.raft.types import RaftConfig
-from repro.scenarios.safety import SafetyChecker
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.steps import Churn, DiskFault, Repeat, Step
 from repro.sim.process import ProcessState
@@ -64,28 +55,32 @@ __all__ = [
     "FAMILIES",
     "DurabilityConfig",
     "DurabilityRunResult",
-    "DurabilityResult",
     "run_one",
-    "run",
     "check",
-    "digest",
-    "main",
+    "GRID",
 ]
 
 #: The four fault families the grid covers.
 FAMILIES: tuple[str, ...] = ("ideal", "lossy_fsync", "torn_tail", "corrupt_tail")
 
+#: Crashed disks reboot this long after the crash (except corruption
+#: refusals, which are fail-fatal and stay down).
+AUTO_RECOVER_MS = 1_200.0
+#: Compaction keeps the recovery replay bounded; :func:`check` asserts it
+#: actually did.
+COMPACTION = RaftConfig(compaction_threshold=40, compaction_retain_margin=8)
+MAX_RECOVERY_REPLAY = 150
+
 
 @dataclasses.dataclass(slots=True, frozen=True)
 class DurabilityConfig:
-    """One durability run (the grid in :func:`run` derives variants)."""
+    """One durability run (the grid's cells derive variants)."""
 
     system: str = "raft"
     #: One of :data:`FAMILIES`.
     family: str = "lossy_fsync"
     n_nodes: int = 5
     seed: int = 101
-    rtt_ms: float = 50.0
     #: Rolling storm shape: node ``i``'s fault window opens at
     #: ``storm_start_ms + i * stagger_ms`` and lasts ``window_ms``.
     #: ``window_ms < stagger_ms`` keeps the windows disjoint — at most one
@@ -96,20 +91,6 @@ class DurabilityConfig:
     #: Tail after the last window for auto-recoveries and replication
     #: repair to land.
     settle_ms: float = 8_000.0
-    #: Crashed disks reboot this long after the crash (except corruption
-    #: refusals, which are fail-fatal and stay down).
-    auto_recover_ms: float = 1_200.0
-    #: Compaction keeps the recovery replay bounded; the gate below
-    #: asserts it actually did.
-    compaction_threshold: int = 40
-    compaction_margin: int = 8
-    max_recovery_replay: int = 150
-    #: Sustained closed-loop client load.
-    n_clients: int = 3
-    n_keys: int = 4
-    think_min_ms: float = 10.0
-    think_max_ms: float = 60.0
-    op_timeout_ms: float = 1_500.0
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -144,17 +125,14 @@ class DurabilityConfig:
         return last_window_end + self.settle_ms
 
 
-@dataclasses.dataclass(slots=True, frozen=True)
-class DurabilityRunResult:
+@dataclasses.dataclass(slots=True, frozen=True, kw_only=True)
+class DurabilityRunResult(RunVerdict):
     """One run reduced to its headline numbers and gate inputs (picklable)."""
 
     system: str
     family: str
     n_nodes: int
     horizon_ms: float
-    #: Client-visible availability.
-    ops_issued: int
-    ops_completed: int
     #: Disk-event counts over the whole run (all zero for the control).
     crash_points: int
     io_errors: int
@@ -174,23 +152,6 @@ class DurabilityRunResult:
     refused_stayed_down: bool
     #: Applied-state agreement across every running replica at horizon.
     machines_consistent: bool
-    #: Safety verdict over the whole run (durability invariant included).
-    violations: tuple[str, ...]
-
-    @property
-    def availability(self) -> float:
-        return self.ops_completed / self.ops_issued if self.ops_issued else 0.0
-
-
-@dataclasses.dataclass(slots=True, frozen=True)
-class DurabilityResult:
-    runs: tuple[DurabilityRunResult, ...]
-
-    def find(self, system: str, family: str) -> DurabilityRunResult:
-        for r in self.runs:
-            if r.system == system and r.family == family:
-                return r
-        raise KeyError(f"no durability run ({system}, {family})")
 
 
 #: Per-family window knobs (crash probabilities are per fsync, so even a
@@ -215,7 +176,7 @@ def _storm_scenario(cfg: DurabilityConfig) -> Scenario:
             Churn(
                 at_ms=cfg.storm_start_ms,
                 nodes=cfg.names,
-                down_ms=cfg.auto_recover_ms,
+                down_ms=AUTO_RECOVER_MS,
                 fault="crash",
                 repeat=Repeat(every_ms=cfg.stagger_ms, times=cfg.n_nodes),
             )
@@ -247,49 +208,26 @@ def _storm_scenario(cfg: DurabilityConfig) -> Scenario:
 def run_one(cfg: DurabilityConfig) -> DurabilityRunResult:
     """Run one durability variant end to end (module-level: run_tasks
     worker)."""
-    cluster = build_cluster(
+    ideal = cfg.family == "ideal"
+    run = CheckedRun(
         ClusterConfig(
             n_nodes=cfg.n_nodes,
             seed=cfg.seed,
-            rtt_ms=cfg.rtt_ms,
-            raft=RaftConfig(
-                compaction_threshold=cfg.compaction_threshold,
-                compaction_retain_margin=cfg.compaction_margin,
-            ),
-            storage="ideal" if cfg.family == "ideal" else "simdisk",
+            rtt_ms=grid.RTT_MS,
+            raft=COMPACTION,
+            storage="ideal" if ideal else "simdisk",
             disk_faults=(
-                None
-                if cfg.family == "ideal"
-                else DiskFaultConfig(auto_recover_ms=cfg.auto_recover_ms)
+                None if ideal else DiskFaultConfig(auto_recover_ms=AUTO_RECOVER_MS)
             ),
         ),
-        make_policy_factory(cfg.system),
+        cfg.system,
     )
-    checker = SafetyChecker(cluster)
-    checker.install(event_hooks=True)
+    cluster = run.cluster
     _storm_scenario(cfg).install(cluster)
-    history = OpHistory()
     horizon = cfg.horizon_ms
-    driver = WorkloadDriver(
-        cluster,
-        WorkloadConfig(
-            n_clients=cfg.n_clients,
-            n_keys=cfg.n_keys,
-            op_timeout_ms=cfg.op_timeout_ms,
-            think_min_ms=cfg.think_min_ms,
-            think_max_ms=cfg.think_max_ms,
-            start_ms=400.0,
-            max_ops_per_client=1_000_000,
-        ),
-        history,
-        stop_ms=horizon - 2.0 * cfg.op_timeout_ms,
-    )
-    driver.install()
-
+    run.drive(grid.SUSTAINED_LOAD, horizon)
     cluster.start()
-    cluster.run_until(horizon)
-
-    violations = tuple(checker.verify())
+    verdict = run.finish()
     trace = cluster.trace
 
     replays = [r.get("replayed", 0) for r in trace.of_kind("disk_recover")]
@@ -304,14 +242,11 @@ def run_one(cfg: DurabilityConfig) -> DurabilityRunResult:
         for node in (cluster.nodes[n] for n in cluster.names)
         if node.state is ProcessState.RUNNING
     ]
-    ops = history.ops()
     return DurabilityRunResult(
         system=cfg.system,
         family=cfg.family,
         n_nodes=cfg.n_nodes,
         horizon_ms=horizon,
-        ops_issued=len(ops),
-        ops_completed=sum(1 for o in ops if o.completed),
         crash_points=len(trace.of_kind("disk_crash_point")),
         io_errors=len(trace.of_kind("disk_io_error")),
         recoveries=len(trace.of_kind("disk_recover")),
@@ -321,15 +256,15 @@ def run_one(cfg: DurabilityConfig) -> DurabilityRunResult:
         process_recoveries=len(trace.of_kind("process_recovered")),
         max_replay=max(replays) if replays else 0,
         mean_replay=sum(replays) / len(replays) if replays else 0.0,
-        replay_bound=cfg.max_recovery_replay,
+        replay_bound=MAX_RECOVERY_REPLAY,
         refused=refused,
         refused_stayed_down=refused_stayed_down,
         machines_consistent=len(set(running_states)) <= 1,
-        violations=violations,
+        **dataclasses.asdict(verdict),
     )
 
 
-def _grid(
+def _cells(
     base: DurabilityConfig, systems: tuple[str, ...]
 ) -> list[DurabilityConfig]:
     return [
@@ -339,38 +274,17 @@ def _grid(
     ]
 
 
-def run(
-    config: DurabilityConfig | None = None,
-    *,
-    systems: tuple[str, ...] = ("raft", "dynatune"),
-    jobs: int | None = None,
-) -> DurabilityResult:
-    """Run the durability grid (parallel across ``REPRO_JOBS``,
-    bit-stable)."""
-    base = config if config is not None else DurabilityConfig()
-    results = run_tasks(run_one, _grid(base, systems), jobs=jobs)
-    return DurabilityResult(runs=tuple(results))
-
-
-def digest(result: DurabilityResult) -> str:
-    """SHA-256 over the canonical JSON of every run (REPRO_JOBS-invariant)."""
-    payload = [dataclasses.asdict(r) for r in result.runs]
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
 #: Client availability floor: a rolling storm takes one member at a time,
 #: so the quorum — and client progress — should survive throughout.
 MIN_AVAILABILITY = 0.5
 
 
-def check(result: DurabilityResult) -> list[str]:
+def check(runs: Sequence[DurabilityRunResult]) -> list[str]:
     """The durability acceptance gates; empty list means all held."""
     problems: list[str] = []
-    for r in result.runs:
+    for r in runs:
         tag = f"{r.system}/{r.family}"
-        if r.violations:
-            problems.append(f"{tag}: safety violations: {r.violations[:3]}")
+        problems += r.gates(tag, MIN_AVAILABILITY)
         if r.family == "ideal":
             disk_events = (
                 r.crash_points + r.io_errors + r.recoveries
@@ -416,85 +330,48 @@ def check(result: DurabilityResult) -> list[str]:
             )
         if not r.machines_consistent:
             problems.append(f"{tag}: surviving replicas diverged at horizon")
-        if r.ops_issued == 0 or r.availability < MIN_AVAILABILITY:
-            problems.append(
-                f"{tag}: availability {r.availability:.2f} below "
-                f"{MIN_AVAILABILITY:g} ({r.ops_completed}/{r.ops_issued} ops)"
-            )
     return problems
 
 
-def main(argv: list[str] | None = None) -> int:  # pragma: no cover - CLI
-    import argparse
+def _row(r: DurabilityRunResult) -> tuple[str, ...]:
+    return (
+        f"{r.system}/{r.family}",
+        f"{r.availability:.2f}",
+        str(r.crash_points + r.io_errors + r.process_crashes),
+        str(r.recoveries + r.process_recoveries),
+        str(r.truncations),
+        str(r.corruptions),
+        str(r.max_replay),
+        str(r.machines_consistent),
+    )
 
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=101)
-    parser.add_argument(
-        "--system", action="append", default=None, help="restrict systems (repeatable)"
-    )
-    parser.add_argument(
-        "--family", action="append", default=None, help="restrict families (repeatable)"
-    )
-    parser.add_argument(
-        "--digest", action="store_true", help="print the result digest"
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help=(
-            "CI budget: 3 nodes, short windows — still asserts every "
-            "durability gate"
-        ),
-    )
-    args = parser.parse_args(argv)
 
-    base = DurabilityConfig(
-        seed=args.seed,
-        n_nodes=3 if args.smoke else 5,
-        storm_start_ms=3_000.0 if args.smoke else 4_000.0,
-        window_ms=2_500.0 if args.smoke else 4_000.0,
-        stagger_ms=3_000.0 if args.smoke else 4_500.0,
-        settle_ms=6_000.0 if args.smoke else 8_000.0,
-    )
-    systems = tuple(args.system) if args.system else ("raft", "dynatune")
-    result = run(base, systems=systems)
-    if args.family:
-        result = DurabilityResult(
-            runs=tuple(r for r in result.runs if r.family in set(args.family))
-        )
-
-    print(
-        f"# durability — {base.n_nodes} nodes, {base.window_ms / 1000.0:g}s "
-        f"windows every {base.stagger_ms / 1000.0:g}s, seed {base.seed}"
-    )
-    header = (
-        f"{'run':<24} {'avail':>6} {'crash':>6} {'recov':>6} {'torn':>5} "
-        f"{'corrupt':>8} {'replay':>7} {'consistent':>11}"
-    )
-    print(header)
-    for r in result.runs:
-        print(
-            f"{r.system + '/' + r.family:<24} {r.availability:>6.2f} "
-            f"{r.crash_points + r.io_errors + r.process_crashes:>6} "
-            f"{r.recoveries + r.process_recoveries:>6} {r.truncations:>5} "
-            f"{r.corruptions:>8} {r.max_replay:>7} "
-            f"{str(r.machines_consistent):>11}"
-        )
-    if args.digest:
-        print(f"digest: {digest(result)}")
-
-    problems = check(result)
-    if problems:
-        print(f"\n{len(problems)} durability gate(s) failed:", file=sys.stderr)
-        for p in problems:
-            print(f"  {p}", file=sys.stderr)
-        return 1
-    print(
-        "\nall durability gates held (safety clean, repair events traced, "
-        "refusals stayed down, replay bounded, replicas converged)."
-    )
-    return 0
-
+GRID = grid.Grid(
+    name="durability",
+    full=DurabilityConfig,
+    # CI budget: 3 nodes, short windows.
+    smoke=lambda: DurabilityConfig(
+        n_nodes=3,
+        storm_start_ms=3_000.0,
+        window_ms=2_500.0,
+        stagger_ms=3_000.0,
+        settle_ms=6_000.0,
+    ),
+    cells=_cells,
+    run_one=run_one,
+    check=check,
+    axes={"family": FAMILIES},
+    title=lambda c: (
+        f"{c.n_nodes} nodes, {c.window_ms / 1000.0:g}s windows every "
+        f"{c.stagger_ms / 1000.0:g}s"
+    ),
+    columns=("run", "avail", "crash", "recov", "torn", "corrupt", "replay", "consistent"),
+    row=_row,
+    held=(
+        "safety clean, repair events traced, refusals stayed down, replay "
+        "bounded, replicas converged"
+    ),
+)
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(grid.main(GRID))

@@ -23,60 +23,50 @@ being promoted to voter (asserted via ``snapshots_installed`` metrics),
 every removed node decommissioned, and the final committed voter set
 exactly the family's target.
 
-Runs fan out across ``REPRO_JOBS`` via :func:`~repro.experiments.runner.
-run_tasks`; each is an independent simulation keyed by the config, so
-results — and :func:`digest` — are byte-identical for any job count.
-
-CLI::
-
-    python -m repro.experiments.elastic             # full grid (~1 min)
-    python -m repro.experiments.elastic --smoke     # CI budget
-    python -m repro.experiments.elastic --digest    # print the result digest
+Run, digest and CLI come from :mod:`repro.experiments.grid` (``GRID``
+below): ``python -m repro.experiments.elastic [--smoke] [--digest]``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import sys
+from typing import Sequence
 
-from repro.cluster.builder import ClusterConfig, build_cluster
+from repro.cluster.builder import ClusterConfig
 from repro.cluster.measurements import (
     extract_failure_episodes,
     leaderless_intervals,
     total_interval_length,
 )
-from repro.experiments.common import make_policy_factory
-from repro.experiments.runner import run_tasks
-from repro.fuzz.history import OpHistory
-from repro.fuzz.workload import WorkloadConfig, WorkloadDriver
+from repro.experiments import grid
+from repro.fuzz.oracle import CheckedRun, RunVerdict
 from repro.raft.types import RaftConfig
 from repro.scenarios.library import elastic_grow, elastic_replace_all, elastic_shrink
-from repro.scenarios.safety import SafetyChecker
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.steps import Heal, Partition, Pause, SetRtt
 from repro.sim.process import ProcessState
 
-__all__ = [
-    "FAMILIES",
-    "ElasticConfig",
-    "ElasticRunResult",
-    "ElasticResult",
-    "run_one",
-    "run",
-    "check",
-    "digest",
-    "main",
-]
+__all__ = ["FAMILIES", "ElasticConfig", "ElasticRunResult", "run_one", "check", "GRID"]
 
 #: The three membership families the grid covers.
 FAMILIES: tuple[str, ...] = ("grow", "shrink", "replace")
 
+#: First membership event.
+START_MS = 5_000.0
+#: Small threshold so every joiner's catch-up *must* go through the
+#: snapshot path (the leader has compacted far past an empty log by the
+#: first join).
+COMPACTION = RaftConfig(compaction_threshold=60, compaction_retain_margin=8)
+#: Fault pressure inside the membership window.
+LEADER_PAUSE_MS = 1_200.0
+RTT_SPIKE_FACTOR = 4.0
+PARTITION_HEAL_MS = 1_500.0
+
 
 @dataclasses.dataclass(slots=True, frozen=True)
 class ElasticConfig:
-    """One elastic run (the grid in :func:`run` derives variants)."""
+    """One elastic run (the grid's cells derive variants)."""
 
     system: str = "raft"
     #: One of :data:`FAMILIES`.
@@ -88,30 +78,11 @@ class ElasticConfig:
     #: rolling-replace-all).
     changes: int = 4
     seed: int = 77
-    rtt_ms: float = 50.0
-    #: First membership event / spacing between events.
-    start_ms: float = 5_000.0
+    #: Spacing between membership events.
     gap_ms: float = 8_000.0
     #: Tail after the last membership event for retries, the final commit
     #: and decommissioning to land.
     settle_ms: float = 10_000.0
-    #: Small threshold so every joiner's catch-up *must* go through the
-    #: snapshot path (the leader has compacted far past an empty log by
-    #: the first join).
-    compaction_threshold: int = 60
-    compaction_margin: int = 8
-    #: Fault pressure inside the membership window (all scaled off the
-    #: window length; set ``pressure=False`` to run on a calm network).
-    pressure: bool = True
-    leader_pause_ms: float = 1_200.0
-    rtt_spike_factor: float = 4.0
-    partition_heal_ms: float = 1_500.0
-    #: Sustained closed-loop client load.
-    n_clients: int = 3
-    n_keys: int = 4
-    think_min_ms: float = 10.0
-    think_max_ms: float = 60.0
-    op_timeout_ms: float = 1_500.0
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -131,7 +102,7 @@ class ElasticConfig:
 
     @property
     def horizon_ms(self) -> float:
-        return self.start_ms + self.window_ms + self.settle_ms
+        return START_MS + self.window_ms + self.settle_ms
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -173,8 +144,8 @@ class ElasticConfig:
         return per * self.changes
 
 
-@dataclasses.dataclass(slots=True, frozen=True)
-class ElasticRunResult:
+@dataclasses.dataclass(slots=True, frozen=True, kw_only=True)
+class ElasticRunResult(RunVerdict):
     """One run reduced to its headline numbers and gate inputs (picklable)."""
 
     system: str
@@ -183,9 +154,6 @@ class ElasticRunResult:
     changes: int
     horizon_ms: float
     first_leader_ms: float | None
-    #: Client-visible availability.
-    ops_issued: int
-    ops_completed: int
     leaderless_ms: float
     #: Detection latency of the induced leader pause (None if no episode).
     detection_ms: float | None
@@ -203,71 +171,41 @@ class ElasticRunResult:
     expected_final_voters: tuple[str, ...]
     live_members: tuple[str, ...]
     removed_all_stopped: bool
-    #: Safety verdict over the whole run.
-    violations: tuple[str, ...]
-
-    @property
-    def availability(self) -> float:
-        return self.ops_completed / self.ops_issued if self.ops_issued else 0.0
-
-    @property
-    def leaderless_frac(self) -> float:
-        return self.leaderless_ms / self.horizon_ms if self.horizon_ms else 0.0
-
-
-@dataclasses.dataclass(slots=True, frozen=True)
-class ElasticResult:
-    runs: tuple[ElasticRunResult, ...]
-
-    def find(self, system: str, family: str) -> ElasticRunResult:
-        for r in self.runs:
-            if r.system == system and r.family == family:
-                return r
-        raise KeyError(f"no elastic run ({system}, {family})")
 
 
 def _membership_scenario(cfg: ElasticConfig) -> Scenario:
     names = list(cfg.names)
     if cfg.family == "grow":
         base = elastic_grow(
-            names, start_ms=cfg.start_ms, gap_ms=cfg.gap_ms, joiners=cfg.changes
+            names, start_ms=START_MS, gap_ms=cfg.gap_ms, joiners=cfg.changes
         )
     elif cfg.family == "shrink":
         base = elastic_shrink(
-            names, start_ms=cfg.start_ms, gap_ms=cfg.gap_ms, removals=cfg.changes
+            names, start_ms=START_MS, gap_ms=cfg.gap_ms, removals=cfg.changes
         )
     else:
-        base = elastic_replace_all(names, start_ms=cfg.start_ms, gap_ms=cfg.gap_ms)
-    steps = list(base.steps)
-    if cfg.pressure:
-        start, window = cfg.start_ms, cfg.window_ms
-        steps.extend(
-            [
-                # Leader failure inside the first membership gap — measured
-                # as a failure episode (detection time) by the §IV-A layer.
-                Pause(
-                    at_ms=start + 0.10 * window,
-                    node="@leader",
-                    duration_ms=cfg.leader_pause_ms,
-                    trace_kind="fault_leader_pause",
-                ),
-                # Global RTT spike while a change is typically in flight.
-                SetRtt(
-                    at_ms=start + 0.35 * window,
-                    rtt_ms=cfg.rtt_ms * cfg.rtt_spike_factor,
-                ),
-                SetRtt(at_ms=start + 0.50 * window, rtt_ms=cfg.rtt_ms),
-                # Isolate whoever leads late in the window; the retry
-                # machinery must chase the replacement leader.
-                Partition(
-                    at_ms=start + 0.60 * window, groups=(("@leader",),)
-                ),
-                Heal(at_ms=start + 0.60 * window + cfg.partition_heal_ms),
-            ]
-        )
+        base = elastic_replace_all(names, start_ms=START_MS, gap_ms=cfg.gap_ms)
+    start, window = START_MS, cfg.window_ms
+    pressure = [
+        # Leader failure inside the first membership gap — measured as a
+        # failure episode (detection time) by the §IV-A layer.
+        Pause(
+            at_ms=start + 0.10 * window,
+            node="@leader",
+            duration_ms=LEADER_PAUSE_MS,
+            trace_kind="fault_leader_pause",
+        ),
+        # Global RTT spike while a change is typically in flight.
+        SetRtt(at_ms=start + 0.35 * window, rtt_ms=grid.RTT_MS * RTT_SPIKE_FACTOR),
+        SetRtt(at_ms=start + 0.50 * window, rtt_ms=grid.RTT_MS),
+        # Isolate whoever leads late in the window; the retry machinery
+        # must chase the replacement leader.
+        Partition(at_ms=start + 0.60 * window, groups=(("@leader",),)),
+        Heal(at_ms=start + 0.60 * window + PARTITION_HEAL_MS),
+    ]
     return Scenario(
         f"elastic-{cfg.family}",
-        steps,
+        [*base.steps, *pressure],
         description=(
             f"{cfg.family} {cfg.n_start}->{len(cfg.expected_final_voters)} "
             f"under leader-pause / RTT-spike / partition pressure"
@@ -290,43 +228,16 @@ def _config_latencies(trace) -> list[float]:
 
 def run_one(cfg: ElasticConfig) -> ElasticRunResult:
     """Run one elastic variant end to end (module-level: run_tasks worker)."""
-    cluster = build_cluster(
-        ClusterConfig(
-            n_nodes=cfg.n_start,
-            seed=cfg.seed,
-            rtt_ms=cfg.rtt_ms,
-            raft=RaftConfig(
-                compaction_threshold=cfg.compaction_threshold,
-                compaction_retain_margin=cfg.compaction_margin,
-            ),
-        ),
-        make_policy_factory(cfg.system),
+    run = CheckedRun(
+        ClusterConfig(n_nodes=cfg.n_start, seed=cfg.seed, rtt_ms=grid.RTT_MS, raft=COMPACTION),
+        cfg.system,
     )
-    checker = SafetyChecker(cluster)
-    checker.install(event_hooks=True)
+    cluster = run.cluster
     _membership_scenario(cfg).install(cluster)
-    history = OpHistory()
     horizon = cfg.horizon_ms
-    driver = WorkloadDriver(
-        cluster,
-        WorkloadConfig(
-            n_clients=cfg.n_clients,
-            n_keys=cfg.n_keys,
-            op_timeout_ms=cfg.op_timeout_ms,
-            think_min_ms=cfg.think_min_ms,
-            think_max_ms=cfg.think_max_ms,
-            start_ms=400.0,
-            max_ops_per_client=1_000_000,
-        ),
-        history,
-        stop_ms=horizon - 2.0 * cfg.op_timeout_ms,
-    )
-    driver.install()
-
+    run.drive(grid.SUSTAINED_LOAD, horizon)
     cluster.start()
-    cluster.run_until(horizon)
-
-    violations = tuple(checker.verify())
+    verdict = run.finish()
     trace = cluster.trace
 
     leaders = trace.of_kind("become_leader")
@@ -353,7 +264,6 @@ def run_one(cfg: ElasticConfig) -> ElasticRunResult:
         and cluster.nodes[name].state is ProcessState.STOPPED
         for name in cfg.expected_removed
     )
-    ops = history.ops()
     return ElasticRunResult(
         system=cfg.system,
         family=cfg.family,
@@ -361,8 +271,6 @@ def run_one(cfg: ElasticConfig) -> ElasticRunResult:
         changes=cfg.changes,
         horizon_ms=horizon,
         first_leader_ms=leaders[0].time if leaders else None,
-        ops_issued=len(ops),
-        ops_completed=sum(1 for o in ops if o.completed),
         leaderless_ms=total_interval_length(
             leaderless_intervals(trace, t_end=horizon)
         ),
@@ -380,11 +288,11 @@ def run_one(cfg: ElasticConfig) -> ElasticRunResult:
         expected_final_voters=tuple(sorted(cfg.expected_final_voters)),
         live_members=tuple(sorted(cluster.members())),
         removed_all_stopped=removed_all_stopped,
-        violations=violations,
+        **dataclasses.asdict(verdict),
     )
 
 
-def _grid(base: ElasticConfig, systems: tuple[str, ...]) -> list[ElasticConfig]:
+def _cells(base: ElasticConfig, systems: tuple[str, ...]) -> list[ElasticConfig]:
     """Per system: grow 3→3+C, shrink (3+C)→3, rolling-replace-all of a
     C-node cluster (C = ``base.changes``)."""
     tasks: list[ElasticConfig] = []
@@ -410,37 +318,17 @@ def _grid(base: ElasticConfig, systems: tuple[str, ...]) -> list[ElasticConfig]:
     return tasks
 
 
-def run(
-    config: ElasticConfig | None = None,
-    *,
-    systems: tuple[str, ...] = ("raft", "dynatune"),
-    jobs: int | None = None,
-) -> ElasticResult:
-    """Run the elastic grid (parallel across ``REPRO_JOBS``, bit-stable)."""
-    base = config if config is not None else ElasticConfig()
-    results = run_tasks(run_one, _grid(base, systems), jobs=jobs)
-    return ElasticResult(runs=tuple(results))
-
-
-def digest(result: ElasticResult) -> str:
-    """SHA-256 over the canonical JSON of every run (REPRO_JOBS-invariant)."""
-    payload = [dataclasses.asdict(r) for r in result.runs]
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
 #: Client availability floor: membership churn plus the pressure faults may
 #: cost ops, but anything below this means the cluster effectively stalled.
 MIN_AVAILABILITY = 0.5
 
 
-def check(result: ElasticResult) -> list[str]:
+def check(runs: Sequence[ElasticRunResult]) -> list[str]:
     """The elastic acceptance gates; empty list means all held."""
     problems: list[str] = []
-    for r in result.runs:
+    for r in runs:
         tag = f"{r.system}/{r.family}"
-        if r.violations:
-            problems.append(f"{tag}: safety violations: {r.violations[:3]}")
+        problems += r.gates(tag, MIN_AVAILABILITY)
         if r.giveups:
             problems.append(f"{tag}: {r.giveups} membership proposal(s) abandoned")
         if r.config_commits != r.config_commits_expected:
@@ -463,93 +351,38 @@ def check(result: ElasticResult) -> list[str]:
                 problems.append(f"{tag}: joiner {joiner} never became a voter")
         if not r.removed_all_stopped:
             problems.append(f"{tag}: a removed node was never decommissioned")
-        if r.ops_issued == 0 or r.availability < MIN_AVAILABILITY:
-            problems.append(
-                f"{tag}: availability {r.availability:.2f} below "
-                f"{MIN_AVAILABILITY:g} ({r.ops_completed}/{r.ops_issued} ops)"
-            )
     return problems
 
 
-def main(argv: list[str] | None = None) -> int:  # pragma: no cover - CLI
-    import argparse
+def _row(r: ElasticRunResult) -> tuple[str, ...]:
+    return (
+        f"{r.system}/{r.family}",
+        f"{r.availability:.2f}",
+        f"{r.leaderless_ms:.0f}ms",
+        f"{r.detection_ms:.0f}ms" if r.detection_ms is not None else "-",
+        f"{r.config_commits}/{r.config_commits_expected}",
+        f"{r.mean_config_latency_ms:.0f}ms",
+        f"{r.max_config_latency_ms:.0f}ms",
+        str(len(r.final_voters)),
+    )
 
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=77)
-    parser.add_argument(
-        "--changes", type=int, default=None, help="membership events per run (default 4)"
-    )
-    parser.add_argument(
-        "--gap-ms", type=float, default=None, help="spacing between membership events"
-    )
-    parser.add_argument(
-        "--system", action="append", default=None, help="restrict systems (repeatable)"
-    )
-    parser.add_argument(
-        "--calm", action="store_true", help="disable the fault pressure"
-    )
-    parser.add_argument(
-        "--digest", action="store_true", help="print the result digest"
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help=(
-            "CI budget: grow 3->5, shrink 5->3, replace-all of 3 with "
-            "short gaps — still asserts every elastic gate"
-        ),
-    )
-    args = parser.parse_args(argv)
 
-    base = ElasticConfig(
-        seed=args.seed,
-        changes=(
-            args.changes
-            if args.changes is not None
-            else (2 if args.smoke else 4)
-        ),
-        gap_ms=(
-            args.gap_ms if args.gap_ms is not None else (5_000.0 if args.smoke else 8_000.0)
-        ),
-        settle_ms=8_000.0 if args.smoke else 10_000.0,
-        pressure=not args.calm,
-    )
-    systems = tuple(args.system) if args.system else ("raft", "dynatune")
-    result = run(base, systems=systems)
-
-    print(
-        f"# elastic — {base.changes} changes/run, gap {base.gap_ms / 1000.0:g}s, "
-        f"seed {base.seed}, pressure {'off' if args.calm else 'on'}"
-    )
-    header = (
-        f"{'run':<20} {'avail':>6} {'ots':>8} {'detect':>8} {'commits':>8} "
-        f"{'cfg lat':>9} {'max lat':>9} {'voters':>7}"
-    )
-    print(header)
-    for r in result.runs:
-        detect = f"{r.detection_ms:.0f}ms" if r.detection_ms is not None else "-"
-        print(
-            f"{r.system + '/' + r.family:<20} {r.availability:>6.2f} "
-            f"{r.leaderless_ms:>6.0f}ms {detect:>8} "
-            f"{r.config_commits}/{r.config_commits_expected:<5} "
-            f"{r.mean_config_latency_ms:>7.0f}ms {r.max_config_latency_ms:>7.0f}ms "
-            f"{len(r.final_voters):>7}"
-        )
-    if args.digest:
-        print(f"digest: {digest(result)}")
-
-    problems = check(result)
-    if problems:
-        print(f"\n{len(problems)} elastic gate(s) failed:", file=sys.stderr)
-        for p in problems:
-            print(f"  {p}", file=sys.stderr)
-        return 1
-    print(
-        "\nall elastic gates held (safety clean, every change committed, "
-        "joiners snapshot-caught-up, removals decommissioned)."
-    )
-    return 0
-
+GRID = grid.Grid(
+    name="elastic",
+    full=ElasticConfig,
+    # CI budget: grow 3->5, shrink 5->3, replace-all of 3 with short gaps.
+    smoke=lambda: ElasticConfig(changes=2, gap_ms=5_000.0, settle_ms=8_000.0),
+    cells=_cells,
+    run_one=run_one,
+    check=check,
+    title=lambda c: f"{c.changes} changes/run, gap {c.gap_ms / 1000.0:g}s",
+    columns=("run", "avail", "ots", "detect", "commits", "cfg lat", "max lat", "voters"),
+    row=_row,
+    held=(
+        "safety clean, every change committed, joiners snapshot-caught-up, "
+        "removals decommissioned"
+    ),
+)
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(grid.main(GRID))

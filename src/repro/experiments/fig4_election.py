@@ -64,10 +64,6 @@ class Fig4Config:
     def quick(cls) -> "Fig4Config":
         return cls(n_failures=get_scale().fig4_failures)
 
-    @classmethod
-    def paper_scale(cls) -> "Fig4Config":
-        return cls(n_failures=1000)
-
 
 @dataclasses.dataclass(slots=True, frozen=True)
 class SystemElectionResult:

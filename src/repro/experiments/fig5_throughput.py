@@ -53,10 +53,6 @@ class Fig5Config:
     def quick(cls) -> "Fig5Config":
         return cls(repeats=get_scale().fig5_repeats)
 
-    @classmethod
-    def paper_scale(cls) -> "Fig5Config":
-        return cls(repeats=10)
-
     def dynatune_workload(self) -> FluidWorkloadConfig:
         return dataclasses.replace(
             self.raft_workload, overhead_factor=DYNATUNE_OVERHEAD_FACTOR

@@ -66,10 +66,6 @@ class Fig6Config:
     def quick(cls, pattern: str = "gradual") -> "Fig6Config":
         return cls(pattern=pattern, dwell_ms=get_scale().fig6_dwell_ms)
 
-    @classmethod
-    def paper_scale(cls, pattern: str = "gradual") -> "Fig6Config":
-        return cls(pattern=pattern, dwell_ms=60_000.0)
-
     def schedule(self) -> NetworkSchedule:
         if self.pattern == "gradual":
             return gradual_rtt_profile(dwell_ms=self.dwell_ms, start_ms=self.warmup_ms)

@@ -49,10 +49,6 @@ class Fig7Config:
         scale = get_scale()
         return cls(sizes=scale.fig7_sizes, dwell_ms=scale.fig7_dwell_ms)
 
-    @classmethod
-    def paper_scale(cls) -> "Fig7Config":
-        return cls(sizes=(5, 17, 65), dwell_ms=180_000.0)
-
     def schedule(self) -> NetworkSchedule:
         return loss_staircase_profile(
             rtt_ms=self.rtt_ms,

@@ -25,7 +25,7 @@ from repro.cluster.builder import ClusterConfig, build_cluster
 from repro.cluster.harness import ClusterHarness
 from repro.cluster.measurements import FailureEpisode, extract_failure_episodes
 from repro.experiments.common import get_scale, make_policy_factory
-from repro.experiments.runner import run_sharded_trials, run_tasks
+from repro.experiments.runner import run_tasks
 from repro.net.topology import ClockModel
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "GeoElectionResult",
     "Fig8Result",
     "run",
-    "run_trials",
     "main",
 ]
 
@@ -57,10 +56,6 @@ class Fig8Config:
     @classmethod
     def quick(cls) -> "Fig8Config":
         return cls(n_failures=get_scale().fig4_failures)
-
-    @classmethod
-    def paper_scale(cls) -> "Fig8Config":
-        return cls(n_failures=1000)
 
 
 @dataclasses.dataclass(slots=True, frozen=True)
@@ -145,51 +140,12 @@ def _run_system_task(args: tuple[str, Fig8Config]) -> GeoElectionResult:
     return run_system(system, cfg)
 
 
-def _merge_system_results(
-    system: str, parts: list[GeoElectionResult]
-) -> GeoElectionResult:
-    episodes = tuple(e for p in parts for e in p.episodes)
-    detection = np.concatenate([p.detection_ms for p in parts])
-    ots = np.concatenate([p.ots_ms for p in parts])
-    return GeoElectionResult(
-        system=system,
-        episodes=episodes,
-        detection_ms=detection,
-        ots_ms=ots,
-        detection_summary=summarize(detection),
-        ots_summary=summarize(ots),
-        detection_cdf=empirical_cdf(detection),
-        ots_cdf=empirical_cdf(ots),
-        placement=parts[0].placement,
-    )
-
-
 def run(config: Fig8Config | None = None, *, jobs: int | None = None) -> Fig8Result:
     """Run every system (in parallel across systems when ``jobs`` /
     ``REPRO_JOBS`` allows); results are identical for any job count."""
     cfg = config if config is not None else Fig8Config.quick()
     results = run_tasks(_run_system_task, [(s, cfg) for s in cfg.systems], jobs=jobs)
     return Fig8Result(config=cfg, systems=dict(zip(cfg.systems, results)))
-
-
-def run_trials(
-    config: Fig8Config | None = None,
-    *,
-    n_trials: int,
-    jobs: int | None = None,
-) -> Fig8Result:
-    """Shard the geo failure loop into ``n_trials`` independent trials
-    with derived seeds (see :mod:`repro.experiments.runner`)."""
-    cfg = config if config is not None else Fig8Config.quick()
-    merged = run_sharded_trials(
-        _run_system_task,
-        cfg.systems,
-        cfg,
-        n_trials=n_trials,
-        merge=_merge_system_results,
-        jobs=jobs,
-    )
-    return Fig8Result(config=cfg, systems=merged)
 
 
 def main() -> Fig8Result:  # pragma: no cover - exercised via __main__

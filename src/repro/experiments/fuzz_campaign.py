@@ -12,7 +12,8 @@ trial is an independent simulation keyed by ``derive_trial_seed(seed,
 index)``; workers *regenerate* scenarios from those seeds, so the task
 list and every result depend only on the configuration.  ``REPRO_JOBS``
 moves trials between processes and cannot change a byte of the report
-(:func:`digest` is the auditable proof).
+(:func:`~repro.experiments.grid.digest` of the trial records is the
+auditable proof).
 
 On any violation the campaign shrinks the lowest-index failing trial to a
 minimal scenario (delta debugging re-runs the oracle in-process), writes
@@ -28,9 +29,11 @@ import json
 import os
 import sys
 
+from repro.experiments.grid import digest
 from repro.experiments.runner import derive_trial_seed, run_tasks
+from repro.fuzz.features import FEATURE_SETS
 from repro.fuzz.generator import GenConfig, ScenarioGen
-from repro.fuzz.oracle import FuzzTrialConfig, run_trial
+from repro.fuzz.oracle import FuzzTrialConfig, TrialOutcome, run_trial
 from repro.fuzz.shrinker import shrink, write_reproducer
 
 __all__ = [
@@ -38,12 +41,14 @@ __all__ = [
     "TrialRecord",
     "CampaignResult",
     "run",
-    "digest",
     "main",
 ]
 
 #: Systems fuzz trials rotate through (the two the paper's claim hinges on).
 CAMPAIGN_SYSTEMS: tuple[str, ...] = ("raft", "dynatune")
+
+#: Oracle re-runs the shrinker may spend on a failing trial.
+SHRINK_EVALS = 120
 
 
 @dataclasses.dataclass(slots=True, frozen=True)
@@ -54,11 +59,9 @@ class FuzzCampaignConfig:
     seed: int = 11
     systems: tuple[str, ...] = CAMPAIGN_SYSTEMS
     gen: GenConfig = dataclasses.field(default_factory=GenConfig)
+    #: Shared by every trial; its ``system``, ``n_nodes`` and ``seed`` are
+    #: set per trial.
     trial: FuzzTrialConfig = dataclasses.field(default_factory=FuzzTrialConfig)
-    #: Bug injection for oracle validation (never written to reproducers).
-    inject: str | None = None
-    inject_at_ms: float = 9_000.0
-    shrink_evals: int = 120
 
     def __post_init__(self) -> None:
         if self.n_trials < 1:
@@ -67,40 +70,15 @@ class FuzzCampaignConfig:
             raise ValueError("campaign needs at least one system")
 
 
-@dataclasses.dataclass(slots=True, frozen=True)
-class TrialRecord:
-    """One trial's identity and verdict (plain data, digestable)."""
+@dataclasses.dataclass(slots=True, frozen=True, kw_only=True)
+class TrialRecord(TrialOutcome):
+    """One trial's identity, verdict and coverage (plain data, digestable)."""
 
     index: int
     system: str
     trial_seed: int
     scenario_name: str
     n_steps: int
-    violations: tuple[str, ...]
-    lin_undecided: bool
-    n_ops: int
-    n_completed: int
-    steps_applied: int
-    steps_skipped: int
-    duration_ms: float
-    compactions: int = 0
-    snapshots_installed: int = 0
-    config_commits: int = 0
-    nodes_added: int = 0
-    nodes_removed: int = 0
-    batches_flushed: int = 0
-    reads_readindex: int = 0
-    reads_lease: int = 0
-    disk_crash_points: int = 0
-    disk_recoveries: int = 0
-    wal_truncations: int = 0
-    disk_corruptions: int = 0
-    gray_faults: int = 0
-    clock_skews: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 @dataclasses.dataclass(slots=True, frozen=True)
@@ -126,8 +104,6 @@ def _trial_config(config: FuzzCampaignConfig, index: int) -> tuple[FuzzTrialConf
             system=system,
             n_nodes=config.gen.n_nodes,
             seed=trial_seed,
-            inject=config.inject,
-            inject_at_ms=config.inject_at_ms,
         ),
         trial_seed,
     )
@@ -145,27 +121,7 @@ def _run_one(task: tuple[FuzzCampaignConfig, int]) -> TrialRecord:
         trial_seed=trial_seed,
         scenario_name=scenario.name,
         n_steps=len(scenario.steps),
-        violations=result.violations,
-        lin_undecided=result.lin_undecided,
-        n_ops=result.n_ops,
-        n_completed=result.n_completed,
-        steps_applied=result.steps_applied,
-        steps_skipped=result.steps_skipped,
-        duration_ms=result.duration_ms,
-        compactions=result.compactions,
-        snapshots_installed=result.snapshots_installed,
-        config_commits=result.config_commits,
-        nodes_added=result.nodes_added,
-        nodes_removed=result.nodes_removed,
-        batches_flushed=result.batches_flushed,
-        reads_readindex=result.reads_readindex,
-        reads_lease=result.reads_lease,
-        disk_crash_points=result.disk_crash_points,
-        disk_recoveries=result.disk_recoveries,
-        wal_truncations=result.wal_truncations,
-        disk_corruptions=result.disk_corruptions,
-        gray_faults=result.gray_faults,
-        clock_skews=result.clock_skews,
+        **{f.name: getattr(result, f.name) for f in dataclasses.fields(TrialOutcome)},
     )
 
 
@@ -175,13 +131,6 @@ def run(config: FuzzCampaignConfig | None = None) -> CampaignResult:
     tasks = [(cfg, i) for i in range(cfg.n_trials)]
     trials = run_tasks(_run_one, tasks)
     return CampaignResult(config=cfg, trials=tuple(trials))
-
-
-def digest(result: CampaignResult) -> str:
-    """SHA-256 over the canonical JSON of every trial record."""
-    payload = [dataclasses.asdict(t) for t in result.trials]
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
 
 
 def shrink_failure(
@@ -195,7 +144,7 @@ def shrink_failure(
     cfg = result.config
     trial_cfg, trial_seed = _trial_config(cfg, record.index)
     scenario = ScenarioGen(cfg.gen).generate(trial_seed)
-    shrunk = shrink(trial_cfg, scenario, max_evals=cfg.shrink_evals)
+    shrunk = shrink(trial_cfg, scenario, max_evals=SHRINK_EVALS)
     # Content digest in the name: two campaigns can shrink the same trial
     # index (e.g. under different injections) without clobbering files.
     tag = hashlib.sha256(
@@ -233,88 +182,36 @@ def main(argv: list[str] | None = None) -> int:
         help="restrict to these systems (repeatable; default: raft + dynatune)",
     )
     parser.add_argument(
-        "--horizon-ms", type=float, default=None, help="scenario time horizon"
+        "--horizon-ms",
+        type=float,
+        default=GenConfig().horizon_ms,
+        help="scenario time horizon",
     )
     parser.add_argument(
-        "--max-steps", type=int, default=None, help="max primary steps per scenario"
+        "--max-steps",
+        type=int,
+        default=GenConfig().max_steps,
+        help="max primary steps per scenario",
     )
     parser.add_argument(
         "--inject",
         default=None,
         help="inject a known bug (oracle validation; see repro.fuzz.bugs)",
     )
-    parser.add_argument(
-        "--compaction",
-        nargs="?",
-        type=int,
-        const=40,
-        default=None,
-        metavar="THRESHOLD",
-        help=(
-            "run trials with log compaction on (threshold entries; default "
-            "40 when the flag is bare) and bias half the scenarios toward "
-            "a long-lagging crashed node, so snapshot installs happen "
-            "under the full safety + linearizability oracle"
-        ),
-    )
-    parser.add_argument(
-        "--membership",
-        nargs="?",
-        type=float,
-        const=0.6,
-        default=None,
-        metavar="PROB",
-        help=(
-            "give each generated scenario this probability of carrying a "
-            "membership add (often paired with a later remove, sometimes "
-            "of @leader; default 0.6 when the flag is bare) and make the "
-            "steps live in the trial, so elastic reconfiguration runs "
-            "under the full safety + linearizability oracle"
-        ),
-    )
-    parser.add_argument(
-        "--serving",
-        action="store_true",
-        help=(
-            "run trials with the client-serving fast path on (leader-side "
-            "append batching, replication pipelining, lease reads) and "
-            "route the workload's gets over ReadIndex/lease serving, so "
-            "batched writes and fast-path reads run under the full "
-            "safety + linearizability oracle"
-        ),
-    )
-    parser.add_argument(
-        "--disk",
-        nargs="?",
-        type=float,
-        const=0.7,
-        default=None,
-        metavar="PROB",
-        help=(
-            "give each generated scenario this probability of carrying "
-            "disk-fault windows (default 0.7 when the flag is bare) and "
-            "run every node on the fallible simdisk backend, so crash "
-            "points at persist barriers, torn WAL tails and corruption "
-            "recovery run under the full safety + durability + "
-            "linearizability oracle"
-        ),
-    )
-    parser.add_argument(
-        "--gray",
-        nargs="?",
-        type=float,
-        const=0.6,
-        default=None,
-        metavar="PROB",
-        help=(
-            "give each generated scenario this probability of carrying a "
-            "gray fault (a one-way link block or an asymmetric loss/delay "
-            "degradation) and, independently, of carrying per-node clock "
-            "skew/drift windows (default 0.6 when the flag is bare); also "
-            "turns on lease reads + fast-path gets, since skewed clocks "
-            "stress exactly the lease-validity arithmetic"
-        ),
-    )
+    for name, feature in FEATURE_SETS.items():
+        strength = feature.default_strength
+        if strength is None:
+            parser.add_argument(f"--{name}", action="store_true", help=feature.help)
+        else:
+            parser.add_argument(
+                f"--{name}",
+                nargs="?",
+                type=type(strength),
+                const=strength,
+                default=None,
+                metavar="THRESHOLD" if isinstance(strength, int) else "PROB",
+                help=f"{feature.help} (default {strength} when the flag is bare)",
+            )
     parser.add_argument(
         "--out",
         default=None,
@@ -339,65 +236,24 @@ def main(argv: list[str] | None = None) -> int:
             else os.path.join("tests", "fuzz", "regressions")
         )
 
-    gen_overrides = {}
-    if args.horizon_ms is not None:
-        gen_overrides["horizon_ms"] = args.horizon_ms
-    if args.max_steps is not None:
-        gen_overrides["max_steps"] = args.max_steps
-    trial = FuzzTrialConfig()
-    if args.compaction is not None:
-        if args.compaction < 1:
-            parser.error("--compaction threshold must be >= 1")
-        gen_overrides["p_compaction_lag"] = 0.5
-        trial = dataclasses.replace(
-            trial, compaction_threshold=args.compaction, compaction_margin=8
-        )
-    if args.membership is not None:
-        if not 0.0 < args.membership <= 1.0:
-            parser.error("--membership probability must be in (0, 1]")
-        gen_overrides["p_membership"] = args.membership
-        trial = dataclasses.replace(trial, membership=True)
-    if args.disk is not None:
-        if not 0.0 < args.disk <= 1.0:
-            parser.error("--disk probability must be in (0, 1]")
-        gen_overrides["p_disk_fault"] = args.disk
-        trial = dataclasses.replace(trial, disk=True)
-    if args.gray is not None:
-        if not 0.0 < args.gray <= 1.0:
-            parser.error("--gray probability must be in (0, 1]")
-        gen_overrides["p_gray"] = args.gray
-        gen_overrides["p_clock_skew"] = args.gray
-        # Gray campaigns stress the read fast path: lease serving on, and
-        # one read-only observer client that stays parked on whichever
-        # node keeps answering — the client that notices a fenced-off
-        # leader serving stale lease reads.  The larger op budget keeps
-        # the observer issuing through late fault windows.
-        trial = dataclasses.replace(
-            trial,
-            lease_reads=True,
-            workload=dataclasses.replace(
-                trial.workload,
-                read_fastpath=True,
-                n_clients=4,
-                read_only_clients=1,
-                max_ops_per_client=120,
-            ),
-        )
-    if args.serving:
-        trial = dataclasses.replace(
-            trial,
-            batching=True,
-            pipelining=True,
-            lease_reads=True,
-            workload=dataclasses.replace(trial.workload, read_fastpath=True),
-        )
+    gen = GenConfig(horizon_ms=args.horizon_ms, max_steps=args.max_steps)
+    trial = FuzzTrialConfig(inject=args.inject)
+    features = {}
+    for name, feature in FEATURE_SETS.items():
+        value = getattr(args, name)
+        if value is None or value is False:
+            continue
+        strength = value if feature.tunes else None
+        if strength is not None and (error := feature.strength_error(strength)):
+            parser.error(f"--{name} {error}")
+        gen, trial = feature.apply(gen, trial, strength)
+        features[name] = feature
     cfg = FuzzCampaignConfig(
         n_trials=args.trials,
         seed=args.seed,
         systems=tuple(args.system) if args.system else CAMPAIGN_SYSTEMS,
-        gen=GenConfig(**gen_overrides),
+        gen=gen,
         trial=trial,
-        inject=args.inject,
     )
     result = run(cfg)
 
@@ -409,48 +265,14 @@ def main(argv: list[str] | None = None) -> int:
         f"systems {'/'.join(cfg.systems)}), {n_ops} client ops "
         f"({n_completed} completed), {undecided} undecided linearizability searches"
     )
-    if cfg.trial.compaction_threshold > 0:
-        print(
-            f"compaction coverage: {sum(t.compactions for t in result.trials)} "
-            f"compactions, {sum(t.snapshots_installed for t in result.trials)} "
-            "snapshot installs across the campaign"
+    for name, feature in features.items():
+        counts = ", ".join(
+            f"{sum(getattr(t, counter) for t in result.trials)} {label}"
+            for counter, label in feature.coverage
         )
-    if cfg.trial.membership:
-        print(
-            f"membership coverage: "
-            f"{sum(t.config_commits for t in result.trials)} config commits, "
-            f"{sum(t.nodes_added for t in result.trials)} promotions, "
-            f"{sum(t.nodes_removed for t in result.trials)} decommissions "
-            "across the campaign"
-        )
-    if cfg.trial.batching or cfg.trial.workload.read_fastpath:
-        print(
-            f"serving coverage: "
-            f"{sum(t.batches_flushed for t in result.trials)} batches flushed, "
-            f"{sum(t.reads_readindex for t in result.trials)} ReadIndex reads, "
-            f"{sum(t.reads_lease for t in result.trials)} lease reads "
-            "across the campaign"
-        )
-    if cfg.trial.disk:
-        print(
-            f"disk coverage: "
-            f"{sum(t.disk_crash_points for t in result.trials)} crash/IO-error "
-            f"points, {sum(t.disk_recoveries for t in result.trials)} recoveries, "
-            f"{sum(t.wal_truncations for t in result.trials)} torn-tail "
-            f"truncations, {sum(t.disk_corruptions for t in result.trials)} "
-            "corruption refusals across the campaign"
-        )
-    if cfg.gen.p_gray > 0.0 or cfg.gen.p_clock_skew > 0.0:
-        print(
-            f"gray coverage: "
-            f"{sum(t.gray_faults for t in result.trials)} asymmetric link "
-            f"faults, {sum(t.clock_skews for t in result.trials)} clock "
-            f"set/skew windows, "
-            f"{sum(t.reads_lease for t in result.trials)} lease reads "
-            "across the campaign"
-        )
+        print(f"{name} coverage: {counts} across the campaign")
     if args.digest:
-        print(f"digest: {digest(result)}")
+        print(f"digest: {digest(result.trials)}")
 
     failures = result.failures
     if not failures:

@@ -38,42 +38,25 @@ liveness gate: the adaptive timeout both partially self-dampens the
 one-way disruptor and, fault-free, can churn on its own — each a
 finding the report surfaces rather than a pass/fail.)
 
-CLI::
-
-    python -m repro.experiments.grayfail            # full grid
-    python -m repro.experiments.grayfail --smoke    # CI budget
-    python -m repro.experiments.grayfail --digest   # print the digest
+Run, digest and CLI come from :mod:`repro.experiments.grid` (``GRID``
+below): ``python -m repro.experiments.grayfail [--smoke] [--digest]
+[--arm A]``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import sys
+from typing import Sequence
 
-from repro.cluster.builder import Cluster, ClusterConfig, build_cluster
-from repro.experiments.common import make_policy_factory
-from repro.experiments.runner import run_tasks
-from repro.fuzz.history import OpHistory
-from repro.fuzz.workload import WorkloadConfig, WorkloadDriver
+from repro.cluster.builder import ClusterConfig
+from repro.experiments import grid
+from repro.fuzz.oracle import CheckedRun, RunVerdict
 from repro.raft.types import RaftConfig
 from repro.scenarios.library import build_scenario
 from repro.scenarios.liveness import LivenessChecker
-from repro.scenarios.safety import SafetyChecker
-from repro.sim.events import PRIORITY_CONTROL
 
-__all__ = [
-    "ARMS",
-    "GrayfailConfig",
-    "GrayfailRunResult",
-    "GrayfailResult",
-    "run_one",
-    "run",
-    "check",
-    "digest",
-    "main",
-]
+__all__ = ["ARMS", "GrayfailConfig", "GrayfailRunResult", "run_one", "check", "GRID"]
 
 #: The four fault arms the grid covers.
 ARMS: tuple[str, ...] = ("control", "gray_egress", "one_way", "skew_drift")
@@ -85,10 +68,20 @@ _ARM_SCENARIOS: dict[str, str] = {
     "skew_drift": "drifting_clocks",
 }
 
+#: The fault window opens here.
+FAULT_START_MS = 5_000.0
+#: Liveness-oracle bounds besides the per-config total-leaderless one:
+#: tight enough to catch the unmitigated livelock inside the fault
+#: window, loose enough that startup elections and mitigated recoveries
+#: never flag.
+LEADERLESS_BOUND_MS = 4_000.0
+TERM_CHURN_BOUND = 12
+COMMIT_STALL_BOUND_MS = 6_000.0
+
 
 @dataclasses.dataclass(slots=True, frozen=True)
 class GrayfailConfig:
-    """One gray-failure run (the grid in :func:`run` derives variants)."""
+    """One gray-failure run (the grid's cells derive variants)."""
 
     system: str = "raft"
     #: One of :data:`ARMS`.
@@ -97,25 +90,13 @@ class GrayfailConfig:
     mitigated: bool = True
     n_nodes: int = 5
     seed: int = 211
-    rtt_ms: float = 50.0
-    #: Fault window: opens at ``fault_start_ms``, plays for ``hold_ms``,
+    #: The fault opens at :data:`FAULT_START_MS`, plays for ``hold_ms``,
     #: then ``settle_ms`` of tail for recovery to land.
-    fault_start_ms: float = 5_000.0
     hold_ms: float = 20_000.0
     settle_ms: float = 8_000.0
-    #: Liveness-oracle bounds (tuned to the window above: tight enough to
-    #: catch the unmitigated livelock inside ``hold_ms``, loose enough
-    #: that startup elections and mitigated recoveries never flag).
-    leaderless_bound_ms: float = 4_000.0
+    #: Liveness-oracle bound on total leaderless time (scales with the
+    #: window, unlike the fixed bounds above).
     leaderless_total_bound_ms: float = 6_000.0
-    term_churn_bound: int = 12
-    commit_stall_bound_ms: float = 6_000.0
-    #: Sustained closed-loop client load.
-    n_clients: int = 3
-    n_keys: int = 4
-    think_min_ms: float = 10.0
-    think_max_ms: float = 60.0
-    op_timeout_ms: float = 1_500.0
 
     def __post_init__(self) -> None:
         if self.arm not in ARMS:
@@ -129,11 +110,11 @@ class GrayfailConfig:
 
     @property
     def horizon_ms(self) -> float:
-        return self.fault_start_ms + self.hold_ms + self.settle_ms
+        return FAULT_START_MS + self.hold_ms + self.settle_ms
 
 
-@dataclasses.dataclass(slots=True, frozen=True)
-class GrayfailRunResult:
+@dataclasses.dataclass(slots=True, frozen=True, kw_only=True)
+class GrayfailRunResult(RunVerdict):
     """One run reduced to its headline numbers and gate inputs (picklable)."""
 
     system: str
@@ -141,9 +122,6 @@ class GrayfailRunResult:
     mitigated: bool
     n_nodes: int
     horizon_ms: float
-    #: Client-visible availability.
-    ops_issued: int
-    ops_completed: int
     #: Election churn evidence.
     leader_changes: int
     max_term: int
@@ -155,102 +133,56 @@ class GrayfailRunResult:
     #: Liveness verdict: violation strings plus a kind histogram.
     liveness: tuple[str, ...]
     liveness_kinds: tuple[str, ...]
-    #: Safety verdict over the whole run.
-    violations: tuple[str, ...]
-
-    @property
-    def availability(self) -> float:
-        return self.ops_completed / self.ops_issued if self.ops_issued else 0.0
 
 
-@dataclasses.dataclass(slots=True, frozen=True)
-class GrayfailResult:
-    runs: tuple[GrayfailRunResult, ...]
-
-    def find(self, system: str, arm: str, mitigated: bool) -> GrayfailRunResult:
-        for r in self.runs:
-            if r.system == system and r.arm == arm and r.mitigated == mitigated:
-                return r
-        raise KeyError(f"no grayfail run ({system}, {arm}, mitigated={mitigated})")
+#: Cadence of the leader-presence samples behind the outage numbers.
+OUTAGE_SAMPLE_MS = 100.0
 
 
-class _LeaderOutageSampler:
-    """100 ms leader-presence sampler; reduces to post-fault outage windows."""
-
-    def __init__(self, cluster: Cluster, *, from_ms: float) -> None:
-        self._cluster = cluster
-        self._from = from_ms
-        self.max_ms = 0.0
-        self.total_ms = 0.0
-        self._gap_start: float | None = None
-
-    def install(self, interval_ms: float = 100.0) -> None:
-        self._interval = interval_ms
-        self._cluster.loop.schedule(
-            interval_ms, self._tick, priority=PRIORITY_CONTROL
-        )
-
-    def _tick(self) -> None:
-        now = self._cluster.loop.now
-        if now >= self._from:
-            if self._cluster.leader() is None:
-                if self._gap_start is None:
-                    self._gap_start = now
-                gap = now - self._gap_start + self._interval
-                self.max_ms = max(self.max_ms, gap)
-            else:
-                if self._gap_start is not None:
-                    self.total_ms += now - self._gap_start
-                self._gap_start = None
-        self._cluster.loop.schedule(
-            self._interval, self._tick, priority=PRIORITY_CONTROL
-        )
+def _outages(leaderless: list[tuple[float, bool]]) -> tuple[float, float]:
+    """``(longest, total)`` leader outage over ``(time, no leader?)``
+    samples: a gap still open at a sample counts one interval past it
+    toward the longest; only closed gaps count toward the total."""
+    longest = total = 0.0
+    gap_start: float | None = None
+    for now, no_leader in leaderless:
+        if no_leader:
+            if gap_start is None:
+                gap_start = now
+            longest = max(longest, now - gap_start + OUTAGE_SAMPLE_MS)
+        elif gap_start is not None:
+            total += now - gap_start
+            gap_start = None
+    return longest, total
 
 
 def run_one(cfg: GrayfailConfig) -> GrayfailRunResult:
     """Run one gray-failure variant end to end (run_tasks worker)."""
-    cluster = build_cluster(
+    run = CheckedRun(
         ClusterConfig(
             n_nodes=cfg.n_nodes,
             seed=cfg.seed,
-            rtt_ms=cfg.rtt_ms,
-            raft=RaftConfig(
-                prevote=cfg.mitigated,
-                check_quorum=cfg.mitigated,
-            ),
+            rtt_ms=grid.RTT_MS,
+            raft=RaftConfig(prevote=cfg.mitigated, check_quorum=cfg.mitigated),
         ),
-        make_policy_factory(cfg.system),
+        cfg.system,
     )
-    safety = SafetyChecker(cluster)
-    safety.install(event_hooks=True)
+    cluster = run.cluster
     liveness = LivenessChecker(
         cluster,
-        leaderless_bound_ms=cfg.leaderless_bound_ms,
+        leaderless_bound_ms=LEADERLESS_BOUND_MS,
         leaderless_total_bound_ms=cfg.leaderless_total_bound_ms,
-        term_churn_bound=cfg.term_churn_bound,
-        commit_stall_bound_ms=cfg.commit_stall_bound_ms,
+        term_churn_bound=TERM_CHURN_BOUND,
+        commit_stall_bound_ms=COMMIT_STALL_BOUND_MS,
     )
     liveness.install()
-    outage = _LeaderOutageSampler(cluster, from_ms=cfg.fault_start_ms)
-    outage.install()
-
-    history = OpHistory()
-    horizon = cfg.horizon_ms
-    driver = WorkloadDriver(
-        cluster,
-        WorkloadConfig(
-            n_clients=cfg.n_clients,
-            n_keys=cfg.n_keys,
-            op_timeout_ms=cfg.op_timeout_ms,
-            think_min_ms=cfg.think_min_ms,
-            think_max_ms=cfg.think_max_ms,
-            start_ms=400.0,
-            max_ops_per_client=1_000_000,
-        ),
-        history,
-        stop_ms=horizon - 2.0 * cfg.op_timeout_ms,
+    leaderless: list[tuple[float, bool]] = []
+    run.every(
+        OUTAGE_SAMPLE_MS,
+        lambda: leaderless.append((cluster.loop.now, cluster.leader() is None)),
     )
-    driver.install()
+    horizon = cfg.horizon_ms
+    run.drive(grid.SUSTAINED_LOAD, horizon)
 
     cluster.start()
     scenario_name = _ARM_SCENARIOS.get(cfg.arm)
@@ -262,39 +194,37 @@ def run_one(cfg: GrayfailConfig) -> GrayfailRunResult:
             # the livelock under test needs a disruptor campaigning against
             # a live leader.  Rotate the initial leader to the front so the
             # builder's victim (the last name) is someone else.
-            leader = cluster.run_until_leader(timeout_ms=cfg.fault_start_ms)
+            leader = cluster.run_until_leader(timeout_ms=FAULT_START_MS)
             names = (leader, *(n for n in cfg.names if n != leader))
         build_scenario(
             scenario_name,
             names,
-            start_ms=cfg.fault_start_ms,
+            start_ms=FAULT_START_MS,
             hold_ms=cfg.hold_ms,
         ).install(cluster)
-    cluster.run_until(horizon)
-
-    violations = tuple(safety.verify())
+    verdict = run.finish()
     liveness_problems = tuple(liveness.verify())
-    ops = history.ops()
+    max_leaderless_ms, total_leaderless_ms = _outages(
+        [s for s in leaderless if s[0] >= FAULT_START_MS]
+    )
     return GrayfailRunResult(
         system=cfg.system,
         arm=cfg.arm,
         mitigated=cfg.mitigated,
         n_nodes=cfg.n_nodes,
         horizon_ms=horizon,
-        ops_issued=len(ops),
-        ops_completed=sum(1 for o in ops if o.completed),
         leader_changes=len(cluster.trace.of_kind("become_leader")),
         max_term=max(n.current_term for n in cluster.nodes.values()),
-        max_leaderless_ms=outage.max_ms,
-        total_leaderless_ms=outage.total_ms,
+        max_leaderless_ms=max_leaderless_ms,
+        total_leaderless_ms=total_leaderless_ms,
         commit_index=max(n.commit_index for n in cluster.nodes.values()),
         liveness=liveness_problems,
         liveness_kinds=tuple(sorted(v.kind for v in liveness.violations)),
-        violations=violations,
+        **dataclasses.asdict(verdict),
     )
 
 
-def _grid(
+def _cells(
     base: GrayfailConfig, systems: tuple[str, ...]
 ) -> list[GrayfailConfig]:
     return [
@@ -305,34 +235,13 @@ def _grid(
     ]
 
 
-def run(
-    config: GrayfailConfig | None = None,
-    *,
-    systems: tuple[str, ...] = ("raft", "dynatune"),
-    jobs: int | None = None,
-) -> GrayfailResult:
-    """Run the gray-failure grid (parallel across ``REPRO_JOBS``,
-    bit-stable)."""
-    base = config if config is not None else GrayfailConfig()
-    results = run_tasks(run_one, _grid(base, systems), jobs=jobs)
-    return GrayfailResult(runs=tuple(results))
-
-
-def digest(result: GrayfailResult) -> str:
-    """SHA-256 over the canonical JSON of every run (REPRO_JOBS-invariant)."""
-    payload = [dataclasses.asdict(r) for r in result.runs]
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def check(result: GrayfailResult) -> list[str]:
+def check(runs: Sequence[GrayfailRunResult]) -> list[str]:
     """The gray-failure acceptance gates; empty list means all held."""
     problems: list[str] = []
-    by_key = {(r.system, r.arm, r.mitigated): r for r in result.runs}
-    for r in result.runs:
+    by_key = {(r.system, r.arm, r.mitigated): r for r in runs}
+    for r in runs:
         tag = f"{r.system}/{r.arm}/{'mitigated' if r.mitigated else 'raw'}"
-        if r.violations:
-            problems.append(f"{tag}: safety violations: {r.violations[:3]}")
+        problems += r.gates(tag)
         if r.commit_index < 1:
             problems.append(f"{tag}: the cluster never committed anything")
         if r.mitigated and r.liveness:
@@ -374,75 +283,44 @@ _OUTAGE_BOUND_MS = 5_000.0
 _MIN_INFLATION = 5
 
 
-def main(argv: list[str] | None = None) -> int:  # pragma: no cover - CLI
-    import argparse
+def _row(r: GrayfailRunResult) -> tuple[str, ...]:
+    return (
+        f"{r.system}/{r.arm}/{'mit' if r.mitigated else 'raw'}",
+        f"{r.availability:.2f}",
+        str(r.leader_changes),
+        str(r.max_term),
+        f"{r.max_leaderless_ms / 1000.0:.1f}s",
+        f"{r.total_leaderless_ms / 1000.0:.1f}s",
+        str(r.commit_index),
+        str(len(r.liveness)),
+    )
 
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=211)
-    parser.add_argument(
-        "--system", action="append", default=None, help="restrict systems (repeatable)"
-    )
-    parser.add_argument(
-        "--arm", action="append", default=None, help="restrict arms (repeatable)"
-    )
-    parser.add_argument(
-        "--digest", action="store_true", help="print the result digest"
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI budget: 3 nodes, shorter fault window — all gates still on",
-    )
-    args = parser.parse_args(argv)
 
-    base = GrayfailConfig(
-        seed=args.seed,
-        n_nodes=3 if args.smoke else 5,
-        hold_ms=12_000.0 if args.smoke else 20_000.0,
-        settle_ms=6_000.0 if args.smoke else 8_000.0,
-        leaderless_total_bound_ms=4_000.0 if args.smoke else 6_000.0,
-    )
-    systems = tuple(args.system) if args.system else ("raft", "dynatune")
-    result = run(base, systems=systems)
-    if args.arm:
-        result = GrayfailResult(
-            runs=tuple(r for r in result.runs if r.arm in set(args.arm))
-        )
-
-    print(
-        f"# grayfail — {base.n_nodes} nodes, fault at "
-        f"{base.fault_start_ms / 1000.0:g}s for {base.hold_ms / 1000.0:g}s, "
-        f"seed {base.seed}"
-    )
-    header = (
-        f"{'run':<32} {'avail':>6} {'elects':>7} {'term':>5} "
-        f"{'out_max':>8} {'out_tot':>8} {'commit':>7} {'liveness':>9}"
-    )
-    print(header)
-    for r in result.runs:
-        tag = f"{r.system}/{r.arm}/{'mit' if r.mitigated else 'raw'}"
-        print(
-            f"{tag:<32} {r.availability:>6.2f} {r.leader_changes:>7} "
-            f"{r.max_term:>5} {r.max_leaderless_ms / 1000.0:>7.1f}s "
-            f"{r.total_leaderless_ms / 1000.0:>7.1f}s {r.commit_index:>7} "
-            f"{len(r.liveness):>9}"
-        )
-    if args.digest:
-        print(f"digest: {digest(result)}")
-
-    problems = check(result)
-    if problems:
-        print(f"\n{len(problems)} grayfail gate(s) failed:", file=sys.stderr)
-        for p in problems:
-            print(f"  {p}", file=sys.stderr)
-        return 1
-    print(
-        "\nall grayfail gates held (safety clean, controls silent, mitigated "
-        "arms recovered, the unmitigated one-way arm livelocked and was "
-        "flagged)."
-    )
-    return 0
-
+GRID = grid.Grid(
+    name="grayfail",
+    full=GrayfailConfig,
+    # CI budget: 3 nodes, a shorter fault window.
+    smoke=lambda: GrayfailConfig(
+        n_nodes=3,
+        hold_ms=12_000.0,
+        settle_ms=6_000.0,
+        leaderless_total_bound_ms=4_000.0,
+    ),
+    cells=_cells,
+    run_one=run_one,
+    check=check,
+    axes={"arm": ARMS},
+    title=lambda c: (
+        f"{c.n_nodes} nodes, fault at {FAULT_START_MS / 1000.0:g}s for "
+        f"{c.hold_ms / 1000.0:g}s"
+    ),
+    columns=("run", "avail", "elects", "term", "out_max", "out_tot", "commit", "liveness"),
+    row=_row,
+    held=(
+        "safety clean, controls silent, mitigated arms recovered, the "
+        "unmitigated one-way arm livelocked and was flagged"
+    ),
+)
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(grid.main(GRID))

@@ -2,8 +2,7 @@
 
 ``python -m repro.experiments.report`` runs all five experiments at the
 scale selected by ``REPRO_SCALE`` and prints a markdown table covering
-every quantitative claim in the paper's evaluation.  Pass ``--write`` to
-also refresh ``EXPERIMENTS.md``-style output on stdout redirection.
+every quantitative claim in the paper's evaluation.
 """
 
 from __future__ import annotations

@@ -25,13 +25,13 @@ import dataclasses
 import sys
 
 from repro.analysis.availability import AvailabilityStats, availability_stats
-from repro.cluster.builder import ClusterConfig, build_cluster
+from repro.cluster.builder import ClusterConfig
 from repro.cluster.measurements import leaderless_intervals
-from repro.experiments.common import make_policy_factory
+from repro.experiments.grid import digest
 from repro.experiments.report import ReportRow, render_markdown
 from repro.experiments.runner import derive_trial_seed, run_tasks
+from repro.fuzz.oracle import CheckedRun
 from repro.scenarios.library import build_scenario, scenario_names
-from repro.scenarios.safety import SafetyChecker
 
 __all__ = [
     "ScenarioMatrixConfig",
@@ -55,20 +55,14 @@ class ScenarioMatrixConfig:
     scenarios: tuple[str, ...] = dataclasses.field(default_factory=scenario_names)
     n_nodes: int = 5
     seed: int = 21
-    rtt_ms: float = 100.0
     #: Run time past the scenario's last effect (heal + converge window).
     settle_ms: float = 10_000.0
-    safety_interval_ms: float = 250.0
 
     def __post_init__(self) -> None:
         if not self.systems or not self.scenarios:
             raise ValueError("matrix needs at least one system and one scenario")
         if self.settle_ms < 0.0:
             raise ValueError(f"settle_ms must be >= 0, got {self.settle_ms!r}")
-
-    @classmethod
-    def quick(cls) -> "ScenarioMatrixConfig":
-        return cls()
 
     @classmethod
     def large_cluster_smoke(cls, n_nodes: int = 25) -> "ScenarioMatrixConfig":
@@ -129,13 +123,11 @@ class ScenarioMatrixResult:
 def _run_cell(task: tuple[str, str, int, ScenarioMatrixConfig]) -> ScenarioCellResult:
     """Worker: one (system, scenario) simulation (module-level, picklable)."""
     system, scenario_name, cell_seed, config = task
-    cluster = build_cluster(
-        ClusterConfig(n_nodes=config.n_nodes, seed=cell_seed, rtt_ms=config.rtt_ms),
-        make_policy_factory(system),
+    run = CheckedRun(
+        ClusterConfig(n_nodes=config.n_nodes, seed=cell_seed), system
     )
+    cluster = run.cluster
     scenario = build_scenario(scenario_name, cluster.names)
-    checker = SafetyChecker(cluster, interval_ms=config.safety_interval_ms)
-    checker.install(event_hooks=True)
     scenario.install(cluster)
     cluster.start()
     end = scenario.end_ms + config.settle_ms
@@ -167,13 +159,13 @@ def _run_cell(task: tuple[str, str, int, ScenarioMatrixConfig]) -> ScenarioCellR
         ),
         steps_applied=len(steps) - skipped,
         steps_skipped=skipped,
-        safety_violations=tuple(checker.verify()),
+        safety_violations=tuple(run.checker.verify()),
     )
 
 
 def run(config: ScenarioMatrixConfig | None = None) -> ScenarioMatrixResult:
     """Run the full matrix (parallel across ``REPRO_JOBS``, bit-stable)."""
-    cfg = config if config is not None else ScenarioMatrixConfig.quick()
+    cfg = config if config is not None else ScenarioMatrixConfig()
     tasks = [
         (system, scenario, derive_trial_seed(cfg.seed, i), cfg)
         for i, (system, scenario) in enumerate(
@@ -243,6 +235,9 @@ def main(argv: list[str] | None = None) -> int:
             "--scenario/--n-nodes"
         ),
     )
+    parser.add_argument(
+        "--digest", action="store_true", help="print the result digest"
+    )
     args = parser.parse_args(argv)
     if args.large_cluster_smoke is not None:
         cfg = dataclasses.replace(
@@ -262,6 +257,8 @@ def main(argv: list[str] | None = None) -> int:
             f"scenario matrix, seed {cfg.seed}, n={cfg.n_nodes}",
         )
     )
+    if args.digest:
+        print(f"digest: {digest(result.cells.values())}")
     violations = [
         (key, v) for key, cell in sorted(result.cells.items()) for v in cell.safety_violations
     ]

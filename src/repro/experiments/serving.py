@@ -32,47 +32,40 @@ back every single time), and the headline number: the ``lease`` mode
 completing at least :data:`MIN_SPEEDUP` (3×) the ops/sec of
 ``baseline`` in **simulated** time — a seed-deterministic quantity, so
 the gate cannot flake on a loaded CI machine.  Wall-clock throughput is
-reported alongside (machine-dependent, excluded from :func:`digest`).
+reported alongside (machine-dependent, excluded from the digest).
 
 Modes run serially (never fanned out) so the advisory wall-clock
 comparison is not distorted by CPU contention between workers.
 
-CLI::
-
-    python -m repro.experiments.serving            # full bench (~1 min)
-    python -m repro.experiments.serving --smoke    # CI budget
-    python -m repro.experiments.serving --digest   # print the result digest
+Run, digest and CLI come from :mod:`repro.experiments.grid` (``GRID``
+below): ``python -m repro.experiments.serving [--smoke] [--digest]``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import sys
 import time
+from typing import ClassVar, Sequence
 
-from repro.cluster.builder import ClusterConfig, build_cluster
-from repro.experiments.common import make_policy_factory
-from repro.fuzz.history import OpHistory
-from repro.fuzz.workload import WorkloadConfig, WorkloadDriver
+from repro.cluster.builder import ClusterConfig
+from repro.experiments import grid
+from repro.fuzz.oracle import CheckedRun, RunVerdict
+from repro.fuzz.workload import WorkloadConfig
 from repro.raft.types import RaftConfig
-from repro.scenarios.safety import SafetyChecker
 
 __all__ = [
     "MODES",
     "MIN_SPEEDUP",
     "ServingConfig",
     "ServingRunResult",
-    "ServingResult",
     "run_one",
-    "run",
+    "speedup",
     "check",
-    "digest",
-    "main",
+    "GRID",
 ]
 
-#: The mode grid, in the order :func:`run` executes it.
+#: The mode grid, in execution order.
 MODES: tuple[str, ...] = ("baseline", "batched", "readindex", "lease", "lease-drift")
 
 #: The acceptance gate: ``lease`` simulated ops/sec over ``baseline``.
@@ -85,31 +78,24 @@ DRIFT_MARGIN_MS = 3_600_000.0
 
 @dataclasses.dataclass(slots=True, frozen=True)
 class ServingConfig:
-    """One serving bench (the grid in :func:`run` derives the modes)."""
+    """One serving bench (the grid's cells derive the modes)."""
 
     system: str = "dynatune"
-    n_nodes: int = 5
     seed: int = 42
+    n_nodes: ClassVar[int] = 5
     #: Inter-node RTT: a geo-replicated quorum, the regime where the
     #: Dynatune-tuned Et (and hence the lease bound) is RTT-scale.
-    rtt_ms: float = 80.0
+    rtt_ms: ClassVar[float] = 80.0
     #: Client↔cluster RTT: clients co-located with the serving edge.
-    client_rtt_ms: float = 10.0
+    client_rtt_ms: ClassVar[float] = 10.0
     #: Closed-loop client pool — large enough that the baseline's
     #: one-append-per-op behaviour is the visible bottleneck.
     n_clients: int = 128
-    n_keys: int = 32
     duration_ms: float = 25_000.0
-    think_min_ms: float = 1.0
-    think_max_ms: float = 8.0
     op_timeout_ms: float = 2_000.0
     #: Read-heavy serving mix (the remainder are deletes).
     p_put: float = 0.12
     p_get: float = 0.85
-    #: Fast-path knobs applied in the batched+ modes.
-    batch_max: int = 64
-    batch_window_ms: float = 5.0
-    max_inflight: int = 4
 
     def __post_init__(self) -> None:
         if self.n_clients < 1:
@@ -124,10 +110,10 @@ class ServingConfig:
             return RaftConfig()
         return RaftConfig(
             client_batching=True,
-            client_batch_max=self.batch_max,
-            client_batch_window_ms=self.batch_window_ms,
+            client_batch_max=64,
+            client_batch_window_ms=5.0,
             replication_pipelining=True,
-            max_inflight_appends=self.max_inflight,
+            max_inflight_appends=4,
             lease_reads=mode in ("lease", "lease-drift"),
             lease_drift_margin_ms=(
                 DRIFT_MARGIN_MS
@@ -139,10 +125,10 @@ class ServingConfig:
     def workload(self, mode: str) -> WorkloadConfig:
         return WorkloadConfig(
             n_clients=self.n_clients,
-            n_keys=self.n_keys,
+            n_keys=32,
             op_timeout_ms=self.op_timeout_ms,
-            think_min_ms=self.think_min_ms,
-            think_max_ms=self.think_max_ms,
+            think_min_ms=1.0,
+            think_max_ms=8.0,
             p_put=self.p_put,
             p_get=self.p_get,
             start_ms=400.0,
@@ -152,8 +138,8 @@ class ServingConfig:
         )
 
 
-@dataclasses.dataclass(slots=True, frozen=True)
-class ServingRunResult:
+@dataclasses.dataclass(slots=True, frozen=True, kw_only=True)
+class ServingRunResult(RunVerdict):
     """One mode reduced to its throughput and coverage numbers."""
 
     mode: str
@@ -161,8 +147,6 @@ class ServingRunResult:
     n_nodes: int
     n_clients: int
     duration_ms: float
-    ops_issued: int
-    ops_completed: int
     mean_latency_ms: float
     #: Cluster-wide message/replication load over the run.
     messages_sent: int
@@ -173,14 +157,8 @@ class ServingRunResult:
     reads_readindex: int
     reads_lease: int
     lease_fallbacks: int
-    #: Safety verdict over the whole run.
-    violations: tuple[str, ...]
     #: Wall seconds for the run (machine-dependent; not in the digest).
     wall_s: float
-
-    @property
-    def availability(self) -> float:
-        return self.ops_completed / self.ops_issued if self.ops_issued else 0.0
 
     @property
     def ops_per_sim_s(self) -> float:
@@ -199,99 +177,58 @@ class ServingRunResult:
         return self.messages_sent / self.ops_completed
 
 
-@dataclasses.dataclass(slots=True, frozen=True)
-class ServingResult:
-    config: ServingConfig
-    runs: tuple[ServingRunResult, ...]
-
-    def find(self, mode: str) -> ServingRunResult:
-        for r in self.runs:
-            if r.mode == mode:
-                return r
-        raise KeyError(f"no serving run for mode {mode!r}")
-
-    @property
-    def speedup(self) -> float:
-        """``lease`` over ``baseline``, simulated ops/sec — the headline."""
-        base = self.find("baseline").ops_per_sim_s
-        return self.find("lease").ops_per_sim_s / base if base else float("inf")
-
-    @property
-    def wall_speedup(self) -> float:
-        """Same ratio in wall-clock ops/sec (advisory, machine-dependent)."""
-        base = self.find("baseline").ops_per_wall_s
-        return self.find("lease").ops_per_wall_s / base if base else float("inf")
-
-
-def run_one(config: ServingConfig, mode: str) -> ServingRunResult:
+def run_one(task: tuple[ServingConfig, str]) -> ServingRunResult:
     """Run one serving mode end to end (calm network, full safety oracle)."""
+    config, mode = task
     t0 = time.perf_counter()
-    cluster = build_cluster(
+    run = CheckedRun(
         ClusterConfig(
             n_nodes=config.n_nodes,
             seed=config.seed,
             rtt_ms=config.rtt_ms,
             raft=config.raft_config(mode),
         ),
-        make_policy_factory(config.system),
+        config.system,
     )
-    checker = SafetyChecker(cluster)
-    checker.install(event_hooks=True)
-    history = OpHistory()
-    driver = WorkloadDriver(
-        cluster,
-        config.workload(mode),
-        history,
-        stop_ms=config.duration_ms - 2.0 * config.op_timeout_ms,
-    )
-    driver.install()
-
-    cluster.start()
-    cluster.run_until(config.duration_ms)
+    run.drive(config.workload(mode), config.duration_ms)
+    run.cluster.start()
+    verdict = run.finish()
     wall_s = time.perf_counter() - t0
 
-    ops = history.ops()
-    latencies = [o.return_ms - o.invoke_ms for o in ops if o.completed]
-    nodes = cluster.nodes.values()
+    latencies = [o.return_ms - o.invoke_ms for o in run.history.ops() if o.completed]
+    nodes = run.cluster.nodes.values()
     return ServingRunResult(
         mode=mode,
         system=config.system,
         n_nodes=config.n_nodes,
         n_clients=config.n_clients,
         duration_ms=config.duration_ms,
-        ops_issued=len(ops),
-        ops_completed=len(latencies),
         mean_latency_ms=sum(latencies) / len(latencies) if latencies else 0.0,
-        messages_sent=cluster.network.total_stats().sent,
+        messages_sent=run.cluster.network.total_stats().sent,
         appends_sent=sum(n.metrics.appends_sent for n in nodes),
         batches_flushed=sum(n.metrics.batches_flushed for n in nodes),
         batched_commands=sum(n.metrics.batched_commands for n in nodes),
         reads_readindex=sum(n.metrics.reads_served_readindex for n in nodes),
         reads_lease=sum(n.metrics.reads_served_lease for n in nodes),
         lease_fallbacks=sum(n.metrics.lease_fallbacks for n in nodes),
-        violations=tuple(checker.verify()),
         wall_s=wall_s,
+        **dataclasses.asdict(verdict),
     )
 
 
-def run(config: ServingConfig | None = None) -> ServingResult:
-    """Run every mode, serially (see module docs on wall-clock fairness)."""
-    cfg = config if config is not None else ServingConfig()
-    return ServingResult(
-        config=cfg, runs=tuple(run_one(cfg, mode) for mode in MODES)
-    )
+def _cells(
+    base: ServingConfig, systems: tuple[str, ...]
+) -> list[tuple[ServingConfig, str]]:
+    if len(systems) != 1:
+        raise ValueError("the serving bench compares modes within one system")
+    return [(dataclasses.replace(base, system=systems[0]), mode) for mode in MODES]
 
 
-def digest(result: ServingResult) -> str:
-    """SHA-256 over the canonical JSON of the simulated (deterministic)
-    quantities — wall-clock fields are excluded."""
-    payload = []
-    for r in result.runs:
-        d = dataclasses.asdict(r)
-        del d["wall_s"]
-        payload.append(d)
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+def speedup(runs: Sequence[ServingRunResult], metric: str = "ops_per_sim_s") -> float:
+    """``lease`` over ``baseline`` ops/sec — simulated time is the
+    headline; ``ops_per_wall_s`` gives the advisory machine-dependent one."""
+    base = getattr(grid.find(runs, mode="baseline"), metric)
+    return getattr(grid.find(runs, mode="lease"), metric) / base if base else float("inf")
 
 
 #: Completion-ratio floor on a calm network: anything lower means the
@@ -299,23 +236,16 @@ def digest(result: ServingResult) -> str:
 MIN_AVAILABILITY = 0.98
 
 
-def check(result: ServingResult, *, min_speedup: float = MIN_SPEEDUP) -> list[str]:
+def check(runs: Sequence[ServingRunResult]) -> list[str]:
     """The serving acceptance gates; empty list means all held."""
     problems: list[str] = []
-    for r in result.runs:
-        tag = r.mode
-        if r.violations:
-            problems.append(f"{tag}: safety violations: {r.violations[:3]}")
-        if r.ops_issued == 0 or r.availability < MIN_AVAILABILITY:
-            problems.append(
-                f"{tag}: availability {r.availability:.3f} below "
-                f"{MIN_AVAILABILITY:g} ({r.ops_completed}/{r.ops_issued} ops)"
-            )
-    base = result.find("baseline")
+    for r in runs:
+        problems += r.gates(r.mode, MIN_AVAILABILITY)
+    base = grid.find(runs, mode="baseline")
     if base.batches_flushed or base.reads_readindex or base.reads_lease:
         problems.append("baseline: fast-path counters moved with all knobs off")
     for mode in ("batched", "readindex", "lease", "lease-drift"):
-        r = result.find(mode)
+        r = grid.find(runs, mode=mode)
         if r.batches_flushed == 0:
             problems.append(f"{mode}: batching enabled but no batch ever flushed")
         if r.appends_sent >= base.appends_sent:
@@ -324,12 +254,12 @@ def check(result: ServingResult, *, min_speedup: float = MIN_SPEEDUP) -> list[st
                 f"{base.appends_sent} — batching saved nothing"
             )
     for mode in ("readindex", "lease", "lease-drift"):
-        if result.find(mode).reads_readindex == 0:
+        if grid.find(runs, mode=mode).reads_readindex == 0:
             problems.append(f"{mode}: no read was ever served via ReadIndex")
-    lease = result.find("lease")
+    lease = grid.find(runs, mode="lease")
     if lease.reads_lease == 0:
         problems.append("lease: lease serving never engaged")
-    drift = result.find("lease-drift")
+    drift = grid.find(runs, mode="lease-drift")
     if drift.reads_lease > 0:
         problems.append(
             f"lease-drift: {drift.reads_lease} read(s) served on a lease the "
@@ -337,90 +267,57 @@ def check(result: ServingResult, *, min_speedup: float = MIN_SPEEDUP) -> list[st
         )
     if drift.lease_fallbacks == 0:
         problems.append("lease-drift: the drift margin never forced a fallback")
-    if result.speedup < min_speedup:
+    if speedup(runs) < MIN_SPEEDUP:
         problems.append(
-            f"serving speedup {result.speedup:.2f}x below the "
-            f"{min_speedup:g}x gate ({lease.ops_per_sim_s:.0f} vs "
+            f"serving speedup {speedup(runs):.2f}x below the "
+            f"{MIN_SPEEDUP:g}x gate ({lease.ops_per_sim_s:.0f} vs "
             f"{base.ops_per_sim_s:.0f} ops/sim-s)"
         )
     return problems
 
 
-def main(argv: list[str] | None = None) -> int:  # pragma: no cover - CLI
-    import argparse
+def _row(r: ServingRunResult) -> tuple[str, ...]:
+    return (
+        f"{r.system}/{r.mode}",
+        str(r.ops_completed),
+        f"{r.availability:.3f}",
+        f"{r.mean_latency_ms:.0f}ms",
+        f"{r.ops_per_sim_s:.0f}",
+        f"{r.ops_per_wall_s:.0f}",
+        f"{r.messages_per_op:.1f}",
+        str(r.batches_flushed),
+        str(r.reads_readindex),
+        str(r.reads_lease),
+    )
 
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--system", default="dynatune")
-    parser.add_argument("--clients", type=int, default=None)
-    parser.add_argument("--duration-ms", type=float, default=None)
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=MIN_SPEEDUP,
-        help="simulated ops/sec gate, lease over baseline",
-    )
-    parser.add_argument(
-        "--digest", action="store_true", help="print the result digest"
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI budget: fewer clients, shorter run — still asserts every gate",
-    )
-    args = parser.parse_args(argv)
 
-    config = ServingConfig(
-        system=args.system,
-        seed=args.seed,
-        n_clients=(
-            args.clients if args.clients is not None else (64 if args.smoke else 128)
-        ),
-        duration_ms=(
-            args.duration_ms
-            if args.duration_ms is not None
-            else (18_000.0 if args.smoke else 25_000.0)
-        ),
-    )
-    result = run(config)
-
-    print(
-        f"# serving — {config.n_nodes} nodes (RTT {config.rtt_ms:g} ms), "
-        f"{config.n_clients} closed-loop clients at {config.client_rtt_ms:g} ms, "
-        f"{config.duration_ms / 1_000.0:g}s sim, system {config.system}, "
-        f"seed {config.seed}"
-    )
-    header = (
-        f"{'mode':<12} {'ops':>7} {'avail':>6} {'lat':>7} {'op/sim-s':>9} "
-        f"{'op/wall-s':>10} {'msg/op':>7} {'batches':>8} {'ri':>6} {'lease':>6}"
-    )
-    print(header)
-    for r in result.runs:
-        print(
-            f"{r.mode:<12} {r.ops_completed:>7} {r.availability:>6.3f} "
-            f"{r.mean_latency_ms:>5.0f}ms {r.ops_per_sim_s:>9.0f} "
-            f"{r.ops_per_wall_s:>10.0f} {r.messages_per_op:>7.1f} "
-            f"{r.batches_flushed:>8} {r.reads_readindex:>6} {r.reads_lease:>6}"
-        )
-    print(
-        f"\nserving speedup (lease vs baseline): {result.speedup:.2f}x simulated "
-        f"(gate: >= {args.min_speedup:g}x), {result.wall_speedup:.2f}x wall-clock"
-    )
-    if args.digest:
-        print(f"digest: {digest(result)}")
-
-    problems = check(result, min_speedup=args.min_speedup)
-    if problems:
-        print(f"\n{len(problems)} serving gate(s) failed:", file=sys.stderr)
-        for p in problems:
-            print(f"  {p}", file=sys.stderr)
-        return 1
-    print(
-        "all serving gates held (safety clean, fast paths covered, "
-        "drift control fell back, speedup over gate)."
-    )
-    return 0
-
+GRID = grid.Grid(
+    name="serving",
+    full=ServingConfig,
+    # CI budget: fewer clients, a shorter run.
+    smoke=lambda: ServingConfig(n_clients=64, duration_ms=18_000.0),
+    systems=("dynatune",),
+    jobs=1,
+    cells=_cells,
+    run_one=run_one,
+    check=check,
+    digest_exclude=("wall_s",),
+    title=lambda c: (
+        f"{c.n_nodes} nodes (RTT {c.rtt_ms:g} ms), {c.n_clients} closed-loop "
+        f"clients at {c.client_rtt_ms:g} ms, {c.duration_ms / 1_000.0:g}s sim"
+    ),
+    columns=(
+        "run", "ops", "avail", "lat", "op/sim-s", "op/wall-s", "msg/op",
+        "batches", "ri", "lease",
+    ),
+    row=_row,
+    summary=lambda runs: [
+        f"serving speedup (lease vs baseline): {speedup(runs):.2f}x simulated "
+        f"(gate: >= {MIN_SPEEDUP:g}x), {speedup(runs, 'ops_per_wall_s'):.2f}x "
+        "wall-clock"
+    ],
+    held="safety clean, fast paths covered, drift control fell back, speedup over gate",
+)
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(grid.main(GRID))

@@ -23,43 +23,27 @@ Every run also carries an event-hooked
 long-window safety gate for the compaction path (election safety, monotone
 commit, no-committed-entry-loss with the frontier rules).
 
-Runs fan out across ``REPRO_JOBS`` via :func:`~repro.experiments.runner.
-run_tasks`; each is an independent simulation keyed by the config, so
-results are byte-identical for any job count.
-
-CLI::
-
-    python -m repro.experiments.soak             # quick grid (~1 min)
-    python -m repro.experiments.soak --smoke     # CI budget: one short pair
-    REPRO_SCALE=paper python -m repro.experiments.soak
+Run, digest and CLI come from :mod:`repro.experiments.grid` (``GRID``
+below): ``python -m repro.experiments.soak [--smoke] [--digest]``;
+``REPRO_SCALE=paper`` selects the 5/10-minute windows.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import sys
+from typing import Sequence
 
-from repro.cluster.builder import ClusterConfig, build_cluster
-from repro.experiments.common import get_scale, make_policy_factory
-from repro.experiments.runner import run_tasks
-from repro.fuzz.history import OpHistory
-from repro.fuzz.workload import WorkloadConfig, WorkloadDriver
+from repro.cluster.builder import Cluster, ClusterConfig
+from repro.experiments import grid
+from repro.experiments.common import get_scale
+from repro.fuzz.oracle import CheckedRun
 from repro.raft.types import RaftConfig
-from repro.scenarios.safety import SafetyChecker
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.steps import Pause, Repeat
-from repro.sim.events import PRIORITY_CONTROL
 
-__all__ = [
-    "RETAINED_SLACK",
-    "SoakConfig",
-    "SoakRunResult",
-    "SoakResult",
-    "run_one",
-    "run",
-    "check",
-    "main",
-]
+__all__ = ["RETAINED_SLACK", "SoakConfig", "SoakRunResult", "run_one", "check", "GRID"]
 
 #: Transient headroom above ``threshold + margin`` the memory bound grants:
 #: an apply batch can overshoot the trigger by up to one replication batch
@@ -67,35 +51,38 @@ __all__ = [
 #: leaderless churn window buffers a handful of uncommitted client entries.
 RETAINED_SLACK = 128
 
+#: A denser load than the other grids carry: the soak is about log volume.
+LOAD = dataclasses.replace(
+    grid.SUSTAINED_LOAD, n_clients=4, n_keys=8, think_min_ms=5.0, think_max_ms=40.0
+)
+#: Each periodic leader churn is a container sleep this long.
+CHURN_DOWN_MS = 1_500.0
+#: Tail after the catch-up window before the final safety verdict.
+SETTLE_MS = 2_000.0
+#: Cadence of the retained-entries sampler.
+SAMPLE_INTERVAL_MS = 250.0
+
 
 @dataclasses.dataclass(slots=True, frozen=True)
 class SoakConfig:
-    """One soak run (the grid in :func:`run` derives variants from this)."""
+    """One soak run (the grid's cells derive variants from this)."""
 
     system: str = "raft"
-    n_nodes: int = 5
     seed: int = 42
-    rtt_ms: float = 50.0
-    #: Load window before the lagging follower returns.
-    duration_ms: float = 60_000.0
+    #: Load window before the lagging follower returns (default: the
+    #: ``REPRO_SCALE`` preset).
+    duration_ms: float = dataclasses.field(
+        default_factory=lambda: get_scale().soak_duration_ms
+    )
     #: Compaction knobs; ``compaction_threshold=0`` is the full-replay control.
     compaction_threshold: int = 800
     compaction_margin: int = 32
-    #: Sustained closed-loop client load.
-    n_clients: int = 4
-    n_keys: int = 8
-    think_min_ms: float = 5.0
-    think_max_ms: float = 40.0
-    op_timeout_ms: float = 1_500.0
     #: Periodic leader churn (container sleep on whoever currently leads).
     churn_every_ms: float = 12_000.0
-    churn_down_ms: float = 1_500.0
     #: The deliberately lagging follower: crashed here, recovered at
     #: ``duration_ms``, then timed until it reaches the commit frontier.
     lag_start_ms: float = 5_000.0
     catchup_timeout_ms: float = 30_000.0
-    settle_ms: float = 2_000.0
-    sample_interval_ms: float = 250.0
 
     def __post_init__(self) -> None:
         if self.duration_ms <= self.lag_start_ms:
@@ -137,25 +124,10 @@ class SoakRunResult:
     violations: tuple[str, ...]
 
 
-@dataclasses.dataclass(slots=True, frozen=True)
-class SoakResult:
-    runs: tuple[SoakRunResult, ...]
-
-    def find(self, system: str, *, compaction: bool, duration_ms: float) -> SoakRunResult:
-        for r in self.runs:
-            if (
-                r.system == system
-                and r.compaction is compaction
-                and r.duration_ms == duration_ms
-            ):
-                return r
-        raise KeyError(f"no soak run ({system}, compaction={compaction}, {duration_ms})")
-
-
 def _churn_scenario(cfg: SoakConfig) -> Scenario | None:
     horizon = cfg.duration_ms + cfg.catchup_timeout_ms
     every = cfg.churn_every_ms
-    times = int((horizon - cfg.churn_down_ms - 2_000.0) // every)
+    times = int((horizon - CHURN_DOWN_MS - 2_000.0) // every)
     if times < 1:
         return None
     repeat = Repeat(every_ms=every, times=times) if times > 1 else None
@@ -165,7 +137,7 @@ def _churn_scenario(cfg: SoakConfig) -> Scenario | None:
             Pause(
                 at_ms=every,
                 node="@leader",
-                duration_ms=cfg.churn_down_ms,
+                duration_ms=CHURN_DOWN_MS,
                 repeat=repeat,
             )
         ],
@@ -173,73 +145,37 @@ def _churn_scenario(cfg: SoakConfig) -> Scenario | None:
     )
 
 
-class _RetainedSampler:
-    """Samples the cluster-wide retained-entry maximum on a fixed cadence."""
-
-    __slots__ = ("cluster", "interval_ms", "peak")
-
-    def __init__(self, cluster, interval_ms: float) -> None:
-        self.cluster = cluster
-        self.interval_ms = interval_ms
-        self.peak = 0
-
-    def install(self) -> None:
-        self.cluster.loop.schedule(
-            self.interval_ms, self, priority=PRIORITY_CONTROL
-        )
-
-    def __call__(self) -> None:
-        peak = self.peak
-        for node in self.cluster.nodes.values():
-            log = node.log
-            retained = log.last_index - log.last_included_index
-            if retained > peak:
-                peak = retained
-        self.peak = peak
-        self.cluster.loop.schedule(
-            self.interval_ms, self, priority=PRIORITY_CONTROL
-        )
+def _retained(cluster: Cluster) -> int:
+    """Cluster-wide maximum of retained log entries, right now."""
+    return max(
+        n.log.last_index - n.log.last_included_index for n in cluster.nodes.values()
+    )
 
 
 def run_one(cfg: SoakConfig) -> SoakRunResult:
     """Run one soak variant end to end (module-level: run_tasks worker)."""
     compaction = cfg.compaction_threshold > 0
-    cluster = build_cluster(
+    run = CheckedRun(
         ClusterConfig(
-            n_nodes=cfg.n_nodes,
             seed=cfg.seed,
-            rtt_ms=cfg.rtt_ms,
+            rtt_ms=grid.RTT_MS,
             raft=RaftConfig(
                 compaction_threshold=cfg.compaction_threshold,
                 compaction_retain_margin=cfg.compaction_margin,
             ),
         ),
-        make_policy_factory(cfg.system),
+        cfg.system,
     )
-    checker = SafetyChecker(cluster)
-    checker.install(event_hooks=True)
+    cluster, history = run.cluster, run.history
     scenario = _churn_scenario(cfg)
     if scenario is not None:
         scenario.install(cluster)
-    history = OpHistory()
-    horizon = cfg.duration_ms + cfg.catchup_timeout_ms + cfg.settle_ms
-    driver = WorkloadDriver(
-        cluster,
-        WorkloadConfig(
-            n_clients=cfg.n_clients,
-            n_keys=cfg.n_keys,
-            op_timeout_ms=cfg.op_timeout_ms,
-            think_min_ms=cfg.think_min_ms,
-            think_max_ms=cfg.think_max_ms,
-            start_ms=400.0,
-            max_ops_per_client=1_000_000,
-        ),
-        history,
-        stop_ms=cfg.duration_ms + cfg.catchup_timeout_ms,
-    )
-    driver.install()
-    sampler = _RetainedSampler(cluster, cfg.sample_interval_ms)
-    sampler.install()
+    # Clients keep issuing through the whole catch-up window: the lagger
+    # chases a moving frontier.
+    load_end = cfg.duration_ms + cfg.catchup_timeout_ms
+    run.drive(LOAD, load_end + SETTLE_MS, stop_ms=load_end)
+    retained: list[int] = []
+    run.every(SAMPLE_INTERVAL_MS, lambda: retained.append(_retained(cluster)))
 
     cluster.start()
     leader = cluster.run_until_leader()
@@ -285,20 +221,17 @@ def run_one(cfg: SoakConfig) -> SoakRunResult:
     replayed = follower.metrics.entries_applied - applied_before
     installs = follower.metrics.snapshots_installed - installs_before
 
-    cluster.run_for(cfg.settle_ms)
-    violations = tuple(checker.verify())
+    cluster.run_for(SETTLE_MS)
+    violations = tuple(run.checker.verify())
 
-    final_retained = max(
-        n.log.last_index - n.log.last_included_index for n in cluster.nodes.values()
-    )
     return SoakRunResult(
         system=cfg.system,
         compaction=compaction,
         duration_ms=cfg.duration_ms,
         ops_completed=ops_at_recover,
         sustained_ops_per_s=ops_at_recover / (recover_at / 1_000.0),
-        peak_retained=sampler.peak,
-        final_retained=final_retained,
+        peak_retained=max(retained, default=0),
+        final_retained=_retained(cluster),
         compactions=sum(n.metrics.compactions for n in cluster.nodes.values()),
         snapshots_taken=sum(n.metrics.snapshots_taken for n in cluster.nodes.values()),
         memory_bound=cfg.memory_bound,
@@ -313,7 +246,7 @@ def run_one(cfg: SoakConfig) -> SoakRunResult:
     )
 
 
-def _grid(base: SoakConfig, systems: tuple[str, ...]) -> list[SoakConfig]:
+def _cells(base: SoakConfig, systems: tuple[str, ...]) -> list[SoakConfig]:
     """The soak grid: per system, compaction at D and 2D plus the
     full-replay control at D."""
     tasks: list[SoakConfig] = []
@@ -329,20 +262,6 @@ def _grid(base: SoakConfig, systems: tuple[str, ...]) -> list[SoakConfig]:
     return tasks
 
 
-def run(
-    config: SoakConfig | None = None,
-    *,
-    systems: tuple[str, ...] = ("raft", "dynatune"),
-    jobs: int | None = None,
-) -> SoakResult:
-    """Run the soak grid (parallel across ``REPRO_JOBS``, bit-stable)."""
-    base = config if config is not None else SoakConfig(
-        duration_ms=get_scale().soak_duration_ms
-    )
-    results = run_tasks(run_one, _grid(base, systems), jobs=jobs)
-    return SoakResult(runs=tuple(results))
-
-
 #: Required replay advantage of snapshot catch-up over full replay.
 MIN_REPLAY_RATIO = 10.0
 
@@ -354,10 +273,12 @@ MIN_REPLAY_RATIO = 10.0
 CATCHUP_TIME_SLACK_MS = 6_000.0
 
 
-def check(result: SoakResult, *, min_replay_ratio: float = MIN_REPLAY_RATIO) -> list[str]:
+def check(
+    runs: Sequence[SoakRunResult], *, min_replay_ratio: float = MIN_REPLAY_RATIO
+) -> list[str]:
     """The soak's acceptance gates; empty list means all held."""
     problems: list[str] = []
-    for r in result.runs:
+    for r in runs:
         tag = f"{r.system}/{'compact' if r.compaction else 'replay'}@{r.duration_ms:g}ms"
         if r.violations:
             problems.append(f"{tag}: safety violations: {r.violations[:3]}")
@@ -377,18 +298,20 @@ def check(result: SoakResult, *, min_replay_ratio: float = MIN_REPLAY_RATIO) -> 
             if r.snapshot_installs < 1:
                 problems.append(f"{tag}: lagger caught up without a snapshot")
 
-    systems = sorted({r.system for r in result.runs})
-    durations = sorted({r.duration_ms for r in result.runs if r.compaction})
+    systems = sorted({r.system for r in runs})
+    durations = sorted({r.duration_ms for r in runs if r.compaction})
     if not durations:
-        # e.g. --threshold 0 turned every grid cell into a control run:
+        # A base threshold of 0 turns every grid cell into a control run:
         # there is nothing to gate, which is itself a gate failure.
         problems.append("no compaction-enabled runs in the soak grid")
         return problems
     for system in systems:
-        short = result.find(system, compaction=True, duration_ms=durations[0])
+        short = grid.find(
+            runs, system=system, compaction=True, duration_ms=durations[0]
+        )
         try:
-            control = result.find(
-                system, compaction=False, duration_ms=durations[0]
+            control = grid.find(
+                runs, system=system, compaction=False, duration_ms=durations[0]
             )
         except KeyError:
             control = None
@@ -402,7 +325,9 @@ def check(result: SoakResult, *, min_replay_ratio: float = MIN_REPLAY_RATIO) -> 
                     f"fewer entries than full replay (need >= {min_replay_ratio:g}x)"
                 )
         if len(durations) > 1:
-            long = result.find(system, compaction=True, duration_ms=durations[-1])
+            long = grid.find(
+                runs, system=system, compaction=True, duration_ms=durations[-1]
+            )
             # Flatness: doubling the history must not scale the catch-up.
             if long.replayed_entries > 2 * short.replayed_entries + 100:
                 problems.append(
@@ -417,114 +342,63 @@ def check(result: SoakResult, *, min_replay_ratio: float = MIN_REPLAY_RATIO) -> 
     return problems
 
 
-def main(argv: list[str] | None = None) -> int:  # pragma: no cover - CLI
-    import argparse
+def _row(r: SoakRunResult) -> tuple[str, ...]:
+    return (
+        f"{r.system}/{'compact' if r.compaction else 'replay'}@{r.duration_ms / 1000.0:g}s",
+        f"{r.sustained_ops_per_s:.1f}",
+        str(r.peak_retained),
+        str(r.memory_bound) if r.compaction else "-",
+        str(r.compactions),
+        f"{r.catchup_ms:.0f}ms",
+        str(r.replayed_entries),
+        str(r.committed_at_recover),
+        str(r.snapshot_installs),
+    )
 
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument(
-        "--duration-ms", type=float, default=None, help="load window (default: scale preset)"
-    )
-    parser.add_argument(
-        "--threshold",
-        type=int,
-        default=None,
-        help="compaction threshold (entries; default 800, or 250 with --smoke)",
-    )
-    parser.add_argument(
-        "--margin",
-        type=int,
-        default=None,
-        help="retain margin (entries; default 32)",
-    )
-    parser.add_argument(
-        "--system", action="append", default=None, help="restrict systems (repeatable)"
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help=(
-            "CI budget: short windows, small threshold — still asserts "
-            "compaction triggers, the memory bound holds, and the lagger "
-            "returns via snapshot"
-        ),
-    )
-    args = parser.parse_args(argv)
 
-    if args.smoke:
-        # Explicit flags still win over the smoke preset — silently
-        # ignoring them would report gates against knobs the operator
-        # never chose.
-        base = SoakConfig(
-            seed=args.seed,
-            duration_ms=(
-                args.duration_ms if args.duration_ms is not None else 15_000.0
-            ),
-            compaction_threshold=(
-                args.threshold if args.threshold is not None else 250
-            ),
-            compaction_margin=args.margin if args.margin is not None else 32,
-            churn_every_ms=6_000.0,
-            lag_start_ms=3_000.0,
-        )
-        min_ratio = 4.0  # the short smoke history caps the achievable ratio
-    else:
-        base = SoakConfig(
-            seed=args.seed,
-            duration_ms=(
-                args.duration_ms
-                if args.duration_ms is not None
-                else get_scale().soak_duration_ms
-            ),
-            compaction_threshold=(
-                args.threshold if args.threshold is not None else 800
-            ),
-            compaction_margin=args.margin if args.margin is not None else 32,
-        )
-        min_ratio = MIN_REPLAY_RATIO
-    systems = tuple(args.system) if args.system else ("raft", "dynatune")
-    result = run(base, systems=systems)
+def _summary(runs: Sequence[SoakRunResult]) -> list[str]:
+    """The headline per system: each full-replay control against its
+    compaction twin."""
+    return [
+        f"{control.system}: snapshot catch-up replays "
+        f"{control.replayed_entries / max(1, twin.replayed_entries):.1f}x fewer "
+        f"entries than full replay ({twin.replayed_entries} vs "
+        f"{control.replayed_entries})"
+        for control in runs
+        if not control.compaction
+        for twin in runs
+        if twin.compaction
+        and (twin.system, twin.duration_ms) == (control.system, control.duration_ms)
+    ]
 
-    print(
-        f"# soak — {base.duration_ms / 1000.0:g}s/{2 * base.duration_ms / 1000.0:g}s "
-        f"windows, threshold {base.compaction_threshold}, margin "
-        f"{base.compaction_margin}, seed {base.seed}"
-    )
-    header = (
-        f"{'run':<26} {'ops/s':>7} {'peak ret':>9} {'bound':>6} {'compact':>8} "
-        f"{'catchup':>9} {'replayed':>9} {'history':>8} {'snap':>5}"
-    )
-    print(header)
-    for r in result.runs:
-        tag = f"{r.system}/{'compact' if r.compaction else 'replay '}@{r.duration_ms / 1000.0:g}s"
-        print(
-            f"{tag:<26} {r.sustained_ops_per_s:>7.1f} {r.peak_retained:>9} "
-            f"{r.memory_bound if r.compaction else '-':>6} {r.compactions:>8} "
-            f"{r.catchup_ms:>7.0f}ms {r.replayed_entries:>9} "
-            f"{r.committed_at_recover:>8} {r.snapshot_installs:>5}"
-        )
-    for system in systems:
-        try:
-            short = result.find(system, compaction=True, duration_ms=base.duration_ms)
-            control = result.find(system, compaction=False, duration_ms=base.duration_ms)
-        except KeyError:
-            continue
-        print(
-            f"{system}: snapshot catch-up replays "
-            f"{control.replayed_entries / max(1, short.replayed_entries):.1f}x fewer "
-            f"entries than full replay ({short.replayed_entries} vs "
-            f"{control.replayed_entries})"
-        )
 
-    problems = check(result, min_replay_ratio=min_ratio)
-    if problems:
-        print(f"\n{len(problems)} soak gate(s) failed:", file=sys.stderr)
-        for p in problems:
-            print(f"  {p}", file=sys.stderr)
-        return 1
-    print("\nall soak gates held (bounded memory, flat catch-up, safety clean).")
-    return 0
-
+GRID = grid.Grid(
+    name="soak",
+    full=SoakConfig,
+    # CI budget: short windows, a small threshold; the short history caps
+    # the achievable replay ratio, hence the lower gate.
+    smoke=lambda: SoakConfig(
+        duration_ms=15_000.0,
+        compaction_threshold=250,
+        churn_every_ms=6_000.0,
+        lag_start_ms=3_000.0,
+    ),
+    smoke_check=functools.partial(check, min_replay_ratio=4.0),
+    cells=_cells,
+    run_one=run_one,
+    check=check,
+    title=lambda c: (
+        f"{c.duration_ms / 1000.0:g}s/{2 * c.duration_ms / 1000.0:g}s windows, "
+        f"threshold {c.compaction_threshold}, margin {c.compaction_margin}"
+    ),
+    columns=(
+        "run", "ops/s", "peak ret", "bound", "compact", "catchup", "replayed",
+        "history", "snap",
+    ),
+    row=_row,
+    summary=_summary,
+    held="bounded memory, flat catch-up, safety clean",
+)
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(grid.main(GRID))

@@ -12,9 +12,13 @@ machine-checked property per run:
   operation history;
 * :mod:`repro.fuzz.linearizability` — a Wing & Gong-style checker that
   decides whether that history is linearizable against the KV spec;
-* :mod:`repro.fuzz.oracle` — one trial: cluster + scenario + workload +
-  :class:`~repro.scenarios.safety.SafetyChecker` (event-hooked) +
+* :mod:`repro.fuzz.oracle` — the checked run every experiment shares
+  (cluster + event-hooked :class:`~repro.scenarios.safety.SafetyChecker`
+  + recorded workload), and one trial built on it: + scenario +
   linearizability verdict;
+* :mod:`repro.fuzz.features` — the ``FEATURE_SETS`` table: per subsystem
+  (compaction, membership, serving, disk, gray), the generator/trial
+  overrides that put it under the oracle and the counters that prove it;
 * :mod:`repro.fuzz.shrinker` — delta debugging from a failing
   ``(config, scenario)`` pair down to a minimal JSON reproducer;
 * :mod:`repro.fuzz.bugs` — deterministic safety-bug injectors used to
@@ -29,6 +33,7 @@ from repro.fuzz.generator import GenConfig, ScenarioGen
 from repro.fuzz.history import KVOp, OpHistory
 from repro.fuzz.linearizability import LinearizabilityResult, check_history
 from repro.fuzz.oracle import FuzzTrialConfig, TrialResult, run_trial
+from repro.fuzz.features import FEATURE_SETS
 from repro.fuzz.shrinker import ShrinkResult, shrink
 
 __all__ = [
@@ -40,6 +45,7 @@ __all__ = [
     "check_history",
     "FuzzTrialConfig",
     "TrialResult",
+    "FEATURE_SETS",
     "run_trial",
     "ShrinkResult",
     "shrink",

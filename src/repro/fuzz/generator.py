@@ -160,18 +160,16 @@ class GenConfig:
             raise ValueError("need 1 <= min_steps <= max_steps")
         if self.horizon_ms <= 0.0 or self.et_ms <= 0.0:
             raise ValueError("horizon_ms and et_ms must be > 0")
-        if not (0.0 <= self.conflict_bias <= 1.0):
-            raise ValueError("conflict_bias must be in [0, 1]")
-        if not (0.0 <= self.p_compaction_lag <= 1.0):
-            raise ValueError("p_compaction_lag must be in [0, 1]")
-        if not (0.0 <= self.p_membership <= 1.0):
-            raise ValueError("p_membership must be in [0, 1]")
-        if not (0.0 <= self.p_disk_fault <= 1.0):
-            raise ValueError("p_disk_fault must be in [0, 1]")
-        if not (0.0 <= self.p_gray <= 1.0):
-            raise ValueError("p_gray must be in [0, 1]")
-        if not (0.0 <= self.p_clock_skew <= 1.0):
-            raise ValueError("p_clock_skew must be in [0, 1]")
+        for name in (
+            "conflict_bias",
+            "p_compaction_lag",
+            "p_membership",
+            "p_disk_fault",
+            "p_gray",
+            "p_clock_skew",
+        ):
+            if not (0.0 <= getattr(self, name) <= 1.0):
+                raise ValueError(f"{name} must be in [0, 1]")
         g_lo, g_hi = self.gray_loss_range
         if not (0.0 <= g_lo <= g_hi <= 1.0):
             raise ValueError(

@@ -103,8 +103,5 @@ class OpHistory:
     def completed_ops(self) -> list[KVOp]:
         return [o for o in self.ops() if o.completed]
 
-    def open_ops(self) -> list[KVOp]:
-        return [o for o in self.ops() if not o.completed]
-
     def __len__(self) -> int:
         return len(self._ops)

@@ -1,12 +1,18 @@
-"""One fuzz trial: cluster + scenario + workload + the full oracle.
+"""One checked run, and the fuzz trial built on it.
 
-``run_trial(config, scenario)`` is the pure function everything else —
-campaign workers, the shrinker, the regression harness — is built from:
-it builds a cluster from the explicit seed, installs the scenario, an
-event-hooked :class:`~repro.scenarios.safety.SafetyChecker` and the
-at-most-once client workload, runs to a deterministic end time, and
-reduces the run to a picklable :class:`TrialResult` whose ``violations``
-tuple is empty iff every checked property held:
+:class:`CheckedRun` is the block every experiment that judges a cluster
+by "nothing broke" shares: build the cluster from an explicit seed, hook
+the event-driven :class:`~repro.scenarios.safety.SafetyChecker` in,
+record an :class:`~repro.fuzz.history.OpHistory` under closed-loop client
+load, run to a horizon, and reduce to ``(violations, ops issued, ops
+completed)``.  The grid experiments (elastic, durability, grayfail, soak,
+serving, the scenario matrix) and :func:`run_trial` each add only what is
+theirs: a scenario, observers, a mid-run script, result fields.
+
+``run_trial(config, scenario)`` is the pure function campaign workers,
+the shrinker and the regression harness are built from: one checked run
+with the scenario installed, reduced to a picklable :class:`TrialResult`
+whose ``violations`` tuple is empty iff every checked property held:
 
 * the partition-safety properties (one leader per term — sampled *and*
   event-driven —, monotone commit, no committed-entry loss), and
@@ -20,8 +26,9 @@ not cry wolf on timeouts.
 from __future__ import annotations
 
 import dataclasses
+from typing import Callable
 
-from repro.cluster.builder import ClusterConfig, build_cluster
+from repro.cluster.builder import Cluster, ClusterConfig, build_cluster
 from repro.storage import DiskFaultConfig
 from repro.experiments.common import make_policy_factory
 from repro.fuzz.bugs import install_bug
@@ -31,8 +38,118 @@ from repro.fuzz.workload import WorkloadConfig, WorkloadDriver
 from repro.raft.types import RaftConfig
 from repro.scenarios.safety import SafetyChecker
 from repro.scenarios.scenario import Scenario
+from repro.sim.events import PRIORITY_CONTROL
 
-__all__ = ["FuzzTrialConfig", "TrialResult", "run_trial"]
+__all__ = [
+    "CheckedRun",
+    "RunVerdict",
+    "FuzzTrialConfig",
+    "TrialOutcome",
+    "TrialResult",
+    "run_trial",
+]
+
+
+@dataclasses.dataclass(slots=True, frozen=True, kw_only=True)
+class RunVerdict:
+    """What every :class:`CheckedRun` reduces to.  The grid experiments'
+    result records extend it with their own measurements."""
+
+    #: Safety verdict over the whole run.
+    violations: tuple[str, ...]
+    #: Client-visible availability.
+    ops_issued: int
+    ops_completed: int
+
+    @property
+    def availability(self) -> float:
+        return self.ops_completed / self.ops_issued if self.ops_issued else 0.0
+
+    def gates(self, tag: str, min_availability: float | None = None) -> list[str]:
+        """The gates loaded runs share: nothing broke and, given a floor,
+        clients were served (completion ratio at or over it)."""
+        problems = []
+        if self.violations:
+            problems.append(f"{tag}: safety violations: {self.violations[:3]}")
+        if min_availability is not None and (
+            self.ops_issued == 0 or self.availability < min_availability
+        ):
+            problems.append(
+                f"{tag}: availability {self.availability:.3f} below "
+                f"{min_availability:g} ({self.ops_completed}/{self.ops_issued} ops)"
+            )
+        return problems
+
+
+class CheckedRun:
+    """A cluster under the event-hooked SafetyChecker and a recorded
+    closed-loop workload.
+
+    Construction builds the cluster and installs the checker;
+    :meth:`drive` installs the clients; the caller starts the cluster;
+    :meth:`finish` runs to the horizon and reduces.  They are separate
+    calls because install order is part of every digest (event ``seq``
+    breaks ties at equal time and priority): each caller installs its
+    scenario, observers or planted bug between them exactly where its
+    recorded digests put them.
+    """
+
+    __slots__ = ("cluster", "checker", "history", "horizon_ms")
+
+    def __init__(
+        self,
+        cluster_config: ClusterConfig,
+        system: str,
+        *,
+        safety_interval_ms: float = 250.0,
+    ) -> None:
+        self.cluster: Cluster = build_cluster(
+            cluster_config, make_policy_factory(system)
+        )
+        self.checker = SafetyChecker(self.cluster, interval_ms=safety_interval_ms)
+        self.checker.install(event_hooks=True)
+        self.history = OpHistory()
+        self.horizon_ms = 0.0
+
+    def drive(
+        self,
+        workload: WorkloadConfig,
+        horizon_ms: float,
+        *,
+        stop_ms: float | None = None,
+    ) -> None:
+        """Install the closed-loop clients for a run ending at ``horizon_ms``.
+
+        By default they stop issuing two op-timeouts before the horizon,
+        so the tail of ops can settle (or be abandoned) before the end.
+        """
+        self.horizon_ms = horizon_ms
+        if stop_ms is None:
+            stop_ms = max(
+                workload.start_ms, horizon_ms - 2.0 * workload.op_timeout_ms
+            )
+        WorkloadDriver(self.cluster, workload, self.history, stop_ms=stop_ms).install()
+
+    def every(self, interval_ms: float, observe: Callable[[], None]) -> None:
+        """Install an observer: call ``observe`` every ``interval_ms`` from
+        here to the end of the run."""
+        loop = self.cluster.loop
+
+        def tick() -> None:
+            observe()
+            loop.schedule(interval_ms, tick, priority=PRIORITY_CONTROL)
+
+        loop.schedule(interval_ms, tick, priority=PRIORITY_CONTROL)
+
+    def finish(self) -> RunVerdict:
+        """Run to the horizon and reduce."""
+        self.cluster.run_until(self.horizon_ms)
+        ops = self.history.ops()
+        return RunVerdict(
+            violations=tuple(self.checker.verify()),
+            ops_issued=len(ops),
+            ops_completed=sum(1 for o in ops if o.completed),
+        )
 
 
 @dataclasses.dataclass(slots=True, frozen=True)
@@ -104,32 +221,28 @@ class FuzzTrialConfig:
         return max(scenario.end_ms + self.settle_ms, self.min_run_ms)
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["workload"] = self.workload.to_dict()
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "FuzzTrialConfig":
         payload = dict(data)
         if "workload" in payload:
-            payload["workload"] = WorkloadConfig.from_dict(payload["workload"])
+            payload["workload"] = WorkloadConfig(**payload["workload"])
         return cls(**payload)
 
 
-@dataclasses.dataclass(slots=True, frozen=True)
-class TrialResult:
-    """One trial reduced to its oracle verdict and coverage counters."""
+@dataclasses.dataclass(slots=True, frozen=True, kw_only=True)
+class TrialOutcome:
+    """A trial's oracle verdict and coverage counters — the part of a
+    trial a campaign record keeps (and digests) field for field."""
 
     violations: tuple[str, ...]
     lin_undecided: bool
     n_ops: int
     n_completed: int
-    n_open: int
     steps_applied: int
     steps_skipped: int
-    first_leader_ms: float | None
     duration_ms: float
-    lin_configs: int
     #: Compaction coverage (0 when compaction is disabled).
     compactions: int = 0
     snapshots_installed: int = 0
@@ -156,9 +269,18 @@ class TrialResult:
         return not self.violations
 
 
+@dataclasses.dataclass(slots=True, frozen=True, kw_only=True)
+class TrialResult(TrialOutcome):
+    """One trial reduced to its oracle verdict and coverage counters."""
+
+    n_open: int
+    first_leader_ms: float | None
+    lin_configs: int
+
+
 def run_trial(config: FuzzTrialConfig, scenario: Scenario) -> TrialResult:
     """Run one (config, scenario) trial and return its oracle verdict."""
-    cluster = build_cluster(
+    run = CheckedRun(
         ClusterConfig(
             n_nodes=config.n_nodes,
             seed=config.seed,
@@ -181,79 +303,57 @@ def run_trial(config: FuzzTrialConfig, scenario: Scenario) -> TrialResult:
                 DiskFaultConfig(auto_recover_ms=1_500.0) if config.disk else None
             ),
         ),
-        make_policy_factory(config.system),
+        config.system,
+        safety_interval_ms=config.safety_interval_ms,
     )
-    checker = SafetyChecker(cluster, interval_ms=config.safety_interval_ms)
-    checker.install(event_hooks=True)
+    cluster = run.cluster
     scenario.install(cluster, membership_enabled=config.membership)
-
     end = config.end_ms(scenario)
-    history = OpHistory()
-    driver = WorkloadDriver(
-        cluster,
-        config.workload,
-        history,
-        # Stop issuing early enough that the tail of ops can settle (or
-        # be abandoned) before the run ends.
-        stop_ms=max(
-            config.workload.start_ms, end - 2.0 * config.workload.op_timeout_ms
-        ),
-    )
-    driver.install()
+    run.drive(config.workload, end)
     if config.inject is not None:
         install_bug(cluster, config.inject, config.inject_at_ms)
-
     cluster.start()
-    cluster.run_until(end)
+    verdict = run.finish()
+    n_ops, n_completed = verdict.ops_issued, verdict.ops_completed
 
-    violations = list(checker.verify())
-    lin = check_history(history.ops(), budget=config.lin_budget)
+    violations = list(verdict.violations)
+    lin = check_history(run.history.ops(), budget=config.lin_budget)
     if lin.decided and not lin.ok:
         violations.append(f"linearizability: {lin.reason}")
 
-    leaders = cluster.trace.of_kind("become_leader")
-    steps = cluster.trace.of_kind("scenario_step")
+    trace = cluster.trace
+    leaders = trace.of_kind("become_leader")
+    steps = trace.of_kind("scenario_step")
     skipped = sum(1 for r in steps if r.get("skipped"))
     applied_kinds = [r.get("step") for r in steps if not r.get("skipped")]
-    ops = history.ops()
+    config_commits = trace.of_kind("config_commit")
+    metrics = [cluster.node(n).metrics for n in cluster.names]
     return TrialResult(
         violations=tuple(violations),
         lin_undecided=not lin.decided,
-        n_ops=len(ops),
-        n_completed=sum(1 for o in ops if o.completed),
-        n_open=sum(1 for o in ops if not o.completed),
+        n_ops=n_ops,
+        n_completed=n_completed,
+        n_open=n_ops - n_completed,
         steps_applied=len(steps) - skipped,
         steps_skipped=skipped,
         first_leader_ms=leaders[0].time if leaders else None,
         duration_ms=end,
         lin_configs=lin.configs_explored,
-        compactions=len(cluster.trace.of_kind("log_compact")),
-        snapshots_installed=len(cluster.trace.of_kind("snapshot_install")),
-        config_commits=len(
-            {r.get("index") for r in cluster.trace.of_kind("config_commit")}
-        ),
+        compactions=len(trace.of_kind("log_compact")),
+        snapshots_installed=len(trace.of_kind("snapshot_install")),
+        config_commits=len({r.get("index") for r in config_commits}),
         nodes_added=len(
-            {
-                r.get("index")
-                for r in cluster.trace.of_kind("config_commit")
-                if r.get("change") == "promote"
-            }
+            {r.get("index") for r in config_commits if r.get("change") == "promote"}
         ),
-        nodes_removed=len(cluster.trace.of_kind("node_decommissioned")),
-        batches_flushed=sum(
-            cluster.node(n).metrics.batches_flushed for n in cluster.names
-        ),
-        reads_readindex=sum(
-            cluster.node(n).metrics.reads_served_readindex for n in cluster.names
-        ),
-        reads_lease=sum(
-            cluster.node(n).metrics.reads_served_lease for n in cluster.names
-        ),
-        disk_crash_points=len(cluster.trace.of_kind("disk_crash_point"))
-        + len(cluster.trace.of_kind("disk_io_error")),
-        disk_recoveries=len(cluster.trace.of_kind("disk_recover")),
-        wal_truncations=len(cluster.trace.of_kind("wal_truncated")),
-        disk_corruptions=len(cluster.trace.of_kind("disk_corruption")),
+        nodes_removed=len(trace.of_kind("node_decommissioned")),
+        batches_flushed=sum(m.batches_flushed for m in metrics),
+        reads_readindex=sum(m.reads_served_readindex for m in metrics),
+        reads_lease=sum(m.reads_served_lease for m in metrics),
+        disk_crash_points=len(trace.of_kind("disk_crash_point"))
+        + len(trace.of_kind("disk_io_error")),
+        disk_recoveries=len(trace.of_kind("disk_recover")),
+        wal_truncations=len(trace.of_kind("wal_truncated")),
+        disk_corruptions=len(trace.of_kind("disk_corruption")),
         gray_faults=sum(1 for k in applied_kinds if k in ("block_link", "gray_link")),
         clock_skews=sum(1 for k in applied_kinds if k == "set_clock"),
     )

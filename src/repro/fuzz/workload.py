@@ -90,13 +90,6 @@ class WorkloadConfig:
         if self.think_min_ms < 0.0 or self.think_max_ms < self.think_min_ms:
             raise ValueError("need 0 <= think_min_ms <= think_max_ms")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WorkloadConfig":
-        return cls(**data)
-
 
 class WorkloadDriver:
     """Runs the closed-loop clients of one fuzz trial."""

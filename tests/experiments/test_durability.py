@@ -4,13 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.experiments.durability import (
-    DurabilityConfig,
-    DurabilityResult,
-    check,
-    digest,
-    run_one,
-)
+from repro.experiments.durability import DurabilityConfig, check, run_one
+from repro.experiments.grid import digest
 
 
 def test_config_validation():
@@ -32,19 +27,21 @@ def test_horizon_covers_the_last_window():
     assert cfg.corrupt_node == "n1"
 
 
-def quick(family, **kwargs):
-    kwargs.setdefault("n_nodes", 3)
-    kwargs.setdefault("storm_start_ms", 3_000.0)
-    kwargs.setdefault("window_ms", 2_500.0)
-    kwargs.setdefault("stagger_ms", 3_000.0)
-    kwargs.setdefault("settle_ms", 6_000.0)
-    return DurabilityConfig(family=family, **kwargs)
+def quick(family):
+    return DurabilityConfig(
+        family=family,
+        n_nodes=3,
+        storm_start_ms=3_000.0,
+        window_ms=2_500.0,
+        stagger_ms=3_000.0,
+        settle_ms=6_000.0,
+    )
 
 
 @pytest.mark.parametrize("family", ["ideal", "lossy_fsync", "torn_tail"])
 def test_family_run_passes_every_gate(family):
     r = run_one(quick(family))
-    assert check(DurabilityResult(runs=(r,))) == []
+    assert check((r,)) == []
     if family == "ideal":
         assert r.recoveries == 0  # ideal storage traces no disk events
         assert r.process_crashes >= 1
@@ -57,7 +54,7 @@ def test_family_run_passes_every_gate(family):
 
 def test_corrupt_tail_refusal_stays_down_while_quorum_serves():
     r = run_one(quick("corrupt_tail"))
-    assert check(DurabilityResult(runs=(r,))) == []
+    assert check((r,)) == []
     assert r.corruptions >= 1
     assert r.refused == ("n1",)
     assert r.refused_stayed_down
@@ -73,7 +70,7 @@ def test_check_flags_a_doctored_run():
         machines_consistent=False,
         violations=("log diverged",),
     )
-    problems = check(DurabilityResult(runs=(bad,)))
+    problems = check((bad,))
     assert any("torn tail" in p for p in problems)
     assert any("bounding the replay" in p for p in problems)
     assert any("diverged" in p for p in problems)
@@ -81,9 +78,7 @@ def test_check_flags_a_doctored_run():
 
 
 def test_run_is_deterministic():
-    cfg = quick("lossy_fsync")
+    cfg = dataclasses.replace(quick("lossy_fsync"), system="dynatune", seed=102)
     a, b = run_one(cfg), run_one(cfg)
     assert a == b
-    assert digest(DurabilityResult(runs=(a,))) == digest(
-        DurabilityResult(runs=(b,))
-    )
+    assert digest((a,)) == digest((b,))

@@ -6,23 +6,22 @@ and mitigated arms stay silent, the unmitigated one-way isolation trips
 the liveness oracle and inflates the term, and safety holds everywhere.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.experiments.grayfail import (
-    ARMS,
-    GrayfailConfig,
-    GrayfailResult,
-    check,
-    run_one,
-)
+from repro.experiments.grayfail import ARMS, GrayfailConfig, check, run_one
 
 
-def quick(**kwargs):
-    kwargs.setdefault("n_nodes", 3)
-    kwargs.setdefault("hold_ms", 12_000.0)
-    kwargs.setdefault("settle_ms", 6_000.0)
-    kwargs.setdefault("leaderless_total_bound_ms", 4_000.0)
-    return GrayfailConfig(**kwargs)
+def quick(arm="control", mitigated=True):
+    return GrayfailConfig(
+        arm=arm,
+        mitigated=mitigated,
+        n_nodes=3,
+        hold_ms=12_000.0,
+        settle_ms=6_000.0,
+        leaderless_total_bound_ms=4_000.0,
+    )
 
 
 def test_config_validation_and_geometry():
@@ -30,8 +29,8 @@ def test_config_validation_and_geometry():
         GrayfailConfig(arm="volcano")
     with pytest.raises(ValueError):
         GrayfailConfig(n_nodes=2)
-    cfg = quick(fault_start_ms=4_000.0)
-    assert cfg.horizon_ms == 4_000.0 + 12_000.0 + 6_000.0
+    cfg = quick()
+    assert cfg.horizon_ms == 5_000.0 + 12_000.0 + 6_000.0
     assert cfg.names == ("n1", "n2", "n3")
     assert set(ARMS) == {"control", "gray_egress", "one_way", "skew_drift"}
 
@@ -55,7 +54,7 @@ def test_one_way_raw_trips_liveness_and_inflates_term():
     assert mit.liveness == (), "mitigated run should recover in bounds"
     assert raw.max_term - mit.max_term >= 5
     # The pairwise gates agree.
-    assert check(GrayfailResult(runs=(raw, mit))) == []
+    assert check((raw, mit)) == []
 
 
 def test_gray_egress_mitigated_recovers_within_outage_bound():
@@ -63,11 +62,13 @@ def test_gray_egress_mitigated_recovers_within_outage_bound():
     assert r.violations == ()
     assert r.liveness == ()
     assert r.max_leaderless_ms <= 5_000.0
-    assert check(GrayfailResult(runs=(r,))) == []
+    assert check((r,)) == []
 
 
 def test_skew_drift_changes_timings_not_correctness():
-    r = run_one(quick(arm="skew_drift", mitigated=True))
-    assert r.violations == ()
-    assert r.liveness == ()
-    assert r.commit_index >= 1
+    raft = quick(arm="skew_drift", mitigated=True)
+    for cfg in (raft, dataclasses.replace(raft, system="dynatune", seed=212)):
+        r = run_one(cfg)
+        assert r.violations == ()
+        assert r.liveness == ()
+        assert r.commit_index >= 1

@@ -45,6 +45,15 @@ def test_results_identical_for_any_job_count():
     assert a.cells == b_cells
 
 
+def test_scenarios_scale_down_to_a_three_node_cluster():
+    cfg = dataclasses.replace(
+        SMALL, n_nodes=3, systems=("raft",), scenarios=("minority_partition",)
+    )
+    cell = scenario_matrix.run(cfg).cell("raft", "minority_partition")
+    assert cell.safe
+    assert cell.steps_applied > 0
+
+
 def test_leader_churn_costs_raft_more_than_partitioned_minority():
     """Sanity on the figures: killing leaders must create outages."""
     result = scenario_matrix.run(SMALL)
@@ -62,7 +71,7 @@ def test_render_rows_shape():
 
 
 def test_default_config_covers_whole_library():
-    cfg = scenario_matrix.ScenarioMatrixConfig.quick()
+    cfg = scenario_matrix.ScenarioMatrixConfig()
     assert cfg.scenarios == scenario_names()
     assert len(cfg.scenarios) >= 8
     assert cfg.systems == ("raft-low", "raft", "dynatune")

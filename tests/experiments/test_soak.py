@@ -2,13 +2,12 @@
 
 import dataclasses
 
-from repro.experiments.soak import (
-    SoakConfig,
-    SoakResult,
-    check,
-    run,
-    run_one,
-)
+import functools
+
+from repro.experiments import grid
+from repro.experiments.soak import GRID, SoakConfig, check, run_one
+
+run = functools.partial(grid.run, GRID)
 
 #: Tiny but real: long enough that compaction triggers several times and
 #: the lagger misses a few hundred committed entries.
@@ -24,24 +23,24 @@ TINY = SoakConfig(
 
 def test_soak_grid_gates_hold():
     result = run(TINY, systems=("raft",))
-    assert len(result.runs) == 3  # D, 2D, and the full-replay control
+    assert len(result) == 3  # D, 2D, and the full-replay control
     problems = check(result, min_replay_ratio=2.0)
     assert problems == [], problems
 
-    compact_short = result.find("raft", compaction=True, duration_ms=8_000.0)
+    compact_short = grid.find(result, system="raft", compaction=True, duration_ms=8_000.0)
     assert compact_short.compactions >= 1
     assert compact_short.snapshot_installs >= 1
     assert compact_short.caught_up
     assert compact_short.peak_retained <= compact_short.memory_bound
     assert compact_short.violations == ()
 
-    control = result.find("raft", compaction=False, duration_ms=8_000.0)
+    control = grid.find(result, system="raft", compaction=False, duration_ms=8_000.0)
     assert control.compactions == 0
     assert control.snapshot_installs == 0
     # Full replay pays the whole missed history; the snapshot path does not.
     assert control.replayed_entries > 4 * max(1, compact_short.replayed_entries)
 
-    compact_long = result.find("raft", compaction=True, duration_ms=16_000.0)
+    compact_long = grid.find(result, system="raft", compaction=True, duration_ms=16_000.0)
     # Flat in history: double the window, same-scale catch-up replay.
     assert (
         compact_long.replayed_entries
@@ -52,9 +51,8 @@ def test_soak_grid_gates_hold():
 
 
 def test_soak_run_one_is_deterministic():
-    a = run_one(TINY)
-    b = run_one(TINY)
-    assert a == b
+    cfg = dataclasses.replace(TINY, system="dynatune", seed=43)
+    assert run_one(cfg) == run_one(cfg)
 
 
 def test_soak_jobs_do_not_change_results():
@@ -66,32 +64,32 @@ def test_soak_jobs_do_not_change_results():
 
 def test_check_flags_violated_gates():
     result = run(TINY, systems=("raft",))
-    ok_run = result.find("raft", compaction=True, duration_ms=8_000.0)
+    ok_run = grid.find(result, system="raft", compaction=True, duration_ms=8_000.0)
 
     bloated = dataclasses.replace(ok_run, peak_retained=ok_run.memory_bound + 1)
     problems = check(
-        SoakResult(runs=tuple(bloated if r is ok_run else r for r in result.runs)),
+        tuple(bloated if r is ok_run else r for r in result),
         min_replay_ratio=2.0,
     )
     assert any("exceeds the bound" in p for p in problems)
 
     no_compact = dataclasses.replace(ok_run, compactions=0)
     problems = check(
-        SoakResult(runs=tuple(no_compact if r is ok_run else r for r in result.runs)),
+        tuple(no_compact if r is ok_run else r for r in result),
         min_replay_ratio=2.0,
     )
     assert any("never triggered" in p for p in problems)
 
     no_snap = dataclasses.replace(ok_run, snapshot_installs=0)
     problems = check(
-        SoakResult(runs=tuple(no_snap if r is ok_run else r for r in result.runs)),
+        tuple(no_snap if r is ok_run else r for r in result),
         min_replay_ratio=2.0,
     )
     assert any("without a snapshot" in p for p in problems)
 
     stuck = dataclasses.replace(ok_run, caught_up=False)
     problems = check(
-        SoakResult(runs=tuple(stuck if r is ok_run else r for r in result.runs)),
+        tuple(stuck if r is ok_run else r for r in result),
         min_replay_ratio=2.0,
     )
     assert any("failed to catch up" in p for p in problems)
@@ -99,8 +97,6 @@ def test_check_flags_violated_gates():
 
 def test_check_reports_missing_compaction_runs_instead_of_crashing():
     result = run(TINY, systems=("raft",))
-    control_only = SoakResult(
-        runs=tuple(r for r in result.runs if not r.compaction)
-    )
+    control_only = tuple(r for r in result if not r.compaction)
     problems = check(control_only, min_replay_ratio=2.0)
     assert any("no compaction-enabled runs" in p for p in problems)

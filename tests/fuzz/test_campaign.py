@@ -1,24 +1,26 @@
 """Campaign acceptance: REPRO_JOBS-independence, catch + shrink end to end."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.fuzz_campaign import (
     FuzzCampaignConfig,
-    digest,
     run,
     shrink_failure,
 )
+from repro.experiments.grid import digest
+from repro.fuzz import FEATURE_SETS
 from repro.fuzz.generator import GenConfig
 from repro.fuzz.oracle import FuzzTrialConfig
 from repro.fuzz.shrinker import load_reproducer
 from repro.fuzz.oracle import run_trial
-from repro.fuzz.workload import WorkloadConfig
 
 
 def test_small_campaign_is_clean_and_deterministic():
     cfg = FuzzCampaignConfig(n_trials=6, seed=11)
     a, b = run(cfg), run(cfg)
-    assert digest(a) == digest(b)
+    assert digest(a.trials) == digest(b.trials)
     assert a.all_ok
     assert {t.system for t in a.trials} == {"raft", "dynatune"}
     assert sum(t.n_completed for t in a.trials) > 100
@@ -32,7 +34,7 @@ def test_200_trial_campaign_clean_and_jobs_independent(monkeypatch):
     serial = run(cfg)
     monkeypatch.setenv("REPRO_JOBS", "4")
     parallel = run(cfg)
-    assert digest(serial) == digest(parallel)
+    assert digest(serial.trials) == digest(parallel.trials)
     assert serial.all_ok, [t.violations for t in serial.failures]
     assert len(serial.trials) == 200
     assert {t.system for t in serial.trials} == {"raft", "dynatune"}
@@ -44,9 +46,12 @@ def test_injected_bug_is_caught_and_shrinks_small(tmp_path):
     cfg = FuzzCampaignConfig(
         n_trials=4,
         seed=11,
-        inject="commit_rewrite",
-        inject_at_ms=6_000.0,
-        trial=FuzzTrialConfig(min_run_ms=9_000.0, settle_ms=4_000.0),
+        trial=FuzzTrialConfig(
+            min_run_ms=9_000.0,
+            settle_ms=4_000.0,
+            inject="commit_rewrite",
+            inject_at_ms=6_000.0,
+        ),
     )
     result = run(cfg)
     assert result.failures, "oracle failed to catch the injected bug"
@@ -66,12 +71,13 @@ def test_ack_before_sync_bug_is_caught_and_shrinks_small(tmp_path):
     """Durability acceptance gate: a lying persist barrier (acks leave
     before the disk write lands) is caught once the power loss collects,
     and the shrunk reproducer is small and clean without the bug."""
+    # The disk trial knobs without the generator's fault windows: the
+    # lying barrier alone must be enough.
+    _, trial = FEATURE_SETS["disk"].apply(GenConfig(), FuzzTrialConfig())
     cfg = FuzzCampaignConfig(
         n_trials=3,
         seed=11,
-        inject="ack_before_sync",
-        inject_at_ms=9_000.0,
-        trial=FuzzTrialConfig(disk=True),
+        trial=dataclasses.replace(trial, inject="ack_before_sync"),
     )
     result = run(cfg)
     assert result.failures, "oracle failed to catch the lying persist barrier"
@@ -99,20 +105,12 @@ def test_stale_lease_bug_is_caught_and_shrinks_small(tmp_path):
     diverge — but the gray fuzz profile's read-only observer catches the
     stale lease reads as a linearizability violation, and the shrunk
     reproducer is small and clean without the bug."""
+    gen, trial = FEATURE_SETS["gray"].apply(GenConfig(), FuzzTrialConfig())
     cfg = FuzzCampaignConfig(
         n_trials=3,
         seed=11,
-        inject="stale_lease_under_skew",
-        gen=GenConfig(p_gray=0.6, p_clock_skew=0.6),
-        trial=FuzzTrialConfig(
-            lease_reads=True,
-            workload=WorkloadConfig(
-                read_fastpath=True,
-                n_clients=4,
-                read_only_clients=1,
-                max_ops_per_client=120,
-            ),
-        ),
+        gen=gen,
+        trial=dataclasses.replace(trial, inject="stale_lease_under_skew"),
     )
     result = run(cfg)
     assert result.failures, "oracle failed to catch the stale-lease bug"
@@ -137,7 +135,7 @@ def test_stale_lease_bug_is_caught_and_shrinks_small(tmp_path):
 def test_campaign_digest_depends_on_seed():
     a = run(FuzzCampaignConfig(n_trials=3, seed=1))
     b = run(FuzzCampaignConfig(n_trials=3, seed=2))
-    assert digest(a) != digest(b)
+    assert digest(a.trials) != digest(b.trials)
 
 
 def test_campaign_config_validation():

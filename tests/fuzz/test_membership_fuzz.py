@@ -2,12 +2,20 @@
 
 import dataclasses
 
+from repro.fuzz import FEATURE_SETS
 from repro.fuzz.generator import GenConfig, ScenarioGen
 from repro.fuzz.oracle import FuzzTrialConfig, run_trial
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.steps import AddNode, RemoveNode
 
 SEEDS = [3, 17, 2_718, 31_337]
+
+#: A small trial with membership off (what every reproducer implies), and
+#: the membership feature set applied to it at probability 1: a generator
+#: whose every scenario carries a membership add, a trial where the steps
+#: are live.
+SMALL = FuzzTrialConfig(n_nodes=3, seed=9, settle_ms=4_000.0, min_run_ms=10_000.0)
+ALWAYS, LIVE = FEATURE_SETS["membership"].apply(GenConfig(), SMALL, 1.0)
 
 
 def membership_steps(scenario):
@@ -27,24 +35,22 @@ def test_membership_off_is_byte_identical():
 
 
 def test_membership_generation_is_deterministic():
-    cfg = GenConfig(p_membership=1.0)
     for seed in SEEDS:
-        a = ScenarioGen(cfg).generate(seed)
-        b = ScenarioGen(cfg).generate(seed)
+        a = ScenarioGen(ALWAYS).generate(seed)
+        b = ScenarioGen(ALWAYS).generate(seed)
         assert a.to_json() == b.to_json()
         assert membership_steps(a)
 
 
 def test_generated_membership_is_well_formed():
-    cfg = GenConfig(p_membership=1.0)
     for seed in SEEDS:
-        scenario = ScenarioGen(cfg).generate(seed)
+        scenario = ScenarioGen(ALWAYS).generate(seed)
         steps = membership_steps(scenario)
         adds = [s for s in steps if isinstance(s, AddNode)]
         removes = [s for s in steps if isinstance(s, RemoveNode)]
         assert len(adds) == 1
         # The joiner gets a fresh name past the base cluster.
-        assert adds[0].node == f"n{cfg.n_nodes + 1}"
+        assert adds[0].node == f"n{ALWAYS.n_nodes + 1}"
         # A paired removal (when drawn) lands after the add.
         for r in removes:
             assert r.at_ms > adds[0].at_ms
@@ -62,14 +68,6 @@ def test_gen_config_validates_membership_knobs():
         GenConfig(membership_gap_range_ms=(5_000.0, 1_000.0))
 
 
-def small_trial(**kwargs):
-    kwargs.setdefault("n_nodes", 3)
-    kwargs.setdefault("seed", 9)
-    kwargs.setdefault("settle_ms", 4_000.0)
-    kwargs.setdefault("min_run_ms", 10_000.0)
-    return FuzzTrialConfig(**kwargs)
-
-
 def test_oracle_membership_knob_gates_the_steps():
     scenario = Scenario(
         "grow-one",
@@ -77,12 +75,12 @@ def test_oracle_membership_knob_gates_the_steps():
     )
     # Off (the default): the step is a traced no-op — what every existing
     # reproducer file implies.
-    inert = run_trial(small_trial(), scenario)
+    inert = run_trial(SMALL, scenario)
     assert inert.ok
     assert inert.steps_skipped == 1 and inert.steps_applied == 0
     assert inert.config_commits == 0 and inert.nodes_added == 0
     # On: the joiner is added, caught up and promoted under the oracle.
-    live = run_trial(small_trial(membership=True), scenario)
+    live = run_trial(LIVE, scenario)
     assert live.ok
     assert live.steps_applied == 1
     assert live.config_commits == 2  # add_learner + promote
@@ -91,7 +89,7 @@ def test_oracle_membership_knob_gates_the_steps():
 
 def test_oracle_counts_decommissions():
     scenario = Scenario("shrink-one", [RemoveNode(at_ms=2_000.0, node="n3")])
-    result = run_trial(small_trial(membership=True), scenario)
+    result = run_trial(LIVE, scenario)
     assert result.ok
     assert result.config_commits == 1
     assert result.nodes_removed == 1
@@ -102,7 +100,7 @@ def test_greedy_remove_bug_is_caught_by_the_membership_oracle():
     # two-at-a-time removal must be caught, and only trials whose
     # scenario actually removes a node can trip it.
     scenario = Scenario("shrink-one", [RemoveNode(at_ms=2_000.0, node="n3")])
-    cfg = small_trial(n_nodes=5, membership=True, inject="greedy_remove")
+    cfg = dataclasses.replace(LIVE, n_nodes=5, inject="greedy_remove")
     result = run_trial(cfg, scenario)
     assert not result.ok
     assert any("config" in v for v in result.violations)

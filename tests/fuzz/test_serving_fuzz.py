@@ -6,20 +6,23 @@ reads ride a quorum-anchored lease.  These trials put each claim in front
 of the Wing & Gong checker, including across a leader-isolating partition.
 """
 
+import dataclasses
+
+from repro.fuzz import FEATURE_SETS
+from repro.fuzz.generator import GenConfig
 from repro.fuzz.oracle import FuzzTrialConfig, run_trial
-from repro.fuzz.workload import WorkloadConfig
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.steps import Heal, Partition
 
 SEEDS = [7, 101, 31_337]
 
-
-def small_trial(**kwargs):
-    kwargs.setdefault("n_nodes", 3)
-    kwargs.setdefault("seed", 9)
-    kwargs.setdefault("settle_ms", 4_000.0)
-    kwargs.setdefault("min_run_ms", 10_000.0)
-    return FuzzTrialConfig(**kwargs)
+#: A small all-off trial, and the serving feature set applied to it
+#: (batching, pipelining, lease reads, fast-path gets); the tests below
+#: switch pieces back off to isolate each fast path, and make the mix
+#: read-heavy where reads are the point.
+SMALL = FuzzTrialConfig(n_nodes=3, seed=9, settle_ms=4_000.0, min_run_ms=10_000.0)
+_, SERVING = FEATURE_SETS["serving"].apply(GenConfig(), SMALL)
+READ_HEAVY = dataclasses.replace(SERVING.workload, p_put=0.4, p_get=0.5)
 
 
 def leader_flip(name="flip-leader"):
@@ -34,17 +37,10 @@ def leader_flip(name="flip-leader"):
     )
 
 
-def read_heavy(**kwargs):
-    kwargs.setdefault("read_fastpath", True)
-    kwargs.setdefault("p_put", 0.4)
-    kwargs.setdefault("p_get", 0.5)
-    return WorkloadConfig(**kwargs)
-
-
 def test_fastpath_off_is_the_default_and_counters_stay_zero():
     # Back-compat: every existing reproducer file implies all-off knobs,
     # and with them the fast-path coverage counters must stay at zero.
-    cfg = small_trial()
+    cfg = SMALL
     assert not cfg.batching and not cfg.pipelining and not cfg.lease_reads
     assert not cfg.workload.read_fastpath
     result = run_trial(cfg, Scenario("calm", []))
@@ -54,12 +50,7 @@ def test_fastpath_off_is_the_default_and_counters_stay_zero():
 
 
 def test_trial_config_roundtrips_fastpath_knobs():
-    cfg = small_trial(
-        batching=True,
-        pipelining=True,
-        lease_reads=True,
-        workload=read_heavy(),
-    )
+    cfg = dataclasses.replace(SERVING, workload=READ_HEAVY)
     loaded = FuzzTrialConfig.from_dict(cfg.to_dict())
     assert loaded == cfg
     assert loaded.workload.read_fastpath
@@ -67,7 +58,9 @@ def test_trial_config_roundtrips_fastpath_knobs():
 
 def test_batched_pipelined_writes_stay_linearizable():
     for seed in SEEDS:
-        cfg = small_trial(seed=seed, batching=True, pipelining=True)
+        cfg = dataclasses.replace(
+            SERVING, seed=seed, lease_reads=False, workload=SMALL.workload
+        )
         result = run_trial(cfg, leader_flip())
         assert result.ok, (seed, result.violations)
         assert result.batches_flushed > 0
@@ -76,11 +69,8 @@ def test_batched_pipelined_writes_stay_linearizable():
 
 def test_readindex_reads_stay_linearizable_across_leader_flip():
     for seed in SEEDS:
-        cfg = small_trial(
-            seed=seed,
-            batching=True,
-            pipelining=True,
-            workload=read_heavy(),
+        cfg = dataclasses.replace(
+            SERVING, seed=seed, lease_reads=False, workload=READ_HEAVY
         )
         result = run_trial(cfg, leader_flip())
         assert result.ok, (seed, result.violations)
@@ -92,13 +82,7 @@ def test_lease_reads_stay_linearizable():
     # StaticPolicy publishes a lease bound from the first beat, so lease
     # serving engages once the term-start no-op commits.
     for seed in SEEDS:
-        cfg = small_trial(
-            seed=seed,
-            batching=True,
-            pipelining=True,
-            lease_reads=True,
-            workload=read_heavy(),
-        )
+        cfg = dataclasses.replace(SERVING, seed=seed, workload=READ_HEAVY)
         result = run_trial(cfg, leader_flip())
         assert result.ok, (seed, result.violations)
         assert result.reads_lease > 0
@@ -107,12 +91,12 @@ def test_lease_reads_stay_linearizable():
 def test_lease_reads_under_dynatune_policy():
     # Dynatune's lease bound only exists after every path reports a tuned
     # Et; until then reads must fall back to ReadIndex, never go stale.
-    cfg = small_trial(
+    cfg = dataclasses.replace(
+        SERVING,
         system="dynatune",
-        batching=True,
-        lease_reads=True,
+        pipelining=False,
         min_run_ms=14_000.0,
-        workload=read_heavy(),
+        workload=READ_HEAVY,
     )
     result = run_trial(cfg, leader_flip())
     assert result.ok, result.violations

@@ -1,4 +1,4 @@
-"""Rule family 8 (config-knob liveness): every RaftConfig field is set."""
+"""Rule family 8 (config-knob liveness): every listed config's fields are set."""
 
 import dataclasses
 
@@ -30,7 +30,7 @@ def test_field_set_nowhere_is_flagged(tmp_path):
         tmp_path / "src",
         {
             "repro/raft/types.py": TYPES,
-            "repro/experiments/serving.py": """\
+            "repro/experiments/ablations.py": """\
             from repro.raft.types import RaftConfig
             cfg = RaftConfig(lease_reads=True)
             other = types.RaftConfig(prevote=False)
@@ -50,7 +50,7 @@ def test_only_keywords_of_the_config_class_count(tmp_path):
         tmp_path / "src",
         {
             "repro/raft/types.py": TYPES + "DEFAULT = RaftConfig(dead_knob=1)\n",
-            "repro/experiments/serving.py": """\
+            "repro/experiments/ablations.py": """\
             cfg = RaftConfig(prevote=False, lease_reads=True)
             other = SoakConfig(dead_knob=3)
             print(cfg.dead_knob)
@@ -89,16 +89,61 @@ def test_missing_config_class_is_itself_a_finding(tmp_path):
     assert "cannot verify" in hit.message
 
 
+SOAK = """\
+import dataclasses
+from typing import ClassVar
+
+@dataclasses.dataclass(frozen=True)
+class SoakConfig:
+    n_nodes: ClassVar[int] = 5
+    system: str = "raft"
+    duration_ms: float = 60_000.0
+    churn_down_ms: float = 1_500.0
+
+SMOKE = dataclasses.replace(SoakConfig(), churn_down_ms=500.0)
+"""
+
+
+def test_every_listed_config_is_checked_and_replace_counts_where_named(tmp_path):
+    # An experiment config is held to the same rule: a constructor keyword
+    # or a replace() keyword counts, the latter only in a file that names
+    # the class; ClassVar constants are not fields; the defining module's
+    # own replace() does not make a knob live.
+    write_tree(
+        tmp_path,
+        {
+            "tests/experiments/test_soak.py": """\
+            TINY = SoakConfig(duration_ms=8_000.0)
+            other = dataclasses.replace(TINY, system="dynatune")
+            """,
+            "tests/fuzz/test_oracle.py": "c = dataclasses.replace(q, churn_down_ms=1.0)\n",
+        },
+    )
+    report = lint(
+        tmp_path / "src",
+        {"repro/raft/types.py": TYPES, "repro/experiments/soak.py": SOAK},
+        rules=RULES,
+    )
+    hits = rule_hits(report, "config-knob-liveness")
+    assert [(h.path, h.symbol) for h in hits if "soak" in h.path] == [
+        ("repro/experiments/soak.py", "churn_down_ms")
+    ]
+
+
 def test_real_tree_knobs_are_all_live_only_thanks_to_their_users():
     # Clean as shipped; blind the rule to tests/benchmarks/examples and the
-    # two §IV-E extension knobs (set only there) must surface — i.e. the
-    # user roots are really being read.
+    # two §IV-E extension knobs (set only there) must surface — and every
+    # experiment-config knob with them, since only tests and benchmarks
+    # construct those — i.e. the user roots are really being read.
     assert run_repolint(REPO_ROOT / "src", rules=RULES).findings == []
     blind = dataclasses.replace(DEFAULT_CONFIG, knob_user_roots=())
     report = run_repolint(
         REPO_ROOT / "src", rules=[ConfigKnobLivenessRule(blind)]
     )
-    assert {h.symbol for h in report.findings} == {
+    assert {h.symbol for h in report.findings if h.path == "repro/raft/types.py"} == {
         "suppress_heartbeats_under_load",
         "consolidated_heartbeat_timer",
+    }
+    assert {h.path for h in report.findings} == {
+        modpath for modpath, _ in DEFAULT_CONFIG.knob_configs
     }

@@ -6,13 +6,14 @@ just on minimal fixtures.  One copy of ``src/`` gets all four plants
 from the issue checklist; each must surface as its own finding.
 """
 
+import dataclasses
 import shutil
 
 import pytest
 
 from conftest import REPO_ROOT
 
-from tools.repolint import run_repolint
+from tools.repolint import DEFAULT_CONFIG, run_repolint
 
 PLANTS = {
     # 1. wall-clock call inside the simulation kernel
@@ -53,13 +54,18 @@ def planted_report(tmp_path_factory):
     base = tmp_path_factory.mktemp("planted")
     root = base / "src"
     shutil.copytree(REPO_ROOT / "src" / "repro", root / "repro")
-    # config-knob-liveness also reads the callers beside the scanned root;
-    # the examples are the smallest of them that set every knob src/ does not.
-    shutil.copytree(REPO_ROOT / "examples", base / "examples")
+    # config-knob-liveness also reads the callers beside the scanned root:
+    # point it at the real ones (the copy is the shipped tree).
+    config = dataclasses.replace(
+        DEFAULT_CONFIG,
+        knob_user_roots=tuple(
+            str(REPO_ROOT / rel) for rel in ("tests", "benchmarks", "examples")
+        ),
+    )
     for modpath, plant in PLANTS.items():
         path = root / modpath
         path.write_text(path.read_text() + plant, encoding="utf-8")
-    return run_repolint(root)
+    return run_repolint(root, config=config)
 
 
 def test_planted_wall_clock_is_caught(planted_report):

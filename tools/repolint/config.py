@@ -235,10 +235,18 @@ class RepolintConfig:
     clock_exempt: frozenset[str] = frozenset()
 
     # -- config-knob liveness (rule family 8) --------------------------- #
-    #: Module and name of the protocol config dataclass whose every field
-    #: must be passed by keyword to some call of the class.
-    knob_config_modpath: str = "repro/raft/types.py"
-    knob_config_class: str = "RaftConfig"
+    #: ``(modpath, class)`` of every config dataclass whose each field
+    #: must be passed by keyword by some caller outside its module.
+    knob_configs: tuple[tuple[str, str], ...] = (
+        ("repro/raft/types.py", "RaftConfig"),
+        ("repro/experiments/elastic.py", "ElasticConfig"),
+        ("repro/experiments/durability.py", "DurabilityConfig"),
+        ("repro/experiments/grayfail.py", "GrayfailConfig"),
+        ("repro/experiments/soak.py", "SoakConfig"),
+        ("repro/experiments/serving.py", "ServingConfig"),
+        ("repro/experiments/scenario_matrix.py", "ScenarioMatrixConfig"),
+        ("repro/experiments/fuzz_campaign.py", "FuzzCampaignConfig"),
+    )
     #: Directories (relative to the scanned root) whose ``.py`` files
     #: count as callers besides the scanned tree itself; missing ones are
     #: skipped, so fixture trees need not provide them.
