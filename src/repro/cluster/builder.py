@@ -249,15 +249,22 @@ class Cluster:
         Raises:
             TimeoutError: if no leader emerges within ``timeout_ms``.
         """
-        deadline = self.loop.now + timeout_ms
-        while self.loop.now < deadline:
-            leader = self.leader()
-            if leader is not None and leader != exclude:
-                return leader
-            if not self.loop.step():
+        loop = self.loop
+        trace = self.trace
+        # Every role or process-state change appends a trace record, so
+        # between events that recorded nothing the answer cannot have
+        # changed; only a trace that stores everything can vouch for that.
+        watch = trace.enabled and trace.kept_kinds is None
+        seen = -1
+        deadline = loop.now + timeout_ms
+        while loop.now < deadline:
+            if not watch or len(trace) != seen:
+                seen = len(trace)
+                leader = self.leader()
+                if leader is not None and leader != exclude:
+                    return leader
+            if not loop.step():
                 break
-            # step() may overshoot many events at the same instant; the
-            # loop above re-checks after every single event for precision.
         leader = self.leader()
         if leader is not None and leader != exclude:
             return leader

@@ -24,11 +24,13 @@ Design constraints, all load-bearing for the oracle:
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 
 from repro.cluster.builder import Cluster
 from repro.fuzz.history import OpHistory
 from repro.raft.state_machine import kv_delete, kv_get, kv_put
 from repro.sim.events import PRIORITY_CONTROL
+from repro.sim.timers import DeadlineQueue
 
 __all__ = ["WorkloadConfig", "WorkloadDriver"]
 
@@ -110,6 +112,8 @@ class WorkloadDriver:
         #: per-client issued-op counter; doubles as the chaining token.
         self._issued: list[int] = []
         self._settled: list[bool] = []
+        #: per-client fallback deadlines (op token -> move on regardless).
+        self._fallbacks: list[DeadlineQueue] = []
         self._rngs = []
 
     def install(self) -> None:
@@ -128,6 +132,15 @@ class WorkloadDriver:
             self.clients.append(client)
             self._issued.append(0)
             self._settled.append(True)
+            self._fallbacks.append(
+                DeadlineQueue(
+                    loop,
+                    cfg.op_timeout_ms + cfg.think_max_ms,
+                    partial(self._settle, i),
+                    partial(self._unsettled, i),
+                    PRIORITY_CONTROL,
+                )
+            )
             self._rngs.append(self.cluster.rngs.stream(f"fuzz/client/{name}"))
             # Stagger the first ops so clients do not march in lockstep.
             first = cfg.start_ms + float(self._rngs[i].uniform(0.0, cfg.think_max_ms))
@@ -172,15 +185,14 @@ class WorkloadDriver:
         )
         # Fallback: if the op neither completes nor is superseded by the
         # time the client has abandoned it, move on regardless.
-        self.cluster.loop.schedule(
-            cfg.op_timeout_ms + cfg.think_max_ms,
-            _Settle(self, ci, seq + 1),
-            priority=PRIORITY_CONTROL,
-        )
+        self._fallbacks[ci].add(seq + 1)
+
+    def _unsettled(self, ci: int, token: int) -> bool:
+        return token == self._issued[ci] and not self._settled[ci]
 
     def _settle(self, ci: int, token: int) -> None:
         """An op completed or timed out; chain the next submission once."""
-        if token != self._issued[ci] or self._settled[ci]:
+        if not self._unsettled(ci, token):
             return
         self._settled[ci] = True
         rng = self._rngs[ci]
@@ -208,15 +220,3 @@ class _IssueOp:
 
     def __call__(self) -> None:
         self._driver._issue(self._ci, self._token)
-
-
-class _Settle:
-    __slots__ = ("_driver", "_ci", "_token")
-
-    def __init__(self, driver: WorkloadDriver, ci: int, token: int) -> None:
-        self._driver = driver
-        self._ci = ci
-        self._token = token
-
-    def __call__(self) -> None:
-        self._driver._settle(self._ci, self._token)

@@ -15,6 +15,7 @@ import numpy as np
 from repro.net.delay_models import ConstantDelay, DelayModel
 from repro.net.loss_models import LossModel, NoLoss
 from repro.net.stats import LinkStats
+from repro.net.transport import TcpChannelState
 
 __all__ = ["Link"]
 
@@ -40,6 +41,7 @@ class Link:
         "duplicate_p",
         "rng",
         "stats",
+        "tcp",
         "up",
         "should_drop",
         "sample_delay",
@@ -65,6 +67,10 @@ class Link:
         self.duplicate_p = float(duplicate_p)
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.stats = LinkStats()
+        #: The TCP connection riding this directed pair (FIFO horizon and
+        #: RTT estimate); ``Network.add_link`` carries it over when a link
+        #: is replaced, as the connection outlives a re-shaped path.
+        self.tcp = TcpChannelState()
         #: Administrative state; a downed link drops everything (partitions).
         self.up = True
 

@@ -16,12 +16,7 @@ from typing import Any, Protocol
 from repro.net.link import Link
 from repro.net.message import Message
 from repro.net.stats import LinkStats
-from repro.net.transport import (
-    CHANNEL_TCP,
-    CHANNEL_UDP,
-    TcpChannelState,
-    tcp_transmission_plan,
-)
+from repro.net.transport import CHANNEL_TCP, CHANNEL_UDP, MAX_TCP_ATTEMPTS
 from repro.sim.events import PRIORITY_MESSAGE
 from repro.sim.loop import EventLoop
 from repro.sim.rng import RngRegistry
@@ -69,14 +64,13 @@ class Network:
     def __init__(self, loop: EventLoop, rngs: RngRegistry) -> None:
         self.loop = loop
         self.rngs = rngs
-        #: Bound once: the UDP fast path schedules one event per message.
+        #: Bound once: transmit schedules one event per message.
         self._push_event = loop._push_event
         self._endpoints: dict[str, Endpoint] = {}
         self._links: dict[tuple[str, str], Link] = {}
         #: Same links keyed src → dst → Link: the hot path avoids building
         #: a key tuple per message (kept in sync by add_link).
         self._links_from: dict[str, dict[str, Link]] = {}
-        self._tcp_state: dict[tuple[str, str], TcpChannelState] = {}
         self._partition_of: dict[str, int] | None = None
         self._implicit_group = 0
         #: Messages dropped because of partitions (diagnostics).
@@ -132,7 +126,11 @@ class Network:
         return sorted(self._endpoints)
 
     def add_link(self, link: Link) -> None:
-        """Install a directed link (overwrites any previous one)."""
+        """Install a directed link (overwrites any previous one, whose TCP
+        stream state the newcomer inherits)."""
+        old = self._links.get((link.src, link.dst))
+        if old is not None:
+            link.tcp = old.tcp
         self._links[(link.src, link.dst)] = link
         by_dst = self._links_from.get(link.src)
         if by_dst is None:
@@ -364,36 +362,43 @@ class Network:
                         PRIORITY_MESSAGE,
                     )
             return
-        if channel == CHANNEL_TCP:
-            state = self._tcp_state.get((src, dst))
-            if state is None:
-                state = self._tcp_state[(src, dst)] = TcpChannelState()
-            plan = tcp_transmission_plan(link, state, now)
-        else:
+        if channel != CHANNEL_TCP:
             raise ValueError(f"unknown channel {channel!r}")
-
-        if not plan.deliver:
-            stats.dropped += 1
-            return
-
-        stats.retransmits += plan.retransmits
+        # Inlined tcp_transmission_plan (which stays as the reference the
+        # tests compare this against): no TransmissionPlan, and the RTO is
+        # only worked out when the first draw is a drop.  Draw order (drop
+        # draws, then the delay draw), the srtt update on every send and
+        # the float expression of the event time must match it exactly.
+        rng = link.rng
+        tcp = link.tcp
+        rtt = link.rtt_ms
+        if link.should_drop(rng):
+            rto = tcp.rto_ms(rtt)
+            waited = 0.0
+            retransmits = 0
+            while True:
+                waited += rto * (2.0**retransmits)
+                retransmits += 1
+                if retransmits >= MAX_TCP_ATTEMPTS or not link.should_drop(rng):
+                    break
+            stats.retransmits += retransmits
+            delay_ms = waited + link.sample_delay(rng)
+        else:
+            delay_ms = link.sample_delay(rng)
+        srtt = tcp.srtt_ms
+        tcp.srtt_ms = rtt if srtt is None else srtt + (rtt - srtt) / 8.0
+        # FIFO: cannot overtake the previous segment on this stream.
+        deliver_at = now + delay_ms
+        if deliver_at < tcp.last_delivery_ms:
+            deliver_at = now + (tcp.last_delivery_ms - now)
+        else:
+            tcp.last_delivery_ms = deliver_at
         endpoint = self._endpoints.get(dst)
-        if endpoint is None:
-            # No attached endpoint: delivery would be a no-op, so skip the
-            # event entirely (counters match the delivery-time-lookup path).
-            stats.duplicated += len(plan.duplicates)
-            return
-        self.loop.schedule(
-            plan.delay_ms,
-            _Delivery((endpoint, stats, src, payload)),
-            priority=PRIORITY_MESSAGE,
-        )
-        for extra_delay in plan.duplicates:
-            stats.duplicated += 1
-            self.loop.schedule(
-                extra_delay,
+        if endpoint is not None:
+            self._push_event(
+                deliver_at,
                 _Delivery((endpoint, stats, src, payload)),
-                priority=PRIORITY_MESSAGE,
+                PRIORITY_MESSAGE,
             )
 
     def broadcast(

@@ -23,8 +23,10 @@ Linux's default ``rto_min`` of 200 ms.
 from __future__ import annotations
 
 import dataclasses
+from typing import TYPE_CHECKING
 
-from repro.net.link import Link
+if TYPE_CHECKING:  # Link holds a TcpChannelState; annotations only here
+    from repro.net.link import Link
 
 __all__ = [
     "CHANNEL_UDP",

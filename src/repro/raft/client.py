@@ -14,7 +14,9 @@ from typing import Any, Callable
 
 from repro.raft.messages import ClientReadRequest, ClientRequest, ClientResponse
 from repro.sim.clock import NodeClock
+from repro.sim.events import PRIORITY_MESSAGE
 from repro.sim.loop import EventLoop
+from repro.sim.timers import DeadlineQueue
 from repro.sim.tracing import TraceLog
 
 __all__ = ["RaftClient", "CompletedRequest"]
@@ -97,9 +99,19 @@ class RaftClient:
         self._next_id = 0
         self._contact = self.cluster[0]
         self._rr = 0
-        # request_id -> [command, submitted, retries, callback,
-        #                timeout handle, read flag]
+        # request_id -> [command, submitted, retries, callback, read flag]
         self._inflight: dict[int, list[Any]] = {}
+        # Every retry/abandon timeout of this client behind one loop event.
+        # A transmission's token is (request_id, retries at send time): it
+        # stops being live when the request settles or is sent again, so
+        # nothing is ever cancelled.
+        self._deadlines = DeadlineQueue(
+            loop,
+            self.retry_timeout_ms,
+            self._on_timeout,
+            self._awaiting,
+            PRIORITY_MESSAGE,
+        )
 
     # -- network endpoint protocol ----------------------------------------- #
 
@@ -128,11 +140,11 @@ class RaftClient:
         """
         req_id = self._next_id
         self._next_id += 1
-        state = [command, self._now(), 0, on_complete, None, read]
+        state = [command, self._now(), 0, on_complete, read]
         self._inflight[req_id] = state
         if self.history is not None:
             self.history.invoke(self.name, req_id, command, self._now())
-        self._transmit(req_id)
+        self._transmit(req_id, state)
         return req_id
 
     @property
@@ -173,37 +185,29 @@ class RaftClient:
 
     # -- internals --------------------------------------------------------------- #
 
-    def _transmit(self, req_id: int) -> None:
-        state = self._inflight.get(req_id)
-        if state is None:
-            return
-        command = state[0]
-        if state[5]:
-            payload: Any = ClientReadRequest(request_id=req_id, command=command)
+    def _transmit(self, req_id: int, state: list[Any]) -> None:
+        if state[4]:
+            payload: Any = ClientReadRequest(req_id, state[0])
         else:
-            payload = ClientRequest(request_id=req_id, command=command)
-        self.network.send(
-            self.name,
-            self._contact,
-            payload,
-            channel="tcp",
-            size_bytes=160,
-        )
-        state[4] = self.loop.schedule(
-            self.retry_timeout_ms, lambda rid=req_id: self._on_timeout(rid)
-        )
+            payload = ClientRequest(req_id, state[0])
+        self.network.transmit(self.name, self._contact, payload, "tcp", 160)
+        self._deadlines.add((req_id, state[2]))
 
-    def _on_timeout(self, req_id: int) -> None:
-        state = self._inflight.get(req_id)
-        if state is None:
-            return
+    def _awaiting(self, token: tuple[int, int]) -> bool:
+        """Whether the transmission ``(request_id, retries)`` is still the
+        request's latest and unanswered."""
+        state = self._inflight.get(token[0])
+        return state is not None and state[2] == token[1]
+
+    def _on_timeout(self, token: tuple[int, int]) -> None:
+        req_id = token[0]
+        state = self._inflight[req_id]
         state[2] += 1
         if not self.resubmit_on_timeout:
             # At-most-once mode: never retransmit after a timeout (the
             # silent contact may have appended the command).  The request
             # stays in flight so a late answer still completes it; rotate
             # the believed contact so *future* submissions try elsewhere.
-            state[4] = None
             self._rr = (self._rr + 1) % len(self.cluster)
             self._contact = self.cluster[self._rr]
             self.trace.record(
@@ -213,46 +217,46 @@ class RaftClient:
                 self.history.abandon(self.name, req_id, self._now())
             return
         if state[2] > self.max_retries:
-            del self._inflight[req_id]
-            self.failed.append(req_id)
-            self.trace.record(self._now(), self.name, "client_giveup", request=req_id)
-            if self.history is not None:
-                self.history.abandon(self.name, req_id, self._now())
+            self._give_up(req_id)
             return
         # No answer: the contact may be dead or partitioned; rotate.
         self._rr = (self._rr + 1) % len(self.cluster)
         self._contact = self.cluster[self._rr]
-        self._transmit(req_id)
+        self._transmit(req_id, state)
+
+    def _give_up(self, req_id: int) -> None:
+        del self._inflight[req_id]
+        self.failed.append(req_id)
+        self.trace.record(self._now(), self.name, "client_giveup", request=req_id)
+        if self.history is not None:
+            self.history.abandon(self.name, req_id, self._now())
 
     def _on_response(self, resp: ClientResponse) -> None:
-        state = self._inflight.get(resp.request_id)
+        req_id = resp.request_id
+        state = self._inflight.get(req_id)
         if state is None:
             return  # duplicate/stale answer for an already-settled request
-        command, submitted, retries, on_complete, handle, _read = state
         if resp.ok:
-            if handle is not None:
-                handle.cancel()
-            del self._inflight[resp.request_id]
+            del self._inflight[req_id]
             done = CompletedRequest(
-                request_id=resp.request_id,
-                command=command,
-                submitted_ms=submitted,
+                request_id=req_id,
+                command=state[0],
+                submitted_ms=state[1],
                 completed_ms=self._now(),
                 result=resp.result,
-                retries=retries,
+                retries=state[2],
             )
             self.completed.append(done)
             if self.history is not None:
-                self.history.complete(
-                    self.name, resp.request_id, resp.result, self._now()
-                )
+                self.history.complete(self.name, req_id, resp.result, self._now())
+            on_complete = state[3]
             if on_complete is not None:
                 on_complete(done)
             return
         # Redirect: update the believed leader and retransmit immediately.
         # A hint equal to the current contact still needs a retransmit —
         # the earlier copy went to a different node before the contact was
-        # updated.  With no hint (mid-election), the retry timer handles it.
+        # updated.  With no hint (mid-election), the retry deadline handles it.
         if resp.leader_hint is not None:
             if resp.leader_hint in self.cluster:
                 self._contact = resp.leader_hint
@@ -263,16 +267,8 @@ class RaftClient:
                 # to the round-robin rotation instead.
                 self._rr = (self._rr + 1) % len(self.cluster)
                 self._contact = self.cluster[self._rr]
-            if handle is not None:
-                handle.cancel()
-            state[2] += 1
+            state[2] += 1  # also retires the superseded copy's deadline
             if state[2] > self.max_retries:
-                del self._inflight[resp.request_id]
-                self.failed.append(resp.request_id)
-                self.trace.record(
-                    self._now(), self.name, "client_giveup", request=resp.request_id
-                )
-                if self.history is not None:
-                    self.history.abandon(self.name, resp.request_id, self._now())
+                self._give_up(req_id)
                 return
-            self._transmit(resp.request_id)
+            self._transmit(req_id, state)

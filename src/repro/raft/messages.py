@@ -1,17 +1,22 @@
 """Raft RPC payloads.
 
-The *hot* message pairs — heartbeats (etcd ``MsgHeartbeat``/
-``MsgHeartbeatResp``) and AppendEntries — are hand-written slotted classes
-with plain ``__init__`` bodies: every heartbeat tick and every replication
-response constructs one, and a frozen dataclass pays ~4× the construction
+Everything a steady-state cluster exchanges is a hand-written slotted
+class with a plain ``__init__`` body: heartbeats (etcd ``MsgHeartbeat``/
+``MsgHeartbeatResp``), AppendEntries, the ReadIndex round and — since the
+serving fast path made them thousands per simulated second — the client
+RPCs (:class:`ClientRequest`, :class:`ClientReadRequest`,
+:class:`ClientResponse`).  A frozen dataclass pays ~4× the construction
 cost (one ``object.__setattr__`` per field) for immutability the simulator
-enforces by convention anyway (payloads are shared between sender and
+enforces by convention anyway: payloads are shared between sender and
 in-process receiver and must never be mutated; leaders re-send *the same*
-cached heartbeat object to a follower while term and commit are stable).
+cached heartbeat object to a follower while term and commit are stable.
+The client RPCs keep the value semantics tests and traces rely on through
+explicit ``__eq__``/``__hash__``/``__repr__`` (field-wise, same class only,
+the dataclass repr).
 
-The cold payloads — the two vote pairs and the client RPCs — stay frozen
-slotted dataclasses: they are constructed a handful of times per election
-or per client op, and the extra safety is free there.
+Only the two vote pairs stay frozen slotted dataclasses: they are
+constructed a handful of times per election, and the extra safety is free
+there.
 
 Heartbeats carry the optional Dynatune metadata of §III-C; the baseline
 Raft policy leaves those fields ``None``, so the two systems exchange
@@ -331,29 +336,80 @@ class ReadIndexAck:
         return f"ReadIndexAck(term={self.term}, follower={self.follower!r}, seq={self.seq})"
 
 
-@dataclasses.dataclass(slots=True, frozen=True)
-class ClientRequest:
+class _ClientCommand:
+    """What the two client → server RPCs share: ``(request_id, command)``
+    with the value semantics of a dataclass (equal only within one class).
+    Hot path: one per client op.  Immutable by convention."""
+
+    __slots__ = ("request_id", "command")
+
+    def __init__(self, request_id: int, command: Any) -> None:
+        self.request_id = request_id
+        self.command = command
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _ClientCommand) or other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.request_id, self.command) == (other.request_id, other.command)
+
+    def __hash__(self) -> int:
+        return hash((self.request_id, self.command))
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__name__}(request_id={self.request_id!r}, "
+            f"command={self.command!r})"
+        )
+
+
+class ClientRequest(_ClientCommand):
     """A state-machine command submitted by a client process."""
 
-    request_id: int
-    command: Any
+    __slots__ = ()
 
 
-@dataclasses.dataclass(slots=True, frozen=True)
-class ClientReadRequest:
+class ClientReadRequest(_ClientCommand):
     """A read-only command a client asks to be served via the leader's
     read fast path (ReadIndex quorum round, or the leader lease when
     enabled) instead of log serialization.  Answered with an ordinary
     :class:`ClientResponse`; a non-leader redirects exactly like a write.
     """
 
-    request_id: int
-    command: Any
+    __slots__ = ()
 
 
-@dataclasses.dataclass(slots=True, frozen=True)
 class ClientResponse:
-    request_id: int
-    ok: bool
-    result: Any = None
-    leader_hint: str | None = None
+    """Answer to a client RPC (hot path).  Immutable by convention."""
+
+    __slots__ = ("request_id", "ok", "result", "leader_hint")
+
+    def __init__(
+        self,
+        request_id: int,
+        ok: bool,
+        result: Any = None,
+        leader_hint: str | None = None,
+    ) -> None:
+        self.request_id = request_id
+        self.ok = ok
+        self.result = result
+        self.leader_hint = leader_hint
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ClientResponse):
+            return NotImplemented
+        return (self.request_id, self.ok, self.result, self.leader_hint) == (
+            other.request_id,
+            other.ok,
+            other.result,
+            other.leader_hint,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.request_id, self.ok, self.result, self.leader_hint))
+
+    def __repr__(self) -> str:
+        return (
+            f"ClientResponse(request_id={self.request_id!r}, ok={self.ok!r}, "
+            f"result={self.result!r}, leader_hint={self.leader_hint!r})"
+        )

@@ -1843,9 +1843,9 @@ class RaftNode(Process):
             self._start_read_round()
 
     def _lease_valid_for_reads(self) -> bool:
-        """Leader-lease check for the read fast path (cold: called once
-        per lease read, so all lease arithmetic stays off the heartbeat
-        hot path).
+        """Leader-lease check for the read fast path (hot under a read
+        load — once per lease read — but all lease arithmetic stays off
+        the heartbeat path: one pass over the voter peers, no allocation).
 
         The lease anchors at the ``acks_needed``-th freshest voter-peer
         response: at that instant this leader plus those peers formed a
@@ -1875,13 +1875,16 @@ class RaftNode(Process):
         needed = self._acks_needed()
         if needed == 0:
             return True  # sole voter: exclusivity is unconditional
+        # The ``needed``-th freshest response is inside the lease iff at
+        # least ``needed`` responses are (``now - t`` is monotone in ``t``).
+        now = self._now()
         progress = self.progress
-        times = sorted(
-            (progress[p].last_response for p in self._voter_peers), reverse=True
-        )
-        if needed > len(times):
-            return False
-        return self._now() - times[needed - 1] < duration
+        for p in self._voter_peers:
+            if now - progress[p].last_response < duration:
+                needed -= 1
+                if needed == 0:
+                    return True
+        return False
 
     def _start_read_round(self) -> None:
         """Open a ReadIndex round covering everything in the read buffer.

@@ -8,7 +8,6 @@ key-value store", §III-E).
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Protocol, runtime_checkable
 
 __all__ = [
@@ -62,25 +61,43 @@ class StateMachine(Protocol):
         ...
 
 
-@dataclasses.dataclass(slots=True, frozen=True)
 class KVCommand:
-    """A key-value operation: ``put``, ``get`` or ``delete``."""
+    """A key-value operation: ``put``, ``get`` or ``delete``.
 
-    op: str
-    key: str
-    value: Any = None
+    Hand-written and slotted like the client RPCs that carry it (one per
+    client op; see :mod:`repro.raft.messages`).  Immutable by convention;
+    equality, hash and repr are field-wise, as a dataclass would give.
+    """
+
+    __slots__ = ("op", "key", "value")
+
+    def __init__(self, op: str, key: str, value: Any = None) -> None:
+        self.op = op
+        self.key = key
+        self.value = value
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KVCommand):
+            return NotImplemented
+        return (self.op, self.key, self.value) == (other.op, other.key, other.value)
+
+    def __hash__(self) -> int:
+        return hash((self.op, self.key, self.value))
+
+    def __repr__(self) -> str:
+        return f"KVCommand(op={self.op!r}, key={self.key!r}, value={self.value!r})"
 
 
 def kv_put(key: str, value: Any) -> KVCommand:
-    return KVCommand(op="put", key=key, value=value)
+    return KVCommand("put", key, value)
 
 
 def kv_get(key: str) -> KVCommand:
-    return KVCommand(op="get", key=key)
+    return KVCommand("get", key)
 
 
 def kv_delete(key: str) -> KVCommand:
-    return KVCommand(op="delete", key=key)
+    return KVCommand("delete", key)
 
 
 def is_read_only(command: Any) -> bool:

@@ -9,7 +9,8 @@ provides:
   deterministic event order (time, priority, sequence number);
 * :class:`~repro.sim.timers.Timer` / :class:`~repro.sim.timers.TimerService`
   — resettable timers in the style Raft nodes need (election timers,
-  per-follower heartbeat timers);
+  per-follower heartbeat timers), and :class:`~repro.sim.timers.DeadlineQueue`
+  — a client's many same-length request timeouts behind one event;
 * :mod:`~repro.sim.rng` — named, reproducible random streams so that
   component randomness (link jitter, election randomization, workload
   arrivals) is independent and stable across runs;
@@ -33,10 +34,11 @@ from repro.sim.events import Event, EventHandle
 from repro.sim.loop import EventLoop, SimulationError
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry, derive_seed
-from repro.sim.timers import Timer, TimerService
+from repro.sim.timers import DeadlineQueue, Timer, TimerService
 from repro.sim.tracing import TraceLog, TraceRecord
 
 __all__ = [
+    "DeadlineQueue",
     "Event",
     "EventHandle",
     "EventLoop",

@@ -230,6 +230,26 @@ class EventLoop:
             _heappush(self._heap, event)
         return event
 
+    def _reserve_seq(self) -> int:
+        """Take the next insertion number now, for :meth:`_push_reserved`
+        later: a lazily armed deadline keeps the place in the event order
+        an eager ``schedule`` at this moment would have had."""
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
+
+    def _push_reserved(
+        self, time: float, priority: int, seq: int, callback: Callable[[], Any]
+    ) -> Event:
+        """:meth:`_push_event` under a sequence number from :meth:`_reserve_seq`."""
+        event = Event((time, priority, seq, callback))
+        event.loop = self
+        if self._unordered:
+            self._heap.append(event)
+        else:
+            _heappush(self._heap, event)
+        return event
+
     def schedule_at(
         self,
         time: float,

@@ -14,16 +14,21 @@ follower** (each leader-follower pair has its own tuned interval ``h``,
 * :class:`TimerService` — a per-node factory that can freeze and thaw all
   of a node's timers, which is how the "container sleep" fault of §IV-B1 is
   implemented: a paused node's timers stop and its callbacks never run.
+* :class:`DeadlineQueue` — many same-length timeouts (a client's
+  per-request retry deadlines) behind **one** scheduled event: such a
+  timeout almost always sees its request settle first, so it should cost
+  a deque append, not a heap push and a cancel.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Callable
 
 from repro.sim.events import PRIORITY_TIMER
 from repro.sim.loop import EventLoop, SimulationError
 
-__all__ = ["Timer", "TimerService"]
+__all__ = ["Timer", "TimerService", "DeadlineQueue"]
 
 
 class Timer:
@@ -204,3 +209,68 @@ class TimerService:
         for t in self._timers.values():
             t.cancel()
         self._frozen = None
+
+
+class DeadlineQueue:
+    """Constant-length timeouts of one owner behind a single loop event.
+
+    :meth:`add` stores ``(now + timeout, seq, token)``; the timeout is a
+    constant, so deadlines arrive sorted and a deque is a priority queue.
+    One loop event is armed while any entry remains, for the earliest
+    entry that was live when it was armed, at that entry's *stored*
+    deadline and under the sequence number reserved at :meth:`add` — the
+    ``(time, priority, seq)`` key a per-token ``schedule(timeout, ...)``
+    would have had, so ``expire`` runs at the same instant and in the same
+    order relative to every other event, ties included.
+
+    Nothing is cancelled: the owner answers ``live(token)``, and entries
+    whose token has settled are dropped as they reach the head (a token
+    that stopped being live must never become live again).  ``expire`` is
+    only called for live tokens; it may :meth:`add`.
+    """
+
+    __slots__ = ("_loop", "timeout", "_expire", "_live", "_priority", "_queue", "_armed")
+
+    def __init__(
+        self,
+        loop: EventLoop,
+        timeout: float,
+        expire: Callable[[Any], Any],
+        live: Callable[[Any], bool],
+        priority: int,
+    ) -> None:
+        if not (timeout >= 0.0):
+            raise SimulationError(f"timeout must be >= 0, got {timeout!r}")
+        self._loop = loop
+        self.timeout = timeout
+        self._expire = expire
+        self._live = live
+        self._priority = priority
+        self._queue: deque[tuple[float, int, Any]] = deque()
+        self._armed = False
+
+    def add(self, token: Any) -> None:
+        """Start ``token``'s timeout now."""
+        loop = self._loop
+        deadline = loop.now + self.timeout
+        seq = loop._reserve_seq()
+        self._queue.append((deadline, seq, token))
+        if not self._armed:
+            self._armed = True
+            loop._push_reserved(deadline, self._priority, seq, self._fire)
+
+    def _fire(self) -> None:
+        """The armed event: expire the head it was armed for (if still
+        live), then re-arm for the next live entry at its stored key."""
+        queue = self._queue
+        live = self._live
+        token = queue.popleft()[2]
+        if live(token):
+            self._expire(token)
+        while queue:
+            deadline, seq, token = queue[0]
+            if live(token):
+                self._loop._push_reserved(deadline, self._priority, seq, self._fire)
+                return
+            queue.popleft()
+        self._armed = False

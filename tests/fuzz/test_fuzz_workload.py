@@ -68,3 +68,32 @@ def test_max_ops_per_client_caps_issuing():
     for o in history.ops():
         by_client[o.client] = by_client.get(o.client, 0) + 1
     assert by_client and all(v <= 3 for v in by_client.values())
+
+
+def test_closed_loop_clients_keep_the_pending_set_small():
+    """Per client the loop holds one armed retry deadline, one armed
+    fallback deadline and the op's own in-flight event or think pause —
+    not one parked timeout pair per request of the last two seconds
+    (3 000 events for these 64 clients before the deadline queues)."""
+    n_clients = 64
+    cluster = make_raft_cluster(5, seed=9)
+    driver = WorkloadDriver(
+        cluster,
+        WorkloadConfig(
+            n_clients=n_clients,
+            n_keys=8,
+            op_timeout_ms=2_000.0,
+            think_min_ms=1.0,
+            think_max_ms=3.0,
+            max_ops_per_client=10**9,
+        ),
+        OpHistory(),
+        stop_ms=float("inf"),
+    )
+    driver.install()
+    peak = 0
+    for t in range(500, 6_001, 250):
+        cluster.run_until(float(t))
+        peak = max(peak, cluster.loop.pending)
+    assert driver.ops_issued > 20 * n_clients  # the load was real
+    assert peak < 4 * n_clients + 64

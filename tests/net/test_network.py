@@ -201,6 +201,88 @@ def test_udp_send_path_matches_transport_reference(net):
     assert stats.dropped == n_msgs - (len(expected) - stats.duplicated)
 
 
+@pytest.mark.parametrize("loss", [0.0, 0.2, 1.0])
+def test_tcp_send_path_matches_transport_reference(net, loss):
+    """Network.transmit inlines tcp_transmission_plan; pin the two together.
+
+    Twin links on twin RNG streams, one driven through the fabric and one
+    through the reference plan (delivered, as ``schedule`` would, at
+    ``now + plan.delay_ms``): delivery instants must be *equal*, not
+    close, through a ``tc`` RTT change mid-stream, a FIFO clamp (RTT drops
+    while earlier segments are still in flight) and a link replaced
+    through ``add_link`` — whose TCP connection, FIFO horizon and smoothed
+    RTT included, must survive the swap.
+    """
+    from repro.net.delay_models import NormalJitterDelay
+    from repro.net.transport import TcpChannelState, tcp_transmission_plan
+
+    loop, network, a, b, c = net
+
+    def shaped(rtt_ms, rng):
+        return Link(
+            "a",
+            "b",
+            delay=NormalJitterDelay(rtt_ms / 2.0, 0.4),
+            loss=BernoulliLoss(loss),
+            rng=rng,
+        )
+
+    first = link = shaped(10.0, RngRegistry(777).stream("pin"))
+    network.add_link(link)
+    twin = shaped(10.0, RngRegistry(777).stream("pin"))
+    state = TcpChannelState()
+
+    deliveries: list[tuple[float, int]] = []
+    b.deliver = lambda sender, payload: deliveries.append((loop.now, payload))  # type: ignore[method-assign]
+
+    expected: list[tuple[float, int]] = []
+    retransmits = clamped = 0
+    for i in range(400):
+        if i == 100:  # tc change mid-stream
+            link.set_rtt(240.0)
+            twin.set_rtt(240.0)
+        if i == 200:  # replaced by a much faster link: FIFO must still hold
+            link = shaped(4.0, link.rng)
+            network.add_link(link)
+            twin.delay = NormalJitterDelay(2.0, 0.4)
+            assert link.tcp is first.tcp
+        if i == 300:  # and the same clamp on one link object
+            link.set_rtt(200.0)
+            twin.set_rtt(200.0)
+        if i == 350:
+            link.set_rtt(2.0)
+            twin.set_rtt(2.0)
+        now = loop.now
+        horizon = state.last_delivery_ms
+        network.transmit("a", "b", i, "tcp", 100)
+        plan = tcp_transmission_plan(twin, state, now)
+        assert plan.deliver
+        expected.append((now + plan.delay_ms, i))
+        retransmits += plan.retransmits
+        clamped += state.last_delivery_ms == horizon
+        # Irregular send instants: ``now + (horizon - now)`` must round
+        # differently from ``horizon`` often enough to tell them apart.
+        loop.run_until(now + 0.7 + 0.013 * (i % 7))
+    loop.run()
+
+    # Exact floats.  Sorted, because a clamped segment is scheduled at
+    # ``now + (horizon - now)``, which can round an ulp *below* the horizon
+    # and so overtake the segment it queued behind — the reference's
+    # arithmetic, kept bit for bit.
+    assert deliveries == sorted(expected, key=lambda e: e[0])
+    assert clamped > 50 or loss == 1.0  # the clamp really was exercised
+    assert first.stats.retransmits + link.stats.retransmits == retransmits
+    assert (retransmits > 0) == (loss > 0.0)
+    assert first.stats.sent + link.stats.sent == 400
+    assert first.stats.delivered + link.stats.delivered == 400
+    assert first.stats.dropped == link.stats.dropped == 0
+    assert (link.tcp.last_delivery_ms, link.tcp.srtt_ms) == (
+        state.last_delivery_ms,
+        state.srtt_ms,
+    )
+    assert link.rng.bit_generator.state == twin.rng.bit_generator.state
+
+
 def test_tcp_loss_delays_but_delivers(net):
     loop, network, a, b, c = net
     network.link("a", "b").loss = BernoulliLoss(0.9)

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.sim.events import PRIORITY_CONTROL, PRIORITY_MESSAGE
 from repro.sim.loop import EventLoop, SimulationError
-from repro.sim.timers import Timer, TimerService
+from repro.sim.timers import DeadlineQueue, Timer, TimerService
 
 
 @pytest.fixture
@@ -158,3 +159,102 @@ def test_names_sorted(loop):
     svc.timer("b", lambda: None)
     svc.timer("a", lambda: None)
     assert svc.names() == ["a", "b"]
+
+
+# -- DeadlineQueue ---------------------------------------------------------- #
+
+
+def make_queue(loop, timeout=10.0, priority=PRIORITY_MESSAGE, on_expire=None):
+    """A queue whose owner settles tokens by removing them from ``open_``."""
+    open_: set = set()
+    fired: list = []
+
+    def expire(token):
+        open_.discard(token)
+        fired.append((loop.now, token))
+        if on_expire is not None:
+            on_expire(token)
+
+    queue = DeadlineQueue(loop, timeout, expire, open_.__contains__, priority)
+
+    def add(token):
+        open_.add(token)
+        queue.add(token)
+
+    return queue, add, open_, fired
+
+
+def test_deadline_queue_keeps_one_event_armed(loop):
+    queue, add, _, fired = make_queue(loop)
+    for i in range(100):
+        loop.schedule(0.01 * i, lambda i=i: add(i))
+    loop.run_until(5.0)
+    assert loop.pending == 1
+    loop.run()
+    assert [token for _, token in fired] == list(range(100))
+    assert loop.pending == 0
+
+
+def test_deadline_queue_fires_at_the_stored_float(loop):
+    # 0.1 + 0.7 is not the float 0.8: the deadline is now + timeout as
+    # computed at add time, never rebuilt from a remaining duration.
+    _, add, _, fired = make_queue(loop, timeout=0.7)
+    loop.schedule(0.1, lambda: add("a"))
+    loop.schedule(0.3, lambda: add("b"))
+    loop.run()
+    assert fired == [(0.1 + 0.7, "a"), (0.3 + 0.7, "b")]
+
+
+def test_settled_entries_cost_no_event(loop):
+    _, add, open_, fired = make_queue(loop)
+    add("first")  # armed at 10.0; settled long before
+    open_.discard("first")
+    for i in range(50):
+        loop.schedule(1.0 + i, lambda i=i: (add(i), open_.discard(i)))
+    loop.schedule(55.0, lambda: add("live"))
+    before = loop.executed
+    loop.run()
+    assert fired == [(65.0, "live")]
+    # Besides the 51 scheduled adds: at most one (stale) fire per timeout
+    # period, not one per entry — 52 with a per-entry schedule.
+    assert loop.executed - before - 51 <= 65.0 / 10.0 + 1
+
+
+def test_stale_fire_rearms_at_the_first_live_deadline(loop):
+    _, add, open_, fired = make_queue(loop)
+    add("dead")
+    loop.schedule(4.0, lambda: add("live"))
+    loop.schedule(5.0, lambda: open_.discard("dead"))
+    loop.run_until(10.0)  # stale fire at 10.0 re-arms for "live" at 14.0
+    assert fired == [] and loop.pending == 1
+    loop.run()
+    assert fired == [(14.0, "live")]
+
+
+def test_expire_may_add_and_same_instant_entries_keep_order(loop):
+    queue, add, _, fired = make_queue(
+        loop, on_expire=lambda token: add(token + 10) if token < 10 else None
+    )
+    add(1)
+    add(2)
+    loop.run()
+    assert fired == [(10.0, 1), (10.0, 2), (20.0, 11), (20.0, 12)]
+
+
+def test_deadline_queue_event_priority(loop):
+    order = []
+    _, add, _, _ = make_queue(
+        loop, priority=PRIORITY_CONTROL, on_expire=lambda token: order.append("queue")
+    )
+    add("x")
+    loop.schedule(10.0, lambda: order.append("timer"), priority=PRIORITY_CONTROL + 1)
+    loop.schedule(10.0, lambda: order.append("message"), priority=PRIORITY_MESSAGE)
+    loop.run()
+    assert order == ["message", "queue", "timer"]
+
+
+def test_deadline_queue_rejects_bad_timeout(loop):
+    with pytest.raises(SimulationError):
+        DeadlineQueue(loop, -1.0, print, bool, PRIORITY_MESSAGE)
+    with pytest.raises(SimulationError):
+        DeadlineQueue(loop, float("nan"), print, bool, PRIORITY_MESSAGE)

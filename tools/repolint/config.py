@@ -59,9 +59,10 @@ class RepolintConfig:
         "repro/raft/messages.py",
         "repro/dynatune/metadata.py",
     )
-    #: Envelope-style class names that must be slotted wherever they live.
+    #: Envelope-style and per-op payload class names that must be slotted
+    #: wherever they live.
     slots_class_names: frozenset[str] = frozenset(
-        {"_Delivery", "Message", "TraceRecord"}
+        {"_Delivery", "Message", "TraceRecord", "KVCommand"}
     )
     #: modpath -> qualified function names that must stay free of
     #: comprehension/lambda/f-string allocations (error paths inside
@@ -77,6 +78,16 @@ class RepolintConfig:
                     "RaftNode._heartbeat_tick",
                     "RaftNode._schedule_heartbeat",
                 }
+            ),
+            "repro/raft/client.py": frozenset(
+                {
+                    "RaftClient.deliver",
+                    "RaftClient._transmit",
+                    "RaftClient._on_response",
+                }
+            ),
+            "repro/sim/timers.py": frozenset(
+                {"DeadlineQueue.add", "DeadlineQueue._fire"}
             ),
             "repro/net/network.py": frozenset({"Network.transmit"}),
             "repro/dynatune/measurement.py": frozenset(
@@ -122,8 +133,9 @@ class RepolintConfig:
     dispatch_modpath: str = "repro/raft/node.py"
     #: Name the dispatch dict is assigned to (``X._DISPATCH = {...}``).
     dispatch_attr: str = "_DISPATCH"
-    #: Message classes nodes legitimately never receive (client-bound).
-    dispatch_exempt: frozenset[str] = frozenset({"ClientResponse"})
+    #: Message classes nodes legitimately never receive (client-bound, or
+    #: a base no message is an instance of).
+    dispatch_exempt: frozenset[str] = frozenset({"ClientResponse", "_ClientCommand"})
     #: Module defining the scenario Step subclasses.
     steps_modpath: str = "repro/scenarios/steps.py"
     #: Name of the kind-tag -> class registry dict in that module.
