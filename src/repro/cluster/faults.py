@@ -40,29 +40,15 @@ def pause_for(
     """Sleep ``node`` for ``duration_ms`` (the §IV-B1 leader-failure shape).
 
     Emits ``kind`` at pause time — the failure timestamp the measurement
-    layer keys on — and resumes the node afterwards.  The resume is
-    generation-guarded: if the node was resumed manually and paused *again*
-    before this call's timer fires, only the latest pause's resume applies.
-    A bare ``state is PAUSED`` check would let the first (stale) timer cut
-    the second pause short.
+    layer keys on — and resumes the node afterwards (generation-guarded:
+    see :meth:`~repro.sim.process.Process.pause_for`).
     """
     if duration_ms <= 0:
         raise ValueError(f"duration must be > 0 ms, got {duration_ms!r}")
     # The kind is scenario-configurable by design; every value reaching it
     # is registered via extra_trace_kinds in tools/repolint/config.py.
     node.trace.record(loop.now, node.name, kind, duration_ms=duration_ms)  # repolint: disable=trace-dynamic-kind
-    node.pause()
-    token = getattr(node, "_pause_generation", 0) + 1
-    node._pause_generation = token
-
-    def _resume() -> None:
-        if (
-            node.state is ProcessState.PAUSED
-            and getattr(node, "_pause_generation", 0) == token
-        ):
-            node.resume()
-
-    loop.schedule(duration_ms, _resume, priority=PRIORITY_CONTROL)
+    node.pause_for(duration_ms)
 
 
 def crash(node: RaftNode) -> None:

@@ -28,6 +28,7 @@ from functools import partial
 
 from repro.cluster.builder import Cluster
 from repro.fuzz.history import OpHistory
+from repro.raft.client import CompletedRequest
 from repro.raft.state_machine import kv_delete, kv_get, kv_put
 from repro.sim.events import PRIORITY_CONTROL
 from repro.sim.timers import DeadlineQueue
@@ -109,12 +110,15 @@ class WorkloadDriver:
         self.history = history
         self.stop_ms = stop_ms
         self.clients = []
+        self._keys = [f"k{i + 1}" for i in range(config.n_keys)]
         #: per-client issued-op counter; doubles as the chaining token.
         self._issued: list[int] = []
         self._settled: list[bool] = []
         #: per-client fallback deadlines (op token -> move on regardless).
         self._fallbacks: list[DeadlineQueue] = []
         self._rngs = []
+        #: per-client completion callback (one for all of a client's ops).
+        self._on_done = []
 
     def install(self) -> None:
         """Attach the clients and schedule their first submissions."""
@@ -142,6 +146,7 @@ class WorkloadDriver:
                 )
             )
             self._rngs.append(self.cluster.rngs.stream(f"fuzz/client/{name}"))
+            self._on_done.append(partial(self._completed, i))
             # Stagger the first ops so clients do not march in lockstep.
             first = cfg.start_ms + float(self._rngs[i].uniform(0.0, cfg.think_max_ms))
             loop.schedule_at(
@@ -161,7 +166,7 @@ class WorkloadDriver:
             return
         rng = self._rngs[ci]
         client = self.clients[ci]
-        key = f"k{int(rng.integers(cfg.n_keys)) + 1}"
+        key = self._keys[int(rng.integers(cfg.n_keys))]
         seq = self._issued[ci]
         is_read = False
         if ci < cfg.read_only_clients:
@@ -170,7 +175,7 @@ class WorkloadDriver:
         else:
             draw = float(rng.random())
             if draw < cfg.p_put:
-                command = kv_put(key, f"{client.name}:{seq}")
+                command = kv_put(key, client.name + ":" + str(seq))
             elif draw < cfg.p_put + cfg.p_get:
                 command = kv_get(key)
                 is_read = cfg.read_fastpath
@@ -178,11 +183,7 @@ class WorkloadDriver:
                 command = kv_delete(key)
         self._issued[ci] = seq + 1
         self._settled[ci] = False
-        client.submit(
-            command,
-            on_complete=lambda done, c=ci, t=seq + 1: self._settle(c, t),
-            read=is_read,
-        )
+        client.submit(command, on_complete=self._on_done[ci], read=is_read)
         # Fallback: if the op neither completes nor is superseded by the
         # time the client has abandoned it, move on regardless.
         self._fallbacks[ci].add(seq + 1)
@@ -190,13 +191,20 @@ class WorkloadDriver:
     def _unsettled(self, ci: int, token: int) -> bool:
         return token == self._issued[ci] and not self._settled[ci]
 
+    def _completed(self, ci: int, done: CompletedRequest) -> None:
+        # The clients are this driver's own, so a request id is the number
+        # of ops issued before it: the op's token less one.
+        self._settle(ci, done.request_id + 1)
+
     def _settle(self, ci: int, token: int) -> None:
         """An op completed or timed out; chain the next submission once."""
         if not self._unsettled(ci, token):
             return
         self._settled[ci] = True
-        rng = self._rngs[ci]
-        think = float(rng.uniform(self.config.think_min_ms, self.config.think_max_ms))
+        cfg = self.config
+        lo = cfg.think_min_ms
+        # Generator.uniform(lo, hi) to the bit, value and stream position.
+        think = lo + (cfg.think_max_ms - lo) * self._rngs[ci].random()
         self.cluster.loop.schedule(
             think, _IssueOp(self, ci, token), priority=PRIORITY_CONTROL
         )

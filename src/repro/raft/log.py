@@ -45,11 +45,17 @@ class LogEntry:
         command: state-machine command; ``None`` marks a leader no-op (the
             entry each new leader appends to commit its predecessors' tail,
             §5.4.2 of the Raft paper / etcd's empty entry).
+
+    ``_wal`` is not part of the value: it caches the entry's checksummed
+    WAL record, built by the first durable journal that writes the entry
+    and shared by every replica's.  Only :mod:`repro.storage.simdisk`
+    writes it.
     """
 
     term: int
     index: int
     command: Any = None
+    _wal: Any = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclasses.dataclass(slots=True, frozen=True)
@@ -263,10 +269,9 @@ class RaftLog:
             return False, 0, first
 
         # Walk the new entries; truncate at the first term conflict.
-        new_entries = list(entries)
         match = prev_log_index if prev_log_index > base else base
         j = self.journal
-        for entry in new_entries:
+        for entry in entries:
             idx = entry.index
             if idx <= base:
                 continue  # covered by the snapshot frontier (committed)

@@ -1258,22 +1258,31 @@ class RaftNode(Process):
             self._apply_committed()
 
     def _apply_committed(self) -> None:
+        # What no entry of the batch can change is read once; the two
+        # indices and the role are re-read per entry (a config entry's
+        # commit may step this leader down, or propose and commit more).
+        entry_at = self.log.entry_at
+        apply = self.state_machine.apply
+        metrics = self.metrics
+        cost_model = self.cost_model
+        pending_client = self._pending_client
         while self.last_applied < self.commit_index:
-            self.last_applied += 1
-            entry = self.log.entry_at(self.last_applied)
-            command = entry.command
+            self.last_applied = index = self.last_applied + 1
+            command = entry_at(index).command
             if command is None:
                 result = None
             elif command.__class__ is ConfigChange:
                 # Membership changes took effect at append time; commit
                 # only finalizes them (trace + self-removal step-down).
                 result = None
-                self._on_config_committed(entry.index, command)
+                self._on_config_committed(index, command)
+                pending_client = self._pending_client  # a step-down swaps it
             else:
-                result = self.state_machine.apply(command)
-            self.metrics.entries_applied += 1
-            self._charge("apply")
-            pending = self._pending_client.pop(entry.index, None)
+                result = apply(command)
+            metrics.entries_applied += 1
+            if cost_model is not None:
+                cost_model.charge(self.name, "apply", 1)
+            pending = pending_client.pop(index, None)
             if pending is not None and self.role is Role.LEADER:
                 self._reply(pending[0], pending[1], ok=True, result=result)
         if self._read_round is not None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 from typing import Any
 
+from repro.sim.events import PRIORITY_CONTROL
 from repro.sim.loop import EventLoop, SimulationError
 from repro.sim.timers import TimerService
 from repro.sim.tracing import TraceLog
@@ -41,6 +42,9 @@ class Process:
         self.trace = trace if trace is not None else TraceLog()
         self.timers = TimerService(loop, name)
         self._state = ProcessState.RUNNING
+        #: Bumped by every :meth:`pause_for`; its resume timer acts only
+        #: while it still holds the latest value.
+        self._pause_generation = 0
 
     # -- liveness -------------------------------------------------------- #
 
@@ -66,6 +70,21 @@ class Process:
         self.timers.freeze()
         self._state = ProcessState.PAUSED
         self.trace.record(self.loop.now, self.name, "process_paused")
+
+    def pause_for(self, duration_ms: float) -> None:
+        """:meth:`pause` now, resume after ``duration_ms`` — unless the
+        process was resumed and ``pause_for``-ed *again* meanwhile: only
+        the latest timed pause's resume applies (a bare ``PAUSED`` check
+        would let a stale timer cut the later pause short).  Scenario
+        sleeps, injected stalls and fsync stalls all share this counter."""
+        self.pause()
+        self._pause_generation = token = self._pause_generation + 1
+
+        def _resume() -> None:
+            if self._state is ProcessState.PAUSED and self._pause_generation == token:
+                self.resume()
+
+        self.loop.schedule(duration_ms, _resume, priority=PRIORITY_CONTROL)
 
     def resume(self) -> None:
         """Resume a paused process; frozen timers continue where they left off."""

@@ -20,6 +20,13 @@ what it doesn't:
   consensus) or **stall** (the process freezes around a slow fsync —
   the write completes, but the node is unresponsive for the duration).
 
+Every replica journals the *same* immutable ``LogEntry`` object, so its
+append record is encoded and checksummed once, cached on the entry
+(``LogEntry._wal``) and shared by every replica's WAL, whose pending tail
+and durable log region hold the entries themselves.  Faults therefore
+never mutate a record: a torn tail or a bit flip puts a tampered *copy*
+into the one replica's slot it hits.
+
 All randomness comes from the node's dedicated ``disk/<name>`` stream of
 the sim RNG registry; every probability defaults to 0.0 and is guarded,
 so a fault-free ``SimDiskStorage`` draws nothing.
@@ -98,10 +105,11 @@ class _Record:
     """One WAL record: a kind tag, its payload, and checksummed bytes.
 
     ``blob`` is a stable byte encoding of the record used *only* for
-    checksumming and fault simulation (torn tails shorten it, bit flips
-    mutate it) — recovery validates ``crc32(blob)`` and then reads the
-    structured ``payload``, mirroring how a real WAL validates framing
-    before decoding.
+    checksumming and fault simulation (a torn tail shortens it, a bit
+    flip changes it — each in a :meth:`tampered` copy) — recovery
+    validates ``crc32(blob)`` and then reads the structured ``payload``,
+    mirroring how a real WAL validates framing before decoding.  An
+    append record has no payload: it hangs off the entry it encodes.
     """
 
     __slots__ = ("op", "payload", "blob", "crc")
@@ -115,6 +123,12 @@ class _Record:
     def intact(self) -> bool:
         return zlib.crc32(self.blob) == self.crc
 
+    def tampered(self, blob: bytes) -> "_Record":
+        """A copy carrying ``blob`` under the original checksum."""
+        rec = _Record(self.op, self.payload, blob)
+        rec.crc = self.crc
+        return rec
+
 
 def _hard_record(term: int, voted_for: str | None) -> _Record:
     return _Record(
@@ -122,9 +136,14 @@ def _hard_record(term: int, voted_for: str | None) -> _Record:
     )
 
 
-def _append_record(entry: LogEntry) -> _Record:
-    blob = repr(("append", entry.term, entry.index, repr(entry.command))).encode()
-    return _Record("append", entry, blob)
+def _encode_entry(entry: LogEntry, rec: "_Record | None" = None) -> LogEntry:
+    """Cache ``entry``'s append record on it — the one writer of
+    ``LogEntry._wal``.  ``rec`` is only ever a tampered copy (faults)."""
+    if rec is None:
+        blob = repr(("append", entry.term, entry.index, repr(entry.command))).encode()
+        rec = _Record("append", None, blob)
+    object.__setattr__(entry, "_wal", rec)
+    return entry
 
 
 def _snapshot_record(snapshot: Snapshot) -> _Record:
@@ -169,14 +188,14 @@ class SimDiskStorage:
         self.faults = faults if faults is not None else DiskFaultConfig()
         #: The node's log journals its mutations straight into this backend.
         self.wal: "SimDiskStorage" = self
-        #: Unsynced WAL tail, in write order.
-        self._pending: list[_Record] = []
+        #: Unsynced WAL tail, in write order (an append is its entry).
+        self._pending: list[_Record | LogEntry] = []
         # Durable (synced) region.
         self._hard: _Record | None = None
         self._snap: _Record | None = None
         self._base_index = 0
         self._base_term = 0
-        self._entries: list[_Record] = []
+        self._entries: list[LogEntry] = []
         #: Torn partial record surviving the last crash, if any.
         self._torn: _Record | None = None
         #: Fatal corruption was detected: stay down (no auto-recovery).
@@ -198,7 +217,9 @@ class SimDiskStorage:
         self._pending.append(_snapshot_record(snapshot))
 
     def wal_append(self, entry: LogEntry) -> None:
-        self._pending.append(_append_record(entry))
+        if entry._wal is None:
+            _encode_entry(entry)  # first journal to see it; the rest share
+        self._pending.append(entry)
 
     def wal_truncate(self, from_index: int) -> None:
         self._pending.append(
@@ -249,22 +270,37 @@ class SimDiskStorage:
                 return False
             if f.p_stall > 0.0 and float(rng.random()) < f.p_stall:
                 self._stall(float(rng.random()))
+        # Nearly every tail is a contiguous run of appends: check that in
+        # one pass and move it over whole.  Anything else is replayed
+        # record by record from the start (nothing was touched yet).
+        entries = self._entries
+        expect = self._base_index + len(entries)
+        for rec in pending:
+            expect += 1
+            if rec.__class__ is not LogEntry or rec.index != expect:
+                break
+        else:
+            entries.extend(pending)
+            pending.clear()
+            return True
         for rec in pending:
             self._materialize(rec)
         pending.clear()
         return True
 
-    def _materialize(self, rec: _Record) -> None:
-        op = rec.op
-        if op == "append":
-            entry: LogEntry = rec.payload
+    def _materialize(self, rec: "_Record | LogEntry") -> None:
+        """Apply one pending record to the durable region (the reference
+        :meth:`sync` must agree with)."""
+        if rec.__class__ is LogEntry:
             expect = self._base_index + len(self._entries) + 1
-            if entry.index != expect:
+            if rec.index != expect:
                 raise RuntimeError(
-                    f"WAL append out of order: index {entry.index}, expected {expect}"
+                    f"WAL append out of order: index {rec.index}, expected {expect}"
                 )
             self._entries.append(rec)
-        elif op == "hard":
+            return
+        op = rec.op
+        if op == "hard":
             self._hard = rec
         elif op == "truncate":
             idx: int = rec.payload
@@ -294,20 +330,7 @@ class SimDiskStorage:
         node.trace.record(
             node.loop.now, node.name, "disk_stall", duration_ms=duration
         )
-        node.pause()
-        token = getattr(node, "_pause_generation", 0) + 1
-        node._pause_generation = token
-
-        def _resume() -> None:
-            # Same generation guard as faults.pause_for: only the latest
-            # pause's resume applies.
-            if (
-                node.state is ProcessState.PAUSED
-                and getattr(node, "_pause_generation", 0) == token
-            ):
-                node.resume()
-
-        node.loop.schedule(duration, _resume, priority=PRIORITY_CONTROL)
+        node.pause_for(duration)
 
     # ------------------------------------------------------------------ #
     # crash / recovery
@@ -324,9 +347,9 @@ class SimDiskStorage:
         if pending:
             # The unsynced suffix is lost; its first record may survive torn.
             if f.p_torn_tail > 0.0 and float(rng.random()) < f.p_torn_tail:
-                torn = pending[0]
-                torn.blob = torn.blob[: max(1, len(torn.blob) // 2)]
-                self._torn = torn
+                head = pending[0]
+                rec = head._wal if head.__class__ is LogEntry else head
+                self._torn = rec.tampered(rec.blob[: max(1, len(rec.blob) // 2)])
             self._pending = []
         if f.p_bitflip > 0.0 and float(rng.random()) < f.p_bitflip:
             self._flip_bit(rng)
@@ -334,19 +357,28 @@ class SimDiskStorage:
             self._schedule_auto_recover()
 
     def _flip_bit(self, rng: np.random.Generator) -> None:
-        candidates: list[_Record] = []
-        if self._hard is not None:
-            candidates.append(self._hard)
-        candidates.extend(self._entries)
-        if self._snap is not None:
-            candidates.append(self._snap)
-        if not candidates:
+        """Corrupt one durable record (hard state, log entries, snapshot,
+        in that order) — as a copy in this replica's slot."""
+        entries = self._entries
+        has_hard = self._hard is not None
+        count = has_hard + len(entries) + (self._snap is not None)
+        if count == 0:
             return
-        victim = candidates[int(rng.integers(len(candidates)))]
-        blob = bytearray(victim.blob)
+        pick = int(rng.integers(count)) - has_hard  # -1 = hard state
+        in_log = 0 <= pick < len(entries)
+        rec = entries[pick]._wal if in_log else self._hard if pick < 0 else self._snap
+        assert rec is not None
+        blob = bytearray(rec.blob)
         byte = int(rng.integers(len(blob)))
         blob[byte] ^= 1 << int(rng.integers(8))
-        victim.blob = bytes(blob)
+        bad = rec.tampered(bytes(blob))
+        if in_log:
+            e = entries[pick]
+            entries[pick] = _encode_entry(LogEntry(e.term, e.index, e.command), bad)
+        elif pick < 0:
+            self._hard = bad
+        else:
+            self._snap = bad
 
     def _schedule_auto_recover(self) -> None:
         node = self._node
@@ -379,17 +411,15 @@ class SimDiskStorage:
             raise DiskCorruptionError(
                 "snapshot record failed checksum (committed state unrecoverable)"
             )
-        for rec in self._entries:
-            if not rec.intact():
+        for entry in self._entries:
+            if not entry._wal.intact():
                 self._fatal = True
                 raise DiskCorruptionError(
-                    f"log record at index {rec.payload.index} failed checksum "
+                    f"log record at index {entry.index} failed checksum "
                     "below the synced frontier"
                 )
         term, voted_for = hard.payload if hard is not None else (0, None)
-        log = RaftLog.from_frontier(
-            self._base_index, self._base_term, [r.payload for r in self._entries]
-        )
+        log = RaftLog.from_frontier(self._base_index, self._base_term, self._entries)
         log.journal = self
         return RecoveredState(
             term=term,
@@ -411,5 +441,5 @@ class SimDiskStorage:
             ),
             base_index=self._base_index,
             base_term=self._base_term,
-            entry_terms={r.payload.index: r.payload.term for r in self._entries},
+            entry_terms={e.index: e.term for e in self._entries},
         )

@@ -1,5 +1,8 @@
 """Workload driver: history recording, client sequentiality, determinism."""
 
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
 from repro.fuzz.history import OpHistory
 from repro.fuzz.linearizability import check_history
 from repro.fuzz.workload import WorkloadConfig, WorkloadDriver
@@ -97,3 +100,60 @@ def test_closed_loop_clients_keep_the_pending_set_small():
         peak = max(peak, cluster.loop.pending)
     assert driver.ops_issued > 20 * n_clients  # the load was real
     assert peak < 4 * n_clients + 64
+
+
+class _ThinkRecorder:
+    """Stands in for the cluster: ``loop.schedule`` keeps the think time."""
+
+    def __init__(self):
+        self.loop = self
+        self.thinks = []
+
+    def schedule(self, delay, callback, *, priority):
+        self.thinks.append(delay)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    lo=st.floats(0.0, 1e4),
+    width=st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
+    draws=st.integers(1, 30),
+)
+def test_think_draw_is_generator_uniform_to_the_bit(seed, lo, width, draws):
+    """``lo + (hi - lo) * rng.random()`` is what ``Generator.uniform``
+    computes: same value, same stream position, ``lo == hi`` included."""
+    hi = lo + width
+    recorder = _ThinkRecorder()
+    driver = WorkloadDriver(
+        recorder,
+        WorkloadConfig(think_min_ms=lo, think_max_ms=hi),
+        OpHistory(),
+        stop_ms=float("inf"),
+    )
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    driver._rngs, driver._issued, driver._settled = [rng], [0], [True]
+    for token in range(1, draws + 1):
+        driver._issued[0], driver._settled[0] = token, False
+        driver._settle(0, token)
+        driver._settle(0, token)  # settled already: no second draw
+    assert recorder.thinks == [float(twin.uniform(lo, hi)) for _ in range(draws)]
+    assert all(type(t) is float for t in recorder.thinks)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_completion_token_is_the_request_id_plus_one():
+    """The per-client completion callback recovers the op's token from the
+    request id; a late answer to a superseded op must not settle the
+    current one."""
+    cluster, driver, history = drive(n_clients=2, stop_ms=3_000.0, run_ms=6_000.0)
+    for client, issued in zip(driver.clients, driver._issued):
+        assert client._next_id == issued > 0
+        assert [o.req_id for o in history.ops() if o.client == client.name] == list(
+            range(issued)
+        )
+    done = driver.clients[0].completed[0]
+    driver._settled[0] = False
+    pending = cluster.loop.pending
+    driver._completed(0, done)  # stale: token 1, while `issued` ops are out
+    assert driver._settled[0] is False and cluster.loop.pending == pending

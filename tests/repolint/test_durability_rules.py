@@ -133,3 +133,41 @@ def test_suppression_comment_permits_deliberate_corruption(tmp_path):
     )
     assert report.findings == []
     assert len(report.suppressed) == 1
+
+
+def test_only_the_encoder_may_write_an_entrys_cached_record(tmp_path):
+    # Every replica's WAL shares the record: a second writer (here a fault
+    # injector "fixing up" a record in place) would corrupt all of them.
+    report = lint(
+        tmp_path,
+        {
+            "repro/storage/simdisk.py": """\
+            def _encode_entry(entry, rec=None):
+                object.__setattr__(entry, "_wal", rec or object())
+                return entry
+
+            class SimDiskStorage:
+                def wal_append(self, entry) -> None:
+                    if entry._wal is None:
+                        _encode_entry(entry)
+
+                def _flip_bit(self, entry, bad) -> None:
+                    object.__setattr__(entry, "_wal", bad)
+            """,
+            "repro/fuzz/inject.py": """\
+            def scrub(entry) -> None:
+                entry._wal = None
+                setattr(entry, "_wal", None)
+                setattr(entry, "term", 3)  # some other attribute: free
+            """,
+        },
+        rules=RULES,
+    )
+    hits = rule_hits(report, "durable-write-hygiene")
+    assert sorted((h.path, h.symbol) for h in hits) == [
+        ("repro/fuzz/inject.py", "_wal"),
+        ("repro/fuzz/inject.py", "_wal"),
+        ("repro/storage/simdisk.py", "_wal"),
+    ]
+    hits.sort(key=lambda h: h.path)
+    assert "_flip_bit" in hits[-1].message and "_encode_entry" in hits[-1].message

@@ -5,9 +5,12 @@ driving them — including the token guards that keep overlapping windows
 and mixed fault kinds (gray + pause) from double-arming restores.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.cluster.faults import pause_for
+from repro.raft.state_machine import kv_put
 from repro.raft.types import Role
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.steps import (
@@ -18,6 +21,7 @@ from repro.scenarios.steps import (
     SetDuplicate,
 )
 from repro.sim.process import ProcessState
+from repro.storage import DiskFaultConfig
 from tests.conftest import make_raft_cluster
 
 
@@ -334,3 +338,37 @@ def test_pause_resume_pause_keeps_latest_deadline_under_gray_fault():
     assert node.state is ProcessState.PAUSED
     c.run_until(2_500.0)
     assert node.state is ProcessState.RUNNING
+
+
+def test_disk_stall_inside_a_scenario_pause_window_leaves_one_armed_resume():
+    """Scenario sleeps and fsync stalls arm their resumes through the same
+    ``Process.pause_for``, so they share one generation counter: a stall
+    that lands inside a Pause window (the node having been woken early)
+    supersedes the Pause's timer instead of racing it."""
+    c = make_raft_cluster(3, storage="simdisk")
+    client = c.add_client("cl")
+    leader = c.run_until_leader()
+    node = c.node(next(n for n in c.names if n != leader))
+    t0 = c.loop.now
+    Scenario(
+        "pause+stall", [Pause(at_ms=t0 + 100.0, node=node.name, duration_ms=1_000.0)]
+    ).install(c)
+    c.run_until(t0 + 300.0)
+    assert node.state is ProcessState.PAUSED and node._pause_generation == 1
+    node.resume()  # an operator wakes it early; the Pause's timer stays queued
+    node.storage.faults = dataclasses.replace(
+        node.storage.faults, p_stall=1.0, stall_ms=100.0
+    )
+    client.submit(kv_put("x", 1))
+    while not c.trace.of_kind("disk_stall"):
+        c.run_for(5.0)
+    node.storage.faults = DiskFaultConfig()
+    assert c.loop.now < t0 + 600.0 and node.state is ProcessState.PAUSED
+    assert node._pause_generation == 2  # one counter, two kinds of pause
+    c.run_until(t0 + 800.0)  # the stall (<= 150 ms) is over: its resume applied
+    assert node.state is ProcessState.RUNNING
+    resumed = len(c.trace.of_kind("process_resumed"))
+    node.pause()  # untimed; only the Pause's stale timer (t0 + 1100) is left
+    c.run_until(t0 + 1_500.0)
+    assert node.state is ProcessState.PAUSED
+    assert len(c.trace.of_kind("process_resumed")) == resumed == 2

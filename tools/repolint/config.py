@@ -77,6 +77,7 @@ class RepolintConfig:
                     "RaftNode._send_heartbeat_to",
                     "RaftNode._heartbeat_tick",
                     "RaftNode._schedule_heartbeat",
+                    "RaftNode._apply_committed",
                 }
             ),
             "repro/raft/client.py": frozenset(
@@ -88,6 +89,12 @@ class RepolintConfig:
             ),
             "repro/sim/timers.py": frozenset(
                 {"DeadlineQueue.add", "DeadlineQueue._fire"}
+            ),
+            "repro/storage/simdisk.py": frozenset(
+                {"SimDiskStorage.wal_append", "SimDiskStorage.sync"}
+            ),
+            "repro/fuzz/workload.py": frozenset(
+                {"WorkloadDriver._issue", "WorkloadDriver._settle"}
             ),
             "repro/net/network.py": frozenset({"Network.transmit"}),
             "repro/dynatune/measurement.py": frozenset(
@@ -224,6 +231,15 @@ class RepolintConfig:
             "RaftNode._maybe_compact",
             "RaftNode._on_install_snapshot",
         }
+    )
+
+    #: The ``LogEntry`` slot caching the entry's encoded WAL record, and
+    #: the one ``(modpath, function)`` allowed to write it: every replica's
+    #: WAL shares the record, so faults must install tampered *copies*.
+    entry_record_slot: str = "_wal"
+    entry_record_writer: tuple[str, str] = (
+        "repro/storage/simdisk.py",
+        "_encode_entry",
     )
 
     # -- node-clock hygiene (rule family 7) ----------------------------- #

@@ -15,9 +15,13 @@ it before.
 
 * calls to a restricted log-mutator (``<x>.log.append_new(...)`` or via
   the hot-path alias ``log = self.log; log.append_new(...)``) outside
-  the configured owner methods, and
+  the configured owner methods,
 * assignments to a ``.snapshot`` attribute outside the configured
-  snapshot writers.
+  snapshot writers, and
+* writes to a log entry's cached WAL record (``x._wal = ...``,
+  ``setattr(x, "_wal", ...)``, ``object.__setattr__(x, "_wal", ...)``)
+  outside the one storage function that encodes it — every replica's
+  WAL shares that record, so a second writer corrupts all of them.
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ class DurableWriteRule(Rule):
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         mutators = self.config.durable_log_mutators
         snap_writers = self.config.durable_snapshot_writers
-        if not mutators and not snap_writers:
-            return
+        slot = self.config.entry_record_slot
+        record_writer = self.config.entry_record_writer
         spans: list[tuple[int, int, str]] = []
         for qual, fn in iter_functions(ctx.tree):
             spans.append((fn.lineno, fn.end_lineno or fn.lineno, qual))
@@ -59,8 +63,25 @@ class DurableWriteRule(Rule):
                     best = qual  # innermost wins: spans sorted by start
             return best
 
+        def record_write(node: ast.AST) -> Iterable[Finding]:
+            qual = qualname_at(node.lineno)  # type: ignore[attr-defined]
+            if (ctx.modpath, qual) == record_writer:
+                return
+            where = f"in {qual}" if qual else "at module level"
+            yield ctx.finding(
+                self.name,
+                node,
+                f"write to the entry's cached WAL record {slot!r} {where} — "
+                f"only {record_writer[1]} in {record_writer[0]} may (every "
+                "replica shares the record)",
+                symbol=slot,
+            )
+
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
+                if _setattr_name(node) == slot:
+                    yield from record_write(node)
+                    continue
                 method = _log_mutator_call(node)
                 if method is None or method not in mutators:
                     continue
@@ -83,6 +104,8 @@ class DurableWriteRule(Rule):
                     else [node.target]
                 )
                 for target in targets:
+                    if isinstance(target, ast.Attribute) and target.attr == slot:
+                        yield from record_write(node)
                     if not (
                         isinstance(target, ast.Attribute)
                         and target.attr == "snapshot"
@@ -117,4 +140,19 @@ def _log_mutator_call(call: ast.Call) -> str | None:
         return func.attr
     if isinstance(base, ast.Name) and base.id == "log":
         return func.attr
+    return None
+
+
+def _setattr_name(call: ast.Call) -> str | None:
+    """The constant attribute name a ``setattr(x, "name", v)`` /
+    ``<cls>.__setattr__(x, "name", v)`` call writes, if it is one."""
+    func = call.func
+    is_setattr = (isinstance(func, ast.Name) and func.id == "setattr") or (
+        isinstance(func, ast.Attribute) and func.attr == "__setattr__"
+    )
+    if not is_setattr or len(call.args) < 2:
+        return None
+    name = call.args[1]
+    if isinstance(name, ast.Constant) and isinstance(name.value, str):
+        return name.value
     return None
