@@ -59,7 +59,7 @@ def crash(node: RaftNode) -> None:
     stale and leaves this crash's downtime intact.
     """
     node.trace.record(node.loop.now, node.name, "fault_crash")
-    node._crash_generation = getattr(node, "_crash_generation", 0) + 1
+    node._crash_generation += 1
     node.crash()
 
 

@@ -10,6 +10,8 @@ TCP semantics.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from repro.net.delay_models import ConstantDelay, DelayModel
@@ -18,6 +20,13 @@ from repro.net.stats import LinkStats
 from repro.net.transport import TcpChannelState
 
 __all__ = ["Link"]
+
+#: Standard normals a hot quiet link draws at once.
+JITTER_BLOCK = 64
+#: Sends after which a link counts as hot.  Most links of a large cluster
+#: carry only election traffic (at 51 nodes, 2 250 of 2 550 see under a
+#: dozen sends per leader change): a block on each is memory for no speed.
+HOT_AFTER = 16
 
 
 class Link:
@@ -39,7 +48,10 @@ class Link:
         "_delay",
         "_loss",
         "duplicate_p",
-        "rng",
+        "_rng",
+        "_block",
+        "_pos",
+        "_block_state",
         "stats",
         "tcp",
         "up",
@@ -65,7 +77,14 @@ class Link:
         self.delay = delay if delay is not None else ConstantDelay(0.5)
         self.loss = loss if loss is not None else NoLoss()
         self.duplicate_p = float(duplicate_p)
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self._rng = rng if rng is not None else np.random.default_rng(0)
+        #: Pre-drawn jitter: ``_block[_pos:]`` are the stream's next standard
+        #: normals, ``_block_state`` the generator state the block was drawn
+        #: from.  At ``_pos == JITTER_BLOCK`` nothing is pre-drawn and the
+        #: generator is where scalar draws would have left it.
+        self._block: array[float] | None = None
+        self._pos = JITTER_BLOCK
+        self._block_state: dict[str, object] | None = None
         self.stats = LinkStats()
         #: The TCP connection riding this directed pair (FIFO horizon and
         #: RTT estimate); ``Network.add_link`` carries it over when a link
@@ -123,6 +142,44 @@ class Link:
     def rtt_ms(self) -> float:
         """Nominal path RTT implied by this link's base delay."""
         return self.delay.base_ms * 2.0
+
+    # -- the random stream ------------------------------------------------- #
+    # While a link is *quiet* -- no loss or duplicate draw can touch the
+    # stream, Gaussian jitter -- a send consumes exactly one standard normal,
+    # and ``Network.transmit`` serves those from a block drawn in one numpy
+    # call: the same values, in the same order, as that many scalar calls.
+    # Every other use of the stream goes through :attr:`rng`, which first
+    # rewinds the generator to the scalar position.
+
+    @property
+    def rng(self) -> np.random.Generator:
+        self._sync()
+        return self._rng
+
+    @rng.setter
+    def rng(self, rng: np.random.Generator) -> None:
+        self._sync()
+        self._rng = rng
+
+    def _refill(self) -> float:
+        """The next standard normal of a quiet send whose block has run out
+        (a link not yet hot draws a scalar and holds nothing)."""
+        rng = self._rng
+        if self.stats.sent <= HOT_AFTER:
+            return rng.standard_normal()
+        self._block_state = rng.bit_generator.state
+        block = self._block = array("d", rng.standard_normal(JITTER_BLOCK).tobytes())
+        self._pos = 1
+        return block[0]
+
+    def _sync(self) -> None:
+        """Rewind: back to the block's start, forward by the count consumed."""
+        pos = self._pos
+        if pos < JITTER_BLOCK:
+            self._rng.bit_generator.state = self._block_state
+            self._rng.standard_normal(pos)
+            self._block = self._block_state = None
+            self._pos = JITTER_BLOCK
 
     # -- primitives used by the transports --------------------------------- #
 

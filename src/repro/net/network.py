@@ -11,13 +11,16 @@ One :class:`Network` instance is the cluster's switch + kernel stacks:
 
 from __future__ import annotations
 
+from heapq import heappush as _heappush
 from typing import Any, Protocol
 
-from repro.net.link import Link
+from repro.net.delay_models import MIN_DELAY_MS, NormalJitterDelay
+from repro.net.link import JITTER_BLOCK, Link
+from repro.net.loss_models import BernoulliLoss, NoLoss
 from repro.net.message import Message
 from repro.net.stats import LinkStats
 from repro.net.transport import CHANNEL_TCP, CHANNEL_UDP, MAX_TCP_ATTEMPTS
-from repro.sim.events import PRIORITY_MESSAGE
+from repro.sim.events import PRIORITY_MESSAGE, Event
 from repro.sim.loop import EventLoop
 from repro.sim.rng import RngRegistry
 
@@ -64,8 +67,6 @@ class Network:
     def __init__(self, loop: EventLoop, rngs: RngRegistry) -> None:
         self.loop = loop
         self.rngs = rngs
-        #: Bound once: transmit schedules one event per message.
-        self._push_event = loop._push_event
         self._endpoints: dict[str, Endpoint] = {}
         self._links: dict[tuple[str, str], Link] = {}
         #: Same links keyed src → dst → Link: the hot path avoids building
@@ -131,6 +132,9 @@ class Network:
         old = self._links.get((link.src, link.dst))
         if old is not None:
             link.tcp = old.tcp
+            # ``RngRegistry.stream(name)`` hands both the same generator:
+            # leave it where the old link's scalar draws would have.
+            old._sync()
         self._links[(link.src, link.dst)] = link
         by_dst = self._links_from.get(link.src)
         if by_dst is None:
@@ -299,11 +303,12 @@ class Network:
         unpartitioned case, and no :class:`Message` object is built —
         every Raft node send goes through here.
         """
-        now = self.loop.now
-        by_dst = self._links_from.get(src)
-        link = by_dst.get(dst) if by_dst is not None else None
-        if link is None:
-            raise KeyError(f"no link {src!r} -> {dst!r} installed")
+        loop = self.loop
+        now = loop.now
+        try:
+            link = self._links_from[src][dst]
+        except KeyError:
+            raise KeyError(f"no link {src!r} -> {dst!r} installed") from None
         stats = link.stats
         stats.sent += 1
         stats.bytes_sent += size_bytes
@@ -317,89 +322,104 @@ class Network:
             stats.dropped += 1
             return
 
-        if channel == CHANNEL_UDP:
-            # Inlined udp_transmission_plan: the datagram path is the
-            # heartbeat hot path, and the common deliver-no-duplicate case
-            # needs no TransmissionPlan allocation.  Draw order (drop,
-            # delay, duplicate) must match the transport module exactly —
-            # it defines the per-link RNG stream consumption.  The loss and
-            # delay models are invoked directly (same calls Link.draw_drop
-            # / draw_delay make) to skip one wrapper frame per draw.
-            rng = link.rng
-            if link.should_drop(rng):
-                stats.dropped += 1
-                return
-            delay_ms = link.sample_delay(rng)
-            endpoint = self._endpoints.get(dst)
-            if link.duplicate_p <= 0.0:
-                if endpoint is not None:
-                    # delay models clamp samples >= 0, so the internal
-                    # validation-free push is safe here.
-                    self._push_event(
-                        now + delay_ms,
-                        _Delivery((endpoint, stats, src, payload)),
-                        PRIORITY_MESSAGE,
-                    )
-                return
-            # Duplicate draw (and its delay draw) must happen before any
-            # scheduling so the RNG stream matches the transport module;
-            # the primary is scheduled first so it keeps the lower seq.
-            dup_delay = None
-            if link.draw_duplicate():
-                dup_delay = link.draw_delay()
-            if endpoint is not None:
-                self._push_event(
-                    now + delay_ms,
-                    _Delivery((endpoint, stats, src, payload)),
-                    PRIORITY_MESSAGE,
-                )
-            if dup_delay is not None:
-                stats.duplicated += 1
-                if endpoint is not None:
-                    self._push_event(
-                        now + dup_delay,
-                        _Delivery((endpoint, stats, src, payload)),
-                        PRIORITY_MESSAGE,
-                    )
-            return
-        if channel != CHANNEL_TCP:
+        udp = channel == CHANNEL_UDP
+        if not udp and channel != CHANNEL_TCP:
             raise ValueError(f"unknown channel {channel!r}")
-        # Inlined tcp_transmission_plan (which stays as the reference the
-        # tests compare this against): no TransmissionPlan, and the RTO is
-        # only worked out when the first draw is a drop.  Draw order (drop
-        # draws, then the delay draw), the srtt update on every send and
-        # the float expression of the event time must match it exactly.
-        rng = link.rng
-        tcp = link.tcp
-        rtt = link.rtt_ms
-        if link.should_drop(rng):
-            rto = tcp.rto_ms(rtt)
-            waited = 0.0
-            retransmits = 0
-            while True:
-                waited += rto * (2.0**retransmits)
-                retransmits += 1
-                if retransmits >= MAX_TCP_ATTEMPTS or not link.should_drop(rng):
-                    break
-            stats.retransmits += retransmits
-            delay_ms = waited + link.sample_delay(rng)
+        # Inlined udp_/tcp_transmission_plan (which stay the references the
+        # tests compare this against): draw order (drop draws, delay, then
+        # duplicate and its delay) defines the link's stream consumption.
+        delay = link._delay
+        loss = link._loss
+        if (
+            link.duplicate_p <= 0.0
+            and delay.__class__ is NormalJitterDelay
+            and delay.sigma_ms > 0.0
+            and (
+                (loss.__class__ is BernoulliLoss and loss.p <= 0.0)
+                or loss.__class__ is NoLoss
+            )
+        ):
+            # Quiet link (live fields: scenario steps mutate the models in
+            # place): the one draw is a standard normal from the link's
+            # block, scaled here by NormalJitterDelay.sample's expression.
+            i = link._pos
+            if i < JITTER_BLOCK:
+                z = link._block[i]
+                link._pos = i + 1
+            else:
+                z = link._refill()
+            delay_ms = delay.base_ms + delay.sigma_ms * z
+            if not delay_ms >= MIN_DELAY_MS:
+                delay_ms = MIN_DELAY_MS
         else:
-            delay_ms = link.sample_delay(rng)
-        srtt = tcp.srtt_ms
-        tcp.srtt_ms = rtt if srtt is None else srtt + (rtt - srtt) / 8.0
-        # FIFO: cannot overtake the previous segment on this stream.
+            # The calls Link.draw_drop / draw_delay make, minus their frames,
+            # on the stream rewound to its scalar position.
+            if link._pos < JITTER_BLOCK:
+                link._sync()
+            rng = link._rng
+            if udp:
+                if link.should_drop(rng):
+                    stats.dropped += 1
+                    return
+                delay_ms = link.sample_delay(rng)
+                if link.duplicate_p > 0.0 and link.draw_duplicate():
+                    # The duplicate's delay is drawn before any scheduling;
+                    # the primary is scheduled first, so keeps the lower seq.
+                    dup_delay = link.draw_delay()
+                    stats.duplicated += 1
+                    endpoint = self._endpoints.get(dst)
+                    if endpoint is not None:
+                        for d in (delay_ms, dup_delay):
+                            loop._push_event(
+                                now + d,
+                                _Delivery((endpoint, stats, src, payload)),
+                                PRIORITY_MESSAGE,
+                            )
+                    return
+            elif link.should_drop(rng):
+                # A loss costs an RTO (worked out only now), doubling per retry.
+                rto = link.tcp.rto_ms(delay.base_ms * 2.0)
+                waited = 0.0
+                retransmits = 0
+                while True:
+                    waited += rto * (2.0**retransmits)
+                    retransmits += 1
+                    if retransmits >= MAX_TCP_ATTEMPTS or not link.should_drop(rng):
+                        break
+                stats.retransmits += retransmits
+                delay_ms = waited + link.sample_delay(rng)
+            else:
+                delay_ms = link.sample_delay(rng)
+
+        # Delay models clamp samples > 0, so ``deliver_at >= now``.
         deliver_at = now + delay_ms
-        if deliver_at < tcp.last_delivery_ms:
-            deliver_at = now + (tcp.last_delivery_ms - now)
-        else:
-            tcp.last_delivery_ms = deliver_at
+        if not udp:
+            # srtt update on every send; FIFO: a segment cannot overtake the
+            # previous one (the clamp is the reference's float expression).
+            tcp = link.tcp
+            rtt = delay.base_ms * 2.0
+            srtt = tcp.srtt_ms
+            tcp.srtt_ms = rtt if srtt is None else srtt + (rtt - srtt) / 8.0
+            if deliver_at < tcp.last_delivery_ms:
+                deliver_at = now + (tcp.last_delivery_ms - now)
+            else:
+                tcp.last_delivery_ms = deliver_at
         endpoint = self._endpoints.get(dst)
         if endpoint is not None:
-            self._push_event(
-                deliver_at,
-                _Delivery((endpoint, stats, src, payload)),
-                PRIORITY_MESSAGE,
-            )
+            # Inline copy of EventLoop._push_event (as EventLoop.schedule
+            # has one): a delegating call costs a frame per message.
+            seq = loop._seq
+            loop._seq = seq + 1
+            event = Event()
+            event.append(deliver_at)
+            event.append(PRIORITY_MESSAGE)
+            event.append(seq)
+            event.append(_Delivery((endpoint, stats, src, payload)))
+            event.loop = loop
+            if loop._unordered:
+                loop._heap.append(event)
+            else:
+                _heappush(loop._heap, event)
 
     def broadcast(
         self,
@@ -412,7 +432,7 @@ class Network:
     ) -> None:
         """Send the same payload to several peers (independent link draws)."""
         for dst in dsts:
-            self.send(src, dst, payload, channel=channel, size_bytes=size_bytes)
+            self.transmit(src, dst, payload, channel, size_bytes)
 
     # ------------------------------------------------------------------ #
     # diagnostics

@@ -725,13 +725,10 @@ class Churn(Step):
         # Generation guard (same class as pause_for/Flap): if anything
         # crashes this node again before the timer fires, the newer
         # crash's downtime wins and this recover is stale.
-        token = getattr(proc, "_crash_generation", 0)
+        token = proc._crash_generation
 
         def _recover(p=proc) -> None:
-            if (
-                p.state is ProcessState.CRASHED
-                and getattr(p, "_crash_generation", 0) == token
-            ):
+            if p.state is ProcessState.CRASHED and p._crash_generation == token:
                 recover_node(p)
 
         rt.loop.schedule(self.down_ms, _recover, priority=PRIORITY_CONTROL)

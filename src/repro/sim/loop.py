@@ -189,7 +189,7 @@ class EventLoop:
             raise SimulationError(f"delay must be >= 0 and finite, got {delay!r}")
         # Inline copy of _push_event: this is the hottest entry point and a
         # delegating call would cost ~100ns per scheduled event.  Keep the
-        # two bodies in sync.
+        # bodies in sync (Network.transmit holds a third, for deliveries).
         time = self.now + delay
         seq = self._seq
         self._seq = seq + 1

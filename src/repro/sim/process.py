@@ -45,6 +45,9 @@ class Process:
         #: Bumped by every :meth:`pause_for`; its resume timer acts only
         #: while it still holds the latest value.
         self._pause_generation = 0
+        #: Bumped by every injected crash (``cluster.faults.crash``); an
+        #: auto-recovery timer acts only while it still holds the latest value.
+        self._crash_generation = 0
 
     # -- liveness -------------------------------------------------------- #
 

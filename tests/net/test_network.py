@@ -48,6 +48,25 @@ def test_broadcast_reaches_all(net):
     assert b.got and c.got
 
 
+def test_one_payload_to_two_peers_draws_per_link(net):
+    """Each directed link draws its own jitter from its own stream: the
+    same payload sent to two peers arrives at two different instants, each
+    the one the link's stream dictates."""
+    loop, network, a, b, c = net
+    for link in network.links():
+        link.delay.sigma_ms = 0.4
+    at: dict[str, float] = {}
+    for sink in (b, c):
+        sink.deliver = lambda sender, payload, name=sink.name: at.setdefault(name, loop.now)  # type: ignore[method-assign]
+        network.transmit("a", sink.name, "x", "udp", 100)
+    loop.run()
+    want = {
+        name: max(5.0 + 0.4 * RngRegistry(1).fresh(f"net/a->{name}").standard_normal(), 1e-3)
+        for name in ("b", "c")
+    }
+    assert at == want and at["b"] != at["c"]
+
+
 def test_duplicate_attach_rejected(net):
     loop, network, a, b, c = net
     with pytest.raises(ValueError):
@@ -151,6 +170,16 @@ def test_delivery_to_detached_endpoint_is_noop(net):
 
 
 def test_udp_send_path_matches_transport_reference(net):
+    check_udp_against_reference(net, loss=0.3, duplicate_p=0.4)
+
+
+def test_udp_quiet_send_path_matches_transport_reference(net):
+    """No loss, no duplication: the sends take the quiet branch (jitter
+    served from the link's pre-drawn block)."""
+    check_udp_against_reference(net, loss=0.0, duplicate_p=0.0)
+
+
+def check_udp_against_reference(net, *, loss, duplicate_p):
     """Network.send inlines udp_transmission_plan; pin the two together.
 
     The inlined fast path must consume the per-link RNG stream in exactly
@@ -165,16 +194,17 @@ def test_udp_send_path_matches_transport_reference(net):
 
     loop, network, a, b, c = net
     link = network.link("a", "b")
-    link.loss = BernoulliLoss(0.3)
-    link.duplicate_p = 0.4
+    link.delay.sigma_ms = 0.4
+    link.loss = BernoulliLoss(loss)
+    link.duplicate_p = duplicate_p
     link.rng = RngRegistry(777).stream("pin")
 
     twin = Link(
         "a",
         "b",
         delay=link.delay,
-        loss=BernoulliLoss(0.3),
-        duplicate_p=0.4,
+        loss=BernoulliLoss(loss),
+        duplicate_p=duplicate_p,
         rng=RngRegistry(777).stream("pin"),
     )
 

@@ -5,11 +5,13 @@ from conftest import lint, rule_hits
 from tools.repolint import DEFAULT_CONFIG
 from tools.repolint.rules.determinism import (
     ForbiddenNondeterminismRule,
+    LinkStreamRule,
     UnorderedIterationRule,
 )
 
 FORBIDDEN = [ForbiddenNondeterminismRule(DEFAULT_CONFIG)]
 UNORDERED = [UnorderedIterationRule(DEFAULT_CONFIG)]
+LINK_STREAM = [LinkStreamRule(DEFAULT_CONFIG)]
 
 
 # -- determinism-forbidden-call ------------------------------------------- #
@@ -262,3 +264,50 @@ def test_list_iteration_feeding_send_is_not_flagged(tmp_path):
         rules=UNORDERED,
     )
     assert report.findings == []
+
+
+# -- determinism-link-stream ------------------------------------------------ #
+
+
+def test_only_link_and_transmit_may_touch_a_links_raw_stream(tmp_path):
+    # A hot link's raw generator sits ahead of the scalar position: a step
+    # drawing from it (instead of ``link.rng``, which rewinds) forks the stream.
+    report = lint(
+        tmp_path,
+        {
+            "repro/net/link.py": """\
+            class Link:
+                def _sync(self) -> None:
+                    self._rng.standard_normal(self._pos)
+
+            def peek(link):
+                return link._block
+            """,
+            "repro/net/network.py": """\
+            class Network:
+                def transmit(self, link) -> None:
+                    z = link._block[link._pos]
+
+                def add_link(self, link, old) -> None:
+                    link._rng = old._rng
+            """,
+            "repro/scenarios/steps.py": """\
+            class ClockModel:
+                def read(self) -> float:
+                    return self._rng.normal()  # its own field, not a link's
+
+            def apply(rt) -> float:
+                link = rt.network.link("a", "b")
+                return link._rng.random() + link.rng.random()
+            """,
+        },
+        rules=LINK_STREAM,
+    )
+    hits = rule_hits(report, "determinism-link-stream")
+    assert sorted((h.path, h.symbol) for h in hits) == [
+        ("repro/net/network.py", "_rng"),
+        ("repro/net/network.py", "_rng"),
+        ("repro/scenarios/steps.py", "_rng"),
+    ]
+    (planted,) = (h for h in hits if h.path == "repro/scenarios/steps.py")
+    assert "link._rng" in planted.message and "link.rng" in planted.message

@@ -52,6 +52,19 @@ class RepolintConfig:
         }
     )
 
+    #: The slots holding a link's raw generator and its pre-drawn jitter
+    #: block, the one module that owns them and the one ``(modpath,
+    #: function)`` besides that may touch them — everything else goes
+    #: through ``Link.rng``, which rewinds the stream first.
+    link_stream_slots: frozenset[str] = frozenset(
+        {"_rng", "_block", "_pos", "_block_state"}
+    )
+    link_stream_owner: str = "repro/net/link.py"
+    link_stream_user: tuple[str, str] = (
+        "repro/net/network.py",
+        "Network.transmit",
+    )
+
     # -- hot-path discipline (rule family 2) --------------------------- #
     #: Modules whose every class must declare ``__slots__`` (directly or
     #: via ``@dataclass(slots=True)``).
@@ -97,6 +110,7 @@ class RepolintConfig:
                 {"WorkloadDriver._issue", "WorkloadDriver._settle"}
             ),
             "repro/net/network.py": frozenset({"Network.transmit"}),
+            "repro/net/link.py": frozenset({"Link._refill", "Link._sync"}),
             "repro/dynatune/measurement.py": frozenset(
                 {"PathMeasurement.record_id", "PathMeasurement.record_rtt"}
             ),

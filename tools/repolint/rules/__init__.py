@@ -6,6 +6,7 @@ from tools.repolint.config import RepolintConfig
 from tools.repolint.engine import Rule
 from tools.repolint.rules.determinism import (
     ForbiddenNondeterminismRule,
+    LinkStreamRule,
     UnorderedIterationRule,
 )
 from tools.repolint.rules.clock import NodeClockRule
@@ -26,6 +27,7 @@ def rule_classes() -> list[type[Rule]]:
     return [
         ForbiddenNondeterminismRule,
         UnorderedIterationRule,
+        LinkStreamRule,
         SlotsRule,
         HotPathAllocRule,
         TraceRegistryRule,

@@ -16,6 +16,12 @@ enforce that:
   (insertion order: deterministic only if every insertion is) is flagged
   when the loop body schedules events, emits trace records or sends
   messages, unless the iterable is wrapped in ``sorted(...)``.
+* ``determinism-link-stream`` — a link serves pre-drawn jitter from a
+  block while its raw generator sits *ahead* of the scalar position, so
+  the generator and the block (``link._rng`` / ``_block`` / ``_pos`` /
+  ``_block_state``) may be touched only by ``Link`` itself and by
+  ``Network.transmit``.  Everyone else reads ``link.rng``, which rewinds
+  first; a draw from the raw generator would silently fork the stream.
 """
 
 from __future__ import annotations
@@ -26,12 +32,17 @@ from typing import Iterable
 from tools.repolint.astutil import (
     ImportMap,
     dotted_call_name,
+    iter_functions,
     set_dict_attrs,
 )
 from tools.repolint.config import RepolintConfig
 from tools.repolint.engine import FileContext, Finding, Rule
 
-__all__ = ["ForbiddenNondeterminismRule", "UnorderedIterationRule"]
+__all__ = [
+    "ForbiddenNondeterminismRule",
+    "UnorderedIterationRule",
+    "LinkStreamRule",
+]
 
 #: Dotted callables that read ambient time/entropy.
 _FORBIDDEN_CALLS: dict[str, str] = {
@@ -220,6 +231,45 @@ class UnorderedIterationRule(Rule):
         ):
             return expr.attr in known_attrs
         return False
+
+
+class LinkStreamRule(Rule):
+    name = "determinism-link-stream"
+    description = (
+        "a link's raw generator and jitter block may be touched only by "
+        "Link itself and Network.transmit; everyone else reads link.rng"
+    )
+
+    def __init__(self, config: RepolintConfig) -> None:
+        self.config = config
+
+    def check_file(self, ctx: FileContext) -> Iterable[Finding]:
+        slots = self.config.link_stream_slots
+        owner_mod = self.config.link_stream_owner
+        user_mod, user_fn = self.config.link_stream_user
+        if ctx.modpath == owner_mod:
+            return
+        exempt: set[int] = set()
+        if ctx.modpath == user_mod:
+            for qual, fn in iter_functions(ctx.tree):
+                if qual == user_fn:
+                    exempt.update(id(sub) for sub in ast.walk(fn))
+        for node in ast.walk(ctx.tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in slots
+                # ``self._rng`` is some other class's own field.
+                and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+                and id(node) not in exempt
+            ):
+                yield ctx.finding(
+                    self.name,
+                    node,
+                    f"`{ast.unparse(node)}` touches a link's raw stream — only "
+                    f"{owner_mod} and {user_fn} may; read link.rng (which "
+                    "rewinds to the scalar position) instead",
+                    symbol=node.attr,
+                )
 
 
 def _call_sink_name(node: ast.Call, config: RepolintConfig) -> str | None:
