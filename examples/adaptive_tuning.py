@@ -19,7 +19,7 @@ Run:  python examples/adaptive_tuning.py
 from repro import ClusterConfig, DynatunePolicy, build_cluster
 from repro.cluster.measurements import leaderless_intervals, total_interval_length
 from repro.dynatune.config import DynatuneConfig
-from repro.net.schedule import NetworkSchedule, ScheduleAction
+from repro.scenarios import Scenario, SetLoss, SetRtt
 
 SAMPLE_MS = 5_000.0
 
@@ -31,20 +31,22 @@ def main() -> None:
         ClusterConfig(n_nodes=5, seed=99, rtt_ms=50.0),
         lambda name: DynatunePolicy(DynatuneConfig(max_list_size=120)),
     )
-    schedule = NetworkSchedule(
+    Scenario(
+        "three-acts",
         [
-            ScheduleAction(at_ms=20_000.0, rtt_ms=100.0, label="congestion builds"),
-            ScheduleAction(at_ms=35_000.0, rtt_ms=150.0, label="congestion peak"),
-            ScheduleAction(at_ms=50_000.0, loss=0.20, label="flaky segment"),
-            ScheduleAction(at_ms=70_000.0, rtt_ms=50.0, loss=0.0, label="recovery"),
-        ]
-    )
-    schedule.install(cluster.loop, cluster.network)
+            SetRtt(at_ms=20_000.0, rtt_ms=100.0),  # congestion builds
+            SetRtt(at_ms=35_000.0, rtt_ms=150.0),  # congestion peak
+            SetLoss(at_ms=50_000.0, loss=0.20),  # flaky segment
+            SetRtt(at_ms=70_000.0, rtt_ms=50.0),  # recovery
+            SetLoss(at_ms=70_000.0, loss=0.0),
+        ],
+    ).install(cluster)
     cluster.start()
     leader = cluster.run_until_leader()
     watched = next(n for n in cluster.names if n != leader)
     follower = cluster.node(watched)
     leader_node = cluster.node(leader)
+    truth = cluster.network.link(leader, watched)  # every link is set alike
 
     print(f"leader={leader}, watching follower {watched}")
     print(
@@ -53,14 +55,13 @@ def main() -> None:
     )
     while cluster.loop.now < 90_000.0:
         cluster.run_for(SAMPLE_MS)
-        rtt, loss = schedule.value_at(cluster.loop.now)
         pol = follower.policy
         et = pol.tuned_et_ms
         h = leader_node.policy.applied_h_ms(watched)
         print(
             f"{cluster.loop.now / 1000:5.0f} "
-            f"{(rtt if rtt is not None else 50):>7.0f}ms "
-            f"{(loss if loss is not None else 0.0):>9.0%} | "
+            f"{truth.rtt_ms:>7.0f}ms "
+            f"{truth.loss.rate():>9.0%} | "
             f"{pol.measurement.loss_rate():>9.1%} "
             f"{(f'{et:7.0f}ms' if et is not None else '  (warm)'):>9} "
             f"{(f'{h:8.0f}ms' if h is not None else ' default'):>10}"

@@ -43,7 +43,7 @@ from repro.cluster import (
     extract_failure_episodes,
 )
 from repro.dynatune import DynatuneConfig, DynatunePolicy, StaticPolicy
-from repro.net import Network, NetworkSchedule
+from repro.net import Network
 from repro.raft import KVStore, RaftClient, RaftConfig, RaftNode, Role, kv_get, kv_put
 from repro.sim import EventLoop, TraceLog
 
@@ -59,7 +59,6 @@ __all__ = [
     "EventLoop",
     "KVStore",
     "Network",
-    "NetworkSchedule",
     "RaftClient",
     "RaftConfig",
     "RaftNode",

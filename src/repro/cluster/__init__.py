@@ -2,9 +2,9 @@
 
 This package plays the role of the paper's experiment scripts: it builds
 clusters (§IV-A), injects leader failures by "putting the container to
-sleep" (§IV-B1), replays network schedules, samples randomizedTimeout and
-CPU utilisation, and extracts detection/OTS times from the trace the same
-way the paper greps server logs.
+sleep" (§IV-B1), samples randomizedTimeout and CPU utilisation (billed
+from outside the servers, as ``docker stats`` reads it), and extracts
+detection/OTS times from the trace the same way the paper greps server logs.
 """
 
 from repro.cluster.builder import Cluster, ClusterConfig, build_cluster

@@ -19,13 +19,10 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable
 
-from repro.cluster.capacity import CostModel
+from repro.cluster.capacity import BilledPort, CostModel
 from repro.dynatune.policy import TuningPolicy
-from repro.net.delay_models import NormalJitterDelay
-from repro.net.link import Link
-from repro.net.loss_models import BernoulliLoss
 from repro.net.network import Network
-from repro.net.topology import ClockModel, aws_geo_topology, uniform_topology
+from repro.net.topology import aws_geo_topology, uniform_topology
 from repro.raft.client import RaftClient
 from repro.raft.membership import ClusterConfig as MembershipConfig
 from repro.raft.node import RaftNode
@@ -63,8 +60,10 @@ class ClusterConfig:
         topology: ``"uniform"`` (single-host testbed) or ``"aws"``
             (five-region geo deployment, §IV-D).
         cores_per_node: container CPU allocation (4 in §IV-A, 2 in §IV-C2).
-        with_cost_model: enable CPU accounting (small overhead; the
-            election-focused experiments leave it off).
+        with_cost_model: enable CPU accounting — each node is wired to the
+            fabric through a :class:`~repro.cluster.capacity.BilledPort`
+            (the election-focused experiments leave it off, and then no
+            port exists).
         storage: durable-storage backend — ``"ideal"`` (the always-durable
             default; bit-identical to the pre-storage behaviour) or
             ``"simdisk"`` (checksummed WAL with seeded fault injection,
@@ -126,21 +125,21 @@ class Cluster:
         rngs: RngRegistry,
         trace: TraceLog,
         network: Network,
-        nodes: dict[str, RaftNode],
         cost_model: CostModel | None,
         placement: dict[str, str] | None,
-        policy_factory: Callable[[str], TuningPolicy] | None = None,
+        policy_factory: Callable[[str], TuningPolicy],
     ) -> None:
         self.config = config
         self.loop = loop
         self.rngs = rngs
         self.trace = trace
         self.network = network
-        self.nodes = nodes
+        #: Every node ever part of the cluster (see :meth:`_install_node`).
+        self.nodes: dict[str, RaftNode] = {}
         self.cost_model = cost_model
         #: node → AWS region (``None`` for the uniform topology).
         self.placement = placement
-        #: Kept so :meth:`spawn_node` can mint a policy for a joiner.
+        #: Mints each node's policy (joiners from :meth:`spawn_node` too).
         self._policy_factory = policy_factory
         self._clients: list[RaftClient] = []
         self._started = False
@@ -193,7 +192,8 @@ class Cluster:
             resubmit_on_timeout: pass ``False`` for the at-most-once client
                 the linearizability oracle requires.
         """
-        rtt = self.config.rtt_ms if rtt_ms is None else rtt_ms
+        cfg = self.config
+        rtt = cfg.rtt_ms if rtt_ms is None else rtt_ms
         client = RaftClient(
             self.loop,
             name,
@@ -206,17 +206,7 @@ class Cluster:
         )
         for peer in self.names:
             for src, dst in ((name, peer), (peer, name)):
-                self.network.add_link(
-                    Link(
-                        src,
-                        dst,
-                        delay=NormalJitterDelay(
-                            rtt / 2.0, self.config.jitter_sigma_ms
-                        ),
-                        loss=BernoulliLoss(self.config.loss),
-                        rng=self.rngs.stream(f"net/{src}->{dst}"),
-                    )
-                )
+                self.network.connect(src, dst, rtt / 2.0, cfg.jitter_sigma_ms, cfg.loss)
         self.network.attach(client)
         self._clients.append(client)
         return client
@@ -344,45 +334,49 @@ class Cluster:
         """
         if name in self.nodes:
             raise ValueError(f"node name {name!r} already used (names are not reused)")
-        if self._policy_factory is None:
-            raise RuntimeError("cluster was built without a policy_factory")
         if self.config.topology != "uniform":
             raise ValueError("spawn_node supports the uniform topology only")
         self.enable_membership()
         cfg = self.config
         for peer in self.network.node_names():
             for src, dst in ((name, peer), (peer, name)):
-                self.network.add_link(
-                    Link(
-                        src,
-                        dst,
-                        delay=NormalJitterDelay(cfg.rtt_ms / 2.0, cfg.jitter_sigma_ms),
-                        loss=BernoulliLoss(cfg.loss),
-                        duplicate_p=cfg.duplicate_p,
-                        rng=self.rngs.stream(f"net/{src}->{dst}"),
-                    )
+                self.network.connect(
+                    src, dst, cfg.rtt_ms / 2.0, cfg.jitter_sigma_ms, cfg.loss, cfg.duplicate_p
                 )
-        node = RaftNode(
+        node = self._install_node(
+            name, [name], MembershipConfig(voters=(), learners=(name,))
+        )
+        for client in self._clients:
+            client.add_server(name)
+        if self._started:
+            node.start()
+        return node
+
+    def _install_node(
+        self, name: str, peers: list[str], initial_config: MembershipConfig | None = None
+    ) -> RaftNode:
+        """Build one node and attach it to the fabric: directly, or — with
+        CPU accounting on — behind a :class:`BilledPort` that is the node's
+        ``network`` on one side and the fabric's endpoint on the other."""
+        cfg, network, model = self.config, self.network, self.cost_model
+        port = BilledPort(model, network, name) if model is not None else None
+        node = self.nodes[name] = RaftNode(
             loop=self.loop,
             name=name,
-            peers=[name],
-            network=self.network,
+            peers=peers,
+            network=port if port is not None else network,
             config=cfg.raft,
             policy=self._policy_factory(name),
             state_machine=KVStore(),
             trace=self.trace,
             rng=self.rngs.stream(f"raft/{name}"),
-            cost_model=self.cost_model,
-            initial_config=MembershipConfig(voters=(), learners=(name,)),
+            initial_config=initial_config,
             storage=_node_storage(cfg, self.rngs, name),
             clock=_node_clock(cfg, self.rngs, self.loop, name),
         )
-        self.network.attach(node)
-        self.nodes[name] = node
-        for client in self._clients:
-            client.add_server(name)
-        if self._started:
-            node.start()
+        if port is not None:
+            port.node = node
+        network.attach(node if port is None else port)
         return node
 
 
@@ -440,37 +434,18 @@ def build_cluster(
     else:
         placement = aws_geo_topology(network, names, loss=config.loss)
 
-    cost_model = (
-        CostModel(cores=config.cores_per_node) if config.with_cost_model else None
-    )
-
-    nodes: dict[str, RaftNode] = {}
-    for name in names:
-        node = RaftNode(
-            loop=loop,
-            name=name,
-            peers=names,
-            network=network,
-            config=config.raft,
-            policy=policy_factory(name),
-            state_machine=KVStore(),
-            trace=trace,
-            rng=rngs.stream(f"raft/{name}"),
-            cost_model=cost_model,
-            storage=_node_storage(config, rngs, name),
-            clock=_node_clock(config, rngs, loop, name),
-        )
-        network.attach(node)
-        nodes[name] = node
-
-    return Cluster(
+    cluster = Cluster(
         config=config,
         loop=loop,
         rngs=rngs,
         trace=trace,
         network=network,
-        nodes=nodes,
-        cost_model=cost_model,
+        cost_model=(
+            CostModel(cores=config.cores_per_node) if config.with_cost_model else None
+        ),
         placement=placement,
         policy_factory=policy_factory,
     )
+    for name in names:
+        cluster._install_node(name, names)
+    return cluster

@@ -1,11 +1,12 @@
 """Dynatune runtime configuration (§III-E's runtime arguments).
 
 The paper exposes four runtime arguments — ``σ`` (safety factor ``s``),
-``x`` (arrival probability), ``minListSize`` and ``maxListSize`` — plus the
-defaults it shares with the Raft baseline (``Et = 1000 ms``,
-``h = 100 ms``, §IV-A).  :class:`DynatuneConfig` carries those and the
-clamps the formulas need; the extra knobs beyond the paper's four are
-documented inline and keep their paper-faithful defaults.
+``x`` (arrival probability), ``minListSize`` and ``maxListSize``.
+:class:`DynatuneConfig` carries those plus the five knobs some experiment
+or ablation turns, documented inline with their paper-faithful defaults.
+What never took a second value — the defaults shared with the Raft
+baseline (§IV-A) and the clamps the formulas need — are the module
+constants below, not options.
 """
 
 from __future__ import annotations
@@ -13,6 +14,18 @@ from __future__ import annotations
 import dataclasses
 
 __all__ = ["DynatuneConfig"]
+
+#: Fallback ``Et`` used during Step 0 and after an election timeout
+#: (paper: 1000 ms, same as Raft).
+DEFAULT_ELECTION_TIMEOUT_MS = 1000.0
+#: Fallback ``h`` (paper: 100 ms).
+DEFAULT_HEARTBEAT_INTERVAL_MS = 100.0
+#: Lower clamp on the tuned ``Et`` — a zero-length timer would fire before
+#: any heartbeat could possibly arrive.  There is no upper clamp (the
+#: paper's behaviour).
+ET_FLOOR_MS = 10.0
+#: Upper clamp on heartbeat redundancy ``K``.
+K_MAX = 50
 
 
 @dataclasses.dataclass(slots=True, frozen=True)
@@ -24,16 +37,8 @@ class DynatuneConfig:
         arrival_probability: ``x`` in ``1 − p^K ≥ x`` (paper: 0.999).
         min_list_size: RTT samples required before tuning starts (paper: 10).
         max_list_size: bound on the RTTs/ids lists (paper: 1000).
-        default_election_timeout_ms: fallback ``Et`` used during Step 0 and
-            after an election timeout (paper: 1000 ms, same as Raft).
-        default_heartbeat_interval_ms: fallback ``h`` (paper: 100 ms).
-        et_floor_ms: lower clamp on the tuned ``Et`` — a zero-length timer
-            would fire before any heartbeat could possibly arrive.
-        et_ceiling_ms: optional upper clamp on tuned ``Et`` (``None`` =
-            unclamped, the paper's behaviour).
         h_floor_ms: lower clamp on the tuned ``h``; guards against the
             §II-B resource-exhaustion regime if measured loss approaches 1.
-        k_max: upper clamp on heartbeat redundancy ``K``.
         fixed_k: if set, disables ``h`` auto-tuning and pins ``K`` — this is
             the paper's **Fix-K** comparison variant (§IV-C2, ``K = 10``).
         heartbeat_channel: transport for heartbeats; Dynatune uses UDP so
@@ -50,19 +55,14 @@ class DynatuneConfig:
             produce, since any live randomizedTimeout draw in ``[Et, 2Et)``
             would have fired and triggered the ordinary fallback.  Without
             the reset, the post-heal ID span counts the whole outage as
-            loss and K explodes to ``k_max`` until the window slides out.
+            loss and K explodes to ``K_MAX`` until the window slides out.
     """
 
     safety_factor: float = 2.0
     arrival_probability: float = 0.999
     min_list_size: int = 10
     max_list_size: int = 1000
-    default_election_timeout_ms: float = 1000.0
-    default_heartbeat_interval_ms: float = 100.0
-    et_floor_ms: float = 10.0
-    et_ceiling_ms: float | None = None
     h_floor_ms: float = 1.0
-    k_max: int = 50
     fixed_k: int | None = None
     heartbeat_channel: str = "udp"
     fallback_on_timeout: bool = True
@@ -82,18 +82,8 @@ class DynatuneConfig:
                 "max_list_size must be >= min_list_size "
                 f"({self.max_list_size!r} < {self.min_list_size!r})"
             )
-        if self.default_election_timeout_ms <= 0.0:
-            raise ValueError("default_election_timeout_ms must be > 0")
-        if self.default_heartbeat_interval_ms <= 0.0:
-            raise ValueError("default_heartbeat_interval_ms must be > 0")
-        if self.et_floor_ms <= 0.0:
-            raise ValueError("et_floor_ms must be > 0")
-        if self.et_ceiling_ms is not None and self.et_ceiling_ms < self.et_floor_ms:
-            raise ValueError("et_ceiling_ms must be >= et_floor_ms")
         if self.h_floor_ms <= 0.0:
             raise ValueError("h_floor_ms must be > 0")
-        if self.k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {self.k_max!r}")
         if self.fixed_k is not None and self.fixed_k < 1:
             raise ValueError(f"fixed_k must be >= 1, got {self.fixed_k!r}")
         if self.heartbeat_channel not in ("udp", "tcp"):

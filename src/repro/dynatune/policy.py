@@ -31,7 +31,13 @@ import dataclasses
 import math
 from typing import Protocol
 
-from repro.dynatune.config import DynatuneConfig
+from repro.dynatune.config import (
+    DEFAULT_ELECTION_TIMEOUT_MS,
+    DEFAULT_HEARTBEAT_INTERVAL_MS,
+    ET_FLOOR_MS,
+    K_MAX,
+    DynatuneConfig,
+)
 from repro.dynatune.measurement import PathMeasurement
 from repro.dynatune.metadata import HeartbeatMeta, HeartbeatResponseMeta
 from repro.dynatune.tuner import (
@@ -259,7 +265,6 @@ class DynatunePolicy:
         # required_heartbeats(p) is pure, so memoizing the last (p -> K)
         # pair turns the common loss-stable regime into one comparison.
         self._gap_guard: bool = cfg.reset_on_sample_gap
-        self._default_et: float = cfg.default_election_timeout_ms
         self._last_p: float = -1.0
         self._last_k: int = 1
         # The RTT estimator lives for the policy's lifetime (reset() keeps
@@ -307,7 +312,7 @@ class DynatunePolicy:
     def election_timeout_ms(self, leader: str | None) -> float:
         if leader is not None and leader == self._leader and self._tuned_et is not None:
             return self._tuned_et
-        return self.config.default_election_timeout_ms
+        return DEFAULT_ELECTION_TIMEOUT_MS
 
     def on_heartbeat(
         self, leader: str, meta: HeartbeatMeta | None, now_ms: float
@@ -322,7 +327,7 @@ class DynatunePolicy:
         if last_hb is not None and self._gap_guard:
             et = self._tuned_et
             if et is None:
-                et = self._default_et
+                et = DEFAULT_ELECTION_TIMEOUT_MS
             if now_ms - last_hb > 2.0 * et:
                 # The gap outlasted every possible randomizedTimeout draw
                 # ([Et, 2Et)), yet no fallback ran — the follower was paused
@@ -396,11 +401,8 @@ class DynatunePolicy:
                 f"mean/std RTT must be >= 0, got mu={mu!r} sigma={sigma!r}"
             )
         et = mu + cfg.safety_factor * sigma
-        if et < cfg.et_floor_ms:
-            et = cfg.et_floor_ms
-        ceiling = cfg.et_ceiling_ms
-        if ceiling is not None and et > ceiling:
-            et = ceiling
+        if et < ET_FLOOR_MS:
+            et = ET_FLOOR_MS
         # Inline of PathMeasurement.loss_rate (keep in sync).
         meas = self._meas
         ids = meas._ids
@@ -421,7 +423,7 @@ class DynatunePolicy:
             if p == self._last_p:
                 k = self._last_k
             else:
-                k = required_heartbeats(p, cfg.arrival_probability, k_max=cfg.k_max)
+                k = required_heartbeats(p, cfg.arrival_probability, k_max=K_MAX)
                 self._last_p = p
                 self._last_k = k
         h = et / k
@@ -467,7 +469,7 @@ class DynatunePolicy:
         st = self._paths.get(follower)
         if st is not None and st.applied_h_ms is not None:
             return st.applied_h_ms
-        return self.config.default_heartbeat_interval_ms
+        return DEFAULT_HEARTBEAT_INTERVAL_MS
 
     def heartbeat_meta(self, follower: str, now_ms: float) -> HeartbeatMeta:
         st = self._paths.get(follower)
@@ -499,7 +501,7 @@ class DynatunePolicy:
             # to the leader side).  Values no well-formed follower can
             # produce (< min(h_floor, et_floor)) are ignored instead of
             # "repaired": that is the §II-B heartbeat-storm guard.
-            if meta.tuned_h_ms >= min(self.config.h_floor_ms, self.config.et_floor_ms):
+            if meta.tuned_h_ms >= min(self.config.h_floor_ms, ET_FLOOR_MS):
                 st.applied_h_ms = meta.tuned_h_ms
 
     def lease_bound_ms(self) -> float | None:

@@ -27,8 +27,8 @@ from repro.cluster.harness import ClusterHarness
 from repro.cluster.measurements import extract_failure_episodes, leaderless_intervals, total_interval_length
 from repro.dynatune.config import DynatuneConfig
 from repro.dynatune.policy import DynatunePolicy
-from repro.net.schedule import radical_rtt_profile
 from repro.raft.types import RaftConfig
+from repro.scenarios.profiles import radical_rtt_profile
 
 __all__ = [
     "AblationPoint",
@@ -96,7 +96,7 @@ def prevote_ablation(*, dwell_ms: float = 12_000.0, seed: int = 21) -> list[Abla
         schedule = radical_rtt_profile(
             base_ms=50.0, spike_ms=500.0, dwell_ms=dwell_ms, start_ms=10_000.0
         )
-        schedule.install(cluster.loop, cluster.network)
+        schedule.install(cluster)
         end = schedule.end_ms + dwell_ms
         cluster.run_until(end)
         leaders = cluster.trace.of_kind("become_leader")
@@ -373,7 +373,7 @@ def fallback_ablation(
         schedule = radical_rtt_profile(
             base_ms=50.0, spike_ms=500.0, dwell_ms=dwell_ms, start_ms=10_000.0
         )
-        schedule.install(cluster.loop, cluster.network)
+        schedule.install(cluster)
         end = schedule.end_ms + dwell_ms
         leader = cluster.run_until_leader()
         untuned_seconds = 0.0

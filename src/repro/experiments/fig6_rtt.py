@@ -39,7 +39,8 @@ from repro.cluster.measurements import (
     total_interval_length,
 )
 from repro.experiments.common import get_scale, make_policy_factory
-from repro.net.schedule import NetworkSchedule, gradual_rtt_profile, radical_rtt_profile
+from repro.scenarios.profiles import gradual_rtt_profile, radical_rtt_profile
+from repro.scenarios.scenario import Scenario
 from repro.sim.clock import SECOND
 
 __all__ = ["Fig6Config", "SystemRttResult", "Fig6Result", "run", "main"]
@@ -66,10 +67,9 @@ class Fig6Config:
     def quick(cls, pattern: str = "gradual") -> "Fig6Config":
         return cls(pattern=pattern, dwell_ms=get_scale().fig6_dwell_ms)
 
-    def schedule(self) -> NetworkSchedule:
-        if self.pattern == "gradual":
-            return gradual_rtt_profile(dwell_ms=self.dwell_ms, start_ms=self.warmup_ms)
-        return radical_rtt_profile(dwell_ms=self.dwell_ms, start_ms=self.warmup_ms)
+    def schedule(self) -> Scenario:
+        profile = gradual_rtt_profile if self.pattern == "gradual" else radical_rtt_profile
+        return profile(dwell_ms=self.dwell_ms, start_ms=self.warmup_ms)
 
     def duration_ms(self) -> float:
         sched = self.schedule()
@@ -105,16 +105,15 @@ class Fig6Result:
 
 def run_system(system: str, config: Fig6Config) -> SystemRttResult:
     schedule = config.schedule()
-    first_rtt, _ = schedule.value_at(config.warmup_ms)
     cluster = build_cluster(
         ClusterConfig(
             n_nodes=config.n_nodes,
             seed=config.seed,
-            rtt_ms=first_rtt if first_rtt is not None else 50.0,
+            rtt_ms=schedule.steps[0].rtt_ms,  # warm up at the first level
         ),
         make_policy_factory(system),
     )
-    schedule.install(cluster.loop, cluster.network)
+    schedule.install(cluster)
     harness = ClusterHarness(cluster)
     harness.install_randomized_timeout_sampler(interval_ms=SECOND)
     harness.install_rtt_probe(interval_ms=SECOND)

@@ -23,10 +23,11 @@ import dataclasses
 import numpy as np
 
 from repro.cluster.builder import ClusterConfig, build_cluster
-from repro.cluster.harness import ClusterHarness
 from repro.experiments.common import get_scale, make_policy_factory
 from repro.experiments.runner import run_tasks
-from repro.net.schedule import NetworkSchedule, loss_staircase_profile
+from repro.scenarios.profiles import loss_staircase_profile
+from repro.scenarios.scenario import Scenario
+from repro.scenarios.steps import SetLoss, Step
 from repro.sim.events import PRIORITY_CONTROL
 
 __all__ = ["Fig7Config", "LossRunResult", "Fig7Result", "run", "main"]
@@ -49,7 +50,7 @@ class Fig7Config:
         scale = get_scale()
         return cls(sizes=scale.fig7_sizes, dwell_ms=scale.fig7_dwell_ms)
 
-    def schedule(self) -> NetworkSchedule:
+    def schedule(self) -> Scenario:
         return loss_staircase_profile(
             rtt_ms=self.rtt_ms,
             levels=self.loss_levels,
@@ -107,14 +108,12 @@ def run_one(system: str, n_nodes: int, config: Fig7Config) -> LossRunResult:
         make_policy_factory(system),
     )
     current_loss = [0.0]
-    schedule.install(
-        cluster.loop,
-        cluster.network,
-        on_apply=lambda action: current_loss.__setitem__(
-            0, action.loss if action.loss is not None else current_loss[0]
-        ),
-    )
-    harness = ClusterHarness(cluster)
+
+    def _observe(step: Step) -> None:
+        if isinstance(step, SetLoss):
+            current_loss[0] = step.loss
+
+    schedule.install(cluster, on_apply=_observe)
     cluster.start()
     leader = cluster.run_until_leader()
     leader_node = cluster.node(leader)

@@ -13,11 +13,13 @@ TCP to UDP (§III-E).  This package models the same stack:
   partitions;
 * :mod:`~repro.net.transport` — ``udp`` (lossy, unordered) and ``tcp``
   (reliable, FIFO; loss shows up as retransmission delay) channel semantics;
-* :class:`~repro.net.schedule.NetworkSchedule` — scripted, time-varying RTT
-  and loss (the gradual/radical RTT patterns of §IV-C1 and the loss
-  staircase of §IV-C2);
 * :mod:`~repro.net.topology` — uniform meshes and the 5-region AWS geo
   topology of §IV-D, plus the NTP clock-offset model.
+
+Scripted, time-varying conditions (the RTT patterns of §IV-C1, the loss
+staircase of §IV-C2) are not this package's business: the fabric exposes
+the knobs (``set_all_rtt``, ``set_loss``, …) and :mod:`repro.scenarios`,
+the one timeline engine, turns them (:mod:`repro.scenarios.profiles`).
 """
 
 from repro.net.delay_models import (
@@ -31,13 +33,6 @@ from repro.net.link import Link
 from repro.net.loss_models import BernoulliLoss, GilbertElliottLoss, LossModel, NoLoss
 from repro.net.message import Message
 from repro.net.network import Network
-from repro.net.schedule import (
-    NetworkSchedule,
-    constant_profile,
-    gradual_rtt_profile,
-    loss_staircase_profile,
-    radical_rtt_profile,
-)
 from repro.net.stats import LinkStats
 from repro.net.topology import (
     AWS_REGIONS,
@@ -64,15 +59,10 @@ __all__ = [
     "LossModel",
     "Message",
     "Network",
-    "NetworkSchedule",
     "NoLoss",
     "NormalJitterDelay",
     "TcpChannelState",
     "UniformJitterDelay",
     "aws_geo_topology",
-    "constant_profile",
-    "gradual_rtt_profile",
-    "loss_staircase_profile",
-    "radical_rtt_profile",
     "uniform_topology",
 ]

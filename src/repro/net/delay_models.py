@@ -3,8 +3,8 @@
 ``tc``/netem expresses link impairment as *delay distributions*; these
 classes are the in-simulator equivalents.  All models sample a one-way delay
 in **milliseconds**.  A link's *base* one-way delay is ``rtt/2`` and is held
-by the model as a mutable attribute so that :class:`~repro.net.schedule.
-NetworkSchedule` can retarget it mid-run exactly like ``tc qdisc change``.
+by the model as a mutable attribute so that a :class:`~repro.scenarios.
+steps.SetRtt` step can retarget it mid-run exactly like ``tc qdisc change``.
 
 Every model guarantees a strictly positive sample (clamped at
 ``min_delay``), because a zero or negative network delay would let a message

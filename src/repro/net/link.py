@@ -118,7 +118,7 @@ class Link:
         self._loss = model
         self.should_drop = model.should_drop
 
-    # -- impairment control (NetworkSchedule hooks) ----------------------- #
+    # -- impairment control (what scenario steps turn) --------------------- #
 
     def set_rtt(self, rtt_ms: float) -> None:
         """Set the round-trip time of the *path* this link belongs to.

@@ -10,7 +10,7 @@ Two processes are provided:
   (Haq et al., §II-C2), and burstiness is the adversarial case for
   Dynatune's ``K``-heartbeat redundancy, which assumes independence.
 
-Loss rates are mutable so :class:`~repro.net.schedule.NetworkSchedule` can
+Loss rates are mutable so a :class:`~repro.scenarios.steps.SetLoss` step can
 replay the staircase pattern.
 """
 

@@ -141,6 +141,29 @@ class Network:
             by_dst = self._links_from[link.src] = {}
         by_dst[link.dst] = link
 
+    def connect(
+        self,
+        src: str,
+        dst: str,
+        one_way_ms: float,
+        jitter_sigma_ms: float,
+        loss: float = 0.0,
+        duplicate_p: float = 0.0,
+    ) -> None:
+        """Build and install the directed ``src → dst`` link every topology
+        and late joiner uses: Gaussian-jitter delay, Bernoulli loss, and the
+        link's own ``net/<src>-><dst>`` stream."""
+        self.add_link(
+            Link(
+                src,
+                dst,
+                delay=NormalJitterDelay(one_way_ms, jitter_sigma_ms),
+                loss=BernoulliLoss(loss),
+                duplicate_p=duplicate_p,
+                rng=self.rngs.stream(f"net/{src}->{dst}"),
+            )
+        )
+
     def link(self, src: str, dst: str) -> Link:
         try:
             return self._links[(src, dst)]

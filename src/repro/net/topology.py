@@ -21,9 +21,6 @@ import dataclasses
 
 import numpy as np
 
-from repro.net.delay_models import NormalJitterDelay
-from repro.net.link import Link
-from repro.net.loss_models import BernoulliLoss
 from repro.net.network import Network
 from repro.sim.rng import RngRegistry
 
@@ -89,15 +86,7 @@ def uniform_topology(
         for b in names:
             if a == b:
                 continue
-            link = Link(
-                a,
-                b,
-                delay=NormalJitterDelay(rtt_ms / 2.0, jitter_sigma_ms),
-                loss=BernoulliLoss(loss),
-                duplicate_p=duplicate_p,
-                rng=network.rngs.stream(f"net/{a}->{b}"),
-            )
-            network.add_link(link)
+            network.connect(a, b, rtt_ms / 2.0, jitter_sigma_ms, loss, duplicate_p)
 
 
 def aws_geo_topology(
@@ -127,14 +116,7 @@ def aws_geo_topology(
             if rtt <= 0.0:
                 rtt = 2.0  # same-region pair: ~1 ms one way
             one_way = rtt / 2.0
-            link = Link(
-                a,
-                b,
-                delay=NormalJitterDelay(one_way, jitter_fraction * one_way),
-                loss=BernoulliLoss(loss),
-                rng=network.rngs.stream(f"net/{a}->{b}"),
-            )
-            network.add_link(link)
+            network.connect(a, b, one_way, jitter_fraction * one_way, loss)
     return placement
 
 

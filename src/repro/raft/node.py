@@ -189,14 +189,13 @@ class RaftNode(Process):
         loop: shared event loop.
         name: unique node name.
         peers: names of **all** cluster members (including this node).
-        network: fabric used for sends (anything with ``send()``; the fast
-            ``transmit()`` path is used when available).
+        network: what the node sends through — anything with the fabric's
+            envelope-free ``transmit(src, dst, payload, channel, size)``.
         config: protocol configuration.
         policy: election-parameter policy (Static / Dynatune / Fix-K).
         state_machine: the replicated application (e.g. ``KVStore``).
         trace: shared structured log.
         rng: this node's random stream (election randomization).
-        cost_model: optional CPU cost accounting (``charge(node, kind)``).
         initial_config: starting membership.  Defaults to "every peer is a
             voter" (the static-cluster behaviour).  A node spawned into a
             running cluster passes a learner-only config — it learns the
@@ -224,7 +223,6 @@ class RaftNode(Process):
         state_machine: StateMachine,
         trace: TraceLog,
         rng: np.random.Generator,
-        cost_model: Any = None,
         initial_config: ClusterConfig | None = None,
         storage: Storage | None = None,
         clock: NodeClock | None = None,
@@ -257,12 +255,10 @@ class RaftNode(Process):
         self.cluster_size = 0
         self.quorum = 1
         self._refresh_membership()
-        self.network = network
         self.config = config
         self.policy = policy
         self.state_machine = state_machine
         self.rng = rng
-        self.cost_model = cost_model
         self.metrics = NodeMetrics()
 
         # Persistent state (survives crash-recovery).
@@ -289,12 +285,7 @@ class RaftNode(Process):
         # The heartbeat channel and the network's envelope-free transmit
         # are constant for the node's lifetime.
         self._hb_channel: str = policy.heartbeat_channel
-        transmit = getattr(network, "transmit", None)
-        if transmit is None and network is not None:
-            transmit = lambda src, dst, payload, channel, size: network.send(  # noqa: E731
-                src, dst, payload, channel=channel, size_bytes=size
-            )
-        self._transmit: Callable[..., Any] = transmit
+        self._transmit: Callable[..., Any] = network.transmit
         # Buffered uniform draws (bit-identical to per-call rng.random()).
         self._rand_buf: list[float] | None = None
         self._rand_pos = 0
@@ -797,10 +788,6 @@ class RaftNode(Process):
     # plumbing
     # ------------------------------------------------------------------ #
 
-    def _charge(self, kind: str, units: int = 1) -> None:
-        if self.cost_model is not None:
-            self.cost_model.charge(self.name, kind, units)
-
     def _rpc(self, dst: str, payload: Any, size: int = 96) -> None:
         self._transmit(self.name, dst, payload, _RPC_CHANNEL, size)
 
@@ -1079,11 +1066,6 @@ class RaftNode(Process):
             size = 88
         self._transmit(self.name, peer, req, self._hb_channel, size)
         self.metrics.heartbeats_sent += 1
-        cm = self.cost_model
-        if cm is not None:
-            cm.charge(self.name, "heartbeat_send")
-            if meta is not None:
-                cm.charge(self.name, "tuning")
 
     def _heartbeat_tick(self, peer: str) -> None:
         """Per-follower beat: send + re-arm.  Fires once per heartbeat per
@@ -1181,7 +1163,6 @@ class RaftNode(Process):
                 size=64 + 96 * len(entries),
             )
             self.metrics.appends_sent += 1
-            self._charge("append_send", units=max(1, len(entries)))
             if not entries or not self._pipelining or pr.probing:
                 break
             # Optimistic advance (etcd StateReplicate): assume this window
@@ -1233,7 +1214,6 @@ class RaftNode(Process):
             n_items = 0
         self._rpc(pr.peer, req, size=128 + 32 * n_items)
         self.metrics.snapshots_sent += 1
-        self._charge("snapshot_send")
         self.trace.record(
             self._now(),
             self.name,
@@ -1264,7 +1244,6 @@ class RaftNode(Process):
         entry_at = self.log.entry_at
         apply = self.state_machine.apply
         metrics = self.metrics
-        cost_model = self.cost_model
         pending_client = self._pending_client
         while self.last_applied < self.commit_index:
             self.last_applied = index = self.last_applied + 1
@@ -1280,8 +1259,6 @@ class RaftNode(Process):
             else:
                 result = apply(command)
             metrics.entries_applied += 1
-            if cost_model is not None:
-                cost_model.charge(self.name, "apply", 1)
             pending = pending_client.pop(index, None)
             if pending is not None and self.role is Role.LEADER:
                 self._reply(pending[0], pending[1], ok=True, result=result)
@@ -1435,9 +1412,6 @@ class RaftNode(Process):
 
     def _on_heartbeat(self, sender: str, m: HeartbeatRequest) -> None:
         self.metrics.heartbeats_received += 1
-        cm = self.cost_model
-        if cm is not None:
-            cm.charge(self.name, "heartbeat_recv")
         term = m.term
         leader = m.leader
         if term < self.current_term:
@@ -1458,11 +1432,8 @@ class RaftNode(Process):
         if m.commit > self.commit_index:
             self.commit_index = min(m.commit, self.log.last_index)
             self._apply_committed()
-        hb_meta = m.meta
         policy = self.policy
-        meta = policy.on_heartbeat(leader, hb_meta, now)
-        if cm is not None and hb_meta is not None:
-            cm.charge(self.name, "tuning")
+        meta = policy.on_heartbeat(leader, m.meta, now)
         # Inline of _arm_election_timer (keep in sync): this reset happens
         # on every received heartbeat, the follower's hottest operation.
         base = policy.election_timeout_ms(self.leader_id)
@@ -1489,21 +1460,14 @@ class RaftNode(Process):
             resp = HeartbeatResponse(term, self.name, lli, meta)
             size = 88
         self._transmit(self.name, leader, resp, self._hb_channel, size)
-        if cm is not None:
-            cm.charge(self.name, "heartbeat_resp_send")
 
     def _on_heartbeat_response(self, sender: str, m: HeartbeatResponse) -> None:
         self.metrics.heartbeat_responses_received += 1
-        cm = self.cost_model
-        if cm is not None:
-            cm.charge(self.name, "heartbeat_resp_recv")
         pr = self._responder(m.term, m.follower)
         if pr is None:
             return
         now = pr.last_response
         self.policy.on_heartbeat_response(pr.peer, m.meta, now)
-        if cm is not None and m.meta is not None:
-            cm.charge(self.name, "tuning")
         if pr.match < self.log.last_index:
             # The follower lags: push entries (etcd triggers MsgApp off
             # MsgHeartbeatResp the same way).  Recovery path for a
@@ -1523,7 +1487,6 @@ class RaftNode(Process):
 
     def _on_append_entries(self, sender: str, m: AppendEntriesRequest) -> None:
         self.metrics.appends_received += 1
-        self._charge("append_recv", units=max(1, len(m.entries)))
         if m.term < self.current_term:
             self._rpc(
                 m.leader,
@@ -1564,7 +1527,6 @@ class RaftNode(Process):
         )
 
     def _on_append_response(self, sender: str, m: AppendEntriesResponse) -> None:
-        self._charge("append_resp_recv")
         pr = self._responder(m.term, m.follower)
         if pr is None:
             return
@@ -1604,7 +1566,6 @@ class RaftNode(Process):
     # -- snapshot transfer --------------------------------------------------- #
 
     def _on_install_snapshot(self, sender: str, m: InstallSnapshotRequest) -> None:
-        self._charge("snapshot_recv")
         if m.term < self.current_term:
             self._rpc(
                 m.leader,
@@ -1659,7 +1620,6 @@ class RaftNode(Process):
     def _on_install_snapshot_response(
         self, sender: str, m: InstallSnapshotResponse
     ) -> None:
-        self._charge("snapshot_resp_recv")
         pr = self._responder(m.term, m.follower)
         if pr is None:
             return
@@ -1762,7 +1722,6 @@ class RaftNode(Process):
 
     def _on_client_request(self, sender: str, m: ClientRequest) -> None:
         self.metrics.client_requests += 1
-        self._charge("client_request")
         if self.role is not Role.LEADER:
             self.metrics.client_redirects += 1
             self._reply(sender, m.request_id, ok=False, leader_hint=self.leader_id)
@@ -1819,7 +1778,6 @@ class RaftNode(Process):
 
     def _on_client_read(self, sender: str, m: ClientReadRequest) -> None:
         self.metrics.client_reads += 1
-        self._charge("client_request")
         if self.role is not Role.LEADER:
             self.metrics.client_redirects += 1
             self._reply(sender, m.request_id, ok=False, leader_hint=self.leader_id)
@@ -1913,10 +1871,8 @@ class RaftNode(Process):
         for peer in self._voter_peers:
             self._rpc(peer, probe, size=64)
         self.metrics.read_probes_sent += 1
-        self._charge("read_probe_send", units=len(self._voter_peers))
 
     def _on_read_probe(self, sender: str, m: ReadIndexProbe) -> None:
-        self._charge("read_probe_recv")
         if m.term >= self.current_term:
             self._observe_leader_message(m.term, m.leader)
         # A stale probe still gets an answer: the higher term deposes the
@@ -1924,7 +1880,6 @@ class RaftNode(Process):
         self._rpc(m.leader, ReadIndexAck(self.current_term, self.name, m.seq), size=64)
 
     def _on_read_ack(self, sender: str, m: ReadIndexAck) -> None:
-        self._charge("read_ack_recv")
         pr = self._responder(m.term, m.follower)
         round_ = self._read_round
         if pr is None or round_ is None or round_.seq != m.seq:

@@ -4,9 +4,11 @@ One :class:`~repro.scenarios.scenario.Scenario` unifies the three
 impairment layers — network weather (:class:`SetRtt`/:class:`SetLoss`),
 connectivity (:class:`Partition`/:class:`Heal`/:class:`Flap`) and node
 faults (:class:`Pause`/:class:`Crash`/:class:`Recover`/:class:`Churn`) —
-into a single replayable timeline that installs onto a cluster the way
-:class:`~repro.net.schedule.NetworkSchedule` does, emits a trace record
-per applied step, and round-trips through plain dicts/JSON.
+into a single replayable timeline that installs onto a cluster as
+control-priority events, emits a trace record per applied step, and
+round-trips through plain dicts/JSON.  It is the one timeline engine:
+the paper's §IV-C ``tc`` scripts are scenarios too
+(:mod:`repro.scenarios.profiles`).
 
 See :mod:`repro.scenarios.library` for the canonical scenario set and
 :mod:`repro.scenarios.safety` for the partition safety checker.

@@ -1,13 +1,12 @@
 """The :class:`Scenario`: a named, replayable fault/network timeline.
 
-A scenario is to faults what :class:`~repro.net.schedule.NetworkSchedule`
-is to network weather — a list of timed, typed steps that *installs* onto
-a cluster as control-priority events and holds no run state, so one
-scenario object can drive any number of independent runs.  Unlike the
-schedule it spans all three layers (weather, connectivity, node faults)
-and is pure data: ``Scenario.from_dict``/``to_dict`` (and the JSON
-convenience wrappers) round-trip the whole timeline, so a scenario can be
-checked into a repo as a ``.json`` file and replayed bit-for-bit.
+A scenario is a list of timed, typed steps that *installs* onto a cluster
+as control-priority events and holds no run state, so one scenario object
+can drive any number of independent runs.  It spans all three layers
+(weather, connectivity, node faults) and is pure data:
+``Scenario.from_dict``/``to_dict`` (and the JSON convenience wrappers)
+round-trip the whole timeline, so a scenario can be checked into a repo
+as a ``.json`` file and replayed bit-for-bit.
 
 Every applied step occurrence emits one ``scenario_step`` trace record
 (node ``"scenario"``) carrying the scenario name, step kind, occurrence
@@ -17,8 +16,9 @@ reports overlay on their measured series.
 
 from __future__ import annotations
 
+import functools
 import json
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.cluster.builder import Cluster
 from repro.scenarios.steps import LEADER_SELECTOR, Step, step_from_dict
@@ -37,8 +37,7 @@ class ScenarioRuntime:
         "loop",
         "trace",
         "membership_enabled",
-        "_flap_tokens",
-        "_link_tokens",
+        "_windows",
     )
 
     def __init__(self, cluster: Cluster, *, membership_enabled: bool = True) -> None:
@@ -50,39 +49,44 @@ class ScenarioRuntime:
         #: ReplaceNode) are traced no-ops — how a replayed fuzz timeline
         #: with its membership knob off stays bit-identical.
         self.membership_enabled = membership_enabled
-        self._flap_tokens: dict[tuple[str, str], int] = {}
-        self._link_tokens: dict[tuple[str, str, str], int] = {}
+        #: Latest window token per key (see :meth:`window`).
+        self._windows: dict[tuple[str, ...], int] = {}
 
-    def next_flap_token(self, a: str, b: str) -> int:
-        """Start a new down-window on the ``a``↔``b`` link; returns its token.
+    def window(
+        self,
+        keys: Iterable[tuple[str, ...]],
+        duration_ms: float | None,
+        restore: Callable[[tuple[str, ...]], None],
+    ) -> None:
+        """Open a fault window on each of ``keys``: latest window wins.
 
-        Only the restore callback holding the *latest* token may bring the
-        link back up — a stale timer from an earlier, overlapping flap must
-        not cut a newer down-window short (same guard as ``pause_for``).
+        The one rule every timed fault shares.  After ``duration_ms`` the
+        window calls ``restore(key)`` for each key it is *still the latest
+        window on* — a stale timer from an earlier, overlapping window must
+        not cut a newer one short (same guard as ``pause_for``).  A
+        permanent window (``None``) schedules nothing but still takes the
+        keys, silencing any earlier finite window's restore.
+
+        Windows contend only within a key: ``("flap", lo, hi)`` is the
+        unordered pair, ``("block" | "gray", src, dst)`` the *directed*
+        link (a window on ``a → b`` must not invalidate one on ``b → a``,
+        nor a block's restore no-op a gray window's), ``("disk", node)``
+        one node's fault knobs.
         """
-        key = (a, b) if a <= b else (b, a)
-        token = self._flap_tokens.get(key, 0) + 1
-        self._flap_tokens[key] = token
-        return token
+        tokens = self._windows
+        held = []
+        for key in keys:
+            token = tokens[key] = tokens.get(key, 0) + 1
+            held.append((key, token))
+        if duration_ms is None:
+            return
 
-    def flap_token(self, a: str, b: str) -> int:
-        key = (a, b) if a <= b else (b, a)
-        return self._flap_tokens.get(key, 0)
+        def _close() -> None:
+            for key, token in held:
+                if tokens[key] == token:
+                    restore(key)
 
-    def next_link_token(self, family: str, src: str, dst: str) -> int:
-        """Directed-link cousin of :meth:`next_flap_token`: start a new
-        fault window of ``family`` (``"block"`` / ``"gray"``) on the
-        *ordered* ``src → dst`` link.  Direction-aware keys matter — a
-        window on ``a → b`` must not invalidate (or be cut short by) one
-        on ``b → a``; separate families keep a block's restore from
-        no-opping a gray window's and vice versa."""
-        key = (family, src, dst)
-        token = self._link_tokens.get(key, 0) + 1
-        self._link_tokens[key] = token
-        return token
-
-    def link_token(self, family: str, src: str, dst: str) -> int:
-        return self._link_tokens.get((family, src, dst), 0)
+        self.loop.schedule(duration_ms, _close, priority=PRIORITY_CONTROL)
 
     def resolve(self, selector: str) -> str | None:
         """Selector → concrete node name (``None`` if unresolvable now)."""
@@ -93,41 +97,6 @@ class ScenarioRuntime:
     def process(self, selector: str) -> Process | None:
         name = self.resolve(selector)
         return self.cluster.nodes.get(name) if name is not None else None
-
-
-class _StepApplier:
-    """Bound callback for one step occurrence (no late-binding closures)."""
-
-    __slots__ = ("_scenario", "_step", "_rt", "_occurrence", "_observer")
-
-    def __init__(
-        self,
-        scenario: "Scenario",
-        step: Step,
-        rt: ScenarioRuntime,
-        occurrence: int,
-        observer: Callable[[Step], None] | None,
-    ) -> None:
-        self._scenario = scenario
-        self._step = step
-        self._rt = rt
-        self._occurrence = occurrence
-        self._observer = observer
-
-    def __call__(self) -> None:
-        rt = self._rt
-        fields = self._step.apply(rt, self._occurrence)
-        rt.trace.record(
-            rt.loop.now,
-            "scenario",
-            "scenario_step",
-            scenario=self._scenario.name,
-            step=self._step.kind,
-            occurrence=self._occurrence,
-            **fields,
-        )
-        if self._observer is not None:
-            self._observer(self._step)
 
 
 class Scenario:
@@ -229,9 +198,30 @@ class Scenario:
             for occurrence, t in enumerate(step.occurrence_times()):
                 cluster.loop.schedule_at(
                     t,
-                    _StepApplier(self, step, rt, occurrence, on_apply),
+                    functools.partial(self._play, rt, step, occurrence, on_apply),
                     priority=PRIORITY_CONTROL,
                 )
+
+    def _play(
+        self,
+        rt: ScenarioRuntime,
+        step: Step,
+        occurrence: int,
+        observer: Callable[[Step], None] | None,
+    ) -> None:
+        """Apply one step occurrence, trace it, tell the observer."""
+        fields = step.apply(rt, occurrence)
+        rt.trace.record(
+            rt.loop.now,
+            "scenario",
+            "scenario_step",
+            scenario=self.name,
+            step=step.kind,
+            occurrence=occurrence,
+            **fields,
+        )
+        if observer is not None:
+            observer(step)
 
     # ------------------------------------------------------------------ #
     # serialization

@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import dataclasses
 import typing
-from typing import Any, ClassVar
+from typing import Any, Callable, ClassVar
 
 from repro.cluster.faults import crash as crash_node
 from repro.cluster.faults import pause_for, recover_node
+from repro.net.network import Network
 from repro.sim.events import PRIORITY_CONTROL
 from repro.sim.process import ProcessState
 
@@ -125,6 +126,10 @@ class Step:
         if self.at_ms < 0.0:
             raise ValueError(f"at_ms must be >= 0, got {self.at_ms!r}")
 
+    #: All the validation a step with no field of its own needs (the
+    #: intermediate bases below alias their validators the same way).
+    __post_init__ = _validate_base
+
     def occurrence_times(self) -> list[float]:
         """Absolute times this step applies (one per repeat occurrence)."""
         if self.repeat is None:
@@ -203,74 +208,77 @@ def step_from_dict(data: dict[str, Any]) -> Step:
 # --------------------------------------------------------------------- #
 
 
+class _Weather(Step):
+    """Shared body of the network-weather trio: one value retargeted on
+    every link, or on ``pair`` only.  A subclass names its value field
+    (also the trace key), whether it is a probability, and the fabric's
+    ``(set-everywhere, set-one-pair)`` setters."""
+
+    _TUPLE_FIELDS: ClassVar[tuple[str, ...]] = ("pair",)
+    _FIELD: ClassVar[str]
+    _PROBABILITY: ClassVar[bool] = True
+    _SETTERS: ClassVar[tuple[Callable[..., None], Callable[..., None]]]
+
+    pair: tuple[str, str] | None
+
+    def __post_init__(self) -> None:
+        self._validate_base()
+        value = getattr(self, self._FIELD)
+        if self._PROBABILITY:
+            if not (0.0 <= value <= 1.0):
+                raise ValueError(f"{self._FIELD} must be in [0, 1], got {value!r}")
+        elif value < 0.0:
+            raise ValueError(f"{self._FIELD} must be >= 0, got {value!r}")
+        if self.pair is not None:
+            if len(self.pair) != 2:
+                raise ValueError(f"pair must name two nodes, got {self.pair!r}")
+            for sel in self.pair:
+                _check_selector(sel, "pair")
+
+    def apply(self, rt: "ScenarioRuntime", occurrence: int) -> dict[str, Any]:
+        value = getattr(self, self._FIELD)
+        set_all, set_pair = self._SETTERS
+        if self.pair is None:
+            set_all(rt.network, value)
+            return {self._FIELD: value}
+        a, b = (rt.resolve(s) for s in self.pair)
+        if a is None or b is None or a == b:
+            return {"skipped": True, "reason": "pair unresolved"}
+        set_pair(rt.network, a, b, value)
+        return {self._FIELD: value, "a": a, "b": b}
+
+
 @dataclasses.dataclass(slots=True, frozen=True)
-class SetRtt(Step):
+class SetRtt(_Weather):
     """Retarget RTT — of every pair, or of ``pair`` only."""
 
     kind: ClassVar[str] = "set_rtt"
-    _TUPLE_FIELDS: ClassVar[tuple[str, ...]] = ("pair",)
+    _FIELD: ClassVar[str] = "rtt_ms"
+    _PROBABILITY: ClassVar[bool] = False
+    _SETTERS = (Network.set_all_rtt, Network.set_rtt)
 
     at_ms: float
     rtt_ms: float
     pair: tuple[str, str] | None = None
     repeat: Repeat | None = None
 
-    def __post_init__(self) -> None:
-        self._validate_base()
-        if self.rtt_ms < 0.0:
-            raise ValueError(f"rtt_ms must be >= 0, got {self.rtt_ms!r}")
-        if self.pair is not None:
-            if len(self.pair) != 2:
-                raise ValueError(f"pair must name two nodes, got {self.pair!r}")
-            for sel in self.pair:
-                _check_selector(sel, "pair")
-
-    def apply(self, rt: "ScenarioRuntime", occurrence: int) -> dict[str, Any]:
-        if self.pair is None:
-            rt.network.set_all_rtt(self.rtt_ms)
-            return {"rtt_ms": self.rtt_ms}
-        a, b = (rt.resolve(s) for s in self.pair)
-        if a is None or b is None or a == b:
-            return {"skipped": True, "reason": "pair unresolved"}
-        rt.network.set_rtt(a, b, self.rtt_ms)
-        return {"rtt_ms": self.rtt_ms, "a": a, "b": b}
-
 
 @dataclasses.dataclass(slots=True, frozen=True)
-class SetLoss(Step):
+class SetLoss(_Weather):
     """Retarget loss rate — of every link, or of ``pair`` only."""
 
     kind: ClassVar[str] = "set_loss"
-    _TUPLE_FIELDS: ClassVar[tuple[str, ...]] = ("pair",)
+    _FIELD: ClassVar[str] = "loss"
+    _SETTERS = (Network.set_all_loss, Network.set_loss)
 
     at_ms: float
     loss: float
     pair: tuple[str, str] | None = None
     repeat: Repeat | None = None
 
-    def __post_init__(self) -> None:
-        self._validate_base()
-        if not (0.0 <= self.loss <= 1.0):
-            raise ValueError(f"loss must be in [0, 1], got {self.loss!r}")
-        if self.pair is not None:
-            if len(self.pair) != 2:
-                raise ValueError(f"pair must name two nodes, got {self.pair!r}")
-            for sel in self.pair:
-                _check_selector(sel, "pair")
-
-    def apply(self, rt: "ScenarioRuntime", occurrence: int) -> dict[str, Any]:
-        if self.pair is None:
-            rt.network.set_all_loss(self.loss)
-            return {"loss": self.loss}
-        a, b = (rt.resolve(s) for s in self.pair)
-        if a is None or b is None or a == b:
-            return {"skipped": True, "reason": "pair unresolved"}
-        rt.network.set_loss(a, b, self.loss)
-        return {"loss": self.loss, "a": a, "b": b}
-
 
 @dataclasses.dataclass(slots=True, frozen=True)
-class SetDuplicate(Step):
+class SetDuplicate(_Weather):
     """Retarget UDP duplication probability — every link, or ``pair`` only.
 
     Completes the network-weather trio (RTT / loss / duplication):
@@ -280,52 +288,18 @@ class SetDuplicate(Step):
     """
 
     kind: ClassVar[str] = "set_duplicate"
-    _TUPLE_FIELDS: ClassVar[tuple[str, ...]] = ("pair",)
+    _FIELD: ClassVar[str] = "duplicate_p"
+    _SETTERS = (Network.set_all_duplicate, Network.set_duplicate)
 
     at_ms: float
     duplicate_p: float
     pair: tuple[str, str] | None = None
     repeat: Repeat | None = None
 
-    def __post_init__(self) -> None:
-        self._validate_base()
-        if not (0.0 <= self.duplicate_p <= 1.0):
-            raise ValueError(
-                f"duplicate_p must be in [0, 1], got {self.duplicate_p!r}"
-            )
-        if self.pair is not None:
-            if len(self.pair) != 2:
-                raise ValueError(f"pair must name two nodes, got {self.pair!r}")
-            for sel in self.pair:
-                _check_selector(sel, "pair")
-
-    def apply(self, rt: "ScenarioRuntime", occurrence: int) -> dict[str, Any]:
-        if self.pair is None:
-            rt.network.set_all_duplicate(self.duplicate_p)
-            return {"duplicate_p": self.duplicate_p}
-        a, b = (rt.resolve(s) for s in self.pair)
-        if a is None or b is None or a == b:
-            return {"skipped": True, "reason": "pair unresolved"}
-        rt.network.set_duplicate(a, b, self.duplicate_p)
-        return {"duplicate_p": self.duplicate_p, "a": a, "b": b}
-
 
 # --------------------------------------------------------------------- #
 # connectivity
 # --------------------------------------------------------------------- #
-
-_DIRECTIONS = ("both", "a_to_b", "b_to_a")
-
-
-def _resolve_directions(
-    direction: str, a: str, b: str
-) -> list[tuple[str, str]]:
-    """The ordered ``(src, dst)`` links a directional step touches."""
-    if direction == "a_to_b":
-        return [(a, b)]
-    if direction == "b_to_a":
-        return [(b, a)]
-    return [(a, b), (b, a)]
 
 
 @dataclasses.dataclass(slots=True, frozen=True)
@@ -376,16 +350,33 @@ class Heal(Step):
     at_ms: float
     repeat: Repeat | None = None
 
-    def __post_init__(self) -> None:
-        self._validate_base()
-
     def apply(self, rt: "ScenarioRuntime", occurrence: int) -> dict[str, Any]:
         rt.network.clear_partitions()
         return {}
 
 
+class _PairStep(Step):
+    """Shared plumbing of the steps aimed at the ``a``↔``b`` link: selector
+    validation, and resolution at apply time (an unresolvable or
+    degenerate pair is a traced skip) before ``_apply_pair(rt, a, b)``."""
+
+    a: str
+    b: str
+
+    def _validate_pair(self) -> None:
+        self._validate_base()
+        _check_selector(self.a, "a")
+        _check_selector(self.b, "b")
+
+    def apply(self, rt: "ScenarioRuntime", occurrence: int) -> dict[str, Any]:
+        a, b = rt.resolve(self.a), rt.resolve(self.b)
+        if a is None or b is None or a == b:
+            return {"skipped": True, "reason": "pair unresolved"}
+        return self._apply_pair(rt, a, b)
+
+
 @dataclasses.dataclass(slots=True, frozen=True)
-class Flap(Step):
+class Flap(_PairStep):
     """Blink the ``a``↔``b`` link down for ``down_ms`` (both directions).
 
     One occurrence is one blink; a flapping link is a ``Flap`` with a
@@ -401,9 +392,7 @@ class Flap(Step):
     repeat: Repeat | None = None
 
     def __post_init__(self) -> None:
-        self._validate_base()
-        _check_selector(self.a, "a")
-        _check_selector(self.b, "b")
+        self._validate_pair()
         if self.down_ms <= 0.0:
             raise ValueError(f"down_ms must be > 0, got {self.down_ms!r}")
         if self.repeat is not None and self.repeat.every_ms <= self.down_ms:
@@ -412,28 +401,57 @@ class Flap(Step):
     def effect_duration_ms(self) -> float:
         return self.down_ms
 
-    def apply(self, rt: "ScenarioRuntime", occurrence: int) -> dict[str, Any]:
-        a, b = rt.resolve(self.a), rt.resolve(self.b)
-        if a is None or b is None or a == b:
-            return {"skipped": True, "reason": "pair unresolved"}
+    def _apply_pair(self, rt: "ScenarioRuntime", a: str, b: str) -> dict[str, Any]:
         links = [rt.network.link(a, b), rt.network.link(b, a)]
         for link in links:
             link.up = False
-        token = rt.next_flap_token(a, b)
 
-        def _up() -> None:
-            # Only the latest down-window's restore applies; a stale timer
-            # from an overlapping earlier flap must not raise the link early.
-            if rt.flap_token(a, b) == token:
-                for link in links:
-                    link.up = True
+        def _up(key: tuple[str, ...]) -> None:
+            for link in links:
+                link.up = True
 
-        rt.loop.schedule(self.down_ms, _up, priority=PRIORITY_CONTROL)
+        rt.window([("flap", min(a, b), max(a, b))], self.down_ms, _up)
         return {"a": a, "b": b, "down_ms": self.down_ms}
 
 
+_DIRECTIONS = ("both", "a_to_b", "b_to_a")
+
+
+class _DirectedStep(_PairStep):
+    """Shared plumbing of the gray-failure pair: one or both *directions*
+    of the link, for ``duration_ms`` (``None`` = the rest of the run)."""
+
+    direction: str
+    duration_ms: float | None
+
+    def _validate_directed(self) -> None:
+        self._validate_pair()
+        if self.direction not in _DIRECTIONS:
+            raise ValueError(
+                f"direction must be one of {_DIRECTIONS}, got {self.direction!r}"
+            )
+        if self.duration_ms is not None and self.duration_ms <= 0.0:
+            raise ValueError(
+                f"duration_ms must be > 0 or None, got {self.duration_ms!r}"
+            )
+
+    __post_init__ = _validate_directed
+
+    def effect_duration_ms(self) -> float:
+        return self.duration_ms if self.duration_ms is not None else 0.0
+
+    def _keys(self, family: str, a: str, b: str) -> list[tuple[str, ...]]:
+        """This occurrence's window keys: ``(family, src, dst)`` per
+        ordered link the step touches."""
+        if self.direction == "a_to_b":
+            return [(family, a, b)]
+        if self.direction == "b_to_a":
+            return [(family, b, a)]
+        return [(family, a, b), (family, b, a)]
+
+
 @dataclasses.dataclass(slots=True, frozen=True)
-class BlockLink(Step):
+class BlockLink(_DirectedStep):
     """Block the ``a``↔``b`` link in one (or both) directions.
 
     The asymmetric cousin of :class:`Flap`: ``direction="a_to_b"`` drops
@@ -442,8 +460,7 @@ class BlockLink(Step):
     elections (the isolated node campaigns forever; its ever-growing
     terms still reach the cluster).  ``duration_ms=None`` blocks for the
     rest of the run; a finite window restores only the directions this
-    occurrence blocked, guarded by per-direction tokens so an overlapping
-    later block wins.
+    occurrence blocked, and only those it is still the latest block on.
     """
 
     kind: ClassVar[str] = "block_link"
@@ -455,41 +472,14 @@ class BlockLink(Step):
     duration_ms: float | None = None
     repeat: Repeat | None = None
 
-    def __post_init__(self) -> None:
-        self._validate_base()
-        _check_selector(self.a, "a")
-        _check_selector(self.b, "b")
-        if self.direction not in _DIRECTIONS:
-            raise ValueError(
-                f"direction must be one of {_DIRECTIONS}, got {self.direction!r}"
-            )
-        if self.duration_ms is not None and self.duration_ms <= 0.0:
-            raise ValueError(
-                f"duration_ms must be > 0 or None, got {self.duration_ms!r}"
-            )
-
-    def effect_duration_ms(self) -> float:
-        return self.duration_ms if self.duration_ms is not None else 0.0
-
-    def apply(self, rt: "ScenarioRuntime", occurrence: int) -> dict[str, Any]:
-        a, b = rt.resolve(self.a), rt.resolve(self.b)
-        if a is None or b is None or a == b:
-            return {"skipped": True, "reason": "pair unresolved"}
+    def _apply_pair(self, rt: "ScenarioRuntime", a: str, b: str) -> dict[str, Any]:
         net = rt.network
-        # Tokens are minted even for a permanent block: it must invalidate
-        # any earlier finite window's pending restore on the same link.
-        armed = []
-        for src, dst in _resolve_directions(self.direction, a, b):
+        keys = self._keys("block", a, b)
+        for _, src, dst in keys:
             net.block_direction(src, dst)
-            armed.append((src, dst, rt.next_link_token("block", src, dst)))
-        if self.duration_ms is not None:
-
-            def _unblock() -> None:
-                for src, dst, token in armed:
-                    if rt.link_token("block", src, dst) == token:
-                        net.unblock_direction(src, dst)
-
-            rt.loop.schedule(self.duration_ms, _unblock, priority=PRIORITY_CONTROL)
+        rt.window(
+            keys, self.duration_ms, lambda key: net.unblock_direction(key[1], key[2])
+        )
         return {
             "a": a,
             "b": b,
@@ -499,7 +489,7 @@ class BlockLink(Step):
 
 
 @dataclasses.dataclass(slots=True, frozen=True)
-class GrayLink(Step):
+class GrayLink(_DirectedStep):
     """Gray-degrade the ``a``↔``b`` link: heavy loss and/or delay, one way.
 
     Unlike :class:`BlockLink` the link still *works* — packets trickle
@@ -507,8 +497,8 @@ class GrayLink(Step):
     detectors keyed on total silence never fire, while quorum progress
     collapses.  ``loss`` (a rate, not a blackout) and ``one_way_ms`` (the
     direction's new base one-way delay) apply to each affected direction;
-    a finite ``duration_ms`` restores the previous values afterwards,
-    token-guarded per direction like :class:`BlockLink`.
+    a finite ``duration_ms`` restores the previous values afterwards, per
+    direction and latest-window-wins like :class:`BlockLink`.
     """
 
     kind: ClassVar[str] = "gray_link"
@@ -523,13 +513,7 @@ class GrayLink(Step):
     repeat: Repeat | None = None
 
     def __post_init__(self) -> None:
-        self._validate_base()
-        _check_selector(self.a, "a")
-        _check_selector(self.b, "b")
-        if self.direction not in _DIRECTIONS:
-            raise ValueError(
-                f"direction must be one of {_DIRECTIONS}, got {self.direction!r}"
-            )
+        self._validate_directed()
         if self.loss is None and self.one_way_ms is None:
             raise ValueError("gray_link needs loss and/or one_way_ms")
         if self.loss is not None and not (0.0 <= self.loss <= 1.0):
@@ -538,46 +522,31 @@ class GrayLink(Step):
             raise ValueError(
                 f"one_way_ms must be >= 0, got {self.one_way_ms!r}"
             )
-        if self.duration_ms is not None and self.duration_ms <= 0.0:
-            raise ValueError(
-                f"duration_ms must be > 0 or None, got {self.duration_ms!r}"
-            )
 
-    def effect_duration_ms(self) -> float:
-        return self.duration_ms if self.duration_ms is not None else 0.0
-
-    def apply(self, rt: "ScenarioRuntime", occurrence: int) -> dict[str, Any]:
-        a, b = rt.resolve(self.a), rt.resolve(self.b)
-        if a is None or b is None or a == b:
-            return {"skipped": True, "reason": "pair unresolved"}
+    def _apply_pair(self, rt: "ScenarioRuntime", a: str, b: str) -> dict[str, Any]:
         net = rt.network
-        armed = []
-        for src, dst in _resolve_directions(self.direction, a, b):
-            prev = net.degrade_direction(
-                src, dst, loss=self.loss, one_way_ms=self.one_way_ms
+        loss, one_way_ms = self.loss, self.one_way_ms
+        prev = {
+            key: net.degrade_direction(key[1], key[2], loss=loss, one_way_ms=one_way_ms)
+            for key in self._keys("gray", a, b)
+        }
+
+        def _restore(key: tuple[str, ...]) -> None:
+            was_loss, was_one_way_ms = prev[key]
+            net.degrade_direction(
+                key[1],
+                key[2],
+                loss=was_loss if loss is not None else None,
+                one_way_ms=was_one_way_ms if one_way_ms is not None else None,
             )
-            armed.append((src, dst, prev, rt.next_link_token("gray", src, dst)))
-        if self.duration_ms is not None:
-            restore_loss = self.loss is not None
-            restore_delay = self.one_way_ms is not None
 
-            def _restore() -> None:
-                for src, dst, prev, token in armed:
-                    if rt.link_token("gray", src, dst) == token:
-                        net.degrade_direction(
-                            src,
-                            dst,
-                            loss=prev[0] if restore_loss else None,
-                            one_way_ms=prev[1] if restore_delay else None,
-                        )
-
-            rt.loop.schedule(self.duration_ms, _restore, priority=PRIORITY_CONTROL)
+        rt.window(prev, self.duration_ms, _restore)
         return {
             "a": a,
             "b": b,
             "direction": self.direction,
-            "loss": self.loss,
-            "one_way_ms": self.one_way_ms,
+            "loss": loss,
+            "one_way_ms": one_way_ms,
             "duration_ms": self.duration_ms,
         }
 
@@ -587,8 +556,29 @@ class GrayLink(Step):
 # --------------------------------------------------------------------- #
 
 
+class _NodeStep(Step):
+    """Shared plumbing of the steps aimed at one ``node`` selector:
+    validation, and resolution at apply time (no such node right now —
+    no leader during an outage — is a traced skip) before
+    ``_apply_node(rt, proc)``."""
+
+    node: str
+
+    def _validate_node(self) -> None:
+        self._validate_base()
+        _check_selector(self.node, "node")
+
+    __post_init__ = _validate_node
+
+    def apply(self, rt: "ScenarioRuntime", occurrence: int) -> dict[str, Any]:
+        proc = rt.process(self.node)
+        if proc is None:
+            return {"skipped": True, "reason": "node unresolved"}
+        return self._apply_node(rt, proc)
+
+
 @dataclasses.dataclass(slots=True, frozen=True)
-class Pause(Step):
+class Pause(_NodeStep):
     """Container-sleep ``node`` for ``duration_ms`` (auto-resume).
 
     ``trace_kind`` is the trace record :func:`~repro.cluster.faults.
@@ -605,18 +595,14 @@ class Pause(Step):
     repeat: Repeat | None = None
 
     def __post_init__(self) -> None:
-        self._validate_base()
-        _check_selector(self.node, "node")
+        self._validate_node()
         if self.duration_ms <= 0.0:
             raise ValueError(f"duration_ms must be > 0, got {self.duration_ms!r}")
 
     def effect_duration_ms(self) -> float:
         return self.duration_ms
 
-    def apply(self, rt: "ScenarioRuntime", occurrence: int) -> dict[str, Any]:
-        proc = rt.process(self.node)
-        if proc is None:
-            return {"skipped": True, "reason": "node unresolved"}
+    def _apply_node(self, rt: "ScenarioRuntime", proc: Any) -> dict[str, Any]:
         if proc.state is not ProcessState.RUNNING:
             return {"skipped": True, "reason": f"node {proc.name} not running"}
         pause_for(rt.loop, proc, self.duration_ms, kind=self.trace_kind)
@@ -624,7 +610,7 @@ class Pause(Step):
 
 
 @dataclasses.dataclass(slots=True, frozen=True)
-class Crash(Step):
+class Crash(_NodeStep):
     """Crash ``node`` (volatile state lost; recover via :class:`Recover`)."""
 
     kind: ClassVar[str] = "crash"
@@ -633,14 +619,7 @@ class Crash(Step):
     node: str
     repeat: Repeat | None = None
 
-    def __post_init__(self) -> None:
-        self._validate_base()
-        _check_selector(self.node, "node")
-
-    def apply(self, rt: "ScenarioRuntime", occurrence: int) -> dict[str, Any]:
-        proc = rt.process(self.node)
-        if proc is None:
-            return {"skipped": True, "reason": "node unresolved"}
+    def _apply_node(self, rt: "ScenarioRuntime", proc: Any) -> dict[str, Any]:
         if proc.state is ProcessState.STOPPED:
             return {"skipped": True, "reason": f"node {proc.name} removed"}
         if proc.state is ProcessState.CRASHED:
@@ -650,7 +629,7 @@ class Crash(Step):
 
 
 @dataclasses.dataclass(slots=True, frozen=True)
-class Recover(Step):
+class Recover(_NodeStep):
     """Restart a crashed ``node`` (no-op on a node that is not crashed)."""
 
     kind: ClassVar[str] = "recover"
@@ -659,14 +638,7 @@ class Recover(Step):
     node: str
     repeat: Repeat | None = None
 
-    def __post_init__(self) -> None:
-        self._validate_base()
-        _check_selector(self.node, "node")
-
-    def apply(self, rt: "ScenarioRuntime", occurrence: int) -> dict[str, Any]:
-        proc = rt.process(self.node)
-        if proc is None:
-            return {"skipped": True, "reason": "node unresolved"}
+    def _apply_node(self, rt: "ScenarioRuntime", proc: Any) -> dict[str, Any]:
         if proc.state is not ProcessState.CRASHED:
             return {"skipped": True, "reason": f"node {proc.name} not crashed"}
         recover_node(proc)
@@ -722,9 +694,9 @@ class Churn(Step):
         if proc.state is ProcessState.CRASHED:
             return {"skipped": True, "reason": f"node {proc.name} already crashed"}
         crash_node(proc)
-        # Generation guard (same class as pause_for/Flap): if anything
-        # crashes this node again before the timer fires, the newer
-        # crash's downtime wins and this recover is stale.
+        # Generation guard (node-level, shared with every other crasher, so
+        # not a scenario window): if anything crashes this node again before
+        # the timer fires, the newer crash's downtime wins and this is stale.
         token = proc._crash_generation
 
         def _recover(p=proc) -> None:
@@ -735,15 +707,21 @@ class Churn(Step):
         return {"target": proc.name, "fault": "crash", "down_ms": self.down_ms}
 
 
+#: The probabilities a :class:`DiskFault` retargets (its fields, the
+#: :class:`~repro.storage.DiskFaultConfig` fields and the trace keys).
+_DISK_KNOBS = ("p_crash_point", "p_io_error", "p_stall", "p_torn_tail", "p_bitflip")
+
+
 @dataclasses.dataclass(slots=True, frozen=True)
-class DiskFault(Step):
+class DiskFault(_NodeStep):
     """Retarget ``node``'s disk-fault probabilities (simdisk storage only).
 
     One occurrence swaps the node's fault knobs for ``duration_ms``
-    (0 = the rest of the run), then restores the previous knobs —
-    identity-guarded, so an overlapping later occurrence wins and the
-    stale revert no-ops.  Knobs not listed here (``stall_ms``,
-    ``auto_recover_ms``) are preserved from the backend's configuration.
+    (0 = the rest of the run), then restores the previous knobs — unless
+    a later occurrence on the node has replaced them meanwhile (latest
+    window wins; the stale revert no-ops).  Knobs not listed here
+    (``stall_ms``, ``auto_recover_ms``) are preserved from the backend's
+    configuration.
 
     On a cluster built with ideal storage the step is a traced skip: a
     fault timeline must degrade, not fail, when the storage layer under
@@ -763,15 +741,8 @@ class DiskFault(Step):
     repeat: Repeat | None = None
 
     def __post_init__(self) -> None:
-        self._validate_base()
-        _check_selector(self.node, "node")
-        for field in (
-            "p_crash_point",
-            "p_io_error",
-            "p_stall",
-            "p_torn_tail",
-            "p_bitflip",
-        ):
+        self._validate_node()
+        for field in _DISK_KNOBS:
             p = getattr(self, field)
             if not (0.0 <= p <= 1.0):
                 raise ValueError(f"{field} must be in [0, 1], got {p!r}")
@@ -781,43 +752,27 @@ class DiskFault(Step):
     def effect_duration_ms(self) -> float:
         return self.duration_ms
 
-    def apply(self, rt: "ScenarioRuntime", occurrence: int) -> dict[str, Any]:
-        proc = rt.process(self.node)
-        if proc is None:
-            return {"skipped": True, "reason": "node unresolved"}
+    def _apply_node(self, rt: "ScenarioRuntime", proc: Any) -> dict[str, Any]:
         store = getattr(proc, "storage", None)
         if store is None or store.kind != "simdisk":
             return {"skipped": True, "reason": "ideal storage"}
+        knobs = {field: getattr(self, field) for field in _DISK_KNOBS}
         prev = store.faults
-        new = dataclasses.replace(
-            prev,
-            p_crash_point=self.p_crash_point,
-            p_io_error=self.p_io_error,
-            p_stall=self.p_stall,
-            p_torn_tail=self.p_torn_tail,
-            p_bitflip=self.p_bitflip,
+        store.faults = dataclasses.replace(prev, **knobs)
+
+        def _revert(key: tuple[str, ...]) -> None:
+            store.faults = prev
+
+        rt.window(
+            [("disk", proc.name)],
+            self.duration_ms if self.duration_ms > 0.0 else None,
+            _revert,
         )
-        store.faults = new
-        if self.duration_ms > 0.0:
-
-            def _revert(s: Any = store, prev: Any = prev, new: Any = new) -> None:
-                if s.faults is new:  # stale if a later occurrence replaced it
-                    s.faults = prev
-
-            rt.loop.schedule(self.duration_ms, _revert, priority=PRIORITY_CONTROL)
-        return {
-            "target": proc.name,
-            "duration_ms": self.duration_ms,
-            "p_crash_point": self.p_crash_point,
-            "p_io_error": self.p_io_error,
-            "p_stall": self.p_stall,
-            "p_torn_tail": self.p_torn_tail,
-            "p_bitflip": self.p_bitflip,
-        }
+        return {"target": proc.name, "duration_ms": self.duration_ms, **knobs}
 
 
 @dataclasses.dataclass(slots=True, frozen=True)
-class SetClock(Step):
+class SetClock(_NodeStep):
     """Skew ``node``'s local clock: fixed ``offset_ms`` plus ``drift`` rate.
 
     Applies to the node's live :class:`~repro.sim.clock.NodeClock` — its
@@ -837,15 +792,11 @@ class SetClock(Step):
     repeat: Repeat | None = None
 
     def __post_init__(self) -> None:
-        self._validate_base()
-        _check_selector(self.node, "node")
+        self._validate_node()
         if not self.drift > -1.0:  # also rejects NaN
             raise ValueError(f"drift must be > -1, got {self.drift!r}")
 
-    def apply(self, rt: "ScenarioRuntime", occurrence: int) -> dict[str, Any]:
-        proc = rt.process(self.node)
-        if proc is None:
-            return {"skipped": True, "reason": "node unresolved"}
+    def _apply_node(self, rt: "ScenarioRuntime", proc: Any) -> dict[str, Any]:
         clock = getattr(proc, "clock", None)
         if clock is None:
             return {"skipped": True, "reason": f"node {proc.name} has no clock"}

@@ -1,9 +1,20 @@
-"""CostModel accounting and sampling."""
+"""CostModel accounting and sampling, and where the billing is installed."""
+
+import types
 
 import pytest
 
-from repro.cluster.capacity import DEFAULT_COSTS_MS, CostModel
+from repro.cluster.capacity import BILLED, DEFAULT_COSTS_MS, BilledPort, CostModel
+from repro.experiments import fig7_loss
+from repro.raft.messages import (
+    AppendEntriesRequest,
+    HeartbeatRequest,
+    HeartbeatResponse,
+    VoteRequest,
+)
+from repro.raft.node import RaftNode
 from repro.sim.loop import EventLoop
+from tests.conftest import make_raft_cluster
 
 
 def test_charge_accumulates():
@@ -78,3 +89,141 @@ def test_saturated():
     m.charge("n1", "op", units=2500)
     assert m.saturated("n1", wall_ms=1000.0)
     assert not m.saturated("n1", wall_ms=2000.0)
+
+
+# -- billing as messages pass (the port between a node and the fabric) ------ #
+
+#: ``op_counts`` and the leader's ``busy_ms`` of the tiny Fig. 7 cell
+#: (``test_fig7_h_tracks_loss_and_fixk_flat``: 5 nodes, dwell 8 s, loss
+#: 0 / 0.15 / 0.30), captured while the charge sites still lived inside
+#: ``RaftNode`` (PR 16).  Billing from outside must reproduce them.
+_PINNED = {
+    "dynatune": (
+        {
+            "heartbeat_send": 2959,
+            "heartbeat_recv": 2547,
+            "heartbeat_resp_send": 2547,
+            "heartbeat_resp_recv": 2237,
+            "tuning": 7743,
+            "append_send": 4,
+            "append_recv": 4,
+            "append_resp_recv": 4,
+            "client_request": 0,
+            "apply": 5,
+        },
+        ("n3", 950.1299999998566),
+    ),
+    "fix-k": (
+        {
+            "heartbeat_send": 9338,
+            "heartbeat_recv": 8385,
+            "heartbeat_resp_send": 8385,
+            "heartbeat_resp_recv": 7672,
+            "tuning": 25395,
+            "append_send": 4,
+            "append_recv": 4,
+            "append_resp_recv": 4,
+            "client_request": 0,
+            "apply": 5,
+        },
+        ("n3", 3095.5299999992108),
+    ),
+}
+
+
+@pytest.mark.parametrize("system", sorted(_PINNED))
+def test_billing_from_outside_reproduces_the_in_node_counts(system, monkeypatch):
+    built = []
+    real = fig7_loss.build_cluster
+    monkeypatch.setattr(
+        fig7_loss, "build_cluster", lambda *a, **k: built.append(real(*a, **k)) or built[-1]
+    )
+    cfg = fig7_loss.Fig7Config(
+        sizes=(5,), dwell_ms=8_000.0, loss_levels=(0.0, 0.15, 0.30)
+    )
+    run = fig7_loss.run_one(system, 5, cfg)
+    (cluster,) = built
+    model = cluster.cost_model
+    counts, (leader, busy) = _PINNED[system]
+    assert set(counts) == set(DEFAULT_COSTS_MS)  # the ten priced kinds
+    assert {kind: model.op_counts[kind] for kind in counts} == counts
+    assert set(model.op_counts) <= set(counts)  # nothing unpriced is billed
+    assert run.leader == leader
+    assert model.busy_ms[leader] == pytest.approx(busy, rel=1e-9)
+
+
+def test_billed_kinds_all_have_a_price():
+    kinds = {kind for pair in BILLED.values() for kind in pair if kind is not None}
+    assert kinds | {"tuning", "apply"} == set(DEFAULT_COSTS_MS)
+
+
+def test_cost_model_off_means_no_port_anywhere():
+    c = make_raft_cluster(3)
+    for name, node in c.nodes.items():
+        assert c.network.endpoint(name) is node
+        assert node._transmit == c.network.transmit
+    joiner = c.spawn_node("n4")
+    assert c.network.endpoint("n4") is joiner
+    assert joiner._transmit == c.network.transmit
+
+
+def test_cost_model_on_wires_every_node_through_a_port():
+    c = make_raft_cluster(3, with_cost_model=True)
+    c.spawn_node("n4")
+    for name, node in c.nodes.items():
+        port = c.network.endpoint(name)
+        assert isinstance(port, BilledPort) and port.node is node
+        assert isinstance(node, RaftNode) and node._transmit == port.transmit
+    c.run_until_leader()
+    c.run_for(500.0)
+    assert c.cost_model.busy_ms[c.leader()] > 0.0
+
+
+def test_port_billing_rules():
+    """The three rules beside the table: append units, where metadata
+    costs a ``tuning``, and applies read off the node's counter."""
+    sent = []
+    network = types.SimpleNamespace(transmit=lambda *args: sent.append(args))
+    node = types.SimpleNamespace(
+        alive=True,
+        metrics=types.SimpleNamespace(entries_applied=0),
+        deliver=lambda sender, payload: None,
+    )
+    model = CostModel()
+    port = BilledPort(model, network, "n1")
+    port.node = node
+    meta = object()
+
+    port.transmit("n1", "n2", HeartbeatRequest(1, "n1", 0, meta), "udp", 88)
+    port.transmit("n1", "n2", HeartbeatResponse(1, "n1", 0, meta), "udp", 88)
+    port.transmit("n1", "n2", VoteRequest(1, "n1", 0, 0), "tcp", 96)  # free
+    assert len(sent) == 3  # billed or not, everything is forwarded
+    assert dict(model.op_counts) == {
+        "heartbeat_send": 1,
+        "tuning": 1,  # stamping the request; the reply's metadata is free
+        "heartbeat_resp_send": 1,
+    }
+
+    model.op_counts.clear()
+    port.deliver("n2", HeartbeatRequest(1, "n2", 0, meta))
+    port.deliver("n2", HeartbeatResponse(1, "n2", 0, meta))
+    port.deliver("n2", HeartbeatResponse(1, "n2", 0))
+    port.deliver("n2", AppendEntriesRequest(1, "n2", 0, 0, (), 0))
+    port.deliver("n2", AppendEntriesRequest(1, "n2", 0, 0, ("e1", "e2", "e3"), 0))
+    assert dict(model.op_counts) == {
+        "heartbeat_recv": 1,
+        "heartbeat_resp_recv": 2,
+        "tuning": 2,
+        "append_recv": 1 + 3,  # an empty append still costs one unit
+    }
+
+    model.op_counts.clear()
+    node.metrics.entries_applied = 2  # applied outside any delivery ...
+    node.deliver = lambda sender, payload: setattr(node.metrics, "entries_applied", 5)
+    port.deliver("n2", VoteRequest(1, "n2", 0, 0))  # ... billed at the next one
+    assert dict(model.op_counts) == {"apply": 5}
+
+    model.op_counts.clear()
+    node.alive = False  # paused or crashed: dropped unprocessed, unbilled
+    port.deliver("n2", HeartbeatRequest(1, "n2", 0, meta))
+    assert dict(model.op_counts) == {}

@@ -10,6 +10,7 @@ The two hygiene promises the elastic experiments lean on:
   defaults rule until the window is genuinely ready.
 """
 
+from repro.dynatune.config import ET_FLOOR_MS
 from repro.dynatune.policy import DynatunePolicy, StaticPolicy
 from repro.scenarios.library import elastic_grow
 from tests.conftest import make_dynatune_cluster
@@ -57,7 +58,7 @@ def tuned_pairs(cluster):
 def test_k_times_h_never_exceeds_et_across_a_grow_event():
     c = make_dynatune_cluster(3)
     elastic_grow(["n1", "n2", "n3"], start_ms=2_000, gap_ms=5_000, joiners=2).install(c)
-    floor = c.node("n1").policy.config.et_floor_ms
+    floor = ET_FLOOR_MS
     # Sample the whole grow window: the joiners pass through exactly the
     # fresh-window regime the floor guards against.
     violations = []

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.dynatune.config import DynatuneConfig
+from repro.dynatune.config import (
+    DEFAULT_ELECTION_TIMEOUT_MS,
+    DEFAULT_HEARTBEAT_INTERVAL_MS,
+    DynatuneConfig,
+)
 from repro.dynatune.metadata import HeartbeatMeta, HeartbeatResponseMeta
 from repro.dynatune.policy import DynatunePolicy, StaticPolicy
 
@@ -87,7 +91,7 @@ def test_leader_half_rejects_h_no_follower_could_tune():
     p.on_heartbeat_response(
         "f", HeartbeatResponseMeta(echo_seq=1, echo_ts=0.0, tuned_h_ms=0.001), 1.0
     )
-    assert p.heartbeat_interval_ms("f") == p.config.default_heartbeat_interval_ms
+    assert p.heartbeat_interval_ms("f") == DEFAULT_HEARTBEAT_INTERVAL_MS
 
 
 def test_become_leader_resets_paths():
@@ -118,7 +122,7 @@ def test_follower_defaults_until_min_list_size():
     cfg = DynatuneConfig(min_list_size=5)
     p = DynatunePolicy(cfg)
     feed(p, "L", 4)
-    assert p.election_timeout_ms("L") == cfg.default_election_timeout_ms
+    assert p.election_timeout_ms("L") == DEFAULT_ELECTION_TIMEOUT_MS
     assert p.tuned_et_ms is None
     feed(p, "L", 1, start_seq=5)
     assert p.tuned_et_ms is not None
@@ -328,4 +332,4 @@ def test_leader_rejects_degenerate_piggybacked_h():
     leader.on_heartbeat_response(
         "f", HeartbeatResponseMeta(echo_seq=1, echo_ts=0.0, tuned_h_ms=0.0), 40.0
     )
-    assert leader.heartbeat_interval_ms("f") == leader.config.default_heartbeat_interval_ms
+    assert leader.heartbeat_interval_ms("f") == DEFAULT_HEARTBEAT_INTERVAL_MS

@@ -1,45 +1,40 @@
-"""NetworkSchedule: profile builders and installation."""
+"""The paper's §IV-C network scripts: profile builders and installation.
+
+The profiles are :class:`~repro.scenarios.scenario.Scenario` builders (the
+file keeps the name and test ids it had when ``repro.net`` ran a second
+timeline engine for them); the same instants and values are asserted.
+"""
 
 import pytest
 
-from repro.net.network import Network
-from repro.net.schedule import (
-    NetworkSchedule,
-    ScheduleAction,
-    constant_profile,
+from repro.scenarios.library import SCENARIO_BUILDERS
+from repro.scenarios.profiles import (
     gradual_rtt_profile,
     loss_staircase_profile,
     radical_rtt_profile,
 )
-from repro.net.topology import uniform_topology
+from repro.scenarios.scenario import Scenario
+from repro.scenarios.steps import Heal, Partition, SetLoss, SetRtt
 from repro.sim.clock import MINUTE
-from repro.sim.loop import EventLoop
-from repro.sim.rng import RngRegistry
-
-
-def test_constant_profile_single_action():
-    s = constant_profile(rtt_ms=100.0, loss=0.1)
-    assert len(s) == 1
-    assert s.actions[0].rtt_ms == 100.0
-    assert s.actions[0].loss == 0.1
+from tests.conftest import make_raft_cluster
 
 
 def test_gradual_profile_paper_pattern():
     s = gradual_rtt_profile()  # 50 -> 200 -> 50, 10ms steps, 1min dwell
-    values = [a.rtt_ms for a in s.actions]
+    values = [a.rtt_ms for a in s.steps]
     assert values[0] == 50.0
     assert max(values) == 200.0
     assert values[-1] == 50.0
     assert values.count(200.0) == 1  # peak not repeated
-    # 16 ascending values + 15 descending = 31 actions.
+    # 16 ascending values + 15 descending = 31 steps.
     assert len(values) == 31
     # one-minute dwell spacing
-    assert s.actions[1].at_ms - s.actions[0].at_ms == MINUTE
+    assert s.steps[1].at_ms - s.steps[0].at_ms == MINUTE
 
 
 def test_gradual_profile_monotone_up_then_down():
     s = gradual_rtt_profile()
-    values = [a.rtt_ms for a in s.actions]
+    values = [a.rtt_ms for a in s.steps]
     peak = values.index(200.0)
     assert values[: peak + 1] == sorted(values[: peak + 1])
     assert values[peak:] == sorted(values[peak:], reverse=True)
@@ -54,167 +49,97 @@ def test_gradual_profile_validation():
 
 def test_gradual_profile_non_divisible_step_hits_high():
     s = gradual_rtt_profile(low_ms=50.0, high_ms=75.0, step_ms=10.0)
-    values = [a.rtt_ms for a in s.actions]
+    values = [a.rtt_ms for a in s.steps]
     assert max(values) == 75.0
 
 
 def test_radical_profile_paper_pattern():
     s = radical_rtt_profile()
-    assert [a.rtt_ms for a in s.actions] == [50.0, 500.0, 50.0]
-    assert [a.at_ms for a in s.actions] == [0.0, MINUTE, 2 * MINUTE]
+    assert [a.rtt_ms for a in s.steps] == [50.0, 500.0, 50.0]
+    assert [a.at_ms for a in s.steps] == [0.0, MINUTE, 2 * MINUTE]
 
 
 def test_loss_staircase_up_and_down():
     s = loss_staircase_profile()
-    losses = [a.loss for a in s.actions if a.loss is not None]
+    losses = [a.loss for a in s.steps if isinstance(a, SetLoss)]
     assert losses[0] == 0.0
     assert max(losses) == 0.30
     assert losses.count(0.30) == 1
     assert losses[-1] == 0.0
     assert len(losses) == 13  # 7 up + 6 down
-    assert s.actions[0].rtt_ms == 200.0  # RTT pinned
+    assert s.steps[0] == SetRtt(at_ms=0.0, rtt_ms=200.0)  # RTT pinned
+
+
+def test_profiles_are_plain_scenarios():
+    # JSON-able, and not part of the scenario matrix.
+    for profile in (gradual_rtt_profile(), radical_rtt_profile(), loss_staircase_profile()):
+        assert Scenario.from_json(profile.to_json()).steps == profile.steps
+        assert profile.name not in SCENARIO_BUILDERS
 
 
 def test_value_at_tracks_latest():
+    # The ground truth is read off a link: an installed profile is the
+    # only thing turning the knob.
+    c = make_raft_cluster(3, rtt_ms=10.0)
     s = gradual_rtt_profile(dwell_ms=1000.0)
-    assert s.value_at(0.0)[0] == 50.0
-    assert s.value_at(1500.0)[0] == 60.0
-    assert s.value_at(1e9)[0] == 50.0  # final value
-
-
-def test_value_at_before_start():
-    s = NetworkSchedule([ScheduleAction(at_ms=100.0, rtt_ms=70.0)])
-    assert s.value_at(50.0) == (None, None)
-
-
-def test_value_at_exact_action_time_inclusive():
-    s = NetworkSchedule(
-        [
-            ScheduleAction(at_ms=100.0, rtt_ms=70.0),
-            ScheduleAction(at_ms=200.0, rtt_ms=90.0, loss=0.1),
-        ]
-    )
-    assert s.value_at(100.0) == (70.0, None)  # boundary applies the action
-    assert s.value_at(199.999) == (70.0, None)
-    assert s.value_at(200.0) == (90.0, 0.1)
-
-
-def test_value_at_empty_schedule():
-    assert NetworkSchedule([]).value_at(123.0) == (None, None)
-
-
-def test_value_at_carries_forward_each_dimension_independently():
-    s = NetworkSchedule(
-        [
-            ScheduleAction(at_ms=0.0, rtt_ms=50.0),
-            ScheduleAction(at_ms=10.0, loss=0.2),
-            ScheduleAction(at_ms=20.0, rtt_ms=80.0),
-        ]
-    )
-    assert s.value_at(5.0) == (50.0, None)
-    assert s.value_at(15.0) == (50.0, 0.2)
-    assert s.value_at(25.0) == (80.0, 0.2)
+    s.install(c)
+    link = c.network.link("n1", "n2")
+    c.run_until(0.0)
+    assert link.rtt_ms == 50.0
+    c.run_until(1500.0)
+    assert link.rtt_ms == 60.0
+    c.run_until(s.end_ms)
+    assert link.rtt_ms == 50.0  # final value
 
 
 def test_install_applies_actions_at_times():
-    loop = EventLoop()
-    network = Network(loop, RngRegistry(1))
-
-    class E:
-        def __init__(self, name):
-            self.name = name
-
-        def deliver(self, s, p):  # pragma: no cover - not used
-            pass
-
-    for n in ("a", "b"):
-        network.attach(E(n))
-    uniform_topology(network, ["a", "b"], rtt_ms=10.0)
-
+    c = make_raft_cluster(2, rtt_ms=10.0)
     applied = []
-    s = NetworkSchedule(
-        [
-            ScheduleAction(at_ms=100.0, rtt_ms=40.0, label="r40"),
-            ScheduleAction(at_ms=200.0, loss=0.5, label="l50"),
-        ]
-    )
-    s.install(loop, network, on_apply=lambda a: applied.append(a.label))
-    loop.run_until(150.0)
-    assert network.link("a", "b").one_way_ms == 20.0
-    assert network.link("a", "b").loss.rate() == 0.0
-    loop.run_until(250.0)
-    assert network.link("a", "b").loss.rate() == 0.5
-    assert applied == ["r40", "l50"]
+    s = Scenario("two", [SetRtt(at_ms=100.0, rtt_ms=40.0), SetLoss(at_ms=200.0, loss=0.5)])
+    s.install(c, on_apply=lambda step: applied.append(step.kind))
+    c.run_until(150.0)
+    assert c.network.link("n1", "n2").one_way_ms == 20.0
+    assert c.network.link("n1", "n2").loss.rate() == 0.0
+    c.run_until(250.0)
+    assert c.network.link("n1", "n2").loss.rate() == 0.5
+    assert applied == ["set_rtt", "set_loss"]
 
 
 def test_end_ms():
     s = loss_staircase_profile(dwell_ms=1000.0)
     assert s.end_ms == 12_000.0
-    assert NetworkSchedule([]).end_ms == 0.0
+    assert Scenario("empty", []).end_ms == 0.0
 
 
 def test_actions_sorted_by_time():
-    s = NetworkSchedule(
-        [
-            ScheduleAction(at_ms=200.0, rtt_ms=2.0),
-            ScheduleAction(at_ms=100.0, rtt_ms=1.0),
-        ]
-    )
-    assert [a.at_ms for a in s.actions] == [100.0, 200.0]
+    # Step order in the list is irrelevant: times are absolute.
+    c = make_raft_cluster(2)
+    applied = []
+    Scenario(
+        "unsorted", [SetRtt(at_ms=200.0, rtt_ms=2.0), SetRtt(at_ms=100.0, rtt_ms=1.0)]
+    ).install(c, on_apply=lambda step: applied.append(step.at_ms))
+    c.run_until(300.0)
+    assert applied == [100.0, 200.0]
 
 
-# -- generalized actions: per-pair and partition mutations ------------------ #
-
-
-def _three_node_net():
-    from repro.net.network import Network
-    from repro.net.topology import uniform_topology
-    from repro.sim.loop import EventLoop
-    from repro.sim.rng import RngRegistry
-
-    loop = EventLoop()
-    network = Network(loop, RngRegistry(3))
-    uniform_topology(network, ["a", "b", "c"], rtt_ms=100.0)
-    return loop, network
+# -- the rest of what a schedule action could do: per-pair and partitions --- #
 
 
 def test_pair_action_targets_one_path_only():
-    loop, network = _three_node_net()
-    NetworkSchedule(
-        [ScheduleAction(at_ms=10.0, rtt_ms=400.0, pair=("a", "b"))]
-    ).install(loop, network)
-    loop.run()
-    assert network.link("a", "b").rtt_ms == pytest.approx(400.0)
-    assert network.link("b", "a").rtt_ms == pytest.approx(400.0)
-    assert network.link("a", "c").rtt_ms == pytest.approx(100.0)
+    c = make_raft_cluster(3, rtt_ms=100.0)
+    Scenario("pair", [SetRtt(at_ms=10.0, rtt_ms=400.0, pair=("n1", "n2"))]).install(c)
+    c.run_until(20.0)
+    assert c.network.link("n1", "n2").rtt_ms == pytest.approx(400.0)
+    assert c.network.link("n2", "n1").rtt_ms == pytest.approx(400.0)
+    assert c.network.link("n1", "n3").rtt_ms == pytest.approx(100.0)
 
 
 def test_partition_and_heal_actions():
-    loop, network = _three_node_net()
-    NetworkSchedule(
-        [
-            ScheduleAction(at_ms=10.0, partitions=(frozenset({"a"}),)),
-            ScheduleAction(at_ms=20.0, heal=True),
-        ]
-    ).install(loop, network)
-    loop.run_until(15.0)
-    assert network.partitioned("a", "b")
-    loop.run_until(25.0)
-    assert not network.partitioned("a", "b")
-
-
-def test_pair_actions_do_not_move_the_global_value_at_line():
-    sched = NetworkSchedule(
-        [
-            ScheduleAction(at_ms=0.0, rtt_ms=50.0),
-            ScheduleAction(at_ms=10.0, rtt_ms=500.0, pair=("a", "b")),
-        ]
-    )
-    assert sched.value_at(20.0) == (50.0, None)
-
-
-def test_action_validation():
-    with pytest.raises(ValueError):
-        ScheduleAction(at_ms=0.0, pair=("a", "b"))  # pair with nothing to set
-    with pytest.raises(ValueError):
-        ScheduleAction(at_ms=0.0, partitions=(frozenset({"a"}),), heal=True)
+    c = make_raft_cluster(3)
+    Scenario(
+        "split", [Partition(at_ms=10.0, groups=(("n1",),)), Heal(at_ms=20.0)]
+    ).install(c)
+    c.run_until(15.0)
+    assert c.network.partitioned("n1", "n2")
+    c.run_until(25.0)
+    assert not c.network.partitioned("n1", "n2")

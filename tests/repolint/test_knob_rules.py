@@ -144,6 +144,11 @@ def test_real_tree_knobs_are_all_live_only_thanks_to_their_users():
         "suppress_heartbeats_under_load",
         "consolidated_heartbeat_timer",
     }
+    # DynatuneConfig: the paper's four arguments and fixed_k / the fallback
+    # ablation are set under src/; these three only by tests.
+    assert {
+        h.symbol for h in report.findings if h.path == "repro/dynatune/config.py"
+    } == {"h_floor_ms", "heartbeat_channel", "reset_on_sample_gap"}
     assert {h.path for h in report.findings} == {
         modpath for modpath, _ in DEFAULT_CONFIG.knob_configs
     }

@@ -4,8 +4,11 @@ import pytest
 
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.steps import (
+    BlockLink,
     Crash,
+    DiskFault,
     Flap,
+    GrayLink,
     Heal,
     Partition,
     Pause,
@@ -210,3 +213,121 @@ def test_stale_churn_recover_does_not_cut_later_crash_short():
     assert c.node("n1").state is ProcessState.CRASHED
     c.run_until(9_000.0)
     assert c.node("n1").state is ProcessState.RUNNING
+
+
+def test_flap_and_block_guard_one_flag_with_two_families():
+    """FINDING, pinned not fixed (ROADMAP item 1(d)): ``Flap`` and
+    ``BlockLink`` both drive ``link.up`` but take their windows under
+    separate key families (``("flap", lo, hi)`` vs ``("block", src, dst)``),
+    so neither sees the other's window.  A defect of two families guarding
+    one flag: the states asserted here are what the code does, not what it
+    should do.  The fix (key link-``up`` windows by the directed link)
+    moves fuzz digests and is its own PR."""
+    # (1) An unrelated 50 ms flap lifts a *permanent* one-way block.
+    c = make_raft_cluster(3)
+    Scenario(
+        "flap-lifts-block",
+        [
+            BlockLink(at_ms=100.0, a="n1", b="n2", direction="a_to_b"),
+            Flap(at_ms=200.0, a="n1", b="n2", down_ms=50.0),
+        ],
+    ).install(c)
+    c.run_until(240.0)
+    assert not c.network.link("n1", "n2").up
+    c.run_until(260.0)
+    assert c.network.link("n1", "n2").up  # should still be blocked
+    assert c.network.link("n2", "n1").up
+
+    # (2) A 100 ms block inside a 1 000 ms flap cuts the flap to 200 ms.
+    c = make_raft_cluster(3)
+    Scenario(
+        "block-cuts-flap",
+        [
+            Flap(at_ms=100.0, a="n1", b="n2", down_ms=1_000.0),
+            BlockLink(at_ms=200.0, a="n1", b="n2", duration_ms=100.0),
+        ],
+    ).install(c)
+    c.run_until(290.0)
+    assert not c.network.link("n1", "n2").up
+    c.run_until(310.0)  # should stay down until t=1100
+    assert c.network.link("n1", "n2").up
+    assert c.network.link("n2", "n1").up
+    c.run_until(1_200.0)  # the flap's own restore is then a no-op
+    assert c.network.link("n1", "n2").up
+
+
+def _link(c):
+    return c.network.link("n1", "n2")
+
+
+#: family -> (step factory ``(at_ms, level, duration_ms | None)``, observable,
+#: cluster kwargs).  ``level`` tells the two windows apart where the fault
+#: has a magnitude; a restore puts back what its window found at apply time.
+_WINDOW_FAMILIES = {
+    "flap": (
+        lambda at, level, dur: Flap(at_ms=at, a="n1", b="n2", down_ms=dur),
+        lambda c: "up" if _link(c).up else "down",
+        {},
+    ),
+    "block": (
+        lambda at, level, dur: BlockLink(
+            at_ms=at, a="n1", b="n2", direction="a_to_b", duration_ms=dur
+        ),
+        lambda c: "up" if _link(c).up else "down",
+        {},
+    ),
+    "gray": (
+        lambda at, level, dur: GrayLink(
+            at_ms=at, a="n1", b="n2", loss=level, duration_ms=dur
+        ),
+        lambda c: _link(c).loss.rate(),
+        {},
+    ),
+    "disk": (
+        lambda at, level, dur: DiskFault(
+            at_ms=at, node="n1", p_stall=level, duration_ms=dur or 0.0
+        ),
+        lambda c: c.node("n1").storage.faults.p_stall,
+        {"storage": "simdisk"},
+    ),
+}
+#: What each observable reads (clean, inside window 1, inside window 2).
+_WINDOW_STATES = {
+    "flap": ("up", "down", "down"),
+    "block": ("up", "down", "down"),
+    "gray": (0.0, 0.3, 0.6),
+    "disk": (0.0, 0.3, 0.6),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_WINDOW_FAMILIES))
+def test_latest_window_wins_on_a_shared_key(family):
+    """The one window rule, per family: of two overlapping windows on one
+    key the earlier restore is a no-op and the later one applies; a
+    permanent window silences an earlier finite one.  (Drop the token
+    compare in ``ScenarioRuntime.window`` and the t=600 reads fail.)"""
+    make, read, kwargs = _WINDOW_FAMILIES[family]
+    clean, first, second = _WINDOW_STATES[family]
+
+    c = make_raft_cluster(3, **kwargs)
+    assert read(c) == clean
+    Scenario(
+        "overlap", [make(100.0, 0.3, 400.0), make(300.0, 0.6, 400.0)]
+    ).install(c)
+    c.run_until(200.0)
+    assert read(c) == first
+    c.run_until(400.0)
+    assert read(c) == second
+    c.run_until(600.0)  # window 1's restore (t=500) was stale: nothing moved
+    assert read(c) == second
+    c.run_until(800.0)  # window 2's restore (t=700) put back what it found
+    assert read(c) == (first if family in ("gray", "disk") else clean)
+
+    if family == "flap":
+        return  # a flap has no permanent form
+    c = make_raft_cluster(3, **kwargs)
+    Scenario(
+        "permanent", [make(100.0, 0.3, 400.0), make(300.0, 0.6, None)]
+    ).install(c)
+    c.run_until(600.0)  # the finite window's restore (t=500) is silenced
+    assert read(c) == second

@@ -1,0 +1,17 @@
+"""``tools.work_proxy``: the count is a function of the seed, not the host."""
+
+import pathlib
+import subprocess
+import sys
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_same_seed_in_two_fresh_processes_counts_the_same_calls():
+    cmd = [sys.executable, "-m", "tools.work_proxy", "--smoke", "--workload", "serve_reads"]
+    first, second = (
+        subprocess.run(cmd, cwd=REPO_ROOT, capture_output=True, text=True, check=True).stdout
+        for _ in range(2)
+    )
+    assert first == second
+    assert first.startswith("serve_reads") and "calls=" in first and "failed=0" in first

@@ -281,6 +281,7 @@ class RepolintConfig:
     #: must be passed by keyword by some caller outside its module.
     knob_configs: tuple[tuple[str, str], ...] = (
         ("repro/raft/types.py", "RaftConfig"),
+        ("repro/dynatune/config.py", "DynatuneConfig"),
         ("repro/experiments/elastic.py", "ElasticConfig"),
         ("repro/experiments/durability.py", "DurabilityConfig"),
         ("repro/experiments/grayfail.py", "GrayfailConfig"),
