@@ -242,13 +242,11 @@ class Cluster:
         loop = self.loop
         trace = self.trace
         # Every role or process-state change appends a trace record, so
-        # between events that recorded nothing the answer cannot have
-        # changed; only a trace that stores everything can vouch for that.
-        watch = trace.enabled and trace.kept_kinds is None
+        # between events that recorded nothing the answer cannot have changed.
         seen = -1
         deadline = loop.now + timeout_ms
         while loop.now < deadline:
-            if not watch or len(trace) != seen:
+            if len(trace) != seen:
                 seen = len(trace)
                 leader = self.leader()
                 if leader is not None and leader != exclude:

@@ -439,10 +439,7 @@ class Network:
             event.append(seq)
             event.append(_Delivery((endpoint, stats, src, payload)))
             event.loop = loop
-            if loop._unordered:
-                loop._heap.append(event)
-            else:
-                _heappush(loop._heap, event)
+            _heappush(loop._heap, event)
 
     def broadcast(
         self,

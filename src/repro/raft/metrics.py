@@ -67,6 +67,3 @@ class NodeMetrics:
     #: The currently armed randomizedTimeout (ms); kept current by the node
     #: every time the election timer (or the leader's quorum timer) is armed.
     current_randomized_timeout_ms: float = 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        return dataclasses.asdict(self)

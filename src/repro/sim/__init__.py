@@ -3,10 +3,11 @@
 This package is the foundation every other ``repro`` subsystem runs on.  It
 provides:
 
-* :class:`~repro.sim.clock.VirtualClock` — a monotonically advancing virtual
-  clock measured in floating-point **milliseconds**;
 * :class:`~repro.sim.loop.EventLoop` — a heapq-based scheduler with a total,
-  deterministic event order (time, priority, sequence number);
+  deterministic event order (time, priority, sequence number); its ``now``
+  is the simulation clock, in floating-point **milliseconds**;
+* :class:`~repro.sim.clock.NodeClock` — one node's local view of that
+  time (offset and drift, identity by default);
 * :class:`~repro.sim.timers.Timer` / :class:`~repro.sim.timers.TimerService`
   — resettable timers in the style Raft nodes need (election timers,
   per-follower heartbeat timers), and :class:`~repro.sim.timers.DeadlineQueue`
@@ -25,12 +26,11 @@ is the limit of that design: all nodes share one exact clock, so detection
 and out-of-service intervals are measured with zero error.  (The geo
 experiment of Fig. 8 deliberately re-introduces per-node clock offsets at
 measurement-extraction time; see :mod:`repro.net.topology`.  Live per-node
-skew/drift *inside* the protocol is :class:`~repro.sim.clock.NodeClock`,
-identity by default.)
+skew/drift *inside* the protocol is the ``NodeClock``.)
 """
 
-from repro.sim.clock import NodeClock, VirtualClock
-from repro.sim.events import Event, EventHandle
+from repro.sim.clock import NodeClock
+from repro.sim.events import Event
 from repro.sim.loop import EventLoop, SimulationError
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry, derive_seed
@@ -40,7 +40,6 @@ from repro.sim.tracing import TraceLog, TraceRecord
 __all__ = [
     "DeadlineQueue",
     "Event",
-    "EventHandle",
     "EventLoop",
     "NodeClock",
     "Process",
@@ -50,6 +49,5 @@ __all__ = [
     "TimerService",
     "TraceLog",
     "TraceRecord",
-    "VirtualClock",
     "derive_seed",
 ]

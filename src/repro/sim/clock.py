@@ -1,16 +1,17 @@
-"""Virtual clock for the discrete-event simulator.
+"""Time units and the per-node clock for the discrete-event simulator.
 
 Time is a ``float`` measured in **milliseconds** since simulation start.
 Milliseconds are the natural unit for this paper: every parameter it
 discusses (election timeout, heartbeat interval, RTT, detection time,
 out-of-service time) is quoted in ms.
 
-Two clock views live here:
+There are two clocks:
 
-* :class:`VirtualClock` — the loop-owned *simulation* clock, the single
-  source of truth physics runs on;
-* :class:`NodeClock` — one node's *local* view of time: an affine map
-  (``offset`` + ``drift`` rate) over the simulation clock, standing in
+* :attr:`EventLoop.now <repro.sim.loop.EventLoop.now>` — the *simulation*
+  clock, the single source of truth physics runs on; only the loop
+  advances it;
+* :class:`NodeClock` (here) — one node's *local* view of time: an affine
+  map (``offset`` + ``drift`` rate) over the simulation clock, standing in
   for the crystal-oscillator error and NTP offset a real host carries.
   Protocol code reads time exclusively through its node's clock, which
   is the first slice of the runtime abstraction (clock/timer/transport)
@@ -20,12 +21,9 @@ Two clock views live here:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from repro.sim.loop import EventLoop
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (loop imports clock)
-    from repro.sim.loop import EventLoop
-
-__all__ = ["VirtualClock", "NodeClock", "MS", "SECOND", "MINUTE"]
+__all__ = ["NodeClock", "MS", "SECOND", "MINUTE"]
 
 #: One millisecond in clock units (the base unit).
 MS: float = 1.0
@@ -33,43 +31,6 @@ MS: float = 1.0
 SECOND: float = 1000.0
 #: One minute in clock units.
 MINUTE: float = 60_000.0
-
-
-class VirtualClock:
-    """A monotonically non-decreasing virtual clock.
-
-    Only the :class:`~repro.sim.loop.EventLoop` advances the clock; every
-    other component reads it through :meth:`now`.  Attempting to move time
-    backwards raises ``ValueError`` — that would indicate a scheduler bug and
-    silently accepting it would corrupt every measurement downstream.
-    """
-
-    __slots__ = ("_now",)
-
-    def __init__(self, start: float = 0.0) -> None:
-        if start < 0.0:
-            raise ValueError(f"clock cannot start before zero, got {start!r}")
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in milliseconds."""
-        return self._now
-
-    def advance_to(self, t: float) -> None:
-        """Advance the clock to absolute time ``t`` (ms).
-
-        Raises:
-            ValueError: if ``t`` is earlier than the current time.
-        """
-        if t < self._now:
-            raise ValueError(
-                f"time cannot run backwards: now={self._now!r}, requested={t!r}"
-            )
-        self._now = float(t)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VirtualClock(now={self._now!r})"
 
 
 class NodeClock:
@@ -101,7 +62,7 @@ class NodeClock:
     __slots__ = ("_loop", "offset_ms", "drift")
 
     def __init__(
-        self, loop: "EventLoop", *, offset_ms: float = 0.0, drift: float = 0.0
+        self, loop: EventLoop, *, offset_ms: float = 0.0, drift: float = 0.0
     ) -> None:
         self._loop = loop
         self.offset_ms = 0.0

@@ -29,7 +29,7 @@ two properties the hot path needs:
   interpreter) and no per-comparison key tuples are allocated;
 * one object per scheduled event — the entry doubles as the cancellation
   handle returned by :meth:`EventLoop.schedule`, so there is no separate
-  ``EventHandle`` allocation and no wrapper indirection.
+  handle allocation and no wrapper indirection.
 
 Cancellation clears slot 3 (the callback) to ``None``, which both marks the
 event dead for the loop's lazy deletion and releases the closure
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-__all__ = ["Event", "EventHandle", "PRIORITY_MESSAGE", "PRIORITY_TIMER", "PRIORITY_CONTROL"]
+__all__ = ["Event", "PRIORITY_MESSAGE", "PRIORITY_TIMER", "PRIORITY_CONTROL"]
 
 #: Priority for network message deliveries.
 PRIORITY_MESSAGE: int = 0
@@ -104,14 +104,7 @@ class Event(list):
             loop._note_cancelled()
         return True
 
-    def sort_key(self) -> tuple[float, int, int]:
-        return (self[0], self[1], self[2])
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self[3] is None else "pending"
         return f"Event(t={self[0]!r}, prio={self[1]!r}, seq={self[2]!r}, {state})"
 
-
-#: Backwards-compatible alias: the scheduler hands out :class:`Event`
-#: objects directly instead of wrapping each one in a separate handle.
-EventHandle = Event

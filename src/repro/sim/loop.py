@@ -14,26 +14,24 @@ Performance notes (this is the hot path of every benchmark):
   the comparison never reaches the trailing callback: a sift costs zero
   Python-level calls and zero allocations, where comparing events via
   ``__lt__`` used to allocate two key tuples per comparison;
-* ``run``/``run_until`` drain a *sorted batch*: everything pending at
-  entry is snapshotted and Timsort-ed once (C, and adaptively fast on the
-  mostly-ordered heap array), then consumed by index; only events
-  scheduled *during* the run go through the live heap, which stays small.
-  This replaces one O(log n) sift-down per pre-existing event with an
-  amortised share of one ``sort()`` — several times cheaper in constants.
-  ``run``/``run_until``/``step`` are therefore not reentrant from
-  callbacks (they never were used that way; now it raises);
+* the heap is the *only* pending structure, inside a run and outside it:
+  ``run``/``run_until`` are one pop loop over it.  The traffic here is
+  heartbeat and timer chains — each event schedules its successor during
+  the run — so nearly every event is pushed and popped mid-run, and a
+  sorted snapshot of what is pending at entry would serve 0.3–2.5 % of the
+  events of the benchmark workloads.
+  ``run``/``run_until``/``step`` are not reentrant from callbacks;
 * virtual time is the plain attribute :attr:`EventLoop.now` (read-only by
   convention) — the hottest read in the simulator, not worth a property;
 * cancelled events use *lazy deletion*: cancelling clears the callback
   slot in O(1) and the loop skips dead events as they surface.  Raft
   cancels timers on role changes and clients cancel retry timers on every
   response, so eager heap surgery would turn each cancel into O(n);
-* the loop keeps an (approximate, over-counting) tally of cancelled
-  events still buried in its structures and *compacts* the live heap
-  (filter + re-heapify, O(n)) once the tally exceeds half the heap beyond
-  a small floor; batch remainders are filtered on merge-back.
-  Cancellation storms therefore cannot grow the pending set unboundedly:
-  amortised cost per cancel stays O(log n).
+* the loop keeps a tally of cancelled events still in the heap and
+  *compacts* it (filter + re-heapify, O(n)) once the tally exceeds half
+  the heap beyond a small floor.  Cancellation storms therefore cannot
+  grow the pending set unboundedly: amortised cost per cancel stays
+  O(log n).
 
 Timers add one more trick on top: :class:`~repro.sim.timers.Timer` re-arms
 lazily, so the per-heartbeat election-timer reset — the single most frequent
@@ -46,7 +44,6 @@ import heapq
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable
 
-from repro.sim.clock import VirtualClock
 from repro.sim.events import Event, PRIORITY_MESSAGE
 
 __all__ = ["EventLoop", "SimulationError"]
@@ -59,19 +56,7 @@ class SimulationError(RuntimeError):
 #: Never compact heaps smaller than this — rebuild cost would dominate.
 _COMPACT_MIN_SIZE = 64
 
-
-class _ClockView(VirtualClock):
-    """Live, read-only :class:`VirtualClock` facade over a loop's time."""
-
-    __slots__ = ("_loop",)
-
-    def __init__(self, loop: "EventLoop") -> None:
-        VirtualClock.__init__(self)
-        self._loop = loop
-
-    @property
-    def now(self) -> float:
-        return self._loop.now
+_INF = float("inf")
 
 
 class EventLoop:
@@ -98,40 +83,20 @@ class EventLoop:
             raise ValueError(f"clock cannot start before zero, got {start!r}")
         self.now: float = float(start)
         self._heap: list[Event] = []
-        #: When True, ``_heap`` is an unordered bag: bursts of schedules
-        #: outside a run are plain appends, and ordering is established
-        #: lazily (one heapify/sort) the first time something needs it.
-        self._unordered = True
         self._seq = 0
         self._executed = 0
         self._in_run = False
-        #: Approximate count of cancelled events still pending (may
-        #: over-count events cancelled after firing or parked in a run
-        #: batch; only drives the compaction heuristic).
+        #: Cancelled events still in the heap (over-counts only by handles
+        #: cancelled after their event fired); drives compaction.
         self._cancelled = 0
-        self._clock_view = _ClockView(self)
 
     # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
 
     @property
-    def clock(self) -> VirtualClock:
-        """Read-only live view of the loop's time (legacy API).
-
-        The returned object's ``now`` always reflects the loop, so it is
-        safe to hold across events; mutating it has no effect on the loop.
-        """
-        return self._clock_view
-
-    @property
     def pending(self) -> int:
-        """Number of events still queued (including cancelled ones).
-
-        During :meth:`run`/:meth:`run_until` this reflects only events
-        scheduled since the run started — the pre-existing ones live in
-        the run's private batch until it exits.
-        """
+        """Number of events still queued (including cancelled ones)."""
         return len(self._heap)
 
     @property
@@ -140,24 +105,12 @@ class EventLoop:
         return self._executed
 
     def next_event_time(self) -> float | None:
-        """Time of the next live event, or ``None`` if the heap is drained.
-
-        Raises:
-            SimulationError: if called from a callback during ``run``/
-                ``run_until`` — pre-existing events are parked in the run's
-                private batch then, so the answer would be silently wrong.
-        """
-        if self._in_run:
-            raise SimulationError(
-                "next_event_time() is unavailable from inside run()/run_until()"
-            )
-        self._drop_cancelled()
-        return self._heap[0][0] if self._heap else None  # Event[0] is time
-
-    def _ensure_ordered(self) -> None:
-        if self._unordered:
-            heapq.heapify(self._heap)
-            self._unordered = False
+        """Time of the next live event, or ``None`` if the heap is drained."""
+        heap = self._heap
+        while heap and heap[0][3] is None:
+            _heappop(heap)
+            self._cancelled -= 1
+        return heap[0][0] if heap else None  # Event[0] is time
 
     # ------------------------------------------------------------------ #
     # scheduling
@@ -201,10 +154,7 @@ class EventLoop:
         event.append(seq)
         event.append(callback)
         event.loop = self
-        if self._unordered:
-            self._heap.append(event)
-        else:
-            _heappush(self._heap, event)
+        _heappush(self._heap, event)
         return event
 
     def _push_event(
@@ -224,10 +174,7 @@ class EventLoop:
         event.append(seq)
         event.append(callback)
         event.loop = self
-        if self._unordered:
-            self._heap.append(event)
-        else:
-            _heappush(self._heap, event)
+        _heappush(self._heap, event)
         return event
 
     def _reserve_seq(self) -> int:
@@ -244,10 +191,7 @@ class EventLoop:
         """:meth:`_push_event` under a sequence number from :meth:`_reserve_seq`."""
         event = Event((time, priority, seq, callback))
         event.loop = self
-        if self._unordered:
-            self._heap.append(event)
-        else:
-            _heappush(self._heap, event)
+        _heappush(self._heap, event)
         return event
 
     def schedule_at(
@@ -276,7 +220,6 @@ class EventLoop:
         """
         if self._in_run:
             raise SimulationError("step() is not reentrant from a running loop")
-        self._ensure_ordered()
         heap = self._heap
         while heap:
             event = _heappop(heap)
@@ -331,92 +274,31 @@ class EventLoop:
         return count
 
     def _drain(self, t: float | None, max_events: int | None) -> int:
-        """Shared core of :meth:`run` / :meth:`run_until`.
-
-        Snapshots the pending heap into a sorted batch consumed by index;
-        events scheduled by callbacks flow through the (now small) live
-        heap and are merged into the execution order by peek-compare.  The
-        unconsumed batch tail is merged back into the heap on exit, so
-        between runs the heap is the single pending structure again.
-        """
+        """Shared core of :meth:`run` / :meth:`run_until`: pop the heap in
+        order until it drains, the next live event is past ``t``, or
+        ``max_events`` have run with a live event still due."""
         if self._in_run:
             raise SimulationError("run()/run_until() are not reentrant")
         heap = self._heap
-        batch = heap[:]
-        heap.clear()
-        self._unordered = False  # in-run schedules must keep heap order
-        batch.sort()
-        i = 0
-        n = len(batch)
-        count = 0
         pop = _heappop
-        simple = t is None and max_events is None
+        # An absent bound is one no event reaches, so the loop body tests
+        # two plain comparisons rather than two ``is None`` first.
+        horizon = _INF if t is None else t
+        limit = _INF if max_events is None else max_events
+        count = 0
         self._in_run = True
         try:
-            while True:
-                if simple and not heap:
-                    # Fast path: no bounds to check and nothing in the live
-                    # heap — march straight down the sorted batch until a
-                    # callback schedules something or the batch drains.
-                    while i < n:
-                        ev = batch[i]
-                        i += 1
-                        cb = ev[3]
-                        if cb is None:
-                            continue
-                        self.now = ev[0]
-                        count += 1
-                        cb()
-                        if heap:
-                            break
-                    if i >= n and not heap:
-                        break
-                    continue
-                if t is not None and max_events is None and i >= n:
-                    # Steady-state fast path for run_until: the batch is
-                    # exhausted, so everything flows through the live heap
-                    # until it drains or the next event is beyond t.
-                    while heap:
-                        ev = heap[0]
-                        cb = ev[3]
-                        if cb is None:
-                            pop(heap)
-                            self._cancelled -= 1
-                            continue
-                        time = ev[0]
-                        if time > t:
-                            break
-                        pop(heap)
-                        self.now = time
-                        count += 1
-                        cb()
-                    break
-                # Pick the earliest candidate across batch cursor and heap.
-                bev = batch[i] if i < n else None
-                if heap:
-                    ev = heap[0]
-                    if bev is not None and bev < ev:
-                        ev = bev
-                        from_heap = False
-                    else:
-                        from_heap = True
-                elif bev is not None:
-                    ev = bev
-                    from_heap = False
-                else:
-                    break
+            while heap:
+                ev = heap[0]
                 cb = ev[3]
                 if cb is None:  # cancelled: skip without executing
-                    if from_heap:
-                        pop(heap)
-                        self._cancelled -= 1
-                    else:
-                        i += 1
+                    pop(heap)
+                    self._cancelled -= 1
                     continue
                 time = ev[0]
-                if t is not None and time > t:
+                if time > horizon:
                     break
-                if max_events is not None and count >= max_events:
+                if count >= limit:
                     if t is not None:
                         raise SimulationError(
                             f"run_until({t!r}) exceeded max_events={max_events}"
@@ -425,35 +307,18 @@ class EventLoop:
                         f"run() exceeded max_events={max_events} with live "
                         f"events pending at t={self.now}"
                     )
-                if from_heap:
-                    pop(heap)
-                else:
-                    i += 1
+                pop(heap)
                 self.now = time
                 count += 1
                 cb()
         finally:
             self._in_run = False
             self._executed += count
-            if i < n:
-                # Merge the unconsumed (and still live) batch tail back;
-                # ordering is re-established lazily on next use.
-                heap.extend(e for e in batch[i:] if e[3] is not None)
-                self._unordered = True
-            elif not heap:
-                self._unordered = True  # empty: cheap appends until needed
         return count
 
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-
-    def _drop_cancelled(self) -> None:
-        self._ensure_ordered()
-        heap = self._heap
-        while heap and heap[0][3] is None:
-            _heappop(heap)
-            self._cancelled -= 1
 
     def _note_cancelled(self) -> None:
         """Called by :meth:`Event.cancel`; triggers compaction.
@@ -475,6 +340,5 @@ class EventLoop:
         """
         heap = self._heap
         heap[:] = [entry for entry in heap if entry[3] is not None]
-        if not self._unordered:
-            heapq.heapify(heap)
+        heapq.heapify(heap)
         self._cancelled = 0

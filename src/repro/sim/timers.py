@@ -45,7 +45,7 @@ class Timer:
     scheduled at some time ``<= _deadline``.
     """
 
-    __slots__ = ("_loop", "name", "_callback", "_handle", "_handle_time", "_duration", "_deadline")
+    __slots__ = ("_loop", "name", "_callback", "_handle", "_handle_time", "_deadline")
 
     def __init__(self, loop: EventLoop, name: str, callback: Callable[[], Any]) -> None:
         self._loop = loop
@@ -53,7 +53,6 @@ class Timer:
         self._callback = callback
         self._handle = None
         self._handle_time = 0.0
-        self._duration: float | None = None
         self._deadline: float | None = None
 
     # -- state ---------------------------------------------------------- #
@@ -62,11 +61,6 @@ class Timer:
     def running(self) -> bool:
         """Whether an expiration is currently pending."""
         return self._deadline is not None
-
-    @property
-    def duration(self) -> float | None:
-        """Duration (ms) the timer was last armed with, if any."""
-        return self._duration
 
     @property
     def deadline(self) -> float | None:
@@ -105,7 +99,6 @@ class Timer:
                 f"timer {self.name!r} duration must be >= 0, got {duration!r}"
             )
         deadline = self._loop.now + duration
-        self._duration = duration
         self._deadline = deadline
         if self._handle is not None:
             if self._handle_time <= deadline:
@@ -156,10 +149,6 @@ class TimerService:
         self._owner = owner
         self._timers: dict[str, Timer] = {}
         self._frozen: dict[str, float] | None = None
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen is not None
 
     def timer(self, name: str, callback: Callable[[], Any]) -> Timer:
         """Create (or fetch) the timer called ``name`` for this node."""

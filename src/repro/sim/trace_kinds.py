@@ -6,10 +6,9 @@ Regenerate with::
 
 Every kind emitted anywhere under ``src/`` (plus the justified
 ``extra_trace_kinds`` from ``tools/repolint/config.py``) is listed here.
-``TraceLog.keep_kinds`` and ``SafetyChecker.install`` validate against
-this set at runtime so a typo'd kind fails loudly instead of silently
-blinding a gate or a safety hook; ``tools/repolint`` cross-checks it
-statically on every run.
+``SafetyChecker.install`` validates against this set at runtime so a
+typo'd kind fails loudly instead of silently blinding a safety hook;
+``tools/repolint`` cross-checks it statically on every run.
 """
 
 from __future__ import annotations

@@ -16,28 +16,9 @@ sites can index and len() them freely.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Any, Callable, Iterable
 
-from repro.sim.trace_kinds import TRACE_KINDS
-
 __all__ = ["TraceRecord", "TraceLog"]
-
-#: Unregistered kinds already warned about by :meth:`TraceLog.wants`
-#: (process-wide warn-once, so a hot probe loop cannot flood stderr).
-_WARNED_KINDS: set[str] = set()
-
-
-def _warn_unregistered(kind: str) -> None:
-    _WARNED_KINDS.add(kind)
-    warnings.warn(
-        f"trace kind {kind!r} is not in repro.sim.trace_kinds.TRACE_KINDS; "
-        "a typo here silently blinds every gate and query that greps for "
-        "it (regenerate with: python -m tools.repolint src/ "
-        "--write-trace-registry)",
-        RuntimeWarning,
-        stacklevel=3,
-    )
 
 
 @dataclasses.dataclass(slots=True, frozen=True)
@@ -69,119 +50,22 @@ class TraceLog:
     which can miss violations whose whole window fits between samples.
     Listeners must not record into the log they observe (no re-entrant
     appends) and should be cheap: they run on the simulation hot path.
-
-    Storage can be **gated**: :meth:`set_enabled` switches retention off
-    wholesale and :meth:`keep_kinds` restricts it to a kind allow-list
-    (default: fully on — everything is retained).  Gating affects only
-    what the log *stores*; subscribed listeners always observe every
-    record, so an event-hooked :class:`~repro.scenarios.safety.
-    SafetyChecker` stays exact under any gate.  When a record is neither
-    stored nor observed it is never constructed at all — :meth:`record`
-    returns ``None`` — which is what makes high-rate tracing free for
-    runs that only read a few kinds.  Callers that build expensive field
-    payloads can pre-check :meth:`wants`.
-
-    Note the query helpers (:meth:`of_kind` & co.) only see *stored*
-    records: a gate that drops kinds an end-of-run verifier greps for
-    (e.g. ``become_leader`` for the election-safety check) silently
-    blinds that verifier.  Keep the default for correctness work; gate
-    for throughput sweeps that reduce to counters.
     """
 
     def __init__(self) -> None:
         self._records: list[TraceRecord] = []
         self._kind_index: dict[str, list[TraceRecord]] = {}
         self._listeners: list[Callable[[TraceRecord], None]] = []
-        self._enabled = True
-        self._kinds: frozenset[str] | None = None  # None = store all kinds
 
-    def record(
-        self, time: float, node: str, kind: str, **fields: Any
-    ) -> TraceRecord | None:
-        """Append a record and notify listeners.
-
-        Returns the stored/observed record, or ``None`` when the gate
-        dropped it (storage disabled or kind filtered, and no listener).
-        """
-        if self._enabled and (self._kinds is None or kind in self._kinds):
-            rec = TraceRecord(time=time, node=node, kind=kind, fields=fields)
-            self._records.append(rec)
-            self._kind_index.setdefault(kind, []).append(rec)
-            if self._listeners:
-                for listener in self._listeners:
-                    listener(rec)
-            return rec
+    def record(self, time: float, node: str, kind: str, **fields: Any) -> TraceRecord:
+        """Append a record, notify listeners, and return it."""
+        rec = TraceRecord(time=time, node=node, kind=kind, fields=fields)
+        self._records.append(rec)
+        self._kind_index.setdefault(kind, []).append(rec)
         if self._listeners:
-            # Gated for storage but observed live: listeners see the full
-            # stream regardless of the gate (safety hooks depend on it).
-            rec = TraceRecord(time=time, node=node, kind=kind, fields=fields)
             for listener in self._listeners:
                 listener(rec)
-            return rec
-        return None
-
-    # -- storage gates ----------------------------------------------------- #
-
-    @property
-    def enabled(self) -> bool:
-        """Whether records are being retained (listeners are unaffected)."""
-        return self._enabled
-
-    def set_enabled(self, enabled: bool) -> None:
-        """Turn record retention on or off (existing records are kept)."""
-        self._enabled = bool(enabled)
-
-    def keep_kinds(
-        self, kinds: Iterable[str] | None, *, validate: bool = True
-    ) -> None:
-        """Retain only these kinds (``None`` restores store-everything).
-
-        By default every kind must appear in the generated
-        :data:`repro.sim.trace_kinds.TRACE_KINDS` registry — a typo'd
-        allow-list would otherwise drop the records its caller meant to
-        keep without any symptom until an analysis comes up empty.  Pass
-        ``validate=False`` for synthetic kinds in tests.
-
-        Raises:
-            ValueError: if ``validate`` and any kind is unregistered.
-        """
-        if kinds is None:
-            self._kinds = None
-            return
-        wanted = frozenset(kinds)
-        if validate:
-            unknown = wanted - TRACE_KINDS
-            if unknown:
-                raise ValueError(
-                    f"keep_kinds: unregistered trace kind(s) "
-                    f"{sorted(unknown)}; known kinds live in "
-                    "repro.sim.trace_kinds.TRACE_KINDS (regenerate with: "
-                    "python -m tools.repolint src/ --write-trace-registry; "
-                    "pass validate=False for synthetic test kinds)"
-                )
-        self._kinds = wanted
-
-    @property
-    def kept_kinds(self) -> frozenset[str] | None:
-        """The active kind allow-list, or ``None`` when storing all kinds."""
-        return self._kinds
-
-    def wants(self, kind: str) -> bool:
-        """Whether a record of ``kind`` would be stored or observed now.
-
-        Hot callers with expensive-to-build fields can skip the
-        :meth:`record` call (and its kwargs dict) entirely when this is
-        ``False``.
-
-        Probing an unregistered kind warns once per kind per process
-        (the probe site almost certainly typo'd the kind it emits); the
-        check is one frozenset lookup, cheap enough for the hot path.
-        """
-        if kind not in TRACE_KINDS and kind not in _WARNED_KINDS:
-            _warn_unregistered(kind)
-        if self._listeners:
-            return True
-        return self._enabled and (self._kinds is None or kind in self._kinds)
+        return rec
 
     # -- live subscriptions ------------------------------------------------ #
 

@@ -2,8 +2,8 @@
 
 This is the end-to-end proof that the linter bites on the actual
 codebase shape (real imports, real registry, real dispatch table) — not
-just on minimal fixtures.  One copy of ``src/`` gets all four plants
-from the issue checklist; each must surface as its own finding.
+just on minimal fixtures.  One copy of ``src/`` gets every plant below;
+each must surface as its own finding.
 """
 
 import dataclasses
@@ -45,6 +45,13 @@ class RogueCommand:
 
 def _planted_probe(trace):
     return trace.of_kind("becom_leader")
+""",
+    # 5. a def inside the typed island (repro.raft, repro.sim) missing
+    #    annotations — the same shape as plant 3, which sits outside it
+    "repro/sim/timers.py": """
+
+def _planted_untyped(loop, delay: float = 0.0):
+    return loop.now + delay
 """,
 }
 
@@ -98,8 +105,14 @@ def test_planted_unhandled_message_is_caught(planted_report):
     )
 
 
+def test_planted_unannotated_def_is_caught(planted_report):
+    (hit,) = [f for f in planted_report.findings if f.rule == "annotation-floor"]
+    assert hit.path == "repro/sim/timers.py" and hit.symbol == "_planted_untyped"
+    assert "loop, return" in hit.message  # the annotated ``delay`` is not named
+
+
 def test_plants_are_the_only_findings(planted_report):
-    # The copied tree is the shipped tree: nothing beyond the four plants
+    # The copied tree is the shipped tree: nothing beyond the plants
     # (RogueProbe legitimately trips dispatch too — it has no handler).
     expected = {
         ("determinism-forbidden-call", "time.time"),
@@ -107,5 +120,6 @@ def test_plants_are_the_only_findings(planted_report):
         ("trace-unknown-consume", "becom_leader"),
         ("dispatch-unhandled-message", "RogueCommand"),
         ("dispatch-unhandled-message", "RogueProbe"),
+        ("annotation-floor", "_planted_untyped"),
     }
     assert {(f.rule, f.symbol) for f in planted_report.findings} == expected

@@ -97,28 +97,6 @@ def test_typod_consumer_kind_is_flagged(tmp_path):
     assert hit.symbol == "becom_leader"
 
 
-def test_keep_kinds_literal_collection_is_cross_checked(tmp_path):
-    report = lint(
-        tmp_path,
-        {
-            "repro/sim/trace_kinds.py": registry_module(
-                ["become_leader"]
-                + list(DEFAULT_CONFIG.extra_trace_kinds)
-            ),
-            "repro/raft/x.py": """\
-            def win(trace, now: float) -> None:
-                trace.record(now, "n1", "become_leader", term=2)
-
-            def gate(trace) -> None:
-                trace.keep_kinds({"becom_leader"})
-            """,
-        },
-        rules=RULES,
-    )
-    (hit,) = rule_hits(report, "trace-unknown-consume")
-    assert hit.symbol == "becom_leader"
-
-
 def test_kind_via_module_constant_is_resolved(tmp_path):
     report = lint(
         tmp_path,

@@ -1,40 +1,27 @@
-"""VirtualClock monotonicity/validation; NodeClock skew arithmetic."""
+"""The simulation clock's starting point; NodeClock skew arithmetic."""
 
 import pytest
 
-from repro.sim.clock import MINUTE, MS, SECOND, NodeClock, VirtualClock
+from repro.sim.clock import MINUTE, MS, SECOND, NodeClock
 from repro.sim.loop import EventLoop
 
 
 def test_starts_at_zero_by_default():
-    assert VirtualClock().now == 0.0
+    assert EventLoop().now == 0.0
 
 
 def test_starts_at_given_time():
-    assert VirtualClock(500.0).now == 500.0
+    loop = EventLoop(start=500)
+    assert loop.now == 500.0 and isinstance(loop.now, float)
+    fired = []
+    loop.schedule(2.5, lambda: fired.append(loop.now))
+    loop.run()
+    assert fired == [502.5]
 
 
 def test_negative_start_rejected():
     with pytest.raises(ValueError):
-        VirtualClock(-1.0)
-
-
-def test_advance_moves_time():
-    c = VirtualClock()
-    c.advance_to(10.5)
-    assert c.now == 10.5
-
-
-def test_advance_to_same_time_allowed():
-    c = VirtualClock(7.0)
-    c.advance_to(7.0)
-    assert c.now == 7.0
-
-
-def test_time_cannot_run_backwards():
-    c = VirtualClock(100.0)
-    with pytest.raises(ValueError, match="backwards"):
-        c.advance_to(99.999)
+        EventLoop(start=-1.0)
 
 
 def test_unit_constants():

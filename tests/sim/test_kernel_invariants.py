@@ -3,18 +3,20 @@
 The golden digests below were captured from the *pre-rework* kernel (the
 seed implementation with per-``Event`` ``__lt__`` heap ordering, eager
 timer resets and closure-based deliveries).  The current kernel — tuple
--ordered list events, sorted-batch drain, lazy timer rearm, slotted
-delivery callables — must reproduce the exact same traces bit for bit:
-same seeds ⇒ same event total order ⇒ same measurements.
+-ordered list events, lazy timer rearm, slotted delivery callables — must
+reproduce the exact same traces bit for bit: same seeds ⇒ same event
+total order ⇒ same measurements.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from repro.cluster.builder import ClusterConfig, build_cluster
 from repro.cluster.harness import ClusterHarness
 from repro.experiments.common import make_policy_factory
+from repro.sim.events import PRIORITY_CONTROL, PRIORITY_MESSAGE, PRIORITY_TIMER
 from repro.sim.loop import EventLoop, SimulationError
 from repro.sim.timers import Timer, TimerService
 
@@ -227,7 +229,7 @@ def test_step_is_not_reentrant():
 
 
 def test_events_scheduled_mid_run_interleave_correctly():
-    """In-run schedules (live heap) merge into the sorted batch order."""
+    """In-run schedules take their place among the events pending at entry."""
     loop = EventLoop()
     fired = []
     loop.schedule(10.0, lambda: fired.append("a"))
@@ -255,3 +257,133 @@ def test_zero_delay_chain_mid_run():
     loop.run()
     # Zero-delay events queue after already-pending same-instant events.
     assert fired == [1, "tail", 2, 3]
+
+
+# --------------------------------------------------------------------- #
+# the whole contract against a reference model
+# --------------------------------------------------------------------- #
+
+
+class _ModelLoop:
+    """The contract, executably: a list kept sorted by (time, priority, seq)."""
+
+    def __init__(self):
+        self.now, self.executed, self._seq, self.queue = 0.0, 0, 0, []
+
+    def schedule(self, delay, callback, *, priority=PRIORITY_MESSAGE):
+        return self.schedule_at(self.now + delay, callback, priority=priority)
+
+    def schedule_at(self, time, callback, *, priority=PRIORITY_MESSAGE):
+        entry = (float(time), priority, self._seq, callback)
+        self._seq += 1
+        self.queue.append(entry)
+        self.queue.sort(key=lambda e: e[:3])
+        return entry
+
+    def cancel(self, entry):
+        if entry in self.queue:
+            self.queue.remove(entry)
+
+    def next_event_time(self):
+        return self.queue[0][0] if self.queue else None
+
+    def step(self):
+        if not self.queue:
+            return False
+        self.now, _, _, callback = self.queue.pop(0)
+        self.executed += 1
+        callback()
+        return True
+
+    def run(self, *, max_events=None):
+        return self.run_until(None, max_events=max_events)
+
+    def run_until(self, t, *, max_events=None):
+        count = 0
+        while self.queue and (t is None or self.queue[0][0] <= t):
+            if count == max_events:
+                raise SimulationError("max_events")
+            count += self.step()
+        if t is not None:
+            self.now = float(t)
+        return count
+
+
+_DELAYS = (0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 5.0)  # few values: ties are common
+_PRIORITIES = (PRIORITY_MESSAGE, PRIORITY_CONTROL, PRIORITY_TIMER)
+
+
+def _drive(loop, cancel, live_pending, seed):
+    """One seeded program of top-level and in-callback operations on
+    ``loop``; returns everything observable about how it ran."""
+    rng = random.Random(seed)
+    log, handles = [], []
+
+    def spawn(actions=3):
+        ident = len(handles)
+
+        def fire():
+            log.append(("fire", ident, loop.now))
+            act(rng.randrange(actions))  # < 1 child on average: chains die out
+
+        delay, priority = rng.choice(_DELAYS), rng.choice(_PRIORITIES)
+        if rng.random() < 0.5:
+            handles.append(loop.schedule(delay, fire, priority=priority))
+        else:
+            handles.append(loop.schedule_at(loop.now + delay, fire, priority=priority))
+
+    def act(n):
+        for _ in range(n):
+            r = rng.random()
+            if r < 0.5:
+                spawn()
+            elif r < 0.75 and handles:
+                cancel(rng.choice(handles))  # pending, fired or already dead
+            elif r < 0.8:  # storm: enough corpses at once to force a compaction
+                first = len(handles)
+                for _ in range(150):
+                    spawn(actions=1)  # inert when fired
+                for h in rng.sample(handles[first:], 130):
+                    cancel(h)
+            else:
+                log.append(("next", loop.next_event_time()))
+
+    for _ in range(120):
+        act(rng.randrange(8))
+        op = rng.choice(("step", "step", "run_until", "run_until", "bounded", "run"))
+        try:
+            if op == "step":
+                out = loop.step()
+            elif op == "run_until":
+                limit = rng.choice((None, None, 1, 4, 40))
+                out = loop.run_until(loop.now + rng.choice(_DELAYS), max_events=limit)
+            elif op == "bounded":
+                out = loop.run(max_events=rng.choice((0, 1, 3, 30)))
+            else:
+                out = loop.run()
+        except SimulationError:
+            out = "max_events"
+        log.append((op, out, loop.now, loop.executed, live_pending()))
+    return log
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_loop_matches_sorted_list_model(seed, monkeypatch):
+    """Same callbacks in the same order at the same times, same ``now``,
+    ``executed`` and live-pending count after every top-level call, and
+    the same ``next_event_time()`` wherever a callback asks."""
+    compactions = []
+    compact = EventLoop._compact
+    monkeypatch.setattr(
+        EventLoop, "_compact", lambda self: (compactions.append(self._in_run), compact(self))
+    )
+    real, model = EventLoop(), _ModelLoop()
+    got = _drive(
+        real,
+        lambda h: h.cancel(),
+        lambda: sum(not e.cancelled for e in real._heap),
+        seed,
+    )
+    assert got == _drive(model, model.cancel, lambda: len(model.queue), seed)
+    assert sum(1 for entry in got if entry[0] == "fire") > 200
+    assert True in compactions  # a callback's cancel compacted under the drain

@@ -182,28 +182,25 @@ def test_run_until_one_over_max_events_raises():
         loop.run_until(10.0, max_events=5)
 
 
-def test_clock_view_is_live():
-    # loop.clock may be held across events; its now must track the loop.
+def test_next_event_time_is_exact_mid_run():
+    # The heap is the whole pending set at every instant, so a callback
+    # gets the same answer it would get between runs: the earliest live
+    # event, whether it was pending at entry or scheduled mid-run.
     loop = EventLoop()
-    clock = loop.clock
-    loop.run_until(42.0)
-    assert clock.now == 42.0
-    assert loop.clock is clock  # stable identity, no per-access allocation
+    seen = []
+    loop.schedule(1.0, lambda: seen.append(loop.next_event_time()))
+    dead = loop.schedule(2.0, lambda: None)
+    loop.schedule(3.0, lambda: seen.append(loop.next_event_time()))
+    loop.schedule(9.0, lambda: seen.append(loop.next_event_time()))
+    dead.cancel()
 
+    def inject():
+        loop.schedule(0.5, lambda: None)  # lands at t=3.5, before the 9.0
+        seen.append(loop.next_event_time())
 
-def test_next_event_time_unavailable_mid_run():
-    loop = EventLoop()
-    errors = []
-
-    def probe():
-        try:
-            loop.next_event_time()
-        except SimulationError as e:
-            errors.append(e)
-
-    loop.schedule(1.0, probe)
+    loop.schedule(3.0, inject)
     loop.run()
-    assert len(errors) == 1
+    assert seen == [3.0, 3.0, 3.5, None]
 
 
 def test_executed_counter():

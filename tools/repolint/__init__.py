@@ -5,7 +5,7 @@ The reproduction's headline claims (byte-identical digests for any
 verdicts) rest on code invariants that no general-purpose linter knows
 about: simulation code must never read wall clocks or unseeded RNGs,
 hot-path message classes must be slotted and allocation-free, every
-emitted trace kind must be registered so safety checkers and trace gates
+emitted trace kind must be registered so safety checkers and trace queries
 cannot be blinded by a typo, every message class must have a dispatch
 handler, and protocol state must only change through its designated
 mutators.  ``repolint`` turns each of those conventions into a build

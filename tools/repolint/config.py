@@ -114,9 +114,7 @@ class RepolintConfig:
             "repro/dynatune/measurement.py": frozenset(
                 {"PathMeasurement.record_id", "PathMeasurement.record_rtt"}
             ),
-            "repro/sim/tracing.py": frozenset(
-                {"TraceLog.record", "TraceLog.wants"}
-            ),
+            "repro/sim/tracing.py": frozenset({"TraceLog.record"}),
         }
     )
 
@@ -298,6 +296,11 @@ class RepolintConfig:
         "../benchmarks",
         "../examples",
     )
+
+    # -- annotation floor (rule family 9) ------------------------------- #
+    #: Modpath prefixes of the typed island (``mypy.ini``'s strict set):
+    #: every ``def`` there annotates each parameter and its return.
+    annotation_scopes: tuple[str, ...] = ("repro/raft/", "repro/sim/")
 
 
 DEFAULT_CONFIG = RepolintConfig()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from tools.repolint.config import RepolintConfig
 from tools.repolint.engine import Rule
+from tools.repolint.rules.annotations import AnnotationFloorRule
 from tools.repolint.rules.determinism import (
     ForbiddenNondeterminismRule,
     LinkStreamRule,
@@ -37,6 +38,7 @@ def rule_classes() -> list[type[Rule]]:
         DurableWriteRule,
         NodeClockRule,
         ConfigKnobLivenessRule,
+        AnnotationFloorRule,
     ]
 
 

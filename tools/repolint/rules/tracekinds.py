@@ -1,11 +1,11 @@
 """Rule family 3 — trace-kind registry.
 
-The event-hooked :class:`SafetyChecker`, the ``keep_kinds`` storage gate
-and every ``of_kind`` analysis query silently ignore kinds that no one
-emits — a typo'd kind string blinds them without failing anything.  This
-family extracts every statically-resolvable kind emitted via
-``*.record(time, node, kind, ...)`` across the scanned tree and
-cross-checks three directions against the **generated registry module**
+The event-hooked :class:`SafetyChecker` and every ``of_kind`` analysis
+query silently ignore kinds that no one emits — a typo'd kind string
+blinds them without failing anything.  This family extracts every
+statically-resolvable kind emitted via ``*.record(time, node, kind,
+...)`` across the scanned tree and cross-checks three directions
+against the **generated registry module**
 (``repro/sim/trace_kinds.py``, written by
 ``python -m tools.repolint --write-trace-registry``):
 
@@ -14,16 +14,16 @@ cross-checks three directions against the **generated registry module**
 * ``trace-stale-registry`` — the registry lists a kind nothing emits
   (dead registry entry, or the last emitter was deleted);
 * ``trace-unknown-consume`` — a kind consumed by ``of_kind`` /
-  ``of_kinds`` / ``wants`` / ``keep_kinds`` / ``first_after`` /
-  ``last_before`` / ``where(kind=...)`` or declared in a ``*KINDS*``
-  module constant has **no emitter** — the query can never match;
+  ``of_kinds`` / ``first_after`` / ``last_before`` / ``where(kind=...)``
+  or declared in a ``*KINDS*`` module constant has **no emitter** — the
+  query can never match;
 * ``trace-dynamic-kind`` — a ``record()`` call whose kind argument is
   not a string literal or a resolvable module-level constant.  Route the
   kind through a constant, or suppress with a justification and add the
   runtime kinds to ``extra_trace_kinds`` in the config.
 
-The same extraction feeds the runtime guard: ``TraceLog.keep_kinds`` and
-``SafetyChecker.install`` validate against the generated module.
+The same extraction feeds the runtime guard: ``SafetyChecker.install``
+validates against the generated module.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ __all__ = [
     "read_registry_module",
 ]
 
-_CONSUMER_POSITIONAL = {"of_kind", "wants", "of_kinds"}
+_CONSUMER_POSITIONAL = {"of_kind", "of_kinds"}
 _CONSUMER_KEYWORD = {"first_after", "last_before", "where"}
 
 
@@ -86,7 +86,7 @@ def extract_emitted_kinds(
 def extract_consumed_kinds(
     project: Project,
 ) -> dict[str, list[tuple[str, int]]]:
-    """All kinds the codebase queries, gates on, or hooks."""
+    """All kinds the codebase queries or hooks."""
     consumed: dict[str, list[tuple[str, int]]] = {}
 
     def note(kind: str, ctx: FileContext, line: int) -> None:
@@ -107,13 +107,6 @@ def extract_consumed_kinds(
                             kind = resolve_str_constant(arg.id, ctx, project)
                         if kind is not None:
                             note(kind, ctx, node.lineno)
-                elif attr == "keep_kinds":
-                    for arg in node.args:
-                        if isinstance(arg, (ast.Set, ast.List, ast.Tuple)):
-                            for elt in arg.elts:
-                                kind = _literal_str(elt)
-                                if kind is not None:
-                                    note(kind, ctx, node.lineno)
                 if attr in _CONSUMER_KEYWORD or attr in _CONSUMER_POSITIONAL:
                     for kw in node.keywords:
                         if kw.arg == "kind":
@@ -184,10 +177,9 @@ Regenerate with::
 
 Every kind emitted anywhere under ``src/`` (plus the justified
 ``extra_trace_kinds`` from ``tools/repolint/config.py``) is listed here.
-``TraceLog.keep_kinds`` and ``SafetyChecker.install`` validate against
-this set at runtime so a typo'd kind fails loudly instead of silently
-blinding a gate or a safety hook; ``tools/repolint`` cross-checks it
-statically on every run.
+``SafetyChecker.install`` validates against this set at runtime so a
+typo'd kind fails loudly instead of silently blinding a safety hook;
+``tools/repolint`` cross-checks it statically on every run.
 """
 
 from __future__ import annotations
@@ -278,7 +270,7 @@ class TraceRegistryRule(Rule):
                 "trace-unknown-consume",
                 line,
                 f"kind {kind!r} is consumed here but never emitted "
-                f"anywhere — the query/gate/hook can never match "
+                f"anywhere — the query/hook can never match "
                 f"(typo'd kind?)",
                 symbol=kind,
             )
