@@ -1543,7 +1543,10 @@ class RaftNode(Process):
                 # past this ack already; never roll the stream back.
                 if not self._pipelining or acked >= pr.next:
                     pr.next = acked + 1
-                self._commit_to(self._commit.advance(old, acked))
+                # A learner's ack moves its own progress (promotion reads
+                # it) and no quorum count: it has no vote to commit with.
+                if pr.peer in self._voters:
+                    self._commit_to(self._commit.advance(old, acked))
             if pr.match < self.log.last_index:
                 self._send_append(pr)
             else:
@@ -1631,7 +1634,8 @@ class RaftNode(Process):
             if s_index > old:
                 pr.match = s_index
                 pr.next = s_index + 1
-                self._commit_to(self._commit.advance(old, s_index))
+                if pr.peer in self._voters:  # as in _on_append_response
+                    self._commit_to(self._commit.advance(old, s_index))
             elif pr.next <= s_index:
                 pr.next = s_index + 1
         if pr.match < self.log.last_index:

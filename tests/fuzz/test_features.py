@@ -2,8 +2,6 @@
 
 import dataclasses
 
-import pytest
-
 from repro.fuzz import FEATURE_SETS, FuzzTrialConfig, GenConfig, ScenarioGen, run_trial
 from repro.fuzz.workload import WorkloadConfig
 
@@ -62,15 +60,10 @@ def test_flag_values_replace_the_tuned_overrides_and_are_validated():
     assert FEATURE_SETS["disk"].strength_error(1.0) is None
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "benchmarks/e2e/README.md finding 9: index 35 committed with term 2 "
-        "on n2 but term 1 was committed there earlier — a committed entry is "
-        "overwritten under a membership change (protocol or oracle bug, open)"
-    ),
-)
 def test_membership_change_never_overwrites_a_committed_entry():
+    # benchmarks/e2e/README.md finding 9: a leader on the minority side of
+    # a partition committed ``add_learner`` on its own ack, one voter's and
+    # the learner's; the majority's next leader overwrote index 35.
     seed = 4754968227892355418
     four_keys = dataclasses.replace(FuzzTrialConfig().workload, n_keys=4)
     gen, trial = FEATURE_SETS["membership"].apply(

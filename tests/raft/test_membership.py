@@ -226,3 +226,47 @@ def test_uncommitted_config_entry_survives_crash_until_overwritten():
     assert len(node.membership.voters) == 5
     configs = {c.node(n).membership for n in c.names}
     assert len(configs) == 1
+
+
+def test_learner_ack_never_counts_toward_commit():
+    c = make_raft_cluster(5)
+    checker = SafetyChecker(c)
+    checker.install(event_hooks=True)
+    client = c.add_client("cl")
+    leader = c.run_until_leader()
+    node = c.node(leader)
+    c.run_for(500)
+    ally = next(n for n in c.names if n != leader)
+    c.spawn_node("n6")
+    # The leader keeps one voter and the joiner: two of five voters, so
+    # nothing it appends from here on may commit, however promptly the
+    # learner acknowledges it.
+    c.network.set_partitions([{leader, ally, "n6", "cl"}])
+    committed = node.commit_index
+    assert node.propose_config_change("add_learner", "n6")
+    client.submit(kv_put("minority", 1))
+    c.run_for(200)
+    assert node.is_leader
+    assert node.progress["n6"].match == node.progress[ally].match == node.log.last_index
+    assert node.log.last_index > committed
+    assert node.commit_index == committed
+    assert not client.completed
+
+    # Healed, the real quorum commits the add; the caught-up learner is
+    # promoted, and committing ``promote`` takes four of the six voters.
+    c.network.clear_partitions()
+    c.run_for(6_000)
+    leader = c.leader()
+    node = c.node(leader)
+    assert "n6" in node.membership.voters and node.membership.quorum == 4
+    assert not node.config_change_in_flight()
+    # From the promotion on (tracker rebuilt over six voters) the
+    # ex-learner's acks count: with two voters cut off, leader + two old
+    # voters + n6 are exactly a quorum.
+    old = [n for n in node.membership.voters if n not in (leader, "n6")]
+    c.network.set_partitions([{leader, old[0], old[1], "n6", "cl"}])
+    done = len(client.completed)
+    client.submit(kv_put("with-n6", 2))
+    c.run_for(1_000)
+    assert len(client.completed) == done + 1
+    checker.assert_safe()
