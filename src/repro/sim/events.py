@@ -107,4 +107,3 @@ class Event(list):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self[3] is None else "pending"
         return f"Event(t={self[0]!r}, prio={self[1]!r}, seq={self[2]!r}, {state})"
-

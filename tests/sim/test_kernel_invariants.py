@@ -374,9 +374,12 @@ def test_loop_matches_sorted_list_model(seed, monkeypatch):
     the same ``next_event_time()`` wherever a callback asks."""
     compactions = []
     compact = EventLoop._compact
-    monkeypatch.setattr(
-        EventLoop, "_compact", lambda self: (compactions.append(self._in_run), compact(self))
-    )
+
+    def recording_compact(self):
+        compactions.append(self._in_run)
+        compact(self)
+
+    monkeypatch.setattr(EventLoop, "_compact", recording_compact)
     real, model = EventLoop(), _ModelLoop()
     got = _drive(
         real,
