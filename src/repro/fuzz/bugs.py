@@ -213,7 +213,7 @@ def _stale_lease_under_skew(cluster: Cluster) -> None:
         def _freshest_ms(_node=node) -> float:
             progress = _node.progress
             return max(
-                (progress[p].last_response for p in _node._voter_peers),
+                (progress[p].last_response for p in _node._quorum.peers),
                 default=_NEG_INF,
             )
 
@@ -225,7 +225,7 @@ def _stale_lease_under_skew(cluster: Cluster) -> None:
             bound = _node.policy.lease_bound_ms()
             if bound is None:
                 return False
-            if _node._acks_needed() == 0:
+            if _node._quorum.acks == 0:
                 return True
             # BUG: one fresh peer is not a quorum, and skipping the
             # margin stops absorbing response flight time and skew.
@@ -239,7 +239,7 @@ def _stale_lease_under_skew(cluster: Cluster) -> None:
             # BUG: the same freshest-anchor bookkeeping keeps check-quorum
             # convinced the quorum is intact as long as anyone answers.
             et = _node.policy.election_timeout_ms(None)
-            if _node._acks_needed() > 0 and _node._now() - _freshest() <= et:
+            if _node._quorum.acks > 0 and _node._now() - _freshest() <= et:
                 _node._schedule_quorum_check()
                 return
             _orig()
@@ -267,7 +267,7 @@ def _greedy_remove(cluster: Cluster) -> None:
         def wrapped(kind: str, target: str, _node=node, _orig=orig) -> bool:
             ok = _orig(kind, target)
             if ok and kind == "remove":
-                index, change = _node._config_log[-1]
+                index, change = _node._configs._changes[-1]
                 extras = [
                     v for v in sorted(change.config.voters) if v != _node.name
                 ]
@@ -283,7 +283,7 @@ def _greedy_remove(cluster: Cluster) -> None:
                     )
                     # Deliberate config-record corruption (two-at-a-time
                     # removal): only the membership oracle may catch it.
-                    _node._config_log[-1] = (index, corrupted)  # repolint: disable=state-protected-write
+                    _node._configs._changes[-1] = (index, corrupted)  # repolint: disable=state-protected-write
                     _node._refresh_membership()
                     cluster.trace.record(
                         cluster.loop.now,

@@ -12,7 +12,7 @@ exploits two structural facts of a Raft leadership:
 * a follower's ``match_index`` only moves forward during one reign (the
   leader resets the whole table when it is elected), and
 * the quorum frontier — the largest index acknowledged by at least
-  ``quorum − 1`` followers — is therefore monotone too.
+  ``acks_needed`` voter followers — is therefore monotone too.
 
 It keeps one counter per *uncommitted* index ("how many followers have
 acknowledged at least this index"), bumps the counters only for the index
@@ -36,13 +36,14 @@ class CommitTracker:
     """Count-indexed match table for one leader reign.
 
     Args:
-        acks_needed: follower acknowledgements required for quorum —
-            ``quorum - 1`` (the leader itself always holds its own log,
-            so it is never counted).
+        acks_needed: voter-follower acknowledgements required for quorum
+            — the leader's ``Quorum.acks`` (its own log is never counted
+            here; ``acks`` already discounts it while the leader votes).
+            Only voters' progress may be reported.
 
     Usage::
 
-        tracker = CommitTracker(quorum - 1)       # on become_leader
+        tracker = CommitTracker(quorum.acks)      # on become_leader
         frontier = tracker.advance(old_match, new_match)
         if frontier > commit and log.term_at(frontier) == current_term:
             commit = frontier

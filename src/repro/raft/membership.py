@@ -31,6 +31,9 @@ A :class:`ConfigChange` carries the complete *resulting*
 :class:`ClusterConfig`, not a delta: a follower that appends the entry
 adopts the attached configuration directly, so config agreement follows
 from log agreement with no replay arithmetic.
+
+A node keeps a :class:`ConfigLog` of the configurations its log carries
+and a :class:`Quorum`: who counts under the one in force.
 """
 
 from __future__ import annotations
@@ -38,10 +41,14 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Iterable
 
+from repro.raft.log import LogEntry, RaftLog, Snapshot
+
 __all__ = [
     "ClusterConfig",
     "ConfigChange",
+    "ConfigLog",
     "CHANGE_KINDS",
+    "Quorum",
     "quorums_overlap",
 ]
 
@@ -174,6 +181,128 @@ class ConfigChange:
             node=payload["node"],
             config=ClusterConfig.from_dict(payload["config"]),
         )
+
+
+@dataclasses.dataclass(slots=True, frozen=True)
+class Quorum:
+    """Who counts toward one node's elections and commits.
+
+    :meth:`of` is the one place a node decides voter membership.  Every
+    tally counts *other* voters' responses against ``acks``.
+
+    Attributes:
+        voters: the voting members; only their responses are counted.
+        peers: the voters other than this node, in configuration order.
+        size: the majority of ``voters``.
+        acks: responses from ``peers`` that complete a majority: ``size``
+            minus one while this node votes, else ``size`` (a learner, or
+            a leader that has appended its own removal).  0: this node
+            alone is the quorum.
+    """
+
+    voters: frozenset[str]
+    peers: tuple[str, ...]
+    size: int
+    acks: int
+
+    @classmethod
+    def of(cls, config: ClusterConfig, me: str) -> "Quorum":
+        voters = config.voters
+        size = config.quorum
+        peers = tuple([p for p in voters if p != me])
+        return cls(frozenset(voters), peers, size, size - 1 if me in voters else size)
+
+
+class ConfigLog:
+    """One node's membership record: the configuration at its log's
+    compaction frontier plus the ``(index, change)`` of every config entry
+    still in the retained log.  The configuration in force is the newest
+    record, committed or not (applied-at-append), else the base.
+    """
+
+    __slots__ = ("_base", "_changes")
+
+    def __init__(self, base: ClusterConfig) -> None:
+        self._base = base
+        self._changes: list[tuple[int, ConfigChange]] = []
+
+    @property
+    def current(self) -> ClusterConfig:
+        changes = self._changes
+        return changes[-1][1].config if changes else self._base
+
+    def at(self, index: int) -> ClusterConfig:
+        """The configuration in force at log position ``index``."""
+        cfg = self._base
+        for idx, change in self._changes:
+            if idx > index:
+                break
+            cfg = change.config
+        return cfg
+
+    def in_flight(self, commit_index: int) -> bool:
+        changes = self._changes
+        return bool(changes) and changes[-1][0] > commit_index
+
+    def retract(self, log: RaftLog) -> bool:
+        """Drop records whose entries ``log`` no longer holds (a conflict
+        truncation or a snapshot install); True if any went."""
+        changes = self._changes
+        changed = False
+        while changes:
+            idx, change = changes[-1]
+            if idx <= log.last_included_index:
+                break  # committed and compacted: stays by construction
+            if idx <= log.last_index and log.entry_at(idx).command is change:
+                break
+            changes.pop()
+            changed = True
+        return changed
+
+    def adopt(self, log: RaftLog, entries: Iterable[LogEntry]) -> bool:
+        """After ``entries`` went into ``log`` (a leader's own append or a
+        follower's ``try_append``): retract what a truncation discarded and
+        record the config entries the log now holds; True if the record
+        changed."""
+        changes = self._changes
+        changed = self.retract(log)
+        top = changes[-1][0] if changes else 0
+        base = log.last_included_index
+        for entry in entries:
+            cmd = entry.command
+            if (
+                cmd.__class__ is ConfigChange
+                and top < entry.index <= log.last_index
+                and entry.index > base
+                and log.entry_at(entry.index).command is cmd
+            ):
+                changes.append((entry.index, cmd))
+                top = entry.index
+                changed = True
+        return changed
+
+    def rebase(self, upto: int) -> None:
+        """Compaction moved the frontier to ``upto``: fold the records at
+        or below it into the base."""
+        changes = self._changes
+        while changes and changes[0][0] <= upto:
+            self._base = changes.pop(0)[1].config
+
+    def rebuild(self, log: RaftLog, snapshot: Snapshot | None) -> None:
+        """The log's prefix was replaced by ``snapshot`` (an install, or
+        crash recovery from durable state): the snapshot's configuration,
+        then every config entry still in the log — an uncommitted one that
+        survived stays in force."""
+        if snapshot is not None and snapshot.config is not None:
+            self._base = snapshot.config
+            floor = snapshot.last_included_index
+        else:
+            floor = log.last_included_index
+        self._changes = [
+            (entry.index, entry.command)
+            for entry in log.entries()
+            if entry.index > floor and entry.command.__class__ is ConfigChange
+        ]
 
 
 def quorums_overlap(old_voters: Iterable[str], new_voters: Iterable[str]) -> bool:

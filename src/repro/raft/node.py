@@ -63,7 +63,7 @@ import numpy as np
 from repro.dynatune.policy import TuningPolicy
 from repro.raft.commit import CommitTracker
 from repro.raft.log import RaftLog, Snapshot
-from repro.raft.membership import ClusterConfig, ConfigChange
+from repro.raft.membership import ClusterConfig, ConfigChange, ConfigLog, Quorum
 from repro.raft.messages import (
     AppendEntriesRequest,
     AppendEntriesResponse,
@@ -121,9 +121,11 @@ _APPEND_PIPELINE_STALL_MS = 1_000.0
 class Progress:
     """The leader's view of one follower (etcd's ``tracker.Progress``).
 
-    One record per peer, alive exactly as long as the peer is in this
-    leader's reign: built in ``_become_leader``, added/removed by
-    ``_apply_membership_change``, dropped on step-down and recovery.
+    One record per member peer, learners included, alive exactly as long
+    as the peer is in this leader's reign: built in ``_become_leader``,
+    added/removed by ``_apply_membership_change`` as the configuration
+    changes, dropped on step-down and recovery.  A record's ``match`` moves
+    the commit frontier only while its peer is in ``Quorum.voters``.
 
     Attributes:
         next: index of the next entry to send (advances optimistically at
@@ -240,20 +242,8 @@ class RaftNode(Process):
         if initial_config is None:
             initial_config = ClusterConfig(voters=tuple(peers))
         # Membership is replicated state (one-at-a-time config changes,
-        # §4.1 of the Raft dissertation).  ``_base_config`` is the
-        # configuration at the log's compaction frontier; ``_config_log``
-        # mirrors every config entry in the *retained* log, in index
-        # order.  The effective membership is the newest of the two —
-        # applied-at-append, not at commit.  ``peers`` / ``cluster_size``
-        # / ``quorum`` are caches derived from it (see
-        # ``_refresh_membership``), no longer construction-time constants.
-        self._base_config = initial_config
-        self._config_log: list[tuple[int, ConfigChange]] = []
-        self.peers: list[str] = []
-        self._voter_peers: list[str] = []
-        self._voters: frozenset[str] = frozenset()
-        self.cluster_size = 0
-        self.quorum = 1
+        # §4.1 of the Raft dissertation), applied-at-append.
+        self._configs = ConfigLog(initial_config)
         self._refresh_membership()
         self.config = config
         self.policy = policy
@@ -328,7 +318,7 @@ class RaftNode(Process):
         self.progress: dict[str, Progress] = {}
         self._pending_client: dict[int, tuple[str, int]] = {}  # log idx -> (client, req)
         # Incrementally maintained quorum-match frontier (reset per reign).
-        self._commit = CommitTracker(self._acks_needed())
+        self._commit = CommitTracker(self._quorum.acks)
         #: Log index of this term's no-op entry while leader (0 otherwise);
         #: the read fast path gates on it being committed.
         self._term_start_index = 0
@@ -393,21 +383,7 @@ class RaftNode(Process):
         snap = self.snapshot
         if snap is not None:
             self.state_machine.restore(snap.data)
-        # Rebuild the membership record from durable state alone: the
-        # committed configuration comes from the snapshot, then every
-        # config entry still in the (durable) log re-applies on top —
-        # Raft's "use the latest configuration in the log" rule, so an
-        # uncommitted config entry that survived the crash stays in force.
-        if snap is not None and snap.config is not None:
-            self._base_config = snap.config
-            floor = snap.last_included_index
-        else:
-            floor = self.log.last_included_index
-        self._config_log = [
-            (entry.index, entry.command)
-            for entry in self.log.entries()
-            if entry.index > floor and entry.command.__class__ is ConfigChange
-        ]
+        self._configs.rebuild(self.log, snap)
         self._refresh_membership()
         self._reset_volatile()
         self.policy.on_leader_change(None, self._now())
@@ -500,49 +476,18 @@ class RaftNode(Process):
     # membership (one-at-a-time configuration changes, dissertation §4.1)
     # ------------------------------------------------------------------ #
 
-    @property
-    def membership(self) -> ClusterConfig:
-        """The configuration currently in force (applied-at-append)."""
-        return self._membership
-
-    @property
-    def is_voter(self) -> bool:
-        return self.name in self._voters
-
     def _refresh_membership(self) -> None:
-        """Recompute every membership-derived cache from the config record.
-
-        The effective configuration is the newest config entry in the
-        retained log, falling back to the base (frontier) config.
-        """
-        stack = self._config_log
-        cfg: ClusterConfig = stack[-1][1].config if stack else self._base_config
-        self._membership = cfg
+        """Re-read the configuration in force (``membership``) and rebuild
+        what derives from it: the replication targets (``peers``) and the
+        one :class:`Quorum` every tally reads."""
+        cfg = self.membership = self._configs.current
         name = self.name
         self.peers = [p for p in cfg.members if p != name]
-        self._voters = frozenset(cfg.voters)
-        self._voter_peers = [p for p in cfg.voters if p != name]
-        self.cluster_size = len(cfg.voters)
-        self.quorum = cfg.quorum
-
-    def _acks_needed(self) -> int:
-        """Follower acks required to commit: quorum minus the leader's own
-        log — which only counts while the leader is itself a voter (it is
-        not, between appending its own removal and that entry committing)."""
-        return self.quorum - (1 if self.name in self._voters else 0)
-
-    def _config_at(self, index: int) -> ClusterConfig:
-        """The configuration in force at log position ``index``."""
-        cfg = self._base_config
-        for idx, change in self._config_log:
-            if idx > index:
-                break
-            cfg = change.config
-        return cfg
+        self._quorum = Quorum.of(cfg, name)
 
     def config_change_in_flight(self) -> bool:
         """True while a config entry is appended but not yet committed."""
-        return bool(self._config_log) and self._config_log[-1][0] > self.commit_index
+        return self._configs.in_flight(self.commit_index)
 
     def propose_config_change(self, kind: str, node: str) -> bool:
         """Leader API: append one membership change (``add_learner`` /
@@ -569,7 +514,7 @@ class RaftNode(Process):
             reason = "config change already in flight"
         else:
             try:
-                current = self._membership
+                current = self.membership
                 if kind == "add_learner":
                     new_cfg = current.with_learner(node)
                 elif kind == "promote":
@@ -593,9 +538,9 @@ class RaftNode(Process):
             )
             return False
         change = ConfigChange(kind=kind, node=node, config=new_cfg)
-        old_cfg = self._membership
+        old_cfg = self.membership
         entry = self.log.append_new(self.current_term, change)
-        self._config_log.append((entry.index, change))
+        self._configs.adopt(self.log, (entry,))
         self._refresh_membership()
         self.metrics.config_changes_appended += 1
         self.trace.record(
@@ -617,78 +562,18 @@ class RaftNode(Process):
             self._replicate_to_all()
         return True
 
-    def _pop_stale_config_records(self) -> bool:
-        """Drop config records whose log entries no longer exist (conflict
-        truncation or a wholesale snapshot install).  Records at or below
-        the compaction frontier are committed and stay by construction."""
-        log = self.log
-        stack = self._config_log
-        changed = False
-        while stack:
-            idx, change = stack[-1]
-            if idx <= log.last_included_index:
-                break
-            if idx <= log.last_index and log.entry_at(idx).command is change:
-                break
-            stack.pop()
-            changed = True
-        return changed
-
-    def _reconcile_membership(self, entries: tuple[Any, ...]) -> None:
-        """Follower-side applied-at-append: sync the config record with the
-        log after an AppendEntries batch (new config entries adopted, a
-        truncated suffix's records dropped)."""
-        log = self.log
-        stack = self._config_log
-        changed = self._pop_stale_config_records()
-        top = stack[-1][0] if stack else 0
-        base = log.last_included_index
-        for entry in entries:
-            cmd = entry.command
-            if (
-                cmd is not None
-                and cmd.__class__ is ConfigChange
-                and entry.index > top
-                and entry.index > base
-                and entry.index <= log.last_index
-                and log.entry_at(entry.index).command is cmd
-            ):
-                stack.append((entry.index, cmd))
-                top = entry.index
-                changed = True
-        if changed:
-            old = self._membership
-            self._refresh_membership()
-            self._apply_membership_change(old, self._membership)
-
-    def _rebase_config(self, upto: int, config: ClusterConfig | None) -> None:
-        """Fold config records at or below ``upto`` into the base config
-        (compaction / snapshot install moved the frontier there).  With an
-        explicit ``config`` (from an installed snapshot) it becomes the
-        new base; otherwise the newest folded record does."""
-        stack = self._config_log
-        while stack and stack[0][0] <= upto:
-            folded = stack.pop(0)
-            if config is None:
-                self._base_config = folded[1].config
-        if config is not None:
-            self._base_config = config
-
     def _apply_membership_change(
         self, old: ClusterConfig, new: ClusterConfig
     ) -> None:
         """React to the effective configuration moving ``old → new``
-        (caches are already refreshed; this handles the side effects)."""
+        (after ``_refresh_membership``; this handles the side effects)."""
         if old == new:
             return
         name = self.name
         added = set(new.members) - set(old.members) - {name}
         removed = set(old.members) - set(new.members) - {name}
-        if removed:
-            hook = getattr(self.policy, "on_peer_removed", None)
-            if hook is not None:
-                for peer in removed:
-                    hook(peer)
+        for peer in removed:
+            self.policy.on_peer_removed(peer)
         if name in new.voters and name not in old.voters:
             self.metrics.promoted_to_voter += 1
         if self.role is Role.LEADER:
@@ -706,14 +591,17 @@ class RaftNode(Process):
                 # incremental tracker from the surviving voters' match
                 # indices, floored at what is already committed, then
                 # re-check — removing a straggler can make the smaller
-                # quorum instantly satisfied by the acks already in hand.
-                tracker = CommitTracker(self._acks_needed())
+                # quorum instantly satisfied by the acks already in hand
+                # (the §5.4.2 term restriction still applies).
+                quorum = self._quorum
+                tracker = self._commit = CommitTracker(quorum.acks)
                 tracker.discard_through(self.commit_index)
-                for peer in self._voter_peers:
+                for peer in quorum.peers:
                     tracker.advance(0, self.progress[peer].match)
-                self._commit = tracker
-                self._recheck_commit()
-        elif name not in self._voters and self.role in (
+                self._commit_to(
+                    tracker.frontier if quorum.acks else self.log.last_index
+                )
+        elif name not in self._quorum.voters and self.role in (
             Role.PRECANDIDATE,
             Role.CANDIDATE,
         ):
@@ -722,15 +610,6 @@ class RaftNode(Process):
             self.role = Role.FOLLOWER
             self._prevotes = set()
             self._votes = set()
-
-    def _recheck_commit(self) -> None:
-        """Advance the commit index from already-held evidence (used after
-        a quorum-size change; the §5.4.2 term restriction still applies)."""
-        if self._commit.acks_needed == 0:
-            candidate = self.log.last_index if self.name in self._voters else 0
-        else:
-            candidate = self._commit.frontier
-        self._commit_to(candidate)
 
     def _on_config_committed(self, index: int, change: ConfigChange) -> None:
         """Commit-time duties of a config entry (its *effect* started at
@@ -747,7 +626,7 @@ class RaftNode(Process):
             term=self.current_term,
             voters=list(change.config.voters),
             learners=list(change.config.learners),
-            prev_voters=list(self._config_at(index - 1).voters),
+            prev_voters=list(self._configs.at(index - 1).voters),
         )
         if (
             change.kind == "remove"
@@ -775,7 +654,7 @@ class RaftNode(Process):
         """
         if self.role is not Role.LEADER:
             return
-        if pr.peer not in self._membership.learners:
+        if pr.peer not in self.membership.learners:
             return
         if self.config_change_in_flight():
             return
@@ -912,7 +791,7 @@ class RaftNode(Process):
     def _on_election_timeout(self) -> None:
         if self.role is Role.LEADER:
             return  # leaders do not run an election timer
-        if self.name not in self._voters:
+        if self.name not in self._quorum.voters:
             # Learners and removed nodes never campaign — they keep the
             # timer armed only so a later promotion needs no special case.
             self._arm_election_timer()
@@ -938,12 +817,12 @@ class RaftNode(Process):
 
     def _start_prevote(self) -> None:
         self.role = Role.PRECANDIDATE
-        self._prevotes = {self.name}
+        self._prevotes = set()
         self.metrics.prevote_rounds += 1
         self.trace.record(
             self._now(), self.name, "prevote_start", term=self.current_term
         )
-        if len(self._prevotes) >= self.quorum:
+        if not self._quorum.acks:  # sole voter: our own grant is the quorum
             self._become_candidate()
             return
         self._solicit(PreVoteRequest, self.current_term + 1)
@@ -953,7 +832,7 @@ class RaftNode(Process):
         self.current_term += 1
         self.voted_for = self.name
         self.storage.save_hard_state(self.current_term, self.name)
-        self._votes = {self.name}
+        self._votes = set()
         self._prevotes = set()
         self.metrics.elections_started += 1
         self.trace.record(
@@ -961,7 +840,7 @@ class RaftNode(Process):
         )
         if not self._sync():
             return  # crashed persisting our own vote: never campaign on it
-        if len(self._votes) >= self.quorum:
+        if not self._quorum.acks:  # sole voter: our own vote is the quorum
             self._become_leader()
             return
         self._solicit(VoteRequest, self.current_term)
@@ -974,7 +853,7 @@ class RaftNode(Process):
             last_log_index=self.log.last_index,
             last_log_term=self.log.last_term,
         )
-        for peer in self._voter_peers:
+        for peer in self._quorum.peers:
             self._rpc(peer, req)
         # Retry with a fresh draw if the poll stalls or the vote splits.
         self._arm_election_timer()
@@ -991,7 +870,7 @@ class RaftNode(Process):
         now = self._now()
         next_index = self.log.last_index + 1
         self.progress = {p: Progress(p, next_index, now, now) for p in self.peers}
-        self._commit = CommitTracker(self._acks_needed())
+        self._commit = CommitTracker(self._quorum.acks)
         # No-op entry: lets this leader commit its predecessors' tail
         # (commit is restricted to current-term entries, §5.4.2).  Reads
         # gate on this index committing (the ReadIndex precondition).
@@ -1108,19 +987,21 @@ class RaftNode(Process):
             return
         et = self.policy.election_timeout_ms(None)
         now = self._now()
-        active = 1 if self.name in self._voters else 0
+        quorum = self._quorum
+        fresh = 0
         progress = self.progress
-        for p in self._voter_peers:
+        for p in quorum.peers:
             if now - progress[p].last_response <= et:
-                active += 1
-        if active < self.quorum:
+                fresh += 1
+        if fresh < quorum.acks:
             self.metrics.quorum_step_downs += 1
             self.trace.record(
                 now,
                 self.name,
                 "quorum_lost",
                 term=self.current_term,
-                active=active,
+                # voters in contact, this leader's own vote included
+                active=fresh + quorum.size - quorum.acks,
             )
             self._become_follower(self.current_term, None)
             return
@@ -1195,7 +1076,7 @@ class RaftNode(Process):
                 applied,
                 self.log.term_at(applied),
                 self.state_machine.snapshot(),
-                self._config_at(applied),
+                self._configs.at(applied),
             )
             self.storage.save_snapshot(snap)
             self.metrics.snapshots_taken += 1
@@ -1310,7 +1191,7 @@ class RaftNode(Process):
             applied,
             log.term_at(applied),
             self.state_machine.snapshot(),
-            self._config_at(applied),
+            self._configs.at(applied),
         )
         # WAL order makes snapshot-then-compact atomic across a crash: the
         # snapshot record precedes the compact record in the same pending
@@ -1318,7 +1199,7 @@ class RaftNode(Process):
         # never a moved log frontier without its covering image.
         self.storage.save_snapshot(self.snapshot)
         dropped = log.compact(upto)
-        self._rebase_config(upto, None)
+        self._configs.rebase(upto)
         self.metrics.snapshots_taken += 1
         self.metrics.compactions += 1
         self.metrics.entries_compacted += dropped
@@ -1502,10 +1383,12 @@ class RaftNode(Process):
         ok, match, conflict = self.log.try_append(
             m.prev_log_index, m.prev_log_term, m.entries
         )
-        if ok and (m.entries or self._config_log):
-            # Applied-at-append: adopt (or retract, after a conflict
-            # truncation) config entries before the commit index moves.
-            self._reconcile_membership(m.entries)
+        if ok and m.entries and self._configs.adopt(self.log, m.entries):
+            # Applied-at-append: config entries adopted (or retracted,
+            # after a conflict truncation) before the commit index moves.
+            old = self.membership
+            self._refresh_membership()
+            self._apply_membership_change(old, self.membership)
         if ok and m.leader_commit > self.commit_index:
             self.commit_index = max(self.commit_index, min(m.leader_commit, match))
             self._apply_committed()
@@ -1545,7 +1428,7 @@ class RaftNode(Process):
                     pr.next = acked + 1
                 # A learner's ack moves its own progress (promotion reads
                 # it) and no quorum count: it has no vote to commit with.
-                if pr.peer in self._voters:
+                if pr.peer in self._quorum.voters:
                     self._commit_to(self._commit.advance(old, acked))
             if pr.match < self.log.last_index:
                 self._send_append(pr)
@@ -1590,16 +1473,13 @@ class RaftNode(Process):
             self.snapshot = snap
             self.commit_index = s_index
             self.last_applied = s_index
-            if m.config is not None or self._config_log:
-                # The snapshot replaces the log prefix, so it also settles
-                # the membership that prefix established: its config is
-                # the new base, records it covers fold away, and records
-                # for entries the install discarded are retracted.
-                old = self._membership
-                self._rebase_config(s_index, m.config)
-                self._pop_stale_config_records()
-                self._refresh_membership()
-                self._apply_membership_change(old, self._membership)
+            # The snapshot replaces the log prefix, so it also settles the
+            # membership that prefix established — exactly as recovery
+            # rebuilds it from a snapshot and the log beyond it.
+            old = self.membership
+            self._configs.rebuild(self.log, snap)
+            self._refresh_membership()
+            self._apply_membership_change(old, self.membership)
             self.metrics.snapshots_installed += 1
             self.trace.record(
                 self._now(),
@@ -1634,7 +1514,7 @@ class RaftNode(Process):
             if s_index > old:
                 pr.match = s_index
                 pr.next = s_index + 1
-                if pr.peer in self._voters:  # as in _on_append_response
+                if pr.peer in self._quorum.voters:  # as in _on_append_response
                     self._commit_to(self._commit.advance(old, s_index))
             elif pr.next <= s_index:
                 pr.next = s_index + 1
@@ -1670,9 +1550,10 @@ class RaftNode(Process):
             return
         if self.role is not Role.PRECANDIDATE:
             return
-        if m.granted and m.term == self.current_term + 1 and m.voter in self._voters:
+        quorum = self._quorum
+        if m.granted and m.term == self.current_term + 1 and m.voter in quorum.voters:
             self._prevotes.add(m.voter)
-            if len(self._prevotes) >= self.quorum:
+            if len(self._prevotes) >= quorum.acks:
                 self._become_candidate()
 
     # -- votes ----------------------------------------------------------------- #
@@ -1717,9 +1598,10 @@ class RaftNode(Process):
             return
         if self.role is not Role.CANDIDATE or m.term < self.current_term:
             return
-        if m.granted and m.voter in self._voters:
+        quorum = self._quorum
+        if m.granted and m.voter in quorum.voters:
             self._votes.add(m.voter)
-            if len(self._votes) >= self.quorum:
+            if len(self._votes) >= quorum.acks:
                 self._become_leader()
 
     # -- clients ----------------------------------------------------------------- #
@@ -1771,7 +1653,7 @@ class RaftNode(Process):
         # must be durable before replication fans out (§5.2).
         if not self._sync():
             return  # crashed persisting the append
-        if self._commit.acks_needed == 0:
+        if not self._quorum.acks:
             # Sole-voter fast path: the leader's own log is the quorum.
             # Learners (if any) still get the entries via the fan-out.
             self.commit_index = self.log.last_index
@@ -1797,7 +1679,7 @@ class RaftNode(Process):
             self.trace.record(
                 self._now(), self.name, "lease_fallback", term=self.current_term
             )
-        if self._commit.acks_needed == 0:
+        if not self._quorum.acks:
             # Sole-voter: this log IS the quorum.  The current-term no-op
             # sits at last_index, so committing through it is exactly the
             # §5.4.2-sanctioned commit; the read serves right after.
@@ -1843,14 +1725,15 @@ class RaftNode(Process):
         duration = bound - self._lease_margin_ms
         if duration <= 0.0:
             return False
-        needed = self._acks_needed()
+        quorum = self._quorum
+        needed = quorum.acks
         if needed == 0:
             return True  # sole voter: exclusivity is unconditional
         # The ``needed``-th freshest response is inside the lease iff at
         # least ``needed`` responses are (``now - t`` is monotone in ``t``).
         now = self._now()
         progress = self.progress
-        for p in self._voter_peers:
+        for p in quorum.peers:
             if now - progress[p].last_response < duration:
                 needed -= 1
                 if needed == 0:
@@ -1872,7 +1755,7 @@ class RaftNode(Process):
         self._read_buf = []
         self._read_round = batch
         probe = ReadIndexProbe(self.current_term, self.name, seq)
-        for peer in self._voter_peers:
+        for peer in self._quorum.peers:
             self._rpc(peer, probe, size=64)
         self.metrics.read_probes_sent += 1
 
@@ -1888,10 +1771,11 @@ class RaftNode(Process):
         round_ = self._read_round
         if pr is None or round_ is None or round_.seq != m.seq:
             return  # not ours to count, or an already-settled round
-        if pr.peer not in self._voters:
+        quorum = self._quorum
+        if pr.peer not in quorum.voters:
             return
         round_.acks.add(pr.peer)
-        if len(round_.acks) < self._acks_needed():
+        if len(round_.acks) < quorum.acks:
             return
         round_.confirmed = True
         self._serve_read_round()

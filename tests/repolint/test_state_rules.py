@@ -66,13 +66,35 @@ def test_subscript_write_through_attribute_is_flagged(tmp_path):
         {
             "repro/fuzz/inject.py": """\
             def corrupt(node, entry) -> None:
-                node._config_log[-1] = entry
+                node._configs._changes[-1] = entry
             """
         },
         rules=RULES,
     )
     (hit,) = rule_hits(report, "state-protected-write")
-    assert hit.symbol == "_config_log"
+    assert hit.symbol == "_changes"
+
+
+def test_quorum_has_one_builder(tmp_path):
+    # "Who counts" is decided in _refresh_membership alone; a second
+    # writer — even another RaftNode method — is flagged.
+    report = lint(
+        tmp_path,
+        {
+            "repro/raft/node.py": """\
+            class RaftNode:
+                def _refresh_membership(self) -> None:
+                    self._quorum = Quorum.of(self._configs.current, self.name)
+
+                def _become_leader(self) -> None:
+                    self._quorum = Quorum.of(self.membership, self.name)
+            """
+        },
+        rules=RULES,
+    )
+    (hit,) = rule_hits(report, "state-protected-write")
+    assert hit.symbol == "_quorum"
+    assert "_become_leader" in hit.message
 
 
 def test_cross_module_write_is_flagged(tmp_path):

@@ -124,7 +124,7 @@ def test_torn_config_entry_at_tail_rolls_back_cleanly():
     pump(c, client, 5)
     node = c.node(leader)
     victim = next(n for n in c.names if n != leader)
-    voters_before = set(node._voters)
+    voters_before = set(node.membership.voters)
     last_before = node.log.last_index
     set_faults(node, p_crash_point=1.0, p_torn_tail=1.0)
     # The proposal appends the config entry and hits its persist barrier,
@@ -137,10 +137,10 @@ def test_torn_config_entry_at_tail_rolls_back_cleanly():
     assert torn and torn[-1].node == leader
     # The torn entry is gone and the membership never changed.
     assert node.log.last_index == last_before
-    assert set(node._voters) == voters_before
+    assert set(node.membership.voters) == voters_before
     c.run_for(4000)
     for n in c.names:
-        assert set(c.node(n)._voters) == voters_before
+        assert set(c.node(n).membership.voters) == voters_before
     client.submit(kv_put("after", 1))
     c.run_for(2000)
     assert any(r.command.key == "after" for r in client.completed)

@@ -185,16 +185,17 @@ class RepolintConfig:
                     "RaftNode._restore_durable",
                 }
             ),
-            "_base_config": frozenset(
+            # The membership record is written only by its own methods, and
+            # "who counts" is decided only by the one quorum builder.
+            "_base": frozenset(
                 {
-                    "RaftNode.__init__",
-                    "RaftNode.on_recover",
-                    "RaftNode._rebase_config",
+                    "ConfigLog.__init__",
+                    "ConfigLog.rebase",
+                    "ConfigLog.rebuild",
                 }
             ),
-            "_config_log": frozenset(
-                {"RaftNode.__init__", "RaftNode.on_recover"}
-            ),
+            "_changes": frozenset({"ConfigLog.__init__", "ConfigLog.rebuild"}),
+            "_quorum": frozenset({"RaftNode._refresh_membership"}),
             # The leader's per-follower records live exactly as long as
             # the peer is in the reign: one builder, one editor, two resets.
             "progress": frozenset(

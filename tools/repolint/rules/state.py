@@ -3,11 +3,12 @@
 ``current_term`` and ``voted_for`` are Raft's *persistent* state: every
 write is a durability point, and the safety argument (§5.2/§5.4 of the
 paper) only holds when term adoption and vote granting go through the
-designated transitions.  The membership record (``_base_config`` /
-``_config_log``) has the same property for reconfiguration safety.
+designated transitions.  The membership record (``ConfigLog._base`` /
+``_changes``) and the node's one ``_quorum`` have the same property for
+reconfiguration safety.
 
 ``state-protected-write`` flags any assignment (plain, augmented or
-through a subscript, e.g. ``node._config_log[-1] = ...``) to a protected
+through a subscript, e.g. ``node._configs._changes[-1] = ...``) to a protected
 attribute outside its configured owner methods — including writes from
 *other* modules reaching into a node.  Deliberate corruption (the fuzz
 bug injectors) carries per-line suppressions, which is exactly the
@@ -83,7 +84,7 @@ class ProtectedStateRule(Rule):
 def _written_attrs(target: ast.AST) -> list[str]:
     """Attribute names a store target writes.
 
-    ``x.current_term = ...`` and ``x._config_log[-1] = ...`` both count;
+    ``x.current_term = ...`` and ``x._changes[-1] = ...`` both count;
     tuple targets are unpacked recursively.
     """
     if isinstance(target, ast.Attribute):
