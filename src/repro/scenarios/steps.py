@@ -819,7 +819,7 @@ def _propose_with_retry(
     target: str,
     retry_ms: float,
     max_retries: int,
-    on_accepted: Any = None,
+    after: str | None = None,
 ) -> None:
     """Keep proposing ``change`` at whoever currently leads until a leader
     *appends* it (commit and any follow-on promotion are the protocol's
@@ -831,6 +831,11 @@ def _propose_with_retry(
     Permanent rejections (unknown node, double-add) burn retries too and
     end in a traced ``membership_giveup`` — a fault timeline must not
     fail the run.
+
+    With ``after``, ``change`` is proposed only once that node is a voter
+    in the current leader's configuration; while that configuration does
+    not hold it at all (its append was lost with a deposed leader), each
+    attempt re-proposes its ``add_learner`` instead.
     """
     state = [0]  # attempts so far
 
@@ -838,10 +843,12 @@ def _propose_with_retry(
         leader = rt.cluster.leader()
         accepted = False
         if leader is not None:
-            accepted = rt.cluster.nodes[leader].propose_config_change(change, target)
+            node = rt.cluster.nodes[leader]
+            if after is None or after in node.membership.voters:
+                accepted = node.propose_config_change(change, target)
+            elif after not in node.membership:
+                node.propose_config_change("add_learner", after)
         if accepted:
-            if on_accepted is not None:
-                on_accepted()
             return
         state[0] += 1
         if state[0] > max_retries:
@@ -955,11 +962,10 @@ class RemoveNode(_MembershipStep):
 class ReplaceNode(_MembershipStep):
     """Rolling replacement: add ``replacement`` first, then remove ``node``.
 
-    Add-before-remove preserves fault-tolerance capacity through the swap.
-    The two proposals are sequenced by the one-in-flight gate itself: the
-    removal is first proposed once the *addition* is appended, and its
-    retries absorb rejections until the addition (and usually the
-    follow-on promotion) commits.
+    Add-before-remove preserves fault-tolerance capacity through the swap:
+    the removal is proposed only once the replacement votes in the current
+    leader's configuration, and an addition lost with a deposed leader is
+    proposed again (see ``_propose_with_retry``'s ``after``).
     """
 
     kind: ClassVar[str] = "replace_node"
@@ -999,17 +1005,8 @@ class ReplaceNode(_MembershipStep):
         if self.replacement in cluster.nodes:
             return {"skipped": True, "reason": f"node {self.replacement} already exists"}
         cluster.spawn_node(self.replacement)
-
-        def _then_remove() -> None:
-            _propose_with_retry(rt, "remove", victim, self.retry_ms, self.max_retries)
-
         _propose_with_retry(
-            rt,
-            "add_learner",
-            self.replacement,
-            self.retry_ms,
-            self.max_retries,
-            on_accepted=_then_remove,
+            rt, "remove", victim, self.retry_ms, self.max_retries, after=self.replacement
         )
         return {"target": victim, "replacement": self.replacement}
 

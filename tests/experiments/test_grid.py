@@ -12,7 +12,6 @@ GRIDS = [elastic.GRID, durability.GRID, grayfail.GRID, soak.GRID, serving.GRID]
 #: harness was introduced (same digests, same failures as the hand-rolled
 #: CLIs it replaced).  Pinned so a protocol fix has to delete its entry.
 KNOWN_RED = {
-    "elastic": "raft/replace commits 7 of its 9 config entries",
     "serving": "a static-policy lease never falls back to ReadIndex",
 }
 

@@ -11,6 +11,8 @@ from repro.scenarios.scenario import Scenario
 from repro.scenarios.steps import (
     AddNode,
     Churn,
+    Heal,
+    Partition,
     RemoveNode,
     ReplaceNode,
     step_from_dict,
@@ -106,6 +108,30 @@ def test_replace_node_preserves_capacity():
     c.run_for(14_000)
     assert c.members() == ["n2", "n3", "n4"]
     assert c.node("n1").state is ProcessState.STOPPED
+
+
+def test_replace_survives_an_add_lost_with_its_leader():
+    # The isolated leader appends the replacement's add_learner alone; the
+    # majority elects a leader without it.  The removal must wait for the
+    # replacement to vote there, re-proposing the add, or the swap ends on
+    # two voters and the replacement never joins.
+    c = make_raft_cluster(3)
+    leader = c.run_until_leader()
+    t = c.loop.now
+    others = tuple(n for n in c.names if n != leader)
+    victim = others[0]
+    Scenario(
+        "lost-add",
+        [
+            Partition(at_ms=t + 100.0, groups=((leader,), others)),
+            ReplaceNode(at_ms=t + 200.0, node=victim, replacement="n4"),
+            Heal(at_ms=t + 3_000.0),
+        ],
+    ).install(c)
+    c.run_for(20_000)
+    voters = c.node(c.leader()).membership.voters
+    assert len(voters) == 3
+    assert "n4" in voters and victim not in voters
 
 
 def test_membership_steps_are_no_ops_when_disabled():
