@@ -244,7 +244,7 @@ class ConfigLog:
         changes = self._changes
         return bool(changes) and changes[-1][0] > commit_index
 
-    def retract(self, log: RaftLog) -> bool:
+    def _retract(self, log: RaftLog) -> bool:
         """Drop records whose entries ``log`` no longer holds (a conflict
         truncation or a snapshot install); True if any went."""
         changes = self._changes
@@ -265,7 +265,7 @@ class ConfigLog:
         record the config entries the log now holds; True if the record
         changed."""
         changes = self._changes
-        changed = self.retract(log)
+        changed = self._retract(log)
         top = changes[-1][0] if changes else 0
         base = log.last_included_index
         for entry in entries:

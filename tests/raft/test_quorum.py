@@ -12,7 +12,11 @@ from tests.conftest import make_raft_cluster
 FIVE = ("n1", "n2", "n3", "n4", "n5")
 FIFTY_ONE = tuple(f"n{i:02d}" for i in range(51))
 TRIAL_169 = os.path.join(
-    os.path.dirname(__file__), "..", "fuzz", "regressions", "dynatune_trial169_73bcb44c.json"
+    os.path.dirname(__file__),
+    os.pardir,
+    "fuzz",
+    "regressions",
+    "dynatune_trial169_73bcb44c.json",
 )
 
 
