@@ -23,7 +23,7 @@ Subpackages
     CDFs, summary statistics, time-series utilities.
 ``repro.experiments``
     One module per paper figure; each regenerates the corresponding
-    series/rows (see DESIGN.md §3 and EXPERIMENTS.md).
+    series/rows (README, "Running experiments").
 
 Quickstart
 ----------

@@ -1,4 +1,4 @@
-"""CPU cost accounting — the ``docker stats`` substitute (DESIGN.md §1).
+"""CPU cost accounting — the ``docker stats`` substitute.
 
 Every message a node sends/receives debits a fixed CPU cost against that
 node.  Utilisation over a sampling window is then

@@ -16,9 +16,9 @@ Two layers, for two different regimes:
   (client→leader hop + one replication round trip).  Peak throughput is
   where the drain rate saturates — exactly the knee the paper reports.
   Dynatune's tuning overhead enters as a calibrated multiplicative factor
-  on per-request service cost (see DESIGN.md §5: the ~6 % gap is an
-  implementation overhead the paper measures but does not derive; we
-  reproduce it as a parameter, not a prediction).
+  on per-request service cost (the ~6 % gap is an implementation
+  overhead the paper measures but does not derive; we reproduce it as a
+  parameter, not a prediction).
 """
 
 from __future__ import annotations

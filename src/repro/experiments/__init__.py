@@ -9,9 +9,8 @@ Each module exposes:
 * ``main()`` — runs at the scale selected by ``REPRO_SCALE`` (``quick`` |
   ``paper``) and prints the same rows/series the paper reports.
 
-The per-experiment index lives in DESIGN.md §3; measured-vs-paper numbers
-are recorded in EXPERIMENTS.md (regenerate with
-``python -m repro.experiments.report``).
+``python -m repro.experiments.report`` prints measured-vs-paper numbers
+for every figure.
 """
 
 from repro.experiments.common import SYSTEMS, Scale, get_scale, make_policy_factory

@@ -1,4 +1,4 @@
-"""Ablation studies for Dynatune's design choices (DESIGN.md §4).
+"""Ablation studies for Dynatune's design choices (§III).
 
 The paper fixes ``s = 2``, ``x = 0.999``, ``minListSize = 10``,
 ``maxListSize = 1000``, pre-vote on, and the discard-on-timeout fallback,

@@ -67,8 +67,6 @@ class Scale:
     fig7_dwell_ms: float
     #: Cluster sizes for Fig. 7 (paper: 5, 17, 65).
     fig7_sizes: tuple[int, ...]
-    #: Leader kills for the ablation benches.
-    ablation_failures: int
     #: Cluster sizes for the large-cluster scaling sweep (fig_scale).
     scale_sizes: tuple[int, ...] = (5, 25, 51)
     #: Leader kills per (system, size) cell in the scaling sweep.
@@ -85,7 +83,6 @@ QUICK = Scale(
     fig6_dwell_ms=12_000.0,
     fig7_dwell_ms=20_000.0,
     fig7_sizes=(5, 17),
-    ablation_failures=25,
     scale_sizes=(5, 25, 51),
     scale_failures=3,
     soak_duration_ms=60_000.0,
@@ -98,7 +95,6 @@ PAPER = Scale(
     fig6_dwell_ms=60_000.0,
     fig7_dwell_ms=180_000.0,
     fig7_sizes=(5, 17, 65),
-    ablation_failures=200,
     scale_sizes=(5, 25, 51, 101),
     scale_failures=10,
     soak_duration_ms=300_000.0,

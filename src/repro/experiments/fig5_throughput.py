@@ -7,7 +7,7 @@ times.  Paper result: Raft peaks at 13 678 req/s, Dynatune at 12 800 req/s
 (−6.4 %), with average latency climbing from ≈ 200 ms to ≈ 700 ms.
 
 The request path runs on the fluid leader-queue model (see
-:mod:`repro.cluster.workload` and DESIGN.md §1): the knee position comes
+:mod:`repro.cluster.workload`): the knee position comes
 from the CPU capacity model, the Dynatune gap from the calibrated tuning-
 overhead factor (§IV-E attributes the gap to tuning-process overhead but
 does not decompose it further, so it is a measured parameter here, not a

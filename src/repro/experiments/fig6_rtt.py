@@ -20,7 +20,7 @@ periods.
 
 Operational stalls (short leader pauses, :class:`~repro.cluster.faults.
 StallProfile`) model the single-host scheduling noise that triggers
-Raft-Low's elections in the paper's testbed; see DESIGN.md §1.
+Raft-Low's elections in the paper's testbed.
 """
 
 from __future__ import annotations

@@ -110,10 +110,8 @@ class ServingConfig:
             return RaftConfig()
         return RaftConfig(
             client_batching=True,
-            client_batch_max=64,
             client_batch_window_ms=5.0,
             replication_pipelining=True,
-            max_inflight_appends=4,
             lease_reads=mode in ("lease", "lease-drift"),
             lease_drift_margin_ms=(
                 DRIFT_MARGIN_MS

@@ -1,8 +1,7 @@
 """A complete Raft implementation (the etcd substitute).
 
-See :mod:`repro.raft.node` for the protocol state machine and DESIGN.md §1
-for why a faithful Raft with per-follower heartbeat timers is the right
-substrate for reproducing Dynatune.
+See :mod:`repro.raft.node` for the protocol state machine: a faithful Raft
+with per-follower heartbeat timers, the substrate Dynatune retunes.
 """
 
 from repro.raft.client import CompletedRequest, RaftClient

@@ -4,7 +4,7 @@ A :class:`RaftClient` is a simulated process that submits commands, follows
 leader redirects, retries on silence, and records per-request latency.  It
 is the building block of the examples and the correctness tests; the
 high-rate open-loop load of Fig. 5 uses the fluid model in
-:mod:`repro.cluster.workload` instead (see DESIGN.md §1).
+:mod:`repro.cluster.workload` instead.
 """
 
 from __future__ import annotations

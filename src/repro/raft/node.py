@@ -109,6 +109,12 @@ _RUNNING = ProcessState.RUNNING
 _RPC_CHANNEL = "tcp"
 #: Replication batch bound, entries per AppendEntries (etcd parity).
 _MAX_ENTRIES_PER_APPEND = 64
+#: Buffered client commands that force an immediate batch flush.
+_CLIENT_BATCH_MAX = 64
+#: Per-follower in-flight AppendEntries window under pipelining: without a
+#: cap, every response to a still-behind follower would spawn a fresh
+#: full-window resend.
+_MAX_INFLIGHT_APPENDS = 4
 #: Uniform extra delay per heartbeat tick (OS scheduling noise): a
 #: simulator's perfectly aligned timers would phase-lock every follower's
 #: failure detection and make split votes near-certain.
@@ -287,10 +293,8 @@ class RaftNode(Process):
         # -- client-serving fast path (all knobs default off) ------------- #
         # Frozen-config knobs, read per client op / per append.
         self._batching: bool = config.client_batching
-        self._batch_max: int = config.client_batch_max
         self._batch_window_ms: float = config.client_batch_window_ms
         self._pipelining: bool = config.replication_pipelining
-        self._max_inflight: int = config.max_inflight_appends
         self._lease_reads: bool = config.lease_reads
         self._lease_margin_ms: float = config.lease_drift_margin_ms
 
@@ -1015,7 +1019,7 @@ class RaftNode(Process):
             pr.snapshot_sent_at = None  # transfer presumed lost
         # After a rejection knocked the pipe back: one append at a time
         # until a success re-anchors next (etcd StateProbe).
-        cap = 1 if pr.probing else self._max_inflight
+        cap = 1 if pr.probing else _MAX_INFLIGHT_APPENDS
         if not force and pr.inflight >= cap:
             return  # pipeline full; the next response will pull more
         log = self.log
@@ -1050,7 +1054,7 @@ class RaftNode(Process):
             # lands and stream the next suffix without waiting for the
             # ack; a rejection resets next from the conflict hint.
             pr.next = next_i + len(entries)
-            if pr.next > log.last_index or pr.inflight >= self._max_inflight:
+            if pr.next > log.last_index or pr.inflight >= _MAX_INFLIGHT_APPENDS:
                 break
         if self.config.suppress_heartbeats_under_load and self.role is Role.LEADER:
             # §IV-E feature 1: this replication message is the heartbeat;
@@ -1616,7 +1620,7 @@ class RaftNode(Process):
             buf = self._batch_buf
             buf.append((sender, m.request_id, m.command))
             n = len(buf)
-            if n >= self._batch_max:
+            if n >= _CLIENT_BATCH_MAX:
                 self._flush_batch()
             elif n == 1 and self._batch_window_ms > 0.0:
                 # First command of a fresh batch arms the window timer;

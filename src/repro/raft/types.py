@@ -70,13 +70,12 @@ class RaftConfig:
         client_batching: leader-side append batching — client commands are
             buffered and flushed as *one* log append + one AppendEntries
             per follower instead of a full replication fan-out per
-            command.  The flush fires when ``client_batch_max`` commands
-            are buffered, when the dedicated ``client_batch_window_ms``
-            timer expires, or at the next heartbeat tick to any follower
-            (whichever comes first).  Off by default: the per-command
-            fan-out is the behaviour every golden-seed digest and fuzz
-            reproducer was captured under.
-        client_batch_max: buffered commands that force an immediate flush.
+            command.  The flush fires when 64 commands are buffered, when
+            the dedicated ``client_batch_window_ms`` timer expires, or at
+            the next heartbeat tick to any follower (whichever comes
+            first).  Off by default: the per-command fan-out is the
+            behaviour every golden-seed digest and fuzz reproducer was
+            captured under.
         client_batch_window_ms: dedicated flush timer armed when the first
             command enters an empty buffer.  ``0`` (default) arms no
             timer — the batch rides the next heartbeat tick, etcd's
@@ -89,11 +88,9 @@ class RaftConfig:
             into probe mode (one unpiped append at a time) until a
             success re-establishes the match point; stale rejections of
             already-superseded probes are ignored via the echoed
-            ``prev_log_index``.  Off by default (identical traffic to the
-            seed's ack-clocked resend).
-        max_inflight_appends: per-follower in-flight window depth (only
-            meaningful under load): without a cap, every response to a
-            still-behind follower would spawn a fresh full-window resend.
+            ``prev_log_index``.  At most four windows are in flight per
+            follower.  Off by default (identical traffic to the seed's
+            ack-clocked resend).
         lease_reads: serve linearizable reads from the leader lease when
             it is safely held, falling back to the ReadIndex quorum round
             otherwise.  The lease duration derives from the policy's
@@ -116,28 +113,18 @@ class RaftConfig:
     suppress_heartbeats_under_load: bool = False
     consolidated_heartbeat_timer: bool = False
     client_batching: bool = False
-    client_batch_max: int = 64
     client_batch_window_ms: float = 0.0
     replication_pipelining: bool = False
-    max_inflight_appends: int = 4
     lease_reads: bool = False
     lease_drift_margin_ms: float = 50.0
     compaction_threshold: int = 0
     compaction_retain_margin: int = 64
 
     def __post_init__(self) -> None:
-        if self.client_batch_max < 1:
-            raise ValueError(
-                f"client_batch_max must be >= 1, got {self.client_batch_max!r}"
-            )
         if self.client_batch_window_ms < 0.0:
             raise ValueError(
                 "client_batch_window_ms must be >= 0, "
                 f"got {self.client_batch_window_ms!r}"
-            )
-        if self.max_inflight_appends < 1:
-            raise ValueError(
-                f"max_inflight_appends must be >= 1, got {self.max_inflight_appends!r}"
             )
         if self.lease_drift_margin_ms < 0.0:
             raise ValueError(

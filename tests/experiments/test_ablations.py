@@ -1,23 +1,81 @@
-"""Unit-level checks of the ablation helpers (full sweeps run in benches)."""
+"""The §III design ablations: one sweep each, gated on its ordering."""
+
+import math
 
 from repro.experiments import ablations
 
 
+def _by_label(points):
+    return {p.label: p.metrics for p in points}
+
+
 def test_ablation_point_structure():
-    pts = ablations.min_list_size_sweep(sizes=(2, 10))
-    assert [p.value for p in pts] == [2.0, 10.0]
+    pts = ablations.min_list_size_sweep(sizes=(2, 10, 100))
+    assert [p.value for p in pts] == [2.0, 10.0, 100.0]
     for p in pts:
         assert p.metrics["all_tuned"] == 1.0
         assert p.metrics["time_to_tuned_ms"] > 0
+    # Warm-up time grows with minListSize.
+    assert pts[-1].metrics["time_to_tuned_ms"] > pts[0].metrics["time_to_tuned_ms"]
 
 
 def test_prevote_ablation_labels():
-    pts = ablations.prevote_ablation(dwell_ms=6_000.0)
-    assert {p.label for p in pts} == {"prevote-on", "prevote-off"}
-    on = next(p for p in pts if p.label == "prevote-on")
-    assert on.metrics["ots_ms"] == 0.0
+    m = _by_label(ablations.prevote_ablation(dwell_ms=6_000.0))
+    assert set(m) == {"prevote-on", "prevote-off"}
+    # With pre-vote: the spike causes zero OTS (Fig. 6b).  Without it, the
+    # first false detection deposes the leader.
+    assert m["prevote-on"]["ots_ms"] == 0.0
+    assert m["prevote-on"]["unnecessary_elections"] == 0.0
+    assert m["prevote-off"]["unnecessary_elections"] > 0.0
+    assert m["prevote-off"]["leader_changes"] > m["prevote-on"]["leader_changes"]
 
 
 def test_window_sweep_converges():
-    pts = ablations.window_sweep(windows=(30,))
-    assert pts[0].metrics["adaptation_lag_ms"] < 120_000.0
+    pts = ablations.window_sweep(windows=(30, 1000))
+    lag = {p.value: p.metrics["adaptation_lag_ms"] for p in pts}
+    assert lag[30.0] < 120_000.0
+    assert not math.isinf(lag[1000.0])
+    # Larger windows adapt more slowly to an RTT step.
+    assert lag[1000.0] > lag[30.0]
+
+
+def test_safety_factor_sweep():
+    points = ablations.safety_factor_sweep(n_failures=6)
+    by_s = {p.value: p.metrics for p in points}
+    # The tuned Et widens monotonically with s (Et = mu + s*sigma).
+    ets = [by_s[s]["mean_tuned_et_ms"] for s in (0.0, 1.0, 2.0, 4.0)]
+    assert ets == sorted(ets)
+    assert ets[-1] > ets[0] + 15.0
+    # Detection slows accordingly (allow sample noise between neighbours).
+    assert by_s[4.0]["mean_detection_ms"] > by_s[0.0]["mean_detection_ms"]
+    # Every configuration still resolves every failure.
+    for p in points:
+        assert p.metrics["resolved_episodes"] > 0
+
+
+def test_arrival_probability_sweep():
+    points = ablations.arrival_probability_sweep(duration_ms=20_000.0)
+    by_x = {p.value: p.metrics for p in points}
+    # Higher x -> more redundancy -> higher heartbeat rate...
+    rates = [by_x[x]["leader_heartbeats_per_s"] for x in (0.9, 0.99, 0.999, 0.9999)]
+    assert rates == sorted(rates)
+    # ...and fewer missed-window fallbacks.
+    assert by_x[0.9999]["fallbacks"] < by_x[0.9]["fallbacks"]
+    # No configuration loses the leader to loss-induced elections.
+    for p in points:
+        assert p.metrics["unnecessary_elections"] == 0.0
+
+
+def test_fallback_ablation():
+    m = _by_label(ablations.fallback_ablation())
+    # The discard rule costs re-warm-up: more untuned follower-time.
+    assert (
+        m["fallback-on"]["untuned_follower_seconds"]
+        > m["fallback-off"]["untuned_follower_seconds"]
+    )
+    # The rule actually fires (measurements are discarded on timeouts).
+    assert m["fallback-on"]["fallbacks"] > 0
+    assert m["fallback-off"]["fallbacks"] == 0
+    # Neither variant loses availability here (pre-vote still protects).
+    assert m["fallback-on"]["ots_ms"] == 0.0
+    assert m["fallback-off"]["ots_ms"] == 0.0

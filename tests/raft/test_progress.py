@@ -32,6 +32,8 @@ REMOVED_FIELDS = (
     "auto_promote_learners",
     "learner_catchup_margin",
     "max_entries_per_append",
+    "client_batch_max",
+    "max_inflight_appends",
 )
 
 
@@ -194,10 +196,8 @@ def test_raftconfig_fields():
         "suppress_heartbeats_under_load",
         "consolidated_heartbeat_timer",
         "client_batching",
-        "client_batch_max",
         "client_batch_window_ms",
         "replication_pipelining",
-        "max_inflight_appends",
         "lease_reads",
         "lease_drift_margin_ms",
         "compaction_threshold",

@@ -10,6 +10,7 @@ lost across a pause.
 """
 
 from repro.cluster.workload import OpenLoopDriver
+from repro.raft.node import _MAX_INFLIGHT_APPENDS
 from repro.raft.state_machine import kv_put
 from tests.conftest import make_raft_cluster
 
@@ -55,7 +56,7 @@ def test_proposals_respect_inflight_cap():
     c.run_for(50)  # before any ack can return (RTT 200)
     node = c.node(leader)
     for peer in node.peers:
-        assert node.progress[peer].inflight <= node.config.max_inflight_appends
+        assert node.progress[peer].inflight <= _MAX_INFLIGHT_APPENDS
     c.run_for(10_000)
     assert len(client.completed) == 50  # everything still commits
 

@@ -8,6 +8,7 @@ guarantees (nothing lost across leader changes, no stale reads).
 from repro.dynatune.config import DynatuneConfig
 from repro.dynatune.metadata import HeartbeatResponseMeta
 from repro.dynatune.policy import DynatunePolicy, StaticPolicy
+from repro.raft.node import _CLIENT_BATCH_MAX
 from repro.raft.state_machine import kv_get, kv_put
 from repro.raft.types import RaftConfig
 from tests.conftest import make_raft_cluster
@@ -65,7 +66,6 @@ def test_batch_max_forces_immediate_flush():
         3,
         raft=RaftConfig(
             client_batching=True,
-            client_batch_max=4,
             client_batch_window_ms=10_000.0,  # timer would never fire in time
         ),
     )
@@ -73,18 +73,18 @@ def test_batch_max_forces_immediate_flush():
     leader = c.run_until_leader()
     c.run_for(500.0)
     node = c.node(leader)
-    # Deliver 4 commands in one event-loop instant: batch_max flushes
-    # without waiting for the window timer or the next beat.
+    # Deliver a full batch in one event-loop instant: it flushes without
+    # waiting for the window timer or the next beat.
     from repro.raft.messages import ClientRequest
 
-    for rid in range(4):
+    for rid in range(_CLIENT_BATCH_MAX):
         node.deliver("cl", ClientRequest(request_id=rid, command=kv_put("x", rid)))
     assert node.metrics.batches_flushed == 1
-    assert node.metrics.batched_commands == 4
+    assert node.metrics.batched_commands == _CLIENT_BATCH_MAX
     assert node._batch_buf == []
     client.submit(kv_put("y", 1))
     c.run_for(2_000.0)
-    assert node.state_machine.peek("x") == 3
+    assert node.state_machine.peek("x") == _CLIENT_BATCH_MAX - 1
 
 
 def test_buffered_commands_survive_leader_change():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.raft.state_machine import kv_put
+from repro.raft.types import RaftConfig
 from repro.sim.process import ProcessState
 from repro.storage import DiskFaultConfig, SimDiskStorage
 from repro.storage.base import DiskCorruptionError
@@ -32,24 +33,26 @@ def pump(c, client, n, settle_ms=3000):
 def test_fault_free_simdisk_matches_ideal_run():
     """With every fault probability 0, the simdisk backend is pure
     bookkeeping: the same seed produces the same cluster history as the
-    ideal backend, event for event."""
+    ideal backend, event for event — snapshots and compaction included."""
 
-    def run(storage):
-        c = make_raft_cluster(3, seed=9, storage=storage)
+    def run(storage, raft):
+        c = make_raft_cluster(3, seed=9, storage=storage, raft=raft)
         client = c.add_client("cl")
         c.run_until_leader()
         pump(c, client, 20)
         return c
 
-    ideal, disk = run("ideal"), run("simdisk")
-    assert [(r.time, r.node, r.kind) for r in ideal.trace.all()] == [
-        (r.time, r.node, r.kind) for r in disk.trace.all()
-    ]
-    for n in ideal.names:
-        assert (
-            ideal.node(n).state_machine.snapshot()
-            == disk.node(n).state_machine.snapshot()
-        )
+    for raft in (RaftConfig(), RaftConfig(compaction_threshold=8, compaction_retain_margin=2)):
+        ideal, disk = run("ideal", raft), run("simdisk", raft)
+        assert [(r.time, r.node, r.kind) for r in ideal.trace.all()] == [
+            (r.time, r.node, r.kind) for r in disk.trace.all()
+        ]
+        for n in ideal.names:
+            assert (
+                ideal.node(n).state_machine.snapshot()
+                == disk.node(n).state_machine.snapshot()
+            )
+    assert sum(n.metrics.compactions for n in disk.nodes.values()) > 0
 
 
 def test_durable_view_lags_pending_until_sync():
