@@ -52,6 +52,7 @@ def test_fault_free_simdisk_matches_ideal_run():
                 ideal.node(n).state_machine.snapshot()
                 == disk.node(n).state_machine.snapshot()
             )
+    # The second config's run really did snapshot and compact.
     assert sum(n.metrics.compactions for n in disk.nodes.values()) > 0
 
 
