@@ -1,6 +1,11 @@
-"""The §III design ablations: one sweep each, gated on its ordering."""
+"""The §III design ablations: one sweep each, gated on its ordering.
+
+Where two tests gate the same sweep they share one module-scoped run.
+"""
 
 import math
+
+import pytest
 
 from repro.experiments import ablations
 
@@ -9,19 +14,41 @@ def _by_label(points):
     return {p.label: p.metrics for p in points}
 
 
-def test_ablation_point_structure():
-    pts = ablations.min_list_size_sweep(sizes=(2, 10, 100))
-    assert [p.value for p in pts] == [2.0, 10.0, 100.0]
-    for p in pts:
+@pytest.fixture(scope="module")
+def min_list_points():
+    return ablations.min_list_size_sweep(sizes=(2, 10, 100))
+
+
+@pytest.fixture(scope="module")
+def prevote_metrics():
+    return _by_label(ablations.prevote_ablation(dwell_ms=6_000.0))
+
+
+@pytest.fixture(scope="module")
+def window_lag():
+    pts = ablations.window_sweep(windows=(30, 1000))
+    return {p.value: p.metrics["adaptation_lag_ms"] for p in pts}
+
+
+def test_ablation_point_structure(min_list_points):
+    assert [p.value for p in min_list_points] == [2.0, 10.0, 100.0]
+    for p in min_list_points:
         assert p.metrics["all_tuned"] == 1.0
         assert p.metrics["time_to_tuned_ms"] > 0
+
+
+def test_min_list_size_sweep(min_list_points):
+    by_m = {p.value: p.metrics for p in min_list_points}
     # Warm-up time grows with minListSize.
-    assert pts[-1].metrics["time_to_tuned_ms"] > pts[0].metrics["time_to_tuned_ms"]
+    assert by_m[100.0]["time_to_tuned_ms"] > by_m[2.0]["time_to_tuned_ms"]
 
 
-def test_prevote_ablation_labels():
-    m = _by_label(ablations.prevote_ablation(dwell_ms=6_000.0))
-    assert set(m) == {"prevote-on", "prevote-off"}
+def test_prevote_ablation_labels(prevote_metrics):
+    assert set(prevote_metrics) == {"prevote-on", "prevote-off"}
+
+
+def test_prevote_ablation(prevote_metrics):
+    m = prevote_metrics
     # With pre-vote: the spike causes zero OTS (Fig. 6b).  Without it, the
     # first false detection deposes the leader.
     assert m["prevote-on"]["ots_ms"] == 0.0
@@ -30,13 +57,14 @@ def test_prevote_ablation_labels():
     assert m["prevote-off"]["leader_changes"] > m["prevote-on"]["leader_changes"]
 
 
-def test_window_sweep_converges():
-    pts = ablations.window_sweep(windows=(30, 1000))
-    lag = {p.value: p.metrics["adaptation_lag_ms"] for p in pts}
-    assert lag[30.0] < 120_000.0
-    assert not math.isinf(lag[1000.0])
+def test_window_sweep_converges(window_lag):
+    assert window_lag[30.0] < 120_000.0
+    assert not math.isinf(window_lag[1000.0])
+
+
+def test_window_sweep(window_lag):
     # Larger windows adapt more slowly to an RTT step.
-    assert lag[1000.0] > lag[30.0]
+    assert window_lag[1000.0] > window_lag[30.0]
 
 
 def test_safety_factor_sweep():

@@ -2,8 +2,9 @@
 
 Each figure is simulated once, at the cheapest configuration that still
 holds every gate: repetition counts and dwells shrink, the mechanisms do
-not.  ``python -m repro.experiments.<figure>`` regenerates a figure at
-the scale ``REPRO_SCALE`` selects.
+not.  The figure's shape and its paper magnitudes are two tests over the
+same module-scoped run.  ``python -m repro.experiments.<figure>``
+regenerates a figure at the scale ``REPRO_SCALE`` selects.
 """
 
 import numpy as np
@@ -31,20 +32,16 @@ def test_scale_selection(monkeypatch):
         get_scale()
 
 
-def test_fig4_shape_dynatune_beats_raft():
-    """Paper: detection 1205 → 237 ms (−80 %), OTS 1449 → 797 ms (−45 %)."""
-    result = fig4_election.run(fig4_election.Fig4Config(n_failures=60))
-    raft = result.systems["raft"]
-    dyn = result.systems["dynatune"]
-    assert result.reduction("detection") > 0.6
-    assert result.reduction("ots") > 0.15
-    # Raft baseline magnitudes match the paper's measurements closely.
-    assert 1000.0 < raft.mean_detection_ms < 1450.0
-    assert 1200.0 < raft.mean_ots_ms < 1750.0
+@pytest.fixture(scope="module")
+def fig4():
+    return fig4_election.run(fig4_election.Fig4Config(n_failures=60))
+
+
+def test_fig4_shape_dynatune_beats_raft(fig4):
+    raft = fig4.systems["raft"]
+    dyn = fig4.systems["dynatune"]
+    assert fig4.reduction("detection") > 0.6
     assert dyn.mean_detection_ms < 400.0
-    # randomizedTimeout means: ~1.45 s (Raft) vs ~0.15 s (Dynatune).
-    assert 1300.0 < raft.mean_randomized_timeout_ms < 1600.0
-    assert dyn.mean_randomized_timeout_ms < 300.0
     # §IV-E: Dynatune's election phase is longer (split votes).
     assert dyn.mean_election_ms > raft.mean_election_ms
     # CDFs well-formed
@@ -52,54 +49,94 @@ def test_fig4_shape_dynatune_beats_raft():
     assert ps[-1] == 1.0 and np.all(np.diff(xs) >= 0)
 
 
-def test_fig5_shape_gap_and_knee():
-    """Paper: Raft 13 678 req/s vs Dynatune 12 800 req/s (−6.4 %), latency
-    rising from ≈ 200 ms toward ≈ 700 ms at the knee."""
-    result = fig5_throughput.run(fig5_throughput.Fig5Config(repeats=1))
-    raft = result.systems["raft"]
-    dyn = result.systems["dynatune"]
-    assert 13_000 < raft.peak_rps < 14_500
-    assert 12_200 < dyn.peak_rps < 13_500
-    assert 0.04 < result.peak_gap < 0.09
-    # Latency curve: flat-ish plateau near 200 ms, then the knee.
-    assert raft.mean_latency_ms[0] < 230.0
-    assert raft.mean_latency_ms[-1] > 500.0
-    assert np.all(np.diff(raft.mean_latency_ms) > -1e-6)
+def test_fig4_election_performance(fig4):
+    """Paper: detection 1205 → 237 ms (−80 %), OTS 1449 → 797 ms (−45 %)."""
+    raft = fig4.systems["raft"]
+    dyn = fig4.systems["dynatune"]
+    assert fig4.reduction("ots") > 0.15
+    # Raft baseline magnitudes match the paper's measurements closely.
+    assert 1000.0 < raft.mean_detection_ms < 1450.0
+    assert 1200.0 < raft.mean_ots_ms < 1750.0
+    # randomizedTimeout means: ~1.45 s (Raft) vs ~0.15 s (Dynatune).
+    assert 1300.0 < raft.mean_randomized_timeout_ms < 1600.0
+    assert dyn.mean_randomized_timeout_ms < 300.0
+
+
+@pytest.fixture(scope="module")
+def fig5():
+    return fig5_throughput.run(fig5_throughput.Fig5Config(repeats=1))
+
+
+def test_fig5_shape_gap_and_knee(fig5):
+    raft = fig5.systems["raft"]
+    dyn = fig5.systems["dynatune"]
+    assert 0.04 < fig5.peak_gap < 0.09
     # Dynatune's knee sits to the left of Raft's.
     knee_raft = np.argmax(raft.throughput_rps >= raft.peak_rps * 0.999)
     knee_dyn = np.argmax(dyn.throughput_rps >= dyn.peak_rps * 0.999)
     assert knee_dyn <= knee_raft
 
 
-def test_fig6_radical_dynatune_survives_spike():
-    cfg = fig6_rtt.Fig6Config(pattern="radical", dwell_ms=2_000.0)
-    result = fig6_rtt.run(cfg)
-    dyn = result.systems["dynatune"]
-    raft = result.systems["raft"]
-    low = result.systems["raft-low"]
+def test_fig5_throughput_staircase(fig5):
+    """Paper: Raft 13 678 req/s vs Dynatune 12 800 req/s (−6.4 %), latency
+    rising from ≈ 200 ms toward ≈ 700 ms at the knee."""
+    raft = fig5.systems["raft"]
+    dyn = fig5.systems["dynatune"]
+    assert 13_000 < raft.peak_rps < 14_500
+    assert 12_200 < dyn.peak_rps < 13_500
+    # Latency curve: flat-ish plateau near 200 ms, then the knee.
+    assert raft.mean_latency_ms[0] < 230.0
+    assert raft.mean_latency_ms[-1] > 500.0
+    assert np.all(np.diff(raft.mean_latency_ms) > -1e-6)
+
+
+_FIG6B = fig6_rtt.Fig6Config(pattern="radical", dwell_ms=2_000.0)
+
+
+@pytest.fixture(scope="module")
+def fig6b():
+    return fig6_rtt.run(_FIG6B)
+
+
+def test_fig6_radical_dynatune_survives_spike(fig6b):
+    dyn = fig6b.systems["dynatune"]
     assert dyn.false_detections > 0  # the spike is noticed...
     assert dyn.unnecessary_elections == 0  # ...but pre-vote absorbs it
     assert dyn.ots_total_ms == 0.0
+
+
+def test_fig6b_radical_rtt(fig6b):
+    raft = fig6b.systems["raft"]
+    low = fig6b.systems["raft-low"]
     assert raft.ots_total_ms == 0.0  # Raft rides it out entirely
     # Raft-Low cannot elect while RTT > its randomizedTimeout: OTS roughly
     # the whole spike dwell.
     assert low.unnecessary_elections > 0
-    assert low.ots_total_ms > 0.5 * cfg.dwell_ms
+    assert low.ots_total_ms > 0.5 * _FIG6B.dwell_ms
 
 
-def test_fig6_gradual_dynatune_tracks_rtt():
+@pytest.fixture(scope="module")
+def fig6a():
     # Raft-Low's elections need the leader stalls (the default profile) and
     # dwells of at least 6 s at the elevated RTTs.
-    result = fig6_rtt.run(fig6_rtt.Fig6Config(pattern="gradual", dwell_ms=6_000.0))
-    dyn = result.systems["dynatune"]
-    raft = result.systems["raft"]
-    low = result.systems["raft-low"]
+    return fig6_rtt.run(fig6_rtt.Fig6Config(pattern="gradual", dwell_ms=6_000.0))
+
+
+def test_fig6_gradual_dynatune_tracks_rtt(fig6a):
+    dyn = fig6a.systems["dynatune"]
+    raft = fig6a.systems["raft"]
     # Once warmed up, Dynatune's f+1 randTO stays within a small multiple
     # of the RTT while Raft's sits near 1.5 * 1000 ms.
     warmed = dyn.times_ms > 30_000.0
     ratio = dyn.kth_randomized_timeout_ms[warmed] / dyn.rtt_ms[warmed]
     assert np.nanmedian(ratio) < 4.0
     assert 1200.0 < np.nanmedian(raft.kth_randomized_timeout_ms) < 1800.0
+
+
+def test_fig6a_gradual_rtt(fig6a):
+    dyn = fig6a.systems["dynatune"]
+    raft = fig6a.systems["raft"]
+    low = fig6a.systems["raft-low"]
     # Neither loses service...
     assert raft.ots_total_ms == 0.0
     assert raft.unnecessary_elections == 0
@@ -110,19 +147,34 @@ def test_fig6_gradual_dynatune_tracks_rtt():
     assert low.ots_total_ms > 0.0
 
 
-def test_fig7_h_tracks_loss_and_fixk_flat():
-    # A dwell of one CPU sample interval gives every loss level one sample.
-    cfg = fig7_loss.Fig7Config(dwell_ms=5_000.0, warmup_ms=5_000.0)
-    result = fig7_loss.run(cfg)
-    peak = max(cfg.loss_levels)
-    for n in cfg.sizes:
-        dyn = result.runs[("dynatune", n)]
-        fix = result.runs[("fix-k", n)]
+# A dwell of one CPU sample interval gives every loss level one sample.
+_FIG7 = fig7_loss.Fig7Config(dwell_ms=5_000.0, warmup_ms=5_000.0)
+
+
+@pytest.fixture(scope="module")
+def fig7():
+    return fig7_loss.run(_FIG7)
+
+
+def test_fig7_h_tracks_loss_and_fixk_flat(fig7):
+    peak = max(_FIG7.loss_levels)
+    for n in _FIG7.sizes:
+        dyn = fig7.runs[("dynatune", n)]
+        fix = fig7.runs[("fix-k", n)]
         # Fig. 7a: Dynatune lowers h as loss rises (K: 1 -> 6 at 30 %);
         # Fix-K stays pinned at Et/10 ≈ 20 ms.
         assert np.mean(dyn.h_at_loss(peak)) < 0.45 * np.mean(dyn.h_at_loss(0.0))
         assert np.nanstd(fix.h_ms) < 3.0
         assert 15.0 < np.nanmean(fix.h_ms) < 30.0
+        # §IV-C2: no unnecessary elections for either system.
+        assert dyn.unnecessary_elections == 0
+        assert fix.unnecessary_elections == 0
+
+
+def test_fig7_loss_staircase(fig7):
+    for n in _FIG7.sizes:
+        dyn = fig7.runs[("dynatune", n)]
+        fix = fig7.runs[("fix-k", n)]
         # Fig. 7b: Fix-K's leader burns multiples of Dynatune's CPU, and the
         # follower load is far below the leader's.
         assert fix.leader_cpu.mean() > 2.0 * dyn.leader_cpu.mean()
@@ -130,28 +182,33 @@ def test_fig7_h_tracks_loss_and_fixk_flat():
         # Dynatune's CPU peaks with the loss rate (the "peak pattern").
         mid = len(dyn.leader_cpu) // 2
         assert dyn.leader_cpu[mid - 2 : mid + 3].mean() > dyn.leader_cpu[:3].mean()
-        # §IV-C2: no unnecessary elections for either system.
-        assert dyn.unnecessary_elections == 0
-        assert fix.unnecessary_elections == 0
     # Leader CPU grows with cluster size for Fix-K (the scalability story).
-    small, large = min(cfg.sizes), max(cfg.sizes)
+    small, large = min(_FIG7.sizes), max(_FIG7.sizes)
     assert (
-        result.runs[("fix-k", large)].leader_cpu.mean()
-        > 2.0 * result.runs[("fix-k", small)].leader_cpu.mean()
+        fig7.runs[("fix-k", large)].leader_cpu.mean()
+        > 2.0 * fig7.runs[("fix-k", small)].leader_cpu.mean()
     )
 
 
-def test_fig8_shape_geo():
+@pytest.fixture(scope="module")
+def fig8():
+    return fig8_geo.run(fig8_geo.Fig8Config(n_failures=6))
+
+
+def test_fig8_geo_election_performance(fig8):
     """Paper: detection 1137 → 213 ms (−81 %), OTS 1718 → 1145 ms (−33 %)."""
-    result = fig8_geo.run(fig8_geo.Fig8Config(n_failures=6))
-    raft = result.systems["raft"]
-    dyn = result.systems["dynatune"]
+    raft = fig8.systems["raft"]
     assert 950.0 < raft.mean_detection_ms < 1450.0
     assert 1400.0 < raft.mean_ots_ms < 2100.0
+
+
+def test_fig8_shape_geo(fig8):
+    raft = fig8.systems["raft"]
+    dyn = fig8.systems["dynatune"]
     # Dynatune: detection collapses to RTT scale; OTS clearly reduced.
     assert dyn.mean_detection_ms < 450.0
-    assert result.reduction("detection") > 0.6
-    assert result.reduction("ots") > 0.1
+    assert fig8.reduction("detection") > 0.6
+    assert fig8.reduction("ots") > 0.1
     assert set(raft.placement.values()) == {
         "tokyo",
         "london",
