@@ -15,7 +15,9 @@ election time (§IV-E)    244 ms      560 ms
 =====================  ==========  ==========
 
 ``run()`` reproduces the full protocol and returns per-episode samples plus
-the CDF series of the figure.
+the CDF series of the figure.  With ``Fig4Config(geo=True)`` the same loop
+runs on the AWS placement with logs read through NTP clocks: that is
+Fig. 8 (:mod:`repro.experiments.fig8_geo`).
 """
 
 from __future__ import annotations
@@ -30,14 +32,14 @@ from repro.cluster.builder import ClusterConfig, build_cluster
 from repro.cluster.harness import ClusterHarness
 from repro.cluster.measurements import FailureEpisode, extract_failure_episodes
 from repro.experiments.common import get_scale, make_policy_factory
-from repro.experiments.runner import run_sharded_trials, run_tasks
+from repro.experiments.runner import run_tasks
+from repro.net.topology import ClockModel
 
 __all__ = [
     "Fig4Config",
     "SystemElectionResult",
     "Fig4Result",
     "run",
-    "run_trials",
     "main",
 ]
 
@@ -46,19 +48,25 @@ PAPER_NUMBERS = {
     "dynatune": {"detection": 237.0, "ots": 797.0, "randomized_timeout": 152.0, "election": 560.0},
 }
 
+SYSTEMS = ("raft", "dynatune")
+N_NODES = 5
+#: Pairwise RTT of the uniform testbed (the AWS placement has its own).
+RTT_MS = 100.0
+SEED = 42
+#: §IV-D: per-node NTP clock offsets the geo run's logs are read through.
+NTP_OFFSET_SIGMA_MS = 15.0
+
 
 @dataclasses.dataclass(slots=True, frozen=True)
 class Fig4Config:
-    """Parameters of the stable-network election experiment."""
+    """Parameters of the leader-kill election experiment."""
 
     n_failures: int = 60
-    n_nodes: int = 5
-    rtt_ms: float = 100.0
-    seed: int = 42
-    systems: tuple[str, ...] = ("raft", "dynatune")
     warmup_ms: float = 8_000.0
     sleep_ms: float = 6_000.0
     settle_ms: float = 8_000.0
+    #: Fig. 8: the AWS placement, logs timestamped by NTP clocks.
+    geo: bool = False
 
     @classmethod
     def quick(cls) -> "Fig4Config":
@@ -79,6 +87,8 @@ class SystemElectionResult:
     ots_summary: SummaryStats
     detection_cdf: tuple[np.ndarray, np.ndarray]
     ots_cdf: tuple[np.ndarray, np.ndarray]
+    #: node → AWS region (empty on the uniform testbed).
+    placement: dict[str, str]
 
     @property
     def mean_detection_ms(self) -> float:
@@ -102,10 +112,11 @@ class Fig4Result:
     config: Fig4Config
     systems: dict[str, SystemElectionResult]
 
-    def reduction(self, metric: str, baseline: str = "raft", system: str = "dynatune") -> float:
-        """Relative reduction of ``metric`` (``detection``/``ots``) vs baseline."""
-        base = getattr(self.systems[baseline], f"mean_{metric}_ms")
-        new = getattr(self.systems[system], f"mean_{metric}_ms")
+    def reduction(self, metric: str) -> float:
+        """Relative reduction of Dynatune's mean ``metric``
+        (``detection``/``ots``) against Raft's."""
+        base = getattr(self.systems["raft"], f"mean_{metric}_ms")
+        new = getattr(self.systems["dynatune"], f"mean_{metric}_ms")
         return 1.0 - new / base
 
 
@@ -113,12 +124,18 @@ def run_system(system: str, config: Fig4Config) -> SystemElectionResult:
     """Run the §IV-B1 failure loop for one system."""
     cluster = build_cluster(
         ClusterConfig(
-            n_nodes=config.n_nodes,
-            seed=config.seed,
-            rtt_ms=config.rtt_ms,
-            loss=0.0,
+            n_nodes=N_NODES,
+            seed=SEED,
+            rtt_ms=RTT_MS,
+            topology="aws" if config.geo else "uniform",
         ),
         make_policy_factory(system),
+    )
+    # The clocks only timestamp the logs; the simulator runs on exact time.
+    clock = (
+        ClockModel.ntp(cluster.names, cluster.rngs, offset_sigma_ms=NTP_OFFSET_SIGMA_MS)
+        if config.geo
+        else None
     )
     cluster.start()
     harness = ClusterHarness(cluster)
@@ -130,7 +147,7 @@ def run_system(system: str, config: Fig4Config) -> SystemElectionResult:
     )
     episodes = tuple(
         e
-        for e in extract_failure_episodes(cluster.trace, cluster_size=config.n_nodes)
+        for e in extract_failure_episodes(cluster.trace, clock=clock, cluster_size=N_NODES)
         if e.resolved
     )
     if not episodes:
@@ -166,6 +183,7 @@ def run_system(system: str, config: Fig4Config) -> SystemElectionResult:
         ots_summary=summarize(ots),
         detection_cdf=empirical_cdf(detection),
         ots_cdf=empirical_cdf(ots),
+        placement=dict(cluster.placement or {}),
     )
 
 
@@ -175,61 +193,12 @@ def _run_system_task(args: tuple[str, Fig4Config]) -> SystemElectionResult:
     return run_system(system, cfg)
 
 
-def _merge_system_results(
-    system: str, parts: list[SystemElectionResult]
-) -> SystemElectionResult:
-    """Concatenate per-shard samples and recompute the derived statistics."""
-    episodes = tuple(e for p in parts for e in p.episodes)
-    detection = np.concatenate([p.detection_ms for p in parts])
-    ots = np.concatenate([p.ots_ms for p in parts])
-    election = np.concatenate([p.election_ms for p in parts])
-    rts = np.concatenate([p.randomized_timeout_ms for p in parts])
-    return SystemElectionResult(
-        system=system,
-        episodes=episodes,
-        detection_ms=detection,
-        ots_ms=ots,
-        election_ms=election,
-        randomized_timeout_ms=rts,
-        detection_summary=summarize(detection),
-        ots_summary=summarize(ots),
-        detection_cdf=empirical_cdf(detection),
-        ots_cdf=empirical_cdf(ots),
-    )
-
-
 def run(config: Fig4Config | None = None, *, jobs: int | None = None) -> Fig4Result:
     """Run every system of the experiment (in parallel across systems when
     ``jobs``/``REPRO_JOBS`` allows); results are identical for any job count."""
     cfg = config if config is not None else Fig4Config.quick()
-    results = run_tasks(_run_system_task, [(s, cfg) for s in cfg.systems], jobs=jobs)
-    return Fig4Result(config=cfg, systems=dict(zip(cfg.systems, results)))
-
-
-def run_trials(
-    config: Fig4Config | None = None,
-    *,
-    n_trials: int,
-    jobs: int | None = None,
-) -> Fig4Result:
-    """Shard the failure loop into ``n_trials`` independent trials.
-
-    Each trial runs ``n_failures / n_trials`` leader kills on its own
-    cluster seeded with ``derive_trial_seed(seed, trial)``; per-system
-    samples are concatenated in trial order.  The decomposition (and thus
-    every number in the result) depends only on ``(config, n_trials)`` —
-    ``jobs`` moves trials between processes without changing anything.
-    """
-    cfg = config if config is not None else Fig4Config.quick()
-    merged = run_sharded_trials(
-        _run_system_task,
-        cfg.systems,
-        cfg,
-        n_trials=n_trials,
-        merge=_merge_system_results,
-        jobs=jobs,
-    )
-    return Fig4Result(config=cfg, systems=merged)
+    results = run_tasks(_run_system_task, [(s, cfg) for s in SYSTEMS], jobs=jobs)
+    return Fig4Result(config=cfg, systems=dict(zip(SYSTEMS, results)))
 
 
 def main() -> Fig4Result:  # pragma: no cover - exercised via __main__
@@ -237,34 +206,29 @@ def main() -> Fig4Result:  # pragma: no cover - exercised via __main__
     print(f"# Fig. 4 — election performance, {result.config.n_failures} leader failures")
     print(f"{'system':<10} {'detection':>12} {'OTS':>12} {'election':>12} {'randTO':>10}")
     for name, sysres in result.systems.items():
-        paper = PAPER_NUMBERS.get(name, {})
+        paper = PAPER_NUMBERS[name]
         print(
             f"{name:<10} {sysres.mean_detection_ms:>9.0f} ms {sysres.mean_ots_ms:>9.0f} ms "
             f"{sysres.mean_election_ms:>9.0f} ms {sysres.mean_randomized_timeout_ms:>7.0f} ms"
-            + (
-                f"   (paper: det {paper.get('detection'):.0f}, ots {paper.get('ots'):.0f})"
-                if paper
-                else ""
-            )
+            f"   (paper: det {paper['detection']:.0f}, ots {paper['ots']:.0f})"
         )
-    if "raft" in result.systems and "dynatune" in result.systems:
-        print(
-            f"reduction vs Raft: detection {100 * result.reduction('detection'):.0f} % "
-            f"(paper 80 %), OTS {100 * result.reduction('ots'):.0f} % (paper 45 %)"
-        )
-        from repro.analysis.asciiplot import cdf_chart
+    print(
+        f"reduction vs Raft: detection {100 * result.reduction('detection'):.0f} % "
+        f"(paper 80 %), OTS {100 * result.reduction('ots'):.0f} % (paper 45 %)"
+    )
+    from repro.analysis.asciiplot import cdf_chart
 
-        print()
-        print(
-            cdf_chart(
-                {
-                    f"{name} {metric}": getattr(sysres, f"{metric}_cdf")
-                    for name, sysres in result.systems.items()
-                    for metric in ("detection", "ots")
-                },
-                title="Fig. 4 — CDFs of detection and OTS times",
-            )
+    print()
+    print(
+        cdf_chart(
+            {
+                f"{name} {metric}": getattr(sysres, f"{metric}_cdf")
+                for name, sysres in result.systems.items()
+                for metric in ("detection", "ots")
+            },
+            title="Fig. 4 — CDFs of detection and OTS times",
         )
+    )
     return result
 
 

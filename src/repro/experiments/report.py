@@ -125,7 +125,7 @@ def build_report() -> tuple[list[ReportRow], dict[str, object]]:
         ]
 
     # ---------------- Fig. 8 ---------------- #
-    f8 = fig8_geo.run(fig8_geo.Fig8Config.quick())
+    f8 = fig4_election.run(fig8_geo.quick())
     raw["fig8"] = f8
     raft8, dyn8 = f8.systems["raft"], f8.systems["dynatune"]
     rows += [

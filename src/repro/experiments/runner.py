@@ -6,9 +6,9 @@ cheap by fanning independent runs across cores.  Two facts make that safe:
 * every run builds its own :class:`~repro.sim.loop.EventLoop`,
   :class:`~repro.sim.rng.RngRegistry` and cluster from an explicit seed —
   there is no shared mutable state between runs; and
-* seeds for sharded trials are *derived*, never sequential: a SplitMix64
-  mix of ``(base_seed, trial_index)`` decorrelates the underlying bit
-  streams and is stable across platforms and job counts.
+* per-task seeds are *derived*, never sequential: a SplitMix64 mix of
+  ``(base_seed, trial_index)`` decorrelates the underlying bit streams
+  and is stable across platforms and job counts.
 
 Determinism contract: the decomposition into tasks (and every derived
 seed) depends only on the experiment configuration — ``REPRO_JOBS`` moves
@@ -23,14 +23,13 @@ dataclasses over numpy arrays, which qualify.
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import os
 from typing import Any, Callable, Sequence, TypeVar
 
 from repro.experiments.common import get_jobs
 
-__all__ = ["derive_trial_seed", "run_tasks", "run_sharded_trials", "split_counts"]
+__all__ = ["derive_trial_seed", "run_tasks"]
 
 T = TypeVar("T")
 
@@ -50,21 +49,6 @@ def derive_trial_seed(base_seed: int, trial: int) -> int:
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     z ^= z >> 31
     return z & 0x7FFFFFFFFFFFFFFF
-
-
-def split_counts(total: int, parts: int) -> list[int]:
-    """Split ``total`` repetitions into ``parts`` near-equal positive chunks.
-
-    The first ``total % parts`` chunks get one extra repetition; empty
-    chunks are dropped (``parts > total`` yields ``total`` chunks of 1).
-    """
-    if total < 1:
-        raise ValueError(f"total must be >= 1, got {total!r}")
-    if parts < 1:
-        raise ValueError(f"parts must be >= 1, got {parts!r}")
-    parts = min(parts, total)
-    base, extra = divmod(total, parts)
-    return [base + (1 if i < extra else 0) for i in range(parts)]
 
 
 def _invoke(pair: tuple[Callable[[Any], T], Any]) -> T:
@@ -104,47 +88,3 @@ def run_tasks(
     with ctx.Pool(processes=workers) as pool:
         return pool.map(_invoke, [(fn, a) for a in args])
 
-
-def run_sharded_trials(
-    worker: Callable[[tuple[str, Any]], T],
-    systems: Sequence[str],
-    base_config: Any,
-    *,
-    n_trials: int,
-    merge: Callable[[str, list[T]], T],
-    jobs: int | None = None,
-    count_field: str = "n_failures",
-    seed_field: str = "seed",
-) -> dict[str, T]:
-    """Shard a repetition-count experiment into independently-seeded trials.
-
-    Splits ``base_config.<count_field>`` across ``n_trials`` trials (each a
-    frozen-dataclass copy with its share and ``derive_trial_seed(seed,
-    trial)``), runs ``worker((system, trial_config))`` for every (system,
-    trial) pair via :func:`run_tasks`, and merges each system's parts in
-    trial order with ``merge``.  The decomposition — and thus every number
-    in the result — depends only on ``(base_config, n_trials)``; ``jobs``
-    moves trials between processes without changing anything.
-    """
-    shares = split_counts(getattr(base_config, count_field), n_trials)
-    base_seed = getattr(base_config, seed_field)
-    tasks = [
-        (
-            system,
-            dataclasses.replace(
-                base_config,
-                **{
-                    count_field: share,
-                    seed_field: derive_trial_seed(base_seed, trial),
-                },
-            ),
-        )
-        for system in systems
-        for trial, share in enumerate(shares)
-    ]
-    results = run_tasks(worker, tasks, jobs=jobs)
-    per_system = len(shares)
-    return {
-        system: merge(system, results[idx * per_system : (idx + 1) * per_system])
-        for idx, system in enumerate(systems)
-    }

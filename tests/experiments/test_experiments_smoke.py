@@ -7,6 +7,8 @@ same module-scoped run.  ``python -m repro.experiments.<figure>``
 regenerates a figure at the scale ``REPRO_SCALE`` selects.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -192,7 +194,7 @@ def test_fig7_loss_staircase(fig7):
 
 @pytest.fixture(scope="module")
 def fig8():
-    return fig8_geo.run(fig8_geo.Fig8Config(n_failures=6))
+    return fig4_election.run(dataclasses.replace(fig8_geo.quick(), n_failures=6))
 
 
 def test_fig8_geo_election_performance(fig8):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.experiments import fig4_election as fig4
 from repro.experiments.common import get_jobs
-from repro.experiments.runner import derive_trial_seed, run_tasks, split_counts
+from repro.experiments.runner import derive_trial_seed, run_tasks
 
 
 # --------------------------------------------------------------------- #
@@ -33,30 +33,6 @@ def test_derive_trial_seed_not_sequential():
     a = derive_trial_seed(42, 0)
     b = derive_trial_seed(42, 1)
     assert abs(a - b) > 1_000_000
-
-
-# --------------------------------------------------------------------- #
-# work splitting
-# --------------------------------------------------------------------- #
-
-
-def test_split_counts_even():
-    assert split_counts(12, 4) == [3, 3, 3, 3]
-
-
-def test_split_counts_remainder_front_loaded():
-    assert split_counts(10, 4) == [3, 3, 2, 2]
-
-
-def test_split_counts_more_parts_than_total():
-    assert split_counts(3, 10) == [1, 1, 1]
-
-
-def test_split_counts_validation():
-    with pytest.raises(ValueError):
-        split_counts(0, 2)
-    with pytest.raises(ValueError):
-        split_counts(5, 0)
 
 
 # --------------------------------------------------------------------- #
@@ -106,26 +82,9 @@ _SMALL = fig4.Fig4Config(
 def test_fig4_parallel_systems_bit_identical():
     seq = fig4.run(_SMALL, jobs=1)
     par = fig4.run(_SMALL, jobs=2)
-    for s in _SMALL.systems:
+    for s in fig4.SYSTEMS:
         assert np.array_equal(seq.systems[s].detection_ms, par.systems[s].detection_ms)
         assert np.array_equal(seq.systems[s].ots_ms, par.systems[s].ots_ms)
-
-
-def test_fig4_trials_independent_of_job_count():
-    a = fig4.run_trials(_SMALL, n_trials=2, jobs=1)
-    b = fig4.run_trials(_SMALL, n_trials=2, jobs=3)
-    for s in _SMALL.systems:
-        assert np.array_equal(a.systems[s].detection_ms, b.systems[s].detection_ms)
-
-
-def test_fig4_trials_collect_all_shards():
-    r = fig4.run_trials(_SMALL, n_trials=3, jobs=1)
-    for s in _SMALL.systems:
-        # one resolved episode per kill, three single-kill trials
-        assert len(r.systems[s].detection_ms) == 3
-        assert r.systems[s].detection_summary.mean == pytest.approx(
-            float(r.systems[s].detection_ms.mean())
-        )
 
 
 _FIG5_SMALL = None  # built lazily: importing fig5 pulls numpy-heavy modules
