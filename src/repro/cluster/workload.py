@@ -94,6 +94,11 @@ class OpenLoopDriver:
 # Fig. 5 fluid model
 # --------------------------------------------------------------------- #
 
+#: Load-independent commit latency: client→leader hop plus one majority
+#: replication round trip (2 × RTT/2 each at RTT = 100 ms → 200 ms, the
+#: low-load plateau of Fig. 5).
+BASE_LATENCY_MS = 200.0
+
 
 @dataclasses.dataclass(slots=True, frozen=True)
 class FluidWorkloadConfig:
@@ -103,9 +108,6 @@ class FluidWorkloadConfig:
         service_cost_ms: CPU-milliseconds of leader work per request
             (parse + append + replicate + commit bookkeeping + respond).
         cores: leader CPU allocation (4 in §IV-A).
-        base_latency_ms: load-independent commit latency: client→leader
-            hop plus one majority replication round trip (2 × RTT/2 each
-            at RTT = 100 ms → 200 ms, the low-load plateau of Fig. 5).
         overhead_factor: multiplicative service-cost factor; 1.0 for Raft,
             calibrated ≈ 1.068 for Dynatune (§IV-B2 measures a 6.4 % peak
             gap from tuning overhead).
@@ -124,7 +126,6 @@ class FluidWorkloadConfig:
 
     service_cost_ms: float = 0.29
     cores: float = 4.0
-    base_latency_ms: float = 200.0
     overhead_factor: float = 1.0
     heartbeat_cpu_ms_per_s: float = 12.8
     service_cv2: float = 40.0
@@ -216,7 +217,7 @@ def run_rps_staircase(
             if drained > 0:
                 # FIFO: work completing now waited (backlog ahead)/rate.
                 wait_ms = backlog / mu_per_ms
-                latencies.append(config.base_latency_ms + w_mg1 + wait_ms)
+                latencies.append(BASE_LATENCY_MS + w_mg1 + wait_ms)
                 weights.append(drained)
         if completed > 0:
             lat = np.asarray(latencies)
@@ -226,8 +227,8 @@ def run_rps_staircase(
             cum = np.cumsum(w[order]) / w.sum()
             p99 = float(lat[order][np.searchsorted(cum, 0.99)])
         else:
-            mean_latency = config.base_latency_ms
-            p99 = config.base_latency_ms
+            mean_latency = BASE_LATENCY_MS
+            p99 = BASE_LATENCY_MS
         results.append(
             LoadLevelResult(
                 offered_rps=rps,

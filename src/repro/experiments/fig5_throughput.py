@@ -36,32 +36,27 @@ PAPER_NUMBERS = {"raft": 13678.0, "dynatune": 12800.0, "gap": 0.064}
 
 #: Calibrated Dynatune service-cost overhead (reproduces the §IV-B2 gap).
 DYNATUNE_OVERHEAD_FACTOR = 1.068
+RAFT_WORKLOAD = FluidWorkloadConfig()
+DYNATUNE_WORKLOAD = dataclasses.replace(
+    RAFT_WORKLOAD, overhead_factor=DYNATUNE_OVERHEAD_FACTOR
+)
+SEED = 42
+#: §IV-B2: the offered rate rises by 1000 req/s per dwell.
+STEP_RPS = 1_000.0
 
 
 @dataclasses.dataclass(slots=True, frozen=True)
 class Fig5Config:
     repeats: int = 3
-    seed: int = 42
     dwell_s: float = 10.0
     max_rps: float = 15_000.0
-    step_rps: float = 1_000.0
-    raft_workload: FluidWorkloadConfig = dataclasses.field(
-        default_factory=FluidWorkloadConfig
-    )
 
     @classmethod
     def quick(cls) -> "Fig5Config":
         return cls(repeats=get_scale().fig5_repeats)
 
-    def dynatune_workload(self) -> FluidWorkloadConfig:
-        return dataclasses.replace(
-            self.raft_workload, overhead_factor=DYNATUNE_OVERHEAD_FACTOR
-        )
-
     def levels(self) -> list[float]:
-        return [
-            self.step_rps * k for k in range(1, int(self.max_rps / self.step_rps) + 1)
-        ]
+        return [STEP_RPS * k for k in range(1, int(self.max_rps / STEP_RPS) + 1)]
 
 
 @dataclasses.dataclass(slots=True, frozen=True)
@@ -103,7 +98,7 @@ def _run_repeat_task(
     the sequential numbers bit for bit.
     """
     system, workload, config, rep = task
-    rng = RngRegistry(config.seed).stream(f"fig5/{system}/{rep}")
+    rng = RngRegistry(SEED).stream(f"fig5/{system}/{rep}")
     return tuple(
         run_rps_staircase(
             workload, levels=config.levels(), dwell_s=config.dwell_s, rng=rng
@@ -147,7 +142,7 @@ def run(config: Fig5Config | None = None, *, jobs: int | None = None) -> Fig5Res
     across ``REPRO_JOBS``/``jobs``; results are identical for any job
     count — and to the former sequential implementation)."""
     cfg = config if config is not None else Fig5Config.quick()
-    systems = [("raft", cfg.raft_workload), ("dynatune", cfg.dynatune_workload())]
+    systems = [("raft", RAFT_WORKLOAD), ("dynatune", DYNATUNE_WORKLOAD)]
     tasks = [
         (system, workload, cfg, rep)
         for system, workload in systems

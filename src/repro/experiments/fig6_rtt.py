@@ -45,19 +45,19 @@ from repro.sim.clock import SECOND
 
 __all__ = ["Fig6Config", "SystemRttResult", "Fig6Result", "run", "main"]
 
+SYSTEMS = ("dynatune", "raft", "raft-low")
+N_NODES = 5
+SEED = 42
+WARMUP_MS = 10_000.0
+#: Quiet time after the pattern's last dwell.
+TAIL_MS = 5_000.0
+STALL_PROFILE = StallProfile()
+
 
 @dataclasses.dataclass(slots=True, frozen=True)
 class Fig6Config:
     pattern: str = "gradual"  # or "radical"
-    systems: tuple[str, ...] = ("dynatune", "raft", "raft-low")
-    n_nodes: int = 5
-    seed: int = 42
     dwell_ms: float = 12_000.0
-    warmup_ms: float = 10_000.0
-    tail_ms: float = 5_000.0
-    stall_profile: StallProfile | None = dataclasses.field(
-        default_factory=StallProfile
-    )
 
     def __post_init__(self) -> None:
         if self.pattern not in ("gradual", "radical"):
@@ -69,11 +69,11 @@ class Fig6Config:
 
     def schedule(self) -> Scenario:
         profile = gradual_rtt_profile if self.pattern == "gradual" else radical_rtt_profile
-        return profile(dwell_ms=self.dwell_ms, start_ms=self.warmup_ms)
+        return profile(dwell_ms=self.dwell_ms, start_ms=WARMUP_MS)
 
     def duration_ms(self) -> float:
         sched = self.schedule()
-        return sched.end_ms + self.dwell_ms + self.tail_ms
+        return sched.end_ms + self.dwell_ms + TAIL_MS
 
 
 @dataclasses.dataclass(slots=True, frozen=True)
@@ -107,8 +107,8 @@ def run_system(system: str, config: Fig6Config) -> SystemRttResult:
     schedule = config.schedule()
     cluster = build_cluster(
         ClusterConfig(
-            n_nodes=config.n_nodes,
-            seed=config.seed,
+            n_nodes=N_NODES,
+            seed=SEED,
             rtt_ms=schedule.steps[0].rtt_ms,  # warm up at the first level
         ),
         make_policy_factory(system),
@@ -117,20 +117,19 @@ def run_system(system: str, config: Fig6Config) -> SystemRttResult:
     harness = ClusterHarness(cluster)
     harness.install_randomized_timeout_sampler(interval_ms=SECOND)
     harness.install_rtt_probe(interval_ms=SECOND)
-    if config.stall_profile is not None:
-        StallInjector(
-            cluster.loop,
-            list(cluster.nodes.values()),
-            config.stall_profile,
-            cluster.rngs.stream,
-            trace=cluster.trace,
-        ).install()
+    StallInjector(
+        cluster.loop,
+        list(cluster.nodes.values()),
+        STALL_PROFILE,
+        cluster.rngs.stream,
+        trace=cluster.trace,
+    ).install()
     cluster.start()
     end = config.duration_ms()
     cluster.run_until(end)
 
     times, matrix = randomized_timeout_matrix(cluster.trace, cluster.names)
-    k = config.n_nodes // 2 + 1  # f+1
+    k = N_NODES // 2 + 1  # f+1
     kth = kth_smallest_series(matrix, k)
 
     probes = cluster.trace.of_kind("rtt_probe")
@@ -164,7 +163,7 @@ def run_system(system: str, config: Fig6Config) -> SystemRttResult:
 def run(config: Fig6Config | None = None) -> Fig6Result:
     cfg = config if config is not None else Fig6Config.quick()
     return Fig6Result(
-        config=cfg, systems={s: run_system(s, cfg) for s in cfg.systems}
+        config=cfg, systems={s: run_system(s, cfg) for s in SYSTEMS}
     )
 
 

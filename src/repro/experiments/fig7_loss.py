@@ -32,18 +32,20 @@ from repro.sim.events import PRIORITY_CONTROL
 
 __all__ = ["Fig7Config", "LossRunResult", "Fig7Result", "run", "main"]
 
+SYSTEMS = ("dynatune", "fix-k")
+RTT_MS = 200.0
+SEED = 42
+#: §IV-C2: two cores per container, ``docker stats`` polled every 5 s.
+CORES_PER_NODE = 2.0
+SAMPLE_INTERVAL_MS = 5_000.0
+
 
 @dataclasses.dataclass(slots=True, frozen=True)
 class Fig7Config:
     sizes: tuple[int, ...] = (5, 17)
-    systems: tuple[str, ...] = ("dynatune", "fix-k")
-    rtt_ms: float = 200.0
     loss_levels: tuple[float, ...] = (0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
     dwell_ms: float = 20_000.0
     warmup_ms: float = 10_000.0
-    seed: int = 42
-    cores_per_node: float = 2.0
-    sample_interval_ms: float = 5_000.0
 
     @classmethod
     def quick(cls) -> "Fig7Config":
@@ -52,7 +54,7 @@ class Fig7Config:
 
     def schedule(self) -> Scenario:
         return loss_staircase_profile(
-            rtt_ms=self.rtt_ms,
+            rtt_ms=RTT_MS,
             levels=self.loss_levels,
             dwell_ms=self.dwell_ms,
             start_ms=self.warmup_ms,
@@ -99,10 +101,10 @@ def run_one(system: str, n_nodes: int, config: Fig7Config) -> LossRunResult:
     cluster = build_cluster(
         ClusterConfig(
             n_nodes=n_nodes,
-            seed=config.seed,
-            rtt_ms=config.rtt_ms,
+            seed=SEED,
+            rtt_ms=RTT_MS,
             loss=0.0,
-            cores_per_node=config.cores_per_node,
+            cores_per_node=CORES_PER_NODE,
             with_cost_model=True,
         ),
         make_policy_factory(system),
@@ -130,15 +132,15 @@ def run_one(system: str, n_nodes: int, config: Fig7Config) -> LossRunResult:
                 (cluster.loop.now, float(np.mean(intervals)), current_loss[0])
             )
         cluster.loop.schedule(
-            config.sample_interval_ms, _h_tick, priority=PRIORITY_CONTROL
+            SAMPLE_INTERVAL_MS, _h_tick, priority=PRIORITY_CONTROL
         )
 
-    cluster.loop.schedule(config.sample_interval_ms, _h_tick, priority=PRIORITY_CONTROL)
+    cluster.loop.schedule(SAMPLE_INTERVAL_MS, _h_tick, priority=PRIORITY_CONTROL)
 
     assert cluster.cost_model is not None
     follower = next(p for p in cluster.names if p != leader)
     cluster.cost_model.start_sampling(
-        cluster.loop, [leader, follower], interval_ms=config.sample_interval_ms
+        cluster.loop, [leader, follower], interval_ms=SAMPLE_INTERVAL_MS
     )
 
     t_first_leader = cluster.loop.now
@@ -177,7 +179,7 @@ def run(config: Fig7Config | None = None, *, jobs: int | None = None) -> Fig7Res
     when ``jobs``/``REPRO_JOBS`` allows; each cell is an independent
     simulation, so results are identical for any job count."""
     cfg = config if config is not None else Fig7Config.quick()
-    grid = [(system, n) for n in cfg.sizes for system in cfg.systems]
+    grid = [(system, n) for n in cfg.sizes for system in SYSTEMS]
     results = run_tasks(
         _run_one_task, [(system, n, cfg) for system, n in grid], jobs=jobs
     )
@@ -189,7 +191,7 @@ def main() -> Fig7Result:  # pragma: no cover - exercised via __main__
     cfg = result.config
     print(
         f"# Fig. 7 — loss staircase {[f'{p:.0%}' for p in cfg.loss_levels]} "
-        f"up/down, dwell {cfg.dwell_ms/1000:.0f} s, RTT {cfg.rtt_ms:.0f} ms"
+        f"up/down, dwell {cfg.dwell_ms/1000:.0f} s, RTT {RTT_MS:.0f} ms"
     )
     for (system, n), rr in sorted(result.runs.items(), key=lambda kv: (kv[0][1], kv[0][0])):
         h0 = rr.h_at_loss(0.0)

@@ -44,6 +44,8 @@ from repro.experiments.runner import derive_trial_seed, run_tasks
 
 __all__ = ["ScaleSweepConfig", "ScaleCellResult", "ScaleSweepResult", "run", "main"]
 
+RTT_MS = 100.0
+
 
 @dataclasses.dataclass(slots=True, frozen=True)
 class ScaleSweepConfig:
@@ -52,7 +54,6 @@ class ScaleSweepConfig:
     systems: tuple[str, ...] = ("raft", "dynatune")
     sizes: tuple[int, ...] = (5, 25, 51)
     n_failures: int = 3
-    rtt_ms: float = 100.0
     warmup_ms: float = 8_000.0
     sleep_ms: float = 6_000.0
     settle_ms: float = 8_000.0
@@ -120,7 +121,7 @@ class ScaleSweepResult:
 def run_one(system: str, n_nodes: int, cell_seed: int, config: ScaleSweepConfig) -> ScaleCellResult:
     t0 = time.perf_counter()
     cluster = build_cluster(
-        ClusterConfig(n_nodes=n_nodes, seed=cell_seed, rtt_ms=config.rtt_ms),
+        ClusterConfig(n_nodes=n_nodes, seed=cell_seed, rtt_ms=RTT_MS),
         make_policy_factory(system),
     )
     cluster.start()
@@ -177,7 +178,7 @@ def main() -> int:  # pragma: no cover - exercised via __main__
     cfg = result.config
     print(
         f"# Scaling sweep — {cfg.n_failures} leader kills per cell, "
-        f"RTT {cfg.rtt_ms:.0f} ms, sizes {list(cfg.sizes)}"
+        f"RTT {RTT_MS:.0f} ms, sizes {list(cfg.sizes)}"
     )
     print(
         f"{'N':>4} {'system':<9} {'detect':>9} {'OTS':>9} {'resolved':>9} "

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.workload import (
+    BASE_LATENCY_MS,
     FluidWorkloadConfig,
     OpenLoopDriver,
     peak_throughput,
@@ -106,8 +107,8 @@ def test_staircase_latency_rises_with_load():
     )
     lats = [r.mean_latency_ms for r in results]
     assert lats == sorted(lats)
-    assert lats[0] == pytest.approx(cfg.base_latency_ms, rel=0.1)
-    assert lats[-1] > 2.0 * cfg.base_latency_ms  # overload blow-up
+    assert lats[0] == pytest.approx(BASE_LATENCY_MS, rel=0.1)
+    assert lats[-1] > 2.0 * BASE_LATENCY_MS  # overload blow-up
 
 
 def test_staircase_backlog_persists_across_levels():

@@ -8,8 +8,8 @@ from repro.experiments.fig_scale import ScaleSweepConfig, run
 from repro.experiments.scenario_matrix import ScenarioMatrixConfig
 
 
-def tiny_config(**overrides) -> ScaleSweepConfig:
-    base = dict(
+def tiny_config() -> ScaleSweepConfig:
+    return ScaleSweepConfig(
         systems=("raft", "dynatune"),
         sizes=(3, 9),
         n_failures=1,
@@ -18,8 +18,6 @@ def tiny_config(**overrides) -> ScaleSweepConfig:
         settle_ms=3_000.0,
         seed=7,
     )
-    base.update(overrides)
-    return ScaleSweepConfig(**base)
 
 
 def test_config_validation():

@@ -120,10 +120,10 @@ def test_fig5_fanout_matches_sequential_reference():
 
     fig5, cfg = _fig5_small()
     result = fig5.run(cfg, jobs=2)
-    rngs = RngRegistry(cfg.seed)
+    rngs = RngRegistry(fig5.SEED)
     for system, workload in (
-        ("raft", cfg.raft_workload),
-        ("dynatune", cfg.dynatune_workload()),
+        ("raft", fig5.RAFT_WORKLOAD),
+        ("dynatune", fig5.DYNATUNE_WORKLOAD),
     ):
         for rep in range(cfg.repeats):
             reference = tuple(
@@ -139,7 +139,7 @@ def test_fig5_fanout_matches_sequential_reference():
 
 def test_fig5_run_system_respects_jobs():
     fig5, cfg = _fig5_small()
-    a = fig5.run_system("raft", cfg.raft_workload, cfg, jobs=1)
-    b = fig5.run_system("raft", cfg.raft_workload, cfg, jobs=2)
+    a = fig5.run_system("raft", fig5.RAFT_WORKLOAD, cfg, jobs=1)
+    b = fig5.run_system("raft", fig5.RAFT_WORKLOAD, cfg, jobs=2)
     assert a.runs == b.runs
     assert np.array_equal(a.throughput_rps, b.throughput_rps)

@@ -288,6 +288,12 @@ class RepolintConfig:
         ("repro/experiments/serving.py", "ServingConfig"),
         ("repro/experiments/scenario_matrix.py", "ScenarioMatrixConfig"),
         ("repro/experiments/fuzz_campaign.py", "FuzzCampaignConfig"),
+        ("repro/experiments/fig4_election.py", "Fig4Config"),
+        ("repro/experiments/fig5_throughput.py", "Fig5Config"),
+        ("repro/experiments/fig6_rtt.py", "Fig6Config"),
+        ("repro/experiments/fig7_loss.py", "Fig7Config"),
+        ("repro/experiments/fig_scale.py", "ScaleSweepConfig"),
+        ("repro/cluster/workload.py", "FluidWorkloadConfig"),
     )
     #: Directories (relative to the scanned root) whose ``.py`` files
     #: count as callers besides the scanned tree itself; missing ones are
