@@ -204,6 +204,8 @@ def leaderless_intervals(
     events in server logs, which a 100–700 ms scheduler stall never
     reaches unless it actually triggers an election (in which case the
     resulting ``step_down``/``become_leader`` records are captured here).
+
+    Intervals are clipped to ``[t_start, t_end]``.
     """
     relevant = trace.of_kinds(
         "become_leader",
@@ -224,7 +226,7 @@ def leaderless_intervals(
             leader = rec.node
         elif rec.node == leader:
             leader = None
-            gap_start = rec.time
+            gap_start = rec.time if rec.time > t_start else t_start
     if leader is None and t_end > gap_start:
         intervals.append((gap_start, t_end))
     return intervals

@@ -145,6 +145,17 @@ def test_harness_kill_is_a_leadership_end():
     assert iv == [(0.0, 100.0), (200.0, 300.0)]
 
 
+def test_leaderless_intervals_clipped_to_window_start():
+    t = TraceLog()
+    t.record(100.0, "n1", "become_leader", term=1)
+    t.record(150.0, "n1", "step_down", term=1)
+    t.record(180.0, "n2", "become_leader", term=2)  # gap closed before t_start
+    t.record(200.0, "n2", "step_down", term=2)
+    t.record(500.0, "n3", "become_leader", term=3)
+    iv = leaderless_intervals(t, t_start=300.0, t_end=1000.0)
+    assert iv == [(300.0, 500.0)]
+
+
 def test_non_leader_events_ignored():
     t = TraceLog()
     t.record(100.0, "n1", "become_leader", term=1)
