@@ -24,11 +24,63 @@ class ReportRow:
     quantity: str
     paper: str
     measured: str
-    verdict: str  # "shape holds" / qualitative note
+    verdict: str  # signed error against the paper, or a qualitative note
 
 
 def _pct(x: float) -> str:
     return f"{100.0 * x:.0f} %"
+
+
+def _err(measured: float, paper: float) -> str:
+    """Signed relative error of ``measured`` against the paper's value."""
+    return f"{100.0 * (measured - paper) / paper:+.0f} %"
+
+
+_SYSTEM_NAMES = {"raft": "Raft", "dynatune": "Dynatune"}
+_METRIC_NAMES = {
+    "detection": "mean detection",
+    "ots": "mean OTS",
+    "randomized_timeout": "mean randomizedTimeout",
+    "election": "election time (§IV-E)",
+}
+
+
+def _election_rows(
+    experiment: str,
+    result: fig4_election.Fig4Result,
+    paper: dict[str, dict[str, float]],
+) -> list[ReportRow]:
+    """One row per number in a leader-kill figure's ``PAPER_NUMBERS``, plus
+    the Dynatune-vs-Raft reduction of detection and OTS."""
+    suffix = " (geo)" if result.config.geo else ""
+    rows: list[ReportRow] = []
+    for metric, label in _METRIC_NAMES.items():
+        for system, name in _SYSTEM_NAMES.items():
+            if metric in paper[system]:
+                want = paper[system][metric]
+                got = getattr(result.systems[system], f"mean_{metric}_ms")
+                rows.append(
+                    ReportRow(
+                        experiment,
+                        f"{name} {label}{suffix}",
+                        f"{want:.0f} ms",
+                        f"{got:.0f} ms",
+                        _err(got, want),
+                    )
+                )
+        if metric in ("detection", "ots"):
+            want = 1.0 - paper["dynatune"][metric] / paper["raft"][metric]
+            got = result.reduction(metric)
+            rows.append(
+                ReportRow(
+                    experiment,
+                    f"{label.removeprefix('mean ')} reduction{suffix}",
+                    _pct(want),
+                    _pct(got),
+                    _err(got, want),
+                )
+            )
+    return rows
 
 
 def build_report() -> tuple[list[ReportRow], dict[str, object]]:
@@ -40,19 +92,7 @@ def build_report() -> tuple[list[ReportRow], dict[str, object]]:
     # ---------------- Fig. 4 ---------------- #
     f4 = fig4_election.run(fig4_election.Fig4Config.quick())
     raw["fig4"] = f4
-    raft, dyn = f4.systems["raft"], f4.systems["dynatune"]
-    rows += [
-        ReportRow("Fig.4", "Raft mean detection", "1205 ms", f"{raft.mean_detection_ms:.0f} ms", "match"),
-        ReportRow("Fig.4", "Raft mean OTS", "1449 ms", f"{raft.mean_ots_ms:.0f} ms", "match"),
-        ReportRow("Fig.4", "Dynatune mean detection", "237 ms", f"{dyn.mean_detection_ms:.0f} ms", "shape holds"),
-        ReportRow("Fig.4", "Dynatune mean OTS", "797 ms", f"{dyn.mean_ots_ms:.0f} ms", "shape holds"),
-        ReportRow("Fig.4", "detection reduction", "80 %", _pct(f4.reduction("detection")), "shape holds"),
-        ReportRow("Fig.4", "OTS reduction", "45 %", _pct(f4.reduction("ots")), "shape holds"),
-        ReportRow("Fig.4", "Raft mean randomizedTimeout", "1454 ms", f"{raft.mean_randomized_timeout_ms:.0f} ms", "match"),
-        ReportRow("Fig.4", "Dynatune mean randomizedTimeout", "152 ms", f"{dyn.mean_randomized_timeout_ms:.0f} ms", "match"),
-        ReportRow("§IV-E", "Raft election time", "244 ms", f"{raft.mean_election_ms:.0f} ms", "match"),
-        ReportRow("§IV-E", "Dynatune election time (split votes)", "560 ms", f"{dyn.mean_election_ms:.0f} ms", "ordering holds (Dynatune > Raft)"),
-    ]
+    rows += _election_rows("Fig.4", f4, fig4_election.PAPER_NUMBERS)
 
     # ---------------- Fig. 5 ---------------- #
     f5 = fig5_throughput.run(fig5_throughput.Fig5Config.quick())
@@ -127,15 +167,7 @@ def build_report() -> tuple[list[ReportRow], dict[str, object]]:
     # ---------------- Fig. 8 ---------------- #
     f8 = fig4_election.run(fig8_geo.quick())
     raw["fig8"] = f8
-    raft8, dyn8 = f8.systems["raft"], f8.systems["dynatune"]
-    rows += [
-        ReportRow("Fig.8", "Raft mean detection (geo)", "1137 ms", f"{raft8.mean_detection_ms:.0f} ms", "match"),
-        ReportRow("Fig.8", "Raft mean OTS (geo)", "1718 ms", f"{raft8.mean_ots_ms:.0f} ms", "match"),
-        ReportRow("Fig.8", "Dynatune mean detection (geo)", "213 ms", f"{dyn8.mean_detection_ms:.0f} ms", "shape holds"),
-        ReportRow("Fig.8", "Dynatune mean OTS (geo)", "1145 ms", f"{dyn8.mean_ots_ms:.0f} ms", "shape holds"),
-        ReportRow("Fig.8", "detection reduction (geo)", "81 %", _pct(f8.reduction("detection")), "shape holds"),
-        ReportRow("Fig.8", "OTS reduction (geo)", "33 %", _pct(f8.reduction("ots")), "shape holds"),
-    ]
+    rows += _election_rows("Fig.8", f8, fig8_geo.PAPER_NUMBERS)
     return rows, raw
 
 
