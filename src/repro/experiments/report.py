@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -31,9 +32,13 @@ def _pct(x: float) -> str:
     return f"{100.0 * x:.0f} %"
 
 
-def _err(measured: float, paper: float) -> str:
-    """Signed relative error of ``measured`` against the paper's value."""
-    return f"{100.0 * (measured - paper) / paper:+.0f} %"
+def _ms(x: float) -> str:
+    return f"{x:.0f} ms"
+
+
+def _paper_row(experiment: str, quantity: str, paper: float, measured: float, fmt: Callable[[float], str]) -> ReportRow:
+    """A row whose verdict is the signed relative error against the paper."""
+    return ReportRow(experiment, quantity, fmt(paper), fmt(measured), f"{100.0 * (measured - paper) / paper:+.0f} %")
 
 
 _SYSTEM_NAMES = {"raft": "Raft", "dynatune": "Dynatune"}
@@ -45,41 +50,20 @@ _METRIC_NAMES = {
 }
 
 
-def _election_rows(
-    experiment: str,
-    result: fig4_election.Fig4Result,
-    paper: dict[str, dict[str, float]],
-) -> list[ReportRow]:
+def _election_rows(experiment: str, result: fig4_election.Fig4Result, paper: dict[str, dict[str, float]]) -> list[ReportRow]:
     """One row per number in a leader-kill figure's ``PAPER_NUMBERS``, plus
     the Dynatune-vs-Raft reduction of detection and OTS."""
     suffix = " (geo)" if result.config.geo else ""
     rows: list[ReportRow] = []
     for metric, label in _METRIC_NAMES.items():
+        if metric not in paper["raft"]:
+            continue
         for system, name in _SYSTEM_NAMES.items():
-            if metric in paper[system]:
-                want = paper[system][metric]
-                got = getattr(result.systems[system], f"mean_{metric}_ms")
-                rows.append(
-                    ReportRow(
-                        experiment,
-                        f"{name} {label}{suffix}",
-                        f"{want:.0f} ms",
-                        f"{got:.0f} ms",
-                        _err(got, want),
-                    )
-                )
+            measured = getattr(result.systems[system], f"mean_{metric}_ms")
+            rows.append(_paper_row(experiment, f"{name} {label}{suffix}", paper[system][metric], measured, _ms))
         if metric in ("detection", "ots"):
             want = 1.0 - paper["dynatune"][metric] / paper["raft"][metric]
-            got = result.reduction(metric)
-            rows.append(
-                ReportRow(
-                    experiment,
-                    f"{label.removeprefix('mean ')} reduction{suffix}",
-                    _pct(want),
-                    _pct(got),
-                    _err(got, want),
-                )
-            )
+            rows.append(_paper_row(experiment, f"{label.removeprefix('mean ')} reduction{suffix}", want, result.reduction(metric), _pct))
     return rows
 
 
