@@ -9,6 +9,9 @@ Each module exposes:
 * ``main()`` — runs at the scale selected by ``REPRO_SCALE`` (``quick`` |
   ``paper``) and prints the same rows/series the paper reports.
 
+Fig. 8 is Fig. 4's experiment: ``fig8_geo`` holds only its ``Fig4Config``
+preset, ``quick()``, and its ``main()``.
+
 ``python -m repro.experiments.report`` prints measured-vs-paper numbers
 for every figure.
 """
