@@ -1,17 +1,22 @@
-"""Exact pins of the leader-kill experiments' per-episode samples.
+"""Exact pins of the paper figures' samples.
 
 The figure smoke tests gate on ranges; these pin every sample of a short
-Fig. 4 and Fig. 8 run, so a refactor of the experiment code that moves a
-single simulated number fails here.
+run of each figure, so a refactor of the experiment code that moves a
+single simulated number fails here.  Fig. 4 and Fig. 8 pin their
+per-episode arrays; the other figures pin the SHA-256 of their result
+records' canonical JSON (numpy arrays as lists, numpy scalars as
+numbers).
 """
 
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from repro.experiments import fig4_election, fig8_geo
+from repro.experiments import fig4_election, fig5_throughput, fig6_rtt, fig7_loss, fig8_geo, fig_scale
+from tests.experiments.test_fig_scale import tiny_config
 
 _ELECTION_FIELDS = ("detection_ms", "ots_ms", "election_ms", "randomized_timeout_ms")
 
@@ -46,3 +51,55 @@ def test_leader_kill_samples_are_pinned(make, fields, digest):
     result = make()
     assert all(len(r.episodes) == 6 for r in result.systems.values())
     assert _digest(result, fields) == digest
+
+
+def _records_digest(records, exclude=()) -> str:
+    payload = []
+    for record in records:
+        d = dataclasses.asdict(record)
+        for name in exclude:
+            del d[name]
+        payload.append(d)
+    encoded = json.dumps(
+        payload,
+        sort_keys=True,
+        default=lambda o: o.tolist() if isinstance(o, np.ndarray) else o.item(),
+    )
+    return hashlib.sha256(encoded.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "make, exclude, digest",
+    [
+        (
+            lambda: fig5_throughput.run(fig5_throughput.Fig5Config(repeats=2)).systems.values(),
+            (),
+            "b9023513365774a0dd47f7a5312cddcf56a215468c9f74f50564bf5eaaae4a92",
+        ),
+        (
+            lambda: fig6_rtt.run(fig6_rtt.Fig6Config(pattern="gradual", dwell_ms=6_000.0)).systems.values(),
+            (),
+            "8ebce07ea5e7aa35ae01cbee20f55fbffff45ad6af450ffcae1c0bc11ec202d1",
+        ),
+        (
+            lambda: fig6_rtt.run(fig6_rtt.Fig6Config(pattern="radical", dwell_ms=6_000.0)).systems.values(),
+            (),
+            "98bef4e8a14c2d6481a126a10e2b4e0516a3e5dbfd6af535ffc913fd6f19d841",
+        ),
+        (
+            lambda: fig7_loss.run(
+                fig7_loss.Fig7Config(sizes=(5,), dwell_ms=5_000.0, warmup_ms=5_000.0)
+            ).runs.values(),
+            (),
+            "6da5948f6ea86a0b7ad6e88836f41a332001ad37efb5ad04392d36d4f2d6c4e7",
+        ),
+        (
+            lambda: fig_scale.run(tiny_config()).cells.values(),
+            ("wall_s",),
+            "31028235b111dcb9b576c272573614a192c28da5b2e536e66fff66518f98a1d4",
+        ),
+    ],
+    ids=["fig5", "fig6-gradual", "fig6-radical", "fig7", "fig_scale"],
+)
+def test_figure_records_are_pinned(make, exclude, digest):
+    assert _records_digest(make(), exclude) == digest
