@@ -1,19 +1,22 @@
-"""Experiment modules: one per paper figure.
+"""Experiment modules: one per paper figure, and the fault grids.
 
-Each module exposes:
+Every figure (``fig4_election``, ``fig5_throughput``, ``fig6_rtt``,
+``fig7_loss``, ``fig8_geo``, ``fig_scale``) is a :class:`~repro.
+experiments.grid.Grid`, exactly like the fault grids: a frozen config
+dataclass for one cell (a system, times the figure's own axis: RTT
+pattern or cluster size), a ``run_one`` worker returning that cell's
+result record, and a ``GRID`` whose ``full()`` base config reads its
+repetition counts and dwells from the ``REPRO_SCALE`` preset.
+``python -m repro.experiments.<figure>`` prints the figure's table with
+the shared ``--smoke`` / ``--digest`` / ``--system`` flags.
 
-* a frozen config dataclass whose ``quick()`` constructor takes its
-  repetition counts and dwells from the ``REPRO_SCALE`` preset;
-* ``run(config) -> <Fig*Result>`` — executes the experiment and returns
-  structured series/summaries;
-* ``main()`` — runs at the scale selected by ``REPRO_SCALE`` (``quick`` |
-  ``paper``) and prints the same rows/series the paper reports.
+Fig. 8 is Fig. 4's grid: ``fig8_geo`` holds only its ``Fig4Config``
+preset, ``quick()``, and its ``GRID``.  Cross-system quantities are
+functions over records (``fig4_election.reduction``,
+``fig5_throughput.peak_gap``).
 
-Fig. 8 is Fig. 4's experiment: ``fig8_geo`` holds only its ``Fig4Config``
-preset, ``quick()``, and its ``main()``.
-
-``python -m repro.experiments.report`` prints measured-vs-paper numbers
-for every figure.
+``python -m repro.experiments.report`` runs every figure's grid and
+prints measured-vs-paper numbers for every figure.
 """
 
 from repro.experiments.common import SYSTEMS, Scale, get_scale, make_policy_factory

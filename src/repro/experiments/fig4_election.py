@@ -14,41 +14,38 @@ mean randomizedTimeout  1454 ms      152 ms
 election time (§IV-E)    244 ms      560 ms
 =====================  ==========  ==========
 
-``run()`` reproduces the full protocol and returns per-episode samples plus
-the CDF series of the figure.  With ``Fig4Config(geo=True)`` the same loop
-runs on the AWS placement with logs read through NTP clocks: that is
-Fig. 8 (:mod:`repro.experiments.fig8_geo`).
+Each system is one cell of :data:`GRID` (``python -m
+repro.experiments.fig4_election``): :func:`run_one` runs the protocol and
+returns the per-episode samples plus the CDF series of the figure.  With
+``Fig4Config(geo=True)`` the same loop runs on the AWS placement with logs
+read through NTP clocks: that is Fig. 8 (:mod:`repro.experiments.fig8_geo`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
+from typing import Sequence
 
 import numpy as np
 
+from repro.analysis.asciiplot import cdf_chart
 from repro.analysis.cdf import empirical_cdf
 from repro.analysis.stats import SummaryStats, summarize
 from repro.cluster.builder import ClusterConfig, build_cluster
 from repro.cluster.harness import ClusterHarness
 from repro.cluster.measurements import FailureEpisode, extract_failure_episodes
+from repro.experiments import grid
 from repro.experiments.common import get_scale, make_policy_factory
-from repro.experiments.runner import run_tasks
 from repro.net.topology import ClockModel
 
-__all__ = [
-    "Fig4Config",
-    "SystemElectionResult",
-    "Fig4Result",
-    "run",
-    "main",
-]
+__all__ = ["Fig4Config", "SystemElectionResult", "GRID", "run_one", "reduction"]
 
 PAPER_NUMBERS = {
     "raft": {"detection": 1205.0, "ots": 1449.0, "randomized_timeout": 1454.0, "election": 244.0},
     "dynatune": {"detection": 237.0, "ots": 797.0, "randomized_timeout": 152.0, "election": 560.0},
 }
 
-SYSTEMS = ("raft", "dynatune")
 N_NODES = 5
 #: Pairwise RTT of the uniform testbed (the AWS placement has its own).
 RTT_MS = 100.0
@@ -59,18 +56,16 @@ NTP_OFFSET_SIGMA_MS = 15.0
 
 @dataclasses.dataclass(slots=True, frozen=True)
 class Fig4Config:
-    """Parameters of the leader-kill election experiment."""
+    """One system's leader-kill election experiment (the grid's cells
+    derive one per system)."""
 
+    system: str = "raft"
     n_failures: int = 60
     warmup_ms: float = 8_000.0
     sleep_ms: float = 6_000.0
     settle_ms: float = 8_000.0
     #: Fig. 8: the AWS placement, logs timestamped by NTP clocks.
     geo: bool = False
-
-    @classmethod
-    def quick(cls) -> "Fig4Config":
-        return cls(n_failures=get_scale().fig4_failures)
 
 
 @dataclasses.dataclass(slots=True, frozen=True)
@@ -107,21 +102,9 @@ class SystemElectionResult:
         return float(self.randomized_timeout_ms.mean())
 
 
-@dataclasses.dataclass(slots=True, frozen=True)
-class Fig4Result:
-    config: Fig4Config
-    systems: dict[str, SystemElectionResult]
-
-    def reduction(self, metric: str) -> float:
-        """Relative reduction of Dynatune's mean ``metric``
-        (``detection``/``ots``) against Raft's."""
-        base = getattr(self.systems["raft"], f"mean_{metric}_ms")
-        new = getattr(self.systems["dynatune"], f"mean_{metric}_ms")
-        return 1.0 - new / base
-
-
-def run_system(system: str, config: Fig4Config) -> SystemElectionResult:
+def run_one(config: Fig4Config) -> SystemElectionResult:
     """Run the §IV-B1 failure loop for one system."""
+    system = config.system
     cluster = build_cluster(
         ClusterConfig(
             n_nodes=N_NODES,
@@ -187,50 +170,54 @@ def run_system(system: str, config: Fig4Config) -> SystemElectionResult:
     )
 
 
-def _run_system_task(args: tuple[str, Fig4Config]) -> SystemElectionResult:
-    """Module-level worker for :func:`repro.experiments.runner.run_tasks`."""
-    system, cfg = args
-    return run_system(system, cfg)
+def reduction(runs: Sequence[SystemElectionResult], metric: str) -> float:
+    """Relative reduction of Dynatune's mean ``metric``
+    (``detection``/``ots``) against Raft's."""
+    base = getattr(grid.find(runs, system="raft"), f"mean_{metric}_ms")
+    new = getattr(grid.find(runs, system="dynatune"), f"mean_{metric}_ms")
+    return 1.0 - new / base
 
 
-def run(config: Fig4Config | None = None, *, jobs: int | None = None) -> Fig4Result:
-    """Run every system of the experiment (in parallel across systems when
-    ``jobs``/``REPRO_JOBS`` allows); results are identical for any job count."""
-    cfg = config if config is not None else Fig4Config.quick()
-    results = run_tasks(_run_system_task, [(s, cfg) for s in SYSTEMS], jobs=jobs)
-    return Fig4Result(config=cfg, systems=dict(zip(SYSTEMS, results)))
-
-
-def main() -> Fig4Result:  # pragma: no cover - exercised via __main__
-    result = run(Fig4Config.quick())
-    print(f"# Fig. 4 — election performance, {result.config.n_failures} leader failures")
-    print(f"{'system':<10} {'detection':>12} {'OTS':>12} {'election':>12} {'randTO':>10}")
-    for name, sysres in result.systems.items():
-        paper = PAPER_NUMBERS[name]
-        print(
-            f"{name:<10} {sysres.mean_detection_ms:>9.0f} ms {sysres.mean_ots_ms:>9.0f} ms "
-            f"{sysres.mean_election_ms:>9.0f} ms {sysres.mean_randomized_timeout_ms:>7.0f} ms"
-            f"   (paper: det {paper['detection']:.0f}, ots {paper['ots']:.0f})"
+def _summary(runs: Sequence[SystemElectionResult]) -> list[str]:
+    lines = []
+    if {"raft", "dynatune"} <= {r.system for r in runs}:
+        lines.append(
+            f"reduction vs Raft: detection {100 * reduction(runs, 'detection'):.0f} %, "
+            f"OTS {100 * reduction(runs, 'ots'):.0f} %"
         )
-    print(
-        f"reduction vs Raft: detection {100 * result.reduction('detection'):.0f} % "
-        f"(paper 80 %), OTS {100 * result.reduction('ots'):.0f} % (paper 45 %)"
-    )
-    from repro.analysis.asciiplot import cdf_chart
-
-    print()
-    print(
-        cdf_chart(
-            {
-                f"{name} {metric}": getattr(sysres, f"{metric}_cdf")
-                for name, sysres in result.systems.items()
-                for metric in ("detection", "ots")
-            },
-            title="Fig. 4 — CDFs of detection and OTS times",
+    if runs[0].placement:
+        lines.append(
+            "placement: " + ", ".join(f"{n}={r}" for n, r in runs[0].placement.items())
         )
-    )
-    return result
+    cdfs = {
+        f"{r.system} {metric}": getattr(r, f"{metric}_cdf")
+        for r in runs
+        for metric in ("detection", "ots")
+    }
+    return [*lines, "", cdf_chart(cdfs, title="CDFs of detection and OTS times")]
 
+
+GRID = grid.Grid(
+    name="fig4_election",
+    full=lambda: Fig4Config(n_failures=get_scale().fig4_failures),
+    smoke=lambda: Fig4Config(n_failures=6),
+    cells=lambda base, systems: [dataclasses.replace(base, system=s) for s in systems],
+    run_one=run_one,
+    check=lambda runs: [],
+    title=lambda c: (
+        f"AWS placement, NTP σ={NTP_OFFSET_SIGMA_MS:g} ms" if c.geo else f"uniform {RTT_MS:.0f} ms RTT"
+    ) + f", {c.n_failures} leader failures",
+    columns=("system", "detection", "OTS", "election", "randTO"),
+    row=lambda r: (
+        r.system,
+        *(
+            f"{getattr(r, f'mean_{m}_ms'):.0f} ms"
+            for m in ("detection", "ots", "election", "randomized_timeout")
+        ),
+    ),
+    held=grid.NO_GATES,
+    summary=_summary,
+)
 
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    sys.exit(grid.main(GRID))

@@ -17,6 +17,8 @@ prediction).
 from __future__ import annotations
 
 import dataclasses
+import sys
+from typing import Sequence
 
 import numpy as np
 
@@ -26,11 +28,11 @@ from repro.cluster.workload import (
     peak_throughput,
     run_rps_staircase,
 )
+from repro.experiments import grid
 from repro.experiments.common import get_scale
-from repro.experiments.runner import run_tasks
 from repro.sim.rng import RngRegistry
 
-__all__ = ["Fig5Config", "SystemThroughputResult", "Fig5Result", "run", "main"]
+__all__ = ["Fig5Config", "SystemThroughputResult", "GRID", "run_one", "peak_gap"]
 
 PAPER_NUMBERS = {"raft": 13678.0, "dynatune": 12800.0, "gap": 0.064}
 
@@ -47,13 +49,13 @@ STEP_RPS = 1_000.0
 
 @dataclasses.dataclass(slots=True, frozen=True)
 class Fig5Config:
+    """One system's repeated staircase (the grid's cells derive one per
+    system)."""
+
+    system: str = "raft"
     repeats: int = 3
     dwell_s: float = 10.0
     max_rps: float = 15_000.0
-
-    @classmethod
-    def quick(cls) -> "Fig5Config":
-        return cls(repeats=get_scale().fig5_repeats)
 
     def levels(self) -> list[float]:
         return [STEP_RPS * k for k in range(1, int(self.max_rps / STEP_RPS) + 1)]
@@ -72,48 +74,33 @@ class SystemThroughputResult:
     runs: tuple[tuple[LoadLevelResult, ...], ...]
 
 
-@dataclasses.dataclass(slots=True, frozen=True)
-class Fig5Result:
-    config: Fig5Config
-    systems: dict[str, SystemThroughputResult]
+def run_one(config: Fig5Config) -> SystemThroughputResult:
+    """Run one system's staircase ``repeats`` times.
 
-    @property
-    def peak_gap(self) -> float:
-        """Relative peak-throughput deficit of Dynatune vs Raft."""
-        raft = self.systems["raft"].peak_rps
-        dyn = self.systems["dynatune"].peak_rps
-        return 1.0 - dyn / raft
-
-
-def _run_repeat_task(
-    task: tuple[str, FluidWorkloadConfig, Fig5Config, int]
-) -> tuple[LoadLevelResult, ...]:
-    """Module-level worker: one full staircase repeat.
-
-    A repeat is the parallel unit (not a single load level): the fluid
-    backlog deliberately persists across levels — the paper's clients
-    never stop — so the levels of one staircase are a sequential chain.
-    The RNG stream is derived by name from ``(seed, system, rep)`` exactly
-    as the sequential implementation derived it, so the fan-out reproduces
-    the sequential numbers bit for bit.
+    A repeat is a sequential chain: the fluid backlog deliberately
+    persists across levels — the paper's clients never stop.  Repeat
+    ``rep`` draws from the stream named ``fig5/<system>/<rep>``.
     """
-    system, workload, config, rep = task
-    rng = RngRegistry(SEED).stream(f"fig5/{system}/{rep}")
-    return tuple(
-        run_rps_staircase(
-            workload, levels=config.levels(), dwell_s=config.dwell_s, rng=rng
+    workload = {"raft": RAFT_WORKLOAD, "dynatune": DYNATUNE_WORKLOAD}.get(config.system)
+    if workload is None:
+        raise ValueError(f"Fig. 5 models raft and dynatune, not {config.system!r}")
+    rngs = RngRegistry(SEED)
+    runs = [
+        tuple(
+            run_rps_staircase(
+                workload,
+                levels=config.levels(),
+                dwell_s=config.dwell_s,
+                rng=rngs.stream(f"fig5/{config.system}/{rep}"),
+            )
         )
-    )
-
-
-def _collect_system(
-    system: str, levels: list[float], runs: list[tuple[LoadLevelResult, ...]]
-) -> SystemThroughputResult:
+        for rep in range(config.repeats)
+    ]
     tp = np.array([[r.throughput_rps for r in rr] for rr in runs])
     lat = np.array([[r.mean_latency_ms for r in rr] for rr in runs])
     return SystemThroughputResult(
-        system=system,
-        offered_rps=np.asarray(levels),
+        system=config.system,
+        offered_rps=np.asarray(config.levels()),
         throughput_rps=tp.mean(axis=0),
         throughput_std=tp.std(axis=0),
         mean_latency_ms=lat.mean(axis=0),
@@ -122,62 +109,37 @@ def _collect_system(
     )
 
 
-def run_system(
-    system: str,
-    workload: FluidWorkloadConfig,
-    config: Fig5Config,
-    *,
-    jobs: int | None = None,
-) -> SystemThroughputResult:
-    runs = run_tasks(
-        _run_repeat_task,
-        [(system, workload, config, rep) for rep in range(config.repeats)],
-        jobs=jobs,
-    )
-    return _collect_system(system, config.levels(), runs)
+def peak_gap(runs: Sequence[SystemThroughputResult]) -> float:
+    """Relative peak-throughput deficit of Dynatune vs Raft."""
+    raft = grid.find(runs, system="raft").peak_rps
+    return 1.0 - grid.find(runs, system="dynatune").peak_rps / raft
 
 
-def run(config: Fig5Config | None = None, *, jobs: int | None = None) -> Fig5Result:
-    """Run both systems' staircases (every (system, repeat) pair fans out
-    across ``REPRO_JOBS``/``jobs``; results are identical for any job
-    count — and to the former sequential implementation)."""
-    cfg = config if config is not None else Fig5Config.quick()
-    systems = [("raft", RAFT_WORKLOAD), ("dynatune", DYNATUNE_WORKLOAD)]
-    tasks = [
-        (system, workload, cfg, rep)
-        for system, workload in systems
-        for rep in range(cfg.repeats)
-    ]
-    results = run_tasks(_run_repeat_task, tasks, jobs=jobs)
-    return Fig5Result(
-        config=cfg,
-        systems={
-            system: _collect_system(
-                system,
-                cfg.levels(),
-                results[idx * cfg.repeats : (idx + 1) * cfg.repeats],
-            )
-            for idx, (system, _) in enumerate(systems)
-        },
-    )
-
-
-def main() -> Fig5Result:  # pragma: no cover - exercised via __main__
-    result = run(Fig5Config.quick())
-    print(f"# Fig. 5 — throughput/latency staircase, {result.config.repeats} repeats")
-    for name, sysres in result.systems.items():
-        print(f"\n{name}: peak {sysres.peak_rps:.0f} req/s (paper {PAPER_NUMBERS[name]:.0f})")
-        print(f"  {'offered':>9} {'throughput':>11} {'latency':>9}")
-        for off, tp, lat in zip(
-            sysres.offered_rps, sysres.throughput_rps, sysres.mean_latency_ms
-        ):
-            print(f"  {off:>9.0f} {tp:>11.0f} {lat:>7.0f}ms")
-    print(
-        f"\npeak gap Dynatune vs Raft: {100 * result.peak_gap:.1f} % "
-        f"(paper {100 * PAPER_NUMBERS['gap']:.1f} %)"
-    )
-    return result
-
+GRID = grid.Grid(
+    name="fig5_throughput",
+    full=lambda: Fig5Config(repeats=get_scale().fig5_repeats),
+    smoke=lambda: Fig5Config(repeats=1),
+    cells=lambda base, systems: [dataclasses.replace(base, system=s) for s in systems],
+    run_one=run_one,
+    check=lambda runs: [],
+    title=lambda c: (
+        f"{c.repeats} repeats of +{STEP_RPS:.0f} req/s every {c.dwell_s:g} s "
+        f"up to {c.max_rps:.0f} req/s"
+    ),
+    columns=("system", "peak", "latency@first", "latency@last"),
+    row=lambda r: (
+        r.system,
+        f"{r.peak_rps:.0f} req/s",
+        f"{r.mean_latency_ms[0]:.0f} ms",
+        f"{r.mean_latency_ms[-1]:.0f} ms",
+    ),
+    held=grid.NO_GATES,
+    summary=lambda runs: (
+        [f"peak gap Dynatune vs Raft: {100 * peak_gap(runs):.1f} %"]
+        if {"raft", "dynatune"} <= {r.system for r in runs}
+        else []
+    ),
+)
 
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    sys.exit(grid.main(GRID))

@@ -21,14 +21,20 @@ periods.
 Operational stalls (short leader pauses, :class:`~repro.cluster.faults.
 StallProfile`) model the single-host scheduling noise that triggers
 Raft-Low's elections in the paper's testbed.
+
+Each (system, pattern) pair is one cell of :data:`GRID`; ``python -m
+repro.experiments.fig6_rtt --pattern radical`` runs Fig. 6b alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
+from typing import Sequence
 
 import numpy as np
 
+from repro.analysis.asciiplot import line_chart
 from repro.cluster.builder import ClusterConfig, build_cluster
 from repro.cluster.faults import StallInjector, StallProfile
 from repro.cluster.harness import ClusterHarness
@@ -38,14 +44,15 @@ from repro.cluster.measurements import (
     randomized_timeout_matrix,
     total_interval_length,
 )
+from repro.experiments import grid
 from repro.experiments.common import get_scale, make_policy_factory
 from repro.scenarios.profiles import gradual_rtt_profile, radical_rtt_profile
 from repro.scenarios.scenario import Scenario
 from repro.sim.clock import SECOND
 
-__all__ = ["Fig6Config", "SystemRttResult", "Fig6Result", "run", "main"]
+__all__ = ["Fig6Config", "SystemRttResult", "GRID", "run_one"]
 
-SYSTEMS = ("dynatune", "raft", "raft-low")
+PATTERNS = ("gradual", "radical")
 N_NODES = 5
 SEED = 42
 WARMUP_MS = 10_000.0
@@ -56,16 +63,16 @@ STALL_PROFILE = StallProfile()
 
 @dataclasses.dataclass(slots=True, frozen=True)
 class Fig6Config:
-    pattern: str = "gradual"  # or "radical"
+    """One system under one RTT pattern (the grid's cells derive one per
+    system and pattern)."""
+
+    system: str = "dynatune"
+    pattern: str = "gradual"
     dwell_ms: float = 12_000.0
 
     def __post_init__(self) -> None:
-        if self.pattern not in ("gradual", "radical"):
-            raise ValueError(f"pattern must be 'gradual' or 'radical', got {self.pattern!r}")
-
-    @classmethod
-    def quick(cls, pattern: str = "gradual") -> "Fig6Config":
-        return cls(pattern=pattern, dwell_ms=get_scale().fig6_dwell_ms)
+        if self.pattern not in PATTERNS:
+            raise ValueError(f"pattern must be one of {PATTERNS}, got {self.pattern!r}")
 
     def schedule(self) -> Scenario:
         profile = gradual_rtt_profile if self.pattern == "gradual" else radical_rtt_profile
@@ -97,13 +104,8 @@ class SystemRttResult:
     false_detections: int
 
 
-@dataclasses.dataclass(slots=True, frozen=True)
-class Fig6Result:
-    config: Fig6Config
-    systems: dict[str, SystemRttResult]
-
-
-def run_system(system: str, config: Fig6Config) -> SystemRttResult:
+def run_one(config: Fig6Config) -> SystemRttResult:
+    system = config.system
     schedule = config.schedule()
     cluster = build_cluster(
         ClusterConfig(
@@ -160,50 +162,48 @@ def run_system(system: str, config: Fig6Config) -> SystemRttResult:
     )
 
 
-def run(config: Fig6Config | None = None) -> Fig6Result:
-    cfg = config if config is not None else Fig6Config.quick()
-    return Fig6Result(
-        config=cfg, systems={s: run_system(s, cfg) for s in SYSTEMS}
-    )
-
-
-def main(pattern: str | None = None) -> Fig6Result:  # pragma: no cover
-    import sys
-
-    if pattern is None:
-        pattern = "gradual"
-        if "--pattern" in sys.argv:
-            pattern = sys.argv[sys.argv.index("--pattern") + 1]
-        elif "radical" in sys.argv:
-            pattern = "radical"
-    result = run(Fig6Config.quick(pattern))
-    cfg = result.config
-    print(f"# Fig. 6{'a' if pattern == 'gradual' else 'b'} — {pattern} RTT fluctuation, dwell {cfg.dwell_ms/1000:.0f} s")
-    for name, sysres in result.systems.items():
-        print(
-            f"\n{name}: OTS total {sysres.ots_total_ms/1000.0:.1f} s in "
-            f"{len(sysres.ots_intervals)} intervals; elections {sysres.unnecessary_elections}; "
-            f"false detections {sysres.false_detections}"
+def _summary(runs: Sequence[SystemRttResult]) -> list[str]:
+    return [
+        line_chart(
+            {
+                "randTO(f+1)": (r.times_ms / 1000.0, r.kth_randomized_timeout_ms),
+                "RTT": (r.times_ms / 1000.0, r.rtt_ms),
+            },
+            title=f"\n{r.system}, {r.pattern} RTT — randomizedTimeout vs RTT",
+            x_label="s",
+            y_label="ms",
+            height=12,
         )
-        from repro.analysis.asciiplot import line_chart
+        for r in runs
+    ]
 
-        print(
-            line_chart(
-                {
-                    "randTO(f+1)": (
-                        sysres.times_ms / 1000.0,
-                        sysres.kth_randomized_timeout_ms,
-                    ),
-                    "RTT": (sysres.times_ms / 1000.0, sysres.rtt_ms),
-                },
-                title=f"Fig. 6 ({name}) — randomizedTimeout vs RTT",
-                x_label="s",
-                y_label="ms",
-                height=12,
-            )
-        )
-    return result
 
+GRID = grid.Grid(
+    name="fig6_rtt",
+    full=lambda: Fig6Config(dwell_ms=get_scale().fig6_dwell_ms),
+    smoke=lambda: Fig6Config(dwell_ms=6_000.0),
+    cells=lambda base, systems: [
+        dataclasses.replace(base, system=s, pattern=p)
+        for p in PATTERNS
+        for s in systems
+    ],
+    run_one=run_one,
+    check=lambda runs: [],
+    title=lambda c: f"RTT patterns, dwell {c.dwell_ms / 1000:g} s",
+    columns=("run", "OTS", "outages", "elections", "false det", "randTO p50"),
+    row=lambda r: (
+        f"{r.system}/{r.pattern}",
+        f"{r.ots_total_ms / 1000.0:.1f} s",
+        str(len(r.ots_intervals)),
+        str(r.unnecessary_elections),
+        str(r.false_detections),
+        f"{np.nanmedian(r.kth_randomized_timeout_ms):.0f} ms",
+    ),
+    held=grid.NO_GATES,
+    summary=_summary,
+    axes={"pattern": PATTERNS},
+    systems=("dynatune", "raft", "raft-low"),
+)
 
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    sys.exit(grid.main(GRID))

@@ -14,25 +14,29 @@ Reported series (paper Figs. 7a/7b + text):
   leader burns CPU proportional to ``N``, exceeding 100 % at N = 65, while
   Dynatune stays well under half of that and *peaks with the loss rate*;
 * the number of unnecessary elections — zero for both systems at every N.
+
+Each (system, N) pair is one cell of :data:`GRID` (``python -m
+repro.experiments.fig7_loss``), whose gate is that zero.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
+from typing import Sequence
 
 import numpy as np
 
 from repro.cluster.builder import ClusterConfig, build_cluster
+from repro.experiments import grid
 from repro.experiments.common import get_scale, make_policy_factory
-from repro.experiments.runner import run_tasks
 from repro.scenarios.profiles import loss_staircase_profile
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.steps import SetLoss, Step
 from repro.sim.events import PRIORITY_CONTROL
 
-__all__ = ["Fig7Config", "LossRunResult", "Fig7Result", "run", "main"]
+__all__ = ["Fig7Config", "LossRunResult", "GRID", "run_one"]
 
-SYSTEMS = ("dynatune", "fix-k")
 RTT_MS = 200.0
 SEED = 42
 #: §IV-C2: two cores per container, ``docker stats`` polled every 5 s.
@@ -42,15 +46,15 @@ SAMPLE_INTERVAL_MS = 5_000.0
 
 @dataclasses.dataclass(slots=True, frozen=True)
 class Fig7Config:
+    """One (system, N) staircase run (the grid's cells derive one per
+    system and size in ``sizes``)."""
+
+    system: str = "dynatune"
+    n_nodes: int = 5
     sizes: tuple[int, ...] = (5, 17)
     loss_levels: tuple[float, ...] = (0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
     dwell_ms: float = 20_000.0
     warmup_ms: float = 10_000.0
-
-    @classmethod
-    def quick(cls) -> "Fig7Config":
-        scale = get_scale()
-        return cls(sizes=scale.fig7_sizes, dwell_ms=scale.fig7_dwell_ms)
 
     def schedule(self) -> Scenario:
         return loss_staircase_profile(
@@ -89,14 +93,17 @@ class LossRunResult:
         mask = np.abs(self.loss_rate - loss) < tol
         return self.h_ms[mask]
 
+    def h_legs(self) -> tuple[float, float, float]:
+        """Mean h over the loss-free dwell before the loss first rises, mean
+        h at the highest loss, and the last h sample of the run."""
+        lossy = np.flatnonzero(self.loss_rate > 0.0)
+        rising = self.h_ms[: lossy[0] if lossy.size else None].mean()
+        peak = self.h_at_loss(self.loss_rate.max()).mean()
+        return float(rising), float(peak), float(self.h_ms[-1])
 
-@dataclasses.dataclass(slots=True, frozen=True)
-class Fig7Result:
-    config: Fig7Config
-    runs: dict[tuple[str, int], LossRunResult]
 
-
-def run_one(system: str, n_nodes: int, config: Fig7Config) -> LossRunResult:
+def run_one(config: Fig7Config) -> LossRunResult:
+    system, n_nodes = config.system, config.n_nodes
     schedule = config.schedule()
     cluster = build_cluster(
         ClusterConfig(
@@ -168,43 +175,45 @@ def run_one(system: str, n_nodes: int, config: Fig7Config) -> LossRunResult:
     )
 
 
-def _run_one_task(args: tuple[str, int, Fig7Config]) -> LossRunResult:
-    """Module-level worker for :func:`repro.experiments.runner.run_tasks`."""
-    system, n_nodes, cfg = args
-    return run_one(system, n_nodes, cfg)
+def check(runs: Sequence[LossRunResult]) -> list[str]:
+    """§IV-C2: no unnecessary election for either system at any N."""
+    return [
+        f"{r.system} N={r.n_nodes}: {r.unnecessary_elections} unnecessary elections"
+        for r in runs
+        if r.unnecessary_elections
+    ]
 
 
-def run(config: Fig7Config | None = None, *, jobs: int | None = None) -> Fig7Result:
-    """Run the (system × cluster size) grid, in parallel across grid cells
-    when ``jobs``/``REPRO_JOBS`` allows; each cell is an independent
-    simulation, so results are identical for any job count."""
-    cfg = config if config is not None else Fig7Config.quick()
-    grid = [(system, n) for n in cfg.sizes for system in SYSTEMS]
-    results = run_tasks(
-        _run_one_task, [(system, n, cfg) for system, n in grid], jobs=jobs
-    )
-    return Fig7Result(config=cfg, runs=dict(zip(grid, results)))
-
-
-def main() -> Fig7Result:  # pragma: no cover - exercised via __main__
-    result = run(Fig7Config.quick())
-    cfg = result.config
-    print(
-        f"# Fig. 7 — loss staircase {[f'{p:.0%}' for p in cfg.loss_levels]} "
-        f"up/down, dwell {cfg.dwell_ms/1000:.0f} s, RTT {RTT_MS:.0f} ms"
-    )
-    for (system, n), rr in sorted(result.runs.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-        h0 = rr.h_at_loss(0.0)
-        hpk = rr.h_at_loss(max(cfg.loss_levels))
-        print(
-            f"\nN={n:<3} {system:<9} h@0%={np.mean(h0):6.0f} ms  "
-            f"h@{max(cfg.loss_levels):.0%}={np.mean(hpk) if hpk.size else float('nan'):6.0f} ms  "
-            f"leaderCPU mean={rr.leader_cpu.mean():5.1f}% max={rr.leader_cpu.max():5.1f}%  "
-            f"followerCPU mean={rr.follower_cpu.mean():4.1f}%  "
-            f"elections={rr.unnecessary_elections}"
-        )
-    return result
-
+GRID = grid.Grid(
+    name="fig7_loss",
+    full=lambda: Fig7Config(
+        sizes=get_scale().fig7_sizes, dwell_ms=get_scale().fig7_dwell_ms
+    ),
+    # One CPU sample interval per dwell: every loss level gets one sample.
+    smoke=lambda: Fig7Config(sizes=(5,), dwell_ms=5_000.0, warmup_ms=5_000.0),
+    cells=lambda base, systems: [
+        dataclasses.replace(base, system=s, n_nodes=n)
+        for n in base.sizes
+        for s in systems
+    ],
+    run_one=run_one,
+    check=check,
+    title=lambda c: (
+        f"loss staircase {[f'{p:.0%}' for p in c.loss_levels]} up/down, "
+        f"dwell {c.dwell_ms / 1000:g} s, RTT {RTT_MS:.0f} ms"
+    ),
+    columns=("run", "h rising", "h peak", "h end", "leader CPU", "max", "follower CPU", "elections"),
+    row=lambda r: (
+        f"{r.system}/N={r.n_nodes}",
+        *(f"{h:.0f} ms" for h in r.h_legs()),
+        f"{r.leader_cpu.mean():.1f} %",
+        f"{r.leader_cpu.max():.1f} %",
+        f"{r.follower_cpu.mean():.1f} %",
+        str(r.unnecessary_elections),
+    ),
+    held="§IV-C2: no unnecessary election for either system at any N",
+    systems=("dynatune", "fix-k"),
+)
 
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    sys.exit(grid.main(GRID))

@@ -19,10 +19,10 @@ reports:
 * **wall-clock throughput** — simulated-cluster-seconds per wall second,
   the simulator-side scaling figure the CI smoke budget tracks.
 
-Determinism: every simulated quantity depends only on ``(seed, system,
-N)``; wall-clock numbers are reported but obviously machine-dependent.
-Cells are independent simulations fanned out via
-:func:`repro.experiments.runner.run_tasks` (``REPRO_JOBS``).
+Determinism: each (system, N) pair is one cell of :data:`GRID`, seeded
+by its index in the sweep; every simulated quantity depends only on
+``(seed, system, N)``, and the wall-clock numbers are reported but left
+out of the digest.  The gate: every kill resolves.
 
 Run with ``python -m repro.experiments.fig_scale``; ``REPRO_SCALE=paper``
 adds the 101-node column and more kills per cell.
@@ -33,25 +33,29 @@ from __future__ import annotations
 import dataclasses
 import sys
 import time
+from typing import Sequence
 
 import numpy as np
 
 from repro.cluster.builder import ClusterConfig, build_cluster
 from repro.cluster.harness import ClusterHarness
 from repro.cluster.measurements import extract_failure_episodes
+from repro.experiments import grid
 from repro.experiments.common import get_scale, make_policy_factory
-from repro.experiments.runner import derive_trial_seed, run_tasks
+from repro.experiments.runner import derive_trial_seed
 
-__all__ = ["ScaleSweepConfig", "ScaleCellResult", "ScaleSweepResult", "run", "main"]
+__all__ = ["ScaleSweepConfig", "ScaleCellResult", "GRID", "run_one"]
 
 RTT_MS = 100.0
 
 
 @dataclasses.dataclass(slots=True, frozen=True)
 class ScaleSweepConfig:
-    """Shape of one scaling sweep."""
+    """One (system, N) cell of a scaling sweep over ``sizes`` (the grid's
+    cells derive one per system and size, each with its own seed)."""
 
-    systems: tuple[str, ...] = ("raft", "dynatune")
+    system: str = "raft"
+    n_nodes: int = 5
     sizes: tuple[int, ...] = (5, 25, 51)
     n_failures: int = 3
     warmup_ms: float = 8_000.0
@@ -60,21 +64,12 @@ class ScaleSweepConfig:
     seed: int = 33
 
     def __post_init__(self) -> None:
-        if not self.systems or not self.sizes:
-            raise ValueError("sweep needs at least one system and one size")
+        if not self.sizes:
+            raise ValueError("sweep needs at least one size")
         if self.n_failures < 1:
             raise ValueError(f"n_failures must be >= 1, got {self.n_failures!r}")
         if any(n < 3 for n in self.sizes):
             raise ValueError(f"cluster sizes must be >= 3, got {self.sizes!r}")
-
-    @classmethod
-    def quick(cls) -> "ScaleSweepConfig":
-        scale = get_scale()
-        return cls(sizes=scale.scale_sizes, n_failures=scale.scale_failures)
-
-    @classmethod
-    def paper_scale(cls) -> "ScaleSweepConfig":
-        return cls(sizes=(5, 25, 51, 101), n_failures=10)
 
 
 @dataclasses.dataclass(slots=True, frozen=True)
@@ -109,19 +104,11 @@ class ScaleCellResult:
         return (self.simulated_ms / 1_000.0) / self.wall_s
 
 
-@dataclasses.dataclass(slots=True, frozen=True)
-class ScaleSweepResult:
-    config: ScaleSweepConfig
-    cells: dict[tuple[str, int], ScaleCellResult]
-
-    def cell(self, system: str, n: int) -> ScaleCellResult:
-        return self.cells[(system, n)]
-
-
-def run_one(system: str, n_nodes: int, cell_seed: int, config: ScaleSweepConfig) -> ScaleCellResult:
+def run_one(config: ScaleSweepConfig) -> ScaleCellResult:
+    system, n_nodes = config.system, config.n_nodes
     t0 = time.perf_counter()
     cluster = build_cluster(
-        ClusterConfig(n_nodes=n_nodes, seed=cell_seed, rtt_ms=RTT_MS),
+        ClusterConfig(n_nodes=n_nodes, seed=config.seed, rtt_ms=RTT_MS),
         make_policy_factory(system),
     )
     cluster.start()
@@ -155,58 +142,54 @@ def run_one(system: str, n_nodes: int, cell_seed: int, config: ScaleSweepConfig)
     )
 
 
-def _run_cell(task: tuple[str, int, int, ScaleSweepConfig]) -> ScaleCellResult:
-    """Module-level worker (picklable) for :func:`run_tasks`."""
-    system, n_nodes, cell_seed, cfg = task
-    return run_one(system, n_nodes, cell_seed, cfg)
-
-
-def run(config: ScaleSweepConfig | None = None, *, jobs: int | None = None) -> ScaleSweepResult:
-    """Run the (system × size) grid, parallel across ``REPRO_JOBS``."""
-    cfg = config if config is not None else ScaleSweepConfig.quick()
-    grid = [(system, n) for n in cfg.sizes for system in cfg.systems]
-    tasks = [
-        (system, n, derive_trial_seed(cfg.seed, i), cfg)
-        for i, (system, n) in enumerate(grid)
+def _cells(base: ScaleSweepConfig, systems: tuple[str, ...]) -> list[ScaleSweepConfig]:
+    pairs = [(system, n) for n in base.sizes for system in systems]
+    return [
+        dataclasses.replace(
+            base, system=system, n_nodes=n, seed=derive_trial_seed(base.seed, i)
+        )
+        for i, (system, n) in enumerate(pairs)
     ]
-    results = run_tasks(_run_cell, tasks, jobs=jobs)
-    return ScaleSweepResult(config=cfg, cells=dict(zip(grid, results)))
 
 
-def main() -> int:  # pragma: no cover - exercised via __main__
-    result = run()
-    cfg = result.config
-    print(
-        f"# Scaling sweep — {cfg.n_failures} leader kills per cell, "
-        f"RTT {RTT_MS:.0f} ms, sizes {list(cfg.sizes)}"
-    )
-    print(
-        f"{'N':>4} {'system':<9} {'detect':>9} {'OTS':>9} {'resolved':>9} "
-        f"{'hb/sim-s':>9} {'msg/sim-s':>10} {'sim-s/wall-s':>13}"
-    )
-    unresolved = []
-    for n in cfg.sizes:
-        for system in cfg.systems:
-            cell = result.cell(system, n)
-            print(
-                f"{n:>4} {system:<9} {cell.detection_ms:>7.0f}ms {cell.ots_ms:>7.0f}ms "
-                f"{cell.resolved:>6}/{cell.n_failures:<2} {cell.heartbeats_per_sim_s:>9.0f} "
-                f"{cell.messages_per_sim_s:>10.0f} {cell.sim_seconds_per_wall_second:>13.1f}"
-            )
-            if cell.resolved != cell.n_failures:
-                unresolved.append((system, n, cell.resolved))
-    if unresolved:
-        # The CI scaling canary must fail on broken detection/re-election,
-        # not only on wall-clock timeout.
-        for system, n, resolved in unresolved:
-            print(
-                f"UNRESOLVED: {system} at N={n} resolved only "
-                f"{resolved}/{cfg.n_failures} leader kills",
-                file=sys.stderr,
-            )
-        return 1
-    return 0
+def check(runs: Sequence[ScaleCellResult]) -> list[str]:
+    """The CI scaling canary fails on broken detection or re-election, not
+    only on wall-clock timeout."""
+    return [
+        f"{r.system} at N={r.n_nodes} resolved only {r.resolved}/{r.n_failures} "
+        f"leader kills"
+        for r in runs
+        if r.resolved != r.n_failures
+    ]
 
+
+GRID = grid.Grid(
+    name="fig_scale",
+    full=lambda: ScaleSweepConfig(
+        sizes=get_scale().scale_sizes, n_failures=get_scale().scale_failures
+    ),
+    smoke=lambda: ScaleSweepConfig(sizes=(3, 9), n_failures=1),
+    cells=_cells,
+    run_one=run_one,
+    check=check,
+    title=lambda c: (
+        f"{c.n_failures} leader kills per cell, RTT {RTT_MS:.0f} ms, "
+        f"sizes {list(c.sizes)}"
+    ),
+    columns=("N", "system", "detect", "OTS", "resolved", "hb/sim-s", "msg/sim-s", "sim-s/wall-s"),
+    row=lambda r: (
+        str(r.n_nodes),
+        r.system,
+        f"{r.detection_ms:.0f}ms",
+        f"{r.ots_ms:.0f}ms",
+        f"{r.resolved}/{r.n_failures}",
+        f"{r.heartbeats_per_sim_s:.0f}",
+        f"{r.messages_per_sim_s:.0f}",
+        f"{r.sim_seconds_per_wall_second:.1f}",
+    ),
+    held="every leader kill resolved at every size",
+    digest_exclude=("wall_s",),
+)
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(grid.main(GRID))

@@ -1,6 +1,6 @@
 """The one grid harness: run, digest, find and the CLI every grid shares.
 
-A grid experiment (elastic, durability, grayfail, soak, serving) is a
+A grid experiment (a paper figure, or a fault grid such as elastic) is a
 module holding a config dataclass, a ``cells`` function deriving one task
 per grid cell, a picklable ``run_one`` worker reducing a cell to a result
 record, a ``check`` returning the failed acceptance gates, and a
@@ -10,12 +10,14 @@ record, a ``check`` returning the failed acceptance gates, and a
   :func:`~repro.experiments.runner.run_tasks`; each cell is an independent
   simulation keyed by its config, so results — and :func:`digest` — are
   byte-identical for any job count;
-* :func:`digest` hashes the canonical JSON of the result records;
+* :func:`digest` hashes the canonical JSON of the result records (numpy
+  arrays as lists, numpy scalars as numbers);
 * :func:`find` looks a record up by field values;
 * :func:`main` is the CLI (``python -m repro.experiments.<grid>``):
-  ``--seed`` / ``--system`` / ``--digest`` / ``--smoke`` (the CI budget,
-  every gate still on) plus one repeatable filter per declared axis, the
-  result table, and a non-zero exit listing every failed gate.
+  ``--system`` / ``--digest`` / ``--smoke`` (the CI budget, every gate
+  still on), ``--seed`` where the config has one, and one repeatable
+  filter per declared axis; the result table, and a non-zero exit listing
+  every failed gate.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Any, Callable, Iterable, Sequence
 from repro.experiments.runner import run_tasks
 from repro.fuzz.workload import WorkloadConfig
 
-__all__ = ["RTT_MS", "SUSTAINED_LOAD", "Grid", "run", "digest", "find", "main"]
+__all__ = ["RTT_MS", "SUSTAINED_LOAD", "NO_GATES", "Grid", "run", "digest", "find", "main"]
 
 #: Pairwise RTT of the clusters the fault grids run on.
 RTT_MS = 50.0
@@ -46,6 +48,9 @@ SUSTAINED_LOAD = WorkloadConfig(
     start_ms=400.0,
     max_ops_per_client=1_000_000,
 )
+
+#: ``held`` of a paper figure without gates of its own.
+NO_GATES = "no gates here: tier-1 tests hold the shape, report the paper numbers"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,7 +119,9 @@ def digest(records: Iterable[Any], *, exclude: tuple[str, ...] = ()) -> str:
         for name in exclude:
             del d[name]
         payload.append(d)
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    # numpy arrays become JSON lists, numpy scalars JSON numbers.
+    encoded = json.dumps(payload, sort_keys=True, default=lambda v: v.tolist())
+    return hashlib.sha256(encoded.encode()).hexdigest()
 
 
 def find(records: Iterable[Any], **keys: Any) -> Any:
@@ -140,7 +147,9 @@ def main(grid: Grid, argv: list[str] | None = None) -> int:
         prog=f"python -m repro.experiments.{grid.name}",
         description=inspect.getmodule(grid.run_one).__doc__.splitlines()[0],
     )
-    parser.add_argument("--seed", type=int, default=None, help="base seed")
+    seeded = any(f.name == "seed" for f in dataclasses.fields(grid.full()))
+    if seeded:
+        parser.add_argument("--seed", type=int, default=None, help="base seed")
     parser.add_argument(
         "--system", action="append", help="restrict systems (repeatable)"
     )
@@ -160,7 +169,7 @@ def main(grid: Grid, argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     base = grid.smoke() if args.smoke else grid.full()
-    if args.seed is not None:
+    if seeded and args.seed is not None:
         base = dataclasses.replace(base, seed=args.seed)
     keep = {a: getattr(args, a) for a in grid.axes if getattr(args, a)}
     try:
@@ -170,7 +179,8 @@ def main(grid: Grid, argv: list[str] | None = None) -> int:
     except ValueError as exc:  # a config or cell list rejecting the request
         parser.error(str(exc))
 
-    print(f"# {grid.name} — {grid.title(base)}, seed {base.seed}")
+    seed = f", seed {base.seed}" if seeded else ""
+    print(f"# {grid.name} — {grid.title(base)}{seed}")
     _print_table(grid.columns, [grid.row(r) for r in runs])
     for line in grid.summary(runs):
         print(line)

@@ -139,9 +139,9 @@ def test_billing_from_outside_reproduces_the_in_node_counts(system, monkeypatch)
         fig7_loss, "build_cluster", lambda *a, **k: built.append(real(*a, **k)) or built[-1]
     )
     cfg = fig7_loss.Fig7Config(
-        sizes=(5,), dwell_ms=8_000.0, loss_levels=(0.0, 0.15, 0.30)
+        system=system, n_nodes=5, dwell_ms=8_000.0, loss_levels=(0.0, 0.15, 0.30)
     )
-    run = fig7_loss.run_one(system, 5, cfg)
+    run = fig7_loss.run_one(cfg)
     (cluster,) = built
     model = cluster.cost_model
     counts, (leader, busy) = _PINNED[system]

@@ -3,28 +3,26 @@
 The figure smoke tests gate on ranges; these pin every sample of a short
 run of each figure, so a refactor of the experiment code that moves a
 single simulated number fails here.  Fig. 4 and Fig. 8 pin their
-per-episode arrays; the other figures pin the SHA-256 of their result
-records' canonical JSON (numpy arrays as lists, numpy scalars as
-numbers).
+per-episode arrays; the other figures pin :func:`grid.digest` of their
+result records, the value ``--digest`` prints.
 """
 
 import dataclasses
 import hashlib
-import json
 
 import numpy as np
 import pytest
 
-from repro.experiments import fig4_election, fig5_throughput, fig6_rtt, fig7_loss, fig8_geo, fig_scale
+from repro.experiments import fig4_election, fig5_throughput, fig6_rtt, fig7_loss, fig8_geo, fig_scale, grid
 from tests.experiments.test_fig_scale import tiny_config
 
 _ELECTION_FIELDS = ("detection_ms", "ots_ms", "election_ms", "randomized_timeout_ms")
 
 
-def _digest(result, fields) -> str:
+def _digest(runs, fields) -> str:
     h = hashlib.sha256()
-    for system, res in result.systems.items():
-        h.update(system.encode())
+    for res in runs:
+        h.update(res.system.encode())
         for field in fields:
             h.update(np.asarray(getattr(res, field), dtype=np.float64).tobytes())
         h.update(repr(sorted(res.placement.items())).encode())
@@ -35,12 +33,12 @@ def _digest(result, fields) -> str:
     "make, fields, digest",
     [
         (
-            lambda: fig4_election.run(fig4_election.Fig4Config(n_failures=6)),
+            lambda: grid.run(fig4_election.GRID, fig4_election.Fig4Config(n_failures=6)),
             _ELECTION_FIELDS,
             "92bada299d341524",
         ),
         (
-            lambda: fig4_election.run(dataclasses.replace(fig8_geo.quick(), n_failures=6)),
+            lambda: grid.run(fig8_geo.GRID, dataclasses.replace(fig8_geo.quick(), n_failures=6)),
             ("detection_ms", "ots_ms"),
             "95b34c76a14f8fef",
         ),
@@ -48,53 +46,39 @@ def _digest(result, fields) -> str:
     ids=["fig4", "fig8"],
 )
 def test_leader_kill_samples_are_pinned(make, fields, digest):
-    result = make()
-    assert all(len(r.episodes) == 6 for r in result.systems.values())
-    assert _digest(result, fields) == digest
-
-
-def _records_digest(records, exclude=()) -> str:
-    payload = []
-    for record in records:
-        d = dataclasses.asdict(record)
-        for name in exclude:
-            del d[name]
-        payload.append(d)
-    encoded = json.dumps(
-        payload,
-        sort_keys=True,
-        default=lambda o: o.tolist() if isinstance(o, np.ndarray) else o.item(),
-    )
-    return hashlib.sha256(encoded.encode()).hexdigest()
+    runs = make()
+    assert all(len(r.episodes) == 6 for r in runs)
+    assert _digest(runs, fields) == digest
 
 
 @pytest.mark.parametrize(
     "make, exclude, digest",
     [
         (
-            lambda: fig5_throughput.run(fig5_throughput.Fig5Config(repeats=2)).systems.values(),
+            lambda: grid.run(fig5_throughput.GRID, fig5_throughput.Fig5Config(repeats=2)),
             (),
             "b9023513365774a0dd47f7a5312cddcf56a215468c9f74f50564bf5eaaae4a92",
         ),
         (
-            lambda: fig6_rtt.run(fig6_rtt.Fig6Config(pattern="gradual", dwell_ms=6_000.0)).systems.values(),
+            lambda: grid.run(fig6_rtt.GRID, fig6_rtt.Fig6Config(dwell_ms=6_000.0), pattern=["gradual"]),
             (),
             "8ebce07ea5e7aa35ae01cbee20f55fbffff45ad6af450ffcae1c0bc11ec202d1",
         ),
         (
-            lambda: fig6_rtt.run(fig6_rtt.Fig6Config(pattern="radical", dwell_ms=6_000.0)).systems.values(),
+            lambda: grid.run(fig6_rtt.GRID, fig6_rtt.Fig6Config(dwell_ms=6_000.0), pattern=["radical"]),
             (),
             "98bef4e8a14c2d6481a126a10e2b4e0516a3e5dbfd6af535ffc913fd6f19d841",
         ),
         (
-            lambda: fig7_loss.run(
-                fig7_loss.Fig7Config(sizes=(5,), dwell_ms=5_000.0, warmup_ms=5_000.0)
-            ).runs.values(),
+            lambda: grid.run(
+                fig7_loss.GRID,
+                fig7_loss.Fig7Config(sizes=(5,), dwell_ms=5_000.0, warmup_ms=5_000.0),
+            ),
             (),
             "6da5948f6ea86a0b7ad6e88836f41a332001ad37efb5ad04392d36d4f2d6c4e7",
         ),
         (
-            lambda: fig_scale.run(tiny_config()).cells.values(),
+            lambda: grid.run(fig_scale.GRID, tiny_config()),
             ("wall_s",),
             "31028235b111dcb9b576c272573614a192c28da5b2e536e66fff66518f98a1d4",
         ),
@@ -102,4 +86,4 @@ def _records_digest(records, exclude=()) -> str:
     ids=["fig5", "fig6-gradual", "fig6-radical", "fig7", "fig_scale"],
 )
 def test_figure_records_are_pinned(make, exclude, digest):
-    assert _records_digest(make(), exclude) == digest
+    assert grid.digest(make(), exclude=exclude) == digest

@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.experiments import fig4_election, fig5_throughput, fig6_rtt, fig7_loss, fig8_geo
+from repro.experiments import fig4_election, fig5_throughput, fig6_rtt, fig7_loss, fig8_geo, grid
 from repro.experiments.common import SYSTEMS, get_scale, make_policy_factory
 
 
@@ -36,13 +36,13 @@ def test_scale_selection(monkeypatch):
 
 @pytest.fixture(scope="module")
 def fig4():
-    return fig4_election.run(fig4_election.Fig4Config(n_failures=60))
+    return grid.run(fig4_election.GRID, fig4_election.Fig4Config(n_failures=60))
 
 
 def test_fig4_shape_dynatune_beats_raft(fig4):
-    raft = fig4.systems["raft"]
-    dyn = fig4.systems["dynatune"]
-    assert fig4.reduction("detection") > 0.6
+    raft = grid.find(fig4, system="raft")
+    dyn = grid.find(fig4, system="dynatune")
+    assert fig4_election.reduction(fig4, "detection") > 0.6
     assert dyn.mean_detection_ms < 400.0
     # §IV-E: Dynatune's election phase is longer (split votes).
     assert dyn.mean_election_ms > raft.mean_election_ms
@@ -53,9 +53,9 @@ def test_fig4_shape_dynatune_beats_raft(fig4):
 
 def test_fig4_election_performance(fig4):
     """Paper: detection 1205 → 237 ms (−80 %), OTS 1449 → 797 ms (−45 %)."""
-    raft = fig4.systems["raft"]
-    dyn = fig4.systems["dynatune"]
-    assert fig4.reduction("ots") > 0.15
+    raft = grid.find(fig4, system="raft")
+    dyn = grid.find(fig4, system="dynatune")
+    assert fig4_election.reduction(fig4, "ots") > 0.15
     # Raft baseline magnitudes match the paper's measurements closely.
     assert 1000.0 < raft.mean_detection_ms < 1450.0
     assert 1200.0 < raft.mean_ots_ms < 1750.0
@@ -66,13 +66,13 @@ def test_fig4_election_performance(fig4):
 
 @pytest.fixture(scope="module")
 def fig5():
-    return fig5_throughput.run(fig5_throughput.Fig5Config(repeats=1))
+    return grid.run(fig5_throughput.GRID, fig5_throughput.Fig5Config(repeats=1))
 
 
 def test_fig5_shape_gap_and_knee(fig5):
-    raft = fig5.systems["raft"]
-    dyn = fig5.systems["dynatune"]
-    assert 0.04 < fig5.peak_gap < 0.09
+    raft = grid.find(fig5, system="raft")
+    dyn = grid.find(fig5, system="dynatune")
+    assert 0.04 < fig5_throughput.peak_gap(fig5) < 0.09
     # Dynatune's knee sits to the left of Raft's.
     knee_raft = np.argmax(raft.throughput_rps >= raft.peak_rps * 0.999)
     knee_dyn = np.argmax(dyn.throughput_rps >= dyn.peak_rps * 0.999)
@@ -82,8 +82,8 @@ def test_fig5_shape_gap_and_knee(fig5):
 def test_fig5_throughput_staircase(fig5):
     """Paper: Raft 13 678 req/s vs Dynatune 12 800 req/s (−6.4 %), latency
     rising from ≈ 200 ms toward ≈ 700 ms at the knee."""
-    raft = fig5.systems["raft"]
-    dyn = fig5.systems["dynatune"]
+    raft = grid.find(fig5, system="raft")
+    dyn = grid.find(fig5, system="dynatune")
     assert 13_000 < raft.peak_rps < 14_500
     assert 12_200 < dyn.peak_rps < 13_500
     # Latency curve: flat-ish plateau near 200 ms, then the knee.
@@ -97,19 +97,31 @@ _FIG6B = fig6_rtt.Fig6Config(pattern="radical", dwell_ms=2_000.0)
 
 @pytest.fixture(scope="module")
 def fig6b():
-    return fig6_rtt.run(_FIG6B)
+    return grid.run(fig6_rtt.GRID, _FIG6B, pattern=[_FIG6B.pattern])
+
+
+def test_fig6_config_rejects_an_unknown_pattern():
+    with pytest.raises(ValueError):
+        fig6_rtt.Fig6Config(pattern="sawtooth")
+
+
+def test_fig6_cell_reruns_alone_to_the_same_record(fig6b):
+    # A cell is its own simulation: --system raft-low prints the numbers
+    # the full figure does.
+    alone = fig6_rtt.run_one(dataclasses.replace(_FIG6B, system="raft-low"))
+    assert grid.digest([alone]) == grid.digest([grid.find(fig6b, system="raft-low")])
 
 
 def test_fig6_radical_dynatune_survives_spike(fig6b):
-    dyn = fig6b.systems["dynatune"]
+    dyn = grid.find(fig6b, system="dynatune")
     assert dyn.false_detections > 0  # the spike is noticed...
     assert dyn.unnecessary_elections == 0  # ...but pre-vote absorbs it
     assert dyn.ots_total_ms == 0.0
 
 
 def test_fig6b_radical_rtt(fig6b):
-    raft = fig6b.systems["raft"]
-    low = fig6b.systems["raft-low"]
+    raft = grid.find(fig6b, system="raft")
+    low = grid.find(fig6b, system="raft-low")
     assert raft.ots_total_ms == 0.0  # Raft rides it out entirely
     # Raft-Low cannot elect while RTT > its randomizedTimeout: OTS roughly
     # the whole spike dwell.
@@ -121,12 +133,12 @@ def test_fig6b_radical_rtt(fig6b):
 def fig6a():
     # Raft-Low's elections need the leader stalls (the default profile) and
     # dwells of at least 6 s at the elevated RTTs.
-    return fig6_rtt.run(fig6_rtt.Fig6Config(pattern="gradual", dwell_ms=6_000.0))
+    return grid.run(fig6_rtt.GRID, fig6_rtt.Fig6Config(dwell_ms=6_000.0), pattern=["gradual"])
 
 
 def test_fig6_gradual_dynatune_tracks_rtt(fig6a):
-    dyn = fig6a.systems["dynatune"]
-    raft = fig6a.systems["raft"]
+    dyn = grid.find(fig6a, system="dynatune")
+    raft = grid.find(fig6a, system="raft")
     # Once warmed up, Dynatune's f+1 randTO stays within a small multiple
     # of the RTT while Raft's sits near 1.5 * 1000 ms.
     warmed = dyn.times_ms > 30_000.0
@@ -136,9 +148,9 @@ def test_fig6_gradual_dynatune_tracks_rtt(fig6a):
 
 
 def test_fig6a_gradual_rtt(fig6a):
-    dyn = fig6a.systems["dynatune"]
-    raft = fig6a.systems["raft"]
-    low = fig6a.systems["raft-low"]
+    dyn = grid.find(fig6a, system="dynatune")
+    raft = grid.find(fig6a, system="raft")
+    low = grid.find(fig6a, system="raft-low")
     # Neither loses service...
     assert raft.ots_total_ms == 0.0
     assert raft.unnecessary_elections == 0
@@ -155,14 +167,14 @@ _FIG7 = fig7_loss.Fig7Config(dwell_ms=5_000.0, warmup_ms=5_000.0)
 
 @pytest.fixture(scope="module")
 def fig7():
-    return fig7_loss.run(_FIG7)
+    return grid.run(fig7_loss.GRID, _FIG7)
 
 
 def test_fig7_h_tracks_loss_and_fixk_flat(fig7):
     peak = max(_FIG7.loss_levels)
     for n in _FIG7.sizes:
-        dyn = fig7.runs[("dynatune", n)]
-        fix = fig7.runs[("fix-k", n)]
+        dyn = grid.find(fig7, system="dynatune", n_nodes=n)
+        fix = grid.find(fig7, system="fix-k", n_nodes=n)
         # Fig. 7a: Dynatune lowers h as loss rises (K: 1 -> 6 at 30 %);
         # Fix-K stays pinned at Et/10 ≈ 20 ms.
         assert np.mean(dyn.h_at_loss(peak)) < 0.45 * np.mean(dyn.h_at_loss(0.0))
@@ -175,8 +187,8 @@ def test_fig7_h_tracks_loss_and_fixk_flat(fig7):
 
 def test_fig7_loss_staircase(fig7):
     for n in _FIG7.sizes:
-        dyn = fig7.runs[("dynatune", n)]
-        fix = fig7.runs[("fix-k", n)]
+        dyn = grid.find(fig7, system="dynatune", n_nodes=n)
+        fix = grid.find(fig7, system="fix-k", n_nodes=n)
         # Fig. 7b: Fix-K's leader burns multiples of Dynatune's CPU, and the
         # follower load is far below the leader's.
         assert fix.leader_cpu.mean() > 2.0 * dyn.leader_cpu.mean()
@@ -187,30 +199,30 @@ def test_fig7_loss_staircase(fig7):
     # Leader CPU grows with cluster size for Fix-K (the scalability story).
     small, large = min(_FIG7.sizes), max(_FIG7.sizes)
     assert (
-        fig7.runs[("fix-k", large)].leader_cpu.mean()
-        > 2.0 * fig7.runs[("fix-k", small)].leader_cpu.mean()
+        grid.find(fig7, system="fix-k", n_nodes=large).leader_cpu.mean()
+        > 2.0 * grid.find(fig7, system="fix-k", n_nodes=small).leader_cpu.mean()
     )
 
 
 @pytest.fixture(scope="module")
 def fig8():
-    return fig4_election.run(dataclasses.replace(fig8_geo.quick(), n_failures=6))
+    return grid.run(fig8_geo.GRID, dataclasses.replace(fig8_geo.quick(), n_failures=6))
 
 
 def test_fig8_geo_election_performance(fig8):
     """Paper: detection 1137 → 213 ms (−81 %), OTS 1718 → 1145 ms (−33 %)."""
-    raft = fig8.systems["raft"]
+    raft = grid.find(fig8, system="raft")
     assert 950.0 < raft.mean_detection_ms < 1450.0
     assert 1400.0 < raft.mean_ots_ms < 2100.0
 
 
 def test_fig8_shape_geo(fig8):
-    raft = fig8.systems["raft"]
-    dyn = fig8.systems["dynatune"]
+    raft = grid.find(fig8, system="raft")
+    dyn = grid.find(fig8, system="dynatune")
     # Dynatune: detection collapses to RTT scale; OTS clearly reduced.
     assert dyn.mean_detection_ms < 450.0
-    assert fig8.reduction("detection") > 0.6
-    assert fig8.reduction("ots") > 0.1
+    assert fig4_election.reduction(fig8, "detection") > 0.6
+    assert fig4_election.reduction(fig8, "ots") > 0.1
     assert set(raft.placement.values()) == {
         "tokyo",
         "london",

@@ -4,13 +4,27 @@ import dataclasses
 
 import pytest
 
-from repro.experiments.fig_scale import ScaleSweepConfig, run
+from repro.experiments import fig_scale, grid
+from repro.experiments.fig_scale import ScaleSweepConfig
+from repro.experiments.runner import derive_trial_seed
 from repro.experiments.scenario_matrix import ScenarioMatrixConfig
+
+_WALL_FREE = [
+    "system",
+    "n_nodes",
+    "n_failures",
+    "detection_ms",
+    "ots_ms",
+    "resolved",
+    "simulated_ms",
+    "heartbeats_per_sim_s",
+    "messages_per_sim_s",
+    "commit_advances",
+]
 
 
 def tiny_config() -> ScaleSweepConfig:
     return ScaleSweepConfig(
-        systems=("raft", "dynatune"),
         sizes=(3, 9),
         n_failures=1,
         warmup_ms=4_000.0,
@@ -18,6 +32,11 @@ def tiny_config() -> ScaleSweepConfig:
         settle_ms=3_000.0,
         seed=7,
     )
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    return grid.run(fig_scale.GRID, tiny_config(), jobs=1)
 
 
 def test_config_validation():
@@ -29,64 +48,60 @@ def test_config_validation():
         ScaleSweepConfig(sizes=(2,))
 
 
-def test_sweep_shape_and_resolution():
-    result = run(tiny_config())
-    assert set(result.cells) == {
+def test_sweep_shape_and_resolution(sweep):
+    assert {(c.system, c.n_nodes) for c in sweep} == {
         (s, n) for s in ("raft", "dynatune") for n in (3, 9)
     }
-    for cell in result.cells.values():
+    for cell in sweep:
         # Every induced failure must have been detected and re-elected.
         assert cell.resolved == cell.n_failures
         assert cell.detection_ms > 0.0
         assert cell.ots_ms >= cell.detection_ms
         assert cell.simulated_ms > 0.0
         assert cell.commit_advances >= 1  # the no-op entry commits
+    assert fig_scale.check(sweep) == []
 
 
-def test_dynatune_detects_faster_at_every_size():
-    result = run(tiny_config())
+def test_dynatune_detects_faster_at_every_size(sweep):
     for n in (3, 9):
         assert (
-            result.cell("dynatune", n).detection_ms
-            < result.cell("raft", n).detection_ms / 3.0
+            grid.find(sweep, system="dynatune", n_nodes=n).detection_ms
+            < grid.find(sweep, system="raft", n_nodes=n).detection_ms / 3.0
         )
 
 
-def test_heartbeat_load_grows_with_cluster_size():
-    result = run(tiny_config())
+def test_heartbeat_load_grows_with_cluster_size(sweep):
     for system in ("raft", "dynatune"):
-        small = result.cell(system, 3).heartbeats_per_sim_s
-        large = result.cell(system, 9).heartbeats_per_sim_s
+        small = grid.find(sweep, system=system, n_nodes=3).heartbeats_per_sim_s
+        large = grid.find(sweep, system=system, n_nodes=9).heartbeats_per_sim_s
         assert large > 2.0 * small  # leader fan-out is linear in N
 
 
-def test_simulated_quantities_identical_across_job_counts():
-    cfg = tiny_config()
-    a = run(cfg, jobs=1)
-    b = run(cfg, jobs=4)
-    wall_free = [
-        "system",
-        "n_nodes",
-        "n_failures",
-        "detection_ms",
-        "ots_ms",
-        "resolved",
-        "simulated_ms",
-        "heartbeats_per_sim_s",
-        "messages_per_sim_s",
-        "commit_advances",
-    ]
-    for key in a.cells:
-        ca, cb = a.cells[key], b.cells[key]
-        for field in wall_free:
-            assert getattr(ca, field) == getattr(cb, field), (key, field)
+def test_simulated_quantities_identical_across_job_counts(sweep):
+    b = grid.run(fig_scale.GRID, tiny_config(), jobs=4)
+    for ca, cb in zip(sweep, b, strict=True):
+        for field in _WALL_FREE:
+            assert getattr(ca, field) == getattr(cb, field), (ca.system, ca.n_nodes, field)
 
 
-def test_quick_config_follows_scale_preset():
-    cfg = ScaleSweepConfig.quick()
+def test_a_cell_is_seeded_by_its_index_in_the_sweep(sweep):
+    # Cells run in the order (N, system) and each draws its seed from the
+    # sweep seed and its index; one cell re-run alone reproduces its record.
+    cell = fig_scale.run_one(
+        dataclasses.replace(
+            tiny_config(), system="dynatune", n_nodes=9, seed=derive_trial_seed(7, 3)
+        )
+    )
+    alone, swept = dataclasses.asdict(cell), dataclasses.asdict(sweep[3])
+    assert {f: alone[f] for f in _WALL_FREE} == {f: swept[f] for f in _WALL_FREE}
+
+
+def test_quick_config_follows_scale_preset(monkeypatch):
+    cfg = fig_scale.GRID.full()
     assert 5 in cfg.sizes
     assert cfg.n_failures >= 1
-    assert ScaleSweepConfig.paper_scale().sizes[-1] == 101
+    monkeypatch.setenv("REPRO_SCALE", "paper")
+    assert fig_scale.GRID.full().sizes[-1] == 101
 
 
 def test_large_cluster_smoke_preset_is_partition_heavy_subset():

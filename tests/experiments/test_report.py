@@ -1,7 +1,10 @@
-"""Report plumbing: rendering and the top-level exports."""
+"""Report plumbing: rendering, row verdicts and the top-level exports."""
 
-from repro.experiments import fig4_election
-from repro.experiments.report import ReportRow, _election_rows, render_markdown
+import numpy as np
+import pytest
+
+from repro.experiments import fig4_election, fig7_loss, grid
+from repro.experiments.report import ReportRow, _election_rows, _fig7_rows, render_markdown
 
 
 def test_render_markdown_table():
@@ -16,22 +19,54 @@ def test_render_markdown_table():
 
 
 def test_election_rows_quote_the_paper_and_state_the_error():
-    result = fig4_election.run(fig4_election.Fig4Config(n_failures=2))
+    runs = grid.run(fig4_election.GRID, fig4_election.Fig4Config(n_failures=2))
     rows = {
         r.quantity: r
-        for r in _election_rows("Fig.4", result, fig4_election.PAPER_NUMBERS)
+        for r in _election_rows("Fig.4", runs, fig4_election.PAPER_NUMBERS)
     }
     assert len(rows) == 10  # eight paper means, two reductions
     ots = rows["Dynatune mean OTS"]
-    measured = result.systems["dynatune"].mean_ots_ms
+    measured = grid.find(runs, system="dynatune").mean_ots_ms
     assert (ots.paper, ots.measured) == ("797 ms", f"{measured:.0f} ms")
     assert ots.verdict == f"{100.0 * (measured - 797.0) / 797.0:+.0f} %"
     reduction = rows["OTS reduction"]
     assert reduction.paper == "45 %"
     paper_reduction = 1.0 - 797.0 / 1449.0
     assert reduction.verdict == (
-        f"{100.0 * (result.reduction('ots') - paper_reduction) / paper_reduction:+.0f} %"
+        f"{100.0 * (fig4_election.reduction(runs, 'ots') - paper_reduction) / paper_reduction:+.0f} %"
     )
+
+
+def _loss_run(system: str, h_ms: list[float], cpu: float) -> fig7_loss.LossRunResult:
+    n = len(h_ms)
+    return fig7_loss.LossRunResult(
+        system=system,
+        n_nodes=5,
+        h_times_ms=5_000.0 * np.arange(n),
+        h_ms=np.array(h_ms),
+        loss_rate=np.array([0.0, 0.0, 0.15, 0.30, 0.15, 0.0, 0.0]),
+        cpu_times_ms=5_000.0 * np.arange(n),
+        leader_cpu=np.full(n, cpu),
+        follower_cpu=np.full(n, 0.1),
+        unnecessary_elections=0,
+        leader="n1",
+    )
+
+
+@pytest.mark.parametrize("end, recovered", [(67.0, False), (195.0, True)])
+def test_fig7_row_checks_recovery_against_the_rising_leg(end, recovered):
+    # h is 200 ms on the way up.  Averaging both loss-free dwells hid a
+    # run whose h had not relaxed back by the end.
+    dyn = _loss_run("dynatune", [200.0, 200.0, 90.0, 37.0, 50.0, 60.0, end], 2.4)
+    fix = _loss_run("fix-k", [20.0] * 7, 6.3)
+    h_row, cpu_row, elections_row = _fig7_rows([dyn, fix])
+    assert h_row.measured == f"h rising 200 ms → peak 37 ms → end {end:.0f} ms"
+    assert h_row.verdict == (
+        "holds: peak < 0.45 × rising; "
+        f"{'holds' if recovered else 'FAILS'}: end ≥ 0.9 × rising"
+    )
+    assert cpu_row.verdict == "holds: Fix-K > 2 × Dynatune"
+    assert elections_row.verdict == "holds: both 0"
 
 
 def test_top_level_package_exports():

@@ -1,9 +1,12 @@
 """Parallel experiment runner: determinism, seed derivation, job wiring."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.experiments import fig4_election as fig4
+from repro.experiments import grid
 from repro.experiments.common import get_jobs
 from repro.experiments.runner import derive_trial_seed, run_tasks
 
@@ -80,11 +83,17 @@ _SMALL = fig4.Fig4Config(
 
 
 def test_fig4_parallel_systems_bit_identical():
-    seq = fig4.run(_SMALL, jobs=1)
-    par = fig4.run(_SMALL, jobs=2)
-    for s in fig4.SYSTEMS:
-        assert np.array_equal(seq.systems[s].detection_ms, par.systems[s].detection_ms)
-        assert np.array_equal(seq.systems[s].ots_ms, par.systems[s].ots_ms)
+    seq = grid.run(fig4.GRID, _SMALL, jobs=1)
+    par = grid.run(fig4.GRID, _SMALL, jobs=2)
+    for a, b in zip(seq, par, strict=True):
+        assert np.array_equal(a.detection_ms, b.detection_ms)
+        assert np.array_equal(a.ots_ms, b.ots_ms)
+
+
+def test_fig4_cell_without_a_resolved_failure_raises(monkeypatch):
+    monkeypatch.setattr(fig4, "extract_failure_episodes", lambda *a, **k: [])
+    with pytest.raises(RuntimeError, match="no resolved failure episodes"):
+        fig4.run_one(fig4.Fig4Config(system="dynatune", n_failures=1))
 
 
 _FIG5_SMALL = None  # built lazily: importing fig5 pulls numpy-heavy modules
@@ -98,28 +107,24 @@ def _fig5_small():
 
 def test_fig5_parallel_repeats_bit_identical():
     fig5, cfg = _fig5_small()
-    seq = fig5.run(cfg, jobs=1)
-    par = fig5.run(cfg, jobs=3)
-    for s in ("raft", "dynatune"):
-        assert np.array_equal(
-            seq.systems[s].throughput_rps, par.systems[s].throughput_rps
-        )
-        assert np.array_equal(
-            seq.systems[s].mean_latency_ms, par.systems[s].mean_latency_ms
-        )
-        assert seq.systems[s].peak_rps == par.systems[s].peak_rps
-        assert seq.systems[s].runs == par.systems[s].runs
+    seq = grid.run(fig5.GRID, cfg, jobs=1)
+    par = grid.run(fig5.GRID, cfg, jobs=3)
+    for a, b in zip(seq, par, strict=True):
+        assert np.array_equal(a.throughput_rps, b.throughput_rps)
+        assert np.array_equal(a.mean_latency_ms, b.mean_latency_ms)
+        assert a.peak_rps == b.peak_rps
+        assert a.runs == b.runs
 
 
 def test_fig5_fanout_matches_sequential_reference():
-    """The run_tasks routing must reproduce the former sequential loop:
+    """The grid routing must reproduce the former sequential loop:
     per-repeat streams are derived by name, so a hand-rolled sequential
     staircase over the same streams is the bit-exact reference."""
     from repro.cluster.workload import run_rps_staircase
     from repro.sim.rng import RngRegistry
 
     fig5, cfg = _fig5_small()
-    result = fig5.run(cfg, jobs=2)
+    result = grid.run(fig5.GRID, cfg, jobs=2)
     rngs = RngRegistry(fig5.SEED)
     for system, workload in (
         ("raft", fig5.RAFT_WORKLOAD),
@@ -134,12 +139,14 @@ def test_fig5_fanout_matches_sequential_reference():
                     rng=rngs.stream(f"fig5/{system}/{rep}"),
                 )
             )
-            assert result.systems[system].runs[rep] == reference
+            assert grid.find(result, system=system).runs[rep] == reference
 
 
 def test_fig5_run_system_respects_jobs():
+    # One system's cell, run in-process, equals its record from a fanned-out
+    # grid run.
     fig5, cfg = _fig5_small()
-    a = fig5.run_system("raft", fig5.RAFT_WORKLOAD, cfg, jobs=1)
-    b = fig5.run_system("raft", fig5.RAFT_WORKLOAD, cfg, jobs=2)
+    a = fig5.run_one(dataclasses.replace(cfg, system="raft"))
+    b = grid.find(grid.run(fig5.GRID, cfg, jobs=2), system="raft")
     assert a.runs == b.runs
     assert np.array_equal(a.throughput_rps, b.throughput_rps)
