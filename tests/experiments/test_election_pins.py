@@ -4,16 +4,29 @@ The figure smoke tests gate on ranges; these pin every sample of a short
 run of each figure, so a refactor of the experiment code that moves a
 single simulated number fails here.  Fig. 4 and Fig. 8 pin their
 per-episode arrays; the other figures pin :func:`grid.digest` of their
-result records, the value ``--digest`` prints.
+result records, the value ``--digest`` prints; the scenario matrix pins
+its full run and its 25-node subset the same way, and each §III ablation
+study pins the (label, value, metrics) of its default points.
 """
 
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from repro.experiments import fig4_election, fig5_throughput, fig6_rtt, fig7_loss, fig8_geo, fig_scale, grid
+from repro.experiments import (
+    ablations,
+    fig4_election,
+    fig5_throughput,
+    fig6_rtt,
+    fig7_loss,
+    fig8_geo,
+    fig_scale,
+    grid,
+    scenario_matrix,
+)
 from tests.experiments.test_fig_scale import tiny_config
 
 _ELECTION_FIELDS = ("detection_ms", "ots_ms", "election_ms", "randomized_timeout_ms")
@@ -87,3 +100,41 @@ def test_leader_kill_samples_are_pinned(make, fields, digest):
 )
 def test_figure_records_are_pinned(make, exclude, digest):
     assert grid.digest(make(), exclude=exclude) == digest
+
+
+@pytest.mark.parametrize(
+    "make, digest",
+    [
+        (
+            lambda: scenario_matrix.run().cells.values(),
+            "3f1c25f505da06ae24f4b29672b06aacdb322aa2ab2aa9fbafdbf91f1ff50494",
+        ),
+        (
+            lambda: scenario_matrix.run(
+                scenario_matrix.ScenarioMatrixConfig.large_cluster_smoke(25)
+            ).cells.values(),
+            "3bc6cdfc2e192258fc1bd953aa62213b4a1ddf6254275174a12ec0660c350728",
+        ),
+    ],
+    ids=["full", "smoke-25-nodes"],
+)
+def test_scenario_matrix_records_are_pinned(make, digest):
+    assert grid.digest(make()) == digest
+
+
+@pytest.mark.parametrize(
+    "make, digest",
+    [
+        (ablations.prevote_ablation, "d313d18197bdfbfb"),
+        (ablations.safety_factor_sweep, "c8e0efa10f431608"),
+        (ablations.arrival_probability_sweep, "66ccbcc789bad434"),
+        (ablations.min_list_size_sweep, "bb269700ef7bf0ed"),
+        (ablations.window_sweep, "a656e315158cc9c7"),
+        (ablations.fallback_ablation, "448ca7472d163b00"),
+    ],
+    ids=["prevote", "safety_factor", "arrival_probability", "min_list_size", "window", "fallback"],
+)
+def test_ablation_points_are_pinned(make, digest):
+    payload = [[p.label, p.value, p.metrics] for p in make()]
+    encoded = json.dumps(payload, sort_keys=True).encode()
+    assert hashlib.sha256(encoded).hexdigest()[:16] == digest
