@@ -20,7 +20,8 @@ reports:
   the simulator-side scaling figure the CI smoke budget tracks.
 
 Determinism: each (system, N) pair is one cell of :data:`GRID`, seeded
-by its index in the sweep; every simulated quantity depends only on
+by its index in the whole sweep (so a ``--system`` run reproduces its
+cells); every simulated quantity depends only on
 ``(seed, system, N)``, and the wall-clock numbers are reported but left
 out of the digest.  The gate: every kill resolves.
 
@@ -143,12 +144,18 @@ def run_one(config: ScaleSweepConfig) -> ScaleCellResult:
 
 
 def _cells(base: ScaleSweepConfig, systems: tuple[str, ...]) -> list[ScaleSweepConfig]:
-    pairs = [(system, n) for n in base.sizes for system in systems]
+    # Index over every system of the grid, then filter: a --system run
+    # reproduces its cells of the whole sweep.
+    unknown = set(systems) - set(GRID.systems)
+    if unknown:
+        raise ValueError(f"the sweep compares {GRID.systems}, not {sorted(unknown)}")
+    pairs = [(system, n) for n in base.sizes for system in GRID.systems]
     return [
         dataclasses.replace(
             base, system=system, n_nodes=n, seed=derive_trial_seed(base.seed, i)
         )
         for i, (system, n) in enumerate(pairs)
+        if system in systems
     ]
 
 

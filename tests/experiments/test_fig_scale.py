@@ -96,6 +96,16 @@ def test_a_cell_is_seeded_by_its_index_in_the_sweep(sweep):
     assert {f: alone[f] for f in _WALL_FREE} == {f: swept[f] for f in _WALL_FREE}
 
 
+def test_a_system_filtered_sweep_reproduces_its_cells(sweep):
+    # The seed index runs over the grid's full system tuple, so --system
+    # dynatune reruns exactly the dynatune cells of the whole sweep.
+    alone = grid.run(fig_scale.GRID, tiny_config(), systems=("dynatune",))
+    swept = [c for c in sweep if c.system == "dynatune"]
+    assert [[getattr(c, f) for f in _WALL_FREE] for c in alone] == [
+        [getattr(c, f) for f in _WALL_FREE] for c in swept
+    ]
+
+
 def test_quick_config_follows_scale_preset(monkeypatch):
     cfg = fig_scale.GRID.full()
     assert 5 in cfg.sizes
