@@ -47,8 +47,8 @@ class DynatuneConfig:
         fallback_on_timeout: the §III-B rule — discard measurements and
             revert to defaults when the election timer expires.  ``False``
             is an **ablation** (keep the tuned parameters through
-            suspected failures), measured by
-            :func:`repro.experiments.ablations.fallback_ablation`.
+            suspected failures), measured by the ``fallback`` study of
+            :mod:`repro.experiments.ablations`.
         reset_on_sample_gap: discard the measurement window when a
             heartbeat arrives after a silence longer than twice the
             election timeout in force — a gap only a frozen-timer outage

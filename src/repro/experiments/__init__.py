@@ -1,14 +1,17 @@
 """Experiment modules: one per paper figure, and the fault grids.
 
 Every figure (``fig4_election``, ``fig5_throughput``, ``fig6_rtt``,
-``fig7_loss``, ``fig8_geo``, ``fig_scale``) is a :class:`~repro.
-experiments.grid.Grid`, exactly like the fault grids: a frozen config
-dataclass for one cell (a system, times the figure's own axis: RTT
-pattern or cluster size), a ``run_one`` worker returning that cell's
-result record, and a ``GRID`` whose ``full()`` base config reads its
-repetition counts and dwells from the ``REPRO_SCALE`` preset.
-``python -m repro.experiments.<figure>`` prints the figure's table with
-the shared ``--smoke`` / ``--digest`` / ``--system`` flags.
+``fig7_loss``, ``fig8_geo``, ``fig_scale``), the scenario matrix
+(``scenario_matrix``) and the §III design ablations (``ablations``) is a
+:class:`~repro.experiments.grid.Grid`, exactly like the fault grids: a
+frozen config dataclass for one cell (a system, times the experiment's
+own axis: RTT pattern, cluster size, scenario or ablation study), a
+``run_one`` worker returning that cell's result record, and a ``GRID``
+(a figure's ``full()`` base config reads its repetition counts and dwells
+from the ``REPRO_SCALE`` preset).  ``python -m repro.experiments.<grid>``
+prints its table with the shared ``--smoke`` / ``--digest`` /
+``--system`` flags.  Only ``fuzz_campaign``, which runs and shrinks
+generated trials rather than cells, has its own CLI.
 
 Fig. 8 is Fig. 4's grid: ``fig8_geo`` holds only its ``Fig4Config``
 preset, ``quick()``, and its ``GRID``.  Cross-system quantities are

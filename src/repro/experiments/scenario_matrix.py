@@ -1,9 +1,8 @@
 """Scenario matrix: {Raft-Low, Raft, Dynatune} × the scenario library.
 
-``python -m repro.experiments.scenario_matrix --quick`` drives every
-canonical scenario (:mod:`repro.scenarios.library`) against the three
-election-parameter policies, in parallel across ``REPRO_JOBS`` processes,
-and reports per cell:
+``python -m repro.experiments.scenario_matrix`` drives every canonical
+scenario (:mod:`repro.scenarios.library`) against the three
+election-parameter policies and reports per cell:
 
 * **unavailability** — total/fraction/longest leaderless time after the
   first election (the OTS figure of merit);
@@ -12,46 +11,55 @@ and reports per cell:
 * **safety** — the partition safety properties (one leader per term,
   monotone commit, no committed-entry loss) checked over the whole run.
 
-Determinism contract: each cell is an independent simulation keyed by a
-seed derived from ``(config.seed, cell index)``; the decomposition depends
-only on the config, so the report is byte-identical for every
-``REPRO_JOBS`` value.  The process exits non-zero if any cell violates a
-safety property — scenario breakage fails the build.
+Each (system, scenario) pair is one cell of :data:`GRID`, seeded by its
+index in the full :data:`MATRIX_SYSTEMS` × ``scenarios`` product, so a run
+filtered by ``--system`` or ``--scenario`` reproduces its cells of the
+full matrix.  ``--smoke`` is the 25-node partition-heavy subset.  The
+process exits non-zero if any cell violates a safety property — scenario
+breakage fails the build.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import sys
+from typing import Sequence
 
 from repro.analysis.availability import AvailabilityStats, availability_stats
 from repro.cluster.builder import ClusterConfig
 from repro.cluster.measurements import leaderless_intervals
-from repro.experiments.grid import digest
-from repro.experiments.report import ReportRow, render_markdown
-from repro.experiments.runner import derive_trial_seed, run_tasks
+from repro.experiments import grid
+from repro.experiments.runner import derive_trial_seed
 from repro.fuzz.oracle import CheckedRun
 from repro.scenarios.library import build_scenario, scenario_names
 
-__all__ = [
-    "ScenarioMatrixConfig",
-    "ScenarioCellResult",
-    "ScenarioMatrixResult",
-    "run",
-    "render_rows",
-    "main",
-]
+__all__ = ["ScenarioMatrixConfig", "ScenarioCellResult", "GRID", "run_one", "check"]
 
 #: The three systems the matrix compares (Fix-K adds nothing here: the
 #: partition scenarios stress Et, not the h/K trade).
 MATRIX_SYSTEMS: tuple[str, ...] = ("raft-low", "raft", "dynatune")
 
+#: The ``--smoke`` subset, run at 25 nodes: the scenarios whose dynamics
+#: change with cluster size (splits and leader churn).  The per-pair
+#: impairment ones have O(N) steps and size-independent behaviour, so they
+#: are left to the 5-node full matrix — this is a wall-clock-budgeted
+#: scaling canary, not coverage.
+LARGE_CLUSTER_SCENARIOS: tuple[str, ...] = (
+    "symmetric_split",
+    "minority_partition",
+    "majority_partition",
+    "leader_churn_loop",
+)
+
 
 @dataclasses.dataclass(slots=True, frozen=True)
 class ScenarioMatrixConfig:
-    """Shape of one matrix sweep."""
+    """One (system, scenario) cell of a matrix over ``scenarios`` (the
+    grid's cells derive one per system and scenario, each with its own
+    seed)."""
 
-    systems: tuple[str, ...] = MATRIX_SYSTEMS
+    system: str = "dynatune"
+    scenario: str = "symmetric_split"
     scenarios: tuple[str, ...] = dataclasses.field(default_factory=scenario_names)
     n_nodes: int = 5
     seed: int = 21
@@ -59,32 +67,10 @@ class ScenarioMatrixConfig:
     settle_ms: float = 10_000.0
 
     def __post_init__(self) -> None:
-        if not self.systems or not self.scenarios:
-            raise ValueError("matrix needs at least one system and one scenario")
+        if not self.scenarios:
+            raise ValueError("matrix needs at least one scenario")
         if self.settle_ms < 0.0:
             raise ValueError(f"settle_ms must be >= 0, got {self.settle_ms!r}")
-
-    @classmethod
-    def large_cluster_smoke(cls, n_nodes: int = 25) -> "ScenarioMatrixConfig":
-        """Bounded large-cluster subset for CI: a partition-heavy slice of
-        the library at ``n_nodes`` with the event-hooked SafetyChecker on.
-
-        The subset keeps the scenarios whose dynamics actually change with
-        cluster size (splits and leader churn) and drops the per-pair
-        impairment ones whose step count is O(N) and whose behaviour is
-        size-independent — the goal is a wall-clock-budgeted scaling
-        canary, not full coverage (the 5-node matrix remains the coverage
-        gate).
-        """
-        return cls(
-            n_nodes=n_nodes,
-            scenarios=(
-                "symmetric_split",
-                "minority_partition",
-                "majority_partition",
-                "leader_churn_loop",
-            ),
-        )
 
 
 @dataclasses.dataclass(slots=True, frozen=True)
@@ -107,27 +93,12 @@ class ScenarioCellResult:
         return not self.safety_violations
 
 
-@dataclasses.dataclass(slots=True, frozen=True)
-class ScenarioMatrixResult:
-    config: ScenarioMatrixConfig
-    cells: dict[tuple[str, str], ScenarioCellResult]
-
-    def cell(self, system: str, scenario: str) -> ScenarioCellResult:
-        return self.cells[(system, scenario)]
-
-    @property
-    def all_safe(self) -> bool:
-        return all(c.safe for c in self.cells.values())
-
-
-def _run_cell(task: tuple[str, str, int, ScenarioMatrixConfig]) -> ScenarioCellResult:
-    """Worker: one (system, scenario) simulation (module-level, picklable)."""
-    system, scenario_name, cell_seed, config = task
+def run_one(config: ScenarioMatrixConfig) -> ScenarioCellResult:
     run = CheckedRun(
-        ClusterConfig(n_nodes=config.n_nodes, seed=cell_seed), system
+        ClusterConfig(n_nodes=config.n_nodes, seed=config.seed), config.system
     )
     cluster = run.cluster
-    scenario = build_scenario(scenario_name, cluster.names)
+    scenario = build_scenario(config.scenario, cluster.names)
     scenario.install(cluster)
     cluster.start()
     end = scenario.end_ms + config.settle_ms
@@ -140,8 +111,8 @@ def _run_cell(task: tuple[str, str, int, ScenarioMatrixConfig]) -> ScenarioCellR
     steps = cluster.trace.of_kind("scenario_step")
     skipped = sum(1 for r in steps if r.get("skipped"))
     return ScenarioCellResult(
-        system=system,
-        scenario=scenario_name,
+        system=config.system,
+        scenario=config.scenario,
         duration_ms=end,
         first_leader_ms=t_first,
         availability=availability_stats(
@@ -163,116 +134,58 @@ def _run_cell(task: tuple[str, str, int, ScenarioMatrixConfig]) -> ScenarioCellR
     )
 
 
-def run(config: ScenarioMatrixConfig | None = None) -> ScenarioMatrixResult:
-    """Run the full matrix (parallel across ``REPRO_JOBS``, bit-stable)."""
-    cfg = config if config is not None else ScenarioMatrixConfig()
-    tasks = [
-        (system, scenario, derive_trial_seed(cfg.seed, i), cfg)
-        for i, (system, scenario) in enumerate(
-            (s, sc) for s in cfg.systems for sc in cfg.scenarios
+def _cells(
+    base: ScenarioMatrixConfig, systems: tuple[str, ...]
+) -> list[ScenarioMatrixConfig]:
+    unknown = set(systems) - set(MATRIX_SYSTEMS)
+    if unknown:
+        raise ValueError(f"the matrix compares {MATRIX_SYSTEMS}, not {sorted(unknown)}")
+    pairs = [(system, sc) for system in MATRIX_SYSTEMS for sc in base.scenarios]
+    return [
+        dataclasses.replace(
+            base, system=system, scenario=sc, seed=derive_trial_seed(base.seed, i)
         )
+        for i, (system, sc) in enumerate(pairs)
+        if system in systems
     ]
-    results = run_tasks(_run_cell, tasks)
-    return ScenarioMatrixResult(
-        config=cfg,
-        cells={(r.system, r.scenario): r for r in results},
+
+
+def check(runs: Sequence[ScenarioCellResult]) -> list[str]:
+    """One line per safety violation, over every cell."""
+    return [f"[{r.system} × {r.scenario}] {v}" for r in runs for v in r.safety_violations]
+
+
+def _row(r: ScenarioCellResult) -> tuple[str, ...]:
+    av = r.availability
+    return (
+        f"{r.system}/{r.scenario}",
+        f"{100.0 * av.unavailable_fraction:.1f} %",
+        f"{av.unavailable_ms / 1000.0:.1f} s",
+        str(av.n_outages),
+        f"{av.longest_outage_ms / 1000.0:.1f} s",
+        str(r.unnecessary_elections),
+        str(r.false_detections),
+        "safe" if r.safe else "SAFETY VIOLATION",
     )
 
 
-def render_rows(result: ScenarioMatrixResult) -> list[ReportRow]:
-    """Reduce the matrix to the unified report-table row format."""
-    rows: list[ReportRow] = []
-    for scenario in result.config.scenarios:
-        for system in result.config.systems:
-            cell = result.cell(system, scenario)
-            av = cell.availability
-            rows.append(
-                ReportRow(
-                    experiment=scenario,
-                    quantity=system,
-                    paper="-",
-                    measured=(
-                        f"unavail {100.0 * av.unavailable_fraction:.1f} % "
-                        f"({av.unavailable_ms / 1000.0:.1f} s / {av.n_outages} outages, "
-                        f"worst {av.longest_outage_ms / 1000.0:.1f} s), "
-                        f"{cell.unnecessary_elections} elections, "
-                        f"{cell.false_detections} detections"
-                    ),
-                    verdict="safe" if cell.safe else "SAFETY VIOLATION",
-                )
-            )
-    return rows
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true", help="default matrix (alias; always quick)"
-    )
-    parser.add_argument("--seed", type=int, default=21)
-    parser.add_argument(
-        "--scenario",
-        action="append",
-        default=None,
-        help="restrict to these scenarios (repeatable; default: whole library)",
-    )
-    parser.add_argument(
-        "--n-nodes",
-        type=int,
-        default=5,
-        help="cluster size for every cell (default 5; scenarios scale with it)",
-    )
-    parser.add_argument(
-        "--large-cluster-smoke",
-        type=int,
-        metavar="N",
-        default=None,
-        help=(
-            "run the bounded large-cluster subset at N nodes (see "
-            "ScenarioMatrixConfig.large_cluster_smoke); overrides "
-            "--scenario/--n-nodes"
-        ),
-    )
-    parser.add_argument(
-        "--digest", action="store_true", help="print the result digest"
-    )
-    args = parser.parse_args(argv)
-    if args.large_cluster_smoke is not None:
-        cfg = dataclasses.replace(
-            ScenarioMatrixConfig.large_cluster_smoke(args.large_cluster_smoke),
-            seed=args.seed,
-        )
-    else:
-        cfg = ScenarioMatrixConfig(
-            seed=args.seed,
-            n_nodes=args.n_nodes,
-            scenarios=tuple(args.scenario) if args.scenario else scenario_names(),
-        )
-    result = run(cfg)
-    print(
-        render_markdown(
-            render_rows(result),
-            f"scenario matrix, seed {cfg.seed}, n={cfg.n_nodes}",
-        )
-    )
-    if args.digest:
-        print(f"digest: {digest(result.cells.values())}")
-    violations = [
-        (key, v) for key, cell in sorted(result.cells.items()) for v in cell.safety_violations
-    ]
-    if violations:
-        print(f"\n{len(violations)} safety violation(s):", file=sys.stderr)
-        for (system, scenario), v in violations:
-            print(f"  [{system} × {scenario}] {v}", file=sys.stderr)
-        return 1
-    print(
-        f"\nall {len(result.cells)} cells passed the partition safety checks "
-        f"({len(cfg.systems)} systems × {len(cfg.scenarios)} scenarios)."
-    )
-    return 0
-
+GRID = grid.Grid(
+    name="scenario_matrix",
+    full=ScenarioMatrixConfig,
+    smoke=lambda: ScenarioMatrixConfig(n_nodes=25, scenarios=LARGE_CLUSTER_SCENARIOS),
+    cells=_cells,
+    run_one=run_one,
+    check=check,
+    title=lambda c: (
+        f"{c.n_nodes} nodes, {len(c.scenarios)} scenarios, "
+        f"settle {c.settle_ms / 1000.0:g} s"
+    ),
+    columns=("run", "unavail", "down", "outages", "worst", "elections", "detections", "safety"),
+    row=_row,
+    held="one leader per term, monotone commit, no committed-entry loss",
+    axes={"scenario": scenario_names()},
+    systems=MATRIX_SYSTEMS,
+)
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(grid.main(GRID))

@@ -1,37 +1,46 @@
-"""The §III design ablations: one sweep each, gated on its ordering.
-
-Where two tests gate the same sweep they share one module-scoped run.
-"""
+"""The §III design ablations: one grid run, each study gated on its ordering."""
 
 import math
 
 import pytest
 
-from repro.experiments import ablations
-
-
-def _by_label(points):
-    return {p.label: p.metrics for p in points}
+from repro.experiments import ablations, grid
 
 
 @pytest.fixture(scope="module")
-def min_list_points():
-    return ablations.min_list_size_sweep(sizes=(2, 10, 100))
+def points():
+    return grid.run(ablations.GRID)
+
+
+def _study(points, study):
+    return [p for p in points if p.study == study]
+
+
+def _by_label(points, study):
+    return {p.label: p.metrics for p in _study(points, study)}
+
+
+def _by_value(points, study):
+    return {p.value: p.metrics for p in _study(points, study)}
 
 
 @pytest.fixture(scope="module")
-def prevote_metrics():
-    return _by_label(ablations.prevote_ablation(dwell_ms=6_000.0))
+def min_list_points(points):
+    return _study(points, "min_list_size")
 
 
 @pytest.fixture(scope="module")
-def window_lag():
-    pts = ablations.window_sweep(windows=(30, 1000))
-    return {p.value: p.metrics["adaptation_lag_ms"] for p in pts}
+def prevote_metrics(points):
+    return _by_label(points, "prevote")
+
+
+@pytest.fixture(scope="module")
+def window_lag(points):
+    return {v: m["adaptation_lag_ms"] for v, m in _by_value(points, "window").items()}
 
 
 def test_ablation_point_structure(min_list_points):
-    assert [p.value for p in min_list_points] == [2.0, 10.0, 100.0]
+    assert [p.value for p in min_list_points] == [2.0, 10.0, 50.0, 100.0]
     for p in min_list_points:
         assert p.metrics["all_tuned"] == 1.0
         assert p.metrics["time_to_tuned_ms"] > 0
@@ -67,9 +76,8 @@ def test_window_sweep(window_lag):
     assert window_lag[1000.0] > window_lag[30.0]
 
 
-def test_safety_factor_sweep():
-    points = ablations.safety_factor_sweep(n_failures=6)
-    by_s = {p.value: p.metrics for p in points}
+def test_safety_factor_sweep(points):
+    by_s = _by_value(points, "safety_factor")
     # The tuned Et widens monotonically with s (Et = mu + s*sigma).
     ets = [by_s[s]["mean_tuned_et_ms"] for s in (0.0, 1.0, 2.0, 4.0)]
     assert ets == sorted(ets)
@@ -77,25 +85,24 @@ def test_safety_factor_sweep():
     # Detection slows accordingly (allow sample noise between neighbours).
     assert by_s[4.0]["mean_detection_ms"] > by_s[0.0]["mean_detection_ms"]
     # Every configuration still resolves every failure.
-    for p in points:
-        assert p.metrics["resolved_episodes"] > 0
+    for m in by_s.values():
+        assert m["resolved_episodes"] > 0
 
 
-def test_arrival_probability_sweep():
-    points = ablations.arrival_probability_sweep(duration_ms=20_000.0)
-    by_x = {p.value: p.metrics for p in points}
+def test_arrival_probability_sweep(points):
+    by_x = _by_value(points, "arrival_probability")
     # Higher x -> more redundancy -> higher heartbeat rate...
     rates = [by_x[x]["leader_heartbeats_per_s"] for x in (0.9, 0.99, 0.999, 0.9999)]
     assert rates == sorted(rates)
     # ...and fewer missed-window fallbacks.
     assert by_x[0.9999]["fallbacks"] < by_x[0.9]["fallbacks"]
     # No configuration loses the leader to loss-induced elections.
-    for p in points:
-        assert p.metrics["unnecessary_elections"] == 0.0
+    for m in by_x.values():
+        assert m["unnecessary_elections"] == 0.0
 
 
-def test_fallback_ablation():
-    m = _by_label(ablations.fallback_ablation())
+def test_fallback_ablation(points):
+    m = _by_label(points, "fallback")
     # The discard rule costs re-warm-up: more untuned follower-time.
     assert (
         m["fallback-on"]["untuned_follower_seconds"]
@@ -107,3 +114,15 @@ def test_fallback_ablation():
     # Neither variant loses availability here (pre-vote still protects).
     assert m["fallback-on"]["ots_ms"] == 0.0
     assert m["fallback-off"]["ots_ms"] == 0.0
+
+
+def test_a_point_reruns_alone(points):
+    alone = ablations.run_one(
+        ablations.AblationConfig(system="dynatune", study="window", value=100.0)
+    )
+    assert alone == grid.find(points, study="window", value=100.0)
+
+
+def test_config_is_dynatune_only():
+    with pytest.raises(ValueError):
+        ablations.AblationConfig(system="raft")

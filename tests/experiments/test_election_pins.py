@@ -106,13 +106,11 @@ def test_figure_records_are_pinned(make, exclude, digest):
     "make, digest",
     [
         (
-            lambda: scenario_matrix.run().cells.values(),
+            lambda: grid.run(scenario_matrix.GRID),
             "3f1c25f505da06ae24f4b29672b06aacdb322aa2ab2aa9fbafdbf91f1ff50494",
         ),
         (
-            lambda: scenario_matrix.run(
-                scenario_matrix.ScenarioMatrixConfig.large_cluster_smoke(25)
-            ).cells.values(),
+            lambda: grid.run(scenario_matrix.GRID, scenario_matrix.GRID.smoke()),
             "3bc6cdfc2e192258fc1bd953aa62213b4a1ddf6254275174a12ec0660c350728",
         ),
     ],
@@ -122,19 +120,24 @@ def test_scenario_matrix_records_are_pinned(make, digest):
     assert grid.digest(make()) == digest
 
 
-@pytest.mark.parametrize(
-    "make, digest",
-    [
-        (ablations.prevote_ablation, "d313d18197bdfbfb"),
-        (ablations.safety_factor_sweep, "c8e0efa10f431608"),
-        (ablations.arrival_probability_sweep, "66ccbcc789bad434"),
-        (ablations.min_list_size_sweep, "bb269700ef7bf0ed"),
-        (ablations.window_sweep, "a656e315158cc9c7"),
-        (ablations.fallback_ablation, "448ca7472d163b00"),
-    ],
-    ids=["prevote", "safety_factor", "arrival_probability", "min_list_size", "window", "fallback"],
-)
-def test_ablation_points_are_pinned(make, digest):
-    payload = [[p.label, p.value, p.metrics] for p in make()]
+@pytest.fixture(scope="module")
+def ablation_points():
+    return grid.run(ablations.GRID)
+
+
+#: Hash of each study's default (label, value, metrics) points.
+ABLATION_PINS = {
+    "prevote": "d313d18197bdfbfb",
+    "safety_factor": "c8e0efa10f431608",
+    "arrival_probability": "66ccbcc789bad434",
+    "min_list_size": "bb269700ef7bf0ed",
+    "window": "a656e315158cc9c7",
+    "fallback": "448ca7472d163b00",
+}
+
+
+@pytest.mark.parametrize("study", list(ABLATION_PINS))
+def test_ablation_points_are_pinned(ablation_points, study):
+    payload = [[p.label, p.value, p.metrics] for p in ablation_points if p.study == study]
     encoded = json.dumps(payload, sort_keys=True).encode()
-    assert hashlib.sha256(encoded).hexdigest()[:16] == digest
+    assert hashlib.sha256(encoded).hexdigest()[:16] == ABLATION_PINS[study]

@@ -4,10 +4,9 @@ import dataclasses
 
 import pytest
 
-from repro.experiments import fig_scale, grid
+from repro.experiments import fig_scale, grid, scenario_matrix
 from repro.experiments.fig_scale import ScaleSweepConfig
 from repro.experiments.runner import derive_trial_seed
-from repro.experiments.scenario_matrix import ScenarioMatrixConfig
 
 _WALL_FREE = [
     "system",
@@ -114,8 +113,8 @@ def test_quick_config_follows_scale_preset(monkeypatch):
     assert fig_scale.GRID.full().sizes[-1] == 101
 
 
-def test_large_cluster_smoke_preset_is_partition_heavy_subset():
-    cfg = ScenarioMatrixConfig.large_cluster_smoke(25)
+def test_matrix_smoke_is_the_partition_heavy_subset_at_25_nodes():
+    cfg = scenario_matrix.GRID.smoke()
     assert cfg.n_nodes == 25
     assert set(cfg.scenarios) == {
         "symmetric_split",

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from repro.experiments import (
+    ablations,
     durability,
     elastic,
     fig4_election,
@@ -15,6 +16,7 @@ from repro.experiments import (
     fig_scale,
     grayfail,
     grid,
+    scenario_matrix,
     serving,
     soak,
 )
@@ -31,6 +33,8 @@ GRIDS = [
     fig7_loss.GRID,
     fig8_geo.GRID,
     fig_scale.GRID,
+    scenario_matrix.GRID,
+    ablations.GRID,
 ]
 
 #: ``--smoke --system raft`` gates that were already failing when the

@@ -1,84 +1,98 @@
-"""Scenario matrix: determinism, safety gating, report rendering."""
+"""Scenario matrix: determinism, safety gating, the table rows."""
 
 import dataclasses
 
 import pytest
 
-from repro.experiments import scenario_matrix
-from repro.experiments.report import render_markdown
+from repro.experiments import grid, scenario_matrix
+from repro.experiments.runner import derive_trial_seed
 from repro.scenarios.library import scenario_names
 
 SMALL = scenario_matrix.ScenarioMatrixConfig(
-    systems=("raft", "dynatune"),
     scenarios=("minority_partition", "leader_churn_loop"),
     settle_ms=6_000.0,
 )
+SYSTEMS = ("raft", "dynatune")
 
 
-def test_small_matrix_runs_and_is_safe():
-    result = scenario_matrix.run(SMALL)
-    assert set(result.cells) == {
-        (s, sc) for s in SMALL.systems for sc in SMALL.scenarios
+@pytest.fixture(scope="module")
+def small():
+    return grid.run(scenario_matrix.GRID, SMALL, systems=SYSTEMS, jobs=1)
+
+
+def test_small_matrix_runs_and_is_safe(small):
+    assert {(r.system, r.scenario) for r in small} == {
+        (s, sc) for s in SYSTEMS for sc in SMALL.scenarios
     }
-    assert result.all_safe
-    for cell in result.cells.values():
+    assert scenario_matrix.check(small) == []
+    for cell in small:
         assert cell.first_leader_ms is not None
         assert cell.steps_applied > 0
         assert 0.0 <= cell.availability.unavailable_fraction <= 1.0
 
 
-def test_results_identical_for_any_job_count():
-    a = scenario_matrix.run(SMALL)
-    b_cells = {
-        (r.system, r.scenario): r
-        for r in scenario_matrix.run_tasks(
-            scenario_matrix._run_cell,
-            [
-                (s, sc, scenario_matrix.derive_trial_seed(SMALL.seed, i), SMALL)
-                for i, (s, sc) in enumerate(
-                    (s, sc) for s in SMALL.systems for sc in SMALL.scenarios
-                )
-            ],
-            jobs=2,
+def test_results_identical_for_any_job_count(small):
+    assert grid.run(scenario_matrix.GRID, SMALL, systems=SYSTEMS, jobs=2) == small
+
+
+def test_a_cell_reruns_alone_under_its_scenario_filter(small):
+    # A cell is seeded by its index in the full MATRIX_SYSTEMS × scenarios
+    # product, so filtering by system or scenario does not reseed it.
+    (alone,) = grid.run(
+        scenario_matrix.GRID, SMALL, systems=("dynatune",), scenario=["leader_churn_loop"]
+    )
+    assert alone == grid.find(small, system="dynatune", scenario="leader_churn_loop")
+    index = scenario_matrix.MATRIX_SYSTEMS.index("dynatune") * 2 + 1
+    assert scenario_matrix.run_one(
+        dataclasses.replace(
+            SMALL,
+            system="dynatune",
+            scenario="leader_churn_loop",
+            seed=derive_trial_seed(SMALL.seed, index),
         )
-    }
-    assert a.cells == b_cells
+    ) == alone
 
 
 def test_scenarios_scale_down_to_a_three_node_cluster():
-    cfg = dataclasses.replace(
-        SMALL, n_nodes=3, systems=("raft",), scenarios=("minority_partition",)
+    (cell,) = grid.run(
+        scenario_matrix.GRID,
+        dataclasses.replace(SMALL, n_nodes=3, scenarios=("minority_partition",)),
+        systems=("raft",),
     )
-    cell = scenario_matrix.run(cfg).cell("raft", "minority_partition")
     assert cell.safe
     assert cell.steps_applied > 0
 
 
-def test_leader_churn_costs_raft_more_than_partitioned_minority():
+def test_leader_churn_costs_raft_more_than_partitioned_minority(small):
     """Sanity on the figures: killing leaders must create outages."""
-    result = scenario_matrix.run(SMALL)
-    churn = result.cell("raft", "leader_churn_loop")
+    churn = grid.find(small, system="raft", scenario="leader_churn_loop")
     assert churn.availability.unavailable_ms > 0.0
 
 
-def test_render_rows_shape():
-    result = scenario_matrix.run(SMALL)
-    rows = scenario_matrix.render_rows(result)
-    assert len(rows) == len(SMALL.systems) * len(SMALL.scenarios)
-    table = render_markdown(rows, "test")
-    assert "minority_partition" in table
-    assert all(r.verdict == "safe" for r in rows)
+def test_rows_and_check_report_every_cell(small):
+    rows = [scenario_matrix.GRID.row(r) for r in small]
+    assert len(rows) == len(SYSTEMS) * len(SMALL.scenarios)
+    assert all(len(row) == len(scenario_matrix.GRID.columns) for row in rows)
+    assert "raft/minority_partition" in [row[0] for row in rows]
+    assert all(row[-1] == "safe" for row in rows)
+    broken = dataclasses.replace(small[0], safety_violations=("two leaders in term 3",))
+    assert scenario_matrix.GRID.row(broken)[-1] == "SAFETY VIOLATION"
+    assert scenario_matrix.check([broken, *small[1:]]) == [
+        f"[{broken.system} × {broken.scenario}] two leaders in term 3"
+    ]
 
 
 def test_default_config_covers_whole_library():
-    cfg = scenario_matrix.ScenarioMatrixConfig()
+    cfg = scenario_matrix.GRID.full()
     assert cfg.scenarios == scenario_names()
     assert len(cfg.scenarios) >= 8
-    assert cfg.systems == ("raft-low", "raft", "dynatune")
+    assert scenario_matrix.GRID.systems == ("raft-low", "raft", "dynatune")
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        scenario_matrix.ScenarioMatrixConfig(systems=())
+        scenario_matrix.ScenarioMatrixConfig(scenarios=())
     with pytest.raises(ValueError):
         dataclasses.replace(SMALL, settle_ms=-1.0)
+    with pytest.raises(ValueError):
+        grid.run(scenario_matrix.GRID, SMALL, systems=("fix-k",))

@@ -30,7 +30,7 @@ def test_field_set_nowhere_is_flagged(tmp_path):
         tmp_path / "src",
         {
             "repro/raft/types.py": TYPES,
-            "repro/experiments/ablations.py": """\
+            "repro/experiments/report.py": """\
             from repro.raft.types import RaftConfig
             cfg = RaftConfig(lease_reads=True)
             other = types.RaftConfig(prevote=False)
@@ -50,7 +50,7 @@ def test_only_keywords_of_the_config_class_count(tmp_path):
         tmp_path / "src",
         {
             "repro/raft/types.py": TYPES + "DEFAULT = RaftConfig(dead_knob=1)\n",
-            "repro/experiments/ablations.py": """\
+            "repro/experiments/report.py": """\
             cfg = RaftConfig(prevote=False, lease_reads=True)
             other = SoakConfig(dead_knob=3)
             print(cfg.dead_knob)

@@ -293,6 +293,7 @@ class RepolintConfig:
         ("repro/experiments/fig6_rtt.py", "Fig6Config"),
         ("repro/experiments/fig7_loss.py", "Fig7Config"),
         ("repro/experiments/fig_scale.py", "ScaleSweepConfig"),
+        ("repro/experiments/ablations.py", "AblationConfig"),
         ("repro/cluster/workload.py", "FluidWorkloadConfig"),
     )
     #: Directories (relative to the scanned root) whose ``.py`` files
