@@ -13,7 +13,7 @@ one of them over a few values; every (study, value) point is one cell of
 * ``arrival_probability`` — heartbeat cost vs missed-heartbeat fallbacks
   as ``x`` varies under loss;
 * ``min_list_size`` — warm-up length vs time-to-first-tune;
-* ``window`` — ``maxListSize`` vs adaptation lag after an RTT step;
+* ``window`` — ``maxListSize`` vs adaptation lag after an RTT drop;
 * ``fallback`` — the §III-B discard rule vs keeping tuned state through
   suspected failures, under the radical RTT spike.
 
@@ -50,8 +50,8 @@ JITTER_SIGMA_MS = 5.0
 #: Loss rate and measured span of the arrival-probability study.
 LOSS = 0.2
 DURATION_MS = 60_000.0
-#: The window study's RTT step (ms).
-RTT_STEP = (50.0, 150.0)
+#: The window study's RTT step (ms): Fig. 6a's descending direction.
+RTT_STEP = (150.0, 50.0)
 
 
 @dataclasses.dataclass(slots=True, frozen=True)
@@ -198,27 +198,30 @@ def _min_list_size(m: float) -> dict[str, float]:
 
 
 def _window(w: float) -> dict[str, float]:
-    """Adaptation lag after an RTT step: time until the tuned Et reaches
-    within 20 % of the new RTT.  The window is the paper's only smoothing
-    mechanism: a 1000-sample window at h ≈ Et means minutes of memory, so
-    the descending legs of Fig. 6a lag."""
-    lo, hi = RTT_STEP
-    cluster = _cluster(DynatuneConfig(max_list_size=int(w)), rtt_ms=lo)
+    """Adaptation lag on Fig. 6a's descending leg: time after an RTT drop
+    until every follower's tuned Et is within 20 % of the new RTT, and the
+    §III-B fallbacks meanwhile.  The window is the paper's only smoothing
+    mechanism: a 1000-sample window at h ≈ Et means minutes of memory.  (On
+    an RTT rise the followers time out and discard their window, so the
+    lag there measures the fallback, not the window.)"""
+    before, after = RTT_STEP
+    cluster = _cluster(DynatuneConfig(max_list_size=int(w)), rtt_ms=before)
     leader = cluster.run_until_leader()
     cluster.run_for(15_000.0)
-    cluster.network.set_all_rtt(hi)
-    t_step = cluster.loop.now
+    cluster.network.set_all_rtt(after)
+    t_step, fallbacks_before = cluster.loop.now, _fallbacks(cluster)
     followers = [cluster.node(n) for n in cluster.names if n != leader]
     deadline = t_step + 600_000.0
     converged = None
     while cluster.loop.now < deadline:
         ets = [f.policy.tuned_et_ms for f in followers]
-        if all(et is not None and et >= 0.8 * hi for et in ets):
+        if all(et is not None and et <= 1.2 * after for et in ets):
             converged = cluster.loop.now
             break
         cluster.loop.step()
     return {
         "adaptation_lag_ms": converged - t_step if converged is not None else math.inf,
+        "fallbacks": float(_fallbacks(cluster) - fallbacks_before),
     }
 
 

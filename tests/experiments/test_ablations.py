@@ -72,8 +72,9 @@ def test_window_sweep_converges(window_lag):
 
 
 def test_window_sweep(window_lag):
-    # Larger windows adapt more slowly to an RTT step.
-    assert window_lag[1000.0] > window_lag[30.0]
+    # Larger windows adapt more slowly to an RTT drop: the stale high
+    # samples take the whole window to slide out.
+    assert window_lag[1000.0] > 5.0 * window_lag[30.0]
 
 
 def test_safety_factor_sweep(points):

@@ -131,7 +131,7 @@ ABLATION_PINS = {
     "safety_factor": "c8e0efa10f431608",
     "arrival_probability": "66ccbcc789bad434",
     "min_list_size": "bb269700ef7bf0ed",
-    "window": "a656e315158cc9c7",
+    "window": "517595a0f09e4d42",  # the descending leg, with fallbacks
     "fallback": "448ca7472d163b00",
 }
 
