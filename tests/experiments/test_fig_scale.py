@@ -45,6 +45,8 @@ def test_config_validation():
         ScaleSweepConfig(n_failures=0)
     with pytest.raises(ValueError):
         ScaleSweepConfig(sizes=(2,))
+    with pytest.raises(ValueError):
+        grid.run(fig_scale.GRID, tiny_config(), systems=("fix-k",))
 
 
 def test_sweep_shape_and_resolution(sweep):

@@ -42,7 +42,7 @@ def test_a_cell_reruns_alone_under_its_scenario_filter(small):
         scenario_matrix.GRID, SMALL, systems=("dynatune",), scenario=["leader_churn_loop"]
     )
     assert alone == grid.find(small, system="dynatune", scenario="leader_churn_loop")
-    index = scenario_matrix.MATRIX_SYSTEMS.index("dynatune") * 2 + 1
+    index = scenario_matrix.MATRIX_SYSTEMS.index("dynatune") * len(SMALL.scenarios) + 1
     assert scenario_matrix.run_one(
         dataclasses.replace(
             SMALL,
