@@ -56,13 +56,14 @@ def main() -> None:
     while cluster.loop.now < 90_000.0:
         cluster.run_for(SAMPLE_MS)
         pol = follower.policy
+        _, _, measured_p = pol.measurement.estimate()
         et = pol.tuned_et_ms
         h = leader_node.policy.applied_h_ms(watched)
         print(
             f"{cluster.loop.now / 1000:5.0f} "
             f"{truth.rtt_ms:>7.0f}ms "
             f"{truth.loss.rate():>9.0%} | "
-            f"{pol.measurement.loss_rate():>9.1%} "
+            f"{measured_p:>9.1%} "
             f"{(f'{et:7.0f}ms' if et is not None else '  (warm)'):>9} "
             f"{(f'{h:8.0f}ms' if h is not None else ' default'):>10}"
         )

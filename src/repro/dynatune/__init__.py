@@ -15,9 +15,9 @@ The package layout mirrors the paper's section structure:
 * :mod:`~repro.dynatune.metadata` — the fields piggybacked on heartbeats
   and responses (Fig. 3);
 * :mod:`~repro.dynatune.measurement` — the follower's ``RTTs`` and ``ids``
-  lists with ``minListSize``/``maxListSize`` semantics (§III-C, §III-E);
-* :mod:`~repro.dynatune.estimators` — windowed mean/σ and loss-rate math
-  (numpy-backed with an O(1) incremental variant);
+  lists with ``minListSize``/``maxListSize`` semantics (§III-C, §III-E):
+  ``record`` stores a heartbeat in O(1), ``estimate`` derives
+  ``(μ_RTT, σ_RTT, p)``;
 * :mod:`~repro.dynatune.tuner` — the ``Et``/``K``/``h`` formulas with
   clamping and edge-case handling;
 * :mod:`~repro.dynatune.policy` — pluggable
@@ -28,11 +28,10 @@ The package layout mirrors the paper's section structure:
 """
 
 from repro.dynatune.config import DynatuneConfig
-from repro.dynatune.estimators import WindowedMeanStd
 from repro.dynatune.measurement import PathMeasurement
 from repro.dynatune.metadata import HeartbeatMeta, HeartbeatResponseMeta
 from repro.dynatune.policy import DynatunePolicy, StaticPolicy, TuningPolicy
-from repro.dynatune.tuner import required_heartbeats, tune_election_timeout, tune_heartbeat_interval
+from repro.dynatune.tuner import required_heartbeats, tune_election_timeout, tune_heartbeat
 
 __all__ = [
     "DynatuneConfig",
@@ -42,8 +41,7 @@ __all__ = [
     "PathMeasurement",
     "StaticPolicy",
     "TuningPolicy",
-    "WindowedMeanStd",
     "required_heartbeats",
     "tune_election_timeout",
-    "tune_heartbeat_interval",
+    "tune_heartbeat",
 ]

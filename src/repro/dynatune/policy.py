@@ -28,7 +28,6 @@ follower piggybacks back (§III-B step 3).
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Protocol
 
 from repro.dynatune.config import (
@@ -267,10 +266,6 @@ class DynatunePolicy:
         self._gap_guard: bool = cfg.reset_on_sample_gap
         self._last_p: float = -1.0
         self._last_k: int = 1
-        # The RTT estimator lives for the policy's lifetime (reset() keeps
-        # the object); retune reads it directly, skipping one wrapper call
-        # per heartbeat.
-        self._est = self._meas._rtts
 
     # -- introspection (used by experiments/tests) ------------------------- #
 
@@ -340,33 +335,13 @@ class DynatunePolicy:
                 self._reset_follower_state()
                 self.gap_resets += 1
         self._last_hb_ms = now_ms
-        meas = self._meas
-        seq = meta.seq
-        ids = meas._ids
-        if ids and seq > ids[-1]:
-            # Inline of PathMeasurement.record_id's monotone fast path
-            # (keep in sync): in-order arrival is every heartbeat of the
-            # steady state.
-            ids.append(seq)
-            head = meas._head
-            if len(ids) - head > meas.max_list_size:
-                meas._head = head + 1
-                if head + 1 > meas.max_list_size:
-                    del ids[: head + 1]
-                    meas._head = 0
-        else:
-            meas.record_id(seq)
         rtt = meta.rtt_sample_ms
         if rtt is not None and meta.rtt_sample_seq > self._last_rtt_seq:
             self._last_rtt_seq = meta.rtt_sample_seq
-            # Inline of PathMeasurement.record_rtt (keep in sync): one
-            # sample lands per heartbeat once the leader has RTTs.
-            if rtt < 0.0:
-                raise ValueError(f"RTT cannot be negative, got {rtt!r}")
-            est = self._est
-            est.push(rtt)
-            if not meas.ready and len(est) >= meas.min_list_size:
-                meas.ready = True
+        else:
+            rtt = None  # none echoed, or recorded with an earlier heartbeat
+        meas = self._meas
+        meas.record(meta.seq, rtt)
         if meas.ready:
             self._retune()
         return HeartbeatResponseMeta(
@@ -379,23 +354,14 @@ class DynatunePolicy:
         This runs once per received heartbeat on every follower, so the
         tuning formulas are applied inline (identical math and clamps to
         :func:`tune_election_timeout` / :func:`tune_heartbeat`, which stay
-        the reference implementations) and the pure ``p → K`` mapping is
-        memoized on the last loss rate — in a loss-stable regime the log
-        evaluation happens once, not per beat.
+        the reference implementations, pinned by
+        tests/dynatune/test_policy.py::test_retune_matches_tuner_references)
+        and the pure ``p → K`` mapping is memoized on the last loss rate —
+        in a loss-stable regime the log evaluation happens once, not per
+        beat.
         """
         cfg = self.config
-        # Inline of WindowedMeanStd.mean_std (the reference implementation;
-        # keep the two in sync) — this runs per heartbeat and the call +
-        # tuple would be ~15% of the whole retune.
-        est = self._est
-        count = est._count
-        if count == 0:
-            mu = sigma = 0.0
-        else:
-            mean_d = est._sum / count
-            var = est._sumsq / count - mean_d * mean_d
-            mu = est._offset + mean_d
-            sigma = math.sqrt(var) if var > 0.0 else 0.0
+        mu, sigma, p = self._meas.estimate()
         if mu < 0.0 or sigma < 0.0:
             raise ValueError(
                 f"mean/std RTT must be >= 0, got mu={mu!r} sigma={sigma!r}"
@@ -403,21 +369,6 @@ class DynatunePolicy:
         et = mu + cfg.safety_factor * sigma
         if et < ET_FLOOR_MS:
             et = ET_FLOOR_MS
-        # Inline of PathMeasurement.loss_rate (keep in sync).
-        meas = self._meas
-        ids = meas._ids
-        head = meas._head
-        count = len(ids) - head
-        if count < 2:
-            p = 0.0
-        else:
-            expected = ids[-1] - ids[head] + 1
-            if expected <= 0:
-                p = 0.0
-            else:
-                p = 1.0 - count / expected
-                if p < 0.0:
-                    p = 0.0
         k = cfg.fixed_k
         if k is None:
             if p == self._last_p:

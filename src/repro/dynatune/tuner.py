@@ -36,7 +36,6 @@ __all__ = [
     "required_heartbeats",
     "tune_election_timeout",
     "tune_heartbeat",
-    "tune_heartbeat_interval",
 ]
 
 
@@ -46,9 +45,8 @@ def tune_election_timeout(
     *,
     safety_factor: float,
     floor_ms: float = 1.0,
-    ceiling_ms: float | None = None,
 ) -> float:
-    """``Et = μ + s·σ`` clamped to ``[floor_ms, ceiling_ms]``.
+    """``Et = μ + s·σ``, raised to at least ``floor_ms``.
 
     Raises:
         ValueError: on negative inputs (a negative μ or σ indicates a
@@ -63,8 +61,6 @@ def tune_election_timeout(
     et = mu_rtt_ms + safety_factor * sigma_rtt_ms
     if et < floor_ms:
         et = floor_ms
-    if ceiling_ms is not None and et > ceiling_ms:
-        et = ceiling_ms
     return et
 
 
@@ -149,12 +145,3 @@ def tune_heartbeat(
     effective = max(1, math.floor(et_ms / h + 1e-9))
     return HeartbeatTuning(h_ms=h, requested_k=k, effective_k=effective, floor_clamped=True)
 
-
-def tune_heartbeat_interval(
-    et_ms: float,
-    k: int,
-    *,
-    floor_ms: float = 1.0,
-) -> float:
-    """``h = Et / K`` clamped to ``[floor_ms, Et]`` (see :func:`tune_heartbeat`)."""
-    return tune_heartbeat(et_ms, k, floor_ms=floor_ms).h_ms

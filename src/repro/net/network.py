@@ -348,9 +348,11 @@ class Network:
         udp = channel == CHANNEL_UDP
         if not udp and channel != CHANNEL_TCP:
             raise ValueError(f"unknown channel {channel!r}")
-        # Inlined udp_/tcp_transmission_plan (which stay the references the
-        # tests compare this against): draw order (drop draws, delay, then
-        # duplicate and its delay) defines the link's stream consumption.
+        # Inline copy of udp_/tcp_transmission_plan, the references pinned by
+        # tests/net/test_network.py::test_udp_send_path_matches_transport_reference and
+        # tests/net/test_network.py::test_tcp_send_path_matches_transport_reference:
+        # draw order (drop draws, delay, then duplicate and its delay)
+        # defines the link's stream consumption.
         delay = link._delay
         loss = link._loss
         if (
@@ -430,7 +432,10 @@ class Network:
         endpoint = self._endpoints.get(dst)
         if endpoint is not None:
             # Inline copy of EventLoop._push_event (as EventLoop.schedule
-            # has one): a delegating call costs a frame per message.
+            # has one): a delegating call costs a frame per message.  Pinned
+            # by the twin-loop seqs of
+            # tests/net/test_network.py::test_udp_send_path_matches_transport_reference and
+            # tests/net/test_network.py::test_tcp_send_path_matches_transport_reference.
             seq = loop._seq
             loop._seq = seq + 1
             event = Event()

@@ -1319,8 +1319,9 @@ class RaftNode(Process):
             self._apply_committed()
         policy = self.policy
         meta = policy.on_heartbeat(leader, m.meta, now)
-        # Inline of _arm_election_timer (keep in sync): this reset happens
-        # on every received heartbeat, the follower's hottest operation.
+        # Inline of _arm_election_timer: this reset happens on every
+        # received heartbeat, the follower's hottest operation.  Pinned by
+        # tests/raft/test_heartbeat_fastpath.py::test_on_heartbeat_rearm_matches_arm_election_timer
         base = policy.election_timeout_ms(self.leader_id)
         pos = self._rand_pos
         buf = self._rand_buf

@@ -141,8 +141,9 @@ class EventLoop:
         if not (delay >= 0.0):  # also rejects NaN
             raise SimulationError(f"delay must be >= 0 and finite, got {delay!r}")
         # Inline copy of _push_event: this is the hottest entry point and a
-        # delegating call would cost ~100ns per scheduled event.  Keep the
-        # bodies in sync (Network.transmit holds a third, for deliveries).
+        # delegating call would cost ~100ns per scheduled event.  Pinned by
+        # tests/sim/test_loop.py::test_schedule_matches_push_event_on_a_twin_loop
+        # (Network.transmit holds a third copy, for deliveries).
         time = self.now + delay
         seq = self._seq
         self._seq = seq + 1

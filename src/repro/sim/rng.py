@@ -12,8 +12,9 @@ a stable string name, so:
 
 Derivation hashes ``"{seed}:{name}"`` with SHA-256 and feeds 128 bits of the
 digest to :class:`numpy.random.PCG64`.  numpy generators are used throughout
-because the estimator layer (:mod:`repro.dynatune.estimators`) is vectorised
-and the guides' first rule is to keep numeric work inside numpy.
+because the hot consumers draw in blocks — a node's election-timeout
+uniforms, a quiet link's jitter normals — and ``rng.random(n)`` consumes
+the stream exactly like ``n`` scalar draws.
 """
 
 from __future__ import annotations

@@ -1,10 +1,24 @@
-"""Windowed estimators: incremental vs numpy reference — unit + properties."""
+"""The RTT window of PathMeasurement: incremental ``estimate()`` vs the
+numpy reference ``window_mean_std`` — unit + properties."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dynatune.estimators import WindowedMeanStd, window_mean_std
+from repro.dynatune.measurement import PathMeasurement, window_mean_std
+
+
+def _window(capacity: int, vals=()) -> PathMeasurement:
+    """A measurement whose RTT window holds ``vals`` (one heartbeat each)."""
+    m = PathMeasurement(min_list_size=1, max_list_size=capacity)
+    for seq, v in enumerate(vals, 1):
+        m.record(seq, v)
+    return m
+
+
+def _mean_std(m: PathMeasurement) -> tuple[float, float]:
+    mu, sigma, _ = m.estimate()
+    return mu, sigma
 
 
 def test_reference_empty():
@@ -23,83 +37,95 @@ def test_reference_known_values():
 
 
 def test_windowed_empty():
-    w = WindowedMeanStd(10)
-    assert len(w) == 0
-    assert w.mean() == 0.0 and w.std() == 0.0
+    m = _window(10)
+    assert m.rtt_count == 0
+    assert m.rtts() == []
+    assert _mean_std(m) == (0.0, 0.0)
 
 
 def test_windowed_capacity_validation():
     with pytest.raises(ValueError):
-        WindowedMeanStd(0)
+        PathMeasurement(min_list_size=1, max_list_size=0)
 
 
 def test_windowed_rejects_nonfinite():
-    w = WindowedMeanStd(4)
+    m = _window(4)
     with pytest.raises(ValueError):
-        w.push(float("nan"))
+        m.record(1, float("nan"))
     with pytest.raises(ValueError):
-        w.push(float("inf"))
+        m.record(2, float("inf"))
+    assert m.rtt_count == 0
 
 
 def test_windowed_matches_reference_before_eviction():
-    w = WindowedMeanStd(100)
     vals = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]
-    for v in vals:
-        w.push(v)
-    assert w.mean_std() == pytest.approx(window_mean_std(vals))
+    m = _window(100, vals)
+    assert _mean_std(m) == pytest.approx(window_mean_std(vals))
 
 
 def test_windowed_evicts_oldest():
-    w = WindowedMeanStd(3)
-    for v in (1.0, 2.0, 3.0, 4.0):
-        w.push(v)
-    assert len(w) == 3
-    assert w.full
-    assert list(w.values()) == [2.0, 3.0, 4.0]
-    assert w.mean() == pytest.approx(3.0)
+    m = _window(3, (1.0, 2.0, 3.0, 4.0))
+    assert m.rtt_count == 3
+    assert m.rtts() == [2.0, 3.0, 4.0]
+    assert _mean_std(m)[0] == pytest.approx(3.0)
 
 
 def test_windowed_reset():
-    w = WindowedMeanStd(3)
-    w.push(10.0)
-    w.reset()
-    assert len(w) == 0
-    assert w.mean() == 0.0
-    w.push(2.0)
-    assert w.mean() == 2.0
+    m = _window(3, (10.0,))
+    m.reset()
+    assert m.rtt_count == 0
+    assert _mean_std(m) == (0.0, 0.0)
+    m.record(1, 2.0)
+    assert _mean_std(m)[0] == 2.0
 
 
 def test_windowed_single_sample_zero_std():
-    w = WindowedMeanStd(5)
-    w.push(123.456)
-    assert w.std() == 0.0
+    assert _mean_std(_window(5, (123.456,)))[1] == 0.0
 
 
 def test_windowed_constant_series_zero_std():
-    w = WindowedMeanStd(10)
-    for _ in range(100):
-        w.push(100.0)
-    assert w.std() == pytest.approx(0.0, abs=1e-9)
+    m = _window(10, [100.0] * 100)
+    assert _mean_std(m)[1] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_values_order_oldest_first_across_wrap():
-    w = WindowedMeanStd(4)
-    for v in range(10):
-        w.push(float(v))
-    assert list(w.values()) == [6.0, 7.0, 8.0, 9.0]
+    m = _window(4, [float(v) for v in range(10)])
+    assert m.rtts() == [6.0, 7.0, 8.0, 9.0]
+
+
+def _assert_drift_bounded(capacity: int) -> None:
+    rng = np.random.default_rng(0)
+    vals = rng.normal(100.0, 3.0, size=10_000)
+    m = _window(capacity, [float(v) for v in vals])
+    ref_mu, ref_sigma = window_mean_std(vals[-capacity:])
+    assert window_mean_std(m.rtts()) == (ref_mu, ref_sigma)
+    mu, sigma = _mean_std(m)
+    assert mu == pytest.approx(ref_mu, rel=1e-9)
+    assert sigma == pytest.approx(ref_sigma, rel=1e-6)
 
 
 def test_resync_bounds_drift():
-    """After many pushes (incl. the periodic exact recompute) the running
+    """After many samples (incl. the periodic exact recompute) the running
     moments still match a fresh numpy computation."""
-    w = WindowedMeanStd(50)
-    rng = np.random.default_rng(0)
-    vals = rng.normal(100.0, 3.0, size=10_000)
-    for v in vals:
-        w.push(float(v))
-    ref_mu, ref_sigma = window_mean_std(vals[-50:])
-    assert w.mean() == pytest.approx(ref_mu, rel=1e-9)
-    assert w.std() == pytest.approx(ref_sigma, rel=1e-6)
+    _assert_drift_bounded(50)  # small window: resync on every sample
+
+
+def test_resync_bounds_drift_large_window():
+    _assert_drift_bounded(1000)  # one resync per window turnover
+
+
+def test_resync_reanchors_after_a_magnitude_shift():
+    """The offset is the first sample after a reset; once the window has
+    moved orders of magnitude away from it, the resync re-anchors it and
+    the tiny spread of the new regime is still resolved."""
+    rng = np.random.default_rng(1)
+    far = [float(v) for v in rng.normal(1e6, 1e3, size=200)]
+    near = [float(v) for v in rng.normal(1.0, 1e-3, size=300)]
+    m = _window(100, far + near)
+    mu, sigma = _mean_std(m)
+    ref_mu, ref_sigma = window_mean_std(near[-100:])
+    assert mu == pytest.approx(ref_mu, rel=1e-9)
+    assert sigma == pytest.approx(ref_sigma, rel=1e-6)
 
 
 @settings(max_examples=200)
@@ -110,13 +136,12 @@ def test_resync_bounds_drift():
     capacity=st.integers(min_value=1, max_value=20),
 )
 def test_windowed_equals_numpy_reference(vals, capacity):
-    w = WindowedMeanStd(capacity)
-    for v in vals:
-        w.push(v)
-    window = vals[-capacity:]
-    ref_mu, ref_sigma = window_mean_std(window)
-    assert w.mean() == pytest.approx(ref_mu, rel=1e-9, abs=1e-9)
-    assert w.std() == pytest.approx(ref_sigma, rel=1e-6, abs=1e-6)
+    m = _window(capacity, vals)
+    assert m.rtts() == vals[-capacity:]
+    ref_mu, ref_sigma = window_mean_std(m.rtts())
+    mu, sigma = _mean_std(m)
+    assert mu == pytest.approx(ref_mu, rel=1e-9, abs=1e-9)
+    assert sigma == pytest.approx(ref_sigma, rel=1e-6, abs=1e-6)
 
 
 @settings(max_examples=100)
@@ -124,8 +149,6 @@ def test_windowed_equals_numpy_reference(vals, capacity):
     vals=st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=2, max_size=40)
 )
 def test_std_nonnegative_and_bounded_by_range(vals):
-    w = WindowedMeanStd(100)
-    for v in vals:
-        w.push(v)
-    assert w.std() >= 0.0
-    assert w.std() <= (max(vals) - min(vals)) + 1e-9
+    sigma = _mean_std(_window(100, vals))[1]
+    assert sigma >= 0.0
+    assert sigma <= (max(vals) - min(vals)) + 1e-9

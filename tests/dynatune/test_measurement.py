@@ -6,6 +6,10 @@ from hypothesis import given, settings, strategies as st
 from repro.dynatune.measurement import PathMeasurement
 
 
+def _loss(m: PathMeasurement) -> float:
+    return m.estimate()[2]
+
+
 def test_validation():
     with pytest.raises(ValueError):
         PathMeasurement(min_list_size=0)
@@ -16,91 +20,103 @@ def test_validation():
 def test_not_ready_until_min_list_size():
     m = PathMeasurement(min_list_size=3, max_list_size=10)
     for i in range(2):
-        m.record_rtt(100.0)
+        m.record(i, 100.0)
         assert not m.ready
-    m.record_rtt(100.0)
+    m.record(2)  # a heartbeat without an RTT sample does not count
+    assert not m.ready
+    m.record(3, 100.0)
     assert m.ready
 
 
 def test_negative_rtt_rejected():
     with pytest.raises(ValueError):
-        PathMeasurement().record_rtt(-1.0)
+        PathMeasurement().record(1, -1.0)
 
 
 def test_rtt_stats():
     m = PathMeasurement(min_list_size=1)
-    for v in (90.0, 100.0, 110.0):
-        m.record_rtt(v)
-    mu, sigma = m.rtt_mean_std()
+    for seq, v in enumerate((90.0, 100.0, 110.0)):
+        m.record(seq, v)
+    mu, sigma, p = m.estimate()
+    assert p == 0.0
     assert mu == pytest.approx(100.0)
     assert sigma == pytest.approx(8.164965, rel=1e-5)
 
 
 def test_loss_rate_no_data():
     m = PathMeasurement()
-    assert m.loss_rate() == 0.0
-    m.record_id(5)
-    assert m.loss_rate() == 0.0  # single id defines no span
+    assert _loss(m) == 0.0
+    m.record(5)
+    assert _loss(m) == 0.0  # single id defines no span
 
 
 def test_loss_rate_contiguous_ids_zero():
     m = PathMeasurement()
     for i in range(1, 11):
-        m.record_id(i)
-    assert m.loss_rate() == 0.0
+        m.record(i)
+    assert _loss(m) == 0.0
 
 
 def test_loss_rate_with_gaps():
     m = PathMeasurement()
     for i in (1, 2, 4, 5, 10):  # span 10, received 5
-        m.record_id(i)
-    assert m.loss_rate() == pytest.approx(0.5)
+        m.record(i)
+    assert _loss(m) == pytest.approx(0.5)
 
 
 def test_out_of_order_ids_inserted_sorted():
     m = PathMeasurement()
     for i in (5, 1, 3, 2, 4):
-        m.record_id(i)
-    assert m.loss_rate() == 0.0  # complete despite reordering
+        m.record(i)
+    assert _loss(m) == 0.0  # complete despite reordering
     assert m.id_count == 5
 
 
 def test_duplicate_ids_ignored():
     m = PathMeasurement()
-    assert m.record_id(7) is True
-    assert m.record_id(7) is False
+    assert m.record(7) is True
+    assert m.record(7) is False
     assert m.id_count == 1
     assert m.duplicates_ignored == 1
+
+
+def test_duplicate_id_still_records_its_rtt():
+    # The policy hands over an RTT only when the leader's sample is fresh;
+    # a duplicated heartbeat ID does not make the sample stale.
+    m = PathMeasurement(min_list_size=2)
+    assert m.record(7, 10.0) is True
+    assert m.record(7, 30.0) is False
+    assert (m.id_count, m.rtt_count, m.ready) == (1, 2, True)
+    assert m.estimate() == (20.0, 10.0, 0.0)
 
 
 def test_id_window_slides_at_max_list_size():
     m = PathMeasurement(min_list_size=1, max_list_size=5)
     for i in range(1, 11):
-        m.record_id(i)
+        m.record(i)
     assert m.id_count == 5
     # window now covers ids 6..10 (oldest evicted)
-    assert m.loss_rate() == 0.0
+    assert _loss(m) == 0.0
 
 
 def test_rtt_window_bounded():
     m = PathMeasurement(min_list_size=1, max_list_size=4)
     for i in range(10):
-        m.record_rtt(float(i))
+        m.record(i, float(i))
     assert m.rtt_count == 4
-    mu, _ = m.rtt_mean_std()
+    mu, _, _ = m.estimate()
     assert mu == pytest.approx((6 + 7 + 8 + 9) / 4)
 
 
 def test_reset_discards_everything():
     m = PathMeasurement(min_list_size=2)
-    m.record_rtt(1.0)
-    m.record_rtt(2.0)
-    m.record_id(1)
+    m.record(1, 1.0)
+    m.record(2, 2.0)
     m.reset()
     assert not m.ready
     assert m.rtt_count == 0
     assert m.id_count == 0
-    assert m.loss_rate() == 0.0
+    assert _loss(m) == 0.0
 
 
 # -- properties ---------------------------------------------------------- #
@@ -111,8 +127,8 @@ def test_reset_discards_everything():
 def test_loss_rate_always_in_unit_interval(ids):
     m = PathMeasurement()
     for i in ids:
-        m.record_id(i)
-    assert 0.0 <= m.loss_rate() < 1.0
+        m.record(i)
+    assert 0.0 <= _loss(m) < 1.0
 
 
 @settings(max_examples=200)
@@ -126,13 +142,13 @@ def test_loss_rate_independent_of_arrival_order(ids, order_seed):
     ids = list(ids)
     m1 = PathMeasurement()
     for i in sorted(ids):
-        m1.record_id(i)
+        m1.record(i)
     shuffled = list(ids)
     order_seed.shuffle(shuffled)
     m2 = PathMeasurement()
     for i in shuffled:
-        m2.record_id(i)
-    assert m1.loss_rate() == pytest.approx(m2.loss_rate())
+        m2.record(i)
+    assert _loss(m1) == pytest.approx(_loss(m2))
 
 
 @settings(max_examples=100)
@@ -143,12 +159,12 @@ def test_loss_rate_independent_of_arrival_order(ids, order_seed):
 def test_duplicates_never_change_loss_rate(present, dups):
     m1 = PathMeasurement()
     for i in sorted(present):
-        m1.record_id(i)
-    base = m1.loss_rate()
+        m1.record(i)
+    base = _loss(m1)
     for d in dups:
         if d in present:
-            m1.record_id(d)
-    assert m1.loss_rate() == pytest.approx(base)
+            m1.record(d)
+    assert _loss(m1) == pytest.approx(base)
 
 
 @settings(max_examples=100)
@@ -160,6 +176,6 @@ def test_loss_rate_matches_true_bernoulli_thinning(data):
     m = PathMeasurement()
     received = [i for i in range(1, n + 1) if i not in drop]
     for i in received:
-        m.record_id(i)
+        m.record(i)
     expected = 1.0 - len(received) / n
-    assert m.loss_rate() == pytest.approx(expected)
+    assert _loss(m) == pytest.approx(expected)

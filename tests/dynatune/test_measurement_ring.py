@@ -63,17 +63,17 @@ def test_ring_matches_seed_reference_under_chaos(seed):
         recent.append(seq)
         if len(recent) > 30:
             recent.pop(0)
-        assert m.record_id(seq) == ref.record(seq)
+        assert m.record(seq) == ref.record(seq)
         assert m.ids() == ref.ids
         assert m.id_count == len(ref.ids)
-        assert m.loss_rate() == ref.loss_rate()
+        assert m.estimate()[2] == ref.loss_rate()
     assert m.duplicates_ignored == ref.dups
 
 
 def test_monotone_eviction_compacts_dead_prefix():
     m = PathMeasurement(min_list_size=1, max_list_size=10)
     for i in range(1, 200):
-        m.record_id(i)
+        m.record(i)
     assert m.id_count == 10
     assert m.ids() == list(range(190, 200))
     # The backing list must stay bounded (dead prefix compacted away).
@@ -85,9 +85,9 @@ def test_below_window_insert_with_full_window_is_evicted_immediately():
     # evicted by the size bound — reported True, not counted a duplicate.
     m = PathMeasurement(min_list_size=1, max_list_size=5)
     for i in range(10, 16):
-        m.record_id(i)
+        m.record(i)
     assert m.ids() == [11, 12, 13, 14, 15]
-    assert m.record_id(3) is True
+    assert m.record(3) is True
     assert m.ids() == [11, 12, 13, 14, 15]
     assert m.duplicates_ignored == 0
 
@@ -95,28 +95,28 @@ def test_below_window_insert_with_full_window_is_evicted_immediately():
 def test_reset_clears_ring_and_ready():
     m = PathMeasurement(min_list_size=2, max_list_size=10)
     for i in range(1, 30):
-        m.record_id(i)
-    m.record_rtt(10.0)
-    m.record_rtt(12.0)
+        m.record(i)
+    m.record(30, 10.0)
+    m.record(31, 12.0)
     assert m.ready
     m.reset()
     assert m.id_count == 0
     assert m.ids() == []
-    assert m.loss_rate() == 0.0
+    assert m.estimate() == (0.0, 0.0, 0.0)
     assert not m.ready
-    m.record_id(5)  # ring restarts cleanly after reset
+    m.record(5)  # ring restarts cleanly after reset
     assert m.ids() == [5]
 
 
 def test_ready_tracks_min_list_size():
     m = PathMeasurement(min_list_size=3, max_list_size=10)
     assert not m.ready
-    m.record_rtt(1.0)
-    m.record_rtt(2.0)
+    m.record(1, 1.0)
+    m.record(2, 2.0)
     assert not m.ready
-    m.record_rtt(3.0)
+    m.record(3, 3.0)
     assert m.ready
     # Stays ready while the (full) window slides.
-    for _ in range(50):
-        m.record_rtt(4.0)
+    for seq in range(4, 54):
+        m.record(seq, 4.0)
     assert m.ready

@@ -1,14 +1,18 @@
 """Policies in isolation: Static (Raft/Raft-Low), Dynatune, Fix-K."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.dynatune.config import (
     DEFAULT_ELECTION_TIMEOUT_MS,
     DEFAULT_HEARTBEAT_INTERVAL_MS,
+    ET_FLOOR_MS,
+    K_MAX,
     DynatuneConfig,
 )
 from repro.dynatune.metadata import HeartbeatMeta, HeartbeatResponseMeta
 from repro.dynatune.policy import DynatunePolicy, StaticPolicy
+from repro.dynatune.tuner import required_heartbeats, tune_election_timeout, tune_heartbeat
 
 
 # -- StaticPolicy ----------------------------------------------------------- #
@@ -278,8 +282,8 @@ def test_gap_reset_prevents_k_explosion_after_outage():
         _feed_heartbeats(p, end + 60_000.0, 15, seq0=400)
     # Legacy behavior: the ID gap looks like ~96% loss, K explodes and h
     # collapses to the floor.  The gap reset starts a fresh window instead.
-    assert p_old.measurement.loss_rate() > 0.9
-    assert p_new.measurement.loss_rate() < 0.05
+    assert p_old.measurement.estimate()[2] > 0.9
+    assert p_new.measurement.estimate()[2] < 0.05
     assert p_new.gap_resets == 1
     assert p_new.tuned_h_ms is None or p_new.tuned_h_ms > p_old.tuned_h_ms
 
@@ -310,6 +314,41 @@ def test_retune_surfaces_floor_clamp_metadata():
     assert p.floor_clamps >= 1
     assert p.tuned_h_ms == pytest.approx(p.tuned_et_ms)
     assert p.last_tuning.effective_k == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rtts=st.lists(st.floats(min_value=0.0, max_value=2_000.0), min_size=1, max_size=30),
+    gaps=st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=60),
+    fixed_k=st.none() | st.integers(min_value=1, max_value=60),
+    h_floor_ms=st.floats(min_value=0.01, max_value=500.0),
+)
+@example(rtts=[1.0, 3.0], gaps=[1, 3, 1, 2, 4], fixed_k=None, h_floor_ms=100.0)  # both floors
+@example(rtts=[400.0], gaps=[1] * 20, fixed_k=60, h_floor_ms=10.0)  # fixed K, h floor
+def test_retune_matches_tuner_references(rtts, gaps, fixed_k, h_floor_ms):
+    """``_retune`` applies the tuning formulas inline; after every heartbeat
+    its Et, h and clamp provenance equal ``tune_election_timeout`` /
+    ``required_heartbeats`` / ``tune_heartbeat`` applied to the
+    measurement's own ``estimate()`` — over RTT windows that slide, ID gaps
+    (loss), Fix-K and both floor clamps."""
+    cfg = DynatuneConfig(
+        min_list_size=1, max_list_size=16, fixed_k=fixed_k, h_floor_ms=h_floor_ms
+    )
+    p = DynatunePolicy(cfg)
+    seq = 0
+    for i, gap in enumerate(gaps):
+        seq += gap
+        meta = HeartbeatMeta(seq, float(i), rtts[i % len(rtts)], i + 1)
+        p.on_heartbeat("L", meta, float(i))
+        mu, sigma, loss = p.measurement.estimate()
+        et = tune_election_timeout(
+            mu, sigma, safety_factor=cfg.safety_factor, floor_ms=ET_FLOOR_MS
+        )
+        k = fixed_k or required_heartbeats(loss, cfg.arrival_probability, k_max=K_MAX)
+        tuning = tune_heartbeat(et, k, floor_ms=h_floor_ms)
+        assert p.tuned_et_ms == et
+        assert p.tuned_h_ms == tuning.h_ms
+        assert p.last_tuning == tuning
 
 
 def test_leader_applies_follower_h_below_its_own_floor():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.dynatune.tuner import (
     required_heartbeats,
     tune_election_timeout,
-    tune_heartbeat_interval,
+    tune_heartbeat,
 )
 
 
@@ -25,13 +25,6 @@ def test_et_zero_sigma():
 
 def test_et_floor():
     assert tune_election_timeout(0.0, 0.0, safety_factor=2.0, floor_ms=10.0) == 10.0
-
-
-def test_et_ceiling():
-    assert (
-        tune_election_timeout(5000.0, 100.0, safety_factor=2.0, ceiling_ms=1000.0)
-        == 1000.0
-    )
 
 
 def test_et_validation():
@@ -79,18 +72,18 @@ def test_k_validation():
 
 
 def test_h_formula():
-    assert tune_heartbeat_interval(600.0, 6) == 100.0
+    assert tune_heartbeat(600.0, 6).h_ms == 100.0
 
 
 def test_h_floor():
-    assert tune_heartbeat_interval(10.0, 100, floor_ms=1.0) == 1.0
+    assert tune_heartbeat(10.0, 100, floor_ms=1.0).h_ms == 1.0
 
 
 def test_h_validation():
     with pytest.raises(ValueError):
-        tune_heartbeat_interval(0.0, 1)
+        tune_heartbeat(0.0, 1)
     with pytest.raises(ValueError):
-        tune_heartbeat_interval(100.0, 0)
+        tune_heartbeat(100.0, 0)
 
 
 # -- properties ------------------------------------------------------------ #
@@ -149,7 +142,7 @@ def test_et_monotone_in_inputs(mu, sigma, s):
 )
 def test_h_times_k_covers_et(et, k):
     """K heartbeats at interval h span (almost exactly) one Et window."""
-    h = tune_heartbeat_interval(et, k, floor_ms=1e-6)
+    h = tune_heartbeat(et, k, floor_ms=1e-6).h_ms
     assert h * k == pytest.approx(et) or h == 1e-6  # unless floored
 
 
@@ -171,8 +164,6 @@ def test_k_exact_boundary_is_not_overshot():
 
 
 def test_tune_heartbeat_unclamped_reports_requested_k():
-    from repro.dynatune.tuner import tune_heartbeat
-
     t = tune_heartbeat(600.0, 6, floor_ms=1.0)
     assert t.h_ms == 100.0
     assert t.requested_k == 6
@@ -181,8 +172,6 @@ def test_tune_heartbeat_unclamped_reports_requested_k():
 
 
 def test_tune_heartbeat_floor_rederives_effective_k():
-    from repro.dynatune.tuner import tune_heartbeat
-
     # Et/K = 0.2 ms < floor 1 ms: only 10 one-ms beats fit in 10 ms.
     t = tune_heartbeat(10.0, 50, floor_ms=1.0)
     assert t.h_ms == 1.0
@@ -192,8 +181,6 @@ def test_tune_heartbeat_floor_rederives_effective_k():
 
 
 def test_tune_heartbeat_floor_above_et_caps_h_at_et():
-    from repro.dynatune.tuner import tune_heartbeat
-
     # A floor larger than Et must not space heartbeats past the window.
     t = tune_heartbeat(5.0, 3, floor_ms=20.0)
     assert t.h_ms == 5.0
@@ -202,8 +189,6 @@ def test_tune_heartbeat_floor_above_et_caps_h_at_et():
 
 
 def test_tune_heartbeat_validation():
-    from repro.dynatune.tuner import tune_heartbeat
-
     with pytest.raises(ValueError):
         tune_heartbeat(100.0, 1, floor_ms=0.0)
 
@@ -216,8 +201,6 @@ def test_tune_heartbeat_validation():
 )
 def test_heartbeats_always_fit_inside_et(et, k, floor):
     """The §III-D2 guarantee: effective_k heartbeats at h fit in one Et."""
-    from repro.dynatune.tuner import tune_heartbeat
-
     t = tune_heartbeat(et, k, floor_ms=floor)
     assert t.h_ms <= et + 1e-9
     assert t.effective_k >= 1

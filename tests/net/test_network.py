@@ -1,5 +1,6 @@
 """Network fabric: delivery, partitions, impairment control, stats."""
 
+import functools
 from typing import Any
 
 import pytest
@@ -8,6 +9,7 @@ from repro.net.link import Link
 from repro.net.loss_models import BernoulliLoss
 from repro.net.network import Network
 from repro.net.topology import uniform_topology
+from repro.sim.events import PRIORITY_MESSAGE
 from repro.sim.loop import EventLoop
 from repro.sim.rng import RngRegistry
 
@@ -208,27 +210,38 @@ def check_udp_against_reference(net, *, loss, duplicate_p):
         rng=RngRegistry(777).stream("pin"),
     )
 
-    deliveries: list[float] = []
-    b.deliver = lambda sender, payload: deliveries.append(loop.now)  # type: ignore[method-assign]
+    # The reference deliveries go onto a twin loop through _push_event,
+    # which Network.transmit also inlines: same (time, priority, seq) per
+    # delivery, and the same delivery order, ties included.
+    ref_loop = EventLoop()
+    assert loop.pending == 0 and loop._seq == ref_loop._seq
+    got: list[tuple[float, int]] = []
+    ref_got: list[tuple[float, int]] = []
+    b.deliver = lambda sender, payload: got.append((loop.now, payload))  # type: ignore[method-assign]
 
     n_msgs = 200
-    expected: list[float] = []
-    for _ in range(n_msgs):
+    for i in range(n_msgs):
         t0 = loop.now
-        network.send("a", "b", "x", channel="udp")
+        network.send("a", "b", i, channel="udp")
         plan = udp_transmission_plan(twin)
         if plan.deliver:
-            expected.append(t0 + plan.delay_ms)
-            expected.extend(t0 + d for d in plan.duplicates)
+            for delay_ms in (plan.delay_ms, *plan.duplicates):
+                ref_loop._push_event(
+                    t0 + delay_ms,
+                    functools.partial(lambda i: ref_got.append((ref_loop.now, i)), i),
+                    PRIORITY_MESSAGE,
+                )
+    assert sorted(e[:3] for e in loop._heap) == sorted(e[:3] for e in ref_loop._heap)
     loop.run()
+    ref_loop.run()
 
-    assert sorted(deliveries) == pytest.approx(sorted(expected))
+    assert got == ref_got
     # Both streams must have advanced identically: next draw agrees.
     assert link.rng.random() == twin.rng.random()
     stats = link.stats
     assert stats.sent == n_msgs
-    assert stats.delivered == len(expected)
-    assert stats.dropped == n_msgs - (len(expected) - stats.duplicated)
+    assert stats.delivered == len(ref_got)
+    assert stats.dropped == n_msgs - (len(ref_got) - stats.duplicated)
 
 
 @pytest.mark.parametrize("loss", [0.0, 0.2, 1.0])
@@ -264,6 +277,11 @@ def test_tcp_send_path_matches_transport_reference(net, loss):
 
     deliveries: list[tuple[float, int]] = []
     b.deliver = lambda sender, payload: deliveries.append((loop.now, payload))  # type: ignore[method-assign]
+    # The reference deliveries also go onto a twin loop through
+    # _push_event, which Network.transmit inlines: same seq per delivery.
+    ref_loop = EventLoop()
+    assert loop.pending == 0 and loop._seq == ref_loop._seq
+    ref_got: list[tuple[float, int]] = []
 
     expected: list[tuple[float, int]] = []
     retransmits = clamped = 0
@@ -288,11 +306,19 @@ def test_tcp_send_path_matches_transport_reference(net, loss):
         plan = tcp_transmission_plan(twin, state, now)
         assert plan.deliver
         expected.append((now + plan.delay_ms, i))
+        ref_loop._push_event(
+            now + plan.delay_ms,
+            functools.partial(lambda i: ref_got.append((ref_loop.now, i)), i),
+            PRIORITY_MESSAGE,
+        )
+        # Twin heaps, same pushes and pops so far: equal entry by entry.
+        assert [e[:3] for e in loop._heap] == [e[:3] for e in ref_loop._heap]
         retransmits += plan.retransmits
         clamped += state.last_delivery_ms == horizon
         # Irregular send instants: ``now + (horizon - now)`` must round
         # differently from ``horizon`` often enough to tell them apart.
         loop.run_until(now + 0.7 + 0.013 * (i % 7))
+        ref_loop.run_until(now + 0.7 + 0.013 * (i % 7))
     loop.run()
 
     # Exact floats.  Sorted, because a clamped segment is scheduled at
@@ -300,6 +326,8 @@ def test_tcp_send_path_matches_transport_reference(net, loss):
     # and so overtake the segment it queued behind — the reference's
     # arithmetic, kept bit for bit.
     assert deliveries == sorted(expected, key=lambda e: e[0])
+    ref_loop.run()
+    assert deliveries == ref_got
     assert clamped > 50 or loss == 1.0  # the clamp really was exercised
     assert first.stats.retransmits + link.stats.retransmits == retransmits
     assert (retransmits > 0) == (loss > 0.0)

@@ -104,3 +104,45 @@ def test_metrics_count_commit_advances_under_load():
     node = c.node(leader)
     assert node.metrics.commit_advances >= 1
     assert node.commit_index >= 5
+
+
+def test_on_heartbeat_rearm_matches_arm_election_timer():
+    """``_on_heartbeat`` inlines ``_arm_election_timer``; pin the two together.
+
+    Two clusters built alike reach the same state.  One follower takes
+    Dynatune heartbeats (RTT samples moving its Et every beat) through
+    ``_on_heartbeat``; its twin in the other cluster feeds the same
+    metadata to its policy and re-arms through ``_arm_election_timer``.
+    Each beat must draw the same randomized timeout and leave the same
+    election-timer deadline, across the node's random-block refills and
+    under a drifting local clock.
+    """
+    from repro.dynatune.metadata import HeartbeatMeta
+    from repro.raft.messages import HeartbeatRequest
+
+    def follower():
+        cluster = build_cluster(
+            ClusterConfig(n_nodes=3, seed=5, rtt_ms=50.0, clock_drift=0.05),
+            lambda name: DynatunePolicy(),
+        )
+        cluster.start()
+        leader = cluster.run_until_leader()
+        cluster.run_for(2_000.0)
+        return next(n for n in cluster.nodes.values() if n.name != leader), leader
+
+    (node, leader), (twin, twin_leader) = follower(), follower()
+    assert (twin.name, twin_leader) == (node.name, leader)
+    assert node._election_timer.deadline == twin._election_timer.deadline
+    seq0 = node.policy.measurement.ids()[-1]
+    drawn = []
+    for i in range(600):  # > 2 blocks of _RAND_BLOCK draws
+        meta = HeartbeatMeta(seq0 + 1 + i, 0.0, 40.0 + (i * 37 % 23), 10_000 + i)
+        node._on_heartbeat(leader, HeartbeatRequest(node.current_term, leader, 0, meta))
+        twin.policy.on_heartbeat(leader, meta, twin._now())
+        twin._arm_election_timer()
+        randomized = node.metrics.current_randomized_timeout_ms
+        assert randomized == twin.metrics.current_randomized_timeout_ms
+        assert node._election_timer.deadline == twin._election_timer.deadline
+        drawn.append(randomized)
+    assert node.policy.tuned_et_ms == twin.policy.tuned_et_ms
+    assert len(set(drawn)) == len(drawn)  # Et and the draw both moved

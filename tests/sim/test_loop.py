@@ -1,8 +1,10 @@
 """EventLoop: ordering, cancellation, run_until semantics."""
 
+import functools
+
 import pytest
 
-from repro.sim.events import PRIORITY_MESSAGE, PRIORITY_TIMER
+from repro.sim.events import PRIORITY_CONTROL, PRIORITY_MESSAGE, PRIORITY_TIMER
 from repro.sim.loop import EventLoop, SimulationError
 
 
@@ -237,3 +239,47 @@ def test_events_scheduled_during_run_until_within_bound_execute():
     assert fired == [1, 2, 3]
     loop.run_until(10.0)
     assert fired == [1, 2, 3, 4, 5]
+
+
+
+#: (delay, priority) pairs with many ties on both, for the twin-loop pin.
+_TWIN_PLAN = [
+    (float(i % 4) * 1.5, (PRIORITY_MESSAGE, PRIORITY_CONTROL, PRIORITY_TIMER)[i * 7 % 3])
+    for i in range(60)
+]
+
+
+def _drive_twin(push):
+    """Run ``_TWIN_PLAN`` through ``push(loop, delay, callback, priority)``:
+    once from time 0, then once more from inside each first-round callback
+    (a later ``now``).  Returns each event's (time, priority, seq) and the
+    order the callbacks ran in."""
+    loop = EventLoop()
+    keys: list[tuple] = []
+    ran: list[int] = []
+
+    def fire(tag):
+        ran.append(tag)
+        if tag < len(_TWIN_PLAN):
+            delay, priority = _TWIN_PLAN[tag]
+            event = push(loop, delay, functools.partial(fire, tag + len(_TWIN_PLAN)), priority)
+            keys.append(tuple(event[:3]))
+
+    for i, (delay, priority) in enumerate(_TWIN_PLAN):
+        keys.append(tuple(push(loop, delay, functools.partial(fire, i), priority)[:3]))
+    loop.run()
+    return keys, ran
+
+
+def test_schedule_matches_push_event_on_a_twin_loop():
+    """``schedule`` inlines ``_push_event``; pin the two together: the same
+    stream of events gets the same (time, priority, seq) on twin loops, and
+    the callbacks run in the same order."""
+    keys, ran = _drive_twin(lambda loop, d, cb, p: loop.schedule(d, cb, priority=p))
+    ref_keys, ref_ran = _drive_twin(
+        lambda loop, d, cb, p: loop._push_event(loop.now + d, cb, p)
+    )
+    assert keys == ref_keys
+    assert ran == ref_ran
+    assert len(ran) == 2 * len(_TWIN_PLAN)
+    assert len({k[:2] for k in keys}) < len(keys)  # ties were exercised

@@ -112,7 +112,10 @@ class RepolintConfig:
             "repro/net/network.py": frozenset({"Network.transmit"}),
             "repro/net/link.py": frozenset({"Link._refill", "Link._sync"}),
             "repro/dynatune/measurement.py": frozenset(
-                {"PathMeasurement.record_id", "PathMeasurement.record_rtt"}
+                {"PathMeasurement.record", "PathMeasurement.estimate"}
+            ),
+            "repro/dynatune/policy.py": frozenset(
+                {"DynatunePolicy.on_heartbeat", "DynatunePolicy._retune"}
             ),
             "repro/sim/tracing.py": frozenset({"TraceLog.record"}),
         }
@@ -298,7 +301,8 @@ class RepolintConfig:
     )
     #: Directories (relative to the scanned root) whose ``.py`` files
     #: count as callers besides the scanned tree itself; missing ones are
-    #: skipped, so fixture trees need not provide them.
+    #: skipped, so fixture trees need not provide them.  Rule family 10
+    #: resolves an inline copy's ``tests/<file>.py::<test>`` through them.
     knob_user_roots: tuple[str, ...] = (
         "../tests",
         "../benchmarks",

@@ -17,6 +17,7 @@ from tools.repolint.rules.dispatch import (
     StepRegistryRule,
 )
 from tools.repolint.rules.hotpath import HotPathAllocRule, SlotsRule
+from tools.repolint.rules.inline_copies import InlineCopyPinnedRule
 from tools.repolint.rules.knobs import ConfigKnobLivenessRule
 from tools.repolint.rules.state import ProtectedStateRule
 from tools.repolint.rules.tracekinds import TraceRegistryRule
@@ -39,6 +40,7 @@ def rule_classes() -> list[type[Rule]]:
         NodeClockRule,
         ConfigKnobLivenessRule,
         AnnotationFloorRule,
+        InlineCopyPinnedRule,
     ]
 
 
