@@ -111,6 +111,11 @@ class WorkloadDriver:
         self.stop_ms = stop_ms
         self.clients = []
         self._keys = [f"k{i + 1}" for i in range(config.n_keys)]
+        # Each key's get and delete are built once and shared by every op
+        # that draws them (a command is immutable); a put's value is
+        # unique, so each put builds its own.
+        self._gets = [kv_get(key) for key in self._keys]
+        self._deletes = [kv_delete(key) for key in self._keys]
         #: per-client issued-op counter; doubles as the chaining token.
         self._issued: list[int] = []
         self._settled: list[bool] = []
@@ -166,21 +171,21 @@ class WorkloadDriver:
             return
         rng = self._rngs[ci]
         client = self.clients[ci]
-        key = self._keys[int(rng.integers(cfg.n_keys))]
+        k = int(rng.integers(cfg.n_keys))
         seq = self._issued[ci]
         is_read = False
         if ci < cfg.read_only_clients:
-            command = kv_get(key)
+            command = self._gets[k]
             is_read = cfg.read_fastpath
         else:
             draw = float(rng.random())
             if draw < cfg.p_put:
-                command = kv_put(key, client.name + ":" + str(seq))
+                command = kv_put(self._keys[k], client.name + ":" + str(seq))
             elif draw < cfg.p_put + cfg.p_get:
-                command = kv_get(key)
+                command = self._gets[k]
                 is_read = cfg.read_fastpath
             else:
-                command = kv_delete(key)
+                command = self._deletes[k]
         self._issued[ci] = seq + 1
         self._settled[ci] = False
         client.submit(command, on_complete=self._on_done[ci], read=is_read)

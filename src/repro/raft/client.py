@@ -10,7 +10,10 @@ high-rate open-loop load of Fig. 5 uses the fluid model in
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable
+from collections.abc import Iterator, Sequence
+from itertools import starmap
+from operator import sub
+from typing import Any, Callable, overload
 
 from repro.raft.messages import ClientReadRequest, ClientRequest, ClientResponse
 from repro.sim.clock import NodeClock
@@ -19,7 +22,7 @@ from repro.sim.loop import EventLoop
 from repro.sim.timers import DeadlineQueue
 from repro.sim.tracing import TraceLog
 
-__all__ = ["RaftClient", "CompletedRequest"]
+__all__ = ["RaftClient", "CompletedRequest", "CompletedRequests"]
 
 
 @dataclasses.dataclass(slots=True)
@@ -36,6 +39,59 @@ class CompletedRequest:
     @property
     def latency_ms(self) -> float:
         return self.completed_ms - self.submitted_ms
+
+
+#: Fields per row of a client's completion record, in
+#: :class:`CompletedRequest` order.
+_ROW = 6
+
+
+class CompletedRequests(Sequence[CompletedRequest]):
+    """Read-only, live view of a client's completions, oldest first.
+
+    The client keeps each completion as one flat row of atomic values in
+    a single list, so a finished operation leaves no object behind for
+    the cyclic collector; this view builds a :class:`CompletedRequest`
+    for whoever reads one.  It behaves like the list it replaces: ``len``,
+    indexing (negative and slices too), iteration, and ``==`` against a
+    list or another view; it sees every later completion.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: list[Any]) -> None:
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows) // _ROW
+
+    @overload
+    def __getitem__(self, index: int) -> CompletedRequest: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[CompletedRequest]: ...
+
+    def __getitem__(
+        self, index: int | slice
+    ) -> CompletedRequest | list[CompletedRequest]:
+        rows = self._rows
+        at = range(0, len(rows), _ROW)[index]
+        if isinstance(at, range):
+            return [CompletedRequest(*rows[i : i + _ROW]) for i in at]
+        return CompletedRequest(*rows[at : at + _ROW])
+
+    def __iter__(self) -> Iterator[CompletedRequest]:
+        return starmap(CompletedRequest, zip(*[iter(self._rows)] * _ROW))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, CompletedRequests):
+            return self._rows == other._rows
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 class RaftClient:
@@ -94,7 +150,10 @@ class RaftClient:
         self.clock = NodeClock(loop)
         self._now: Callable[[], float] = self.clock.now
 
-        self.completed: list[CompletedRequest] = []
+        # One flat row per completion (see ``_ROW``), read through the
+        # ``completed`` view.
+        self._done: list[Any] = []
+        self._completed = CompletedRequests(self._done)
         self.failed: list[int] = []
         self._next_id = 0
         self._contact = self.cluster[0]
@@ -140,21 +199,31 @@ class RaftClient:
         """
         req_id = self._next_id
         self._next_id += 1
-        state = [command, self._now(), 0, on_complete, read]
+        now = self._now()
+        state = [command, now, 0, on_complete, read]
         self._inflight[req_id] = state
         if self.history is not None:
-            self.history.invoke(self.name, req_id, command, self._now())
+            self.history.invoke(self.name, req_id, command, now)
         self._transmit(req_id, state)
         return req_id
+
+    @property
+    def completed(self) -> CompletedRequests:
+        """Every completed request, oldest first: a read-only, live view
+        that builds each :class:`CompletedRequest` when it is read."""
+        return self._completed
 
     @property
     def inflight_count(self) -> int:
         return len(self._inflight)
 
     def mean_latency_ms(self) -> float:
-        if not self.completed:
+        rows = self._done
+        if not rows:
             return 0.0
-        return sum(c.latency_ms for c in self.completed) / len(self.completed)
+        # completed_ms - submitted_ms of each row, summed in order.
+        total: float = sum(map(sub, rows[3::_ROW], rows[2::_ROW]))
+        return total / (len(rows) // _ROW)
 
     def add_server(self, name: str) -> None:
         """Add a server to the retry rotation (dynamic membership)."""
@@ -238,20 +307,16 @@ class RaftClient:
             return  # duplicate/stale answer for an already-settled request
         if resp.ok:
             del self._inflight[req_id]
-            done = CompletedRequest(
-                request_id=req_id,
-                command=state[0],
-                submitted_ms=state[1],
-                completed_ms=self._now(),
-                result=resp.result,
-                retries=state[2],
-            )
-            self.completed.append(done)
+            now = self._now()
+            result = resp.result
+            self._done += (req_id, state[0], state[1], now, result, state[2])
             if self.history is not None:
-                self.history.complete(self.name, req_id, resp.result, self._now())
+                self.history.complete(self.name, req_id, result, now)
             on_complete = state[3]
             if on_complete is not None:
-                on_complete(done)
+                on_complete(
+                    CompletedRequest(req_id, state[0], state[1], now, result, state[2])
+                )
             return
         # Redirect: update the believed leader and retransmit immediately.
         # A hint equal to the current contact still needs a retransmit —

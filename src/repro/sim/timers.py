@@ -203,14 +203,17 @@ class TimerService:
 class DeadlineQueue:
     """Constant-length timeouts of one owner behind a single loop event.
 
-    :meth:`add` stores ``(now + timeout, seq, token)``; the timeout is a
-    constant, so deadlines arrive sorted and a deque is a priority queue.
-    One loop event is armed while any entry remains, for the earliest
-    entry that was live when it was armed, at that entry's *stored*
-    deadline and under the sequence number reserved at :meth:`add` — the
-    ``(time, priority, seq)`` key a per-token ``schedule(timeout, ...)``
-    would have had, so ``expire`` runs at the same instant and in the same
-    order relative to every other event, ties included.
+    :meth:`add` appends ``now + timeout``, the sequence number it reserves
+    and the token to three parallel deques (no tuple per entry: an entry
+    lives a whole timeout, long enough for the cyclic collector to see
+    it).  The timeout is a constant, so deadlines arrive sorted and the
+    deques are a priority queue.  One loop event is armed while any entry
+    remains, for the earliest entry that was live when it was armed, at
+    that entry's *stored* deadline and under the sequence number reserved
+    at :meth:`add` — the ``(time, priority, seq)`` key a per-token
+    ``schedule(timeout, ...)`` would have had, so ``expire`` runs at the
+    same instant and in the same order relative to every other event,
+    ties included.
 
     Nothing is cancelled: the owner answers ``live(token)``, and entries
     whose token has settled are dropped as they reach the head (a token
@@ -218,7 +221,17 @@ class DeadlineQueue:
     only called for live tokens; it may :meth:`add`.
     """
 
-    __slots__ = ("_loop", "timeout", "_expire", "_live", "_priority", "_queue", "_armed")
+    __slots__ = (
+        "_loop",
+        "timeout",
+        "_expire",
+        "_live",
+        "_priority",
+        "_deadlines",
+        "_seqs",
+        "_tokens",
+        "_armed",
+    )
 
     def __init__(
         self,
@@ -235,7 +248,9 @@ class DeadlineQueue:
         self._expire = expire
         self._live = live
         self._priority = priority
-        self._queue: deque[tuple[float, int, Any]] = deque()
+        self._deadlines: deque[float] = deque()
+        self._seqs: deque[int] = deque()
+        self._tokens: deque[Any] = deque()
         self._armed = False
 
     def add(self, token: Any) -> None:
@@ -243,7 +258,9 @@ class DeadlineQueue:
         loop = self._loop
         deadline = loop.now + self.timeout
         seq = loop._reserve_seq()
-        self._queue.append((deadline, seq, token))
+        self._deadlines.append(deadline)
+        self._seqs.append(seq)
+        self._tokens.append(token)
         if not self._armed:
             self._armed = True
             loop._push_reserved(deadline, self._priority, seq, self._fire)
@@ -251,15 +268,22 @@ class DeadlineQueue:
     def _fire(self) -> None:
         """The armed event: expire the head it was armed for (if still
         live), then re-arm for the next live entry at its stored key."""
-        queue = self._queue
+        deadlines = self._deadlines
+        seqs = self._seqs
+        tokens = self._tokens
         live = self._live
-        token = queue.popleft()[2]
+        deadlines.popleft()
+        seqs.popleft()
+        token = tokens.popleft()
         if live(token):
             self._expire(token)
-        while queue:
-            deadline, seq, token = queue[0]
-            if live(token):
-                self._loop._push_reserved(deadline, self._priority, seq, self._fire)
+        while tokens:
+            if live(tokens[0]):
+                self._loop._push_reserved(
+                    deadlines[0], self._priority, seqs[0], self._fire
+                )
                 return
-            queue.popleft()
+            deadlines.popleft()
+            seqs.popleft()
+            tokens.popleft()
         self._armed = False

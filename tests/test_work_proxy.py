@@ -15,3 +15,4 @@ def test_same_seed_in_two_fresh_processes_counts_the_same_calls():
     )
     assert first == second
     assert first.startswith("serve_reads") and "calls=" in first and "failed=0" in first
+    assert " gc=" in first  # collector passes, counted without the profile hook

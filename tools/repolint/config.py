@@ -96,9 +96,13 @@ class RepolintConfig:
             "repro/raft/client.py": frozenset(
                 {
                     "RaftClient.deliver",
+                    "RaftClient.submit",
                     "RaftClient._transmit",
                     "RaftClient._on_response",
                 }
+            ),
+            "repro/fuzz/history.py": frozenset(
+                {"OpHistory.invoke", "OpHistory.complete"}
             ),
             "repro/sim/timers.py": frozenset(
                 {"DeadlineQueue.add", "DeadlineQueue._fire"}

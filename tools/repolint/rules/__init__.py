@@ -5,6 +5,7 @@ from __future__ import annotations
 from tools.repolint.config import RepolintConfig
 from tools.repolint.engine import Rule
 from tools.repolint.rules.annotations import AnnotationFloorRule
+from tools.repolint.rules.collector import CollectorControlRule
 from tools.repolint.rules.determinism import (
     ForbiddenNondeterminismRule,
     LinkStreamRule,
@@ -41,6 +42,7 @@ def rule_classes() -> list[type[Rule]]:
         ConfigKnobLivenessRule,
         AnnotationFloorRule,
         InlineCopyPinnedRule,
+        CollectorControlRule,
     ]
 
 

@@ -1,4 +1,4 @@
-"""Deterministic work proxy: Python+C calls in one round of the benchmark.
+"""Deterministic work proxy: calls and collector passes in one round of the benchmark.
 
     python -m tools.work_proxy [--workload W]... [--seed N] [--round I] [--smoke]
 
@@ -9,11 +9,21 @@ of each workload runs in-process through the benchmark's own
 workload's count includes whatever the ones before it left unimported) in
 a parent checkout and in this one is an A/B no noisy neighbour can blur.
 A count compares two versions of one program; it is not a speed.
+
+Calls are not collector time.  The cyclic collector runs when tracked
+objects pile up, whatever code allocates them, and its passes are charged
+to no call; a change that stops keeping per-operation objects alive can
+add calls and still run faster.  So each round runs a second time without
+the profile hook (whose frame objects would feed the collector), after a
+full collection, and ``gc=g0/g1/g2`` counts that pass's collections of
+each generation through ``gc.callbacks`` (the benchmark's own
+``gc.collect()`` before each timed body counts as a generation-2 pass).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -36,12 +46,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--smoke", action="store_true", help="the tiny CI-sized round")
     args = parser.parse_args(argv)
     calls = 0
+    passes = [0, 0, 0]
 
     def hook(frame: object, event: str, arg: object) -> None:
         nonlocal calls
         calls += event == "call" or event == "c_call"
 
+    def count_pass(phase: str, info: dict[str, int]) -> None:
+        if phase == "stop":
+            passes[info["generation"]] += 1
+
     seed = derive_trial_seed(args.seed, args.round)
+    status = 0
     for workload in args.workload or list(workloads.ROUNDS):
         calls = 0
         sys.setprofile(hook)
@@ -49,11 +65,22 @@ def main(argv: list[str] | None = None) -> int:
             rnd = workloads.run_round(workload, seed, spans.NullTracer(), smoke=args.smoke)
         finally:
             sys.setprofile(None)
+        gc.collect()
+        passes[:] = [0, 0, 0]
+        gc.callbacks.append(count_pass)
+        try:
+            again = workloads.run_round(workload, seed, spans.NullTracer(), smoke=args.smoke)
+        finally:
+            gc.callbacks.remove(count_pass)
+        if again.simulated() != rnd.simulated():
+            print(f"{workload}: the unprofiled pass simulated something else", file=sys.stderr)
+            status = 1
         print(
             f"{workload:<18} calls={calls:>9} calls_per_sim_s={calls / rnd.sim_s:>11.1f} "
+            f"gc={passes[0]}/{passes[1]}/{passes[2]} "
             f"attempted={rnd.attempted} failed={rnd.failed} sim_s={rnd.sim_s:g}"
         )
-    return 0
+    return status
 
 
 if __name__ == "__main__":
