@@ -291,8 +291,8 @@ def run_one(config: AblationConfig) -> AblationPoint:
 
 GRID = grid.Grid(
     name="ablations",
-    full=AblationConfig,
-    smoke=AblationConfig,
+    full=AblationConfig(),
+    smoke=AblationConfig(),
     cells=lambda base, systems: [
         AblationConfig(system=system, study=name, value=value)
         for name, study in STUDIES.items()

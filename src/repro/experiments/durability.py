@@ -348,9 +348,9 @@ def _row(r: DurabilityRunResult) -> tuple[str, ...]:
 
 GRID = grid.Grid(
     name="durability",
-    full=DurabilityConfig,
+    full=DurabilityConfig(),
     # CI budget: 3 nodes, short windows.
-    smoke=lambda: DurabilityConfig(
+    smoke=DurabilityConfig(
         n_nodes=3,
         storm_start_ms=3_000.0,
         window_ms=2_500.0,

@@ -369,9 +369,9 @@ def _row(r: ElasticRunResult) -> tuple[str, ...]:
 
 GRID = grid.Grid(
     name="elastic",
-    full=ElasticConfig,
+    full=ElasticConfig(),
     # CI budget: grow 3->5, shrink 5->3, replace-all of 3 with short gaps.
-    smoke=lambda: ElasticConfig(changes=2, gap_ms=5_000.0, settle_ms=8_000.0),
+    smoke=ElasticConfig(changes=2, gap_ms=5_000.0, settle_ms=8_000.0),
     cells=_cells,
     run_one=run_one,
     check=check,

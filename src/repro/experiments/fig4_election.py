@@ -36,7 +36,7 @@ from repro.cluster.builder import ClusterConfig, build_cluster
 from repro.cluster.harness import ClusterHarness
 from repro.cluster.measurements import FailureEpisode, extract_failure_episodes
 from repro.experiments import grid
-from repro.experiments.common import get_scale, make_policy_factory
+from repro.experiments.common import make_policy_factory
 from repro.net.topology import ClockModel
 
 __all__ = ["Fig4Config", "SystemElectionResult", "GRID", "run_one", "reduction"]
@@ -60,7 +60,8 @@ class Fig4Config:
     derive one per system)."""
 
     system: str = "raft"
-    n_failures: int = 60
+    #: Leader kills (paper: 1000; Fig. 8 too).
+    n_failures: int = 1000
     warmup_ms: float = 8_000.0
     sleep_ms: float = 6_000.0
     settle_ms: float = 8_000.0
@@ -199,8 +200,8 @@ def _summary(runs: Sequence[SystemElectionResult]) -> list[str]:
 
 GRID = grid.Grid(
     name="fig4_election",
-    full=lambda: Fig4Config(n_failures=get_scale().fig4_failures),
-    smoke=lambda: Fig4Config(n_failures=6),
+    full=Fig4Config(),
+    smoke=Fig4Config(n_failures=6),
     cells=lambda base, systems: [dataclasses.replace(base, system=s) for s in systems],
     run_one=run_one,
     check=lambda runs: [],

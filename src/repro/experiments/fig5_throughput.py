@@ -29,7 +29,6 @@ from repro.cluster.workload import (
     run_rps_staircase,
 )
 from repro.experiments import grid
-from repro.experiments.common import get_scale
 from repro.sim.rng import RngRegistry
 
 __all__ = ["Fig5Config", "SystemThroughputResult", "GRID", "run_one", "peak_gap"]
@@ -53,7 +52,8 @@ class Fig5Config:
     system)."""
 
     system: str = "raft"
-    repeats: int = 3
+    #: Staircase repeats (paper: 10).
+    repeats: int = 10
     dwell_s: float = 10.0
     max_rps: float = 15_000.0
 
@@ -117,8 +117,8 @@ def peak_gap(runs: Sequence[SystemThroughputResult]) -> float:
 
 GRID = grid.Grid(
     name="fig5_throughput",
-    full=lambda: Fig5Config(repeats=get_scale().fig5_repeats),
-    smoke=lambda: Fig5Config(repeats=1),
+    full=Fig5Config(),
+    smoke=Fig5Config(repeats=1),
     cells=lambda base, systems: [dataclasses.replace(base, system=s) for s in systems],
     run_one=run_one,
     check=lambda runs: [],

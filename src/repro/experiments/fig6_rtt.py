@@ -45,7 +45,7 @@ from repro.cluster.measurements import (
     total_interval_length,
 )
 from repro.experiments import grid
-from repro.experiments.common import get_scale, make_policy_factory
+from repro.experiments.common import make_policy_factory
 from repro.scenarios.profiles import gradual_rtt_profile, radical_rtt_profile
 from repro.scenarios.scenario import Scenario
 from repro.sim.clock import SECOND
@@ -68,7 +68,8 @@ class Fig6Config:
 
     system: str = "dynatune"
     pattern: str = "gradual"
-    dwell_ms: float = 12_000.0
+    #: Dwell per RTT step (paper: 60 s).
+    dwell_ms: float = 60_000.0
 
     def __post_init__(self) -> None:
         if self.pattern not in PATTERNS:
@@ -180,8 +181,8 @@ def _summary(runs: Sequence[SystemRttResult]) -> list[str]:
 
 GRID = grid.Grid(
     name="fig6_rtt",
-    full=lambda: Fig6Config(dwell_ms=get_scale().fig6_dwell_ms),
-    smoke=lambda: Fig6Config(dwell_ms=6_000.0),
+    full=Fig6Config(),
+    smoke=Fig6Config(dwell_ms=6_000.0),
     cells=lambda base, systems: [
         dataclasses.replace(base, system=s, pattern=p)
         for p in PATTERNS

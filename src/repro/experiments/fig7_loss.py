@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.cluster.builder import ClusterConfig, build_cluster
 from repro.experiments import grid
-from repro.experiments.common import get_scale, make_policy_factory
+from repro.experiments.common import make_policy_factory
 from repro.scenarios.profiles import loss_staircase_profile
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.steps import SetLoss, Step
@@ -51,9 +51,11 @@ class Fig7Config:
 
     system: str = "dynatune"
     n_nodes: int = 5
-    sizes: tuple[int, ...] = (5, 17)
+    #: Cluster sizes (paper: 5, 17, 65).
+    sizes: tuple[int, ...] = (5, 17, 65)
     loss_levels: tuple[float, ...] = (0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
-    dwell_ms: float = 20_000.0
+    #: Dwell per loss level (paper: 180 s).
+    dwell_ms: float = 180_000.0
     warmup_ms: float = 10_000.0
 
     def schedule(self) -> Scenario:
@@ -186,11 +188,9 @@ def check(runs: Sequence[LossRunResult]) -> list[str]:
 
 GRID = grid.Grid(
     name="fig7_loss",
-    full=lambda: Fig7Config(
-        sizes=get_scale().fig7_sizes, dwell_ms=get_scale().fig7_dwell_ms
-    ),
+    full=Fig7Config(),
     # One CPU sample interval per dwell: every loss level gets one sample.
-    smoke=lambda: Fig7Config(sizes=(5,), dwell_ms=5_000.0, warmup_ms=5_000.0),
+    smoke=Fig7Config(sizes=(5,), dwell_ms=5_000.0, warmup_ms=5_000.0),
     cells=lambda base, systems: [
         dataclasses.replace(base, system=s, n_nodes=n)
         for n in base.sizes

@@ -20,34 +20,23 @@ import dataclasses
 import sys
 
 from repro.experiments import fig4_election, grid
-from repro.experiments.common import get_scale
 from repro.experiments.fig4_election import Fig4Config
 
-__all__ = ["GRID", "quick"]
+__all__ = ["GRID"]
 
 PAPER_NUMBERS = {
     "raft": {"detection": 1137.0, "ots": 1718.0},
     "dynatune": {"detection": 213.0, "ots": 1145.0},
 }
 
-
-def quick() -> Fig4Config:
-    """Fig. 8's configuration at the ``REPRO_SCALE`` kill count; the WAN
-    round trips get longer warm-up, pause and settle windows."""
-    return Fig4Config(
-        n_failures=get_scale().fig4_failures,
-        warmup_ms=10_000.0,
-        sleep_ms=8_000.0,
-        settle_ms=10_000.0,
-        geo=True,
-    )
-
+#: The WAN round trips get longer warm-up, pause and settle windows.
+_GEO = Fig4Config(warmup_ms=10_000.0, sleep_ms=8_000.0, settle_ms=10_000.0, geo=True)
 
 GRID = dataclasses.replace(
     fig4_election.GRID,
     name="fig8_geo",
-    full=quick,
-    smoke=lambda: dataclasses.replace(quick(), n_failures=6),
+    full=_GEO,
+    smoke=dataclasses.replace(_GEO, n_failures=6),
 )
 
 if __name__ == "__main__":  # pragma: no cover

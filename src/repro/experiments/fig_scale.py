@@ -25,8 +25,8 @@ cells); every simulated quantity depends only on
 ``(seed, system, N)``, and the wall-clock numbers are reported but left
 out of the digest.  The gate: every kill resolves.
 
-Run with ``python -m repro.experiments.fig_scale``; ``REPRO_SCALE=paper``
-adds the 101-node column and more kills per cell.
+Run with ``python -m repro.experiments.fig_scale`` (10 kills per cell up
+to 101 nodes; ``--smoke``: one kill at N = 3 and 9).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from repro.cluster.builder import ClusterConfig, build_cluster
 from repro.cluster.harness import ClusterHarness
 from repro.cluster.measurements import extract_failure_episodes
 from repro.experiments import grid
-from repro.experiments.common import get_scale, make_policy_factory
+from repro.experiments.common import make_policy_factory
 from repro.experiments.runner import derive_trial_seed
 
 __all__ = ["ScaleSweepConfig", "ScaleCellResult", "GRID", "run_one"]
@@ -57,8 +57,9 @@ class ScaleSweepConfig:
 
     system: str = "raft"
     n_nodes: int = 5
-    sizes: tuple[int, ...] = (5, 25, 51)
-    n_failures: int = 3
+    sizes: tuple[int, ...] = (5, 25, 51, 101)
+    #: Leader kills per (system, N) cell.
+    n_failures: int = 10
     warmup_ms: float = 8_000.0
     sleep_ms: float = 6_000.0
     settle_ms: float = 8_000.0
@@ -172,10 +173,8 @@ def check(runs: Sequence[ScaleCellResult]) -> list[str]:
 
 GRID = grid.Grid(
     name="fig_scale",
-    full=lambda: ScaleSweepConfig(
-        sizes=get_scale().scale_sizes, n_failures=get_scale().scale_failures
-    ),
-    smoke=lambda: ScaleSweepConfig(sizes=(3, 9), n_failures=1),
+    full=ScaleSweepConfig(),
+    smoke=ScaleSweepConfig(sizes=(3, 9), n_failures=1),
     cells=_cells,
     run_one=run_one,
     check=check,

@@ -298,9 +298,9 @@ def _row(r: GrayfailRunResult) -> tuple[str, ...]:
 
 GRID = grid.Grid(
     name="grayfail",
-    full=GrayfailConfig,
+    full=GrayfailConfig(),
     # CI budget: 3 nodes, a shorter fault window.
-    smoke=lambda: GrayfailConfig(
+    smoke=GrayfailConfig(
         n_nodes=3,
         hold_ms=12_000.0,
         settle_ms=6_000.0,

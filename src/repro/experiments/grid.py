@@ -58,10 +58,10 @@ class Grid:
     """What one grid experiment is made of (see the module docs)."""
 
     name: str
-    #: Base config of the full grid and of the ``--smoke`` CI budget
-    #: (factories, so a scale preset is read when the grid runs).
-    full: Callable[[], Any]
-    smoke: Callable[[], Any]
+    #: Base config of the full grid (a paper figure's: the paper's
+    #: parameters) and of the ``--smoke`` CI budget.
+    full: Any
+    smoke: Any
     #: ``(base config, systems)`` → one task per cell, in report order.
     cells: Callable[[Any, tuple[str, ...]], list[Any]]
     #: Module-level worker: one task → one result record (a dataclass).
@@ -99,7 +99,7 @@ def run(
     """Run the grid's cells (``keep`` restricts a declared axis to the
     given values) and return their result records in cell order."""
     tasks = grid.cells(
-        grid.full() if base is None else base,
+        grid.full if base is None else base,
         grid.systems if systems is None else systems,
     )
     for axis, allowed in keep.items():
@@ -147,7 +147,7 @@ def main(grid: Grid, argv: list[str] | None = None) -> int:
         prog=f"python -m repro.experiments.{grid.name}",
         description=inspect.getmodule(grid.run_one).__doc__.splitlines()[0],
     )
-    seeded = any(f.name == "seed" for f in dataclasses.fields(grid.full()))
+    seeded = any(f.name == "seed" for f in dataclasses.fields(grid.full))
     if seeded:
         parser.add_argument("--seed", type=int, default=None, help="base seed")
     parser.add_argument(
@@ -168,7 +168,7 @@ def main(grid: Grid, argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    base = grid.smoke() if args.smoke else grid.full()
+    base = grid.smoke if args.smoke else grid.full
     if seeded and args.seed is not None:
         base = dataclasses.replace(base, seed=args.seed)
     keep = {a: getattr(args, a) for a in grid.axes if getattr(args, a)}

@@ -1,11 +1,11 @@
 """Unified paper-vs-measured report across every figure.
 
-``python -m repro.experiments.report`` runs every paper figure's grid at
-the scale selected by ``REPRO_SCALE`` and prints a markdown table covering
-every quantitative claim in the paper's evaluation.  Where the paper
-states a number the verdict is the signed error against it; where it
-states a shape the row names its criterion (the tier-1 threshold where
-one exists) and whether the measured value meets it.
+``python -m repro.experiments.report`` runs every paper figure's full grid
+(the paper's parameters) and prints a markdown table covering every
+quantitative claim in the paper's evaluation.  Where the paper states a
+number the verdict is the signed error against it; where it states a
+shape the row names its criterion (the tier-1 threshold where one exists)
+and whether the measured value meets it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.experiments import fig4_election, fig5_throughput, fig6_rtt, fig7_loss, fig8_geo, grid
-from repro.experiments.common import get_scale
 
 __all__ = ["ReportRow", "build_report", "main"]
 
@@ -122,19 +121,18 @@ def _fig7_rows(runs: Sequence[fig7_loss.LossRunResult]) -> list[ReportRow]:
 
 def build_report() -> list[ReportRow]:
     """Run every figure's grid and return the report rows."""
-    fig6 = fig6_rtt.GRID.full()
     return [
         *_election_rows("Fig.4", grid.run(fig4_election.GRID), fig4_election.PAPER_NUMBERS),
         *_fig5_rows(grid.run(fig5_throughput.GRID)),
-        *_fig6_rows(grid.run(fig6_rtt.GRID, fig6), fig6.dwell_ms),
+        *_fig6_rows(grid.run(fig6_rtt.GRID), fig6_rtt.GRID.full.dwell_ms),
         *_fig7_rows(grid.run(fig7_loss.GRID)),
         *_election_rows("Fig.8", grid.run(fig8_geo.GRID), fig8_geo.PAPER_NUMBERS),
     ]
 
 
-def render_markdown(rows: list[ReportRow], scale_name: str) -> str:
+def render_markdown(rows: list[ReportRow]) -> str:
     out = [
-        f"## Paper vs. measured (scale: {scale_name})",
+        "## Paper vs. measured",
         "",
         "| Experiment | Quantity | Paper | Measured | Verdict |",
         "|---|---|---|---|---|",
@@ -147,7 +145,7 @@ def render_markdown(rows: list[ReportRow], scale_name: str) -> str:
 
 
 def main() -> None:  # pragma: no cover - exercised via __main__
-    print(render_markdown(build_report(), get_scale().name))
+    print(render_markdown(build_report()))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -171,8 +171,8 @@ def _row(r: ScenarioCellResult) -> tuple[str, ...]:
 
 GRID = grid.Grid(
     name="scenario_matrix",
-    full=ScenarioMatrixConfig,
-    smoke=lambda: ScenarioMatrixConfig(n_nodes=25, scenarios=LARGE_CLUSTER_SCENARIOS),
+    full=ScenarioMatrixConfig(),
+    smoke=ScenarioMatrixConfig(n_nodes=25, scenarios=LARGE_CLUSTER_SCENARIOS),
     cells=_cells,
     run_one=run_one,
     check=check,

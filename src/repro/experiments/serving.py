@@ -291,9 +291,9 @@ def _row(r: ServingRunResult) -> tuple[str, ...]:
 
 GRID = grid.Grid(
     name="serving",
-    full=ServingConfig,
+    full=ServingConfig(),
     # CI budget: fewer clients, a shorter run.
-    smoke=lambda: ServingConfig(n_clients=64, duration_ms=18_000.0),
+    smoke=ServingConfig(n_clients=64, duration_ms=18_000.0),
     systems=("dynatune",),
     jobs=1,
     cells=_cells,

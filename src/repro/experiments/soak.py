@@ -24,8 +24,8 @@ long-window safety gate for the compaction path (election safety, monotone
 commit, no-committed-entry-loss with the frontier rules).
 
 Run, digest and CLI come from :mod:`repro.experiments.grid` (``GRID``
-below): ``python -m repro.experiments.soak [--smoke] [--digest]``;
-``REPRO_SCALE=paper`` selects the 5/10-minute windows.
+below): ``python -m repro.experiments.soak [--smoke] [--digest]`` runs the
+5/10-minute windows.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from typing import Sequence
 
 from repro.cluster.builder import Cluster, ClusterConfig
 from repro.experiments import grid
-from repro.experiments.common import get_scale
 from repro.fuzz.oracle import CheckedRun
 from repro.raft.types import RaftConfig
 from repro.scenarios.scenario import Scenario
@@ -69,11 +68,9 @@ class SoakConfig:
 
     system: str = "raft"
     seed: int = 42
-    #: Load window before the lagging follower returns (default: the
-    #: ``REPRO_SCALE`` preset).
-    duration_ms: float = dataclasses.field(
-        default_factory=lambda: get_scale().soak_duration_ms
-    )
+    #: Load window before the lagging follower returns; the grid also
+    #: runs a 2x window per system to probe catch-up flatness.
+    duration_ms: float = 300_000.0
     #: Compaction knobs; ``compaction_threshold=0`` is the full-replay control.
     compaction_threshold: int = 800
     compaction_margin: int = 32
@@ -374,10 +371,10 @@ def _summary(runs: Sequence[SoakRunResult]) -> list[str]:
 
 GRID = grid.Grid(
     name="soak",
-    full=SoakConfig,
+    full=SoakConfig(),
     # CI budget: short windows, a small threshold; the short history caps
     # the achievable replay ratio, hence the lower gate.
-    smoke=lambda: SoakConfig(
+    smoke=SoakConfig(
         duration_ms=15_000.0,
         compaction_threshold=250,
         churn_every_ms=6_000.0,

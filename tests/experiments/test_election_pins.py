@@ -9,7 +9,6 @@ its full run and its 25-node subset the same way, and each §III ablation
 study pins the (label, value, metrics) of its default points.
 """
 
-import dataclasses
 import hashlib
 import json
 
@@ -51,7 +50,7 @@ def _digest(runs, fields) -> str:
             "92bada299d341524",
         ),
         (
-            lambda: grid.run(fig8_geo.GRID, dataclasses.replace(fig8_geo.quick(), n_failures=6)),
+            lambda: grid.run(fig8_geo.GRID, fig8_geo.GRID.smoke),
             ("detection_ms", "ots_ms"),
             "95b34c76a14f8fef",
         ),
@@ -110,7 +109,7 @@ def test_figure_records_are_pinned(make, exclude, digest):
             "3f1c25f505da06ae24f4b29672b06aacdb322aa2ab2aa9fbafdbf91f1ff50494",
         ),
         (
-            lambda: grid.run(scenario_matrix.GRID, scenario_matrix.GRID.smoke()),
+            lambda: grid.run(scenario_matrix.GRID, scenario_matrix.GRID.smoke),
             "3bc6cdfc2e192258fc1bd953aa62213b4a1ddf6254275174a12ec0660c350728",
         ),
     ],

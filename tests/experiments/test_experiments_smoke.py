@@ -4,7 +4,8 @@ Each figure is simulated once, at the cheapest configuration that still
 holds every gate: repetition counts and dwells shrink, the mechanisms do
 not.  The figure's shape and its paper magnitudes are two tests over the
 same module-scoped run.  ``python -m repro.experiments.<figure>``
-regenerates a figure at the scale ``REPRO_SCALE`` selects.
+regenerates a figure at the paper's parameters, which
+:func:`test_full_grid_is_the_papers_experiment` holds.
 """
 
 import dataclasses
@@ -12,8 +13,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.experiments import fig4_election, fig5_throughput, fig6_rtt, fig7_loss, fig8_geo, grid
-from repro.experiments.common import SYSTEMS, get_scale, make_policy_factory
+from repro.experiments import (
+    fig4_election,
+    fig5_throughput,
+    fig6_rtt,
+    fig7_loss,
+    fig8_geo,
+    fig_scale,
+    grid,
+    soak,
+)
+from repro.experiments.common import SYSTEMS, make_policy_factory
 
 
 def test_policy_factory_covers_all_systems():
@@ -24,14 +34,23 @@ def test_policy_factory_covers_all_systems():
         make_policy_factory("paxos")
 
 
-def test_scale_selection(monkeypatch):
-    monkeypatch.setenv("REPRO_SCALE", "paper")
-    assert get_scale().name == "paper"
-    monkeypatch.setenv("REPRO_SCALE", "quick")
-    assert get_scale().name == "quick"
-    monkeypatch.setenv("REPRO_SCALE", "warp")
-    with pytest.raises(ValueError):
-        get_scale()
+#: Each full grid's base config against the paper's parameters (1000
+#: kills, 60 s RTT and 180 s loss dwells, N up to 65), and the scaling
+#: sweep's and the soak's long settings.
+_PAPER = [
+    (fig4_election.GRID, {"n_failures": 1000, "geo": False}),
+    (fig5_throughput.GRID, {"repeats": 10}),
+    (fig6_rtt.GRID, {"dwell_ms": 60_000.0}),
+    (fig7_loss.GRID, {"sizes": (5, 17, 65), "dwell_ms": 180_000.0}),
+    (fig8_geo.GRID, {"n_failures": 1000, "geo": True}),
+    (fig_scale.GRID, {"sizes": (5, 25, 51, 101), "n_failures": 10}),
+    (soak.GRID, {"duration_ms": 300_000.0}),
+]
+
+
+@pytest.mark.parametrize("grid_, paper", _PAPER, ids=[g.name for g, _ in _PAPER])
+def test_full_grid_is_the_papers_experiment(grid_, paper):
+    assert {k: getattr(grid_.full, k) for k in paper} == paper
 
 
 @pytest.fixture(scope="module")
@@ -162,7 +181,7 @@ def test_fig6a_gradual_rtt(fig6a):
 
 
 # A dwell of one CPU sample interval gives every loss level one sample.
-_FIG7 = fig7_loss.Fig7Config(dwell_ms=5_000.0, warmup_ms=5_000.0)
+_FIG7 = fig7_loss.Fig7Config(sizes=(5, 17), dwell_ms=5_000.0, warmup_ms=5_000.0)
 
 
 @pytest.fixture(scope="module")
@@ -206,7 +225,7 @@ def test_fig7_loss_staircase(fig7):
 
 @pytest.fixture(scope="module")
 def fig8():
-    return grid.run(fig8_geo.GRID, dataclasses.replace(fig8_geo.quick(), n_failures=6))
+    return grid.run(fig8_geo.GRID, fig8_geo.GRID.smoke)
 
 
 def test_fig8_geo_election_performance(fig8):

@@ -107,16 +107,8 @@ def test_a_system_filtered_sweep_reproduces_its_cells(sweep):
     ]
 
 
-def test_quick_config_follows_scale_preset(monkeypatch):
-    cfg = fig_scale.GRID.full()
-    assert 5 in cfg.sizes
-    assert cfg.n_failures >= 1
-    monkeypatch.setenv("REPRO_SCALE", "paper")
-    assert fig_scale.GRID.full().sizes[-1] == 101
-
-
 def test_matrix_smoke_is_the_partition_heavy_subset_at_25_nodes():
-    cfg = scenario_matrix.GRID.smoke()
+    cfg = scenario_matrix.GRID.smoke
     assert cfg.n_nodes == 25
     assert set(cfg.scenarios) == {
         "symmetric_split",

@@ -59,7 +59,7 @@ def test_cli_prints_a_jobs_invariant_digest_and_exits_by_the_gates(
     ).group(1)
 
     monkeypatch.setenv("REPRO_JOBS", "2")
-    runs = grid.run(g, g.smoke(), systems=(first,))
+    runs = grid.run(g, g.smoke, systems=(first,))
     assert grid.digest(runs, exclude=g.digest_exclude) == printed
 
     problems = (g.smoke_check or g.check)(runs)
@@ -73,7 +73,7 @@ def test_cli_prints_a_jobs_invariant_digest_and_exits_by_the_gates(
 
 def test_axis_filter_runs_only_the_selected_cells():
     g = durability.GRID
-    runs = grid.run(g, g.smoke(), systems=("raft",), family=["ideal", "torn_tail"])
+    runs = grid.run(g, g.smoke, systems=("raft",), family=["ideal", "torn_tail"])
     assert [(r.system, r.family) for r in runs] == [
         ("raft", "ideal"),
         ("raft", "torn_tail"),

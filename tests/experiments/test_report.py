@@ -12,9 +12,9 @@ def test_render_markdown_table():
         ReportRow("Fig.4", "detection", "1205 ms", "1178 ms", "match"),
         ReportRow("Fig.5", "peak", "13678", "13749", "calibrated"),
     ]
-    md = render_markdown(rows, "quick")
+    md = render_markdown(rows)
     assert "| Fig.4 | detection | 1205 ms | 1178 ms | match |" in md
-    assert md.startswith("## Paper vs. measured (scale: quick)")
+    assert md.startswith("## Paper vs. measured\n")
     assert md.count("\n") == 5
 
 

@@ -83,7 +83,7 @@ def test_rows_and_check_report_every_cell(small):
 
 
 def test_default_config_covers_whole_library():
-    cfg = scenario_matrix.GRID.full()
+    cfg = scenario_matrix.GRID.full
     assert cfg.scenarios == scenario_names()
     assert len(cfg.scenarios) >= 8
     assert scenario_matrix.GRID.systems == ("raft-low", "raft", "dynatune")

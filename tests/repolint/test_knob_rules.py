@@ -149,7 +149,7 @@ def test_real_tree_knobs_are_all_live_only_thanks_to_their_users():
     assert {
         h.symbol for h in report.findings if h.path == "repro/dynatune/config.py"
     } == {"h_floor_ms", "heartbeat_channel", "reset_on_sample_gap"}
-    # fig8_geo's preset passes every Fig4Config field but ``system``, the
+    # fig8_geo's two configs pass every Fig4Config field but ``system``, the
     # cell coordinate that only fig4_election's own ``cells`` fills.
     assert {
         h.symbol for h in report.findings if h.path == "repro/experiments/fig4_election.py"
