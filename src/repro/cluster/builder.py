@@ -55,7 +55,6 @@ class ClusterConfig:
             roughly ``jitter / Et`` per heartbeat — 1 ms of jitter would be
             an order of magnitude noisier than the paper's testbed.
         loss: initial per-direction loss rate.
-        duplicate_p: UDP duplication probability.
         raft: protocol configuration shared by all nodes.
         topology: ``"uniform"`` (single-host testbed) or ``"aws"``
             (five-region geo deployment, §IV-D).
@@ -86,7 +85,6 @@ class ClusterConfig:
     rtt_ms: float = 100.0
     jitter_sigma_ms: float = 0.1
     loss: float = 0.0
-    duplicate_p: float = 0.0
     raft: RaftConfig = dataclasses.field(default_factory=RaftConfig)
     topology: str = "uniform"
     cores_per_node: float = 4.0
@@ -338,9 +336,7 @@ class Cluster:
         cfg = self.config
         for peer in self.network.node_names():
             for src, dst in ((name, peer), (peer, name)):
-                self.network.connect(
-                    src, dst, cfg.rtt_ms / 2.0, cfg.jitter_sigma_ms, cfg.loss, cfg.duplicate_p
-                )
+                self.network.connect(src, dst, cfg.rtt_ms / 2.0, cfg.jitter_sigma_ms, cfg.loss)
         node = self._install_node(
             name, [name], MembershipConfig(voters=(), learners=(name,))
         )
@@ -427,7 +423,6 @@ def build_cluster(
             rtt_ms=config.rtt_ms,
             jitter_sigma_ms=config.jitter_sigma_ms,
             loss=config.loss,
-            duplicate_p=config.duplicate_p,
         )
     else:
         placement = aws_geo_topology(network, names, loss=config.loss)

@@ -2,11 +2,12 @@
 
 The paper exposes four runtime arguments — ``σ`` (safety factor ``s``),
 ``x`` (arrival probability), ``minListSize`` and ``maxListSize``.
-:class:`DynatuneConfig` carries those plus the five knobs some experiment
-or ablation turns, documented inline with their paper-faithful defaults.
-What never took a second value — the defaults shared with the Raft
-baseline (§IV-A) and the clamps the formulas need — are the module
-constants below, not options.
+:class:`DynatuneConfig` carries those plus the two an experiment turns:
+``fixed_k`` (the paper's Fix-K variant) and ``fallback_on_timeout`` (an
+ablation), documented inline with their paper-faithful defaults.  What
+never took a second value — the defaults shared with the Raft baseline
+(§IV-A), the clamps the formulas need, the UDP heartbeat channel and the
+sample-gap reset — are module constants or fixed behaviour, not options.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ DEFAULT_HEARTBEAT_INTERVAL_MS = 100.0
 #: any heartbeat could possibly arrive.  There is no upper clamp (the
 #: paper's behaviour).
 ET_FLOOR_MS = 10.0
+#: Lower clamp on the tuned ``h``: guards against the §II-B
+#: resource-exhaustion regime if measured loss approaches 1.
+H_FLOOR_MS = 1.0
 #: Upper clamp on heartbeat redundancy ``K``.
 K_MAX = 50
 
@@ -37,37 +41,21 @@ class DynatuneConfig:
         arrival_probability: ``x`` in ``1 − p^K ≥ x`` (paper: 0.999).
         min_list_size: RTT samples required before tuning starts (paper: 10).
         max_list_size: bound on the RTTs/ids lists (paper: 1000).
-        h_floor_ms: lower clamp on the tuned ``h``; guards against the
-            §II-B resource-exhaustion regime if measured loss approaches 1.
         fixed_k: if set, disables ``h`` auto-tuning and pins ``K`` — this is
             the paper's **Fix-K** comparison variant (§IV-C2, ``K = 10``).
-        heartbeat_channel: transport for heartbeats; Dynatune uses UDP so
-            losses are observable rather than masked by TCP retransmission
-            (§III-E).
         fallback_on_timeout: the §III-B rule — discard measurements and
             revert to defaults when the election timer expires.  ``False``
             is an **ablation** (keep the tuned parameters through
             suspected failures), measured by the ``fallback`` study of
             :mod:`repro.experiments.ablations`.
-        reset_on_sample_gap: discard the measurement window when a
-            heartbeat arrives after a silence longer than twice the
-            election timeout in force — a gap only a frozen-timer outage
-            (container pause, partition healing around a paused node) can
-            produce, since any live randomizedTimeout draw in ``[Et, 2Et)``
-            would have fired and triggered the ordinary fallback.  Without
-            the reset, the post-heal ID span counts the whole outage as
-            loss and K explodes to ``K_MAX`` until the window slides out.
     """
 
     safety_factor: float = 2.0
     arrival_probability: float = 0.999
     min_list_size: int = 10
     max_list_size: int = 1000
-    h_floor_ms: float = 1.0
     fixed_k: int | None = None
-    heartbeat_channel: str = "udp"
     fallback_on_timeout: bool = True
-    reset_on_sample_gap: bool = True
 
     def __post_init__(self) -> None:
         if self.safety_factor < 0.0:
@@ -83,11 +71,5 @@ class DynatuneConfig:
                 "max_list_size must be >= min_list_size "
                 f"({self.max_list_size!r} < {self.min_list_size!r})"
             )
-        if self.h_floor_ms <= 0.0:
-            raise ValueError("h_floor_ms must be > 0")
         if self.fixed_k is not None and self.fixed_k < 1:
             raise ValueError(f"fixed_k must be >= 1, got {self.fixed_k!r}")
-        if self.heartbeat_channel not in ("udp", "tcp"):
-            raise ValueError(
-                f"heartbeat_channel must be 'udp' or 'tcp', got {self.heartbeat_channel!r}"
-            )

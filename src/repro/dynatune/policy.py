@@ -34,6 +34,7 @@ from repro.dynatune.config import (
     DEFAULT_ELECTION_TIMEOUT_MS,
     DEFAULT_HEARTBEAT_INTERVAL_MS,
     ET_FLOOR_MS,
+    H_FLOOR_MS,
     K_MAX,
     DynatuneConfig,
 )
@@ -46,6 +47,9 @@ from repro.dynatune.tuner import (
 )
 
 __all__ = ["TuningPolicy", "StaticPolicy", "DynatunePolicy"]
+
+#: The smallest ``h`` a well-formed follower can piggyback.
+_MIN_TUNED_H_MS = min(H_FLOOR_MS, ET_FLOOR_MS)
 
 
 class TuningPolicy(Protocol):
@@ -118,10 +122,8 @@ class TuningPolicy(Protocol):
         does not leak entries across membership churn."""
         ...
 
-    @property
-    def heartbeat_channel(self) -> str:
-        """Transport for heartbeats: ``"udp"`` or ``"tcp"``."""
-        ...
+    #: Transport for heartbeats: ``"udp"`` or ``"tcp"``.
+    heartbeat_channel: str
 
 
 # --------------------------------------------------------------------- #
@@ -135,21 +137,18 @@ class StaticPolicy:
     Args:
         election_timeout_ms: ``Et`` (paper default 1000 ms; Raft-Low 100 ms).
         heartbeat_interval_ms: ``h`` (paper default 100 ms; Raft-Low 10 ms).
-        heartbeat_channel: etcd carries heartbeats over TCP.
     """
 
+    #: etcd carries heartbeats over TCP.
+    heartbeat_channel = "tcp"
+
     def __init__(
-        self,
-        election_timeout_ms: float = 1000.0,
-        heartbeat_interval_ms: float = 100.0,
-        *,
-        heartbeat_channel: str = "tcp",
+        self, election_timeout_ms: float = 1000.0, heartbeat_interval_ms: float = 100.0
     ) -> None:
         if election_timeout_ms <= 0.0 or heartbeat_interval_ms <= 0.0:
             raise ValueError("election timeout and heartbeat interval must be > 0")
         self._et = float(election_timeout_ms)
         self._h = float(heartbeat_interval_ms)
-        self._channel = heartbeat_channel
 
     @classmethod
     def raft_default(cls) -> "StaticPolicy":
@@ -200,10 +199,6 @@ class StaticPolicy:
     def on_peer_removed(self, peer: str) -> None:  # noqa: ARG002
         return None  # static policies hold no per-peer state
 
-    @property
-    def heartbeat_channel(self) -> str:
-        return self._channel
-
     def __repr__(self) -> str:
         return f"StaticPolicy(Et={self._et} ms, h={self._h} ms)"
 
@@ -237,6 +232,10 @@ class DynatunePolicy:
     piggybacked ``h`` to that follower's heartbeat timer.
     """
 
+    #: §III-E: over UDP a lost heartbeat is observable, where TCP's
+    #: retransmission would mask it.
+    heartbeat_channel = "udp"
+
     def __init__(self, config: DynatuneConfig | None = None) -> None:
         self.config = config if config is not None else DynatuneConfig()
         cfg = self.config
@@ -263,7 +262,6 @@ class DynatunePolicy:
         # Per-heartbeat hot-path caches: config fields are immutable, and
         # required_heartbeats(p) is pure, so memoizing the last (p -> K)
         # pair turns the common loss-stable regime into one comparison.
-        self._gap_guard: bool = cfg.reset_on_sample_gap
         self._last_p: float = -1.0
         self._last_k: int = 1
 
@@ -319,19 +317,20 @@ class DynatunePolicy:
         if meta is None:
             return None
         last_hb = self._last_hb_ms
-        if last_hb is not None and self._gap_guard:
+        if last_hb is not None:
             et = self._tuned_et
             if et is None:
                 et = DEFAULT_ELECTION_TIMEOUT_MS
             if now_ms - last_hb > 2.0 * et:
                 # The gap outlasted every possible randomizedTimeout draw
-                # ([Et, 2Et)), yet no fallback ran — the follower was paused
-                # or partitioned with frozen timers.  The window predates the
+                # ([Et, 2Et)), yet no fallback ran — only a frozen-timer
+                # outage (a container pause, a partition healing around a
+                # paused node) produces that.  The window predates the
                 # outage: its RTTs describe the old path and the ID span
-                # counts the whole outage as loss, which would explode K (and
-                # collapse h) for up to maxListSize heartbeats after the
-                # heal.  Restart measurement instead, exactly like the §III-B
-                # fallback.
+                # counts the whole outage as loss, which would explode K to
+                # K_MAX and collapse h for up to maxListSize heartbeats
+                # after the heal.  Restart measurement instead, exactly
+                # like the §III-B fallback.
                 self._reset_follower_state()
                 self.gap_resets += 1
         self._last_hb_ms = now_ms
@@ -378,10 +377,10 @@ class DynatunePolicy:
                 self._last_p = p
                 self._last_k = k
         h = et / k
-        if h >= cfg.h_floor_ms:
+        if h >= H_FLOOR_MS:
             self._last_tuning = (h, k, k, False)
         else:
-            tuning = tune_heartbeat(et, k, floor_ms=cfg.h_floor_ms)
+            tuning = tune_heartbeat(et, k, floor_ms=H_FLOOR_MS)
             h = tuning.h_ms
             self._last_tuning = (h, k, tuning.effective_k, True)
             self.floor_clamps += 1
@@ -452,7 +451,7 @@ class DynatunePolicy:
             # to the leader side).  Values no well-formed follower can
             # produce (< min(h_floor, et_floor)) are ignored instead of
             # "repaired": that is the §II-B heartbeat-storm guard.
-            if meta.tuned_h_ms >= min(self.config.h_floor_ms, ET_FLOOR_MS):
+            if meta.tuned_h_ms >= _MIN_TUNED_H_MS:
                 st.applied_h_ms = meta.tuned_h_ms
 
     def lease_bound_ms(self) -> float | None:
@@ -494,10 +493,6 @@ class DynatunePolicy:
         :class:`_FollowerPathState` per node the cluster ever churned
         through."""
         self._paths.pop(peer, None)
-
-    @property
-    def heartbeat_channel(self) -> str:
-        return self.config.heartbeat_channel
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

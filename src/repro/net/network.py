@@ -148,18 +148,17 @@ class Network:
         one_way_ms: float,
         jitter_sigma_ms: float,
         loss: float = 0.0,
-        duplicate_p: float = 0.0,
     ) -> None:
         """Build and install the directed ``src → dst`` link every topology
         and late joiner uses: Gaussian-jitter delay, Bernoulli loss, and the
-        link's own ``net/<src>-><dst>`` stream."""
+        link's own ``net/<src>-><dst>`` stream (duplication starts off:
+        :meth:`set_duplicate` or a ``SetDuplicate`` step turns it on)."""
         self.add_link(
             Link(
                 src,
                 dst,
                 delay=NormalJitterDelay(one_way_ms, jitter_sigma_ms),
                 loss=BernoulliLoss(loss),
-                duplicate_p=duplicate_p,
                 rng=self.rngs.stream(f"net/{src}->{dst}"),
             )
         )

@@ -74,7 +74,6 @@ def uniform_topology(
     rtt_ms: float,
     jitter_sigma_ms: float = 0.0,
     loss: float = 0.0,
-    duplicate_p: float = 0.0,
 ) -> None:
     """Install a full mesh of identical links between ``names``.
 
@@ -86,7 +85,7 @@ def uniform_topology(
         for b in names:
             if a == b:
                 continue
-            network.connect(a, b, rtt_ms / 2.0, jitter_sigma_ms, loss, duplicate_p)
+            network.connect(a, b, rtt_ms / 2.0, jitter_sigma_ms, loss)
 
 
 def aws_geo_topology(

@@ -151,10 +151,8 @@ class Progress:
             unchanged and no metadata rides along (messages are immutable
             by convention, so re-sending the same object is safe even with
             copies still in flight).
-        hb_timer: the timer that beats this follower — its own ``hb/<peer>``
-            loop, or the shared ``hb`` timer under
-            ``consolidated_heartbeat_timer``; fetched from the node's
-            timer service at the first arm.
+        hb_timer: the follower's own ``hb/<peer>`` heartbeat loop, fetched
+            from the node's timer service at the first arm.
     """
 
     peer: str
@@ -288,8 +286,6 @@ class RaftNode(Process):
         # Frozen-config compaction knobs, read after every apply batch.
         self._compaction_threshold: int = config.compaction_threshold
         self._compaction_margin: int = config.compaction_retain_margin
-        # Frozen-config flag read on every beat.
-        self._hb_consolidated: bool = config.consolidated_heartbeat_timer
         # -- client-serving fast path (all knobs default off) ------------- #
         # Frozen-config knobs, read per client op / per append.
         self._batching: bool = config.client_batching
@@ -769,7 +765,7 @@ class RaftNode(Process):
         drop = self.timers.drop
         for peer in self.progress:
             drop(f"hb/{peer}")
-        for name in ("hb", "quorum", "batch"):
+        for name in ("quorum", "batch"):
             drop(name)
         self.progress = {}
         self._term_start_index = 0
@@ -897,13 +893,9 @@ class RaftNode(Process):
         record.  The per-follower callback is bound to the peer's *name*:
         a crash disarms timers without forgetting them, so a later reign
         finds the same timer and it must drive that reign's record."""
-        if self._hb_consolidated:
-            timer = self.timers.timer("hb", self._heartbeat_tick_all)
-        else:
-            timer = self.timers.timer(
-                f"hb/{pr.peer}", functools.partial(self._heartbeat_tick, pr.peer)
-            )
-        pr.hb_timer = timer
+        timer = pr.hb_timer = self.timers.timer(
+            f"hb/{pr.peer}", functools.partial(self._heartbeat_tick, pr.peer)
+        )
         return timer
 
     def _replicate_to_all(self) -> None:
@@ -912,16 +904,7 @@ class RaftNode(Process):
             self._send_append(progress[peer])
 
     def _schedule_heartbeat(self, pr: Progress, *, first: bool = False) -> None:
-        policy = self.policy
-        if self._hb_consolidated:
-            # §IV-E feature 2: one timer for everyone at the minimum h.
-            interval = math.inf
-            for peer in self.progress:
-                h = policy.heartbeat_interval_ms(peer)
-                if h < interval:
-                    interval = h
-        else:
-            interval = policy.heartbeat_interval_ms(pr.peer)
+        interval = self.policy.heartbeat_interval_ms(pr.peer)
         if first:
             # Independent initial phase per follower loop: real
             # per-follower timers (Go runtime timers on a busy host) carry
@@ -962,20 +945,6 @@ class RaftNode(Process):
                 return  # crashed at the batch's persist point
         self._send_heartbeat_to(pr)
         self._schedule_heartbeat(pr)
-
-    def _heartbeat_tick_all(self) -> None:
-        """Consolidated-timer beat: heartbeat every follower at once."""
-        if self.role is not Role.LEADER:
-            return
-        if self._batch_buf:
-            self._flush_batch()  # beat-bounded latency for buffered writes
-            if self._state is not _RUNNING:
-                return  # crashed at the batch's persist point
-        progress = self.progress
-        for peer in self.peers:
-            self._send_heartbeat_to(progress[peer])
-        if self.peers:
-            self._schedule_heartbeat(progress[self.peers[0]])
 
     def _schedule_quorum_check(self) -> None:
         if not self.config.check_quorum:
@@ -1056,10 +1025,6 @@ class RaftNode(Process):
             pr.next = next_i + len(entries)
             if pr.next > log.last_index or pr.inflight >= _MAX_INFLIGHT_APPENDS:
                 break
-        if self.config.suppress_heartbeats_under_load and self.role is Role.LEADER:
-            # §IV-E feature 1: this replication message is the heartbeat;
-            # push the dedicated one out by a full interval.
-            self._schedule_heartbeat(pr)
 
     def _send_snapshot(self, pr: Progress) -> None:
         """Ship a snapshot to a follower behind ``log.first_index``.

@@ -29,9 +29,15 @@ class RaftConfig:
     """Per-node protocol configuration (election parameters live in the
     :class:`~repro.dynatune.policy.TuningPolicy`, not here).
 
-    Every field is set by some experiment, benchmark or test (repolint's
-    ``config-knob-liveness`` keeps it so); behaviours that only ever ran
-    with one value are constants in ``raft/node.py``, not options.
+    Every field is set by some caller under ``src/`` — an experiment, not
+    only a test (repolint's ``config-knob-liveness`` keeps it so, and
+    ``tests/repolint/test_knob_rules.py`` checks it with tests, benchmarks
+    and examples hidden); behaviours that only ever ran with one value
+    are constants in ``raft/node.py``, not options.  So the leader beats
+    each follower on that follower's own timer at the policy's ``h``, and
+    an AppendEntries never moves the next heartbeat: the paper's §IV-E
+    future-work ideas (heartbeat suppression under load, one consolidated
+    timer) are not evaluated by it and not implemented here.
 
     Attributes:
         prevote: run the pre-vote phase before real elections (etcd default;
@@ -41,19 +47,6 @@ class RaftConfig:
             while they have a fresh leader lease.  Matches etcd's
             ``CheckQuorum``/lease protection, which the Fig. 6 behaviour
             depends on.
-        suppress_heartbeats_under_load: §IV-E future-work feature 1 — a
-            replication message doubles as a heartbeat (followers reset
-            their election timers on AppendEntries anyway), so sending one
-            pushes that follower's next dedicated heartbeat out by a full
-            interval.  Under a busy workload this suppresses most
-            heartbeats, reclaiming the leader CPU the paper attributes its
-            6.4 % peak-throughput gap to.  Off by default (not part of the
-            evaluated system).
-        consolidated_heartbeat_timer: §IV-E future-work feature 2 — one
-            leader timer at the *minimum* tuned ``h`` across followers,
-            beating for all of them at once, instead of ``n − 1``
-            independent timers.  Trades extra heartbeats on slow paths for
-            O(1) timer management.  Off by default.
         compaction_threshold: take a state-machine snapshot and compact the
             log once more than this many entries are retained (§7 of the
             Raft paper).  ``0`` (the default) disables compaction entirely
@@ -110,8 +103,6 @@ class RaftConfig:
 
     prevote: bool = True
     check_quorum: bool = True
-    suppress_heartbeats_under_load: bool = False
-    consolidated_heartbeat_timer: bool = False
     client_batching: bool = False
     client_batch_window_ms: float = 0.0
     replication_pipelining: bool = False

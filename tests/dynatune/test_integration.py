@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.cluster.builder import ClusterConfig, build_cluster
 from repro.dynatune.config import DynatuneConfig
+from repro.dynatune.policy import DynatunePolicy
 from repro.raft.types import Role
 from tests.conftest import make_dynatune_cluster
 
@@ -83,7 +85,8 @@ def test_no_unnecessary_elections_under_stable_loss():
 
 
 def test_duplicated_heartbeats_do_not_skew_measurement():
-    c = make_dynatune_cluster(5, rtt_ms=100.0, duplicate_p=0.3, seed=4)
+    c = make_dynatune_cluster(5, rtt_ms=100.0, seed=4)
+    c.network.set_all_duplicate(0.3)
     leader = c.run_until_leader()
     c.run_for(8_000)
     for pol in follower_policies(c, leader):
@@ -148,3 +151,22 @@ def test_dynatune_cluster_remains_consistent():
     assert len(client.completed) == 20
     snaps = [c.node(n).state_machine.snapshot() for n in c.names]
     assert all(s == snaps[0] for s in snaps)
+
+
+def test_each_follower_is_beaten_at_its_own_tuned_h():
+    """On the AWS geo topology every path tunes its own h, and each
+    follower's own leader timer beats it at that h — not at a shared one."""
+    c = build_cluster(
+        ClusterConfig(n_nodes=5, seed=5, topology="aws"), lambda name: DynatunePolicy()
+    )
+    c.start()
+    leader = c.run_until_leader()
+    c.run_for(20_000)
+    lp = c.node(leader).policy
+    h = {peer: lp.heartbeat_interval_ms(peer) for peer in c.node(leader).peers}
+    assert max(h.values()) > 1.3 * min(h.values())  # paths genuinely differ
+    before = {peer: c.node(peer).metrics.heartbeats_received for peer in h}
+    c.run_for(10_000)
+    for peer, interval in h.items():
+        received = c.node(peer).metrics.heartbeats_received - before[peer]
+        assert received == pytest.approx(10_000.0 / interval, rel=0.1)

@@ -7,9 +7,11 @@ from repro.dynatune.config import (
     DEFAULT_ELECTION_TIMEOUT_MS,
     DEFAULT_HEARTBEAT_INTERVAL_MS,
     ET_FLOOR_MS,
+    H_FLOOR_MS,
     K_MAX,
     DynatuneConfig,
 )
+from repro.dynatune.measurement import PathMeasurement
 from repro.dynatune.metadata import HeartbeatMeta, HeartbeatResponseMeta
 from repro.dynatune.policy import DynatunePolicy, StaticPolicy
 from repro.dynatune.tuner import required_heartbeats, tune_election_timeout, tune_heartbeat
@@ -91,7 +93,7 @@ def test_leader_half_rejects_h_no_follower_could_tune():
     """An h below min(h_floor, et_floor) cannot come from tune_heartbeat;
     the leader ignores it (storm guard) rather than clamping it *up*,
     which would space heartbeats past the follower's election window."""
-    p = DynatunePolicy(DynatuneConfig(h_floor_ms=5.0))
+    p = DynatunePolicy()
     p.on_heartbeat_response(
         "f", HeartbeatResponseMeta(echo_seq=1, echo_ts=0.0, tuned_h_ms=0.001), 1.0
     )
@@ -229,8 +231,11 @@ def test_fix_k_et_still_tunes():
 
 
 def test_channel_from_config():
+    """No config moves the channel: Dynatune (Fix-K too) beats over UDP,
+    the static baselines over TCP."""
     assert DynatunePolicy().heartbeat_channel == "udp"
-    assert DynatunePolicy(DynatuneConfig(heartbeat_channel="tcp")).heartbeat_channel == "tcp"
+    assert DynatunePolicy(DynatuneConfig(fixed_k=10)).heartbeat_channel == "udp"
+    assert StaticPolicy.raft_low().heartbeat_channel == "tcp"
 
 
 # -- partition-induced sample gaps ------------------------------------------ #
@@ -273,19 +278,23 @@ def test_gap_longer_than_twice_et_resets_window():
 
 def test_gap_reset_prevents_k_explosion_after_outage():
     """Without the reset, the post-heal ID span counts the outage as loss."""
-    cfg = DynatuneConfig(reset_on_sample_gap=False)
-    p_old = DynatunePolicy(cfg)
-    p_new = DynatunePolicy()
-    for p in (p_old, p_new):
-        end = _feed_heartbeats(p, 0.0, 15)
-        # outage: 400 heartbeats lost, then the stream resumes
-        _feed_heartbeats(p, end + 60_000.0, 15, seq0=400)
-    # Legacy behavior: the ID gap looks like ~96% loss, K explodes and h
-    # collapses to the floor.  The gap reset starts a fresh window instead.
-    assert p_old.measurement.estimate()[2] > 0.9
-    assert p_new.measurement.estimate()[2] < 0.05
-    assert p_new.gap_resets == 1
-    assert p_new.tuned_h_ms is None or p_new.tuned_h_ms > p_old.tuned_h_ms
+    p = DynatunePolicy()
+    end = _feed_heartbeats(p, 0.0, 15)
+    # outage: 400 heartbeats lost, then the stream resumes
+    _feed_heartbeats(p, end + 60_000.0, 15, seq0=400)
+    # The same heartbeat IDs in one window that nothing resets: the ID gap
+    # looks like ~93% loss, so K would explode and h collapse to the floor.
+    bare = PathMeasurement(10, 1000)
+    for seq in [*range(1, 16), *range(401, 416)]:
+        bare.record(seq, 50.0)
+    loss = bare.estimate()[2]
+    assert loss > 0.9
+    assert required_heartbeats(loss, 0.999, k_max=K_MAX) == K_MAX
+    # The gap reset starts a fresh window instead.
+    assert p.measurement.estimate()[2] < 0.05
+    assert p.gap_resets == 1
+    assert p.last_tuning.requested_k == 1
+    assert p.tuned_h_ms == p.tuned_et_ms
 
 
 def test_small_gaps_do_not_reset():
@@ -304,16 +313,31 @@ def test_small_gaps_do_not_reset():
     assert p.tuned_et_ms is not None
 
 
+def _feed_lossy(p, count=40, *, every=4, rtt_ms=1.0):
+    """Heartbeats 1 ms apart over a 1 ms path, one in ``every`` delivered:
+    Et sits on ET_FLOOR_MS and ~75 % loss asks for K = 24, so Et / K falls
+    below H_FLOOR_MS.  Returns the last response."""
+    resp = None
+    for i in range(count):
+        seq = 1 + i * every
+        resp = p.on_heartbeat(
+            "L", HeartbeatMeta(seq, float(i), rtt_ms, seq), float(i)
+        )
+    return resp
+
+
 def test_retune_surfaces_floor_clamp_metadata():
-    cfg = DynatuneConfig(h_floor_ms=200.0)
-    p = DynatunePolicy(cfg)
-    _feed_heartbeats(p, 0.0, 15, rtt_ms=50.0)
-    # tuned Et ~= 50 ms < floor 200 ms -> h capped at Et, effective K = 1
+    p = DynatunePolicy()
+    _feed_lossy(p)
+    # Et = 10 ms floor, K = 24 -> Et / K = 0.42 ms < 1 ms floor: h sits on
+    # the floor and only Et / h = 10 beats fit in the window.
+    assert p.tuned_et_ms == ET_FLOOR_MS
     assert p.last_tuning is not None
     assert p.last_tuning.floor_clamped
     assert p.floor_clamps >= 1
-    assert p.tuned_h_ms == pytest.approx(p.tuned_et_ms)
-    assert p.last_tuning.effective_k == 1
+    assert p.tuned_h_ms == H_FLOOR_MS
+    assert p.last_tuning.requested_k == 24
+    assert p.last_tuning.effective_k == 10
 
 
 @settings(max_examples=150, deadline=None)
@@ -321,19 +345,16 @@ def test_retune_surfaces_floor_clamp_metadata():
     rtts=st.lists(st.floats(min_value=0.0, max_value=2_000.0), min_size=1, max_size=30),
     gaps=st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=60),
     fixed_k=st.none() | st.integers(min_value=1, max_value=60),
-    h_floor_ms=st.floats(min_value=0.01, max_value=500.0),
 )
-@example(rtts=[1.0, 3.0], gaps=[1, 3, 1, 2, 4], fixed_k=None, h_floor_ms=100.0)  # both floors
-@example(rtts=[400.0], gaps=[1] * 20, fixed_k=60, h_floor_ms=10.0)  # fixed K, h floor
-def test_retune_matches_tuner_references(rtts, gaps, fixed_k, h_floor_ms):
+@example(rtts=[1.0, 3.0], gaps=[1, 3, 1, 2, 4], fixed_k=None)  # both floors
+@example(rtts=[1.0], gaps=[1] * 20, fixed_k=60)  # fixed K, h floor
+def test_retune_matches_tuner_references(rtts, gaps, fixed_k):
     """``_retune`` applies the tuning formulas inline; after every heartbeat
     its Et, h and clamp provenance equal ``tune_election_timeout`` /
     ``required_heartbeats`` / ``tune_heartbeat`` applied to the
     measurement's own ``estimate()`` — over RTT windows that slide, ID gaps
     (loss), Fix-K and both floor clamps."""
-    cfg = DynatuneConfig(
-        min_list_size=1, max_list_size=16, fixed_k=fixed_k, h_floor_ms=h_floor_ms
-    )
+    cfg = DynatuneConfig(min_list_size=1, max_list_size=16, fixed_k=fixed_k)
     p = DynatunePolicy(cfg)
     seq = 0
     for i, gap in enumerate(gaps):
@@ -345,25 +366,23 @@ def test_retune_matches_tuner_references(rtts, gaps, fixed_k, h_floor_ms):
             mu, sigma, safety_factor=cfg.safety_factor, floor_ms=ET_FLOOR_MS
         )
         k = fixed_k or required_heartbeats(loss, cfg.arrival_probability, k_max=K_MAX)
-        tuning = tune_heartbeat(et, k, floor_ms=h_floor_ms)
+        tuning = tune_heartbeat(et, k, floor_ms=H_FLOOR_MS)
         assert p.tuned_et_ms == et
         assert p.tuned_h_ms == tuning.h_ms
         assert p.last_tuning == tuning
 
 
 def test_leader_applies_follower_h_below_its_own_floor():
-    """A follower whose Et < floor piggybacks h = Et; the leader must honor
-    it — re-raising it to the floor would space heartbeats past the
-    follower's whole election window (K·h <= Et, leader side)."""
-    cfg = DynatuneConfig(h_floor_ms=200.0)
-    leader = DynatunePolicy(cfg)
-    follower_h = 50.0  # the follower's capped h (= its tuned Et)
-    leader.on_heartbeat_response(
-        "f",
-        HeartbeatResponseMeta(echo_seq=1, echo_ts=0.0, tuned_h_ms=follower_h),
-        40.0,
-    )
-    assert leader.heartbeat_interval_ms("f") == follower_h
+    """A follower clamped to the h floor piggybacks exactly that floor; the
+    leader must honour it as-is — the smallest h a follower can tune is
+    ``min(H_FLOOR_MS, Et)``, and re-raising it would space heartbeats past
+    the follower's election window (K·h <= Et, leader side)."""
+    follower = DynatunePolicy()
+    resp = _feed_lossy(follower)
+    assert resp.tuned_h_ms == H_FLOOR_MS and follower.last_tuning.floor_clamped
+    leader = DynatunePolicy()
+    leader.on_heartbeat_response("f", resp, 40.0)
+    assert leader.heartbeat_interval_ms("f") == H_FLOOR_MS
 
 
 def test_leader_rejects_degenerate_piggybacked_h():

@@ -34,6 +34,8 @@ REMOVED_FIELDS = (
     "max_entries_per_append",
     "client_batch_max",
     "max_inflight_appends",
+    "suppress_heartbeats_under_load",
+    "consolidated_heartbeat_timer",
 )
 
 
@@ -135,19 +137,6 @@ def test_learner_added_mid_reign_gets_fresh_record_and_armed_heartbeat():
     assert node.progress["n4"] is pr
 
 
-def test_consolidated_timer_is_shared_and_survives_removals():
-    c = make_raft_cluster(3, raft=RaftConfig(consolidated_heartbeat_timer=True))
-    node = c.node(c.run_until_leader())
-    c.run_for(500)
-    shared = node.timers.get("hb")
-    assert shared is not None
-    assert all(pr.hb_timer is shared for pr in node.progress.values())
-    assert node.propose_config_change("remove", node.peers[0])
-    assert node.timers.get("hb") is shared and shared.running
-    node._become_follower(node.current_term + 1, None)
-    assert leader_timers(node) == []
-
-
 @pytest.mark.parametrize(
     "straggler",
     [
@@ -193,8 +182,6 @@ def test_raftconfig_fields():
     assert names == [
         "prevote",
         "check_quorum",
-        "suppress_heartbeats_under_load",
-        "consolidated_heartbeat_timer",
         "client_batching",
         "client_batch_window_ms",
         "replication_pipelining",

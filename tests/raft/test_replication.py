@@ -1,6 +1,7 @@
 """Log replication: commit, apply, catch-up, conflict resolution."""
 
 from repro.cluster.faults import pause_for
+from repro.cluster.workload import OpenLoopDriver
 from repro.raft.state_machine import kv_get, kv_put
 from tests.conftest import make_raft_cluster
 
@@ -167,3 +168,23 @@ def test_duplicate_client_submission_is_at_least_once():
     c.run_for(4000)
     assert client.completed and client.completed[0].result == 9
     assert c.node(c.names[0]).state_machine.peek("x") == 9
+
+
+def test_appends_under_load_do_not_delay_heartbeats():
+    """An AppendEntries never stands in for a heartbeat: under a steady
+    200 req/s load the leader beats each follower exactly as often as when
+    idle (the paper's §IV-E suppression idea is not implemented)."""
+    c = make_raft_cluster(5)
+    client = c.add_client("cl")
+    node = c.node(c.run_until_leader())
+    c.run_for(1_000)
+    sent = node.metrics.heartbeats_sent
+    c.run_for(10_000)
+    idle = node.metrics.heartbeats_sent - sent
+    driver = OpenLoopDriver(c.loop, client, rps=200.0, rng=c.rngs.stream("load"))
+    driver.start()
+    sent, appends = node.metrics.heartbeats_sent, node.metrics.appends_sent
+    c.run_for(10_000)
+    driver.stop()
+    assert node.metrics.appends_sent - appends > 5 * idle  # the load was real
+    assert node.metrics.heartbeats_sent - sent >= 0.95 * idle

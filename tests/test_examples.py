@@ -10,7 +10,7 @@ EXAMPLES = sorted((REPO_ROOT / "examples").glob("*.py"))
 
 
 def test_every_example_script_exits_zero():
-    assert len(EXAMPLES) == 4
+    assert len(EXAMPLES) == 3
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     for script in EXAMPLES:
         done = subprocess.run(
