@@ -1,20 +1,17 @@
-"""Numeric post-processing: CDFs, summary stats, time series, ASCII charts."""
+"""Numeric post-processing: CDFs, summary stats, availability, ASCII charts."""
 
 from repro.analysis.asciiplot import cdf_chart, line_chart
 from repro.analysis.availability import AvailabilityStats, availability_stats
 from repro.analysis.cdf import empirical_cdf
 from repro.analysis.stats import SummaryStats, bootstrap_mean_ci, summarize
-from repro.analysis.timeseries import bin_series, interval_coverage
 
 __all__ = [
     "AvailabilityStats",
     "SummaryStats",
     "availability_stats",
-    "bin_series",
     "bootstrap_mean_ci",
     "cdf_chart",
     "empirical_cdf",
-    "interval_coverage",
     "line_chart",
     "summarize",
 ]

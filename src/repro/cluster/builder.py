@@ -103,7 +103,7 @@ class ClusterConfig:
             raise ValueError(
                 f"storage must be 'ideal' or 'simdisk', got {self.storage!r}"
             )
-        if self.clock_skew_ms < 0.0:
+        if not (self.clock_skew_ms >= 0.0):
             raise ValueError(
                 f"clock_skew_ms must be >= 0, got {self.clock_skew_ms!r}"
             )

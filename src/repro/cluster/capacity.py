@@ -37,7 +37,6 @@ from repro.raft.messages import (
     HeartbeatResponse,
 )
 from repro.raft.node import RaftNode
-from repro.sim.events import PRIORITY_CONTROL
 from repro.sim.loop import EventLoop
 
 __all__ = ["BILLED", "DEFAULT_COSTS_MS", "BilledPort", "CostModel", "UtilizationSample"]
@@ -150,9 +149,8 @@ class CostModel:
                         percent_of_core=100.0 * delta / interval_ms,
                     )
                 )
-            loop.schedule(interval_ms, _tick, priority=PRIORITY_CONTROL)
 
-        loop.schedule(interval_ms, _tick, priority=PRIORITY_CONTROL)
+        loop.every(interval_ms, _tick)
 
     def utilization_series(self, node: str) -> tuple[list[float], list[float]]:
         """``(times_ms, percent_of_core)`` for one node."""

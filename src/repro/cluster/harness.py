@@ -17,7 +17,6 @@ from repro.cluster.builder import Cluster
 from repro.cluster.faults import pause_for
 from repro.cluster.measurements import LEADER_FAILURE_KIND
 from repro.sim.clock import SECOND
-from repro.sim.events import PRIORITY_CONTROL
 
 __all__ = ["ClusterHarness"]
 
@@ -53,9 +52,8 @@ class ClusterHarness:
                         value=node.current_randomized_timeout_ms,
                         role=node.role.value,
                     )
-            self.loop.schedule(interval_ms, _tick, priority=PRIORITY_CONTROL)
 
-        self.loop.schedule(interval_ms, _tick, priority=PRIORITY_CONTROL)
+        self.loop.every(interval_ms, _tick)
 
     def install_rtt_probe(self, *, interval_ms: float = SECOND) -> None:
         """Record the current nominal RTT of an arbitrary pair each interval."""
@@ -68,9 +66,8 @@ class ClusterHarness:
             self.trace.record(
                 self.loop.now, "net", "rtt_probe", rtt_ms=probe_link.rtt_ms
             )
-            self.loop.schedule(interval_ms, _tick, priority=PRIORITY_CONTROL)
 
-        self.loop.schedule(interval_ms, _tick, priority=PRIORITY_CONTROL)
+        self.loop.every(interval_ms, _tick)
 
     # ------------------------------------------------------------------ #
     # failure loops

@@ -13,6 +13,7 @@ sample-gap reset — are module constants or fixed behaviour, not options.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 __all__ = ["DynatuneConfig"]
 
@@ -58,8 +59,10 @@ class DynatuneConfig:
     fallback_on_timeout: bool = True
 
     def __post_init__(self) -> None:
-        if self.safety_factor < 0.0:
-            raise ValueError(f"safety_factor must be >= 0, got {self.safety_factor!r}")
+        if not (0.0 <= self.safety_factor < math.inf):
+            raise ValueError(
+                f"safety_factor must be finite and >= 0, got {self.safety_factor!r}"
+            )
         if not (0.0 < self.arrival_probability < 1.0):
             raise ValueError(
                 f"arrival_probability must be in (0, 1), got {self.arrival_probability!r}"

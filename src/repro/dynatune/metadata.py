@@ -16,20 +16,22 @@ reordered response still carries the matching original timestamp.
 
 The loss protocol (Fig. 3b) needs only ``seq``: the follower infers losses
 from gaps in the sequence it has received.
+
+Both records ride inside the heartbeat payloads of
+:mod:`repro.raft.messages` and follow their idiom: slotted dataclasses,
+immutable by convention, equal only to themselves.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 __all__ = ["HeartbeatMeta", "HeartbeatResponseMeta"]
 
 
+@dataclasses.dataclass(slots=True, eq=False)
 class HeartbeatMeta:
     """Leader → follower metadata, one per heartbeat.
-
-    One instance is constructed per heartbeat per path (the sequence
-    number makes each unique), so this is a hand-written slotted class
-    rather than a frozen dataclass — same layout, a fraction of the
-    construction cost.  Instances are immutable by convention.
 
     Attributes:
         seq: per leader-follower-path sequential heartbeat ID (§III-C2).
@@ -44,32 +46,15 @@ class HeartbeatMeta:
             stale value.
     """
 
-    __slots__ = ("seq", "send_ts", "rtt_sample_ms", "rtt_sample_seq")
-
-    def __init__(
-        self,
-        seq: int,
-        send_ts: float,
-        rtt_sample_ms: float | None = None,
-        rtt_sample_seq: int = 0,
-    ) -> None:
-        self.seq = seq
-        self.send_ts = send_ts
-        self.rtt_sample_ms = rtt_sample_ms
-        self.rtt_sample_seq = rtt_sample_seq
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"HeartbeatMeta(seq={self.seq}, send_ts={self.send_ts}, "
-            f"rtt_sample_ms={self.rtt_sample_ms}, "
-            f"rtt_sample_seq={self.rtt_sample_seq})"
-        )
+    seq: int
+    send_ts: float
+    rtt_sample_ms: float | None = None
+    rtt_sample_seq: int = 0
 
 
+@dataclasses.dataclass(slots=True, eq=False)
 class HeartbeatResponseMeta:
     """Follower → leader metadata, one per heartbeat response.
-
-    Hot-path class like :class:`HeartbeatMeta`; immutable by convention.
 
     Attributes:
         echo_seq: the ``seq`` of the heartbeat being answered.
@@ -88,23 +73,7 @@ class HeartbeatResponseMeta:
             the metadata.
     """
 
-    __slots__ = ("echo_seq", "echo_ts", "tuned_h_ms", "tuned_et_ms")
-
-    def __init__(
-        self,
-        echo_seq: int,
-        echo_ts: float,
-        tuned_h_ms: float | None = None,
-        tuned_et_ms: float | None = None,
-    ) -> None:
-        self.echo_seq = echo_seq
-        self.echo_ts = echo_ts
-        self.tuned_h_ms = tuned_h_ms
-        self.tuned_et_ms = tuned_et_ms
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"HeartbeatResponseMeta(echo_seq={self.echo_seq}, "
-            f"echo_ts={self.echo_ts}, tuned_h_ms={self.tuned_h_ms}, "
-            f"tuned_et_ms={self.tuned_et_ms})"
-        )
+    echo_seq: int
+    echo_ts: float
+    tuned_h_ms: float | None = None
+    tuned_et_ms: float | None = None

@@ -28,6 +28,7 @@ follower piggybacks back (§III-B step 3).
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Protocol
 
 from repro.dynatune.config import (
@@ -145,8 +146,13 @@ class StaticPolicy:
     def __init__(
         self, election_timeout_ms: float = 1000.0, heartbeat_interval_ms: float = 100.0
     ) -> None:
-        if election_timeout_ms <= 0.0 or heartbeat_interval_ms <= 0.0:
-            raise ValueError("election timeout and heartbeat interval must be > 0")
+        # An infinite timer never fires; NaN fails every comparison.
+        if not (
+            0.0 < election_timeout_ms < math.inf and 0.0 < heartbeat_interval_ms < math.inf
+        ):
+            raise ValueError(
+                "election timeout and heartbeat interval must be finite and > 0"
+            )
         self._et = float(election_timeout_ms)
         self._h = float(heartbeat_interval_ms)
 

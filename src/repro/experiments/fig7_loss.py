@@ -33,7 +33,6 @@ from repro.experiments.common import make_policy_factory
 from repro.scenarios.profiles import loss_staircase_profile
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.steps import SetLoss, Step
-from repro.sim.events import PRIORITY_CONTROL
 
 __all__ = ["Fig7Config", "LossRunResult", "GRID", "run_one"]
 
@@ -140,11 +139,8 @@ def run_one(config: Fig7Config) -> LossRunResult:
             h_samples.append(
                 (cluster.loop.now, float(np.mean(intervals)), current_loss[0])
             )
-        cluster.loop.schedule(
-            SAMPLE_INTERVAL_MS, _h_tick, priority=PRIORITY_CONTROL
-        )
 
-    cluster.loop.schedule(SAMPLE_INTERVAL_MS, _h_tick, priority=PRIORITY_CONTROL)
+    cluster.loop.every(SAMPLE_INTERVAL_MS, _h_tick)
 
     assert cluster.cost_model is not None
     follower = next(p for p in cluster.names if p != leader)

@@ -177,7 +177,7 @@ def run_one(cfg: GrayfailConfig) -> GrayfailRunResult:
     )
     liveness.install()
     leaderless: list[tuple[float, bool]] = []
-    run.every(
+    cluster.loop.every(
         OUTAGE_SAMPLE_MS,
         lambda: leaderless.append((cluster.loop.now, cluster.leader() is None)),
     )

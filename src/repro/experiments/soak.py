@@ -172,7 +172,7 @@ def run_one(cfg: SoakConfig) -> SoakRunResult:
     load_end = cfg.duration_ms + cfg.catchup_timeout_ms
     run.drive(LOAD, load_end + SETTLE_MS, stop_ms=load_end)
     retained: list[int] = []
-    run.every(SAMPLE_INTERVAL_MS, lambda: retained.append(_retained(cluster)))
+    cluster.loop.every(SAMPLE_INTERVAL_MS, lambda: retained.append(_retained(cluster)))
 
     cluster.start()
     leader = cluster.run_until_leader()

@@ -26,7 +26,6 @@ not cry wolf on timeouts.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable
 
 from repro.cluster.builder import Cluster, ClusterConfig, build_cluster
 from repro.storage import DiskFaultConfig
@@ -38,7 +37,6 @@ from repro.fuzz.workload import WorkloadConfig, WorkloadDriver
 from repro.raft.types import RaftConfig
 from repro.scenarios.safety import SafetyChecker
 from repro.scenarios.scenario import Scenario
-from repro.sim.events import PRIORITY_CONTROL
 
 __all__ = [
     "CheckedRun",
@@ -90,8 +88,8 @@ class CheckedRun:
     :meth:`finish` runs to the horizon and reduces.  They are separate
     calls because install order is part of every digest (event ``seq``
     breaks ties at equal time and priority): each caller installs its
-    scenario, observers or planted bug between them exactly where its
-    recorded digests put them.
+    scenario, observers (``cluster.loop.every``) or planted bug between
+    them exactly where its recorded digests put them.
     """
 
     __slots__ = ("cluster", "checker", "history", "horizon_ms")
@@ -129,17 +127,6 @@ class CheckedRun:
                 workload.start_ms, horizon_ms - 2.0 * workload.op_timeout_ms
             )
         WorkloadDriver(self.cluster, workload, self.history, stop_ms=stop_ms).install()
-
-    def every(self, interval_ms: float, observe: Callable[[], None]) -> None:
-        """Install an observer: call ``observe`` every ``interval_ms`` from
-        here to the end of the run."""
-        loop = self.cluster.loop
-
-        def tick() -> None:
-            observe()
-            loop.schedule(interval_ms, tick, priority=PRIORITY_CONTROL)
-
-        loop.schedule(interval_ms, tick, priority=PRIORITY_CONTROL)
 
     def finish(self) -> RunVerdict:
         """Run to the horizon and reduce."""

@@ -167,6 +167,7 @@ class Progress:
     hb_timer: Timer | None = None
 
 
+@dataclasses.dataclass(slots=True, eq=False)
 class _ReadBatch:
     """One ReadIndex round: the reads it covers and its quorum progress.
 
@@ -176,16 +177,11 @@ class _ReadBatch:
     reached ``read_index``.
     """
 
-    __slots__ = ("seq", "read_index", "reads", "acks", "confirmed")
-
-    def __init__(
-        self, seq: int, read_index: int, reads: list[tuple[str, int, Any]]
-    ) -> None:
-        self.seq = seq
-        self.read_index = read_index
-        self.reads = reads
-        self.acks: set[str] = set()
-        self.confirmed = False
+    seq: int
+    read_index: int
+    reads: list[tuple[str, int, Any]]
+    acks: set[str] = dataclasses.field(default_factory=set)
+    confirmed: bool = False
 
 
 class RaftNode(Process):

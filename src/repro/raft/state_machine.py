@@ -8,6 +8,7 @@ key-value store", §III-E).
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Protocol, runtime_checkable
 
 __all__ = [
@@ -17,7 +18,6 @@ __all__ = [
     "kv_put",
     "kv_get",
     "kv_delete",
-    "is_read_only",
 ]
 
 
@@ -61,28 +61,20 @@ class StateMachine(Protocol):
         ...
 
 
+@dataclasses.dataclass(slots=True, unsafe_hash=True, repr=False)
 class KVCommand:
     """A key-value operation: ``put``, ``get`` or ``delete``.
 
-    Hand-written and slotted like the client RPCs that carry it (one per
-    client op; see :mod:`repro.raft.messages`).  Immutable by convention;
-    equality, hash and repr are field-wise, as a dataclass would give.
+    Slotted and compared field-wise like the client RPCs that carry it
+    (one per client op; see :mod:`repro.raft.messages`); immutable by
+    convention.  The repr prints what the generated one would, without
+    its recursion guard: :mod:`repro.storage.simdisk` writes it into every
+    WAL append record.
     """
 
-    __slots__ = ("op", "key", "value")
-
-    def __init__(self, op: str, key: str, value: Any = None) -> None:
-        self.op = op
-        self.key = key
-        self.value = value
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, KVCommand):
-            return NotImplemented
-        return (self.op, self.key, self.value) == (other.op, other.key, other.value)
-
-    def __hash__(self) -> int:
-        return hash((self.op, self.key, self.value))
+    op: str
+    key: str
+    value: Any = None
 
     def __repr__(self) -> str:
         return f"KVCommand(op={self.op!r}, key={self.key!r}, value={self.value!r})"
@@ -98,15 +90,6 @@ def kv_get(key: str) -> KVCommand:
 
 def kv_delete(key: str) -> KVCommand:
     return KVCommand("delete", key)
-
-
-def is_read_only(command: Any) -> bool:
-    """True for commands eligible for the read fast path (KV ``get``).
-
-    Clients use this to route reads as :class:`~repro.raft.messages.
-    ClientReadRequest` instead of a log-serialized write.
-    """
-    return isinstance(command, KVCommand) and command.op == "get"
 
 
 class KVStore:

@@ -112,12 +112,12 @@ class RaftConfig:
     compaction_retain_margin: int = 64
 
     def __post_init__(self) -> None:
-        if self.client_batch_window_ms < 0.0:
+        if not (self.client_batch_window_ms >= 0.0):
             raise ValueError(
                 "client_batch_window_ms must be >= 0, "
                 f"got {self.client_batch_window_ms!r}"
             )
-        if self.lease_drift_margin_ms < 0.0:
+        if not (self.lease_drift_margin_ms >= 0.0):
             raise ValueError(
                 "lease_drift_margin_ms must be >= 0, "
                 f"got {self.lease_drift_margin_ms!r}"

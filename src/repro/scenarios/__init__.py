@@ -16,7 +16,6 @@ See :mod:`repro.scenarios.library` for the canonical scenario set and
 
 from repro.scenarios.library import (
     SCENARIO_BUILDERS,
-    build_all,
     build_scenario,
     scenario_names,
 )
@@ -71,5 +70,4 @@ __all__ = [
     "SCENARIO_BUILDERS",
     "scenario_names",
     "build_scenario",
-    "build_all",
 ]

@@ -67,7 +67,6 @@ __all__ = [
     "SCENARIO_BUILDERS",
     "scenario_names",
     "build_scenario",
-    "build_all",
     "symmetric_split",
     "minority_partition",
     "majority_partition",
@@ -573,8 +572,3 @@ def build_scenario(name: str, names: Sequence[str], **overrides: object) -> Scen
             f"unknown scenario {name!r}; expected one of {sorted(SCENARIO_BUILDERS)}"
         )
     return builder(names, **overrides)
-
-
-def build_all(names: Sequence[str]) -> list[Scenario]:
-    """Every library scenario, instantiated for ``names``."""
-    return [build_scenario(n, names) for n in scenario_names()]

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 from repro.cluster.builder import Cluster
 from repro.raft.types import Role
-from repro.sim.events import PRIORITY_CONTROL
 from repro.sim.process import ProcessState
 
 __all__ = ["LivenessChecker", "LivenessViolation"]
@@ -135,15 +134,7 @@ class LivenessChecker:
         if self._installed:
             return
         self._installed = True
-        self.cluster.loop.schedule(
-            self.interval_ms, self._tick, priority=PRIORITY_CONTROL
-        )
-
-    def _tick(self) -> None:
-        self.sample()
-        self.cluster.loop.schedule(
-            self.interval_ms, self._tick, priority=PRIORITY_CONTROL
-        )
+        self.cluster.loop.every(self.interval_ms, self.sample)
 
     # ------------------------------------------------------------------ #
     # connectivity

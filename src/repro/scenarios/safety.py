@@ -51,7 +51,6 @@ from repro.cluster.builder import Cluster
 from repro.raft.membership import quorums_overlap
 from repro.storage.base import DurableView
 from repro.raft.types import Role
-from repro.sim.events import PRIORITY_CONTROL
 from repro.sim.process import ProcessState
 from repro.sim.trace_kinds import TRACE_KINDS
 from repro.sim.tracing import TraceRecord
@@ -141,9 +140,7 @@ class SafetyChecker:
         if self._installed:
             return
         self._installed = True
-        self.cluster.loop.schedule(
-            self.interval_ms, self._tick, priority=PRIORITY_CONTROL
-        )
+        self.cluster.loop.every(self.interval_ms, self.sample)
 
     def _on_trace_record(self, rec: TraceRecord) -> None:
         kind = rec.kind
@@ -229,12 +226,6 @@ class SafetyChecker:
         for rec in self.cluster.trace.of_kind("process_crashed"):
             counts[rec.node] = counts.get(rec.node, 0) + 1
         return counts
-
-    def _tick(self) -> None:
-        self.sample()
-        self.cluster.loop.schedule(
-            self.interval_ms, self._tick, priority=PRIORITY_CONTROL
-        )
 
     def sample(self) -> None:
         """Record one safety observation (also callable directly by tests)."""

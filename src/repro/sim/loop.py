@@ -44,7 +44,7 @@ import heapq
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable
 
-from repro.sim.events import Event, PRIORITY_MESSAGE
+from repro.sim.events import Event, PRIORITY_CONTROL, PRIORITY_MESSAGE
 
 __all__ = ["EventLoop", "SimulationError"]
 
@@ -208,6 +208,22 @@ class EventLoop:
                 f"cannot schedule in the past: now={self.now!r}, t={time!r}"
             )
         return self._push_event(float(time), callback, priority)
+
+    def every(self, interval_ms: float, fn: Callable[[], Any]) -> None:
+        """Call ``fn`` every ``interval_ms`` from now on, at
+        ``PRIORITY_CONTROL``: the periodic observer (samplers, checkers).
+
+        The first call is armed here; each call re-arms the next after
+        ``fn`` returns.  The chain never ends — ``run_until`` bounds it.
+        """
+        if not (interval_ms > 0.0):
+            raise SimulationError(f"interval must be > 0 ms, got {interval_ms!r}")
+
+        def tick() -> None:
+            fn()
+            self.schedule(interval_ms, tick, priority=PRIORITY_CONTROL)
+
+        self.schedule(interval_ms, tick, priority=PRIORITY_CONTROL)
 
     # ------------------------------------------------------------------ #
     # execution

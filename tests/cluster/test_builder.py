@@ -1,5 +1,7 @@
 """Cluster builder: wiring, config validation, leader queries."""
 
+import math
+
 import pytest
 
 from repro.cluster.builder import ClusterConfig, build_cluster
@@ -89,6 +91,12 @@ def test_clock_knobs_validation():
         ClusterConfig(n_nodes=3, clock_skew_ms=-1.0)
     with pytest.raises(ValueError):
         ClusterConfig(n_nodes=3, clock_drift=1.0)
+
+
+@pytest.mark.parametrize("skew", [math.nan, -math.inf])
+def test_clock_skew_rejects_nan_and_negative(skew):
+    with pytest.raises(ValueError, match="clock_skew_ms"):
+        ClusterConfig(n_nodes=3, clock_skew_ms=skew)
 
 
 def test_default_clocks_are_identity():

@@ -1,6 +1,7 @@
 """DynatuneConfig validation."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -40,6 +41,8 @@ def test_paper_defaults():
         {"arrival_probability": -0.5},
         {"fixed_k": 0},
         {"fixed_k": -3},
+        {"safety_factor": math.nan},
+        {"safety_factor": math.inf},  # an infinite Et never fires
     ],
 )
 def test_invalid_configs_rejected(kwargs):

@@ -1,5 +1,7 @@
 """Policies in isolation: Static (Raft/Raft-Low), Dynatune, Fix-K."""
 
+import math
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -45,6 +47,14 @@ def test_static_validation():
         StaticPolicy(0.0, 100.0)
     with pytest.raises(ValueError):
         StaticPolicy(100.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("which", ["et", "h"])
+def test_static_rejects_non_finite(which, bad):
+    et, h = (bad, 100.0) if which == "et" else (1000.0, bad)
+    with pytest.raises(ValueError):
+        StaticPolicy(et, h)
 
 
 # -- DynatunePolicy: leader half --------------------------------------------- #

@@ -2,11 +2,13 @@
 
 The figure smoke tests gate on ranges; these pin every sample of a short
 run of each figure, so a refactor of the experiment code that moves a
-single simulated number fails here.  Fig. 4 and Fig. 8 pin their
-per-episode arrays; the other figures pin :func:`grid.digest` of their
-result records, the value ``--digest`` prints; the scenario matrix pins
-its full run and its 25-node subset the same way, and each §III ablation
-study pins the (label, value, metrics) of its default points.
+single simulated number fails here.  Fig. 4 pins its per-episode arrays;
+Fig. 5, Fig. 6 (one pattern at a time) and the scaling sweep pin
+:func:`grid.digest` of their result records, the value ``--digest``
+prints; the scenario matrix pins its full run the same way, and each §III
+ablation study pins the (label, value, metrics) of its default points.
+The ``--smoke`` runs of Fig. 7, Fig. 8 and the scenario matrix are pinned
+only by ``FIXPOINTS.json`` (``tests/test_fixpoints.py``).
 """
 
 import hashlib
@@ -20,8 +22,6 @@ from repro.experiments import (
     fig4_election,
     fig5_throughput,
     fig6_rtt,
-    fig7_loss,
-    fig8_geo,
     fig_scale,
     grid,
     scenario_matrix,
@@ -49,13 +49,8 @@ def _digest(runs, fields) -> str:
             _ELECTION_FIELDS,
             "92bada299d341524",
         ),
-        (
-            lambda: grid.run(fig8_geo.GRID, fig8_geo.GRID.smoke),
-            ("detection_ms", "ots_ms"),
-            "95b34c76a14f8fef",
-        ),
     ],
-    ids=["fig4", "fig8"],
+    ids=["fig4"],
 )
 def test_leader_kill_samples_are_pinned(make, fields, digest):
     runs = make()
@@ -82,20 +77,12 @@ def test_leader_kill_samples_are_pinned(make, fields, digest):
             "98bef4e8a14c2d6481a126a10e2b4e0516a3e5dbfd6af535ffc913fd6f19d841",
         ),
         (
-            lambda: grid.run(
-                fig7_loss.GRID,
-                fig7_loss.Fig7Config(sizes=(5,), dwell_ms=5_000.0, warmup_ms=5_000.0),
-            ),
-            (),
-            "6da5948f6ea86a0b7ad6e88836f41a332001ad37efb5ad04392d36d4f2d6c4e7",
-        ),
-        (
             lambda: grid.run(fig_scale.GRID, tiny_config()),
             ("wall_s",),
             "31028235b111dcb9b576c272573614a192c28da5b2e536e66fff66518f98a1d4",
         ),
     ],
-    ids=["fig5", "fig6-gradual", "fig6-radical", "fig7", "fig_scale"],
+    ids=["fig5", "fig6-gradual", "fig6-radical", "fig_scale"],
 )
 def test_figure_records_are_pinned(make, exclude, digest):
     assert grid.digest(make(), exclude=exclude) == digest
@@ -108,12 +95,8 @@ def test_figure_records_are_pinned(make, exclude, digest):
             lambda: grid.run(scenario_matrix.GRID),
             "3f1c25f505da06ae24f4b29672b06aacdb322aa2ab2aa9fbafdbf91f1ff50494",
         ),
-        (
-            lambda: grid.run(scenario_matrix.GRID, scenario_matrix.GRID.smoke),
-            "3bc6cdfc2e192258fc1bd953aa62213b4a1ddf6254275174a12ec0660c350728",
-        ),
     ],
-    ids=["full", "smoke-25-nodes"],
+    ids=["full"],
 )
 def test_scenario_matrix_records_are_pinned(make, digest):
     assert grid.digest(make()) == digest

@@ -1,6 +1,6 @@
-"""The client RPC payloads and KVCommand: hand-written slotted classes that
-keep a frozen dataclass's value semantics (field-wise ``==``/``hash`` within
-one class, the dataclass ``repr``) without its construction cost."""
+"""The client RPC payloads and KVCommand: slotted dataclasses with value
+semantics (field-wise ``==``/``hash`` within one class, the dataclass
+``repr``)."""
 
 import pickle
 

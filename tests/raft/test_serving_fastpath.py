@@ -5,6 +5,10 @@ both the mechanics (windows, probes, flush points) and the client-visible
 guarantees (nothing lost across leader changes, no stale reads).
 """
 
+import math
+
+import pytest
+
 from repro.dynatune.config import DynatuneConfig
 from repro.dynatune.metadata import HeartbeatResponseMeta
 from repro.dynatune.policy import DynatunePolicy, StaticPolicy
@@ -12,6 +16,14 @@ from repro.raft.node import _CLIENT_BATCH_MAX
 from repro.raft.state_machine import kv_get, kv_put
 from repro.raft.types import RaftConfig
 from tests.conftest import make_raft_cluster
+
+
+@pytest.mark.parametrize("field", ["client_batch_window_ms", "lease_drift_margin_ms"])
+@pytest.mark.parametrize("bad", [math.nan, -1.0])
+def test_serving_windows_reject_nan_and_negative(field, bad):
+    with pytest.raises(ValueError, match=field):
+        RaftConfig(**{field: bad})
+
 
 # --------------------------------------------------------------------- #
 # leader-side append batching

@@ -6,7 +6,6 @@ from repro.cluster.builder import ClusterConfig, build_cluster
 from repro.dynatune.policy import StaticPolicy
 from repro.scenarios.library import (
     SCENARIO_BUILDERS,
-    build_all,
     build_scenario,
     scenario_names,
 )
@@ -21,7 +20,7 @@ def test_library_has_at_least_eight_scenarios():
 
 
 def test_build_all_matches_registry():
-    scenarios = build_all(NAMES)
+    scenarios = [build_scenario(n, NAMES) for n in scenario_names()]
     assert [s.name for s in scenarios] == list(scenario_names())
 
 

@@ -73,6 +73,30 @@ def test_nan_delay_rejected():
         loop.schedule(float("nan"), lambda: None)
 
 
+def test_every_fires_periodically_at_control_priority_until_the_bound():
+    loop = EventLoop()
+    fired = []
+    loop.schedule(20.0, lambda: fired.append(("timer", 20.0)), priority=PRIORITY_TIMER)
+    loop.every(10.0, lambda: fired.append(("tick", loop.now)))
+    loop.schedule(20.0, lambda: fired.append(("msg", 20.0)))
+    loop.run_until(35.0)
+    # At 20 ms: the message, then the tick, then the timer scheduled first.
+    assert fired == [
+        ("tick", 10.0),
+        ("msg", 20.0),
+        ("tick", 20.0),
+        ("timer", 20.0),
+        ("tick", 30.0),
+    ]
+    assert loop.pending == 1  # the next tick, armed after the last call
+
+
+@pytest.mark.parametrize("interval", [0.0, -1.0, float("nan")])
+def test_every_rejects_non_positive_interval(interval):
+    with pytest.raises(SimulationError):
+        EventLoop().every(interval, lambda: None)
+
+
 def test_schedule_at_in_past_rejected():
     loop = EventLoop()
     loop.schedule(10.0, lambda: None)

@@ -10,7 +10,9 @@ leaves every entry as it is; a change of behaviour re-blesses the entries
 it moves, so each re-bless is a reviewed diff of that file.
 
 ``--check`` (also what runs without a flag) recomputes every entry,
-prints one line each and exits 1 naming every entry that moved.
+evaluates the grid's smoke gates (``smoke_check``, else ``check``) on the
+same records, prints one line each and exits 1 naming every entry that
+moved and every grid whose gates failed.
 ``--bless NAME...`` recomputes the named grids and rewrites only their
 entries (a new grid name adds an entry).  Entries run one after the other
 in this process; ``REPRO_JOBS`` fans each grid's cells out as it does for
@@ -30,12 +32,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LOCK = os.path.join(ROOT, "FIXPOINTS.json")
 
 
-def smoke_digest(name: str) -> str:
-    """The ``--smoke --digest`` of grid ``name``, computed in-process."""
+def smoke_run(name: str) -> tuple[str, list[str]]:
+    """The ``--smoke --digest`` of grid ``name`` and the gates that run
+    failed, computed in-process."""
     from repro.experiments import grid
 
     spec = importlib.import_module(f"repro.experiments.{name}").GRID
-    return grid.digest(grid.run(spec, spec.smoke), exclude=spec.digest_exclude)
+    runs = grid.run(spec, spec.smoke)
+    failed = (spec.smoke_check or spec.check)(runs)
+    return grid.digest(runs, exclude=spec.digest_exclude), failed
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -52,10 +57,13 @@ def main(argv: list[str] | None = None) -> int:
     locked = lock["smoke"]
     names = args.bless or sorted(locked)
     moved = []
+    gates: dict[str, list[str]] = {}
     for name in names:
         start = time.perf_counter()
-        now = smoke_digest(name)
+        now, failed = smoke_run(name)
         took = time.perf_counter() - start
+        if failed:
+            gates[name] = failed
         was = locked.get(name)
         if args.bless:
             locked[name] = now
@@ -65,7 +73,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             verdict = f"MOVED (locked {was})"
             moved.append(name)
-        print(f"{name:<16} {now}  {verdict}  [{took:.1f} s]", flush=True)
+        gated = f"{len(failed)} gate(s) FAILED" if failed else "gates held"
+        print(f"{name:<16} {now}  {verdict}, {gated}  [{took:.1f} s]", flush=True)
 
     if args.bless:
         lock["smoke"] = dict(sorted(locked.items()))
@@ -78,8 +87,13 @@ def main(argv: list[str] | None = None) -> int:
             f"\nfixpoints: {len(moved)} of {len(names)} entries moved: {', '.join(moved)}",
             file=sys.stderr,
         )
+    for name, failed in gates.items():
+        print(f"\nfixpoints: {name}: {len(failed)} gate(s) failed:", file=sys.stderr)
+        for problem in failed:
+            print(f"  {problem}", file=sys.stderr)
+    if moved or gates:
         return 1
-    print(f"\nfixpoints: all {len(names)} entries hold.")
+    print(f"\nfixpoints: all {len(names)} entries hold and their gates held.")
     return 0
 
 

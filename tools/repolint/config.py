@@ -159,9 +159,8 @@ class RepolintConfig:
     dispatch_modpath: str = "repro/raft/node.py"
     #: Name the dispatch dict is assigned to (``X._DISPATCH = {...}``).
     dispatch_attr: str = "_DISPATCH"
-    #: Message classes nodes legitimately never receive (client-bound, or
-    #: a base no message is an instance of).
-    dispatch_exempt: frozenset[str] = frozenset({"ClientResponse", "_ClientCommand"})
+    #: Message classes nodes legitimately never receive (client-bound).
+    dispatch_exempt: frozenset[str] = frozenset({"ClientResponse"})
     #: Module defining the scenario Step subclasses.
     steps_modpath: str = "repro/scenarios/steps.py"
     #: Name of the kind-tag -> class registry dict in that module.
