@@ -10,7 +10,9 @@ import pytest
 
 from tools import fixpoints
 
-COMMITTED = json.loads(pathlib.Path(fixpoints.LOCK).read_text())["smoke"]
+LOCKED = json.loads(pathlib.Path(fixpoints.LOCK).read_text())
+COMMITTED = LOCKED["smoke"]
+CAMPAIGNS = LOCKED["campaign"]
 #: The entries that run in under a second each on a 2-vCPU host.
 SUB_SECOND = ["fig4_election", "fig5_throughput", "fig8_geo", "fig_scale"]
 #: The entries tier-1 checks: the four that run in under a second each on
@@ -36,22 +38,31 @@ def test_entry_holds(name):
     assert fixpoints.smoke_run(name) == (COMMITTED[name], [])
 
 
+def test_default_campaign_entry_holds():
+    assert fixpoints.campaign_run("fuzz_default") == (CAMPAIGNS["fuzz_default"], [])
+
+
 def lock_copy(tmp_path, monkeypatch, names, tampered):
     """Point the tool at a copy of the lock holding ``names``' committed
     entries, with ``tampered`` ones overwritten."""
-    smoke = {name: COMMITTED[name] for name in names}
-    smoke.update({name: "0" * 64 for name in tampered})
+    lock = {
+        section: {name: locked[name] for name in names if name in locked}
+        for section, locked in LOCKED.items()
+    }
+    for name in tampered:
+        lock["campaign" if name in CAMPAIGNS else "smoke"][name] = "0" * 64
     path = tmp_path / "FIXPOINTS.json"
-    path.write_text(json.dumps({"smoke": smoke}, indent=2) + "\n")
+    path.write_text(json.dumps(lock, indent=2) + "\n")
     monkeypatch.setattr(fixpoints, "LOCK", str(path))
     return path
 
 
 def test_check_fails_and_names_the_entry_that_moved(tmp_path, monkeypatch, capsys):
-    lock_copy(tmp_path, monkeypatch, ["fig4_election", "fig5_throughput"], ["fig5_throughput"])
+    names = ["fig4_election", "fig5_throughput", "fuzz_gray"]
+    lock_copy(tmp_path, monkeypatch, names, ["fig5_throughput", "fuzz_gray"])
     assert fixpoints.main(["--check"]) == 1
     err = capsys.readouterr().err
-    assert "1 of 2 entries moved: fig5_throughput" in err
+    assert "2 of 3 entries moved: fig5_throughput, fuzz_gray" in err
     assert "fig4_election" not in err
 
 
@@ -64,6 +75,26 @@ def test_check_fails_and_names_the_grid_whose_gate_failed(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert "fig5_throughput: 1 gate(s) failed" in err and "planted failure" in err
     assert "moved" not in err and "fig4_election" not in err
+
+
+def test_check_fails_and_names_the_campaign_whose_trial_failed(
+    tmp_path, monkeypatch, capsys
+):
+    lock_copy(tmp_path, monkeypatch, ["fig4_election"], ["fuzz_default"])
+    monkeypatch.setattr(fixpoints, "CAMPAIGNS", {"fuzz_default": (None, 2, 1107)})
+    module = importlib.import_module("repro.experiments.fuzz_campaign")
+    real = module.run_trial
+
+    def planted(config, scenario):
+        result = real(config, scenario)
+        return dataclasses.replace(result, violations=("planted violation",))
+
+    monkeypatch.setattr(module, "run_trial", planted)
+    assert fixpoints.main(["--check"]) == 1
+    err = capsys.readouterr().err
+    assert "fuzz_default: 2 gate(s) failed" in err
+    assert "trial 0 (raft) failed: planted violation" in err
+    assert "fig4_election" not in err
 
 
 def test_bless_rewrites_only_the_named_entries(tmp_path, monkeypatch):
