@@ -28,7 +28,6 @@ from repro.raft.membership import ClusterConfig as MembershipConfig
 from repro.raft.node import RaftNode
 from repro.raft.state_machine import KVStore
 from repro.raft.types import RaftConfig
-from repro.sim.clock import NodeClock
 from repro.sim.events import PRIORITY_CONTROL
 from repro.sim.loop import EventLoop
 from repro.sim.process import ProcessState
@@ -69,15 +68,9 @@ class ClusterConfig:
             one ``disk/<name>`` RNG stream per node).
         disk_faults: fault knobs for the simdisk backend (ignored for
             ideal storage).
-        clock_skew_ms: per-node clock offset bound — each node's local
-            clock starts ``uniform(-skew, +skew)`` ms off simulation
-            time, drawn from a dedicated ``clock/<name>`` stream.  The
-            default 0.0 builds identity clocks and **consumes nothing
-            from any stream** (bit-identical to pre-clock seeds).
-        clock_drift: per-node fractional rate-error bound — each node's
-            clock runs at ``1 + uniform(-drift, +drift)`` relative to
-            simulation time (0.01 ≈ a 1 % fast/slow crystal).  Same
-            zero-draw default as ``clock_skew_ms``.
+
+    Every node starts on an identity clock; the
+    :class:`~repro.scenarios.steps.SetClock` step skews one at run time.
     """
 
     n_nodes: int = 5
@@ -91,8 +84,6 @@ class ClusterConfig:
     with_cost_model: bool = False
     storage: str = "ideal"
     disk_faults: DiskFaultConfig | None = None
-    clock_skew_ms: float = 0.0
-    clock_drift: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
@@ -102,14 +93,6 @@ class ClusterConfig:
         if self.storage not in ("ideal", "simdisk"):
             raise ValueError(
                 f"storage must be 'ideal' or 'simdisk', got {self.storage!r}"
-            )
-        if not (self.clock_skew_ms >= 0.0):
-            raise ValueError(
-                f"clock_skew_ms must be >= 0, got {self.clock_skew_ms!r}"
-            )
-        if not 0.0 <= self.clock_drift < 1.0:
-            raise ValueError(
-                f"clock_drift must be in [0, 1), got {self.clock_drift!r}"
             )
 
 
@@ -366,7 +349,6 @@ class Cluster:
             rng=self.rngs.stream(f"raft/{name}"),
             initial_config=initial_config,
             storage=_node_storage(cfg, self.rngs, name),
-            clock=_node_clock(cfg, self.rngs, self.loop, name),
         )
         if port is not None:
             port.node = node
@@ -385,35 +367,16 @@ def _node_storage(
     return SimDiskStorage(rngs.stream(f"disk/{name}"), config.disk_faults)
 
 
-def _node_clock(
-    config: ClusterConfig, rngs: RngRegistry, loop: EventLoop, name: str
-) -> NodeClock | None:
-    """Mint one node's local clock (``None`` → the node's own identity
-    default).  Skew/drift draw from a dedicated ``clock/<name>`` stream so
-    clock draws never perturb the raft/net/disk streams existing seeds
-    pin; both knobs at 0.0 touch no stream at all (zero-draw)."""
-    if config.clock_skew_ms == 0.0 and config.clock_drift == 0.0:
-        return None
-    rng = rngs.stream(f"clock/{name}")
-    skew = config.clock_skew_ms
-    offset = float(rng.uniform(-skew, skew)) if skew > 0.0 else 0.0
-    bound = config.clock_drift
-    drift = float(rng.uniform(-bound, bound)) if bound > 0.0 else 0.0
-    return NodeClock(loop, offset_ms=offset, drift=drift)
-
-
 def build_cluster(
     config: ClusterConfig,
     policy_factory: Callable[[str], TuningPolicy],
-    *,
-    node_prefix: str = "n",
 ) -> Cluster:
     """Construct a cluster per ``config`` with one policy per node."""
     loop = EventLoop()
     rngs = RngRegistry(config.seed)
     trace = TraceLog()
     network = Network(loop, rngs)
-    names = [f"{node_prefix}{i}" for i in range(1, config.n_nodes + 1)]
+    names = [f"n{i}" for i in range(1, config.n_nodes + 1)]
 
     placement: dict[str, str] | None = None
     if config.topology == "uniform":

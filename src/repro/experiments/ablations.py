@@ -78,10 +78,18 @@ class AblationPoint:
     metrics: dict[str, float]
 
 
-def _cluster(dynatune: DynatuneConfig = DynatuneConfig(), **network: Any) -> Cluster:
-    """A started Dynatune cluster; ``network`` overrides ClusterConfig."""
+def _cluster(
+    dynatune: DynatuneConfig = DynatuneConfig(),
+    *,
+    jitter_sigma_ms: float = 0.1,
+    **network: Any,
+) -> Cluster:
+    """A started Dynatune cluster; ``network`` overrides ClusterConfig, and
+    ``jitter_sigma_ms`` keeps ClusterConfig's 0.1 ms unless a study raises it."""
     cluster = build_cluster(
-        ClusterConfig(n_nodes=N_NODES, seed=SEED, **network),
+        ClusterConfig(
+            n_nodes=N_NODES, seed=SEED, jitter_sigma_ms=jitter_sigma_ms, **network
+        ),
         lambda name: DynatunePolicy(dynatune),
     )
     cluster.start()

@@ -236,7 +236,10 @@ def main(argv: list[str] | None = None) -> int:
             else os.path.join("tests", "fuzz", "regressions")
         )
 
-    gen = GenConfig(horizon_ms=args.horizon_ms, max_steps=args.max_steps)
+    try:
+        gen = GenConfig(horizon_ms=args.horizon_ms, max_steps=args.max_steps)
+    except ValueError as error:
+        parser.error(str(error))
     trial = FuzzTrialConfig(inject=args.inject)
     features = {}
     for name, feature in FEATURE_SETS.items():

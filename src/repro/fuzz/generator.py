@@ -27,6 +27,7 @@ built-in Python types, keeping JSON round-trips exact and diffs readable.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -67,6 +68,42 @@ _KIND_WEIGHTS: tuple[tuple[str, float], ...] = (
 )
 
 
+#: Fewest primary steps a scenario draws (``GenConfig.max_steps`` is the
+#: most; paired heal/recover follow-ups may exceed it).
+MIN_STEPS = 2
+#: Election-timeout scale of the conflict-window offsets.
+ET_MS = 1_000.0
+#: Probability a step time is drawn near an existing step (offset by a
+#: fraction of ``ET_MS``) instead of uniformly over the horizon.
+CONFLICT_BIAS = 0.5
+#: Probability a node reference is ``"@leader"``.
+P_LEADER_SELECTOR = 0.25
+#: Probability a partition/crash gets a heal/recover (and a membership add
+#: a later remove, a clock skew a later snap-back).
+P_REPAIR = 0.8
+#: Parameter ranges of the primary step kinds.
+RTT_RANGE_MS = (10.0, 400.0)
+LOSS_RANGE = (0.0, 0.25)
+PAUSE_RANGE_MS = (100.0, 3_500.0)
+FLAP_DOWN_RANGE_MS = (50.0, 1_500.0)
+#: Crash→recover gap of the compaction-pressure lagger.
+LAG_RANGE_MS = (6_000.0, 15_000.0)
+#: Add→remove gap of the membership pair: long enough for the join to
+#: commit before the removal races the rest of the timeline.
+MEMBERSHIP_GAP_RANGE_MS = (4_000.0, 12_000.0)
+#: Loss rate of a generated gray degradation (below 1.0: a gray link
+#: trickles; a loss of 1.0 is a block) and the duration of a gray or
+#: one-way window.
+GRAY_LOSS_RANGE = (0.6, 0.98)
+GRAY_WINDOW_RANGE_MS = (2_000.0, 12_000.0)
+#: Absolute clock step (its sign is drawn) and drift-rate bound of the
+#: clock-skew pattern: small enough that un-injected campaigns stay inside
+#: the lease drift margin — skew shifts timings without making correct
+#: protocols fail.
+CLOCK_OFFSET_RANGE_MS = (10.0, 100.0)
+CLOCK_DRIFT_MAX = 0.02
+
+
 @dataclasses.dataclass(slots=True, frozen=True)
 class GenConfig:
     """Knobs of the scenario generator.
@@ -74,94 +111,58 @@ class GenConfig:
     Attributes:
         n_nodes: cluster size the scenarios target (nodes ``n1..nN``).
         horizon_ms: steps are placed in ``[0, horizon_ms]``.
-        min_steps / max_steps: primary step count range (paired
-            heal/recover follow-ups may exceed ``max_steps``).
-        et_ms: election-timeout scale used for conflict-window offsets.
-        conflict_bias: probability a step time is drawn near an existing
-            step (offset by a fraction of ``et_ms``) instead of uniformly.
-        p_leader_selector: probability a node reference is ``"@leader"``.
-        p_repair: probability a partition/crash gets a heal/recover.
-        rtt_range_ms / loss_range / pause_range_ms / flap_down_range_ms:
-            parameter ranges for the corresponding step kinds.
+        max_steps: most primary steps a scenario draws (at least
+            ``MIN_STEPS``).
         p_compaction_lag: probability a scenario additionally carries a
             *compaction-pressure* pattern — one concrete node crashed
             early and recovered only after a long lag window
-            (``lag_range_ms``), so a cluster running with small
+            (``LAG_RANGE_MS``), so a cluster running with small
             compaction thresholds is forced to compact past the lagger's
-            match index and serve it a snapshot on return.  ``0.0`` (the
-            default) draws **nothing** from the stream, keeping every
-            existing seed's scenario byte-identical.
-        lag_range_ms: crash→recover gap of the compaction-pressure lagger.
+            match index and serve it a snapshot on return.
         p_membership: probability a scenario additionally carries a
             *membership-churn* pattern — one fresh node joins
             (learner → voter) and, usually, one original member is removed
             afterwards, so the faults above land across live
-            reconfigurations.  Same zero-draw guarantee as
-            ``p_compaction_lag``: ``0.0`` (the default) consumes nothing
-            from the stream, so every existing seed replays unchanged.
-        membership_gap_range_ms: add→remove gap of the membership pair
-            (long enough for the join to commit before the removal races
-            the rest of the timeline).
+            reconfigurations.
         p_disk_fault: probability a scenario additionally carries a
             *disk-fault* pattern — one or two :class:`~repro.scenarios.
             steps.DiskFault` windows turning on crash-point / torn-tail /
             bit-flip / IO-error / stall injection for a stretch of the
-            run (trials on ideal storage skip them).  Same zero-draw
-            guarantee as the other optional patterns: ``0.0`` (the
-            default) consumes nothing from the stream.
+            run (trials on ideal storage skip them).
         p_gray: probability a scenario additionally carries a *gray
             fault* — an asymmetric link impairment (a one-direction
             :class:`~repro.scenarios.steps.BlockLink`, or a
             :class:`~repro.scenarios.steps.GrayLink` with heavy loss and
-            delay) over a finite window.  Same zero-draw guarantee:
-            ``0.0`` (the default) consumes nothing from the stream.
-        gray_loss_range: loss-rate range of a generated gray degradation.
-        gray_window_range_ms: duration range of a gray/one-way window.
+            delay) over a finite window.
         p_clock_skew: probability a scenario additionally carries a
             *clock-skew* pattern — :class:`~repro.scenarios.steps.
             SetClock` steps giving one or two nodes an offset and drift,
-            usually snapped back to true later.  Offsets/drifts are kept
-            small enough (see ``clock_offset_range_ms`` /
-            ``clock_drift_max``) that un-injected campaigns stay inside
-            the lease drift margin — skew shifts timings without making
-            correct protocols fail.  Same zero-draw guarantee.
-        clock_offset_range_ms: absolute clock-step range (sign is drawn).
-        clock_drift_max: absolute drift-rate bound (sign is drawn).
+            usually snapped back to true later.
+
+    Each optional pattern's probability at ``0.0`` (the default) draws
+    **nothing** from the stream, so every seed's scenario stays
+    byte-identical to the one it drew before the pattern existed.
     """
 
     n_nodes: int = 5
     horizon_ms: float = 25_000.0
-    min_steps: int = 2
     max_steps: int = 8
-    et_ms: float = 1_000.0
-    conflict_bias: float = 0.5
-    p_leader_selector: float = 0.25
-    p_repair: float = 0.8
-    rtt_range_ms: tuple[float, float] = (10.0, 400.0)
-    loss_range: tuple[float, float] = (0.0, 0.25)
-    pause_range_ms: tuple[float, float] = (100.0, 3_500.0)
-    flap_down_range_ms: tuple[float, float] = (50.0, 1_500.0)
     p_compaction_lag: float = 0.0
-    lag_range_ms: tuple[float, float] = (6_000.0, 15_000.0)
     p_membership: float = 0.0
-    membership_gap_range_ms: tuple[float, float] = (4_000.0, 12_000.0)
     p_disk_fault: float = 0.0
     p_gray: float = 0.0
-    gray_loss_range: tuple[float, float] = (0.6, 0.98)
-    gray_window_range_ms: tuple[float, float] = (2_000.0, 12_000.0)
     p_clock_skew: float = 0.0
-    clock_offset_range_ms: tuple[float, float] = (10.0, 100.0)
-    clock_drift_max: float = 0.02
 
     def __post_init__(self) -> None:
         if self.n_nodes < 3:
             raise ValueError(f"fuzz scenarios need >= 3 nodes, got {self.n_nodes!r}")
-        if not (1 <= self.min_steps <= self.max_steps):
-            raise ValueError("need 1 <= min_steps <= max_steps")
-        if self.horizon_ms <= 0.0 or self.et_ms <= 0.0:
-            raise ValueError("horizon_ms and et_ms must be > 0")
+        if self.max_steps < MIN_STEPS:
+            raise ValueError(f"max_steps must be >= {MIN_STEPS}, got {self.max_steps!r}")
+        # An infinite horizon overflows the uniform draws; NaN fails every
+        # comparison, hence the negated form.
+        if not (0.0 < self.horizon_ms < math.inf):
+            raise ValueError(f"horizon_ms must be finite and > 0, got {self.horizon_ms!r}")
         for name in (
-            "conflict_bias",
             "p_compaction_lag",
             "p_membership",
             "p_disk_fault",
@@ -170,52 +171,10 @@ class GenConfig:
         ):
             if not (0.0 <= getattr(self, name) <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1]")
-        g_lo, g_hi = self.gray_loss_range
-        if not (0.0 <= g_lo <= g_hi <= 1.0):
-            raise ValueError(
-                f"gray_loss_range must be an ascending range inside [0, 1], "
-                f"got {self.gray_loss_range!r}"
-            )
-        if not (0.0 <= self.clock_drift_max < 1.0):
-            raise ValueError(
-                f"clock_drift_max must be in [0, 1), got {self.clock_drift_max!r}"
-            )
-        lo, hi = self.membership_gap_range_ms
-        if not (0.0 < lo <= hi):
-            raise ValueError(
-                f"membership_gap_range_ms must be an ascending positive "
-                f"range, got {self.membership_gap_range_ms!r}"
-            )
 
     @property
     def node_names(self) -> tuple[str, ...]:
         return tuple(f"n{i}" for i in range(1, self.n_nodes + 1))
-
-    _TUPLE_FIELDS = (
-        "rtt_range_ms",
-        "loss_range",
-        "pause_range_ms",
-        "flap_down_range_ms",
-        "lag_range_ms",
-        "membership_gap_range_ms",
-        "gray_loss_range",
-        "gray_window_range_ms",
-        "clock_offset_range_ms",
-    )
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        for field in self._TUPLE_FIELDS:
-            d[field] = list(d[field])
-        return d
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GenConfig":
-        payload = dict(data)
-        for field in cls._TUPLE_FIELDS:
-            if field in payload:
-                payload[field] = tuple(payload[field])
-        return cls(**payload)
 
 
 def _grid(value: float, decimals: int = 1) -> float:
@@ -235,18 +194,18 @@ class ScenarioGen:
 
     def _draw_time(self, rng: np.random.Generator, anchors: list[float]) -> float:
         cfg = self.config
-        if anchors and float(rng.random()) < cfg.conflict_bias:
+        if anchors and float(rng.random()) < CONFLICT_BIAS:
             # Conflict window: land within ~[-Et/2, +1.5 Et) of an existing
             # step — where its detection/election race is still in flight.
             anchor = anchors[int(rng.integers(len(anchors)))]
-            t = anchor + float(rng.uniform(-0.5, 1.5)) * cfg.et_ms
+            t = anchor + float(rng.uniform(-0.5, 1.5)) * ET_MS
         else:
             t = float(rng.uniform(0.0, cfg.horizon_ms))
         return _grid(min(max(t, 0.0), cfg.horizon_ms))
 
     def _draw_node(self, rng: np.random.Generator) -> str:
         cfg = self.config
-        if float(rng.random()) < cfg.p_leader_selector:
+        if float(rng.random()) < P_LEADER_SELECTOR:
             return LEADER_SELECTOR
         return cfg.node_names[int(rng.integers(cfg.n_nodes))]
 
@@ -254,7 +213,7 @@ class ScenarioGen:
         names = self.config.node_names
         i, j = rng.choice(len(names), size=2, replace=False)
         a, b = names[int(i)], names[int(j)]
-        if float(rng.random()) < self.config.p_leader_selector:
+        if float(rng.random()) < P_LEADER_SELECTOR:
             a = LEADER_SELECTOR
         return a, b
 
@@ -281,7 +240,7 @@ class ScenarioGen:
         # client-facing connectivity.
         k = int(rng.integers(1, cfg.n_nodes))
         victims = [names[int(i)] for i in rng.choice(cfg.n_nodes, size=k, replace=False)]
-        if float(rng.random()) < cfg.p_leader_selector:
+        if float(rng.random()) < P_LEADER_SELECTOR:
             victims[0] = LEADER_SELECTOR
         if k >= 2 and float(rng.random()) < 0.4:
             cut = int(rng.integers(1, k))
@@ -292,7 +251,7 @@ class ScenarioGen:
         else:
             groups = (tuple(victims),)
         steps.append(Partition(at_ms=t, groups=groups))
-        if float(rng.random()) < cfg.p_repair:
+        if float(rng.random()) < P_REPAIR:
             heal_at = _grid(t + float(rng.uniform(500.0, 8_000.0)))
             steps.append(Heal(at_ms=heal_at))
 
@@ -300,7 +259,7 @@ class ScenarioGen:
         cfg = self.config
         node = self._draw_node(rng)
         steps.append(Crash(at_ms=t, node=node))
-        if float(rng.random()) < cfg.p_repair:
+        if float(rng.random()) < P_REPAIR:
             back_at = _grid(t + float(rng.uniform(500.0, 6_000.0)))
             # "@leader" at recovery time rarely resolves to the crashed
             # node; recover a concrete node instead so the repair lands.
@@ -326,7 +285,7 @@ class ScenarioGen:
             self._gen_partition(rng, t, steps)
         elif kind == "flap":
             a, b = self._draw_pair(rng)
-            lo, hi = cfg.flap_down_range_ms
+            lo, hi = FLAP_DOWN_RANGE_MS
             down = _grid(float(rng.uniform(lo, hi)))
             steps.append(
                 Flap(
@@ -338,7 +297,7 @@ class ScenarioGen:
                 )
             )
         elif kind == "set_rtt":
-            lo, hi = cfg.rtt_range_ms
+            lo, hi = RTT_RANGE_MS
             rtt = _grid(float(rng.uniform(lo, hi)))
             pair = self._draw_pair(rng) if float(rng.random()) < 0.5 else None
             steps.append(
@@ -346,16 +305,16 @@ class ScenarioGen:
                     at_ms=t,
                     rtt_ms=rtt,
                     pair=pair,
-                    repeat=self._maybe_repeat(rng, min_every_ms=cfg.et_ms, p=0.25),
+                    repeat=self._maybe_repeat(rng, min_every_ms=ET_MS, p=0.25),
                 )
             )
         elif kind == "set_loss":
-            lo, hi = cfg.loss_range
+            lo, hi = LOSS_RANGE
             loss = float(round(float(rng.uniform(lo, hi)), 3))
             pair = self._draw_pair(rng) if float(rng.random()) < 0.5 else None
             steps.append(SetLoss(at_ms=t, loss=loss, pair=pair))
         elif kind == "pause":
-            lo, hi = cfg.pause_range_ms
+            lo, hi = PAUSE_RANGE_MS
             duration = _grid(float(rng.uniform(lo, hi)))
             steps.append(
                 Pause(
@@ -399,7 +358,7 @@ class ScenarioGen:
         cfg = self.config
         node = cfg.node_names[int(rng.integers(cfg.n_nodes))]
         down_at = _grid(float(rng.uniform(0.0, cfg.horizon_ms * 0.3)))
-        lo, hi = cfg.lag_range_ms
+        lo, hi = LAG_RANGE_MS
         back_at = _grid(down_at + float(rng.uniform(lo, hi)))
         steps.append(Crash(at_ms=down_at, node=node))
         steps.append(Recover(at_ms=back_at, node=node))
@@ -415,12 +374,12 @@ class ScenarioGen:
         fresh = f"n{cfg.n_nodes + 1}"
         add_at = _grid(float(rng.uniform(0.0, cfg.horizon_ms * 0.4)))
         steps.append(AddNode(at_ms=add_at, node=fresh))
-        if float(rng.random()) < cfg.p_repair:
-            lo, hi = cfg.membership_gap_range_ms
+        if float(rng.random()) < P_REPAIR:
+            lo, hi = MEMBERSHIP_GAP_RANGE_MS
             rem_at = _grid(add_at + float(rng.uniform(lo, hi)))
             victim = (
                 LEADER_SELECTOR
-                if float(rng.random()) < cfg.p_leader_selector
+                if float(rng.random()) < P_LEADER_SELECTOR
                 else cfg.node_names[int(rng.integers(cfg.n_nodes))]
             )
             steps.append(RemoveNode(at_ms=rem_at, node=victim))
@@ -485,7 +444,7 @@ class ScenarioGen:
         on one ordered pair, over a finite window — or, sometimes, a full
         gray split (see :meth:`_gen_gray_split`)."""
         cfg = self.config
-        lo, hi = cfg.gray_window_range_ms
+        lo, hi = GRAY_WINDOW_RANGE_MS
         at = _grid(float(rng.uniform(0.0, cfg.horizon_ms * 0.7)))
         duration = _grid(float(rng.uniform(lo, hi)))
         if float(rng.random()) < 0.35:
@@ -504,7 +463,7 @@ class ScenarioGen:
                 )
             )
         else:
-            g_lo, g_hi = cfg.gray_loss_range
+            g_lo, g_hi = GRAY_LOSS_RANGE
             steps.append(
                 GrayLink(
                     at_ms=at,
@@ -529,14 +488,14 @@ class ScenarioGen:
         for i in picks:
             node = cfg.node_names[int(i)]
             at = _grid(float(rng.uniform(0.0, cfg.horizon_ms * 0.5)))
-            o_lo, o_hi = cfg.clock_offset_range_ms
+            o_lo, o_hi = CLOCK_OFFSET_RANGE_MS
             sign = 1.0 if float(rng.random()) < 0.5 else -1.0
             offset = _grid(sign * float(rng.uniform(o_lo, o_hi)))
             drift = float(
-                round(float(rng.uniform(-cfg.clock_drift_max, cfg.clock_drift_max)), 4)
+                round(float(rng.uniform(-CLOCK_DRIFT_MAX, CLOCK_DRIFT_MAX)), 4)
             )
             steps.append(SetClock(at_ms=at, node=node, offset_ms=offset, drift=drift))
-            if float(rng.random()) < cfg.p_repair:
+            if float(rng.random()) < P_REPAIR:
                 back_at = _grid(at + float(rng.uniform(2_000.0, 10_000.0)))
                 steps.append(SetClock(at_ms=back_at, node=node))
 
@@ -544,7 +503,7 @@ class ScenarioGen:
         """Generate the scenario for ``seed`` (pure: same seed, same bytes)."""
         cfg = self.config
         rng = np.random.default_rng(seed)
-        n_primary = int(rng.integers(cfg.min_steps, cfg.max_steps + 1))
+        n_primary = int(rng.integers(MIN_STEPS, cfg.max_steps + 1))
         steps: list[Step] = []
         anchors: list[float] = []
         for _ in range(n_primary):

@@ -26,6 +26,7 @@ not cry wolf on timeouts.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from repro.cluster.builder import Cluster, ClusterConfig, build_cluster
 from repro.storage import DiskFaultConfig
@@ -94,17 +95,11 @@ class CheckedRun:
 
     __slots__ = ("cluster", "checker", "history", "horizon_ms")
 
-    def __init__(
-        self,
-        cluster_config: ClusterConfig,
-        system: str,
-        *,
-        safety_interval_ms: float = 250.0,
-    ) -> None:
+    def __init__(self, cluster_config: ClusterConfig, system: str) -> None:
         self.cluster: Cluster = build_cluster(
             cluster_config, make_policy_factory(system)
         )
-        self.checker = SafetyChecker(self.cluster, interval_ms=safety_interval_ms)
+        self.checker = SafetyChecker(self.cluster, interval_ms=SAFETY_INTERVAL_MS)
         self.checker.install(event_hooks=True)
         self.history = OpHistory()
         self.horizon_ms = 0.0
@@ -139,6 +134,22 @@ class CheckedRun:
         )
 
 
+#: Pairwise RTT of a fuzz trial's cluster (its loss starts at 0; the
+#: scenario's steps move both).
+TRIAL_RTT_MS = 50.0
+#: Period of the SafetyChecker's sampled pass beside its event hooks.
+SAFETY_INTERVAL_MS = 250.0
+#: Keys a v1 reproducer's trial config may carry from when these were
+#: fields, each with the one value that loads: the constant that replaced
+#: it (``lin_budget`` is the linearizability search's ``DEFAULT_BUDGET``).
+RETIRED_KEYS = {
+    "rtt_ms": TRIAL_RTT_MS,
+    "loss": 0.0,
+    "safety_interval_ms": SAFETY_INTERVAL_MS,
+    "lin_budget": DEFAULT_BUDGET,
+}
+
+
 @dataclasses.dataclass(slots=True, frozen=True)
 class FuzzTrialConfig:
     """Everything one trial needs besides the scenario itself.
@@ -151,16 +162,12 @@ class FuzzTrialConfig:
     system: str = "raft"
     n_nodes: int = 5
     seed: int = 1
-    rtt_ms: float = 50.0
-    loss: float = 0.0
     #: Run past the scenario's last effect (heal + converge window).
     settle_ms: float = 6_000.0
     #: Floor on total run time, so shrinking steps away cannot shrink the
     #: run under an injected bug's fire time.
     min_run_ms: float = 12_000.0
-    safety_interval_ms: float = 250.0
     workload: WorkloadConfig = dataclasses.field(default_factory=WorkloadConfig)
-    lin_budget: int = DEFAULT_BUDGET
     #: Optional injected bug (see :mod:`repro.fuzz.bugs`) — used to
     #: validate the oracle; reproducer files never carry it.
     inject: str | None = None
@@ -199,8 +206,12 @@ class FuzzTrialConfig:
     disk: bool = False
 
     def __post_init__(self) -> None:
-        if self.settle_ms < 0.0 or self.min_run_ms < 0.0:
-            raise ValueError("settle_ms and min_run_ms must be >= 0")
+        # A NaN or infinite window never ends the run; NaN fails every
+        # comparison, hence the negated form.
+        for name in ("settle_ms", "min_run_ms"):
+            value = getattr(self, name)
+            if not (0.0 <= value < math.inf):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if self.compaction_threshold < 0 or self.compaction_margin < 0:
             raise ValueError("compaction_threshold and compaction_margin must be >= 0")
 
@@ -213,6 +224,12 @@ class FuzzTrialConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "FuzzTrialConfig":
         payload = dict(data)
+        for key, value in RETIRED_KEYS.items():
+            if key in payload and payload.pop(key) != value:
+                raise ValueError(
+                    f"reproducer key {key!r} is retired: only {value!r} loads, "
+                    f"got {data[key]!r}"
+                )
         if "workload" in payload:
             payload["workload"] = WorkloadConfig(**payload["workload"])
         return cls(**payload)
@@ -271,8 +288,7 @@ def run_trial(config: FuzzTrialConfig, scenario: Scenario) -> TrialResult:
         ClusterConfig(
             n_nodes=config.n_nodes,
             seed=config.seed,
-            rtt_ms=config.rtt_ms,
-            loss=config.loss,
+            rtt_ms=TRIAL_RTT_MS,
             raft=RaftConfig(
                 compaction_threshold=config.compaction_threshold,
                 compaction_retain_margin=config.compaction_margin,
@@ -291,7 +307,6 @@ def run_trial(config: FuzzTrialConfig, scenario: Scenario) -> TrialResult:
             ),
         ),
         config.system,
-        safety_interval_ms=config.safety_interval_ms,
     )
     cluster = run.cluster
     scenario.install(cluster, membership_enabled=config.membership)
@@ -304,7 +319,7 @@ def run_trial(config: FuzzTrialConfig, scenario: Scenario) -> TrialResult:
     n_ops, n_completed = verdict.ops_issued, verdict.ops_completed
 
     violations = list(verdict.violations)
-    lin = check_history(run.history.ops(), budget=config.lin_budget)
+    lin = check_history(run.history.ops())
     if lin.decided and not lin.ok:
         violations.append(f"linearizability: {lin.reason}")
 

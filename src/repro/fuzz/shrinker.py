@@ -26,6 +26,13 @@ replays.  A reproducer's trial config never carries an injected bug —
 the injection (if any) that revealed the scenario is recorded as metadata
 only, so regression replays assert the *fixed* system stays clean on the
 minimized timeline.
+
+Format v1's trial config once carried four more keys, now constants of
+:mod:`repro.fuzz.oracle`: ``rtt_ms`` (50.0), ``loss`` (0.0),
+``safety_interval_ms`` (250.0) and ``lin_budget`` (500 000).  A file that
+holds one loads only at that value (``RETIRED_KEYS``); any other value
+raises ``ValueError`` naming the key, since that file describes a trial
+this code cannot run.
 """
 
 from __future__ import annotations

@@ -124,8 +124,3 @@ def test_pressure_knob_off_changes_nothing():
             s.to_dict() for s in base.steps
         ]
         assert len(extended.steps) == len(base.steps) + 2
-
-
-def test_gen_config_round_trips_with_lag_fields():
-    cfg = GenConfig(p_compaction_lag=0.5, lag_range_ms=(5_000.0, 9_000.0))
-    assert GenConfig.from_dict(cfg.to_dict()) == cfg

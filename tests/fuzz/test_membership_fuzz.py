@@ -65,7 +65,7 @@ def test_gen_config_validates_membership_knobs():
     with pytest.raises(ValueError):
         GenConfig(p_membership=1.5)
     with pytest.raises(ValueError):
-        GenConfig(membership_gap_range_ms=(5_000.0, 1_000.0))
+        GenConfig(p_membership=-0.1)
 
 
 def test_oracle_membership_knob_gates_the_steps():

@@ -12,6 +12,8 @@ from repro.dynatune.policy import DynatunePolicy
 from repro.experiments.common import make_policy_factory
 from repro.raft.messages import HeartbeatRequest
 from repro.raft.state_machine import kv_put
+from repro.scenarios.scenario import Scenario
+from repro.scenarios.steps import SetClock
 from tests.conftest import make_raft_cluster
 
 
@@ -122,15 +124,21 @@ def test_on_heartbeat_rearm_matches_arm_election_timer():
 
     def follower():
         cluster = build_cluster(
-            ClusterConfig(n_nodes=3, seed=5, rtt_ms=50.0, clock_drift=0.05),
+            ClusterConfig(n_nodes=3, seed=5, rtt_ms=50.0),
             lambda name: DynatunePolicy(),
         )
+        drifts = (0.05, -0.03, 0.02)
+        Scenario(
+            "drift",
+            [SetClock(at_ms=0.0, node=n, drift=d) for n, d in zip(cluster.names, drifts)],
+        ).install(cluster)
         cluster.start()
         leader = cluster.run_until_leader()
         cluster.run_for(2_000.0)
         return next(n for n in cluster.nodes.values() if n.name != leader), leader
 
     (node, leader), (twin, twin_leader) = follower(), follower()
+    assert node.clock.skewed and twin.clock.skewed
     assert (twin.name, twin_leader) == (node.name, leader)
     assert node._election_timer.deadline == twin._election_timer.deadline
     seq0 = node.policy.measurement.ids()[-1]

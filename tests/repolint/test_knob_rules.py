@@ -72,7 +72,7 @@ def test_tests_and_examples_beside_the_scanned_root_count(tmp_path):
         tmp_path / "src",
         {
             "repro/raft/types.py": TYPES,
-            "repro/fuzz/oracle.py": "cfg = RaftConfig(prevote=True, lease_reads=False)\n",
+            "repro/scenarios/library.py": "cfg = RaftConfig(prevote=True, lease_reads=False)\n",
         },
         rules=RULES,
     )
@@ -135,13 +135,18 @@ def test_real_tree_knobs_are_all_live_only_thanks_to_their_users():
     # knob of every experiment config surfaces — only tests and benchmarks
     # set those — i.e. the user roots are really being read.  The two
     # protocol configs must stay clean even blind: every RaftConfig and
-    # DynatuneConfig option has a caller under src/.
+    # DynatuneConfig option, and every ClusterConfig field, has a caller
+    # under src/.
     assert run_repolint(REPO_ROOT / "src", rules=RULES).findings == []
     blind = dataclasses.replace(DEFAULT_CONFIG, knob_user_roots=())
     report = run_repolint(
         REPO_ROOT / "src", rules=[ConfigKnobLivenessRule(blind)]
     )
-    protocol = {"repro/raft/types.py", "repro/dynatune/config.py"}
+    protocol = {
+        "repro/raft/types.py",
+        "repro/dynatune/config.py",
+        "repro/cluster/builder.py",
+    }
     assert [h for h in report.findings if h.path in protocol] == []
     # fig8_geo's two configs pass every Fig4Config field but ``system``, the
     # cell coordinate that only fig4_election's own ``cells`` fills.
@@ -151,3 +156,37 @@ def test_real_tree_knobs_are_all_live_only_thanks_to_their_users():
     assert {h.path for h in report.findings} == {
         modpath for modpath, _ in DEFAULT_CONFIG.knob_configs
     } - protocol
+
+
+FUZZ_CONFIGS = {
+    "repro/cluster/builder.py": "ClusterConfig",
+    "repro/fuzz/generator.py": "GenConfig",
+    "repro/fuzz/oracle.py": "FuzzTrialConfig",
+    "repro/fuzz/workload.py": "WorkloadConfig",
+}
+
+
+def test_fuzz_configs_have_callers_beyond_the_tests():
+    # With tests and examples hidden, what src/ and benchmarks/ set is all
+    # that counts.  The feature sets set their keys through dicts the rule
+    # cannot see (``dataclasses.replace(gen, **overrides)``), and
+    # ``inject_at_ms`` is recorded by a committed reproducer; any other
+    # finding is a knob only tests turn.
+    from repro.fuzz.features import FEATURE_SETS
+
+    assert set(FUZZ_CONFIGS.items()) <= set(DEFAULT_CONFIG.knob_configs)
+    blind = dataclasses.replace(DEFAULT_CONFIG, knob_user_roots=("../benchmarks",))
+    report = run_repolint(REPO_ROOT / "src", rules=[ConfigKnobLivenessRule(blind)])
+    fed = {
+        key
+        for feature in FEATURE_SETS.values()
+        for overrides in (feature.gen, feature.trial, feature.workload)
+        for key in overrides
+    }
+    found = {(h.path, h.symbol) for h in report.findings if h.path in FUZZ_CONFIGS}
+    assert found, "the feature-set keys should surface: is the rule blind?"
+    assert {
+        (path, symbol)
+        for path, symbol in found
+        if symbol not in fed and (path, symbol) != ("repro/fuzz/oracle.py", "inject_at_ms")
+    } == set()

@@ -301,6 +301,10 @@ class RepolintConfig:
         ("repro/experiments/fig_scale.py", "ScaleSweepConfig"),
         ("repro/experiments/ablations.py", "AblationConfig"),
         ("repro/cluster/workload.py", "FluidWorkloadConfig"),
+        ("repro/cluster/builder.py", "ClusterConfig"),
+        ("repro/fuzz/generator.py", "GenConfig"),
+        ("repro/fuzz/oracle.py", "FuzzTrialConfig"),
+        ("repro/fuzz/workload.py", "WorkloadConfig"),
     )
     #: Directories (relative to the scanned root) whose ``.py`` files
     #: count as callers besides the scanned tree itself; missing ones are
