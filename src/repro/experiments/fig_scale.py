@@ -4,8 +4,8 @@ The paper evaluates at 5–65 servers but the interesting claims — per-path
 heartbeat tuning staying cheap while stock Raft's leader work grows with
 N, detection latency staying flat as the quorum widens — only become
 visible at sizes the seed simulator could not afford.  With the
-protocol-layer fast path (incremental commit tracking, allocation-light
-heartbeats) a 101-node cluster runs at interactive speed, so cluster size
+protocol-layer fast path (one ``Progress`` record per follower,
+allocation-light heartbeats) a 101-node cluster runs at interactive speed, so cluster size
 becomes an ordinary experiment axis.
 
 Per (system, N) cell this sweep runs the §IV-B1 leader-kill protocol and

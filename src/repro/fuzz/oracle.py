@@ -206,9 +206,10 @@ class FuzzTrialConfig:
     disk: bool = False
 
     def __post_init__(self) -> None:
-        # A NaN or infinite window never ends the run; NaN fails every
-        # comparison, hence the negated form.
-        for name in ("settle_ms", "min_run_ms"):
+        # A NaN or infinite window never ends the run (nor does a NaN
+        # bug time ever fire); NaN fails every comparison, hence the
+        # negated form.
+        for name in ("settle_ms", "min_run_ms", "inject_at_ms"):
             value = getattr(self, name)
             if not (0.0 <= value < math.inf):
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")

@@ -24,6 +24,7 @@ Design constraints, all load-bearing for the oracle:
 from __future__ import annotations
 
 import dataclasses
+import math
 from functools import partial
 
 from repro.cluster.builder import Cluster
@@ -86,12 +87,19 @@ class WorkloadConfig:
             raise ValueError("workload needs >= 1 client and >= 1 key")
         if not (0 <= self.read_only_clients <= self.n_clients):
             raise ValueError("need 0 <= read_only_clients <= n_clients")
-        if self.op_timeout_ms <= 0.0:
-            raise ValueError("op_timeout_ms must be > 0")
+        # A reproducer's JSON may carry NaN, which fails every
+        # comparison: hence the negated, finite forms.
+        if not (0.0 < self.op_timeout_ms < math.inf):
+            raise ValueError("op_timeout_ms must be finite and > 0")
         if not (0.0 <= self.p_put and 0.0 <= self.p_get and self.p_put + self.p_get <= 1.0):
             raise ValueError("op mix probabilities must be in [0, 1] and sum <= 1")
-        if self.think_min_ms < 0.0 or self.think_max_ms < self.think_min_ms:
-            raise ValueError("need 0 <= think_min_ms <= think_max_ms")
+        if not (0.0 <= self.think_min_ms <= self.think_max_ms < math.inf):
+            raise ValueError("need 0 <= think_min_ms <= think_max_ms, both finite")
+        if not (0.0 <= self.start_ms < math.inf):
+            raise ValueError("start_ms must be finite and >= 0")
+        rtt = self.client_rtt_ms
+        if rtt is not None and not (0.0 <= rtt < math.inf):
+            raise ValueError("client_rtt_ms must be None, or finite and >= 0")
 
 
 class WorkloadDriver:

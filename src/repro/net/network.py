@@ -442,7 +442,6 @@ class Network:
             event.append(PRIORITY_MESSAGE)
             event.append(seq)
             event.append(_Delivery((endpoint, stats, src, payload)))
-            event.loop = loop
             _heappush(loop._heap, event)
 
     def broadcast(

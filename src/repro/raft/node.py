@@ -32,10 +32,6 @@ mechanisms untouched.
 
 Hot-path structure (the protocol layer dominates large-cluster wall time):
 
-* commit advancement is **incremental** — a
-  :class:`~repro.raft.commit.CommitTracker` replaces the classic
-  sort-all-match-indices scan, making each AppendEntries response O(1)
-  amortized regardless of cluster size;
 * the leader's whole view of one follower is a single slotted
   :class:`Progress` record (etcd's ``tracker.Progress``), so a beat or an
   ack is one dict lookup followed by attribute loads, and "is this peer
@@ -61,7 +57,6 @@ from typing import Any, Callable, ClassVar
 import numpy as np
 
 from repro.dynatune.policy import TuningPolicy
-from repro.raft.commit import CommitTracker
 from repro.raft.log import RaftLog, Snapshot
 from repro.raft.membership import ClusterConfig, ConfigChange, ConfigLog, Quorum
 from repro.raft.messages import (
@@ -92,7 +87,7 @@ from repro.sim.tracing import TraceLog
 from repro.storage.base import DiskCorruptionError, RecoveredState, Storage
 from repro.storage.ideal import IdealStorage
 
-__all__ = ["Progress", "RaftNode"]
+__all__ = ["Progress", "RaftNode", "quorum_match"]
 
 _NEG_INF = -math.inf
 
@@ -165,6 +160,22 @@ class Progress:
     probing: bool = False
     hb_request: HeartbeatRequest | None = None
     hb_timer: Timer | None = None
+
+
+def quorum_match(progress: dict[str, Progress], quorum: Quorum, last_index: int) -> int:
+    """The commit rule's candidate: the largest index replicated on a
+    majority of ``quorum``'s voters.
+
+    That is the ``acks``-th largest ``match`` among the voter peers — the
+    leader's own log counts through ``Quorum.acks`` — or the leader's
+    ``last_index`` when it alone is the quorum (``acks == 0``).
+    """
+    acks = quorum.acks
+    if acks == 0:
+        return last_index
+    matches = [progress[peer].match for peer in quorum.peers]
+    matches.sort(reverse=True)
+    return matches[acks - 1]
 
 
 @dataclasses.dataclass(slots=True, eq=False)
@@ -313,8 +324,6 @@ class RaftNode(Process):
         #: One record per follower of the current reign (empty otherwise).
         self.progress: dict[str, Progress] = {}
         self._pending_client: dict[int, tuple[str, int]] = {}  # log idx -> (client, req)
-        # Incrementally maintained quorum-match frontier (reset per reign).
-        self._commit = CommitTracker(self._quorum.acks)
         #: Log index of this term's no-op entry while leader (0 otherwise);
         #: the read fast path gates on it being committed.
         self._term_start_index = 0
@@ -583,19 +592,12 @@ class RaftNode(Process):
                 del self.progress[peer]
                 self.timers.drop(f"hb/{peer}")
             if old.voters != new.voters:
-                # The quorum arithmetic changed mid-reign: rebuild the
-                # incremental tracker from the surviving voters' match
-                # indices, floored at what is already committed, then
-                # re-check — removing a straggler can make the smaller
-                # quorum instantly satisfied by the acks already in hand
-                # (the §5.4.2 term restriction still applies).
-                quorum = self._quorum
-                tracker = self._commit = CommitTracker(quorum.acks)
-                tracker.discard_through(self.commit_index)
-                for peer in quorum.peers:
-                    tracker.advance(0, self.progress[peer].match)
+                # The quorum arithmetic changed mid-reign: re-check —
+                # removing a straggler can make the smaller quorum
+                # instantly satisfied by the acks already in hand (the
+                # §5.4.2 term restriction still applies).
                 self._commit_to(
-                    tracker.frontier if quorum.acks else self.log.last_index
+                    quorum_match(self.progress, self._quorum, self.log.last_index)
                 )
         elif name not in self._quorum.voters and self.role in (
             Role.PRECANDIDATE,
@@ -866,7 +868,6 @@ class RaftNode(Process):
         now = self._now()
         next_index = self.log.last_index + 1
         self.progress = {p: Progress(p, next_index, now, now) for p in self.peers}
-        self._commit = CommitTracker(self._quorum.acks)
         # No-op entry: lets this leader commit its predecessors' tail
         # (commit is restricted to current-term entries, §5.4.2).  Reads
         # gate on this index committing (the ReadIndex precondition).
@@ -1072,14 +1073,11 @@ class RaftNode(Process):
     def _commit_to(self, candidate: int) -> None:
         """Majority-match commit, restricted to current-term entries.
 
-        ``candidate`` is the quorum frontier from the incremental tracker,
-        fed one follower's ``match`` progression at a time — O(1) amortized
-        per acknowledged entry (the seed implementation sorted every match
-        index on every response — O(n log n) each).
+        ``candidate`` comes from :func:`quorum_match`, re-evaluated
+        whenever a voter's ``match`` moves or the voter set changes.
         """
         if candidate > self.commit_index and self.log.term_at(candidate) == self.current_term:
             self.commit_index = candidate
-            self._commit.discard_through(candidate)
             self.metrics.commit_advances += 1
             self._apply_committed()
 
@@ -1384,9 +1382,8 @@ class RaftNode(Process):
             pr.inflight -= 1
         if m.success:
             pr.probing = False
-            old = pr.match
             acked = m.match_index
-            if acked > old:
+            if acked > pr.match:
                 pr.match = acked
                 # Under pipelining optimistic sends may have pushed next
                 # past this ack already; never roll the stream back.
@@ -1395,7 +1392,9 @@ class RaftNode(Process):
                 # A learner's ack moves its own progress (promotion reads
                 # it) and no quorum count: it has no vote to commit with.
                 if pr.peer in self._quorum.voters:
-                    self._commit_to(self._commit.advance(old, acked))
+                    self._commit_to(
+                        quorum_match(self.progress, self._quorum, self.log.last_index)
+                    )
             if pr.match < self.log.last_index:
                 self._send_append(pr)
             else:
@@ -1476,12 +1475,13 @@ class RaftNode(Process):
         pr.snapshot_sent_at = None
         s_index = m.last_included_index
         if s_index > 0:
-            old = pr.match
-            if s_index > old:
+            if s_index > pr.match:
                 pr.match = s_index
                 pr.next = s_index + 1
                 if pr.peer in self._quorum.voters:  # as in _on_append_response
-                    self._commit_to(self._commit.advance(old, s_index))
+                    self._commit_to(
+                        quorum_match(self.progress, self._quorum, self.log.last_index)
+                    )
             elif pr.next <= s_index:
                 pr.next = s_index + 1
         if pr.match < self.log.last_index:

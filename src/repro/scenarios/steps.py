@@ -31,6 +31,7 @@ they create.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from typing import Any, Callable, ClassVar
 
@@ -80,13 +81,22 @@ class Repeat:
     times: int
 
     def __post_init__(self) -> None:
-        if self.every_ms <= 0.0:
-            raise ValueError(f"every_ms must be > 0, got {self.every_ms!r}")
+        _check_ms(self.every_ms, "every_ms", positive=True)
         if self.times < 1:
             raise ValueError(f"times must be >= 1, got {self.times!r}")
 
     def to_dict(self) -> dict[str, Any]:
         return {"every_ms": self.every_ms, "times": self.times}
+
+
+def _check_ms(value: float, field: str, *, positive: bool = False) -> None:
+    """Reject a negative (with ``positive``, also a zero), NaN or infinite
+    time: a reproducer is JSON, Python's ``json`` reads ``NaN``, and a NaN
+    or infinite time makes a window or a run that never ends.  NaN fails
+    every comparison, hence the negated form."""
+    if not (0.0 <= value < math.inf) or (positive and value == 0.0):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"{field} must be finite and {bound}, got {value!r}")
 
 
 def _check_selector(value: str, field: str) -> None:
@@ -123,8 +133,7 @@ class Step:
     repeat: Repeat | None
 
     def _validate_base(self) -> None:
-        if self.at_ms < 0.0:
-            raise ValueError(f"at_ms must be >= 0, got {self.at_ms!r}")
+        _check_ms(self.at_ms, "at_ms")
 
     #: All the validation a step with no field of its own needs (the
     #: intermediate bases below alias their validators the same way).
@@ -227,8 +236,8 @@ class _Weather(Step):
         if self._PROBABILITY:
             if not (0.0 <= value <= 1.0):
                 raise ValueError(f"{self._FIELD} must be in [0, 1], got {value!r}")
-        elif value < 0.0:
-            raise ValueError(f"{self._FIELD} must be >= 0, got {value!r}")
+        else:
+            _check_ms(value, self._FIELD)
         if self.pair is not None:
             if len(self.pair) != 2:
                 raise ValueError(f"pair must name two nodes, got {self.pair!r}")
@@ -393,8 +402,7 @@ class Flap(_PairStep):
 
     def __post_init__(self) -> None:
         self._validate_pair()
-        if self.down_ms <= 0.0:
-            raise ValueError(f"down_ms must be > 0, got {self.down_ms!r}")
+        _check_ms(self.down_ms, "down_ms", positive=True)
         if self.repeat is not None and self.repeat.every_ms <= self.down_ms:
             raise ValueError("flap period must exceed down_ms (link must come back up)")
 
@@ -430,10 +438,8 @@ class _DirectedStep(_PairStep):
             raise ValueError(
                 f"direction must be one of {_DIRECTIONS}, got {self.direction!r}"
             )
-        if self.duration_ms is not None and self.duration_ms <= 0.0:
-            raise ValueError(
-                f"duration_ms must be > 0 or None, got {self.duration_ms!r}"
-            )
+        if self.duration_ms is not None:
+            _check_ms(self.duration_ms, "duration_ms", positive=True)
 
     __post_init__ = _validate_directed
 
@@ -518,10 +524,8 @@ class GrayLink(_DirectedStep):
             raise ValueError("gray_link needs loss and/or one_way_ms")
         if self.loss is not None and not (0.0 <= self.loss <= 1.0):
             raise ValueError(f"loss must be in [0, 1], got {self.loss!r}")
-        if self.one_way_ms is not None and self.one_way_ms < 0.0:
-            raise ValueError(
-                f"one_way_ms must be >= 0, got {self.one_way_ms!r}"
-            )
+        if self.one_way_ms is not None:
+            _check_ms(self.one_way_ms, "one_way_ms")
 
     def _apply_pair(self, rt: "ScenarioRuntime", a: str, b: str) -> dict[str, Any]:
         net = rt.network
@@ -596,8 +600,7 @@ class Pause(_NodeStep):
 
     def __post_init__(self) -> None:
         self._validate_node()
-        if self.duration_ms <= 0.0:
-            raise ValueError(f"duration_ms must be > 0, got {self.duration_ms!r}")
+        _check_ms(self.duration_ms, "duration_ms", positive=True)
 
     def effect_duration_ms(self) -> float:
         return self.duration_ms
@@ -669,8 +672,7 @@ class Churn(Step):
             raise ValueError("churn needs at least one node")
         for sel in self.nodes:
             _check_selector(sel, "node")
-        if self.down_ms <= 0.0:
-            raise ValueError(f"down_ms must be > 0, got {self.down_ms!r}")
+        _check_ms(self.down_ms, "down_ms", positive=True)
         if self.fault not in ("crash", "pause"):
             raise ValueError(f"fault must be 'crash' or 'pause', got {self.fault!r}")
 
@@ -746,8 +748,7 @@ class DiskFault(_NodeStep):
             p = getattr(self, field)
             if not (0.0 <= p <= 1.0):
                 raise ValueError(f"{field} must be in [0, 1], got {p!r}")
-        if self.duration_ms < 0.0:
-            raise ValueError(f"duration_ms must be >= 0, got {self.duration_ms!r}")
+        _check_ms(self.duration_ms, "duration_ms")
 
     def effect_duration_ms(self) -> float:
         return self.duration_ms
@@ -793,8 +794,10 @@ class SetClock(_NodeStep):
 
     def __post_init__(self) -> None:
         self._validate_node()
-        if not self.drift > -1.0:  # also rejects NaN
-            raise ValueError(f"drift must be > -1, got {self.drift!r}")
+        if not math.isfinite(self.offset_ms):
+            raise ValueError(f"offset_ms must be finite, got {self.offset_ms!r}")
+        if not (-1.0 < self.drift < math.inf):  # also rejects NaN
+            raise ValueError(f"drift must be finite and > -1, got {self.drift!r}")
 
     def _apply_node(self, rt: "ScenarioRuntime", proc: Any) -> dict[str, Any]:
         clock = getattr(proc, "clock", None)
@@ -875,8 +878,7 @@ class _MembershipStep(Step):
     max_retries: int
 
     def _validate_retry(self) -> None:
-        if self.retry_ms <= 0.0:
-            raise ValueError(f"retry_ms must be > 0, got {self.retry_ms!r}")
+        _check_ms(self.retry_ms, "retry_ms", positive=True)
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries!r}")
 

@@ -19,8 +19,8 @@ Representation
 --------------
 
 An :class:`Event` *is* its own heap entry: a ``list`` subclass laid out as
-``[time, priority, seq, callback]`` plus one ``loop`` slot.  This buys the
-two properties the hot path needs:
+``[time, priority, seq, callback]``.  This buys the two properties the hot
+path needs:
 
 * heap sifts compare events with ``list``'s C implementation, element-wise
   over ``(time, priority, seq)`` — and because ``seq`` is unique the
@@ -55,12 +55,11 @@ class Event(list):
     """A scheduled callback, doubling as heap entry and cancellation handle.
 
     Construct with the 4-element layout ``Event((time, priority, seq,
-    callback))`` and assign :attr:`loop` (done by
-    :meth:`~repro.sim.loop.EventLoop.schedule`); a cancelled event has
-    ``callback`` slot ``None``.
+    callback))`` (done by :meth:`~repro.sim.loop.EventLoop.schedule`); a
+    cancelled event has ``callback`` slot ``None``.
     """
 
-    __slots__ = ("loop",)
+    __slots__ = ()
 
     # NOTE: deliberately no __init__/__lt__/__eq__ overrides — list's
     # C-level construction and comparison are the whole point.
@@ -96,12 +95,6 @@ class Event(list):
         if self[3] is None:
             return False
         self[3] = None
-        try:
-            loop = self.loop
-        except AttributeError:  # constructed outside a loop (tests)
-            return True
-        if loop is not None:
-            loop._note_cancelled()
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -26,12 +26,9 @@ Performance notes (this is the hot path of every benchmark):
 * cancelled events use *lazy deletion*: cancelling clears the callback
   slot in O(1) and the loop skips dead events as they surface.  Raft
   cancels timers on role changes and clients cancel retry timers on every
-  response, so eager heap surgery would turn each cancel into O(n);
-* the loop keeps a tally of cancelled events still in the heap and
-  *compacts* it (filter + re-heapify, O(n)) once the tally exceeds half
-  the heap beyond a small floor.  Cancellation storms therefore cannot
-  grow the pending set unboundedly: amortised cost per cancel stays
-  O(log n).
+  response, so eager heap surgery would turn each cancel into O(n).  A
+  dead event stays in the heap until its time comes; the timers below
+  keep the number of such corpses small, so the heap is never rebuilt.
 
 Timers add one more trick on top: :class:`~repro.sim.timers.Timer` re-arms
 lazily, so the per-heartbeat election-timer reset — the single most frequent
@@ -40,7 +37,6 @@ operation in a Raft simulation — does not touch the heap at all.
 
 from __future__ import annotations
 
-import heapq
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable
 
@@ -52,9 +48,6 @@ __all__ = ["EventLoop", "SimulationError"]
 class SimulationError(RuntimeError):
     """Raised for scheduler-level misuse (negative delays, exhausted loop)."""
 
-
-#: Never compact heaps smaller than this — rebuild cost would dominate.
-_COMPACT_MIN_SIZE = 64
 
 _INF = float("inf")
 
@@ -79,16 +72,13 @@ class EventLoop:
     """
 
     def __init__(self, start: float = 0.0) -> None:
-        if start < 0.0:
+        if not (start >= 0.0):  # also rejects NaN
             raise ValueError(f"clock cannot start before zero, got {start!r}")
         self.now: float = float(start)
         self._heap: list[Event] = []
         self._seq = 0
         self._executed = 0
         self._in_run = False
-        #: Cancelled events still in the heap (over-counts only by handles
-        #: cancelled after their event fired); drives compaction.
-        self._cancelled = 0
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -109,7 +99,6 @@ class EventLoop:
         heap = self._heap
         while heap and heap[0][3] is None:
             _heappop(heap)
-            self._cancelled -= 1
         return heap[0][0] if heap else None  # Event[0] is time
 
     # ------------------------------------------------------------------ #
@@ -154,7 +143,6 @@ class EventLoop:
         event.append(priority)
         event.append(seq)
         event.append(callback)
-        event.loop = self
         _heappush(self._heap, event)
         return event
 
@@ -174,7 +162,6 @@ class EventLoop:
         event.append(priority)
         event.append(seq)
         event.append(callback)
-        event.loop = self
         _heappush(self._heap, event)
         return event
 
@@ -191,7 +178,6 @@ class EventLoop:
     ) -> Event:
         """:meth:`_push_event` under a sequence number from :meth:`_reserve_seq`."""
         event = Event((time, priority, seq, callback))
-        event.loop = self
         _heappush(self._heap, event)
         return event
 
@@ -203,7 +189,7 @@ class EventLoop:
         priority: int = PRIORITY_MESSAGE,
     ) -> Event:
         """Schedule ``callback`` at absolute virtual time ``time`` (ms)."""
-        if time < self.now:
+        if not (time >= self.now):  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule in the past: now={self.now!r}, t={time!r}"
             )
@@ -242,7 +228,6 @@ class EventLoop:
             event = _heappop(heap)
             cb = event[3]
             if cb is None:
-                self._cancelled -= 1
                 continue
             self.now = event[0]
             self._executed += 1
@@ -282,7 +267,7 @@ class EventLoop:
                 events within the bound is fine, one more live event due at
                 or before ``t`` raises.
         """
-        if t < self.now:
+        if not (t >= self.now):  # also rejects NaN
             raise SimulationError(
                 f"run_until target {t!r} is in the past (now={self.now!r})"
             )
@@ -310,7 +295,6 @@ class EventLoop:
                 cb = ev[3]
                 if cb is None:  # cancelled: skip without executing
                     pop(heap)
-                    self._cancelled -= 1
                     continue
                 time = ev[0]
                 if time > horizon:
@@ -332,30 +316,3 @@ class EventLoop:
             self._in_run = False
             self._executed += count
         return count
-
-    # ------------------------------------------------------------------ #
-    # internals
-    # ------------------------------------------------------------------ #
-
-    def _note_cancelled(self) -> None:
-        """Called by :meth:`Event.cancel`; triggers compaction.
-
-        The tally can over-estimate (a handle cancelled *after* its event
-        fired counts but occupies no slot); that only makes compaction
-        fire early, never miss.
-        """
-        self._cancelled = c = self._cancelled + 1
-        if c >= _COMPACT_MIN_SIZE and 2 * c > len(self._heap):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Rebuild the heap without cancelled entries (O(n)).
-
-        Mutates the list *in place*: the drain loop holds a local
-        reference to it across callbacks, and a callback's cancel can land
-        here.
-        """
-        heap = self._heap
-        heap[:] = [entry for entry in heap if entry[3] is not None]
-        heapq.heapify(heap)
-        self._cancelled = 0

@@ -1,6 +1,9 @@
 """Workload driver: history recording, client sequentiality, determinism."""
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fuzz.history import OpHistory
@@ -18,6 +21,15 @@ def drive(seed=9, stop_ms=8_000.0, run_ms=12_000.0, **cfg_kwargs):
     driver.install()
     cluster.run_until(run_ms)
     return cluster, driver, history
+
+
+def test_config_rejects_non_finite_times():
+    # A reproducer's JSON may carry NaN; it used to pass every check here.
+    for name in ("op_timeout_ms", "think_min_ms", "think_max_ms", "start_ms", "client_rtt_ms"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                WorkloadConfig(**{name: value})
+    WorkloadConfig(client_rtt_ms=10.0)
 
 
 def test_healthy_cluster_history_is_rich_and_linearizable():

@@ -80,7 +80,7 @@ def test_v1_retired_key_loads_only_at_its_constant(key):
 
 def test_trial_config_rejects_negative_and_non_finite_windows():
     # A NaN or infinite window never ends the run.
-    for name in ("settle_ms", "min_run_ms"):
+    for name in ("settle_ms", "min_run_ms", "inject_at_ms"):
         for value in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match=name):
                 FuzzTrialConfig(**{name: value})

@@ -1,6 +1,9 @@
 """Shrinker: ddmin + simplification against cheap synthetic oracles."""
 
+import copy
 import dataclasses
+import json
+import math
 
 import pytest
 
@@ -114,13 +117,29 @@ def test_reproducer_roundtrip_strips_injection(tmp_path):
 
 
 def test_reproducer_dict_is_json_safe():
-    import json
-
     cfg = FuzzTrialConfig()
     scenario = ScenarioGen(GenConfig()).generate(4)
     payload = reproducer_dict(cfg, scenario, ("v",))
     blob = json.dumps(payload, sort_keys=True)
     assert json.loads(blob) == payload
+
+
+def test_load_rejects_a_nan_field(tmp_path):
+    # Python's json writes and reads NaN, so a hand-edited or corrupted
+    # reproducer can carry one; a NaN step time used to make the replay
+    # endless (its end_ms was NaN).
+    path = tmp_path / "repro.json"
+    write_reproducer(str(path), FuzzTrialConfig(), Scenario("s", [Heal(at_ms=5.0)]), ())
+    good = json.loads(path.read_text())
+    for section, edit, name in (
+        ("scenario", lambda p: p["steps"][0], "at_ms"),
+        ("trial", lambda p: p["workload"], "op_timeout_ms"),
+    ):
+        payload = copy.deepcopy(good)
+        edit(payload[section])[name] = math.nan
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=name):
+            load_reproducer(str(path))
 
 
 def test_load_rejects_unknown_format(tmp_path):

@@ -1,5 +1,7 @@
 """Membership scenario steps: serialization, e2e behavior, elastic library."""
 
+import math
+
 import pytest
 
 from repro.scenarios.library import (
@@ -56,6 +58,9 @@ def test_membership_step_validation():
         ReplaceNode(at_ms=0.0, node="n1", replacement="@leader")
     with pytest.raises(ValueError):
         RemoveNode(at_ms=0.0, node="n1", retry_ms=0.0)
+    for retry_ms in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="retry_ms"):
+            RemoveNode(at_ms=0.0, node="n1", retry_ms=retry_ms)
     with pytest.raises(ValueError):
         RemoveNode(at_ms=0.0, node="n1", max_retries=-1)
 

@@ -1,22 +1,30 @@
 """Scenario steps: validation, repeat expansion, dict/JSON round-trips."""
 
+import math
+
 import pytest
 
 from repro.scenarios.steps import (
     STEP_TYPES,
+    BlockLink,
     Churn,
     Crash,
     DiskFault,
     Flap,
+    GrayLink,
     Heal,
     Partition,
     Pause,
     Recover,
     Repeat,
+    SetClock,
     SetLoss,
     SetRtt,
     step_from_dict,
 )
+
+#: What a reproducer's JSON can carry that no time may be.
+NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
 # -- validation ------------------------------------------------------------ #
@@ -27,11 +35,17 @@ def test_repeat_validation():
         Repeat(every_ms=0.0, times=2)
     with pytest.raises(ValueError):
         Repeat(every_ms=100.0, times=0)
+    for every_ms in NON_FINITE:
+        with pytest.raises(ValueError, match="every_ms"):
+            Repeat(every_ms=every_ms, times=2)
 
 
 def test_negative_time_rejected():
     with pytest.raises(ValueError):
         SetRtt(at_ms=-1.0, rtt_ms=50.0)
+    for at_ms in NON_FINITE:
+        with pytest.raises(ValueError, match="at_ms"):
+            SetRtt(at_ms=at_ms, rtt_ms=50.0)
 
 
 def test_set_rtt_validation():
@@ -39,6 +53,9 @@ def test_set_rtt_validation():
         SetRtt(at_ms=0.0, rtt_ms=-5.0)
     with pytest.raises(ValueError):
         SetRtt(at_ms=0.0, rtt_ms=50.0, pair=("a",))
+    for rtt_ms in NON_FINITE:
+        with pytest.raises(ValueError, match="rtt_ms"):
+            SetRtt(at_ms=0.0, rtt_ms=rtt_ms)
 
 
 def test_set_loss_validation():
@@ -60,6 +77,9 @@ def test_pause_validation():
         Pause(at_ms=0.0, node="n1", duration_ms=0.0)
     with pytest.raises(ValueError):
         Pause(at_ms=0.0, node="", duration_ms=10.0)
+    for duration_ms in NON_FINITE:
+        with pytest.raises(ValueError, match="duration_ms"):
+            Pause(at_ms=0.0, node="n1", duration_ms=duration_ms)
 
 
 def test_flap_period_must_exceed_down():
@@ -72,6 +92,9 @@ def test_churn_validation():
         Churn(at_ms=0.0, nodes=(), down_ms=100.0)
     with pytest.raises(ValueError):
         Churn(at_ms=0.0, nodes=("a",), down_ms=100.0, fault="nuke")
+    for down_ms in NON_FINITE:
+        with pytest.raises(ValueError, match="down_ms"):
+            Churn(at_ms=0.0, nodes=("a",), down_ms=down_ms)
 
 
 # -- repeat expansion and extents ------------------------------------------ #
@@ -84,6 +107,27 @@ def test_disk_fault_validation():
         DiskFault(at_ms=0.0, node="a", p_bitflip=-0.1)
     with pytest.raises(ValueError):
         DiskFault(at_ms=0.0, node="a", duration_ms=-1.0)
+    # NaN used to pass, and a NaN window is a permanent one.
+    for duration_ms in NON_FINITE:
+        with pytest.raises(ValueError, match="duration_ms"):
+            DiskFault(at_ms=0.0, node="a", duration_ms=duration_ms)
+
+
+def test_link_and_clock_steps_reject_non_finite_times():
+    for value in NON_FINITE:
+        with pytest.raises(ValueError, match="down_ms"):
+            Flap(at_ms=0.0, a="x", b="y", down_ms=value)
+        with pytest.raises(ValueError, match="duration_ms"):
+            BlockLink(at_ms=0.0, a="x", b="y", duration_ms=value)
+        with pytest.raises(ValueError, match="duration_ms"):
+            GrayLink(at_ms=0.0, a="x", b="y", loss=0.5, duration_ms=value)
+        with pytest.raises(ValueError, match="one_way_ms"):
+            GrayLink(at_ms=0.0, a="x", b="y", one_way_ms=value)
+        with pytest.raises(ValueError, match="offset_ms"):
+            SetClock(at_ms=0.0, node="x", offset_ms=value)
+    with pytest.raises(ValueError, match="drift"):
+        SetClock(at_ms=0.0, node="x", drift=math.inf)
+    SetClock(at_ms=0.0, node="x", offset_ms=-250.0)  # a clock may run behind
 
 
 def test_occurrence_times_without_repeat():

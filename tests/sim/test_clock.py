@@ -22,6 +22,8 @@ def test_starts_at_given_time():
 def test_negative_start_rejected():
     with pytest.raises(ValueError):
         EventLoop(start=-1.0)
+    with pytest.raises(ValueError):
+        EventLoop(start=float("nan"))
 
 
 def test_unit_constants():

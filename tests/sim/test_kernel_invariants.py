@@ -1,4 +1,4 @@
-"""Kernel invariants: golden-seed determinism, lazy timers, compaction.
+"""Kernel invariants: golden-seed determinism, lazy timers, the heap model.
 
 The golden digests below were captured from the *pre-rework* kernel (the
 seed implementation with per-``Event`` ``__lt__`` heap ordering, eager
@@ -151,36 +151,8 @@ def test_cancel_discards_lazy_deadline():
 
 
 # --------------------------------------------------------------------- #
-# heap compaction
+# heap size
 # --------------------------------------------------------------------- #
-
-
-def test_compaction_bounds_cancel_storm():
-    """100k schedule+cancel cycles must not grow the pending set."""
-    loop = EventLoop()
-    for i in range(100_000):
-        loop.schedule(1_000.0 + i, lambda: None).cancel()
-    # Compaction keeps the dead fraction bounded; without it the heap
-    # would hold all 100k corpses.
-    assert loop.pending < 1_000
-    loop.run()
-    assert loop.executed == 0
-
-
-def test_compaction_bounds_mixed_storm():
-    """Live events survive compaction; dead ones are reclaimed."""
-    loop = EventLoop()
-    live = []
-    fired = []
-    for i in range(50_000):
-        h = loop.schedule(10.0 + i * 0.001, lambda: fired.append(None))
-        if i % 100 == 0:
-            live.append(h)
-        else:
-            h.cancel()
-    assert loop.pending < 5_000
-    loop.run()
-    assert len(fired) == len(live) == 500
 
 
 def test_timer_reset_storm_keeps_heap_tiny():
@@ -339,7 +311,7 @@ def _drive(loop, cancel, live_pending, seed):
                 spawn()
             elif r < 0.75 and handles:
                 cancel(rng.choice(handles))  # pending, fired or already dead
-            elif r < 0.8:  # storm: enough corpses at once to force a compaction
+            elif r < 0.8:  # storm: a burst of corpses under the live events
                 first = len(handles)
                 for _ in range(150):
                     spawn(actions=1)  # inert when fired
@@ -368,18 +340,10 @@ def _drive(loop, cancel, live_pending, seed):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_loop_matches_sorted_list_model(seed, monkeypatch):
+def test_loop_matches_sorted_list_model(seed):
     """Same callbacks in the same order at the same times, same ``now``,
     ``executed`` and live-pending count after every top-level call, and
     the same ``next_event_time()`` wherever a callback asks."""
-    compactions = []
-    compact = EventLoop._compact
-
-    def recording_compact(self):
-        compactions.append(self._in_run)
-        compact(self)
-
-    monkeypatch.setattr(EventLoop, "_compact", recording_compact)
     real, model = EventLoop(), _ModelLoop()
     got = _drive(
         real,
@@ -389,4 +353,3 @@ def test_loop_matches_sorted_list_model(seed, monkeypatch):
     )
     assert got == _drive(model, model.cancel, lambda: len(model.queue), seed)
     assert sum(1 for entry in got if entry[0] == "fire") > 200
-    assert True in compactions  # a callback's cancel compacted under the drain

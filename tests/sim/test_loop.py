@@ -105,6 +105,15 @@ def test_schedule_at_in_past_rejected():
         loop.schedule_at(5.0, lambda: None)
 
 
+def test_schedule_at_nan_rejected():
+    loop = EventLoop()
+    fired = []
+    with pytest.raises(SimulationError):
+        loop.schedule_at(float("nan"), lambda: fired.append(loop.now))
+    loop.run()
+    assert fired == []
+
+
 def test_cancel_prevents_execution():
     loop = EventLoop()
     fired = []
@@ -162,6 +171,18 @@ def test_run_until_past_rejected():
     loop.run_until(10.0)
     with pytest.raises(SimulationError):
         loop.run_until(5.0)
+
+
+def test_run_until_nan_rejected():
+    # A self-re-arming chain keeps live events due forever: a NaN horizon
+    # that slipped past the guard would run it until max_events.
+    loop = EventLoop()
+    ticks = []
+    loop.every(1.0, lambda: ticks.append(loop.now))
+    with pytest.raises(SimulationError):
+        loop.run_until(float("nan"), max_events=100)
+    assert ticks == []
+    assert loop.now == 0.0
 
 
 def test_run_max_events_guard():
