@@ -23,6 +23,9 @@ __all__ = ["line_chart", "cdf_chart"]
 
 _MARKERS = "*o+x#@%&"
 
+#: Plot area width in characters (axes add a margin); every chart uses it.
+WIDTH = 72
+
 
 def _scale(v: float, lo: float, hi: float, cells: int) -> int:
     if hi <= lo:
@@ -34,7 +37,6 @@ def _scale(v: float, lo: float, hi: float, cells: int) -> int:
 def line_chart(
     series: dict[str, tuple[Sequence[float], Sequence[float]]],
     *,
-    width: int = 72,
     height: int = 16,
     title: str = "",
     x_label: str = "",
@@ -44,7 +46,7 @@ def line_chart(
 
     Args:
         series: name → (xs, ys); series are assigned markers in order.
-        width/height: plot area size in characters (axes add a margin).
+        height: plot area height in characters (``WIDTH`` wide).
 
     Returns:
         The chart as a newline-joined string.
@@ -68,13 +70,13 @@ def line_chart(
     if y_lo == y_hi:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
 
-    grid = [[" "] * width for _ in range(height)]
+    grid = [[" "] * WIDTH for _ in range(height)]
     for idx, (name, (xs, ys)) in enumerate(series.items()):
         marker = _MARKERS[idx % len(_MARKERS)]
         for x, y in zip(xs, ys):
             if not (math.isfinite(x) and math.isfinite(y)):
                 continue
-            col = _scale(float(x), x_lo, x_hi, width)
+            col = _scale(float(x), x_lo, x_hi, WIDTH)
             row = height - 1 - _scale(float(y), y_lo, y_hi, height)
             grid[row][col] = marker
 
@@ -92,9 +94,9 @@ def line_chart(
         else:
             label = " " * label_w + " |"
         lines.append(label + "".join(row))
-    lines.append(" " * label_w + " +" + "-" * width)
+    lines.append(" " * label_w + " +" + "-" * WIDTH)
     x_axis = f"{x_lo:.0f}"
-    pad = width - len(x_axis) - len(f"{x_hi:.0f}")
+    pad = WIDTH - len(x_axis) - len(f"{x_hi:.0f}")
     lines.append(
         " " * (label_w + 2) + x_axis + " " * max(1, pad) + f"{x_hi:.0f}"
         + (f"  ({x_label})" if x_label else "")
@@ -107,21 +109,9 @@ def line_chart(
 
 
 def cdf_chart(
-    cdfs: dict[str, tuple[np.ndarray, np.ndarray]],
-    *,
-    width: int = 72,
-    height: int = 16,
-    title: str = "",
-    x_label: str = "ms",
+    cdfs: dict[str, tuple[np.ndarray, np.ndarray]], *, title: str = ""
 ) -> str:
     """Render empirical CDFs (output of :func:`repro.analysis.cdf.
-    empirical_cdf`) as a line chart with probability on the y axis."""
+    empirical_cdf`, in ms) as a line chart with probability on the y axis."""
     series = {name: (xs, ps) for name, (xs, ps) in cdfs.items()}
-    return line_chart(
-        series,
-        width=width,
-        height=height,
-        title=title,
-        x_label=x_label,
-        y_label="P(X<=x)",
-    )
+    return line_chart(series, title=title, x_label="ms", y_label="P(X<=x)")

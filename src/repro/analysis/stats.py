@@ -53,22 +53,20 @@ def summarize(values: list[float] | np.ndarray) -> SummaryStats:
     )
 
 
-def bootstrap_mean_ci(
-    values: list[float] | np.ndarray,
-    *,
-    confidence: float = 0.95,
-    n_resamples: int = 2000,
-    seed: int = 0,
-) -> tuple[float, float]:
+#: :func:`bootstrap_mean_ci`'s confidence level, resample count and seed.
+BOOTSTRAP_CONFIDENCE = 0.95
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_SEED = 0
+
+
+def bootstrap_mean_ci(values: list[float] | np.ndarray) -> tuple[float, float]:
     """Percentile-bootstrap CI for the mean (fully vectorised)."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("cannot bootstrap an empty sample")
-    if not (0.0 < confidence < 1.0):
-        raise ValueError(f"confidence must be in (0,1), got {confidence!r}")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, arr.size, size=(n_resamples, arr.size))
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
+    idx = rng.integers(0, arr.size, size=(BOOTSTRAP_RESAMPLES, arr.size))
     means = arr[idx].mean(axis=1)
-    alpha = (1.0 - confidence) / 2.0
+    alpha = (1.0 - BOOTSTRAP_CONFIDENCE) / 2.0
     lo, hi = np.percentile(means, [100 * alpha, 100 * (1 - alpha)])
     return float(lo), float(hi)

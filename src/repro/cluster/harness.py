@@ -20,6 +20,10 @@ from repro.sim.clock import SECOND
 
 __all__ = ["ClusterHarness"]
 
+#: How long :meth:`ClusterHarness.kill_leader_once` waits for a leader to
+#: kill, and then for its successor, before calling the run broken.
+ELECTION_GUARD_MS = 120_000.0
+
 
 class ClusterHarness:
     """Drives one cluster through scripted fault/measurement scenarios."""
@@ -77,7 +81,6 @@ class ClusterHarness:
         self,
         *,
         sleep_ms: float,
-        election_timeout_guard_ms: float = 120_000.0,
     ) -> str:
         """Pause the current leader and wait for a successor.
 
@@ -89,7 +92,7 @@ class ClusterHarness:
                 emerges — either means the experiment is broken and should
                 fail loudly rather than record garbage.
         """
-        leader = self.cluster.run_until_leader(timeout_ms=election_timeout_guard_ms)
+        leader = self.cluster.run_until_leader(timeout_ms=ELECTION_GUARD_MS)
         node = self.cluster.node(leader)
         # Snapshot every follower's armed randomizedTimeout at the failure
         # instant — the quantity §IV-B1 reports as "the mean
@@ -107,7 +110,7 @@ class ClusterHarness:
         pause_for(self.loop, node, sleep_ms, kind=LEADER_FAILURE_KIND)
         self.failures_injected += 1
         return self.cluster.run_until_leader(
-            timeout_ms=election_timeout_guard_ms, exclude=leader
+            timeout_ms=ELECTION_GUARD_MS, exclude=leader
         )
 
     def run_leader_failure_loop(

@@ -24,11 +24,11 @@ Two layers, for two different regimes:
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable
 
 import numpy as np
 
 from repro.raft.client import RaftClient
+from repro.raft.state_machine import kv_put
 from repro.sim.loop import EventLoop
 
 __all__ = [
@@ -43,9 +43,8 @@ __all__ = [
 class OpenLoopDriver:
     """Poisson open-loop submission onto a :class:`RaftClient`.
 
-    Requests are generated by ``command_factory(i)`` (defaults to
-    ``kv_put("k<i>", i)`` if ``None``); arrivals are exponential with mean
-    ``1000 / rps`` ms.  The driver does not wait for completions — that is
+    Request ``i`` is ``kv_put("k<i>", i)``; arrivals are exponential with
+    mean ``1000 / rps`` ms.  The driver does not wait for completions — that is
     what "open loop" means — so queueing shows up as client latency.
     """
 
@@ -56,7 +55,6 @@ class OpenLoopDriver:
         *,
         rps: float,
         rng: np.random.Generator,
-        command_factory: Callable[[int], Any] | None = None,
     ) -> None:
         if rps <= 0:
             raise ValueError(f"rps must be > 0, got {rps!r}")
@@ -65,11 +63,6 @@ class OpenLoopDriver:
         self.rps = float(rps)
         self.rng = rng
         self.submitted = 0
-        if command_factory is None:
-            from repro.raft.state_machine import kv_put
-
-            command_factory = lambda i: kv_put(f"k{i}", i)  # noqa: E731
-        self._command_factory = command_factory
         self._stopped = False
 
     def start(self) -> None:
@@ -85,8 +78,9 @@ class OpenLoopDriver:
     def _fire(self) -> None:
         if self._stopped:
             return
-        self.client.submit(self._command_factory(self.submitted))
-        self.submitted += 1
+        i = self.submitted
+        self.client.submit(kv_put(f"k{i}", i))
+        self.submitted = i + 1
         self._schedule_next()
 
 
@@ -159,33 +153,30 @@ class LoadLevelResult:
     p99_latency_ms: float
 
 
+#: Fluid-model time step (ms).
+TICK_MS = 10.0
+#: Relative Gaussian noise on per-tick arrivals, so repeated runs produce
+#: realistic spread rather than identical curves.
+ARRIVAL_NOISE = 0.05
+
+
 def run_rps_staircase(
     config: FluidWorkloadConfig,
     *,
-    levels: list[float] | None = None,
-    dwell_s: float = 10.0,
-    tick_ms: float = 10.0,
-    rng: np.random.Generator | None = None,
-    arrival_noise: float = 0.05,
+    levels: list[float],
+    dwell_s: float,
+    rng: np.random.Generator,
 ) -> list[LoadLevelResult]:
-    """Replay the §IV-B2 staircase: +1000 req/s every ``dwell_s`` seconds.
+    """Replay the §IV-B2 staircase: each of ``levels`` (req/s) offered for
+    ``dwell_s`` seconds.
 
     The backlog persists across levels (the paper's clients never stop),
     which is what makes average latency climb steeply past the knee.
-
-    Args:
-        arrival_noise: relative Gaussian noise on per-tick arrivals, so
-            repeated runs produce realistic spread rather than identical
-            curves.
     """
-    if levels is None:
-        levels = [1000.0 * k for k in range(1, 16)]
-    if rng is None:
-        rng = np.random.default_rng(0)
     mu_per_ms = config.capacity_rps / 1000.0  # requests drained per ms
     backlog = 0.0  # requests queued at the leader
     results: list[LoadLevelResult] = []
-    ticks_per_level = int(round(dwell_s * 1000.0 / tick_ms))
+    ticks_per_level = int(round(dwell_s * 1000.0 / TICK_MS))
 
     for rps in levels:
         completed = 0.0
@@ -207,11 +198,10 @@ def run_rps_staircase(
             * config.overhead_factor
         )
         for _ in range(ticks_per_level):
-            arrivals = rps * tick_ms / 1000.0
-            if arrival_noise > 0:
-                arrivals = max(0.0, arrivals * (1.0 + rng.normal(0.0, arrival_noise)))
+            arrivals = rps * TICK_MS / 1000.0
+            arrivals = max(0.0, arrivals * (1.0 + rng.normal(0.0, ARRIVAL_NOISE)))
             backlog += arrivals
-            drained = min(backlog, mu_per_ms * tick_ms)
+            drained = min(backlog, mu_per_ms * TICK_MS)
             backlog -= drained
             completed += drained
             if drained > 0:

@@ -31,6 +31,8 @@ from __future__ import annotations
 import dataclasses
 import math
 
+from repro.dynatune.config import ET_FLOOR_MS
+
 __all__ = [
     "HeartbeatTuning",
     "required_heartbeats",
@@ -44,9 +46,8 @@ def tune_election_timeout(
     sigma_rtt_ms: float,
     *,
     safety_factor: float,
-    floor_ms: float = 1.0,
 ) -> float:
-    """``Et = μ + s·σ``, raised to at least ``floor_ms``.
+    """``Et = μ + s·σ``, raised to at least ``ET_FLOOR_MS``, the policy's floor.
 
     Raises:
         ValueError: on negative inputs (a negative μ or σ indicates a
@@ -59,8 +60,8 @@ def tune_election_timeout(
     if safety_factor < 0.0:
         raise ValueError(f"safety factor must be >= 0, got {safety_factor!r}")
     et = mu_rtt_ms + safety_factor * sigma_rtt_ms
-    if et < floor_ms:
-        et = floor_ms
+    if et < ET_FLOOR_MS:
+        et = ET_FLOOR_MS
     return et
 
 

@@ -93,6 +93,8 @@ def run(
     base: Any = None,
     *,
     systems: tuple[str, ...] | None = None,
+    # Test seam: tests compare jobs=1 with jobs=N; runs read REPRO_JOBS.
+    # repolint: disable=param-knob-liveness
     jobs: int | None = None,
     **keep: Iterable[Any],
 ) -> tuple[Any, ...]:
@@ -142,6 +144,8 @@ def _print_table(columns: tuple[str, ...], rows: list[tuple[str, ...]]) -> None:
         print(" ".join([first, *rest]).rstrip())
 
 
+# Test seam: tests drive the CLI in-process; a real run reads sys.argv.
+# repolint: disable=param-knob-liveness
 def main(grid: Grid, argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog=f"python -m repro.experiments.{grid.name}",

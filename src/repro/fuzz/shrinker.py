@@ -108,6 +108,8 @@ def shrink(
     scenario: Scenario,
     *,
     max_evals: int = 160,
+    # Test seam: tests shrink against a fake oracle instead of full trials.
+    # repolint: disable=param-knob-liveness
     oracle: Callable[[FuzzTrialConfig, Scenario], TrialResult] = run_trial,
 ) -> ShrinkResult:
     """Minimize ``scenario`` while ``oracle(config, scenario)`` still fails.

@@ -13,6 +13,7 @@ arrive before it was sent and break event causality.
 
 from __future__ import annotations
 
+import math
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -51,13 +52,13 @@ class _BaseDelay:
     __slots__ = ("base_ms",)
 
     def __init__(self, base_ms: float) -> None:
-        if not (base_ms >= 0.0):
-            raise ValueError(f"base delay must be >= 0 ms, got {base_ms!r}")
+        if not (0.0 <= base_ms < math.inf):  # also rejects NaN
+            raise ValueError(f"base delay must be finite and >= 0 ms, got {base_ms!r}")
         self.base_ms = float(base_ms)
 
     def set_base(self, base_ms: float) -> None:
-        if not (base_ms >= 0.0):
-            raise ValueError(f"base delay must be >= 0 ms, got {base_ms!r}")
+        if not (0.0 <= base_ms < math.inf):  # also rejects NaN
+            raise ValueError(f"base delay must be finite and >= 0 ms, got {base_ms!r}")
         self.base_ms = float(base_ms)
 
 

@@ -36,10 +36,12 @@ class Link:
         src, dst: endpoint names (for diagnostics).
         delay: one-way delay model.  Defaults to a constant 0.5 ms.
         loss: loss process.  Defaults to lossless.
-        duplicate_p: probability a *delivered* UDP packet is duplicated
-            (netem ``duplicate``).  The paper's measurement design handles
-            duplicates explicitly (§III-C2), so tests exercise this.
         rng: random stream for this link's draws.
+
+    ``duplicate_p``, the probability a *delivered* UDP packet is duplicated
+    (netem ``duplicate``), starts at 0; :meth:`Network.set_duplicate
+    <repro.net.network.Network.set_duplicate>` turns it on.  The paper's
+    measurement design handles duplicates explicitly (§III-C2).
     """
 
     __slots__ = (
@@ -66,17 +68,14 @@ class Link:
         *,
         delay: DelayModel | None = None,
         loss: LossModel | None = None,
-        duplicate_p: float = 0.0,
         rng: np.random.Generator | None = None,
     ) -> None:
-        if not (0.0 <= duplicate_p <= 1.0):
-            raise ValueError(f"duplicate_p must be in [0,1], got {duplicate_p!r}")
         self.src = src
         self.dst = dst
         # The delay/loss setters also (re)bind the hot-path methods below.
         self.delay = delay if delay is not None else ConstantDelay(0.5)
         self.loss = loss if loss is not None else NoLoss()
-        self.duplicate_p = float(duplicate_p)
+        self.duplicate_p = 0.0
         self._rng = rng if rng is not None else np.random.default_rng(0)
         #: Pre-drawn jitter: ``_block[_pos:]`` are the stream's next standard
         #: normals, ``_block_state`` the generator state the block was drawn

@@ -111,7 +111,10 @@ class GilbertElliottLoss:
         self,
         p_gb: float,
         p_bg: float,
+        # Only tests build this model until ROADMAP 3 wires it or drops it.
+        # repolint: disable=param-knob-liveness
         loss_good: float = 0.0,
+        # repolint: disable=param-knob-liveness
         loss_bad: float = 1.0,
     ) -> None:
         self.p_gb = _check_prob(p_gb, "p_gb")

@@ -16,7 +16,7 @@ from typing import Any, Protocol
 
 from repro.net.delay_models import MIN_DELAY_MS, NormalJitterDelay
 from repro.net.link import JITTER_BLOCK, Link
-from repro.net.loss_models import BernoulliLoss, NoLoss
+from repro.net.loss_models import BernoulliLoss, NoLoss, _check_prob
 from repro.net.message import Message
 from repro.net.stats import LinkStats
 from repro.net.transport import CHANNEL_TCP, CHANNEL_UDP, MAX_TCP_ATTEMPTS
@@ -198,12 +198,14 @@ class Network:
     def set_duplicate(self, a: str, b: str, p: float) -> None:
         """Set the per-direction duplication probability between ``a``
         and ``b`` (netem ``duplicate``, both directions)."""
-        self.link(a, b).duplicate_p = float(p)
-        self.link(b, a).duplicate_p = float(p)
+        p = _check_prob(p, "duplicate_p")
+        self.link(a, b).duplicate_p = p
+        self.link(b, a).duplicate_p = p
 
     def set_all_duplicate(self, p: float) -> None:
+        p = _check_prob(p, "duplicate_p")
         for link in self._links.values():
-            link.duplicate_p = float(p)
+            link.duplicate_p = p
 
     # -- asymmetric (gray) faults -------------------------------------- #
     # A real gray failure is usually directional: a NIC that still sends

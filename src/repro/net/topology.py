@@ -88,25 +88,28 @@ def uniform_topology(
             network.connect(a, b, rtt_ms / 2.0, jitter_sigma_ms, loss)
 
 
+#: Gaussian jitter of a geo link as a fraction of its one-way delay.
+GEO_JITTER_FRACTION = 0.02
+
+
 def aws_geo_topology(
     network: Network,
     names: list[str],
     *,
-    regions: tuple[str, ...] = AWS_REGIONS,
-    jitter_fraction: float = 0.02,
     loss: float = 0.0,
 ) -> dict[str, str]:
     """Install the five-region mesh of §IV-D.
 
-    Node ``names[i]`` is placed in ``regions[i % len(regions)]``.  Each
-    directed link gets Gaussian jitter with
-    ``sigma = jitter_fraction × one-way delay`` — WAN paths jitter roughly
-    proportionally to their length.
+    Node ``names[i]`` is placed in ``AWS_REGIONS[i % 5]``.  Each directed
+    link gets Gaussian jitter with ``sigma = GEO_JITTER_FRACTION × one-way
+    delay`` — WAN paths jitter roughly proportionally to their length.
 
     Returns:
         Mapping node name → region.
     """
-    placement = {name: regions[i % len(regions)] for i, name in enumerate(names)}
+    placement = {
+        name: AWS_REGIONS[i % len(AWS_REGIONS)] for i, name in enumerate(names)
+    }
     for a in names:
         for b in names:
             if a == b:
@@ -115,7 +118,7 @@ def aws_geo_topology(
             if rtt <= 0.0:
                 rtt = 2.0  # same-region pair: ~1 ms one way
             one_way = rtt / 2.0
-            network.connect(a, b, one_way, jitter_fraction * one_way, loss)
+            network.connect(a, b, one_way, GEO_JITTER_FRACTION * one_way, loss)
     return placement
 
 

@@ -24,6 +24,10 @@ from repro.sim.tracing import TraceLog
 
 __all__ = ["RaftClient", "CompletedRequest", "CompletedRequests"]
 
+#: Retransmissions (timeouts and redirects) before a client gives a
+#: request up; tests lower a client's ``max_retries`` to reach that path.
+MAX_RETRIES = 50
+
 
 @dataclasses.dataclass(slots=True)
 class CompletedRequest:
@@ -126,7 +130,6 @@ class RaftClient:
         cluster: list[str],
         *,
         retry_timeout_ms: float = 1000.0,
-        max_retries: int = 50,
         trace: TraceLog | None = None,
         history: Any = None,
         resubmit_on_timeout: bool = True,
@@ -138,7 +141,7 @@ class RaftClient:
         self.network = network
         self.cluster = list(cluster)
         self.retry_timeout_ms = float(retry_timeout_ms)
-        self.max_retries = int(max_retries)
+        self.max_retries = MAX_RETRIES
         self.trace = trace if trace is not None else TraceLog()
         self.history = history
         self.resubmit_on_timeout = bool(resubmit_on_timeout)

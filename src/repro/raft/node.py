@@ -217,12 +217,13 @@ class RaftNode(Process):
             through.  Defaults to :class:`~repro.storage.ideal.
             IdealStorage` — the idealized always-durable disk, bit-identical
             to the pre-storage behaviour.
-        clock: this node's local clock.  Defaults to an identity
-            :class:`~repro.sim.clock.NodeClock` (no skew, no drift) —
-            bit-identical to reading the loop clock directly.  All
-            protocol time reads and timer durations go through it, so
-            injected skew/drift affects this node's *view* of time while
-            the simulation clock stays the single physical truth.
+
+    ``clock`` is this node's local clock, an identity
+    :class:`~repro.sim.clock.NodeClock` (no skew, no drift) until a
+    ``SetClock`` step skews it — bit-identical to reading the loop clock
+    directly.  All protocol time reads and timer durations go through it,
+    so injected skew/drift affects this node's *view* of time while the
+    simulation clock stays the single physical truth.
     """
 
     def __init__(
@@ -238,12 +239,11 @@ class RaftNode(Process):
         rng: np.random.Generator,
         initial_config: ClusterConfig | None = None,
         storage: Storage | None = None,
-        clock: NodeClock | None = None,
     ) -> None:
         super().__init__(loop, name, trace)
         #: Local clock: every protocol time read and timer duration goes
         #: through it (repolint's ``node-clock-hygiene`` keeps it that way).
-        self.clock: NodeClock = clock if clock is not None else NodeClock(loop)
+        self.clock = NodeClock(loop)
         # Hot-path caches: the local-time read and the local→sim duration
         # conversion are bound methods, one attribute load per use.
         self._now: Callable[[], float] = self.clock.now

@@ -3,11 +3,12 @@ stresses and the paper's §IV-C scripts cannot express.
 
 Every builder takes the cluster's node names and returns a fully concrete
 :class:`~repro.scenarios.scenario.Scenario` (pure data; dump any of them
-with ``scenario.to_json()`` to seed a config file).  Default timings keep
-a whole scenario under ~40 s of virtual time so the full matrix stays
-CI-sized; pass ``start_ms``/duration overrides for longer studies.
+with ``scenario.to_json()`` to seed a config file).  Timings are module
+constants named after their builder and keep a whole scenario under ~40 s
+of virtual time, so the full matrix stays CI-sized; only the ``elastic``
+and ``grayfail`` grids' builders take the timing keywords those grids set.
 
-The nine canonical entries:
+The fifteen canonical entries:
 
 ========================== ==================================================
 ``symmetric_split``        half/half partition, heal, repeat
@@ -21,8 +22,7 @@ The nine canonical entries:
 ``correlated_stall_storm`` simultaneous short pauses across several nodes
 ``partition_rtt_spike``    a split lands mid RTT-spike (SEER's worst case)
 ``elastic_grow``           fresh learners join and get promoted, one by one
-``elastic_shrink``         members removed one at a time (optionally the
-                           leader itself)
+``elastic_shrink``         members removed one at a time
 ``elastic_replace_all``    rolling replacement of every original member
 ``gray_leader_egress``     the leader's outbound paths gray-degraded (heavy
                            loss + delay, return paths clean) over a duplicate
@@ -92,55 +92,52 @@ def _names(names: Sequence[str]) -> list[str]:
     return names
 
 
-def symmetric_split(
-    names: Sequence[str],
-    *,
-    start_ms: float = 5_000.0,
-    hold_ms: float = 5_000.0,
-    cycles: int = 2,
-    gap_ms: float = 10_000.0,
-) -> Scenario:
+SPLIT_START_MS = 5_000.0
+SPLIT_HOLD_MS = 5_000.0
+SPLIT_CYCLES = 2
+SPLIT_GAP_MS = 10_000.0
+
+
+def symmetric_split(names: Sequence[str]) -> Scenario:
     """Split the cluster down the middle, heal, and do it again."""
     names = _names(names)
     half = tuple(names[: (len(names) + 1) // 2])
-    repeat = Repeat(every_ms=gap_ms, times=cycles) if cycles > 1 else None
+    repeat = Repeat(every_ms=SPLIT_GAP_MS, times=SPLIT_CYCLES)
     return Scenario(
         "symmetric_split",
         [
-            Partition(at_ms=start_ms, groups=(half,), repeat=repeat),
-            Heal(at_ms=start_ms + hold_ms, repeat=repeat),
+            Partition(at_ms=SPLIT_START_MS, groups=(half,), repeat=repeat),
+            Heal(at_ms=SPLIT_START_MS + SPLIT_HOLD_MS, repeat=repeat),
         ],
         description="half/half partition, heal, repeat",
     )
 
 
-def minority_partition(
-    names: Sequence[str],
-    *,
-    start_ms: float = 5_000.0,
-    hold_ms: float = 8_000.0,
-) -> Scenario:
+MINORITY_START_MS = 5_000.0
+MINORITY_HOLD_MS = 8_000.0
+
+
+def minority_partition(names: Sequence[str]) -> Scenario:
     """Island a leaderless minority; the majority keeps (or regains) quorum."""
     names = _names(names)
     minority = tuple(names[-((len(names) - 1) // 2) :])
     return Scenario(
         "minority_partition",
         [
-            Partition(at_ms=start_ms, groups=(minority,)),
-            Heal(at_ms=start_ms + hold_ms),
+            Partition(at_ms=MINORITY_START_MS, groups=(minority,)),
+            Heal(at_ms=MINORITY_START_MS + MINORITY_HOLD_MS),
         ],
         description="leaderless minority islanded; majority sails on",
     )
 
 
-def majority_partition(
-    names: Sequence[str],
-    *,
-    start_ms: float = 5_000.0,
-    hold_ms: float = 8_000.0,
-    cycles: int = 2,
-    gap_ms: float = 12_000.0,
-) -> Scenario:
+MAJORITY_START_MS = 5_000.0
+MAJORITY_HOLD_MS = 8_000.0
+MAJORITY_CYCLES = 2
+MAJORITY_GAP_MS = 12_000.0
+
+
+def majority_partition(names: Sequence[str]) -> Scenario:
     """Island the *leader* (with one companion) away from the majority.
 
     The majority side must detect and re-elect; the heal forces the
@@ -148,35 +145,34 @@ def majority_partition(
     timeouts are most dangerous.
     """
     names = _names(names)
-    repeat = Repeat(every_ms=gap_ms, times=cycles) if cycles > 1 else None
+    repeat = Repeat(every_ms=MAJORITY_GAP_MS, times=MAJORITY_CYCLES)
     return Scenario(
         "majority_partition",
         [
             Partition(
-                at_ms=start_ms,
+                at_ms=MAJORITY_START_MS,
                 groups=((LEADER_SELECTOR, names[0]),),
                 repeat=repeat,
             ),
-            Heal(at_ms=start_ms + hold_ms, repeat=repeat),
+            Heal(at_ms=MAJORITY_START_MS + MAJORITY_HOLD_MS, repeat=repeat),
         ],
         description="leader islanded with a minority; majority re-elects",
     )
 
 
-def rolling_partitions(
-    names: Sequence[str],
-    *,
-    start_ms: float = 4_000.0,
-    hold_ms: float = 4_000.0,
-    gap_ms: float = 6_000.0,
-) -> Scenario:
+ROLLING_START_MS = 4_000.0
+ROLLING_HOLD_MS = 4_000.0
+ROLLING_GAP_MS = 6_000.0
+
+
+def rolling_partitions(names: Sequence[str]) -> Scenario:
     """Isolate each node in turn, healing between victims."""
     names = _names(names)
     steps = []
     for i, name in enumerate(names):
-        t = start_ms + i * gap_ms
+        t = ROLLING_START_MS + i * ROLLING_GAP_MS
         steps.append(Partition(at_ms=t, groups=((name,),)))
-        steps.append(Heal(at_ms=t + hold_ms))
+        steps.append(Heal(at_ms=t + ROLLING_HOLD_MS))
     return Scenario(
         "rolling_partitions",
         steps,
@@ -184,53 +180,49 @@ def rolling_partitions(
     )
 
 
-def flapping_wan_link(
-    names: Sequence[str],
-    *,
-    start_ms: float = 4_000.0,
-    down_ms: float = 900.0,
-    period_ms: float = 2_400.0,
-    flaps: int = 10,
-) -> Scenario:
+FLAP_START_MS = 4_000.0
+FLAP_DOWN_MS = 900.0
+FLAP_PERIOD_MS = 2_400.0
+FLAP_COUNT = 10
+
+
+def flapping_wan_link(names: Sequence[str]) -> Scenario:
     """One inter-node link blinking down/up on a short period."""
     names = _names(names)
     return Scenario(
         "flapping_wan_link",
         [
             Flap(
-                at_ms=start_ms,
+                at_ms=FLAP_START_MS,
                 a=names[0],
                 b=names[1],
-                down_ms=down_ms,
-                repeat=Repeat(every_ms=period_ms, times=flaps),
+                down_ms=FLAP_DOWN_MS,
+                repeat=Repeat(every_ms=FLAP_PERIOD_MS, times=FLAP_COUNT),
             )
         ],
         description="one WAN link flapping on a short period",
     )
 
 
-def asymmetric_geo(
-    names: Sequence[str],
-    *,
-    start_ms: float = 5_000.0,
-    hold_ms: float = 12_000.0,
-    degraded_rtt_ms: float = 320.0,
-    degraded_loss: float = 0.08,
-    base_rtt_ms: float = 100.0,
-) -> Scenario:
+GEO_START_MS = 5_000.0
+GEO_HOLD_MS = 12_000.0
+GEO_DEGRADED_RTT_MS = 320.0
+GEO_DEGRADED_LOSS = 0.08
+GEO_BASE_RTT_MS = 100.0
+
+
+def asymmetric_geo(names: Sequence[str]) -> Scenario:
     """Degrade every path of one node (RTT + loss) while the rest stay clean."""
     names = _names(names)
     victim = names[0]
+    end_ms = GEO_START_MS + GEO_HOLD_MS
     steps = []
     for peer in names[1:]:
-        steps.append(
-            SetRtt(at_ms=start_ms, rtt_ms=degraded_rtt_ms, pair=(victim, peer))
-        )
-        steps.append(SetLoss(at_ms=start_ms, loss=degraded_loss, pair=(victim, peer)))
-        steps.append(
-            SetRtt(at_ms=start_ms + hold_ms, rtt_ms=base_rtt_ms, pair=(victim, peer))
-        )
-        steps.append(SetLoss(at_ms=start_ms + hold_ms, loss=0.0, pair=(victim, peer)))
+        pair = (victim, peer)
+        steps.append(SetRtt(at_ms=GEO_START_MS, rtt_ms=GEO_DEGRADED_RTT_MS, pair=pair))
+        steps.append(SetLoss(at_ms=GEO_START_MS, loss=GEO_DEGRADED_LOSS, pair=pair))
+        steps.append(SetRtt(at_ms=end_ms, rtt_ms=GEO_BASE_RTT_MS, pair=pair))
+        steps.append(SetLoss(at_ms=end_ms, loss=0.0, pair=pair))
     return Scenario(
         "asymmetric_geo",
         steps,
@@ -238,39 +230,37 @@ def asymmetric_geo(
     )
 
 
-def leader_churn_loop(
-    names: Sequence[str],
-    *,
-    start_ms: float = 5_000.0,
-    sleep_ms: float = 3_000.0,
-    period_ms: float = 9_000.0,
-    kills: int = 3,
-) -> Scenario:
+CHURN_START_MS = 5_000.0
+CHURN_SLEEP_MS = 3_000.0
+CHURN_PERIOD_MS = 9_000.0
+CHURN_KILLS = 3
+
+
+def leader_churn_loop(names: Sequence[str]) -> Scenario:
     """Put whoever currently leads to sleep, on a loop (declarative §IV-B1)."""
     _names(names)
     return Scenario(
         "leader_churn_loop",
         [
             Pause(
-                at_ms=start_ms,
+                at_ms=CHURN_START_MS,
                 node=LEADER_SELECTOR,
-                duration_ms=sleep_ms,
+                duration_ms=CHURN_SLEEP_MS,
                 trace_kind=LEADER_FAILURE_KIND,
-                repeat=Repeat(every_ms=period_ms, times=kills),
+                repeat=Repeat(every_ms=CHURN_PERIOD_MS, times=CHURN_KILLS),
             )
         ],
         description="repeated leader container-sleeps",
     )
 
 
-def correlated_stall_storm(
-    names: Sequence[str],
-    *,
-    start_ms: float = 5_000.0,
-    stall_ms: float = 450.0,
-    period_ms: float = 3_000.0,
-    rounds: int = 4,
-) -> Scenario:
+STALL_START_MS = 5_000.0
+STALL_MS = 450.0
+STALL_PERIOD_MS = 3_000.0
+STALL_ROUNDS = 4
+
+
+def correlated_stall_storm(names: Sequence[str]) -> Scenario:
     """Simultaneous sub-timeout stalls on several nodes (shared-host noise)."""
     names = _names(names)
     victims = names[: max(2, len(names) // 2)]
@@ -278,10 +268,10 @@ def correlated_stall_storm(
         "correlated_stall_storm",
         [
             Pause(
-                at_ms=start_ms,
+                at_ms=STALL_START_MS,
                 node=name,
-                duration_ms=stall_ms,
-                repeat=Repeat(every_ms=period_ms, times=rounds),
+                duration_ms=STALL_MS,
+                repeat=Repeat(every_ms=STALL_PERIOD_MS, times=STALL_ROUNDS),
             )
             for name in victims
         ],
@@ -289,15 +279,14 @@ def correlated_stall_storm(
     )
 
 
-def partition_rtt_spike(
-    names: Sequence[str],
-    *,
-    start_ms: float = 4_000.0,
-    spike_rtt_ms: float = 500.0,
-    base_rtt_ms: float = 100.0,
-    partition_after_ms: float = 4_000.0,
-    hold_ms: float = 6_000.0,
-) -> Scenario:
+SPIKE_START_MS = 4_000.0
+SPIKE_RTT_MS = 500.0
+SPIKE_BASE_RTT_MS = 100.0
+SPIKE_PARTITION_AFTER_MS = 4_000.0
+SPIKE_HOLD_MS = 6_000.0
+
+
+def partition_rtt_spike(names: Sequence[str]) -> Scenario:
     """A split landing in the middle of an RTT spike.
 
     Dynatune's followers have just re-tuned upward for the spike when the
@@ -306,14 +295,14 @@ def partition_rtt_spike(
     """
     names = _names(names)
     minority = tuple(names[-((len(names) - 1) // 2) :])
-    t_split = start_ms + partition_after_ms
+    t_split = SPIKE_START_MS + SPIKE_PARTITION_AFTER_MS
     return Scenario(
         "partition_rtt_spike",
         [
-            SetRtt(at_ms=start_ms, rtt_ms=spike_rtt_ms),
+            SetRtt(at_ms=SPIKE_START_MS, rtt_ms=SPIKE_RTT_MS),
             Partition(at_ms=t_split, groups=(minority,)),
-            Heal(at_ms=t_split + hold_ms),
-            SetRtt(at_ms=t_split + hold_ms + 2_000.0, rtt_ms=base_rtt_ms),
+            Heal(at_ms=t_split + SPIKE_HOLD_MS),
+            SetRtt(at_ms=t_split + SPIKE_HOLD_MS + 2_000.0, rtt_ms=SPIKE_BASE_RTT_MS),
         ],
         description="minority partition during a radical RTT spike",
     )
@@ -367,14 +356,11 @@ def elastic_shrink(
     start_ms: float = 4_000.0,
     gap_ms: float = 6_000.0,
     removals: int | None = None,
-    include_leader: bool = False,
 ) -> Scenario:
     """Shrink the cluster one removal at a time.
 
     Removes the tail of the name list (defaults to shrinking down to three
-    members, at least one removal).  With ``include_leader`` the first
-    removal targets ``"@leader"`` instead — the step-down-on-self-removal
-    path (§4.2.2).
+    members, at least one removal).
     """
     names = _names(names)
     if removals is None:
@@ -383,8 +369,7 @@ def elastic_shrink(
         raise ValueError(
             f"removals must be in [1, {len(names) - 1}], got {removals!r}"
         )
-    victims = [LEADER_SELECTOR] if include_leader else []
-    victims += list(reversed(names))[: removals - len(victims)]
+    victims = list(reversed(names))[:removals]
     steps = [
         RemoveNode(at_ms=start_ms + i * gap_ms, node=victim)
         for i, victim in enumerate(victims)
@@ -424,14 +409,16 @@ def elastic_replace_all(
     )
 
 
+GRAY_LOSS = 0.9
+GRAY_EXTRA_DELAY_MS = 150.0
+GRAY_DUPLICATE_P = 0.02
+
+
 def gray_leader_egress(
     names: Sequence[str],
     *,
     start_ms: float = 5_000.0,
     hold_ms: float = 8_000.0,
-    loss: float = 0.9,
-    extra_delay_ms: float = 150.0,
-    duplicate_p: float = 0.02,
 ) -> Scenario:
     """Gray-degrade the leader's *outbound* paths; return paths stay clean.
 
@@ -443,7 +430,7 @@ def gray_leader_egress(
     while the fault plays out).
     """
     names = _names(names)
-    steps = [SetDuplicate(at_ms=start_ms - 1_000.0, duplicate_p=duplicate_p)]
+    steps = [SetDuplicate(at_ms=start_ms - 1_000.0, duplicate_p=GRAY_DUPLICATE_P)]
     for peer in names:
         # "@leader" resolves at fire time; the occurrence naming the
         # leader itself is skipped (a == b), so covering every name
@@ -454,8 +441,8 @@ def gray_leader_egress(
                 a=LEADER_SELECTOR,
                 b=peer,
                 direction="a_to_b",
-                loss=loss,
-                one_way_ms=extra_delay_ms,
+                loss=GRAY_LOSS,
+                one_way_ms=GRAY_EXTRA_DELAY_MS,
                 duration_ms=hold_ms,
             )
         )
@@ -501,18 +488,20 @@ def one_way_isolation(
     )
 
 
+CLOCK_MAX_OFFSET_MS = 200.0
+CLOCK_MAX_DRIFT = 0.02
+
+
 def drifting_clocks(
     names: Sequence[str],
     *,
     start_ms: float = 4_000.0,
     hold_ms: float = 15_000.0,
-    max_offset_ms: float = 200.0,
-    max_drift: float = 0.02,
 ) -> Scenario:
     """Step and drift every node's clock, then snap all clocks back to true.
 
-    Offsets alternate sign and ramp up to ``max_offset_ms``; drifts do the
-    same up to ``max_drift`` — nodes disagree on both *when* and *how
+    Offsets alternate sign and ramp up to ``CLOCK_MAX_OFFSET_MS``; drifts do
+    the same up to ``CLOCK_MAX_DRIFT`` — nodes disagree on both *when* and *how
     fast*.  Raft's correctness never depends on synchronized clocks, so
     safety must hold throughout; what skew does stress is everything
     timeout-shaped (election spreads, lease validity margins).
@@ -527,8 +516,8 @@ def drifting_clocks(
             SetClock(
                 at_ms=start_ms,
                 node=name,
-                offset_ms=sign * max_offset_ms * scale,
-                drift=sign * max_drift * scale,
+                offset_ms=sign * CLOCK_MAX_OFFSET_MS * scale,
+                drift=sign * CLOCK_MAX_DRIFT * scale,
             )
         )
         steps.append(SetClock(at_ms=start_ms + hold_ms, node=name))

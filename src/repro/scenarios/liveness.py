@@ -60,12 +60,16 @@ class LivenessViolation:
         return f"t={self.time:g}: liveness/{self.kind}: {self.detail}"
 
 
+#: Sampling cadence (ms).
+INTERVAL_MS = 250.0
+
+
 class LivenessChecker:
     """Periodic liveness sampler for one cluster.
 
     Args:
-        cluster: the wired cluster to observe.
-        interval_ms: sampling cadence (same default as the safety checker).
+        cluster: the wired cluster to observe; sampled every
+            ``INTERVAL_MS`` (the safety checker's default cadence).
         leaderless_bound_ms: longest tolerated *single* window without a
             live leader while a quorum is connected.
         leaderless_total_bound_ms: cumulative leaderless-while-connected
@@ -82,14 +86,11 @@ class LivenessChecker:
         self,
         cluster: Cluster,
         *,
-        interval_ms: float = 250.0,
         leaderless_bound_ms: float = 10_000.0,
         leaderless_total_bound_ms: float = 30_000.0,
         term_churn_bound: int = 20,
         commit_stall_bound_ms: float = 10_000.0,
     ) -> None:
-        if interval_ms <= 0.0:
-            raise ValueError(f"interval_ms must be > 0, got {interval_ms!r}")
         for label, value in (
             ("leaderless_bound_ms", leaderless_bound_ms),
             ("leaderless_total_bound_ms", leaderless_total_bound_ms),
@@ -102,7 +103,7 @@ class LivenessChecker:
                 f"term_churn_bound must be > 0, got {term_churn_bound!r}"
             )
         self.cluster = cluster
-        self.interval_ms = interval_ms
+        self.interval_ms = INTERVAL_MS
         self.leaderless_bound_ms = leaderless_bound_ms
         self.leaderless_total_bound_ms = leaderless_total_bound_ms
         self.term_churn_bound = term_churn_bound

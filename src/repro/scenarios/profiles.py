@@ -29,30 +29,26 @@ from repro.sim.clock import MINUTE
 __all__ = ["gradual_rtt_profile", "radical_rtt_profile", "loss_staircase_profile"]
 
 
-def gradual_rtt_profile(
-    *,
-    low_ms: float = 50.0,
-    high_ms: float = 200.0,
-    step_ms: float = 10.0,
-    dwell_ms: float = MINUTE,
-    start_ms: float = 0.0,
-) -> Scenario:
-    """§IV-C1 gradual pattern: low → high → low in ``step_ms`` increments.
+#: The gradual pattern's RTT range and increment (ms).
+GRADUAL_LOW_MS = 50.0
+GRADUAL_HIGH_MS = 200.0
+GRADUAL_STEP_MS = 10.0
+
+
+def gradual_rtt_profile(*, dwell_ms: float = MINUTE, start_ms: float = 0.0) -> Scenario:
+    """§IV-C1 gradual pattern: ``GRADUAL_LOW_MS`` → ``GRADUAL_HIGH_MS`` → low
+    in ``GRADUAL_STEP_MS`` increments.
 
     Each RTT value is held for ``dwell_ms`` (one minute in the paper).  The
     descending leg does not repeat the peak value, matching "from 50 to
     200 ms and back to 50 ms".
     """
-    if high_ms < low_ms:
-        raise ValueError("high_ms must be >= low_ms")
-    if step_ms <= 0:
-        raise ValueError("step_ms must be > 0")
     values: list[float] = []
-    v = low_ms
-    while v < high_ms:
+    v = GRADUAL_LOW_MS
+    while v < GRADUAL_HIGH_MS:
         values.append(v)
-        v += step_ms
-    values.append(high_ms)
+        v += GRADUAL_STEP_MS
+    values.append(GRADUAL_HIGH_MS)
     values.extend(reversed(values[:-1]))  # descend without repeating the peak
     return Scenario(
         "gradual_rtt",

@@ -128,20 +128,14 @@ class Scenario:
         """Time the last step occurrence has fully played out."""
         return max((s.extent_ms for s in self.steps), default=0.0)
 
-    def with_steps(
-        self, steps: list[Step] | tuple[Step, ...], *, name: str | None = None
-    ) -> "Scenario":
+    def with_steps(self, steps: list[Step] | tuple[Step, ...]) -> "Scenario":
         """A copy of this scenario with a different timeline.
 
         The mutation primitive the fuzz shrinker is built on: removing or
         simplifying steps always goes through here, so the result carries
         the original name/description and re-runs the constructor checks.
         """
-        return Scenario(
-            self.name if name is None else name,
-            steps,
-            description=self.description,
-        )
+        return Scenario(self.name, steps, description=self.description)
 
     def referenced_nodes(self) -> set[str]:
         """Concrete node names the timeline mentions (selectors excluded)."""
@@ -247,8 +241,8 @@ class Scenario:
             description=data.get("description", ""),
         )
 
-    def to_json(self, *, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":

@@ -38,7 +38,7 @@ class NodeClock:
 
     ``offset_ms`` models a fixed synchronisation error (NTP residual);
     ``drift`` a fractional rate error (crystal tolerance — ``0.01`` runs
-    1 % fast).  Both default to ``0.0``, and the zero case is **bit-exact
+    1 % fast).  Both start at ``0.0``, and the zero case is **bit-exact
     identity**: :meth:`now` returns the raw simulation time and
     :meth:`scale_duration` returns its argument unchanged, so a cluster
     with skew injection off replays byte-identically to one built before
@@ -61,13 +61,10 @@ class NodeClock:
 
     __slots__ = ("_loop", "offset_ms", "drift")
 
-    def __init__(
-        self, loop: EventLoop, *, offset_ms: float = 0.0, drift: float = 0.0
-    ) -> None:
+    def __init__(self, loop: EventLoop) -> None:
         self._loop = loop
         self.offset_ms = 0.0
         self.drift = 0.0
-        self.set(offset_ms=offset_ms, drift=drift)
 
     @property
     def skewed(self) -> bool:

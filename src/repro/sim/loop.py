@@ -55,12 +55,9 @@ _INF = float("inf")
 class EventLoop:
     """Deterministic discrete-event scheduler with a virtual clock.
 
-    Args:
-        start: initial virtual time (ms).
-
     Attributes:
-        now: current virtual time (ms).  Public for reading; only the loop
-            itself advances it.
+        now: current virtual time (ms), starting at 0.  Public for reading;
+            only the loop itself advances it.
 
     Example:
         >>> loop = EventLoop()
@@ -71,10 +68,8 @@ class EventLoop:
         [5.0]
     """
 
-    def __init__(self, start: float = 0.0) -> None:
-        if not (start >= 0.0):  # also rejects NaN
-            raise ValueError(f"clock cannot start before zero, got {start!r}")
-        self.now: float = float(start)
+    def __init__(self) -> None:
+        self.now: float = 0.0
         self._heap: list[Event] = []
         self._seq = 0
         self._executed = 0
@@ -127,7 +122,7 @@ class EventLoop:
         Raises:
             SimulationError: if ``delay`` is negative or not finite.
         """
-        if not (delay >= 0.0):  # also rejects NaN
+        if not (0.0 <= delay < _INF):  # also rejects NaN
             raise SimulationError(f"delay must be >= 0 and finite, got {delay!r}")
         # Inline copy of _push_event: this is the hottest entry point and a
         # delegating call would cost ~100ns per scheduled event.  Pinned by
@@ -189,9 +184,10 @@ class EventLoop:
         priority: int = PRIORITY_MESSAGE,
     ) -> Event:
         """Schedule ``callback`` at absolute virtual time ``time`` (ms)."""
-        if not (time >= self.now):  # also rejects NaN
+        if not (self.now <= time < _INF):  # also rejects NaN
             raise SimulationError(
-                f"cannot schedule in the past: now={self.now!r}, t={time!r}"
+                f"cannot schedule in the past or at infinity: now={self.now!r}, "
+                f"t={time!r}"
             )
         return self._push_event(float(time), callback, priority)
 
@@ -202,8 +198,10 @@ class EventLoop:
         The first call is armed here; each call re-arms the next after
         ``fn`` returns.  The chain never ends — ``run_until`` bounds it.
         """
-        if not (interval_ms > 0.0):
-            raise SimulationError(f"interval must be > 0 ms, got {interval_ms!r}")
+        if not (0.0 < interval_ms < _INF):
+            raise SimulationError(
+                f"interval must be > 0 ms and finite, got {interval_ms!r}"
+            )
 
         def tick() -> None:
             fn()
@@ -267,9 +265,10 @@ class EventLoop:
                 events within the bound is fine, one more live event due at
                 or before ``t`` raises.
         """
-        if not (t >= self.now):  # also rejects NaN
+        if not (self.now <= t < _INF):  # also rejects NaN
             raise SimulationError(
-                f"run_until target {t!r} is in the past (now={self.now!r})"
+                f"run_until target {t!r} is in the past or not finite "
+                f"(now={self.now!r})"
             )
         count = self._drain(t, max_events)
         self.now = float(t)  # keep the clock a float even for int targets

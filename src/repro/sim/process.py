@@ -1,14 +1,17 @@
 """Actor base class for simulated components.
 
-A :class:`Process` is anything with an identity that receives messages and
-owns timers: Raft nodes, clients, fault injectors.  The base class supplies
+A :class:`Process` is a component with an identity that receives messages
+and owns timers.  :class:`~repro.raft.node.RaftNode` is the one subclass;
+clients and fault injectors are plain objects that schedule on the loop.
+The base class supplies
 
 * a :class:`~repro.sim.timers.TimerService`,
 * pause/resume plumbing (the "container sleep" fault of §IV-B1), and
 * a liveness gate — messages delivered to a paused or crashed process are
   dropped by the caller after checking :attr:`alive`.
 
-Subclasses implement :meth:`on_message`.
+Subclasses implement :meth:`on_message` (``RaftNode`` overrides
+:meth:`deliver` itself, to dispatch on the payload type).
 """
 
 from __future__ import annotations

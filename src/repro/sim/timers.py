@@ -23,6 +23,7 @@ follower** (each leader-follower pair has its own tuned interval ``h``,
 from __future__ import annotations
 
 from collections import deque
+from math import inf
 from typing import Any, Callable
 
 from repro.sim.events import PRIORITY_TIMER
@@ -94,9 +95,10 @@ class Timer:
         fast path (new deadline at or beyond the scheduled event, i.e. every
         heartbeat-driven extension) touches only this object's attributes.
         """
-        if not (duration >= 0.0):
+        if not (0.0 <= duration < inf):  # also rejects NaN
             raise SimulationError(
-                f"timer {self.name!r} duration must be >= 0, got {duration!r}"
+                f"timer {self.name!r} duration must be >= 0 and finite, "
+                f"got {duration!r}"
             )
         deadline = self._loop.now + duration
         self._deadline = deadline
@@ -241,8 +243,8 @@ class DeadlineQueue:
         live: Callable[[Any], bool],
         priority: int,
     ) -> None:
-        if not (timeout >= 0.0):
-            raise SimulationError(f"timeout must be >= 0, got {timeout!r}")
+        if not (0.0 <= timeout < inf):  # also rejects NaN
+            raise SimulationError(f"timeout must be >= 0 and finite, got {timeout!r}")
         self._loop = loop
         self.timeout = timeout
         self._expire = expire

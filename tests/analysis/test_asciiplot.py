@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis.asciiplot import cdf_chart, line_chart
+from repro.analysis.asciiplot import WIDTH, cdf_chart, line_chart
 from repro.analysis.cdf import empirical_cdf
 
 
@@ -58,11 +58,11 @@ def test_line_chart_constant_series():
 
 
 def test_line_chart_dimensions():
-    out = line_chart({"s": ([0, 1], [0, 1])}, width=30, height=8)
+    out = line_chart({"s": ([0, 1], [0, 1])}, height=8)
     lines = out.splitlines()
     # 8 grid rows + axis + x labels + legend
     assert len(lines) == 11
-    assert all(len(ln) <= 30 + 14 for ln in lines[:8])
+    assert all(len(ln) <= WIDTH + 14 for ln in lines[:8])
 
 
 def test_cdf_chart_renders():

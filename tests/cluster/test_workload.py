@@ -10,7 +10,6 @@ from repro.cluster.workload import (
     peak_throughput,
     run_rps_staircase,
 )
-from repro.raft.state_machine import kv_put
 from tests.conftest import make_raft_cluster
 
 
@@ -37,24 +36,6 @@ def test_open_loop_driver_validation():
     client = c.add_client("cl")
     with pytest.raises(ValueError):
         OpenLoopDriver(c.loop, client, rps=0.0, rng=c.rngs.stream("x"))
-
-
-def test_open_loop_driver_custom_commands():
-    c = make_raft_cluster(3)
-    client = c.add_client("cl")
-    c.run_until_leader()
-    driver = OpenLoopDriver(
-        c.loop,
-        client,
-        rps=50.0,
-        rng=c.rngs.stream("load"),
-        command_factory=lambda i: kv_put("counter", i),
-    )
-    driver.start()
-    c.run_for(2_000)
-    driver.stop()
-    c.run_for(2_000)
-    assert all(r.command.key == "counter" for r in client.completed)
 
 
 # -- fluid model -------------------------------------------------------------- #

@@ -372,9 +372,7 @@ def test_retune_matches_tuner_references(rtts, gaps, fixed_k):
         meta = HeartbeatMeta(seq, float(i), rtts[i % len(rtts)], i + 1)
         p.on_heartbeat("L", meta, float(i))
         mu, sigma, loss = p.measurement.estimate()
-        et = tune_election_timeout(
-            mu, sigma, safety_factor=cfg.safety_factor, floor_ms=ET_FLOOR_MS
-        )
+        et = tune_election_timeout(mu, sigma, safety_factor=cfg.safety_factor)
         k = fixed_k or required_heartbeats(loss, cfg.arrival_probability, k_max=K_MAX)
         tuning = tune_heartbeat(et, k, floor_ms=H_FLOOR_MS)
         assert p.tuned_et_ms == et

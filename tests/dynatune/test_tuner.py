@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.dynatune.config import ET_FLOOR_MS
 from repro.dynatune.tuner import (
     required_heartbeats,
     tune_election_timeout,
@@ -24,7 +25,7 @@ def test_et_zero_sigma():
 
 
 def test_et_floor():
-    assert tune_election_timeout(0.0, 0.0, safety_factor=2.0, floor_ms=10.0) == 10.0
+    assert tune_election_timeout(0.0, 0.0, safety_factor=2.0) == ET_FLOOR_MS
 
 
 def test_et_validation():
@@ -129,9 +130,9 @@ def test_k_monotone_in_loss(p1, p2):
     s=st.floats(min_value=0.0, max_value=10.0),
 )
 def test_et_monotone_in_inputs(mu, sigma, s):
-    et = tune_election_timeout(mu, sigma, safety_factor=s, floor_ms=1.0)
-    assert et >= max(mu, 1.0) - 1e-9
-    bigger = tune_election_timeout(mu + 1.0, sigma, safety_factor=s, floor_ms=1.0)
+    et = tune_election_timeout(mu, sigma, safety_factor=s)
+    assert et >= max(mu, ET_FLOOR_MS) - 1e-9
+    bigger = tune_election_timeout(mu + 1.0, sigma, safety_factor=s)
     assert bigger >= et
 
 

@@ -1,5 +1,7 @@
 """Delay models: distribution shape, retargeting, positivity."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -31,6 +33,8 @@ def test_constant_zero_clamped_to_min(rng):
 def test_negative_base_rejected():
     with pytest.raises(ValueError):
         ConstantDelay(-1.0)
+    with pytest.raises(ValueError):
+        ConstantDelay(math.inf)
 
 
 def test_set_base_retargets(rng):
@@ -39,6 +43,9 @@ def test_set_base_retargets(rng):
     assert d.sample(rng) == 50.0
     with pytest.raises(ValueError):
         d.set_base(-5.0)
+    with pytest.raises(ValueError):
+        d.set_base(math.inf)
+    assert d.base_ms == 50.0
 
 
 def test_uniform_jitter_within_band(rng):

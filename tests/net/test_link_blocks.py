@@ -152,9 +152,9 @@ def play(ops, seed=7):
                 "b",
                 delay=copy.copy(twin.delay),
                 loss=BernoulliLoss(twin.loss.rate()),
-                duplicate_p=twin.duplicate_p,
                 rng=rngs.stream(NAME),
             )
+            link.duplicate_p = twin.duplicate_p
             network.add_link(link)
             links.append(link)
             in_step()

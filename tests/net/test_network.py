@@ -206,9 +206,9 @@ def check_udp_against_reference(net, *, loss, duplicate_p):
         "b",
         delay=link.delay,
         loss=BernoulliLoss(loss),
-        duplicate_p=duplicate_p,
         rng=RngRegistry(777).stream("pin"),
     )
+    twin.duplicate_p = duplicate_p
 
     # The reference deliveries go onto a twin loop through _push_event,
     # which Network.transmit also inlines: same (time, priority, seq) per

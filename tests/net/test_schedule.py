@@ -40,19 +40,6 @@ def test_gradual_profile_monotone_up_then_down():
     assert values[peak:] == sorted(values[peak:], reverse=True)
 
 
-def test_gradual_profile_validation():
-    with pytest.raises(ValueError):
-        gradual_rtt_profile(low_ms=200.0, high_ms=100.0)
-    with pytest.raises(ValueError):
-        gradual_rtt_profile(step_ms=0.0)
-
-
-def test_gradual_profile_non_divisible_step_hits_high():
-    s = gradual_rtt_profile(low_ms=50.0, high_ms=75.0, step_ms=10.0)
-    values = [a.rtt_ms for a in s.steps]
-    assert max(values) == 75.0
-
-
 def test_radical_profile_paper_pattern():
     s = radical_rtt_profile()
     assert [a.rtt_ms for a in s.steps] == [50.0, 500.0, 50.0]

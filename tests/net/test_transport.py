@@ -19,9 +19,9 @@ def make_link(loss=0.0, rtt=100.0, dup=0.0, seed=0):
         "a",
         "b",
         loss=BernoulliLoss(loss),
-        duplicate_p=dup,
         rng=np.random.default_rng(seed),
     )
+    link.duplicate_p = dup
     link.set_rtt(rtt)
     return link
 

@@ -108,10 +108,10 @@ def run(client_cls, submissions, script, resubmit):
         network,
         SERVERS,
         retry_timeout_ms=TIMEOUT_MS,
-        max_retries=3,
         trace=trace,
         resubmit_on_timeout=resubmit,
     )
+    client.max_retries = 3
     network.client = client
     t = 0.0
     for i, (gap, read) in enumerate(submissions):

@@ -86,9 +86,9 @@ def run(client_cls, submissions, script, resubmit):
         network,
         SERVERS,
         retry_timeout_ms=TIMEOUT_MS,
-        max_retries=3,
         resubmit_on_timeout=resubmit,
     )
+    client.max_retries = 3
     network.client = client
     answers = []
     t = 0.0

@@ -17,7 +17,7 @@ from repro.raft.node import RaftNode
 def test_raftnode_takes_no_cost_model():
     params = inspect.signature(RaftNode.__init__).parameters
     assert "cost_model" not in params
-    assert len(params) == 12 + 1  # the twelve arguments, and self
+    assert len(params) == 11 + 1  # the eleven arguments, and self
 
 
 def test_no_billing_identifier_under_repro_raft():

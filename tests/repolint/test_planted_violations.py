@@ -61,13 +61,14 @@ def planted_report(tmp_path_factory):
     base = tmp_path_factory.mktemp("planted")
     root = base / "src"
     shutil.copytree(REPO_ROOT / "src" / "repro", root / "repro")
-    # config-knob-liveness also reads the callers beside the scanned root:
-    # point it at the real ones (the copy is the shipped tree).
+    # The knob rules also read the callers beside the scanned root: point
+    # them at the real ones (the copy is the shipped tree).
     config = dataclasses.replace(
         DEFAULT_CONFIG,
         knob_user_roots=tuple(
             str(REPO_ROOT / rel) for rel in ("tests", "benchmarks", "examples")
         ),
+        knob_param_user_roots=(str(REPO_ROOT / "benchmarks"),),
     )
     for modpath, plant in PLANTS.items():
         path = root / modpath

@@ -74,6 +74,6 @@ def test_leader_churn_emits_failure_records():
 
 
 def test_builders_accept_overrides():
-    sc = SCENARIO_BUILDERS["symmetric_split"](NAMES, start_ms=1_000.0, cycles=1)
-    assert sc.steps[0].at_ms == 1_000.0
-    assert sc.steps[0].repeat is None
+    # The grayfail grid sets a gray-failure builder's timing this way.
+    sc = build_scenario("one_way_isolation", NAMES, start_ms=1_000.0, hold_ms=2_000.0)
+    assert {(st.at_ms, st.duration_ms) for st in sc.steps} == {(1_000.0, 2_000.0)}

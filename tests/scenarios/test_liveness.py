@@ -31,8 +31,6 @@ def _sleepy_cluster(n: int = 3, **config_kwargs):
 def test_validation():
     c = make_raft_cluster(3)
     with pytest.raises(ValueError):
-        LivenessChecker(c, interval_ms=0.0)
-    with pytest.raises(ValueError):
         LivenessChecker(c, leaderless_bound_ms=-1.0)
     with pytest.raises(ValueError):
         LivenessChecker(c, leaderless_total_bound_ms=0.0)
@@ -46,7 +44,6 @@ def test_healthy_cluster_is_clean():
     c = make_raft_cluster(3)
     checker = LivenessChecker(
         c,
-        interval_ms=100.0,
         leaderless_bound_ms=2_000.0,
         leaderless_total_bound_ms=4_000.0,
         commit_stall_bound_ms=2_000.0,
@@ -94,7 +91,6 @@ def test_flags_no_leader_window_and_cumulative_budget():
     c = _sleepy_cluster(3)
     checker = LivenessChecker(
         c,
-        interval_ms=100.0,
         leaderless_bound_ms=1_000.0,
         leaderless_total_bound_ms=3_000.0,
     )
@@ -103,8 +99,10 @@ def test_flags_no_leader_window_and_cumulative_budget():
     kinds = [v.kind for v in checker.violations]
     assert kinds == ["no_leader", "no_leader"]
     window, total = checker.violations
-    assert window.time == pytest.approx(1_100.0, abs=checker.interval_ms)
-    assert total.time == pytest.approx(3_100.0, abs=checker.interval_ms)
+    # Leaderless from the first sample on; each bound trips within a sample.
+    first = checker.interval_ms
+    assert window.time == pytest.approx(first + 1_000.0, abs=checker.interval_ms)
+    assert total.time == pytest.approx(first + 3_000.0, abs=checker.interval_ms)
     assert len(c.trace.of_kind("liveness_no_leader")) == 2
 
 
@@ -116,7 +114,6 @@ def test_genuine_partition_never_false_positives():
     c.run_until_leader()
     checker = LivenessChecker(
         c,
-        interval_ms=100.0,
         leaderless_bound_ms=800.0,
         leaderless_total_bound_ms=1_500.0,
         term_churn_bound=2,
@@ -139,7 +136,6 @@ def test_flags_election_livelock_under_gray_response_cycle():
         c.network.degrade_direction(src, dst, loss=0.998)
     checker = LivenessChecker(
         c,
-        interval_ms=100.0,
         leaderless_bound_ms=1e9,
         leaderless_total_bound_ms=1e9,
         term_churn_bound=5,
@@ -170,7 +166,6 @@ def test_flags_commit_stall_under_gray_egress():
                 c.network.degrade_direction(src, dst, loss=0.998)
     checker = LivenessChecker(
         c,
-        interval_ms=100.0,
         leaderless_bound_ms=1e9,
         leaderless_total_bound_ms=1e9,
         commit_stall_bound_ms=1_500.0,

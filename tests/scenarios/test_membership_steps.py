@@ -188,12 +188,6 @@ def test_elastic_shrink_defaults_to_three_survivors():
     assert "n1" not in removals and "n2" not in removals and "n3" not in removals
 
 
-def test_elastic_shrink_can_target_the_leader_first():
-    s = elastic_shrink(["n1", "n2", "n3", "n4", "n5"], include_leader=True)
-    removals = [st.node for st in s.steps if isinstance(st, RemoveNode)]
-    assert removals[0] == "@leader"
-
-
 def test_elastic_replace_all_rotates_every_member():
     s = elastic_replace_all(["n1", "n2", "n3"])
     swaps = [st for st in s.steps if isinstance(st, ReplaceNode)]

@@ -1,6 +1,7 @@
 """EventLoop: ordering, cancellation, run_until semantics."""
 
 import functools
+import math
 
 import pytest
 
@@ -71,6 +72,9 @@ def test_nan_delay_rejected():
     loop = EventLoop()
     with pytest.raises(SimulationError):
         loop.schedule(float("nan"), lambda: None)
+    with pytest.raises(SimulationError):
+        loop.schedule(math.inf, lambda: None)
+    assert loop.pending == 0
 
 
 def test_every_fires_periodically_at_control_priority_until_the_bound():
@@ -91,7 +95,7 @@ def test_every_fires_periodically_at_control_priority_until_the_bound():
     assert loop.pending == 1  # the next tick, armed after the last call
 
 
-@pytest.mark.parametrize("interval", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"), math.inf])
 def test_every_rejects_non_positive_interval(interval):
     with pytest.raises(SimulationError):
         EventLoop().every(interval, lambda: None)
@@ -110,6 +114,8 @@ def test_schedule_at_nan_rejected():
     fired = []
     with pytest.raises(SimulationError):
         loop.schedule_at(float("nan"), lambda: fired.append(loop.now))
+    with pytest.raises(SimulationError):
+        loop.schedule_at(math.inf, lambda: fired.append(loop.now))
     loop.run()
     assert fired == []
 
@@ -183,6 +189,11 @@ def test_run_until_nan_rejected():
         loop.run_until(float("nan"), max_events=100)
     assert ticks == []
     assert loop.now == 0.0
+    # Nor is infinity a horizon: the clock would end at inf.
+    idle = EventLoop()
+    with pytest.raises(SimulationError):
+        idle.run_until(math.inf)
+    assert idle.now == 0.0
 
 
 def test_run_max_events_guard():

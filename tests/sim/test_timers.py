@@ -1,5 +1,7 @@
 """Timer and TimerService: reset semantics and freeze/thaw."""
 
+import math
+
 import pytest
 
 from repro.sim.events import PRIORITY_CONTROL, PRIORITY_MESSAGE
@@ -63,6 +65,9 @@ def test_negative_duration_rejected(loop):
     t = Timer(loop, "t", lambda: None)
     with pytest.raises(SimulationError):
         t.start(-1.0)
+    with pytest.raises(SimulationError):
+        t.reset(math.inf)
+    assert not t.running
 
 
 def test_remaining_and_deadline(loop):
@@ -258,3 +263,5 @@ def test_deadline_queue_rejects_bad_timeout(loop):
         DeadlineQueue(loop, -1.0, print, bool, PRIORITY_MESSAGE)
     with pytest.raises(SimulationError):
         DeadlineQueue(loop, float("nan"), print, bool, PRIORITY_MESSAGE)
+    with pytest.raises(SimulationError):
+        DeadlineQueue(loop, math.inf, print, bool, PRIORITY_MESSAGE)

@@ -27,15 +27,29 @@ TIER1 = [
 ]
 
 
-def test_sub_second_entries_hold():
-    assert {name: fixpoints.smoke_run(name)[0] for name in SUB_SECOND} == {
+@pytest.fixture(scope="module")
+def smoke_run():
+    """``fixpoints.smoke_run``, each entry computed once for this module:
+    the two tests below share the sub-second entries."""
+    memo: dict[str, tuple[str, list[str]]] = {}
+
+    def run(name: str) -> tuple[str, list[str]]:
+        if name not in memo:
+            memo[name] = fixpoints.smoke_run(name)
+        return memo[name]
+
+    return run
+
+
+def test_sub_second_entries_hold(smoke_run):
+    assert {name: smoke_run(name)[0] for name in SUB_SECOND} == {
         name: COMMITTED[name] for name in SUB_SECOND
     }
 
 
 @pytest.mark.parametrize("name", TIER1)
-def test_entry_holds(name):
-    assert fixpoints.smoke_run(name) == (COMMITTED[name], [])
+def test_entry_holds(smoke_run, name):
+    assert smoke_run(name) == (COMMITTED[name], [])
 
 
 def test_default_campaign_entry_holds():

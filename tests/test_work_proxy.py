@@ -1,6 +1,7 @@
 """``tools.work_proxy``: the count is a function of the seed, not the host."""
 
 import pathlib
+import platform
 import subprocess
 import sys
 
@@ -16,3 +17,6 @@ def test_same_seed_in_two_fresh_processes_counts_the_same_calls():
     assert first == second
     assert first.startswith("serve_reads") and "calls=" in first and "failed=0" in first
     assert " gc=" in first  # collector passes, counted without the profile hook
+    # The count depends on the interpreter too, so each line names it.
+    py = f" py={platform.python_version()}"
+    assert all(line.endswith(py) for line in first.splitlines())

@@ -281,7 +281,7 @@ class RepolintConfig:
     #: so a future wall-clock runtime shim can register itself).
     clock_exempt: frozenset[str] = frozenset()
 
-    # -- config-knob liveness (rule family 8) --------------------------- #
+    # -- knob liveness: config fields and parameters (rule family 8) ---- #
     #: ``(modpath, class)`` of every config dataclass whose each field
     #: must be passed by keyword by some caller outside its module.
     knob_configs: tuple[tuple[str, str], ...] = (
@@ -314,6 +314,18 @@ class RepolintConfig:
         "../tests",
         "../benchmarks",
         "../examples",
+    )
+    #: Directories whose calls count for ``param-knob-liveness`` besides
+    #: the scanned tree: a defaulted parameter only tests or examples pass
+    #: is a constant with a name.
+    knob_param_user_roots: tuple[str, ...] = ("../benchmarks",)
+    #: ``(modpath, forwarder, registry)``: a keyword passed to the
+    #: forwarder (which splats ``**overrides`` into a builder looked up in
+    #: the module-level dict ``registry``) counts for each builder whose
+    #: key the call selects — its literal first argument, or else any key
+    #: the calling file names.
+    knob_param_forwarders: tuple[tuple[str, str, str], ...] = (
+        ("repro/scenarios/library.py", "build_scenario", "SCENARIO_BUILDERS"),
     )
 
     # -- annotation floor (rule family 9) ------------------------------- #

@@ -19,7 +19,7 @@ from tools.repolint.rules.dispatch import (
 )
 from tools.repolint.rules.hotpath import HotPathAllocRule, SlotsRule
 from tools.repolint.rules.inline_copies import InlineCopyPinnedRule
-from tools.repolint.rules.knobs import ConfigKnobLivenessRule
+from tools.repolint.rules.knobs import ConfigKnobLivenessRule, ParamKnobLivenessRule
 from tools.repolint.rules.state import ProtectedStateRule
 from tools.repolint.rules.tracekinds import TraceRegistryRule
 
@@ -40,6 +40,7 @@ def rule_classes() -> list[type[Rule]]:
         DurableWriteRule,
         NodeClockRule,
         ConfigKnobLivenessRule,
+        ParamKnobLivenessRule,
         AnnotationFloorRule,
         InlineCopyPinnedRule,
         CollectorControlRule,

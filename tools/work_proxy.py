@@ -18,6 +18,10 @@ the profile hook (whose frame objects would feed the collector), after a
 full collection, and ``gc=g0/g1/g2`` counts that pass's collections of
 each generation through ``gc.callbacks`` (the benchmark's own
 ``gc.collect()`` before each timed body counts as a generation-2 pass).
+
+A count depends on the interpreter as well as on the seed, so each line
+ends with ``py=<major.minor.micro>``: compare counts only across equal
+``py=`` fields.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import argparse
 import gc
 import os
+import platform
 import sys
 
 if __name__ == "__main__" and os.environ.get("PYTHONHASHSEED") != "0":
@@ -78,7 +83,8 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{workload:<18} calls={calls:>9} calls_per_sim_s={calls / rnd.sim_s:>11.1f} "
             f"gc={passes[0]}/{passes[1]}/{passes[2]} "
-            f"attempted={rnd.attempted} failed={rnd.failed} sim_s={rnd.sim_s:g}"
+            f"attempted={rnd.attempted} failed={rnd.failed} sim_s={rnd.sim_s:g} "
+            f"py={platform.python_version()}"
         )
     return status
 
