@@ -15,6 +15,7 @@ Run:  python examples/quickstart.py
 from repro import ClusterConfig, DynatunePolicy, build_cluster
 from repro.cluster.faults import pause_for
 from repro.cluster.measurements import LEADER_FAILURE_KIND, extract_failure_episodes
+from repro.fuzz.history import OpHistory
 from repro.raft.state_machine import kv_get, kv_put
 
 
@@ -26,7 +27,9 @@ def main() -> None:
         ClusterConfig(n_nodes=5, seed=2024, rtt_ms=100.0),
         lambda name: DynatunePolicy(),
     )
-    client = cluster.add_client("client")
+    # The client records each operation (times and result) in its history.
+    history = OpHistory()
+    client = cluster.add_client("client", history=history)
     cluster.start()
 
     leader = cluster.run_until_leader()
@@ -36,9 +39,11 @@ def main() -> None:
     for i in range(10):
         client.submit(kv_put(f"user:{i}", {"id": i, "active": True}))
     cluster.run_for(2_000)
+    done = history.completed_ops()
+    mean_ms = sum(op.return_ms - op.invoke_ms for op in done) / len(done)
     print(
-        f"[t={cluster.loop.now / 1000:6.2f}s] {len(client.completed)} writes "
-        f"committed, mean latency {client.mean_latency_ms():.0f} ms"
+        f"[t={cluster.loop.now / 1000:6.2f}s] {len(done)} writes "
+        f"committed, mean latency {mean_ms:.0f} ms"
     )
 
     # 3. Let Dynatune measure and tune (10 RTT samples needed, ~1 s).
@@ -68,7 +73,7 @@ def main() -> None:
     client.submit(kv_put("after-failover", True))
     client.submit(kv_get("user:7"))
     cluster.run_for(4_000)
-    get = [r for r in client.completed if getattr(r.command, "op", "") == "get"][0]
+    get = next(op for op in history.completed_ops() if op.op == "get")
     print(f"    read user:7 -> {get.result}")
 
     cluster.run_for(10_000)  # old leader rejoins and catches up

@@ -25,7 +25,6 @@ import dataclasses
 import sys
 from typing import Sequence
 
-from repro.analysis.availability import AvailabilityStats, availability_stats
 from repro.cluster.builder import ClusterConfig
 from repro.cluster.measurements import leaderless_intervals
 from repro.experiments import grid
@@ -74,6 +73,26 @@ class ScenarioMatrixConfig:
 
 
 @dataclasses.dataclass(slots=True, frozen=True)
+class AvailabilityStats:
+    """Unavailability profile of one run window.
+
+    Attributes:
+        window_ms: length of the observation window.
+        unavailable_ms: total leaderless time inside the window.
+        unavailable_fraction: ``unavailable_ms / window_ms`` (0 for an
+            empty window).
+        n_outages: number of distinct leaderless intervals.
+        longest_outage_ms: the worst single interval (0 with no outage).
+    """
+
+    window_ms: float
+    unavailable_ms: float
+    unavailable_fraction: float
+    n_outages: int
+    longest_outage_ms: float
+
+
+@dataclasses.dataclass(slots=True, frozen=True)
 class ScenarioCellResult:
     """One (system, scenario) run, reduced to its figures of merit."""
 
@@ -107,7 +126,11 @@ def run_one(config: ScenarioMatrixConfig) -> ScenarioCellResult:
     leaders = cluster.trace.of_kind("become_leader")
     t_first = leaders[0].time if leaders else None
     window_start = t_first if t_first is not None else 0.0
+    # Already clipped to the window, with no empty interval.
     intervals = leaderless_intervals(cluster.trace, t_start=window_start, t_end=end)
+    outages = [b - a for a, b in intervals]
+    down = float(sum(outages))
+    window = end - window_start
     steps = cluster.trace.of_kind("scenario_step")
     skipped = sum(1 for r in steps if r.get("skipped"))
     return ScenarioCellResult(
@@ -115,8 +138,12 @@ def run_one(config: ScenarioMatrixConfig) -> ScenarioCellResult:
         scenario=config.scenario,
         duration_ms=end,
         first_leader_ms=t_first,
-        availability=availability_stats(
-            intervals, t_start=window_start, t_end=end
+        availability=AvailabilityStats(
+            window_ms=window,
+            unavailable_ms=down,
+            unavailable_fraction=down / window if window > 0.0 else 0.0,
+            n_outages=len(outages),
+            longest_outage_ms=max(outages, default=0.0),
         ),
         unnecessary_elections=sum(
             1

@@ -29,7 +29,6 @@ from functools import partial
 
 from repro.cluster.builder import Cluster
 from repro.fuzz.history import OpHistory
-from repro.raft.client import CompletedRequest
 from repro.raft.state_machine import kv_delete, kv_get, kv_put
 from repro.sim.events import PRIORITY_CONTROL
 from repro.sim.timers import DeadlineQueue
@@ -204,10 +203,10 @@ class WorkloadDriver:
     def _unsettled(self, ci: int, token: int) -> bool:
         return token == self._issued[ci] and not self._settled[ci]
 
-    def _completed(self, ci: int, done: CompletedRequest) -> None:
+    def _completed(self, ci: int, request_id: int) -> None:
         # The clients are this driver's own, so a request id is the number
         # of ops issued before it: the op's token less one.
-        self._settle(ci, done.request_id + 1)
+        self._settle(ci, request_id + 1)
 
     def _settle(self, ci: int, token: int) -> None:
         """An op completed or timed out; chain the next submission once."""

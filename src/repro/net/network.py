@@ -30,21 +30,20 @@ __all__ = ["Network", "Endpoint"]
 class _Delivery(tuple):
     """Allocation-light delivery callback (replaces a per-send closure).
 
-    A ``tuple`` subclass laid out as ``(endpoint, stats, src, payload)``:
+    A ``tuple`` subclass laid out as ``(endpoint, src, payload)``:
     construction is one C-level call (``__init__``-based slotted classes
     pay an interpreter frame per message), and the only Python-level work
-    left is ``__call__`` at delivery time.  Binds the endpoint and the
-    link's stats object at send time.  A binding can outlive a
-    ``detach()`` of its endpoint (dynamic membership removes nodes at
-    runtime); that is safe because a removed node is stopped first, so
-    the late delivery dies at the process's liveness gate.
+    left is ``__call__`` at delivery time.  Binds the endpoint at send
+    time.  A binding can outlive a ``detach()`` of its endpoint (dynamic
+    membership removes nodes at runtime); that is safe because a removed
+    node is stopped first, so the late delivery dies at the process's
+    liveness gate.
     """
 
     __slots__ = ()
 
     def __call__(self) -> None:
-        self[1].delivered += 1
-        self[0].deliver(self[2], self[3])
+        self[0].deliver(self[1], self[2])
 
 
 class Endpoint(Protocol):
@@ -74,8 +73,6 @@ class Network:
         self._links_from: dict[str, dict[str, Link]] = {}
         self._partition_of: dict[str, int] | None = None
         self._implicit_group = 0
-        #: Messages dropped because of partitions (diagnostics).
-        self.partition_drops = 0
 
     # ------------------------------------------------------------------ #
     # wiring
@@ -342,7 +339,6 @@ class Network:
             partition_of is not None
             and partition_of.get(src) != partition_of.get(dst)
         ):
-            self.partition_drops += 1
             stats.dropped += 1
             return
 
@@ -398,7 +394,7 @@ class Network:
                         for d in (delay_ms, dup_delay):
                             loop._push_event(
                                 now + d,
-                                _Delivery((endpoint, stats, src, payload)),
+                                _Delivery((endpoint, src, payload)),
                                 PRIORITY_MESSAGE,
                             )
                     return
@@ -443,7 +439,7 @@ class Network:
             event.append(deliver_at)
             event.append(PRIORITY_MESSAGE)
             event.append(seq)
-            event.append(_Delivery((endpoint, stats, src, payload)))
+            event.append(_Delivery((endpoint, src, payload)))
             _heappush(loop._heap, event)
 
     def broadcast(

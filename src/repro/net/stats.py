@@ -1,9 +1,10 @@
-"""Per-link delivery counters.
+"""Per-link send counters.
 
-Used by tests to verify loss/duplication rates and by experiments to report
-message overheads (the paper argues Dynatune adds *no additional
-communication*, §I — the counter totals let us check that claim directly in
-:mod:`repro.experiments`).
+Experiments report message overheads from them (the paper argues
+Dynatune adds *no additional communication*, §I — the ``sent`` and
+``bytes_sent`` totals let :mod:`repro.experiments` check that claim
+directly); tests compare ``dropped``, ``duplicated`` and ``retransmits``
+with the :mod:`repro.net.transport` reference plans.
 """
 
 from __future__ import annotations
@@ -18,23 +19,15 @@ class LinkStats:
     """Counters for one directed link."""
 
     sent: int = 0
-    delivered: int = 0
     dropped: int = 0
     duplicated: int = 0
     retransmits: int = 0
     bytes_sent: int = 0
 
-    def observed_loss_rate(self) -> float:
-        """Fraction of offered packets that were dropped."""
-        if self.sent == 0:
-            return 0.0
-        return self.dropped / self.sent
-
     def merge(self, other: "LinkStats") -> "LinkStats":
         """Return a new LinkStats with summed counters."""
         return LinkStats(
             sent=self.sent + other.sent,
-            delivered=self.delivered + other.delivered,
             dropped=self.dropped + other.dropped,
             duplicated=self.duplicated + other.duplicated,
             retransmits=self.retransmits + other.retransmits,

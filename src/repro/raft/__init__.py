@@ -4,7 +4,7 @@ See :mod:`repro.raft.node` for the protocol state machine: a faithful Raft
 with per-follower heartbeat timers, the substrate Dynatune retunes.
 """
 
-from repro.raft.client import CompletedRequest, RaftClient
+from repro.raft.client import RaftClient
 from repro.raft.log import LogEntry, RaftLog
 from repro.raft.messages import (
     AppendEntriesRequest,
@@ -28,7 +28,6 @@ __all__ = [
     "AppendEntriesResponse",
     "ClientRequest",
     "ClientResponse",
-    "CompletedRequest",
     "HeartbeatRequest",
     "HeartbeatResponse",
     "KVCommand",

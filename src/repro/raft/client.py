@@ -1,19 +1,15 @@
 """Client sessions for the replicated KV service.
 
 A :class:`RaftClient` is a simulated process that submits commands, follows
-leader redirects, retries on silence, and records per-request latency.  It
-is the building block of the examples and the correctness tests; the
-high-rate open-loop load of Fig. 5 uses the fluid model in
-:mod:`repro.cluster.workload` instead.
+leader redirects and retries on silence; what it observed lands in its
+``history`` recorder.  It is the building block of the examples and the
+correctness tests; the high-rate open-loop load of Fig. 5 uses the fluid
+model in :mod:`repro.cluster.workload` instead.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from collections.abc import Iterator, Sequence
-from itertools import starmap
-from operator import sub
-from typing import Any, Callable, overload
+from typing import Any, Callable
 
 from repro.raft.messages import ClientReadRequest, ClientRequest, ClientResponse
 from repro.sim.clock import NodeClock
@@ -22,80 +18,11 @@ from repro.sim.loop import EventLoop
 from repro.sim.timers import DeadlineQueue
 from repro.sim.tracing import TraceLog
 
-__all__ = ["RaftClient", "CompletedRequest", "CompletedRequests"]
+__all__ = ["RaftClient"]
 
 #: Retransmissions (timeouts and redirects) before a client gives a
 #: request up; tests lower a client's ``max_retries`` to reach that path.
 MAX_RETRIES = 50
-
-
-@dataclasses.dataclass(slots=True)
-class CompletedRequest:
-    """Outcome of one client command."""
-
-    request_id: int
-    command: Any
-    submitted_ms: float
-    completed_ms: float
-    result: Any
-    retries: int
-
-    @property
-    def latency_ms(self) -> float:
-        return self.completed_ms - self.submitted_ms
-
-
-#: Fields per row of a client's completion record, in
-#: :class:`CompletedRequest` order.
-_ROW = 6
-
-
-class CompletedRequests(Sequence[CompletedRequest]):
-    """Read-only, live view of a client's completions, oldest first.
-
-    The client keeps each completion as one flat row of atomic values in
-    a single list, so a finished operation leaves no object behind for
-    the cyclic collector; this view builds a :class:`CompletedRequest`
-    for whoever reads one.  It behaves like the list it replaces: ``len``,
-    indexing (negative and slices too), iteration, and ``==`` against a
-    list or another view; it sees every later completion.
-    """
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows: list[Any]) -> None:
-        self._rows = rows
-
-    def __len__(self) -> int:
-        return len(self._rows) // _ROW
-
-    @overload
-    def __getitem__(self, index: int) -> CompletedRequest: ...
-
-    @overload
-    def __getitem__(self, index: slice) -> list[CompletedRequest]: ...
-
-    def __getitem__(
-        self, index: int | slice
-    ) -> CompletedRequest | list[CompletedRequest]:
-        rows = self._rows
-        at = range(0, len(rows), _ROW)[index]
-        if isinstance(at, range):
-            return [CompletedRequest(*rows[i : i + _ROW]) for i in at]
-        return CompletedRequest(*rows[at : at + _ROW])
-
-    def __iter__(self) -> Iterator[CompletedRequest]:
-        return starmap(CompletedRequest, zip(*[iter(self._rows)] * _ROW))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, CompletedRequests):
-            return self._rows == other._rows
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(list(self))
 
 
 class RaftClient:
@@ -110,8 +37,10 @@ class RaftClient:
     Two hooks exist for the fuzz oracle:
 
     * ``history`` — an operation recorder (``invoke``/``complete``/
-      ``abandon``) fed at submit, success and give-up time.  The
-      linearizability checker consumes these records.
+      ``abandon``) fed at submit, success and give-up time.  It is the
+      one record of each operation's times and result (the client keeps
+      no completion log of its own), and the linearizability checker
+      consumes it.  A give-up is also traced as ``client_giveup``.
     * ``resubmit_on_timeout=False`` — at-most-once mode: a timed-out
       request is *abandoned* (left in flight so a late answer can still
       complete it, but never retransmitted).  Resending after a timeout
@@ -153,15 +82,10 @@ class RaftClient:
         self.clock = NodeClock(loop)
         self._now: Callable[[], float] = self.clock.now
 
-        # One flat row per completion (see ``_ROW``), read through the
-        # ``completed`` view.
-        self._done: list[Any] = []
-        self._completed = CompletedRequests(self._done)
-        self.failed: list[int] = []
         self._next_id = 0
         self._contact = self.cluster[0]
         self._rr = 0
-        # request_id -> [command, submitted, retries, callback, read flag]
+        # request_id -> [command, retries, callback, read flag]
         self._inflight: dict[int, list[Any]] = {}
         # Every retry/abandon timeout of this client behind one loop event.
         # A transmission's token is (request_id, retries at send time): it
@@ -187,7 +111,7 @@ class RaftClient:
         self,
         command: Any,
         *,
-        on_complete: Callable[[CompletedRequest], None] | None = None,
+        on_complete: Callable[[int], None] | None = None,
         read: bool = False,
     ) -> int:
         """Submit a command; returns the request id.
@@ -197,36 +121,19 @@ class RaftClient:
         :class:`ClientReadRequest`.  Only meaningful for read-only
         commands; redirects, timeouts and retries behave identically.
 
-        Completion (or final failure after ``max_retries``) is recorded in
-        :attr:`completed` / :attr:`failed` and reported to ``on_complete``.
+        Completion is recorded in :attr:`history` and reported to
+        ``on_complete`` with the request id; a final failure after
+        ``max_retries`` is traced (``client_giveup``) and leaves the
+        history's operation open.
         """
         req_id = self._next_id
         self._next_id += 1
-        now = self._now()
-        state = [command, now, 0, on_complete, read]
+        state = [command, 0, on_complete, read]
         self._inflight[req_id] = state
         if self.history is not None:
-            self.history.invoke(self.name, req_id, command, now)
+            self.history.invoke(self.name, req_id, command, self._now())
         self._transmit(req_id, state)
         return req_id
-
-    @property
-    def completed(self) -> CompletedRequests:
-        """Every completed request, oldest first: a read-only, live view
-        that builds each :class:`CompletedRequest` when it is read."""
-        return self._completed
-
-    @property
-    def inflight_count(self) -> int:
-        return len(self._inflight)
-
-    def mean_latency_ms(self) -> float:
-        rows = self._done
-        if not rows:
-            return 0.0
-        # completed_ms - submitted_ms of each row, summed in order.
-        total: float = sum(map(sub, rows[3::_ROW], rows[2::_ROW]))
-        return total / (len(rows) // _ROW)
 
     def add_server(self, name: str) -> None:
         """Add a server to the retry rotation (dynamic membership)."""
@@ -258,23 +165,23 @@ class RaftClient:
     # -- internals --------------------------------------------------------------- #
 
     def _transmit(self, req_id: int, state: list[Any]) -> None:
-        if state[4]:
+        if state[3]:
             payload: Any = ClientReadRequest(req_id, state[0])
         else:
             payload = ClientRequest(req_id, state[0])
         self.network.transmit(self.name, self._contact, payload, "tcp", 160)
-        self._deadlines.add((req_id, state[2]))
+        self._deadlines.add((req_id, state[1]))
 
     def _awaiting(self, token: tuple[int, int]) -> bool:
         """Whether the transmission ``(request_id, retries)`` is still the
         request's latest and unanswered."""
         state = self._inflight.get(token[0])
-        return state is not None and state[2] == token[1]
+        return state is not None and state[1] == token[1]
 
     def _on_timeout(self, token: tuple[int, int]) -> None:
         req_id = token[0]
         state = self._inflight[req_id]
-        state[2] += 1
+        state[1] += 1
         if not self.resubmit_on_timeout:
             # At-most-once mode: never retransmit after a timeout (the
             # silent contact may have appended the command).  The request
@@ -288,7 +195,7 @@ class RaftClient:
             if self.history is not None:
                 self.history.abandon(self.name, req_id, self._now())
             return
-        if state[2] > self.max_retries:
+        if state[1] > self.max_retries:
             self._give_up(req_id)
             return
         # No answer: the contact may be dead or partitioned; rotate.
@@ -298,7 +205,6 @@ class RaftClient:
 
     def _give_up(self, req_id: int) -> None:
         del self._inflight[req_id]
-        self.failed.append(req_id)
         self.trace.record(self._now(), self.name, "client_giveup", request=req_id)
         if self.history is not None:
             self.history.abandon(self.name, req_id, self._now())
@@ -310,16 +216,11 @@ class RaftClient:
             return  # duplicate/stale answer for an already-settled request
         if resp.ok:
             del self._inflight[req_id]
-            now = self._now()
-            result = resp.result
-            self._done += (req_id, state[0], state[1], now, result, state[2])
             if self.history is not None:
-                self.history.complete(self.name, req_id, result, now)
-            on_complete = state[3]
+                self.history.complete(self.name, req_id, resp.result, self._now())
+            on_complete = state[2]
             if on_complete is not None:
-                on_complete(
-                    CompletedRequest(req_id, state[0], state[1], now, result, state[2])
-                )
+                on_complete(req_id)
             return
         # Redirect: update the believed leader and retransmit immediately.
         # A hint equal to the current contact still needs a retransmit —
@@ -335,8 +236,8 @@ class RaftClient:
                 # to the round-robin rotation instead.
                 self._rr = (self._rr + 1) % len(self.cluster)
                 self._contact = self.cluster[self._rr]
-            state[2] += 1  # also retires the superseded copy's deadline
-            if state[2] > self.max_retries:
+            state[1] += 1  # also retires the superseded copy's deadline
+            if state[1] > self.max_retries:
                 self._give_up(req_id)
                 return
             self._transmit(req_id, state)

@@ -531,7 +531,6 @@ class RaftNode(Process):
             except ValueError as exc:
                 reason = str(exc)
         if reason is not None or new_cfg is None:
-            self.metrics.config_changes_rejected += 1
             self.trace.record(
                 now,
                 self.name,
@@ -547,7 +546,6 @@ class RaftNode(Process):
         entry = self.log.append_new(self.current_term, change)
         self._configs.adopt(self.log, (entry,))
         self._refresh_membership()
-        self.metrics.config_changes_appended += 1
         self.trace.record(
             now,
             self.name,
@@ -579,8 +577,6 @@ class RaftNode(Process):
         removed = set(old.members) - set(new.members) - {name}
         for peer in removed:
             self.policy.on_peer_removed(peer)
-        if name in new.voters and name not in old.voters:
-            self.metrics.promoted_to_voter += 1
         if self.role is Role.LEADER:
             now = self._now()
             next_index = self.log.last_index + 1
@@ -613,7 +609,6 @@ class RaftNode(Process):
         """Commit-time duties of a config entry (its *effect* started at
         append time): trace for the safety checker, step down after
         committing our own removal (dissertation §4.2.2)."""
-        self.metrics.config_changes_committed += 1
         self.trace.record(
             self._now(),
             self.name,
@@ -658,8 +653,7 @@ class RaftNode(Process):
             return
         if pr.match < self.commit_index:
             return
-        if self.propose_config_change("promote", pr.peer):
-            self.metrics.learner_promotions += 1
+        self.propose_config_change("promote", pr.peer)
 
     # ------------------------------------------------------------------ #
     # plumbing
@@ -756,7 +750,6 @@ class RaftNode(Process):
         self._arm_election_timer()
 
     def _teardown_leadership(self) -> None:
-        self.metrics.step_downs += 1
         self.trace.record(
             self._now(), self.name, "step_down", term=self.current_term
         )
@@ -795,7 +788,6 @@ class RaftNode(Process):
             self._arm_election_timer()
             return
         had_leader = self.leader_id
-        self.metrics.election_timeouts += 1
         self.trace.record(
             self._now(),
             self.name,
@@ -964,7 +956,6 @@ class RaftNode(Process):
             if now - progress[p].last_response <= et:
                 fresh += 1
         if fresh < quorum.acks:
-            self.metrics.quorum_step_downs += 1
             self.trace.record(
                 now,
                 self.name,
@@ -1060,7 +1051,6 @@ class RaftNode(Process):
         except TypeError:
             n_items = 0
         self._rpc(pr.peer, req, size=128 + 32 * n_items)
-        self.metrics.snapshots_sent += 1
         self.trace.record(
             self._now(),
             self.name,
@@ -1165,7 +1155,6 @@ class RaftNode(Process):
         self._configs.rebase(upto)
         self.metrics.snapshots_taken += 1
         self.metrics.compactions += 1
-        self.metrics.entries_compacted += dropped
         self.trace.record(
             self._now(),
             self.name,
@@ -1307,7 +1296,6 @@ class RaftNode(Process):
         self._transmit(self.name, leader, resp, self._hb_channel, size)
 
     def _on_heartbeat_response(self, sender: str, m: HeartbeatResponse) -> None:
-        self.metrics.heartbeat_responses_received += 1
         pr = self._responder(m.term, m.follower)
         if pr is None:
             return
@@ -1331,7 +1319,6 @@ class RaftNode(Process):
     # -- replication ------------------------------------------------------------ #
 
     def _on_append_entries(self, sender: str, m: AppendEntriesRequest) -> None:
-        self.metrics.appends_received += 1
         if m.term < self.current_term:
             self._rpc(
                 m.leader,
@@ -1497,10 +1484,6 @@ class RaftNode(Process):
             and self.log.up_to_date(m.last_log_index, m.last_log_term)
             and not self._lease_valid()
         )
-        if granted:
-            self.metrics.prevotes_granted += 1
-        else:
-            self.metrics.prevotes_rejected += 1
         self._rpc(
             m.candidate,
             PreVoteResponse(
@@ -1544,7 +1527,6 @@ class RaftNode(Process):
         )
         if granted:
             self._grant_vote(m.candidate)
-            self.metrics.votes_granted += 1
         else:
             self.metrics.votes_rejected += 1
         # Ack-after-sync (§5.2): the grant — or just the adopted term —
@@ -1573,7 +1555,6 @@ class RaftNode(Process):
     # -- clients ----------------------------------------------------------------- #
 
     def _on_client_request(self, sender: str, m: ClientRequest) -> None:
-        self.metrics.client_requests += 1
         if self.role is not Role.LEADER:
             self.metrics.client_redirects += 1
             self._reply(sender, m.request_id, ok=False, leader_hint=self.leader_id)
@@ -1629,7 +1610,6 @@ class RaftNode(Process):
     # -- read fast path (ReadIndex quorum round / leader lease) ------------ #
 
     def _on_client_read(self, sender: str, m: ClientReadRequest) -> None:
-        self.metrics.client_reads += 1
         if self.role is not Role.LEADER:
             self.metrics.client_redirects += 1
             self._reply(sender, m.request_id, ok=False, leader_hint=self.leader_id)

@@ -21,6 +21,8 @@ There are two clocks:
 
 from __future__ import annotations
 
+import math
+
 from repro.sim.loop import EventLoop
 
 __all__ = ["NodeClock", "MS", "SECOND", "MINUTE"]
@@ -73,10 +75,11 @@ class NodeClock:
 
     def set(self, *, offset_ms: float = 0.0, drift: float = 0.0) -> None:
         """(Re-)skew the clock; ``set()`` restores the identity."""
-        if not (drift > -1.0):  # also rejects NaN
-            raise ValueError(f"drift must be > -1, got {drift!r}")
-        if not (offset_ms == offset_ms):  # NaN guard
-            raise ValueError(f"offset_ms must be a number, got {offset_ms!r}")
+        # Negated forms: NaN fails every comparison, so it is rejected too.
+        if not (-1.0 < drift < math.inf):
+            raise ValueError(f"drift must be finite and > -1, got {drift!r}")
+        if not (abs(offset_ms) < math.inf):
+            raise ValueError(f"offset_ms must be finite, got {offset_ms!r}")
         self.offset_ms = float(offset_ms)
         self.drift = float(drift)
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.raft.state_machine import kv_put
 from repro.sim.process import ProcessState
-from tests.conftest import make_raft_cluster
+from tests.conftest import add_recorded_client, completed_ops, make_raft_cluster
 
 
 def grow_by_one(c, name="n4"):
@@ -50,7 +50,7 @@ def test_committed_removal_decommissions_exactly_once():
 def test_client_rotation_forgets_removed_servers():
     c = make_raft_cluster(3)
     c.enable_membership()
-    client = c.add_client("cl")
+    client = add_recorded_client(c, "cl")
     leader = c.run_until_leader()
     victim = next(n for n in c.names if n != leader)
     assert c.node(leader).propose_config_change("remove", victim)
@@ -59,13 +59,13 @@ def test_client_rotation_forgets_removed_servers():
     for i in range(10):
         client.submit(kv_put(f"k{i}", i))
     c.run_for(3_000)
-    assert len(client.completed) == 10
+    assert len(completed_ops(client)) == 10
 
 
 def test_pending_traffic_never_resurrects_a_removed_node():
     c = make_raft_cluster(5)
     c.enable_membership()
-    client = c.add_client("cl")
+    client = add_recorded_client(c, "cl")
     leader = c.run_until_leader()
     victim = next(n for n in c.names if n != leader)
     # Keep replication traffic toward the victim in flight at removal time.
@@ -78,7 +78,7 @@ def test_pending_traffic_never_resurrects_a_removed_node():
     # In-flight deliveries and armed timers drained without waking it:
     # stopped is terminal, and the fabric dropped sends to the dead name.
     assert node.role.name != "LEADER"
-    assert len(client.completed) == 20
+    assert len(completed_ops(client)) == 20
 
 
 def test_crash_of_a_stopped_node_is_a_no_op():

@@ -10,7 +10,7 @@ from repro.cluster.workload import (
     peak_throughput,
     run_rps_staircase,
 )
-from tests.conftest import make_raft_cluster
+from tests.conftest import add_recorded_client, completed_ops, make_raft_cluster
 
 
 # -- OpenLoopDriver --------------------------------------------------------- #
@@ -18,7 +18,7 @@ from tests.conftest import make_raft_cluster
 
 def test_open_loop_driver_submits_at_rate():
     c = make_raft_cluster(3)
-    client = c.add_client("cl")
+    client = add_recorded_client(c, "cl")
     c.run_until_leader()
     driver = OpenLoopDriver(
         c.loop, client, rps=100.0, rng=c.rngs.stream("load")
@@ -28,7 +28,7 @@ def test_open_loop_driver_submits_at_rate():
     driver.stop()
     assert driver.submitted == pytest.approx(500, rel=0.25)
     c.run_for(2_000)
-    assert len(client.completed) >= driver.submitted * 0.95
+    assert len(completed_ops(client)) >= driver.submitted * 0.95
 
 
 def test_open_loop_driver_validation():

@@ -7,7 +7,9 @@ import pytest
 from repro.cluster.builder import Cluster, ClusterConfig, build_cluster
 from repro.dynatune.config import DynatuneConfig
 from repro.dynatune.policy import DynatunePolicy, StaticPolicy
+from repro.fuzz.history import KVOp, OpHistory
 from repro.net.network import Network
+from repro.raft.client import RaftClient
 from repro.sim.loop import EventLoop
 from repro.sim.rng import RngRegistry
 from repro.sim.tracing import TraceLog
@@ -70,6 +72,17 @@ def make_dynatune_cluster(
     )
     cluster.start()
     return cluster
+
+
+def add_recorded_client(cluster: Cluster, name: str, **kwargs) -> RaftClient:
+    """Attach a client that records its operations in its own
+    :class:`OpHistory` (read back with :func:`completed_ops`)."""
+    return cluster.add_client(name, history=OpHistory(), **kwargs)
+
+
+def completed_ops(client: RaftClient) -> list[KVOp]:
+    """The operations the client saw complete, in invocation order."""
+    return client.history.completed_ops()
 
 
 @pytest.fixture

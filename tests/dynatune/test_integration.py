@@ -6,7 +6,7 @@ from repro.cluster.builder import ClusterConfig, build_cluster
 from repro.dynatune.config import DynatuneConfig
 from repro.dynatune.policy import DynatunePolicy
 from repro.raft.types import Role
-from tests.conftest import make_dynatune_cluster
+from tests.conftest import add_recorded_client, completed_ops, make_dynatune_cluster
 
 
 def follower_policies(c, leader):
@@ -143,12 +143,12 @@ def test_dynatune_cluster_remains_consistent():
     from repro.raft.state_machine import kv_put
 
     c = make_dynatune_cluster(5, rtt_ms=50.0)
-    client = c.add_client("cl")
+    client = add_recorded_client(c, "cl")
     c.run_until_leader()
     for i in range(20):
         client.submit(kv_put(f"k{i}", i))
     c.run_for(5_000)
-    assert len(client.completed) == 20
+    assert len(completed_ops(client)) == 20
     snaps = [c.node(n).state_machine.snapshot() for n in c.names]
     assert all(s == snaps[0] for s in snaps)
 

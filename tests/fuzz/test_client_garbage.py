@@ -1,9 +1,9 @@
 """Closed-loop clients keep no per-operation objects alive.
 
-Every op a serving client completes is recorded twice — in the shared
-:class:`~repro.fuzz.history.OpHistory` and in the client's own
-``completed`` record — and both keep it as flat rows of atomic values, so
-a finished op leaves nothing for the cyclic collector to trace.  Counted
+Every op a serving client completes is recorded once, in the shared
+:class:`~repro.fuzz.history.OpHistory`, which keeps it as a flat row of
+atomic values, so a finished op leaves nothing for the cyclic collector
+to trace.  Counted
 by type over ``gc.get_objects()`` (collection counts differ between
 interpreter versions; object counts do not).
 """
@@ -15,10 +15,9 @@ from repro.experiments.common import make_policy_factory
 from repro.experiments.serving import ServingConfig
 from repro.fuzz.history import KVOp, OpHistory
 from repro.fuzz.workload import WorkloadDriver
-from repro.raft.client import CompletedRequest
 from repro.raft.state_machine import KVCommand
 
-TYPES = (KVOp, CompletedRequest, KVCommand)
+TYPES = (KVOp, KVCommand)
 
 
 def live_objects() -> dict[type, int]:
@@ -52,10 +51,9 @@ def test_closed_loop_clients_keep_no_per_op_objects():
     cluster.run_until(5_000.0)
     grown = {t: n - before[t] for t, n in live_objects().items()}
 
-    served = sum(len(client.completed) for client in driver.clients)
+    served = len(history.completed_ops())
     puts = sum(1 for op in history.ops() if op.op == "put")
     assert served > 500 and 0 < puts < served  # the clients did work
     assert grown[KVOp] == 0
-    assert grown[CompletedRequest] == 0
     # Puts live on in the log; each key's get and delete exist once.
     assert grown[KVCommand] <= puts + 2 * workload.n_keys

@@ -164,8 +164,9 @@ def test_completion_token_is_the_request_id_plus_one():
         assert [o.req_id for o in history.ops() if o.client == client.name] == list(
             range(issued)
         )
-    done = driver.clients[0].completed[0]
+    first = driver.clients[0].name
+    done = next(o for o in history.ops() if o.client == first and o.completed)
     driver._settled[0] = False
     pending = cluster.loop.pending
-    driver._completed(0, done)  # stale: token 1, while `issued` ops are out
+    driver._completed(0, done.req_id)  # stale: token 1, while `issued` ops are out
     assert driver._settled[0] is False and cluster.loop.pending == pending

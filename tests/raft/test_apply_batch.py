@@ -37,7 +37,7 @@ def test_noop_config_entry_and_mid_batch_step_down():
 
     assert node.last_applied == node.commit_index == first + 3
     assert node.metrics.entries_applied == applied_before + 4
-    assert node.metrics.config_changes_committed == 1
+    assert [r.node for r in node.trace.of_kind("config_commit")] == [node.name]
     assert node.role is Role.FOLLOWER and node._pending_client == {}
     # Before the config entry: answered.  After it: failed by the
     # step-down, and not answered again when they apply.

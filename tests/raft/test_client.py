@@ -1,59 +1,66 @@
-"""RaftClient behaviour: redirects, retries, giveup, latency accounting."""
+"""RaftClient behaviour: redirects, retries, giveup, what the history
+records."""
 
 from repro.raft.state_machine import kv_put
-from tests.conftest import make_raft_cluster
+from tests.conftest import add_recorded_client, completed_ops, make_raft_cluster
+
+
+def _giveups(c):
+    return [r.get("request") for r in c.trace.of_kind("client_giveup")]
+
+
+def _sends(c, client):
+    """Transmissions from the client, per server."""
+    return {n: c.network.link(client.name, n).stats.sent for n in c.names}
 
 
 def test_client_follows_redirect_to_leader():
     c = make_raft_cluster(5)
-    client = c.add_client("cl")
+    client = add_recorded_client(c, "cl")
     leader = c.run_until_leader()
     client.submit(kv_put("x", 1))
     c.run_for(3000)
-    assert len(client.completed) == 1
+    assert len(completed_ops(client)) == 1
     assert client._contact == leader
 
 
 def test_client_latency_reasonable():
     c = make_raft_cluster(3, rtt_ms=20.0)
-    client = c.add_client("cl")
+    client = add_recorded_client(c, "cl")
     c.run_until_leader()
     client.submit(kv_put("x", 1))
     c.run_for(3000)
-    done = client.completed[0]
+    done = completed_ops(client)[0]
     # one hop to contact (+ maybe redirect) + replication round trip
-    assert 20.0 <= done.latency_ms <= 200.0
+    assert 20.0 <= done.return_ms - done.invoke_ms <= 200.0
 
 
 def test_client_rotates_contacts_when_cluster_down():
     c = make_raft_cluster(3)
-    client = c.add_client("cl", retry_timeout_ms=200.0)
+    client = add_recorded_client(c, "cl", retry_timeout_ms=200.0)
     c.run_until_leader()
     for n in c.names:
         c.node(n).pause()
     client.submit(kv_put("x", 1))
     c.run_for(3000)
-    assert client.completed == []
-    assert client.inflight_count == 1  # still trying
+    assert completed_ops(client) == [] and _giveups(c) == []
+    sends = _sends(c, client)
+    # Still trying: one transmission per 200 ms timeout, round-robin.
+    assert sum(sends.values()) >= 10 and all(sends.values())
 
 
 def test_client_gives_up_after_max_retries():
     c = make_raft_cluster(3)
-    client = c.add_client("cl", retry_timeout_ms=100.0)
+    client = add_recorded_client(c, "cl", retry_timeout_ms=100.0)
     client.max_retries = 3
     c.run_until_leader()
     for n in c.names:
         c.node(n).pause()
     rid = client.submit(kv_put("x", 1))
     c.run_for(5000)
-    assert client.failed == [rid]
-    assert client.inflight_count == 0
-
-
-def test_client_mean_latency_empty_is_zero():
-    c = make_raft_cluster(1)
-    client = c.add_client("cl")
-    assert client.mean_latency_ms() == 0.0
+    assert _giveups(c) == [rid]
+    assert sum(_sends(c, client).values()) == 1 + client.max_retries
+    assert completed_ops(client) == []
 
 
 def test_on_complete_callback_invoked():
@@ -61,21 +68,20 @@ def test_on_complete_callback_invoked():
     client = c.add_client("cl")
     c.run_until_leader()
     seen = []
-    client.submit(kv_put("x", 1), on_complete=lambda done: seen.append(done.request_id))
+    client.submit(kv_put("x", 1), on_complete=seen.append)
     c.run_for(3000)
     assert seen == [0]
 
 
 def test_completed_request_records_command_and_retries():
     c = make_raft_cluster(3)
-    client = c.add_client("cl")
+    client = add_recorded_client(c, "cl")
     c.run_until_leader()
     client.submit(kv_put("key", "val"))
     c.run_for(3000)
-    done = client.completed[0]
-    assert done.command.key == "key"
-    assert done.retries >= 0
-    assert done.completed_ms > done.submitted_ms
+    done = completed_ops(client)[0]
+    assert (done.op, done.key, done.value, done.result) == ("put", "key", "val", "val")
+    assert done.return_ms > done.invoke_ms
 
 
 # --------------------------------------------------------------------- #
@@ -94,7 +100,6 @@ def test_redirect_records_single_completed_history_op():
     client._contact = follower  # force the redirect path
     client.submit(kv_put("x", 1))
     c.run_for(3_000.0)
-    assert len(client.completed) == 1
     ops = history.ops()
     assert len(ops) == 1 and ops[0].completed
     assert ops[0].op == "put" and ops[0].key == "x" and ops[0].result == 1
@@ -114,11 +119,10 @@ def test_retry_rides_out_leader_partition():
     c.network.set_partitions([{leader}])
     client.submit(kv_put("x", 1))
     c.run_for(8_000.0)
-    assert len(client.completed) == 1
-    done = client.completed[0]
-    assert done.retries >= 1  # at least one timeout-driven rotation
+    (done,) = history.ops()
+    # At least one timeout-driven rotation before the answer.
+    assert done.completed and done.return_ms - done.invoke_ms > 300.0
     assert client._contact != leader
-    assert history.ops()[0].completed
 
 
 def test_at_most_once_client_abandons_instead_of_resending():
@@ -135,8 +139,8 @@ def test_at_most_once_client_abandons_instead_of_resending():
     c.network.set_partitions([set(c.names)])
     client.submit(kv_put("x", 1))
     c.run_for(5_000.0)
-    assert client.completed == [] and client.failed == []
-    assert client.inflight_count == 1  # open, never retransmitted
+    assert _giveups(c) == []
+    assert sum(_sends(c, client).values()) == 1  # open, never retransmitted
     assert len(c.trace.of_kind("client_abandon")) == 1
     ops = history.ops()
     assert len(ops) == 1 and not ops[0].completed
@@ -161,8 +165,8 @@ def test_abandoned_op_completed_by_late_response():
     client.submit(kv_put("x", 1))
     c.run_for(5_000.0)
     assert len(c.trace.of_kind("client_abandon")) == 1
-    assert len(client.completed) == 1  # the late answer still lands
-    ops = history.ops()
+    ops = history.ops()  # the late answer still lands
+    assert len(ops) == 1
     assert ops[0].completed and ops[0].return_ms > ops[0].invoke_ms + 300.0
 
 
@@ -180,8 +184,8 @@ def test_at_most_once_still_follows_redirects():
     c.run_for(3_000.0)
     # A redirect proves the first copy was never appended, so resending
     # is safe even in at-most-once mode.
-    assert len(client.completed) == 1
-    assert history.ops()[0].completed
+    (op,) = history.ops()
+    assert op.completed
 
 
 # --------------------------------------------------------------------- #
@@ -204,8 +208,7 @@ def test_redirect_giveup_emits_trace_and_abandons_history():
     client._contact = follower
     rid = client.submit(kv_put("x", 1))
     c.run_for(3_000.0)
-    assert client.failed == [rid]
-    assert len(c.trace.of_kind("client_giveup")) == 1
+    assert _giveups(c) == [rid]
     ops = history.ops()
     assert len(ops) == 1 and not ops[0].completed
 
@@ -216,14 +219,14 @@ def test_redirect_with_unknown_leader_hint_falls_back_to_rotation():
     from repro.raft.messages import ClientResponse
 
     c = make_raft_cluster(3)
-    client = c.add_client("cl")
+    client = add_recorded_client(c, "cl")
     c.run_until_leader()
     rid = client.submit(kv_put("x", 1))
     client._on_response(ClientResponse(request_id=rid, ok=False, leader_hint="ghost"))
     assert client._contact in client.cluster
     assert client._contact == client.cluster[1]  # round-robin advanced
     c.run_for(3_000.0)
-    assert len(client.completed) == 1  # the request still completes
+    assert len(completed_ops(client)) == 1  # the request still completes
 
 
 def test_forget_server_preserves_rotation_position():

@@ -8,9 +8,10 @@ both are driven through the same scripted network: open-loop submissions,
 replies that are ok / redirect (known, unknown or no hint) / never sent,
 early or later than the timeout, in both ``resubmit_on_timeout`` modes.
 Everything observable goes into one ordered log that must agree exactly:
-when each timeout fired (``==`` on floats), every transmission,
-completion, give-up and abandonment, and the order of all of them — also
-among events of the same instant.
+when each timeout fired (``==`` on floats), every transmission, every
+record of the client's ``history`` hook and trace (invocation,
+completion, give-up and abandonment), every ``on_complete`` call, and the
+order of all of them — also among events of the same instant.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -53,6 +54,22 @@ class ScriptedNetwork:
             leader_hint=hint if kind == "redirect" else None,
         )
         self.loop.schedule(delay, lambda: self.client.deliver(dst, resp))
+
+
+class LoggedHistory:
+    """The client's ``history`` hook, writing into the shared log."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def invoke(self, client, req_id, command, t):
+        self.log.append((t, "invoke", req_id, command))
+
+    def complete(self, client, req_id, result, t):
+        self.log.append((t, "done", req_id, result))
+
+    def abandon(self, client, req_id, t):
+        self.log.append((t, "abandon", req_id))
 
 
 class LoggingClient(RaftClient):
@@ -109,6 +126,7 @@ def run(client_cls, submissions, script, resubmit):
         SERVERS,
         retry_timeout_ms=TIMEOUT_MS,
         trace=trace,
+        history=LoggedHistory(log),
         resubmit_on_timeout=resubmit,
     )
     client.max_retries = 3
@@ -122,13 +140,11 @@ def run(client_cls, submissions, script, resubmit):
             lambda c=command, r=read: client.submit(
                 c,
                 read=r,
-                on_complete=lambda d: log.append(
-                    (d.completed_ms, "done", d.request_id, d.result, d.retries)
-                ),
+                on_complete=lambda req_id: log.append((loop.now, "answered", req_id)),
             ),
         )
     loop.run()
-    log.append((None, "end", client.failed, sorted(client._inflight)))
+    log.append((None, "end", sorted(client._inflight)))
     return log
 
 
@@ -177,6 +193,7 @@ def test_scripted_schedule_exercises_every_path():
             (315.0, "timeout", (1, 1)),
             (320.0, "timeout", (2, 0)),
         ]
-        assert (415.0, "done", 1, 2, 2) in got
+        assert (415.0, "done", 1, 2) in got
+        assert (415.0, "answered", 1) in got
         kinds = {e[1] for e in got if e[1].startswith("client_")}
         assert kinds == ({"client_giveup"} if resubmit else {"client_abandon"})

@@ -3,7 +3,7 @@
 from repro.cluster.faults import pause_for
 from repro.cluster.workload import OpenLoopDriver
 from repro.raft.state_machine import kv_get, kv_put
-from tests.conftest import make_raft_cluster
+from tests.conftest import add_recorded_client, completed_ops, make_raft_cluster
 
 
 def submit_and_settle(c, client, commands, settle_ms=3000):
@@ -14,32 +14,32 @@ def submit_and_settle(c, client, commands, settle_ms=3000):
 
 def test_put_commits_on_all_replicas():
     c = make_raft_cluster(3)
-    client = c.add_client("cl")
+    client = add_recorded_client(c, "cl")
     c.run_until_leader()
     submit_and_settle(c, client, [kv_put("x", 42)])
-    assert len(client.completed) == 1
+    assert len(completed_ops(client)) == 1
     for n in c.names:
         assert c.node(n).state_machine.peek("x") == 42
 
 
 def test_linearizable_get_through_log():
     c = make_raft_cluster(3)
-    client = c.add_client("cl")
+    client = add_recorded_client(c, "cl")
     c.run_until_leader()
     submit_and_settle(c, client, [kv_put("x", 1)])
     client.submit(kv_get("x"))
     c.run_for(2000)
-    get = [r for r in client.completed if getattr(r.command, "op", None) == "get"]
+    get = [r for r in completed_ops(client) if r.op == "get"]
     assert get[0].result == 1
 
 
 def test_many_concurrent_requests_all_commit():
     c = make_raft_cluster(5)
-    client = c.add_client("cl")
+    client = add_recorded_client(c, "cl")
     c.run_until_leader()
     submit_and_settle(c, client, [kv_put(f"k{i}", i) for i in range(50)], settle_ms=8000)
-    assert len(client.completed) == 50
-    assert client.failed == []
+    assert len(completed_ops(client)) == 50
+    assert c.trace.of_kind("client_giveup") == []
     snaps = [c.node(n).state_machine.snapshot() for n in c.names]
     assert all(s == snaps[0] for s in snaps)
     assert len(snaps[0]) == 50
@@ -65,13 +65,13 @@ def test_leader_noop_entry_appended_on_election():
 
 def test_follower_catches_up_after_pause():
     c = make_raft_cluster(5)
-    client = c.add_client("cl")
+    client = add_recorded_client(c, "cl")
     leader = c.run_until_leader()
     c.run_for(500)
     lagger = next(n for n in c.names if n != leader)
     c.node(lagger).pause()
     submit_and_settle(c, client, [kv_put(f"k{i}", i) for i in range(20)], settle_ms=5000)
-    assert len(client.completed) == 20  # majority commits without the lagger
+    assert len(completed_ops(client)) == 20  # majority commits without the lagger
     assert c.node(lagger).state_machine.snapshot() == {}
     c.node(lagger).resume()
     c.run_for(5000)
@@ -81,10 +81,10 @@ def test_follower_catches_up_after_pause():
 
 def test_commits_survive_leader_failover():
     c = make_raft_cluster(5)
-    client = c.add_client("cl")
+    client = add_recorded_client(c, "cl")
     old = c.run_until_leader()
     submit_and_settle(c, client, [kv_put(f"a{i}", i) for i in range(10)], settle_ms=4000)
-    assert len(client.completed) == 10
+    assert len(completed_ops(client)) == 10
     pause_for(c.loop, c.node(old), 8_000.0)
     new = c.run_until_leader(exclude=old, timeout_ms=20_000)
     c.run_for(2000)
@@ -96,13 +96,13 @@ def test_commits_survive_leader_failover():
 
 def test_writes_continue_after_failover():
     c = make_raft_cluster(5)
-    client = c.add_client("cl", retry_timeout_ms=500.0)
+    client = add_recorded_client(c, "cl", retry_timeout_ms=500.0)
     old = c.run_until_leader()
     submit_and_settle(c, client, [kv_put("before", 1)])
     pause_for(c.loop, c.node(old), 10_000.0)
     c.run_until_leader(exclude=old, timeout_ms=20_000)
     submit_and_settle(c, client, [kv_put("after", 2)], settle_ms=5000)
-    assert {r.command.key for r in client.completed} == {"before", "after"}
+    assert {r.key for r in completed_ops(client)} == {"before", "after"}
     c.run_for(8000)  # old leader rejoins
     assert c.node(old).state_machine.peek("after") == 2
 
@@ -112,7 +112,7 @@ def test_uncommitted_minority_entries_are_overwritten():
     leader (elected by the majority) overwrites them — §5.3 conflict rule.
     """
     c = make_raft_cluster(5)
-    client = c.add_client("cl", retry_timeout_ms=400.0)
+    client = add_recorded_client(c, "cl", retry_timeout_ms=400.0)
     # The client must not re-propose after the heal, or the new leader
     # would (correctly!) commit a fresh copy — here we watch the *original*
     # minority entry get overwritten.
@@ -142,7 +142,7 @@ def test_uncommitted_minority_entries_are_overwritten():
     for n in c.names:
         assert c.node(n).state_machine.peek("doomed") is None
         assert not holds_doomed(n)
-    assert doomed not in [r.request_id for r in client.completed]
+    assert doomed not in [r.req_id for r in completed_ops(client)]
 
 
 def test_log_matching_committed_prefix_identical():
@@ -162,11 +162,11 @@ def test_duplicate_client_submission_is_at_least_once():
     """The client retries on silence; a put applied twice is idempotent at
     the KV level (documented at-least-once semantics)."""
     c = make_raft_cluster(3)
-    client = c.add_client("cl", retry_timeout_ms=300.0)
+    client = add_recorded_client(c, "cl", retry_timeout_ms=300.0)
     c.run_until_leader()
     client.submit(kv_put("x", 9))
     c.run_for(4000)
-    assert client.completed and client.completed[0].result == 9
+    assert completed_ops(client) and completed_ops(client)[0].result == 9
     assert c.node(c.names[0]).state_machine.peek("x") == 9
 
 

@@ -12,20 +12,20 @@ lost across a pause.
 from repro.cluster.workload import OpenLoopDriver
 from repro.raft.node import _MAX_INFLIGHT_APPENDS
 from repro.raft.state_machine import kv_put
-from tests.conftest import make_raft_cluster
+from tests.conftest import add_recorded_client, completed_ops, make_raft_cluster
 
 
 def test_append_traffic_proportional_to_load():
     """Total append messages stay within a small multiple of commits."""
     c = make_raft_cluster(5, rtt_ms=50.0, with_cost_model=True)
-    client = c.add_client("cl")
+    client = add_recorded_client(c, "cl")
     leader = c.run_until_leader()
     driver = OpenLoopDriver(c.loop, client, rps=200.0, rng=c.rngs.stream("load"))
     driver.start()
     c.run_for(10_000)
     driver.stop()
     c.run_for(2_000)
-    commits = len(client.completed)
+    commits = len(completed_ops(client))
     appends = c.node(leader).metrics.appends_sent
     assert commits > 1_500
     # 4 followers; batching means appends per commit should stay low even
@@ -48,7 +48,7 @@ def test_inflight_counter_returns_to_zero_when_idle():
 def test_proposals_respect_inflight_cap():
     """A burst of proposals may not put more than the cap in flight."""
     c = make_raft_cluster(3, rtt_ms=200.0)  # slow acks keep pipeline busy
-    client = c.add_client("cl")
+    client = add_recorded_client(c, "cl")
     leader = c.run_until_leader()
     c.run_for(500)
     for i in range(50):
@@ -58,7 +58,7 @@ def test_proposals_respect_inflight_cap():
     for peer in node.peers:
         assert node.progress[peer].inflight <= _MAX_INFLIGHT_APPENDS
     c.run_for(10_000)
-    assert len(client.completed) == 50  # everything still commits
+    assert len(completed_ops(client)) == 50  # everything still commits
 
 
 def test_stalled_pipeline_recovers_via_heartbeat_catchup():

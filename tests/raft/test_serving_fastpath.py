@@ -15,7 +15,7 @@ from repro.dynatune.policy import DynatunePolicy, StaticPolicy
 from repro.raft.node import _CLIENT_BATCH_MAX
 from repro.raft.state_machine import kv_get, kv_put
 from repro.raft.types import RaftConfig
-from tests.conftest import make_raft_cluster
+from tests.conftest import add_recorded_client, completed_ops, make_raft_cluster
 
 
 @pytest.mark.parametrize("field", ["client_batch_window_ms", "lease_drift_margin_ms"])
@@ -34,14 +34,14 @@ def test_batching_completes_all_commands():
     c = make_raft_cluster(
         5, raft=RaftConfig(client_batching=True, client_batch_window_ms=5.0)
     )
-    clients = [c.add_client(f"cl{i}") for i in range(8)]
+    clients = [add_recorded_client(c, f"cl{i}") for i in range(8)]
     leader = c.run_until_leader()
     c.run_for(500.0)
     for i, client in enumerate(clients):
         for j in range(8):
             client.submit(kv_put(f"k{i}", j))
     c.run_for(3_000.0)
-    assert all(len(cl.completed) == 8 for cl in clients)
+    assert all(len(completed_ops(cl)) == 8 for cl in clients)
     m = c.node(leader).metrics
     assert m.batched_commands == 64
     assert m.batches_flushed >= 1
@@ -57,7 +57,7 @@ def test_batching_sends_fewer_appends_than_unbatched():
                 client_batching=batching, client_batch_window_ms=5.0
             ),
         )
-        clients = [c.add_client(f"cl{i}") for i in range(8)]
+        clients = [add_recorded_client(c, f"cl{i}") for i in range(8)]
         leader = c.run_until_leader()
         c.run_for(500.0)
         base = c.node(leader).metrics.appends_sent
@@ -65,7 +65,7 @@ def test_batching_sends_fewer_appends_than_unbatched():
             for j in range(8):
                 client.submit(kv_put(f"k{i}", j))
         c.run_for(3_000.0)
-        assert all(len(cl.completed) == 8 for cl in clients)
+        assert all(len(completed_ops(cl)) == 8 for cl in clients)
         return c.node(leader).metrics.appends_sent - base
 
     batched = run(True)
@@ -108,7 +108,7 @@ def test_buffered_commands_survive_leader_change():
         seed=7,
         raft=RaftConfig(client_batching=True, client_batch_window_ms=5.0),
     )
-    client = c.add_client("cl", retry_timeout_ms=300.0)
+    client = add_recorded_client(c, "cl", retry_timeout_ms=300.0)
     leader = c.run_until_leader()
     c.run_for(500.0)
     client._contact = leader
@@ -117,7 +117,7 @@ def test_buffered_commands_survive_leader_change():
     # Cut the leader (and the in-flight batch machinery) off immediately.
     c.network.set_partitions([{leader}])
     c.run_for(8_000.0)
-    assert len(client.completed) == 5
+    assert len(completed_ops(client)) == 5
     new_leader = c.leader()
     assert new_leader is not None and new_leader != leader
     # The five retried writes reach the new leader concurrently, so any
@@ -167,7 +167,7 @@ def test_pipelining_recovers_after_rejection():
     # optimistic next_index gets rejected, probe mode re-anchors it, and
     # the follower still converges.
     c = make_raft_cluster(3, raft=RaftConfig(replication_pipelining=True))
-    client = c.add_client("cl")
+    client = add_recorded_client(c, "cl")
     leader = c.run_until_leader()
     c.run_for(500.0)
     lagging = c.node(leader).peers[0]
@@ -175,7 +175,7 @@ def test_pipelining_recovers_after_rejection():
     for j in range(30):
         client.submit(kv_put("x", j))
     c.run_for(6_000.0)
-    assert len(client.completed) == 30
+    assert len(completed_ops(client)) == 30
     c.network.set_partitions([])
     c.run_for(3_000.0)
     node = c.node(leader)
@@ -196,7 +196,7 @@ def test_pipelining_falls_back_to_snapshot_transfer():
             compaction_retain_margin=5,
         ),
     )
-    client = c.add_client("cl")
+    client = add_recorded_client(c, "cl")
     leader = c.run_until_leader()
     c.run_for(500.0)
     lagging = c.node(leader).peers[0]
@@ -204,12 +204,12 @@ def test_pipelining_falls_back_to_snapshot_transfer():
     for j in range(80):
         client.submit(kv_put(f"x{j}", j))
     c.run_for(6_000.0)
-    assert len(client.completed) == 80
+    assert len(completed_ops(client)) == 80
     node = c.node(leader)
     assert node.log.first_index > 1  # compaction actually ran
     c.network.set_partitions([])
     c.run_for(4_000.0)
-    assert node.metrics.snapshots_sent >= 1
+    assert any(r.node == leader for r in c.trace.of_kind("snapshot_send"))
     assert c.node(lagging).metrics.snapshots_installed >= 1
     assert c.node(lagging).state_machine.peek("x79") == 79
 
@@ -223,14 +223,14 @@ def test_pipelining_with_batching_under_load():
             replication_pipelining=True,
         ),
     )
-    clients = [c.add_client(f"cl{i}") for i in range(4)]
+    clients = [add_recorded_client(c, f"cl{i}") for i in range(4)]
     c.run_until_leader()
     c.run_for(500.0)
     for i, client in enumerate(clients):
         for j in range(25):
             client.submit(kv_put(f"k{i}", j))
     c.run_for(5_000.0)
-    assert all(len(cl.completed) == 25 for cl in clients)
+    assert all(len(completed_ops(cl)) == 25 for cl in clients)
     leader = c.leader()
     node = c.node(leader)
     assert node.commit_index == node.log.last_index
@@ -243,7 +243,7 @@ def test_pipelining_with_batching_under_load():
 
 def test_readindex_serves_without_log_entry():
     c = make_raft_cluster(5)
-    client = c.add_client("cl")
+    client = add_recorded_client(c, "cl")
     leader = c.run_until_leader()
     c.run_for(500.0)
     client.submit(kv_put("x", 41))
@@ -252,8 +252,8 @@ def test_readindex_serves_without_log_entry():
     before = node.log.last_index
     client.submit(kv_get("x"), read=True)
     c.run_for(2_000.0)
-    assert len(client.completed) == 2
-    assert client.completed[1].result == 41
+    assert len(completed_ops(client)) == 2
+    assert completed_ops(client)[1].result == 41
     assert node.log.last_index == before  # no entry appended for the read
     assert node.metrics.reads_served_readindex >= 1
     assert node.metrics.read_probes_sent >= 1
@@ -261,7 +261,7 @@ def test_readindex_serves_without_log_entry():
 
 def test_readindex_redirects_from_follower():
     c = make_raft_cluster(5)
-    client = c.add_client("cl")
+    client = add_recorded_client(c, "cl")
     leader = c.run_until_leader()
     c.run_for(500.0)
     client.submit(kv_put("x", 7))
@@ -270,7 +270,7 @@ def test_readindex_redirects_from_follower():
     client._contact = follower
     client.submit(kv_get("x"), read=True)
     c.run_for(2_000.0)
-    assert client.completed[-1].result == 7
+    assert completed_ops(client)[-1].result == 7
     assert c.node(follower).metrics.client_redirects >= 1
 
 
@@ -280,7 +280,7 @@ def test_readindex_blocks_in_minority_partition():
     # blocks until the client reaches the real leader — and then reflects
     # the newer write, not the stale state.
     c = make_raft_cluster(5, seed=11)
-    reader = c.add_client("cl", retry_timeout_ms=400.0)
+    reader = add_recorded_client(c, "cl", retry_timeout_ms=400.0)
     writer = c.add_client("cl2")
     old_leader = c.run_until_leader()
     c.run_for(500.0)
@@ -298,11 +298,11 @@ def test_readindex_blocks_in_minority_partition():
     reader.submit(kv_get("x"), read=True)
     c.run_for(1_000.0)
     # Still partitioned: the read must not have produced a (stale) answer.
-    assert reader.completed == []
+    assert completed_ops(reader) == []
     c.network.set_partitions([])
     c.run_for(5_000.0)
-    assert len(reader.completed) == 1
-    assert reader.completed[0].result == 2  # linearizable: sees the write
+    assert len(completed_ops(reader)) == 1
+    assert completed_ops(reader)[0].result == 2  # linearizable: sees the write
 
 
 def test_reads_flushed_on_step_down():
@@ -329,14 +329,14 @@ def test_reads_flushed_on_step_down():
 
 def test_lease_reads_skip_probe_round():
     c = make_raft_cluster(5, raft=RaftConfig(lease_reads=True))
-    client = c.add_client("cl")
+    client = add_recorded_client(c, "cl")
     leader = c.run_until_leader()
     c.run_for(500.0)
     client.submit(kv_put("x", 5))
     c.run_for(2_000.0)
     client.submit(kv_get("x"), read=True)
     c.run_for(2_000.0)
-    assert client.completed[-1].result == 5
+    assert completed_ops(client)[-1].result == 5
     node = c.node(leader)
     assert node.metrics.reads_served_lease >= 1
     assert node.metrics.read_probes_sent == 0  # lease made the round moot
@@ -372,14 +372,14 @@ def test_lease_fallback_serves_via_readindex():
         5,
         raft=RaftConfig(lease_reads=True, lease_drift_margin_ms=1e9),
     )
-    client = c.add_client("cl")
+    client = add_recorded_client(c, "cl")
     leader = c.run_until_leader()
     c.run_for(500.0)
     client.submit(kv_put("x", 9))
     c.run_for(2_000.0)
     client.submit(kv_get("x"), read=True)
     c.run_for(2_000.0)
-    assert client.completed[-1].result == 9
+    assert completed_ops(client)[-1].result == 9
     node = c.node(leader)
     assert node.metrics.lease_fallbacks >= 1
     assert node.metrics.reads_served_readindex >= 1

@@ -2,7 +2,7 @@
 
 from repro.raft.state_machine import kv_put
 from repro.raft.types import RaftConfig
-from tests.conftest import make_raft_cluster
+from tests.conftest import add_recorded_client, completed_ops, make_raft_cluster
 
 
 def compaction_cluster(n=3, *, threshold=20, margin=4, **kwargs):
@@ -23,10 +23,10 @@ def submit_and_settle(c, client, commands, settle_ms=3000):
 
 def test_compaction_triggers_and_bounds_retained_entries():
     c = compaction_cluster(threshold=20, margin=4)
-    client = c.add_client("cl")
+    client = add_recorded_client(c, "cl")
     leader = c.run_until_leader()
     submit_and_settle(c, client, [kv_put(f"k{i}", i) for i in range(80)], settle_ms=9000)
-    assert len(client.completed) == 80
+    assert len(completed_ops(client)) == 80
     node = c.node(leader)
     assert node.metrics.compactions >= 1
     assert node.metrics.snapshots_taken >= 1
@@ -50,20 +50,20 @@ def test_live_followers_never_need_snapshot_transfer():
     submit_and_settle(c, client, [kv_put(f"k{i}", i) for i in range(60)], settle_ms=8000)
     # The leader never compacts past a live follower's match index, so the
     # ordinary append path always suffices.
-    assert c.node(leader).metrics.snapshots_sent == 0
+    assert c.trace.of_kind("snapshot_send") == []
     for n in c.names:
         assert c.node(n).metrics.snapshots_installed == 0
 
 
 def test_crashed_follower_catches_up_via_snapshot():
     c = compaction_cluster(n=5, threshold=20, margin=4)
-    client = c.add_client("cl")
+    client = add_recorded_client(c, "cl")
     leader = c.run_until_leader()
     c.run_for(500)
     lagger = next(n for n in c.names if n != leader)
     c.node(lagger).crash()
     submit_and_settle(c, client, [kv_put(f"k{i}", i) for i in range(80)], settle_ms=9000)
-    assert len(client.completed) == 80
+    assert len(completed_ops(client)) == 80
     lead = c.node(leader)
     # The dead follower must not hold memory hostage: the leader compacts
     # past its match index while it is away.
@@ -72,7 +72,7 @@ def test_crashed_follower_catches_up_via_snapshot():
     c.run_for(4000)
     follower = c.node(lagger)
     assert follower.metrics.snapshots_installed >= 1
-    assert lead.metrics.snapshots_sent >= 1
+    assert any(r.node == leader for r in c.trace.of_kind("snapshot_send"))
     assert follower.state_machine.snapshot() == lead.state_machine.snapshot()
     assert follower.commit_index == lead.commit_index
     # History independence: the follower applied far fewer entries than the

@@ -1,5 +1,7 @@
 """The simulation clock's starting point; NodeClock skew arithmetic."""
 
+import math
+
 import pytest
 
 from repro.sim.clock import MINUTE, MS, SECOND, NodeClock
@@ -71,4 +73,11 @@ def test_node_clock_validation():
         clock.set(offset_ms=float("nan"))
     with pytest.raises(ValueError):
         clock.set(drift=-2.0)
+    # An infinite skew would put ``now()`` at inf and scale every timer
+    # to 0 ms, so both signs of infinity are rejected for each field.
+    for bad in (math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            clock.set(drift=bad)
+        with pytest.raises(ValueError):
+            clock.set(offset_ms=bad)
     assert not clock.skewed

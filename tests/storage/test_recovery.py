@@ -7,7 +7,7 @@ from repro.raft.state_machine import kv_get, kv_put
 from repro.raft.types import RaftConfig, Role
 from repro.sim.process import ProcessState
 from repro.storage import DiskFaultConfig
-from tests.conftest import make_raft_cluster
+from tests.conftest import add_recorded_client, completed_ops, make_raft_cluster
 
 
 def disk_cluster(n=3, *, seed=5, **kwargs):
@@ -37,7 +37,7 @@ def test_crash_mid_readindex_round_clears_serving_state():
     pre-crash incarnation says nothing about the post-recovery one, so
     serving a read anchored to it would be a stale read."""
     c = disk_cluster(5)
-    client = c.add_client("cl")
+    client = add_recorded_client(c, "cl")
     leader = c.run_until_leader()
     pump(c, client, 5)
     node = c.node(leader)
@@ -61,7 +61,7 @@ def test_crash_mid_readindex_round_clears_serving_state():
     # The cluster itself moved on and still serves correct reads.
     client.submit(kv_get("k0"), read=True)
     c.run_for(2000)
-    assert client.completed and client.completed[-1].result == 0
+    assert completed_ops(client) and completed_ops(client)[-1].result == 0
 
 
 # --------------------------------------------------------------------- #
@@ -119,7 +119,7 @@ def test_torn_config_entry_at_tail_rolls_back_cleanly():
     never acknowledged (the covering sync died), so recovery truncates it
     and the old configuration stays in force everywhere."""
     c = disk_cluster(3)
-    client = c.add_client("cl")
+    client = add_recorded_client(c, "cl")
     leader = c.run_until_leader()
     pump(c, client, 5)
     node = c.node(leader)
@@ -143,7 +143,7 @@ def test_torn_config_entry_at_tail_rolls_back_cleanly():
         assert set(c.node(n).membership.voters) == voters_before
     client.submit(kv_put("after", 1))
     c.run_for(2000)
-    assert any(r.command.key == "after" for r in client.completed)
+    assert any(r.key == "after" for r in completed_ops(client))
 
 
 # --------------------------------------------------------------------- #

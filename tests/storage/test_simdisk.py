@@ -10,7 +10,7 @@ from repro.raft.types import RaftConfig
 from repro.sim.process import ProcessState
 from repro.storage import DiskFaultConfig, SimDiskStorage
 from repro.storage.base import DiskCorruptionError
-from tests.conftest import make_raft_cluster
+from tests.conftest import add_recorded_client, completed_ops, make_raft_cluster
 
 
 def disk_cluster(n=3, *, faults=None, seed=5, **kwargs):
@@ -224,7 +224,7 @@ def test_corruption_below_synced_frontier_refuses_recovery():
     unrecoverable: the node must refuse to rejoin (alarm + stay down),
     never silently truncate its way past the damage."""
     c = disk_cluster()
-    client = c.add_client("cl")
+    client = add_recorded_client(c, "cl")
     leader = c.run_until_leader()
     pump(c, client, 10)
     follower = next(n for n in c.names if n != leader)
@@ -241,4 +241,4 @@ def test_corruption_below_synced_frontier_refuses_recovery():
     # The remaining quorum keeps serving without the refusing replica.
     client.submit(kv_put("alive", 1))
     c.run_for(2000)
-    assert any(r.command.key == "alive" for r in client.completed)
+    assert any(r.key == "alive" for r in completed_ops(client))
