@@ -254,6 +254,10 @@ class DynatunePolicy:
         self._last_hb_ms: float | None = None
         # leader half
         self._paths: dict[str, _FollowerPathState] = {}
+        #: :meth:`lease_bound_ms` of the current ``_paths``; every change
+        #: to a path's presence or reported Et sets ``_bound_stale``.
+        self._bound: float | None = None
+        self._bound_stale = False
         # diagnostics
         self.fallbacks = 0
         self.retunes = 0
@@ -431,6 +435,7 @@ class DynatunePolicy:
         st = self._paths.get(follower)
         if st is None:
             st = self._paths[follower] = _FollowerPathState()
+            self._bound_stale = True  # an untuned path voids the bound
         seq = st.next_seq + 1
         st.next_seq = seq
         return HeartbeatMeta(seq, now_ms, st.last_rtt_ms, st.rtt_seq)
@@ -448,6 +453,7 @@ class DynatunePolicy:
             st.last_rtt_ms = rtt
             st.rtt_seq += 1
         st.reported_et_ms = meta.tuned_et_ms
+        self._bound_stale = True
         if meta.tuned_h_ms is not None:
             # Apply the follower's h as-is: tune_heartbeat already clamped
             # it into [min(h_floor, Et), Et], and a piggybacked h *below*
@@ -474,7 +480,18 @@ class DynatunePolicy:
         one response stale and moves by one window sample; that slew,
         plus clock drift and the response's one-way delay, is what the
         caller's ``lease_drift_margin_ms`` must absorb.
+
+        Read once per lease read, but the paths change only when a
+        heartbeat goes to a follower not yet seen, a response arrives, or
+        the reign or membership changes; the minimum is recomputed on the
+        first read after such a change.
         """
+        if self._bound_stale:
+            self._bound = self._min_reported_et()
+            self._bound_stale = False
+        return self._bound
+
+    def _min_reported_et(self) -> float | None:
         bound: float | None = None
         for st in self._paths.values():
             et = st.reported_et_ms
@@ -488,9 +505,11 @@ class DynatunePolicy:
         # Fresh leadership: per-follower sequence spaces restart, and no
         # stale RTT/h survives from a previous reign.
         self._paths = {}
+        self._bound_stale = True
 
     def on_step_down(self, now_ms: float) -> None:  # noqa: ARG002
         self._paths = {}
+        self._bound_stale = True
 
     def on_peer_removed(self, peer: str) -> None:
         """Drop the removed peer's leader-side path state (measurement
@@ -499,6 +518,7 @@ class DynatunePolicy:
         :class:`_FollowerPathState` per node the cluster ever churned
         through."""
         self._paths.pop(peer, None)
+        self._bound_stale = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

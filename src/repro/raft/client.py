@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.raft.messages import ClientReadRequest, ClientRequest, ClientResponse
+from repro.raft.state_machine import KVCommand
 from repro.sim.clock import NodeClock
 from repro.sim.events import PRIORITY_MESSAGE
 from repro.sim.loop import EventLoop
@@ -118,14 +119,20 @@ class RaftClient:
 
         ``read=True`` routes the command over the leader's read fast path
         (ReadIndex / lease serving, no log entry) as a
-        :class:`ClientReadRequest`.  Only meaningful for read-only
-        commands; redirects, timeouts and retries behave identically.
+        :class:`ClientReadRequest`; redirects, timeouts and retries behave
+        identically.  The fast path serves a KV ``get`` only.
 
         Completion is recorded in :attr:`history` and reported to
         ``on_complete`` with the request id; a final failure after
         ``max_retries`` is traced (``client_giveup``) and leaves the
         history's operation open.
+
+        Raises:
+            ValueError: ``read=True`` with anything but a KV ``get``,
+                which the leader's state machine would refuse mid-run.
         """
+        if read and not (isinstance(command, KVCommand) and command.op == "get"):
+            raise ValueError(f"read=True serves only a KV 'get', got {command!r}")
         req_id = self._next_id
         self._next_id += 1
         state = [command, 0, on_complete, read]

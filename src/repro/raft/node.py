@@ -336,6 +336,10 @@ class RaftNode(Process):
         #: The in-flight ReadIndex round, if any.
         self._read_round: _ReadBatch | None = None
         self._read_seq = 0
+        #: The read lease's anchor (see ``_lease_valid_for_reads``), or
+        #: ``None`` when a response, a new reign or a quorum change may
+        #: have moved it since it was last found.
+        self._lease_anchor: float | None = None
 
         # The one cached heartbeat response (follower side), valid while
         # its fields are unchanged and no metadata rides along.
@@ -489,6 +493,7 @@ class RaftNode(Process):
         name = self.name
         self.peers = [p for p in cfg.members if p != name]
         self._quorum = Quorum.of(cfg, name)
+        self._lease_anchor = None
 
     def config_change_in_flight(self) -> bool:
         """True while a config entry is appended but not yet committed."""
@@ -860,6 +865,7 @@ class RaftNode(Process):
         now = self._now()
         next_index = self.log.last_index + 1
         self.progress = {p: Progress(p, next_index, now, now) for p in self.peers}
+        self._lease_anchor = None
         # No-op entry: lets this leader commit its predecessors' tail
         # (commit is restricted to current-term entries, §5.4.2).  Reads
         # gate on this index committing (the ReadIndex precondition).
@@ -1230,7 +1236,7 @@ class RaftNode(Process):
         straggler from a peer removed this reign has no record.  An
         equal-term response is leader-contact evidence whatever it carries,
         so the record returned is already stamped — that feeds
-        check-quorum and the lease anchor."""
+        check-quorum and the lease anchor, which it marks for a recount."""
         if term > self.current_term:
             self._become_follower(term, None)
             return None
@@ -1239,6 +1245,7 @@ class RaftNode(Process):
         pr = self.progress.get(follower)
         if pr is not None:
             pr.last_response = self._now()
+            self._lease_anchor = None
         return pr
 
     # -- heartbeats ----------------------------------------------------------- #
@@ -1644,7 +1651,7 @@ class RaftNode(Process):
     def _lease_valid_for_reads(self) -> bool:
         """Leader-lease check for the read fast path (hot under a read
         load — once per lease read — but all lease arithmetic stays off
-        the heartbeat path: one pass over the voter peers, no allocation).
+        the heartbeat path).
 
         The lease anchors at the ``acks_needed``-th freshest voter-peer
         response: at that instant this leader plus those peers formed a
@@ -1656,6 +1663,14 @@ class RaftNode(Process):
         absorbs what the anchor timestamp does not see: the response's
         one-way flight plus the one-beat staleness of the piggybacked
         tuned-Et report.
+
+        The anchor moves only when a response is stamped (``_responder``),
+        a reign starts or the quorum changes, so it is kept between those
+        and found again on the first read after one
+        (:meth:`_find_lease_anchor`); the policy keeps its bound the same
+        way.  Testing the anchor alone is the count of fresh responses
+        ``now - t < duration`` reaching ``acks_needed``, because
+        ``now - t`` is monotone in ``t``.
 
         Serving additionally requires this term's no-op committed — the
         same precondition as ReadIndex (§6.4): before that, the state
@@ -1671,20 +1686,22 @@ class RaftNode(Process):
         duration = bound - self._lease_margin_ms
         if duration <= 0.0:
             return False
-        quorum = self._quorum
-        needed = quorum.acks
+        anchor = self._lease_anchor
+        if anchor is None:
+            anchor = self._lease_anchor = self._find_lease_anchor()
+        return self._now() - anchor < duration
+
+    def _find_lease_anchor(self) -> float:
+        """The ``acks_needed``-th freshest voter-peer ``last_response``;
+        ``inf`` for a sole voter, whose exclusivity is unconditional."""
+        needed = self._quorum.acks
         if needed == 0:
-            return True  # sole voter: exclusivity is unconditional
-        # The ``needed``-th freshest response is inside the lease iff at
-        # least ``needed`` responses are (``now - t`` is monotone in ``t``).
-        now = self._now()
+            return math.inf
         progress = self.progress
-        for p in quorum.peers:
-            if now - progress[p].last_response < duration:
-                needed -= 1
-                if needed == 0:
-                    return True
-        return False
+        stamps = sorted(
+            (progress[p].last_response for p in self._quorum.peers), reverse=True
+        )
+        return stamps[needed - 1]
 
     def _start_read_round(self) -> None:
         """Open a ReadIndex round covering everything in the read buffer.

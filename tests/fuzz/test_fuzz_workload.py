@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.fuzz.history import OpHistory
 from repro.fuzz.linearizability import check_history
-from repro.fuzz.workload import WorkloadConfig, WorkloadDriver
+from repro.fuzz.workload import WorkloadConfig, WorkloadDriver, _BlockDraws, _ClientLoop
 from tests.conftest import make_raft_cluster
 
 
@@ -30,6 +30,22 @@ def test_config_rejects_non_finite_times():
             with pytest.raises(ValueError, match=name):
                 WorkloadConfig(**{name: value})
     WorkloadConfig(client_rtt_ms=10.0)
+
+
+def test_config_rejects_non_integer_counts():
+    # JSON carries 2.0 and true where a count belongs; both used to pass
+    # and fail only later, in install() or the draws.
+    bad = {
+        "n_clients": (2.0, True, -1, 0),
+        "n_keys": (2.5, True, 2.0, 0),
+        "read_only_clients": (1.5, False, -1),
+        "max_ops_per_client": (-3, 40.0, True),
+    }
+    for name, values in bad.items():
+        for value in values:
+            with pytest.raises(ValueError):
+                WorkloadConfig(**{name: value})
+    WorkloadConfig(n_clients=1, n_keys=1, read_only_clients=1, max_ops_per_client=0)
 
 
 def test_healthy_cluster_history_is_rich_and_linearizable():
@@ -133,7 +149,7 @@ class _ThinkRecorder:
     draws=st.integers(1, 30),
 )
 def test_think_draw_is_generator_uniform_to_the_bit(seed, lo, width, draws):
-    """``lo + (hi - lo) * rng.random()`` is what ``Generator.uniform``
+    """``lo + (hi - lo) * draws.random()`` is what ``Generator.uniform``
     computes: same value, same stream position, ``lo == hi`` included."""
     hi = lo + width
     recorder = _ThinkRecorder()
@@ -144,29 +160,103 @@ def test_think_draw_is_generator_uniform_to_the_bit(seed, lo, width, draws):
         stop_ms=float("inf"),
     )
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-    driver._rngs, driver._issued, driver._settled = [rng], [0], [True]
-    for token in range(1, draws + 1):
-        driver._issued[0], driver._settled[0] = token, False
-        driver._settle(0, token)
-        driver._settle(0, token)  # settled already: no second draw
+    ops = _ClientLoop(driver, None, _BlockDraws(rng), False)
+    for req_id in range(draws):
+        ops._open = req_id
+        ops.settle(req_id)
+        ops.settle(req_id)  # settled already: no second draw
     assert recorder.thinks == [float(twin.uniform(lo, hi)) for _ in range(draws)]
     assert all(type(t) is float for t in recorder.thinks)
-    assert rng.bit_generator.state == twin.bit_generator.state
+    assert ops._draws.random() == twin.random()  # the same stream position
 
 
-def test_completion_token_is_the_request_id_plus_one():
-    """The per-client completion callback recovers the op's token from the
-    request id; a late answer to a superseded op must not settle the
-    current one."""
+def test_a_late_answer_does_not_settle_the_open_op():
+    """An op settles once, by the request id its client returned; a late
+    answer to an earlier op must not settle the one that is open."""
     cluster, driver, history = drive(n_clients=2, stop_ms=3_000.0, run_ms=6_000.0)
-    for client, issued in zip(driver.clients, driver._issued):
-        assert client._next_id == issued > 0
+    for client, ops in zip(driver.clients, driver._loops):
+        assert client._next_id == ops.issued > 0
         assert [o.req_id for o in history.ops() if o.client == client.name] == list(
-            range(issued)
+            range(ops.issued)
         )
-    first = driver.clients[0].name
-    done = next(o for o in history.ops() if o.client == first and o.completed)
-    driver._settled[0] = False
+    ops = driver._loops[0]
+    done = next(o for o in history.ops() if o.client == ops._client.name and o.completed)
+    newest = ops.issued - 1
+    assert done.req_id < newest
+    ops._open = newest
     pending = cluster.loop.pending
-    driver._completed(0, done.req_id)  # stale: token 1, while `issued` ops are out
-    assert driver._settled[0] is False and cluster.loop.pending == pending
+    ops.settle(done.req_id)  # stale: an earlier op's answer
+    assert ops._open == newest and cluster.loop.pending == pending
+    ops.settle(newest)
+    assert ops._open == -1 and cluster.loop.pending == pending + 1
+
+
+def test_each_op_settles_at_its_answer_or_its_fallback_deadline():
+    """The next op of a client is issued one think after the earlier of
+    its predecessor's answer and its fallback deadline (issue + op
+    timeout + think_max): across a whole-cluster pause, where ops go
+    unanswered, and after it, where the fallback armed for an answered op
+    must re-arm for the open one."""
+    cfg = WorkloadConfig(
+        n_clients=4, op_timeout_ms=300.0, think_min_ms=5.0, think_max_ms=40.0,
+        max_ops_per_client=10**6,
+    )
+    cluster = make_raft_cluster(3, seed=11)
+    history = OpHistory()
+    driver = WorkloadDriver(cluster, cfg, history, stop_ms=9_000.0)
+    driver.install()
+    cluster.run_until(3_000.0)
+    for name in cluster.names:
+        cluster.node(name).pause()
+    cluster.run_until(5_000.0)
+    for name in cluster.names:
+        cluster.node(name).resume()
+    cluster.run_until(10_000.0)
+    fallback_ms = cfg.op_timeout_ms + cfg.think_max_ms
+    by_client = {}
+    for op in history.ops():
+        by_client.setdefault(op.client, []).append(op)
+    timed_out = 0
+    for ops in by_client.values():
+        for op, nxt in zip(ops, ops[1:]):
+            deadline = op.invoke_ms + fallback_ms
+            settled = deadline
+            if op.return_ms is not None and op.return_ms <= deadline:
+                settled = op.return_ms
+            else:
+                timed_out += 1
+            think = nxt.invoke_ms - settled
+            assert cfg.think_min_ms - 1e-9 <= think <= cfg.think_max_ms + 1e-9
+    assert timed_out >= len(by_client)  # every client sat out the pause
+
+
+#: The bounds the block draws must match numpy on: one value (no draw),
+#: small and key-space-sized ranges, one that rejects nearly half its
+#: products (2**31 + 3), and the largest Lemire bound.
+_BOUNDS = (1, 2, 3, 4, 7, 100, 2**31 + 3, 2**32 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    half=st.booleans(),
+    draws=st.lists(st.one_of(st.none(), st.sampled_from(_BOUNDS)), max_size=400),
+)
+def test_block_draws_are_the_generators_draws(seed, half, draws):
+    """``_BlockDraws`` replicates ``Generator.random()`` and
+    ``Generator.integers(n)`` to the bit, interleaved in any order across
+    block refills, from a stream that has already drawn a ``uniform`` —
+    and, with ``half``, an ``integers`` that left half an output buffered.
+    A numpy release that changes either algorithm fails here."""
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    for gen in (rng, twin):
+        gen.uniform(0.0, 260.0)
+        if half:
+            gen.integers(5)
+    blocks = _BlockDraws(rng)
+    for n in draws:
+        if n is None:
+            got, want = blocks.random(), float(twin.random())
+        else:
+            got, want = blocks.integers(n), int(twin.integers(n))
+        assert got == want and type(got) is type(want)

@@ -1,6 +1,8 @@
 """RaftClient behaviour: redirects, retries, giveup, what the history
 records."""
 
+import pytest
+
 from repro.raft.state_machine import kv_put
 from tests.conftest import add_recorded_client, completed_ops, make_raft_cluster
 
@@ -71,6 +73,29 @@ def test_on_complete_callback_invoked():
     client.submit(kv_put("x", 1), on_complete=seen.append)
     c.run_for(3000)
     assert seen == [0]
+
+
+def test_read_submit_rejects_anything_but_a_get():
+    # The leader's read path serves a KV get only; anything else used to
+    # be sent and then abort the whole run from inside the leader.
+    from repro.fuzz.history import OpHistory
+    from repro.raft.state_machine import kv_delete, kv_get
+
+    c = make_raft_cluster(3)
+    history = OpHistory()
+    client = c.add_client("cl", history=history)
+    leader = c.run_until_leader()
+    client._contact = leader
+    for command in (kv_put("a", 1), kv_delete("a"), ("get", "a")):
+        with pytest.raises(ValueError, match="read=True"):
+            client.submit(command, read=True)
+    assert client._next_id == 0 and len(history) == 0
+    assert sum(_sends(c, client).values()) == 0
+    client.submit(kv_put("a", 1))
+    c.run_for(2_000.0)
+    client.submit(kv_get("a"), read=True)
+    c.run_for(2_000.0)
+    assert [(o.op, o.result) for o in history.ops()] == [("put", 1), ("get", 1)]
 
 
 def test_completed_request_records_command_and_retries():

@@ -348,9 +348,9 @@ def test_lease_invalid_when_responses_stale():
     c.run_for(500.0)
     node = c.node(leader)
     assert node._lease_valid_for_reads()
-    # Age every voter response beyond any plausible lease duration.
-    for pr in node.progress.values():
-        pr.last_response -= 10_000.0
+    # Age every voter response beyond any plausible lease duration: the
+    # leader's clock jumps 10 s past them.
+    node.clock.set(offset_ms=10_000.0)
     assert not node._lease_valid_for_reads()
 
 
@@ -405,3 +405,178 @@ def test_dynatune_lease_bound_requires_every_path_tuned():
     assert p.lease_bound_ms() == 90.0  # min across tuned paths
     p.on_heartbeat_response("f1", HeartbeatResponseMeta(2, 5.0, None, None), 20.0)
     assert p.lease_bound_ms() is None  # f1 fell back to the default
+
+
+# --------------------------------------------------------------------- #
+# the cached lease anchor and bound, against the walks they replaced
+# --------------------------------------------------------------------- #
+
+
+def _reference_lease_bound(policy):
+    """``DynatunePolicy.lease_bound_ms`` as a walk over every path on
+    every call, which it was before the bound was kept between changes:
+    the oracle the cached bound must equal."""
+    bound = None
+    for st in policy._paths.values():
+        et = st.reported_et_ms
+        if et is None:
+            return None
+        if bound is None or et < bound:
+            bound = et
+    return bound
+
+
+def _reference_lease_valid(node):
+    """``_lease_valid_for_reads`` as the per-read count of fresh voter
+    responses it was before the anchor was kept: the oracle."""
+    if not node.config.check_quorum:
+        return False
+    if node.commit_index < node._term_start_index:
+        return False
+    bound = _reference_lease_bound(node.policy)
+    if bound is None:
+        return False
+    duration = bound - node._lease_margin_ms
+    if duration <= 0.0:
+        return False
+    needed = node._quorum.acks
+    if needed == 0:
+        return True
+    now = node._now()
+    for p in node._quorum.peers:
+        if now - node.progress[p].last_response < duration:
+            needed -= 1
+            if needed == 0:
+                return True
+    return False
+
+
+def _serving_cluster(seed, n_clients):
+    from repro.cluster import ClusterConfig, build_cluster
+    from repro.experiments.common import make_policy_factory
+    from repro.experiments.serving import ServingConfig
+    from repro.fuzz.history import OpHistory
+    from repro.fuzz.workload import WorkloadDriver
+
+    serving = ServingConfig(seed=seed, n_clients=n_clients)
+    cluster = build_cluster(
+        ClusterConfig(
+            n_nodes=serving.n_nodes,
+            seed=seed,
+            rtt_ms=serving.rtt_ms,
+            raft=serving.raft_config("lease"),
+        ),
+        make_policy_factory(serving.system),
+    )
+    WorkloadDriver(
+        cluster, serving.workload("lease"), OpHistory(), stop_ms=math.inf
+    ).install()
+    return cluster
+
+
+def test_cached_lease_matches_the_reference_walk_event_by_event():
+    """After every event of a Dynatune lease-read run — a learner joining
+    (a path that starts untuned, a quorum change), the leader crashing (a
+    new reign) and recovering, a voter leaving — each leader's cached
+    anchor and each policy's cached bound answer exactly what the walks
+    they replaced answer."""
+    from repro.cluster.faults import crash, recover_node
+    from repro.scenarios.scenario import Scenario
+    from repro.scenarios.steps import AddNode, RemoveNode
+
+    cluster = _serving_cluster(seed=3, n_clients=8)
+    Scenario(
+        "churn",
+        [AddNode(at_ms=4_000.0, node="n6"), RemoveNode(at_ms=9_000.0, node="n1")],
+    ).install(cluster)
+    cluster.start()
+    loop = cluster.loop
+    seen = {True: 0, False: 0}
+    crashed = None
+    while loop.now < 12_000.0:
+        loop.step()
+        if crashed is None and loop.now >= 6_000.0:
+            crashed = cluster.node(cluster.leader())
+            crash(crashed)
+        elif crashed is not None and not crashed.alive and loop.now >= 7_000.0:
+            recover_node(crashed)
+        for node in cluster.nodes.values():
+            assert node.policy.lease_bound_ms() == _reference_lease_bound(node.policy)
+            if node.alive and node.is_leader:
+                valid = node._lease_valid_for_reads()
+                assert valid == _reference_lease_valid(node), loop.now
+                seen[valid] += 1
+    assert crashed.alive and crashed.name != cluster.leader()
+    voters = cluster.node(cluster.leader()).membership.voters
+    assert "n6" in voters and "n1" not in voters
+    assert seen[True] > 500 and seen[False] > 500
+
+
+def test_cached_lease_matches_the_reference_walk_at_the_lease_boundary():
+    """At local times a few ulps either side of ``anchor + duration``, and
+    at the boundary itself, the anchor test and the count agree — and the
+    sweep does cross the boundary."""
+    cluster = _serving_cluster(seed=4, n_clients=4)
+    cluster.start()
+    cluster.run_until(4_000.0)
+    node = cluster.node(cluster.leader())
+    assert node._lease_valid_for_reads()
+    duration = node.policy.lease_bound_ms() - node._lease_margin_ms
+    edge = node._lease_anchor + duration - cluster.loop.now
+    offsets = [edge]
+    for _ in range(4):
+        offsets = [math.nextafter(offsets[0], -math.inf), *offsets]
+        offsets.append(math.nextafter(offsets[-1], math.inf))
+    offsets += [edge - 1e-6, edge + 1e-6, edge - 1.0, edge + 1.0]
+    outcomes = set()
+    for offset in offsets:
+        node.clock.set(offset_ms=offset)
+        valid = node._lease_valid_for_reads()
+        assert valid == _reference_lease_valid(node), offset
+        outcomes.add(valid)
+    assert outcomes == {True, False}
+
+
+def test_cached_lease_anchor_follows_a_quorum_change():
+    """Removing the freshest voter moves the anchor to the
+    ``acks_needed``-th freshest of the voters that remain at once, before
+    any response arrives to mark it for a recount."""
+    cluster = _serving_cluster(seed=4, n_clients=4)
+    cluster.start()
+    cluster.run_until(4_000.0)
+    node = cluster.node(cluster.leader())
+    assert node._lease_valid_for_reads()  # the anchor is kept from here
+    stamps = sorted(
+        ((node.progress[p].last_response, p) for p in node._quorum.peers), reverse=True
+    )
+    (_, freshest), (t2, _), (t3, _) = stamps[:3]
+    assert node._quorum.acks == 2 and t2 > t3
+    assert node.propose_config_change("remove", freshest)
+    assert node._quorum.acks == 2 and freshest not in node._quorum.peers
+    duration = node.policy.lease_bound_ms() - node._lease_margin_ms
+    # Inside the old anchor's lease (t2), past the new one's (t3).
+    node.clock.set(offset_ms=(t2 + t3) / 2.0 + duration - cluster.loop.now)
+    assert node._lease_valid_for_reads() is _reference_lease_valid(node) is False
+
+
+def test_dynatune_lease_bound_follows_every_path_change():
+    # The bound is kept between changes; each change to the paths must
+    # show in the next read: a heartbeat to a new follower (untuned), a
+    # report, a removed peer, a new reign.
+    p = DynatunePolicy(DynatuneConfig())
+    p.heartbeat_meta("f1", 0.0)
+    p.on_heartbeat_response("f1", HeartbeatResponseMeta(1, 0.0, None, 90.0), 10.0)
+    assert p.lease_bound_ms() == 90.0
+    p.heartbeat_meta("f2", 20.0)
+    assert p.lease_bound_ms() is None  # f2 is on its default
+    p.on_heartbeat_response("f2", HeartbeatResponseMeta(1, 20.0, None, 120.0), 30.0)
+    assert p.lease_bound_ms() == 90.0
+    p.on_peer_removed("f1")
+    assert p.lease_bound_ms() == 120.0
+    p.on_step_down(40.0)
+    assert p.lease_bound_ms() is None
+    p.heartbeat_meta("f2", 50.0)
+    p.on_heartbeat_response("f2", HeartbeatResponseMeta(1, 50.0, None, 80.0), 60.0)
+    assert p.lease_bound_ms() == 80.0
+    p.on_become_leader(70.0)
+    assert p.lease_bound_ms() is None

@@ -5,6 +5,8 @@ import platform
 import subprocess
 import sys
 
+import numpy
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -17,6 +19,7 @@ def test_same_seed_in_two_fresh_processes_counts_the_same_calls():
     assert first == second
     assert first.startswith("serve_reads") and "calls=" in first and "failed=0" in first
     assert " gc=" in first  # collector passes, counted without the profile hook
-    # The count depends on the interpreter too, so each line names it.
-    py = f" py={platform.python_version()}"
-    assert all(line.endswith(py) for line in first.splitlines())
+    # The count depends on the interpreter and on numpy too, so each
+    # line names both.
+    versions = f" py={platform.python_version()} np={numpy.__version__}"
+    assert all(line.endswith(versions) for line in first.splitlines())

@@ -111,7 +111,14 @@ class RepolintConfig:
                 {"SimDiskStorage.wal_append", "SimDiskStorage.sync"}
             ),
             "repro/fuzz/workload.py": frozenset(
-                {"WorkloadDriver._issue", "WorkloadDriver._settle"}
+                {
+                    "_ClientLoop.issue",
+                    "_ClientLoop.settle",
+                    "_ClientLoop._expire",
+                    "_BlockDraws.random",
+                    "_BlockDraws._next32",
+                    "_BlockDraws.integers",
+                }
             ),
             "repro/net/network.py": frozenset({"Network.transmit"}),
             "repro/net/link.py": frozenset({"Link._refill", "Link._sync"}),

@@ -19,9 +19,11 @@ full collection, and ``gc=g0/g1/g2`` counts that pass's collections of
 each generation through ``gc.callbacks`` (the benchmark's own
 ``gc.collect()`` before each timed body counts as a generation-2 pass).
 
-A count depends on the interpreter as well as on the seed, so each line
-ends with ``py=<major.minor.micro>``: compare counts only across equal
-``py=`` fields.
+A count depends on the interpreter and on numpy as well as on the seed:
+it includes numpy's Python-level frames, and a numpy routine that is one
+C call in one release may be several in another.  So each line ends with
+``py=<major.minor.micro> np=<numpy version>``: compare counts only across
+equal ``py=`` and ``np=`` fields.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ if __name__ == "__main__" and os.environ.get("PYTHONHASHSEED") != "0":
 def main(argv: list[str] | None = None) -> int:
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "benchmarks")]
+    import numpy
+
     from e2e import spans, workloads
     from repro.experiments.runner import derive_trial_seed
 
@@ -84,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{workload:<18} calls={calls:>9} calls_per_sim_s={calls / rnd.sim_s:>11.1f} "
             f"gc={passes[0]}/{passes[1]}/{passes[2]} "
             f"attempted={rnd.attempted} failed={rnd.failed} sim_s={rnd.sim_s:g} "
-            f"py={platform.python_version()}"
+            f"py={platform.python_version()} np={numpy.__version__}"
         )
     return status
 
