@@ -9,7 +9,7 @@ detection/OTS times from the trace the same way the paper greps server logs.
 
 from repro.cluster.builder import Cluster, ClusterConfig, build_cluster
 from repro.cluster.capacity import DEFAULT_COSTS_MS, CostModel
-from repro.cluster.faults import StallInjector, StallProfile, pause_for
+from repro.cluster.faults import pause_for
 from repro.cluster.harness import ClusterHarness
 from repro.cluster.measurements import (
     FailureEpisode,
@@ -34,8 +34,6 @@ __all__ = [
     "FluidWorkloadConfig",
     "LoadLevelResult",
     "OpenLoopDriver",
-    "StallInjector",
-    "StallProfile",
     "build_cluster",
     "extract_failure_episodes",
     "leaderless_intervals",

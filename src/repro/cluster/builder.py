@@ -17,6 +17,7 @@ Fix-K                 ``lambda name: DynatunePolicy(DynatuneConfig(fixed_k=10))`
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable
 
 from repro.cluster.capacity import BilledPort, CostModel
@@ -88,6 +89,10 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ValueError(f"n_nodes must be >= 1, got {self.n_nodes!r}")
+        if not (0.0 <= self.jitter_sigma_ms < math.inf):  # also rejects NaN
+            raise ValueError(
+                f"jitter_sigma_ms must be finite and >= 0, got {self.jitter_sigma_ms!r}"
+            )
         if self.topology not in ("uniform", "aws"):
             raise ValueError(f"topology must be 'uniform' or 'aws', got {self.topology!r}")
         if self.storage not in ("ideal", "simdisk"):

@@ -199,12 +199,6 @@ def leaderless_intervals(
     ``become_leader`` transfers leadership without a gap (by election
     safety the old leader is already deposed or about to learn it is).
 
-    Sub-election-timeout operational stalls (``stall_pause``) are *not*
-    leadership ends: the paper's OTS shading is derived from election
-    events in server logs, which a 100–700 ms scheduler stall never
-    reaches unless it actually triggers an election (in which case the
-    resulting ``step_down``/``become_leader`` records are captured here).
-
     Intervals are clipped to ``[t_start, t_end]``.
     """
     relevant = trace.of_kinds(

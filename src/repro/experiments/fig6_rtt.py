@@ -18,9 +18,13 @@ periods.
   live leader's heartbeats arrive — no OTS; Raft rides it out; Raft-Low
   loses the leader for the whole spike.
 
-Operational stalls (short leader pauses, :class:`~repro.cluster.faults.
-StallProfile`) model the single-host scheduling noise that triggers
-Raft-Low's elections in the paper's testbed.
+Every directed link carries a heavy-tailed one-way delay (a lognormal
+excess over the base, :class:`~repro.net.delay_models.LognormalJitterDelay`):
+the testbed noise that triggers Raft-Low's elections.  Raft's heartbeats
+ride TCP, so one tail draw holds back every later segment on that channel
+(head-of-line) and opens a gap a 100 ms timeout cannot ride out;
+Dynatune's UDP heartbeats draw independently, and the tail's spread widens
+its σ term and so its Et.
 
 Each (system, pattern) pair is one cell of :data:`GRID`; ``python -m
 repro.experiments.fig6_rtt --pattern radical`` runs Fig. 6b alone.
@@ -29,6 +33,7 @@ repro.experiments.fig6_rtt --pattern radical`` runs Fig. 6b alone.
 from __future__ import annotations
 
 import dataclasses
+import math
 import sys
 from typing import Sequence
 
@@ -36,7 +41,6 @@ import numpy as np
 
 from repro.analysis.asciiplot import line_chart
 from repro.cluster.builder import ClusterConfig, build_cluster
-from repro.cluster.faults import StallInjector, StallProfile
 from repro.cluster.harness import ClusterHarness
 from repro.cluster.measurements import (
     kth_smallest_series,
@@ -46,6 +50,7 @@ from repro.cluster.measurements import (
 )
 from repro.experiments import grid
 from repro.experiments.common import make_policy_factory
+from repro.net.delay_models import LognormalJitterDelay
 from repro.scenarios.profiles import gradual_rtt_profile, radical_rtt_profile
 from repro.scenarios.scenario import Scenario
 from repro.sim.clock import SECOND
@@ -58,7 +63,9 @@ SEED = 42
 WARMUP_MS = 10_000.0
 #: Quiet time after the pattern's last dwell.
 TAIL_MS = 5_000.0
-STALL_PROFILE = StallProfile()
+#: Median (ms) and log-space σ of every link's lognormal delay excess.
+NOISE_EXCESS_MEDIAN_MS = 2.0
+NOISE_SIGMA_LOG = 1.5
 
 
 @dataclasses.dataclass(slots=True, frozen=True)
@@ -116,17 +123,14 @@ def run_one(config: Fig6Config) -> SystemRttResult:
         ),
         make_policy_factory(system),
     )
+    for link in cluster.network.links():
+        link.delay = LognormalJitterDelay(
+            link.one_way_ms, math.log(NOISE_EXCESS_MEDIAN_MS), NOISE_SIGMA_LOG
+        )
     schedule.install(cluster)
     harness = ClusterHarness(cluster)
     harness.install_randomized_timeout_sampler(interval_ms=SECOND)
     harness.install_rtt_probe(interval_ms=SECOND)
-    StallInjector(
-        cluster.loop,
-        list(cluster.nodes.values()),
-        STALL_PROFILE,
-        cluster.rngs.stream,
-        trace=cluster.trace,
-    ).install()
     cluster.start()
     end = config.duration_ms()
     cluster.run_until(end)

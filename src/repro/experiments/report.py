@@ -3,9 +3,11 @@
 ``python -m repro.experiments.report`` runs every paper figure's full grid
 (the paper's parameters) and prints a markdown table covering every
 quantitative claim in the paper's evaluation.  Where the paper states a
-number the verdict is the signed error against it; where it states a
-shape the row names its criterion (the tier-1 threshold where one exists)
-and whether the measured value meets it.
+number the verdict is the signed error against it (for Figs. 4 and 8's
+means, also whether the paper's value lies inside the measured mean's
+95 % bootstrap CI); where it states a shape the row names its criterion
+(the tier-1 threshold where one exists) and whether the measured value
+meets it.  The command exits 1 when any row ``FAILS``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.analysis.stats import bootstrap_mean_ci
 from repro.experiments import fig4_election, fig5_throughput, fig6_rtt, fig7_loss, fig8_geo, grid
 
 __all__ = ["ReportRow", "build_report", "main"]
@@ -47,6 +50,19 @@ def _paper_row(experiment: str, quantity: str, paper: float, measured: float, fm
     return ReportRow(experiment, quantity, fmt(paper), fmt(measured), f"{100.0 * (measured - paper) / paper:+.0f} %")
 
 
+def _mean_row(experiment: str, quantity: str, paper: float, values: np.ndarray) -> ReportRow:
+    """A paper-number row for a measured mean, which also prints the mean's
+    95 % bootstrap CI and says whether the paper's value lies inside it."""
+    row = _paper_row(experiment, quantity, paper, float(values.mean()), _ms)
+    lo, hi = bootstrap_mean_ci(values)
+    where = "inside" if lo <= paper <= hi else "outside"
+    return dataclasses.replace(
+        row,
+        measured=f"{row.measured} (95 % CI {lo:.0f}–{hi:.0f})",
+        verdict=f"{row.verdict}, paper {where} CI",
+    )
+
+
 def _holds(ok: bool, criterion: str) -> str:
     """A shape verdict: the criterion and whether the measurement meets it."""
     return f"{'holds' if ok else 'FAILS'}: {criterion}"
@@ -70,8 +86,8 @@ def _election_rows(experiment: str, runs: Sequence[fig4_election.SystemElectionR
         if metric not in paper["raft"]:
             continue
         for system, name in _SYSTEM_NAMES.items():
-            measured = getattr(grid.find(runs, system=system), f"mean_{metric}_ms")
-            rows.append(_paper_row(experiment, f"{name} {label}{suffix}", paper[system][metric], measured, _ms))
+            values = getattr(grid.find(runs, system=system), f"{metric}_ms")
+            rows.append(_mean_row(experiment, f"{name} {label}{suffix}", paper[system][metric], values))
         if metric in ("detection", "ots"):
             want = 1.0 - paper["dynatune"][metric] / paper["raft"][metric]
             rows.append(_paper_row(experiment, f"{label.removeprefix('mean ')} reduction{suffix}", want, fig4_election.reduction(runs, metric), _pct))
@@ -144,8 +160,14 @@ def render_markdown(rows: list[ReportRow]) -> str:
     return "\n".join(out)
 
 
-def main() -> None:  # pragma: no cover - exercised via __main__
-    print(render_markdown(build_report()))
+def main() -> int:
+    """Print the report; exit 1 naming each row whose verdict ``FAILS``."""
+    rows = build_report()
+    print(render_markdown(rows))
+    failed = [r for r in rows if "FAILS" in r.verdict]
+    for r in failed:
+        print(f"FAILS: {r.experiment} {r.quantity}: {r.verdict}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -79,8 +79,8 @@ class UniformJitterDelay(_BaseDelay):
 
     def __init__(self, base_ms: float, jitter_ms: float) -> None:
         super().__init__(base_ms)
-        if jitter_ms < 0.0:
-            raise ValueError(f"jitter must be >= 0 ms, got {jitter_ms!r}")
+        if not (0.0 <= jitter_ms < math.inf):  # also rejects NaN
+            raise ValueError(f"jitter must be finite and >= 0 ms, got {jitter_ms!r}")
         self.jitter_ms = float(jitter_ms)
 
     def sample(self, rng: np.random.Generator) -> float:
@@ -104,8 +104,8 @@ class NormalJitterDelay(_BaseDelay):
 
     def __init__(self, base_ms: float, sigma_ms: float) -> None:
         super().__init__(base_ms)
-        if sigma_ms < 0.0:
-            raise ValueError(f"sigma must be >= 0 ms, got {sigma_ms!r}")
+        if not (0.0 <= sigma_ms < math.inf):  # also rejects NaN
+            raise ValueError(f"sigma must be finite and >= 0 ms, got {sigma_ms!r}")
         self.sigma_ms = float(sigma_ms)
 
     def sample(self, rng: np.random.Generator) -> float:
@@ -127,17 +127,19 @@ class LognormalJitterDelay(_BaseDelay):
     """Heavy-tailed delay: ``base + lognormal`` excess.
 
     Internet paths show right-skewed delay with occasional large excursions
-    (Høiland-Jørgensen et al., cited in §II-C1).  Used by the WAN example
-    and the robustness tests; the excess has median
-    ``exp(mu_log)`` ms and shape ``sigma_log``.
+    (Høiland-Jørgensen et al., cited in §II-C1).  Fig. 6 puts it on every
+    link as the testbed's noise; the excess has median ``exp(mu_log)`` ms
+    and shape ``sigma_log``.
     """
 
     __slots__ = ("mu_log", "sigma_log")
 
     def __init__(self, base_ms: float, mu_log: float, sigma_log: float) -> None:
         super().__init__(base_ms)
-        if sigma_log < 0.0:
-            raise ValueError(f"sigma_log must be >= 0, got {sigma_log!r}")
+        if not (0.0 <= sigma_log < math.inf):  # also rejects NaN
+            raise ValueError(f"sigma_log must be finite and >= 0, got {sigma_log!r}")
+        if not math.isfinite(mu_log):
+            raise ValueError(f"mu_log must be finite, got {mu_log!r}")
         self.mu_log = float(mu_log)
         self.sigma_log = float(sigma_log)
 

@@ -60,8 +60,6 @@ TRACE_KINDS: frozenset[str] = frozenset(
         "scenario_step",
         "snapshot_install",
         "snapshot_send",
-        "stall",
-        "stall_pause",
         "step_down",
         "wal_truncated",
     )

@@ -1,5 +1,7 @@
 """Cluster builder: wiring, config validation, leader queries."""
 
+import math
+
 import pytest
 
 from repro.cluster.builder import ClusterConfig, build_cluster
@@ -12,6 +14,9 @@ def test_config_validation():
         ClusterConfig(n_nodes=0)
     with pytest.raises(ValueError):
         ClusterConfig(topology="lan-party")
+    for sigma in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ClusterConfig(jitter_sigma_ms=sigma)
 
 
 def test_builder_names_and_links():

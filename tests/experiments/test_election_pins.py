@@ -69,12 +69,12 @@ def test_leader_kill_samples_are_pinned(make, fields, digest):
         (
             lambda: grid.run(fig6_rtt.GRID, fig6_rtt.Fig6Config(dwell_ms=6_000.0), pattern=["gradual"]),
             (),
-            "8ebce07ea5e7aa35ae01cbee20f55fbffff45ad6af450ffcae1c0bc11ec202d1",
+            "e65b72757100f667318a00a54466d2266f5787c4b08a031fc4238f2f65f1914e",
         ),
         (
             lambda: grid.run(fig6_rtt.GRID, fig6_rtt.Fig6Config(dwell_ms=6_000.0), pattern=["radical"]),
             (),
-            "98bef4e8a14c2d6481a126a10e2b4e0516a3e5dbfd6af535ffc913fd6f19d841",
+            "cb5895adebe23a075e35636340014948a7856d986cef5f77709b7588743cb48d",
         ),
         (
             lambda: grid.run(fig_scale.GRID, tiny_config()),

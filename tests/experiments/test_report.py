@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.experiments import fig4_election, fig7_loss, grid
+from repro.analysis.cdf import empirical_cdf
+from repro.analysis.stats import bootstrap_mean_ci, summarize
+from repro.experiments import fig4_election, fig7_loss, grid, report
 from repro.experiments.report import ReportRow, _election_rows, _fig7_rows, render_markdown
 
 
@@ -27,14 +29,59 @@ def test_election_rows_quote_the_paper_and_state_the_error():
     assert len(rows) == 10  # eight paper means, two reductions
     ots = rows["Dynatune mean OTS"]
     measured = grid.find(runs, system="dynatune").mean_ots_ms
-    assert (ots.paper, ots.measured) == ("797 ms", f"{measured:.0f} ms")
-    assert ots.verdict == f"{100.0 * (measured - 797.0) / 797.0:+.0f} %"
+    assert ots.paper == "797 ms"
+    assert ots.measured.startswith(f"{measured:.0f} ms (95 % CI ")
+    assert ots.verdict.startswith(f"{100.0 * (measured - 797.0) / 797.0:+.0f} %, paper ")
     reduction = rows["OTS reduction"]
     assert reduction.paper == "45 %"
     paper_reduction = 1.0 - 797.0 / 1449.0
     assert reduction.verdict == (
         f"{100.0 * (fig4_election.reduction(runs, 'ots') - paper_reduction) / paper_reduction:+.0f} %"
     )
+
+
+def _election_run(system: str, detection_ms: list[float]) -> fig4_election.SystemElectionResult:
+    d = np.array(detection_ms)
+    return fig4_election.SystemElectionResult(
+        system=system,
+        episodes=(),
+        detection_ms=d,
+        ots_ms=d,
+        election_ms=d,
+        randomized_timeout_ms=d,
+        detection_summary=summarize(d),
+        ots_summary=summarize(d),
+        detection_cdf=empirical_cdf(d),
+        ots_cdf=empirical_cdf(d),
+        placement={},
+    )
+
+
+def test_election_mean_rows_give_the_ci_and_whether_the_paper_is_inside():
+    raft = _election_run("raft", [1100.0, 1300.0] * 50)  # mean 1200, CI ∋ 1205
+    dyn = _election_run("dynatune", [300.0] * 100)  # CI [300, 300] ∌ 237
+    paper = {"raft": {"detection": 1205.0}, "dynatune": {"detection": 237.0}}
+    raft_row, dyn_row, reduction = _election_rows("Fig.4", [raft, dyn], paper)
+    lo, hi = bootstrap_mean_ci(raft.detection_ms)
+    assert lo < 1205.0 < hi
+    assert raft_row.measured == f"1200 ms (95 % CI {lo:.0f}–{hi:.0f})"
+    assert raft_row.verdict == "-0 %, paper inside CI"
+    assert dyn_row.measured == "300 ms (95 % CI 300–300)"
+    assert dyn_row.verdict == "+27 %, paper outside CI"
+    assert "CI" not in reduction.measured + reduction.verdict
+
+
+@pytest.mark.parametrize("verdict, code", [("holds: OTS = 0", 0), ("FAILS: OTS = 0", 1)])
+def test_main_exits_nonzero_when_a_row_fails(monkeypatch, capsys, verdict, code):
+    rows = [
+        ReportRow("Fig.4", "detection", "1205 ms", "1178 ms", "-2 %"),
+        ReportRow("Fig.6a", "Dynatune OTS", "none", "0.0 s", verdict),
+    ]
+    monkeypatch.setattr(report, "build_report", lambda: rows)
+    assert report.main() == code
+    out, err = capsys.readouterr()
+    assert out.strip() == render_markdown(rows)
+    assert ("Dynatune OTS" in err) == bool(code)
 
 
 def _loss_run(system: str, h_ms: list[float], cpu: float) -> fig7_loss.LossRunResult:

@@ -57,8 +57,15 @@ def test_uniform_jitter_within_band(rng):
 
 
 def test_uniform_jitter_negative_rejected():
-    with pytest.raises(ValueError):
-        UniformJitterDelay(100.0, -1.0)
+    for jitter in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            UniformJitterDelay(100.0, jitter)
+
+
+def test_normal_sigma_negative_or_non_finite_rejected():
+    for sigma in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            NormalJitterDelay(10.0, sigma)
 
 
 def test_normal_jitter_statistics(rng):
@@ -87,8 +94,11 @@ def test_lognormal_right_skew(rng):
 
 
 def test_lognormal_negative_sigma_rejected():
-    with pytest.raises(ValueError):
-        LognormalJitterDelay(50.0, 0.0, -0.1)
+    bad = [(0.0, -0.1), (0.0, math.nan), (0.0, math.inf)]
+    bad += [(mu_log, 1.0) for mu_log in (math.nan, math.inf, -math.inf)]
+    for mu_log, sigma_log in bad:
+        with pytest.raises(ValueError):
+            LognormalJitterDelay(50.0, mu_log, sigma_log)
 
 
 @given(base=st.floats(min_value=0.0, max_value=1e4), jitter=st.floats(min_value=0.0, max_value=1e3))

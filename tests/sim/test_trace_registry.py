@@ -25,7 +25,7 @@ def test_registry_contains_core_measurement_kinds():
         "become_leader",
         "election_timeout",
         "fault_leader_pause",
-        "stall_pause",
+        "fault_pause",
     } <= TRACE_KINDS
 
 

@@ -141,14 +141,12 @@ class RepolintConfig:
     #: * ``fault_leader_pause`` — a pause that *is* a leader failure;
     #:   consumed by the measurement layer as ``LEADER_FAILURE_KIND``;
     #: * ``fault_pause`` — ``pause_for``'s default / plain container sleep;
-    #: * ``stall_pause`` — ``StallInjector`` processing stalls;
     #: * ``liveness_*`` — the :class:`~repro.scenarios.liveness.
     #:   LivenessChecker`'s three detectors, emitted via its ``_flag``
     #:   helper.
     extra_trace_kinds: tuple[str, ...] = (
         "fault_leader_pause",
         "fault_pause",
-        "stall_pause",
         "liveness_no_leader",
         "liveness_election_livelock",
         "liveness_commit_stall",
